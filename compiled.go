@@ -1,16 +1,9 @@
 package xmlac
 
 import (
-	"context"
 	"io"
-	"sync"
-	"time"
 
 	"xmlac/internal/core"
-	"xmlac/internal/secure"
-	"xmlac/internal/skipindex"
-	"xmlac/internal/soe"
-	itrace "xmlac/internal/trace"
 )
 
 // CompiledPolicy is a policy compiled once to its Access Rules Automata,
@@ -69,134 +62,11 @@ func (cp *CompiledPolicy) Hash() string { return cp.hash }
 // NumRules returns the number of compiled rules.
 func (cp *CompiledPolicy) NumRules() int { return cp.rules }
 
-// evalState bundles the per-request evaluation machinery (secure reader and
-// streaming evaluator) whose internal tables are reused across requests
-// through a sync.Pool: concurrent AuthorizedView calls do not re-allocate the
-// reader caches and evaluator maps, they only reset them.
-type evalState struct {
-	reader *secure.Reader
-	eval   *core.Evaluator
-}
-
-var evalPool = sync.Pool{New: func() any { return &evalState{} }}
-
 // AuthorizedViewCompiled is AuthorizedView for a pre-compiled policy: the
 // compile-once / evaluate-many fast path. It produces byte-identical views
 // and identical metrics to AuthorizedView with the source policy.
 func (p *Protected) AuthorizedViewCompiled(key Key, cp *CompiledPolicy, opts ViewOptions) (*Document, *Metrics, error) {
-	return authorizedViewOverSource(p.snapshot(), key, cp, opts)
-}
-
-// authorizedViewOverSource materializes the authorized view over any chunk
-// source by running the shared pipeline into a tree (the core attaches an
-// xmlstream.TreeSink when no delivery sink is configured).
-func authorizedViewOverSource(src secure.ChunkSource, key Key, cp *CompiledPolicy, opts ViewOptions) (*Document, *Metrics, error) {
-	coreOpts, err := opts.coreOptions()
-	if err != nil {
-		return nil, nil, err
-	}
-	res, metrics, err := runViewPipeline(opts.Context, src, key, cp, coreOpts, opts.Parallelism)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Document{root: res.View}, metrics, nil
-}
-
-// traceSetter is implemented by chunk sources that can charge their work to
-// an evaluation's tracing context (internal/remote's Source).
-type traceSetter interface {
-	SetTrace(*itrace.Context)
-}
-
-// contextSetter is implemented by chunk sources whose fetches can be bound to
-// a request context (internal/remote's Source), so canceling the context
-// aborts their in-flight transfers.
-type contextSetter interface {
-	SetContext(context.Context)
-}
-
-// runViewPipeline runs the SOE pipeline (secure reader, Skip-index decoder,
-// streaming evaluator) over any chunk source: the in-memory protected
-// document (local evaluation) or a remote blob (OpenRemote), where every
-// ciphertext range the reader pulls is network transfer. The view goes
-// wherever coreOpts.Sink points (Result.View when nil); the per-request
-// machinery comes from the shared pool.
-//
-// When the evaluation fails mid-scan (typically the sink of a disconnected
-// client), the returned Metrics are non-nil and carry the partial counters
-// of the work already performed, so aggregators can still account for it.
-//
-// parallelism >= 2 requests the region-parallel scan (ViewOptions.
-// Parallelism); it applies only to local documents without a query, and any
-// combination the parallel orchestrator vetoes falls back to the serial
-// pipeline below before a single byte reaches the sink.
-func runViewPipeline(ctx context.Context, src secure.ChunkSource, key Key, cp *CompiledPolicy, coreOpts core.Options, parallelism int) (*core.Result, *Metrics, error) {
-	if parallelism >= 2 && coreOpts.Query == nil {
-		if prot, ok := src.(*secure.Protected); ok {
-			res, metrics, err := runParallelViewPipeline(ctx, prot, key, cp, coreOpts, parallelism)
-			if !parallelFallback(err) {
-				return res, metrics, err
-			}
-		}
-	}
-	start := time.Now()
-	st := evalPool.Get().(*evalState)
-	defer evalPool.Put(st)
-	if ctx != nil {
-		if cs, ok := src.(contextSetter); ok {
-			cs.SetContext(ctx)
-			defer cs.SetContext(nil)
-		}
-	}
-	var err error
-	if st.reader == nil {
-		st.reader, err = secure.NewReader(src, key)
-	} else {
-		err = st.reader.Reset(src, key)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	decoder, err := skipindex.NewDecoder(st.reader)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := coreOpts.Trace
-	if tr != nil {
-		st.reader.SetTrace(tr)
-		decoder.SetTrace(tr)
-		if ts, ok := src.(traceSetter); ok {
-			ts.SetTrace(tr)
-			defer ts.SetTrace(nil)
-		}
-		defer st.reader.SetTrace(nil)
-	}
-	if st.eval == nil {
-		st.eval = core.NewCompiledEvaluator(decoder, cp.core, coreOpts)
-	} else {
-		st.eval.Reset(decoder, cp.core, coreOpts)
-	}
-	res, err := st.eval.Run()
-	if err != nil {
-		partial := buildMetrics(st.reader.Costs(), decoder.BytesSkipped(),
-			&core.Result{Metrics: st.eval.Metrics()})
-		stampDuration(partial, tr, start, "view:"+cp.subject)
-		return nil, partial, err
-	}
-	metrics := buildMetrics(st.reader.Costs(), decoder.BytesSkipped(), res)
-	stampDuration(metrics, tr, start, "view:"+cp.subject)
-	return res, metrics, nil
-}
-
-// stampDuration closes the evaluation's tracing context (recording its phase
-// and root spans) and stamps wall time plus phase breakdown on the metrics.
-// Duration is stamped even without tracing; the breakdown needs the timers.
-func stampDuration(m *Metrics, tr *itrace.Context, start time.Time, name string) {
-	m.Duration = time.Since(start)
-	if tr != nil {
-		tr.Finish(name, m.BytesTransferred)
-		m.PhaseBreakdown = breakdownFromPhases(tr.Phases())
-	}
+	return runView(p.snapshot(), key, CompiledView{Policy: cp, Options: opts})
 }
 
 // CompiledView describes one subject's requested view inside a shared scan
@@ -231,7 +101,9 @@ type ViewResult struct {
 	// EstimatedSmartCardSeconds) describe the one shared pass and are the
 	// same for every subject — the whole point of sharing the scan.
 	Metrics *Metrics
-	// Err is the per-subject failure, if any.
+	// Err is the per-subject failure, if any: the subject's own delivery
+	// failure, or the failure of the shared scan. Metrics then carries the
+	// partial counters of the work performed.
 	Err error
 }
 
@@ -247,45 +119,13 @@ type ViewResult struct {
 // Per-subject output is byte-identical to StreamAuthorizedViewCompiled (or
 // AuthorizedViewCompiled when Output is nil) with the same policy and
 // options, and the per-subject metric counters are identical; only the
-// shared-cost fields differ. One subject's failing writer removes only that
-// subject from the scan. internal/server builds GET /view request coalescing
-// on top of this entry point.
+// shared-cost fields differ. Those solo entry points are this scan with one
+// view. One subject's failing writer removes only that subject from the
+// scan. A failure of the scan itself (an integrity violation, truncated
+// ciphertext) is returned as the error together with the results: every
+// subject still in the scan carries it in ViewResult.Err, next to the
+// partial Metrics of the work performed. internal/server serves every
+// GET /view through this entry point.
 func (p *Protected) AuthorizedViewsCompiled(key Key, views []CompiledView) ([]ViewResult, error) {
-	return runMultiViewPipeline(p.snapshot(), key, views)
-}
-
-// multiState bundles the machinery of one shared scan (secure reader plus one
-// evaluator per subject), pooled across scans like evalState is for solo
-// evaluations.
-type multiState struct {
-	reader *secure.Reader
-	evals  []*core.Evaluator
-}
-
-// evaluator returns the i-th pooled evaluator, growing the pool as needed.
-func (st *multiState) evaluator(i int) *core.Evaluator {
-	for len(st.evals) <= i {
-		st.evals = append(st.evals, &core.Evaluator{})
-	}
-	return st.evals[i]
-}
-
-var multiPool = sync.Pool{New: func() any { return &multiState{} }}
-
-// buildMetrics folds the secure-reader costs and the evaluator metrics into
-// the public Metrics record, including the smart-card execution estimate.
-func buildMetrics(costs secure.Costs, bytesSkipped int64, res *core.Result) *Metrics {
-	profile := soe.HardwareSmartCard()
-	breakdown := profile.Breakdown(costs.BytesTransferred, costs.BytesDecrypted, costs.BytesHashed,
-		res.Metrics.TokenOps+res.Metrics.Events)
-	return &Metrics{
-		BytesTransferred:          costs.BytesTransferred,
-		BytesDecrypted:            costs.BytesDecrypted,
-		BytesSkipped:              bytesSkipped,
-		SubtreesSkipped:           res.Metrics.SubtreesSkipped,
-		NodesPermitted:            res.Metrics.NodesPermitted,
-		NodesDenied:               res.Metrics.NodesDenied,
-		NodesPending:              res.Metrics.NodesPending,
-		EstimatedSmartCardSeconds: breakdown.Total(),
-	}
+	return runViews(p.snapshot(), key, views)
 }

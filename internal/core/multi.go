@@ -186,19 +186,25 @@ func (m *MultiEvaluator) allSuspendedDepth() (int, bool) {
 
 // Run drives the shared scan to the end of the document and finalizes every
 // subject. The returned slice has one outcome per AddSubject call, in order.
-// A shared failure (the reader itself fails: truncated ciphertext, integrity
-// violation) aborts the whole scan and is returned as the error; per-subject
-// failures (a sink that stops accepting bytes) only remove that subject, and
-// surface in its outcome.
+// Per-subject failures (a sink that stops accepting bytes) only remove that
+// subject, and surface in its outcome. A shared failure (the reader itself
+// fails: truncated ciphertext, integrity violation) aborts the whole scan:
+// it is returned as the error and every subject still live carries it in
+// its outcome, with the partial metrics of the work already performed.
 func (m *MultiEvaluator) Run() ([]SubjectOutcome, error) {
 	if m.ran {
 		return nil, errors.New("core: MultiEvaluator.Run called twice")
 	}
 	m.ran = true
-	if err := m.scan(); err != nil {
-		return nil, err
+	err := m.scan()
+	if err != nil {
+		for _, s := range m.subjects {
+			if s.err == nil {
+				s.err = err
+			}
+		}
 	}
-	return m.finalize(), nil
+	return m.finalize(), err
 }
 
 // liveCount returns the number of subjects still participating in the scan.

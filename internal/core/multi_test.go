@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"xmlac/internal/accessrule"
@@ -193,5 +194,67 @@ func TestMultiEvaluatorSinkAbort(t *testing.T) {
 	if outcomes[good].Result.Metrics != solo.Metrics {
 		t.Fatalf("surviving subject's metrics differ from solo:\nmulti: %+v\nsolo:  %+v",
 			outcomes[good].Result.Metrics, solo.Metrics)
+	}
+}
+
+var errSourceFailed = errors.New("source failed")
+
+// failingSource fails every read once reads (when non-negative) are used
+// up, like a reader whose integrity check rejects the rest of the document.
+type failingSource struct {
+	skipindex.ByteSource
+	reads int
+}
+
+func (f *failingSource) ReadAt(p []byte, off int64) (int, error) {
+	if f.reads == 0 {
+		return 0, errSourceFailed
+	}
+	if f.reads > 0 {
+		f.reads--
+	}
+	return f.ByteSource.ReadAt(p, off)
+}
+
+// TestMultiEvaluatorReaderFailurePartialOutcomes: a shared reader failing
+// mid-scan aborts the scan with its error, and every subject still reports
+// the partial metrics of the work performed, carrying that error; a subject
+// whose sink had already failed keeps its own error.
+func TestMultiEvaluatorReaderFailurePartialOutcomes(t *testing.T) {
+	doc, err := xmlstream.ParseTree(strings.NewReader("<r>" + strings.Repeat("<a><b>1</b></a>", 50) + "</r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := skipindex.Encode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &failingSource{ByteSource: skipindex.NewBytesSource(enc.Data), reads: -1}
+	dec, err := skipindex.NewDecoder(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.reads = 8
+	all := CompilePolicy(accessrule.NewPolicy("all", accessrule.MustRule("R1", "+", "//*")))
+	multi := NewMultiEvaluator(dec)
+	bad := multi.AddSubject(nil, all, Options{Sink: &budgetSink{budget: 1}})
+	live := multi.AddSubject(nil, all, Options{})
+	outcomes, err := multi.Run()
+	if err == nil {
+		t.Fatal("truncated document must fail the shared scan")
+	}
+	if len(outcomes) != 2 {
+		t.Fatalf("got %d outcomes, want one per subject", len(outcomes))
+	}
+	if !errors.Is(outcomes[bad].Err, errBudgetSink) {
+		t.Fatalf("subject removed by its sink must keep its own error, got %v", outcomes[bad].Err)
+	}
+	if outcomes[live].Err != err {
+		t.Fatalf("live subject must carry the scan error %v, got %v", err, outcomes[live].Err)
+	}
+	for i, out := range outcomes {
+		if out.Result == nil || out.Result.Metrics.Events == 0 {
+			t.Fatalf("subject %d: no partial metrics for the work performed: %+v", i, out.Result)
+		}
 	}
 }

@@ -193,10 +193,11 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localView, localMetrics, err := entry.View(clerk, xmlac.ViewOptions{})
+	local, err := entry.StreamViews([]xmlac.CompiledView{{Policy: clerk}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	localView, localMetrics := local[0].View, local[0].Metrics
 	if view.XML() != localView.XML() {
 		t.Fatal("remote view after resync differs from the local view")
 	}

@@ -18,9 +18,11 @@ import (
 // waits a small window for company; requests arriving inside the window join
 // it (each with its own subject, options and response writer) up to a
 // per-scan subject cap. Filling the cap seals the batch immediately. While a
-// sealed batch is scanning, late arrivals fall back to the solo path — they
-// never queue behind a running scan, so the window bounds the worst-case
-// added latency and a cold cache never convoys.
+// sealed batch is scanning, late arrivals run their own singleton batch —
+// they never queue behind a running scan, so the window bounds the
+// worst-case added latency and a cold cache never convoys. Every batch, from
+// one subject to the cap, runs on the same engine: a singleton batch is a
+// one-element multicast, exactly what the solo entry points run.
 
 // DefaultCoalesceWindow is how long the first request of a batch waits for
 // other subjects to join its shared scan.
@@ -41,10 +43,10 @@ type viewRequest struct {
 	done   chan struct{}
 	result xmlac.ViewResult
 	// accounting is the metrics record to fold into sessions and server
-	// totals: for a coalesced view the shared-cost fields are amortized over
-	// the batch (the client-visible result.Metrics keeps the full shared-pass
-	// numbers), so aggregates reflect work actually performed. nil means
-	// result.Metrics is the accounting record (solo paths).
+	// totals: the shared-cost fields are amortized over the batch (the
+	// client-visible result.Metrics keeps the full shared-pass numbers), so
+	// aggregates reflect work actually performed. nil when the scan failed
+	// before any work was measured.
 	accounting *xmlac.Metrics
 }
 
@@ -176,8 +178,8 @@ func (c *coalescer) invalidateDoc(docID string) {
 }
 
 // seal closes the join window of a batch (idempotent). The batch stays in the
-// table, marked sealed, so late arrivals see a scan in flight and fall back
-// to the solo path; finish removes it.
+// table, marked sealed, so late arrivals see a scan in flight and run their
+// own singleton batch; finish removes it.
 func (c *coalescer) seal(b *scanBatch) {
 	c.mu.Lock()
 	c.sealLocked(b)
@@ -260,18 +262,22 @@ func (c *coalescer) recordSolo(docID string) {
 // serve runs one view request through the coalescing table and returns its
 // result: as joiner (result delivered by the batch leader), as leader
 // (opened a batch, waited the window, ran the shared scan for every member)
-// or solo (late joiner while a scan was in flight). The second return value
-// is the metrics record to fold into sessions and server totals — amortized
-// for coalesced views so aggregates match physical work; nil means the
-// result's own metrics are the accounting record.
+// or as a late joiner while a scan was in flight, which runs its own
+// singleton batch. A nil coalescer (coalescing disabled) runs every request
+// as a singleton batch. The second return value is the metrics record to
+// fold into sessions and server totals (see viewRequest.accounting).
 func (c *coalescer) serve(key string, entry *DocumentEntry, view xmlac.CompiledView) (xmlac.ViewResult, *xmlac.Metrics) {
 	req := &viewRequest{view: view, done: make(chan struct{})}
+	if c == nil {
+		runBatch(entry, []*viewRequest{req})
+		return req.result, req.accounting
+	}
 	b, admitted := c.admit(key, entry, req)
 	switch admitted {
 	case admitSolo:
-		res := soloView(entry, view)
+		runBatch(entry, []*viewRequest{req})
 		c.recordSolo(entry.ID)
-		return res, nil
+		return req.result, req.accounting
 	case admitJoin:
 		<-req.done
 		return req.result, req.accounting
@@ -291,32 +297,35 @@ func (c *coalescer) serve(key string, entry *DocumentEntry, view xmlac.CompiledV
 			c.finish(key, b)
 		}
 	}()
-	if len(b.reqs) == 1 {
-		// Nobody joined: the multicast machinery would only add overhead.
-		req.result = soloView(entry, view)
-	} else {
-		views := make([]xmlac.CompiledView, len(b.reqs))
-		for i, r := range b.reqs {
-			views[i] = r.view
-		}
-		results, err := b.entry.StreamViews(views)
-		for i, r := range b.reqs {
-			if err != nil {
-				r.result = xmlac.ViewResult{Err: err}
-			} else {
-				r.result = results[i]
-				if r.result.Metrics != nil {
-					r.accounting = amortizeShared(r.result.Metrics, len(b.reqs), i == 0)
-				}
-			}
-		}
-	}
+	runBatch(b.entry, b.reqs)
 	delivered = true
 	for _, r := range b.reqs[1:] {
 		close(r.done)
 	}
 	c.finish(key, b)
 	return req.result, req.accounting
+}
+
+// runBatch runs a batch of view requests — one request or many — as one
+// shared scan (DocumentEntry.StreamViews) and fills every request's result
+// and accounting record. A failed scan still returns every member's partial
+// metrics, so its work is accounted for like a failed solo view's.
+func runBatch(entry *DocumentEntry, reqs []*viewRequest) {
+	views := make([]xmlac.CompiledView, len(reqs))
+	for i, r := range reqs {
+		views[i] = r.view
+	}
+	results, err := entry.StreamViews(views)
+	for i, r := range reqs {
+		if results == nil {
+			r.result = xmlac.ViewResult{Err: err}
+			continue
+		}
+		r.result = results[i]
+		if r.result.Metrics != nil {
+			r.accounting = amortizeShared(r.result.Metrics, len(reqs), i == 0)
+		}
+	}
 }
 
 // amortizeShared returns a copy of a coalesced view's metrics with the
@@ -351,12 +360,6 @@ func amortizeShared(m *xmlac.Metrics, n int, leader bool) *xmlac.Metrics {
 	out.PhaseBreakdown.FetchNs = share(m.PhaseBreakdown.FetchNs)
 	out.PhaseBreakdown.ResyncNs = share(m.PhaseBreakdown.ResyncNs)
 	return &out
-}
-
-// soloView runs the non-coalesced streaming path.
-func soloView(entry *DocumentEntry, view xmlac.CompiledView) xmlac.ViewResult {
-	metrics, err := entry.StreamView(view.Policy, view.Options, view.Output)
-	return xmlac.ViewResult{Metrics: metrics, Err: err}
 }
 
 // Snapshot returns the per-document coalescing stats, sorted by document.

@@ -17,7 +17,7 @@ import (
 // TestCoalesceAdmit unit-tests the admission decisions of the coalescing
 // table: the first request of a wave leads, requests inside the window join,
 // filling the cap seals the batch, and arrivals during a sealed (scanning)
-// batch fall back to the solo path instead of queueing.
+// batch run their own singleton batch instead of queueing.
 func TestCoalesceAdmit(t *testing.T) {
 	c := newCoalescer(time.Hour, 3, newFakeClock()) // the window never elapses during the test
 	key := "doc\x00etag"
@@ -91,7 +91,7 @@ func TestViewCoalescingSharedScan(t *testing.T) {
 		putPolicy(t, ts, "hospital", subj, doctorRulesJSON)
 	}
 
-	// Expected bytes: the solo streaming path, straight off the store.
+	// Expected bytes: each subject's one-view scan, straight off the store.
 	entry, err := srv.Store().Entry("hospital")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestViewCoalescingSharedScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := entry.StreamView(cp, xmlac.ViewOptions{}, &buf); err != nil {
+		if _, err := entry.StreamViews([]xmlac.CompiledView{{Policy: cp, Output: &buf}}); err != nil {
 			t.Fatal(err)
 		}
 		want[subj] = buf.String()
@@ -204,7 +204,7 @@ func TestViewCoalescingSharedScan(t *testing.T) {
 }
 
 // TestViewCoalescingSingleton: with nobody joining inside the window, the
-// leader serves itself through the solo engine and the batch is recorded as a
+// leader serves itself as a one-view shared scan and the batch is recorded as a
 // solo scan. The fake clock makes the sequence deterministic: the request
 // provably waits inside the window until the test elapses it, instead of
 // racing a real 5ms timer.
@@ -245,7 +245,7 @@ func TestViewCoalescingSingleton(t *testing.T) {
 	}
 }
 
-// TestViewCoalescingDisabled: DisableCoalescing restores the solo path and
+// TestViewCoalescingDisabled: DisableCoalescing runs every view alone and
 // /metrics reports coalescing off.
 func TestViewCoalescingDisabled(t *testing.T) {
 	srv := newServerOpts(t, Options{DisableCoalescing: true})
@@ -271,5 +271,83 @@ func TestViewCoalescingDisabled(t *testing.T) {
 	}
 	if metrics.Coalescing.Enabled {
 		t.Fatal("/metrics must report coalescing disabled")
+	}
+}
+
+// TestFailedCoalescedScanIsAccounted: a coalesced scan that fails
+// mid-document (one ciphertext byte flipped, so an integrity check fails
+// halfway through) still folds every member's amortized partial work into
+// the server totals, exactly one shared pass of it, like a failed solo
+// view's work.
+func TestFailedCoalescedScanIsAccounted(t *testing.T) {
+	srv := newServerOpts(t, Options{CoalesceWindow: 2 * time.Second, CoalesceMaxSubjects: 2, clock: newFakeClock()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	putDoc(t, ts, "hospital", hospitalXML(12))
+	good, err := srv.Store().Entry("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := good.Blob()
+	blob = append([]byte(nil), blob...)
+	m := good.Manifest()
+	blob[m.CiphertextOffset+m.CiphertextLen/2] ^= 0xff
+	entry, err := srv.Store().installRecovered("hospital", good.Scheme, good.Stats, good.CreatedAt, good.passphrase, blob)
+	if err != nil {
+		t.Fatalf("a flipped ciphertext byte must still unmarshal: %v", err)
+	}
+	subjects := []string{"DrA", "DrB"}
+	views := make([]xmlac.CompiledView, len(subjects))
+	for i, subj := range subjects {
+		policy := xmlac.Policy{Rules: []xmlac.Rule{{Sign: "+", Object: "//Folder"}}}
+		if _, err := entry.SetPolicy(subj, policy); err != nil {
+			t.Fatal(err)
+		}
+		policy.Subject = subj
+		cp, err := policy.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = xmlac.CompiledView{Policy: cp, Output: io.Discard}
+	}
+	// The physical work of one failed shared scan, measured directly.
+	results, scanErr := entry.StreamViews(views)
+	if scanErr == nil || results == nil || results[0].Metrics == nil {
+		t.Fatalf("corrupted scan must fail with partial results, got %v / %+v", scanErr, results)
+	}
+	partial := results[0].Metrics.BytesDecrypted
+	if partial <= 0 {
+		t.Fatal("failed scan reports no decrypted bytes; the flip landed too early")
+	}
+
+	var wg sync.WaitGroup
+	for _, subj := range subjects {
+		wg.Add(1)
+		go func(subj string) {
+			defer wg.Done()
+			do(t, http.MethodGet, fmt.Sprintf("%s/docs/hospital/view?subject=%s", ts.URL, subj), "")
+		}(subj)
+	}
+	wg.Wait()
+
+	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	var metrics struct {
+		ViewErrors int64         `json:"view_errors"`
+		Totals     xmlac.Metrics `json:"totals"`
+		Coalescing struct {
+			Documents []CoalesceDocStats `json:"documents"`
+		} `json:"coalescing"`
+	}
+	if err := json.Unmarshal([]byte(body), &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if docs := metrics.Coalescing.Documents; len(docs) != 1 || docs[0].SharedScans != 1 {
+		t.Fatalf("the two views must share one scan, got %+v", docs)
+	}
+	if metrics.ViewErrors != 2 {
+		t.Fatalf("view_errors = %d, want 2", metrics.ViewErrors)
+	}
+	if got := metrics.Totals.BytesDecrypted; got != partial {
+		t.Fatalf("totals.BytesDecrypted = %d, want the failed shared pass's %d", got, partial)
 	}
 }

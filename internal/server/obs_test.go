@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -45,6 +46,18 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
+// drainClose reads a response body to EOF before closing it. The server
+// writes the access-log line and records the request's spans after its
+// handler returns, and only the end of the body proves that it has; a test
+// that asserts on either without draining first races the handler.
+func drainClose(t *testing.T, resp *http.Response) {
+	t.Helper()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+}
+
 func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 	_, ts, buf := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
@@ -64,7 +77,7 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
+	drainClose(t, resp2)
 	if got := resp2.Header.Get("X-Request-Id"); got != "my-trace.01" {
 		t.Fatalf("well-formed client ID not honored: got %q", got)
 	}
@@ -127,7 +140,7 @@ func TestDebugTraceServesJSONLWithRequestIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drainClose(t, resp)
 
 	resp2, body := do(t, http.MethodGet, ts.URL+"/debug/trace?n=64", "")
 	if resp2.StatusCode != http.StatusOK {
@@ -338,7 +351,7 @@ func TestServerSpansRecordParentLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drainClose(t, resp)
 
 	resp2, body := do(t, http.MethodGet, ts.URL+"/debug/trace?id=link-probe", "")
 	if resp2.StatusCode != http.StatusOK {
@@ -367,7 +380,7 @@ func TestServerSpansRecordParentLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp3.Body.Close()
+	drainClose(t, resp3)
 	_, body = do(t, http.MethodGet, ts.URL+"/debug/trace?id=hostile-parent", "")
 	spans = traceLines(t, body)
 	if len(spans) != 1 || spans[0].Parent != "" {

@@ -764,19 +764,12 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	// one shared scan (one decryption pass serving every joined subject)
 	// instead of each running their own; the leader's goroutine writes every
 	// member's body, so this handler's writer must stay valid until the
-	// batch result arrives — serve blocks until then.
-	var metrics, accounting *xmlac.Metrics
-	if s.coalesce != nil {
-		_, etag := entry.Blob()
-		res, acct := s.coalesce.serve(entry.ID+"\x00"+etag, entry,
-			xmlac.CompiledView{Policy: cp, Options: opts, Output: vw})
-		metrics, accounting, err = res.Metrics, acct, res.Err
-	} else {
-		metrics, err = entry.StreamView(cp, opts, vw)
-	}
-	if accounting == nil {
-		accounting = metrics
-	}
+	// batch result arrives — serve blocks until then. With coalescing
+	// disabled (nil coalescer) every request is its own singleton batch.
+	_, etag := entry.Blob()
+	res, accounting := s.coalesce.serve(entry.ID+"\x00"+etag, entry,
+		xmlac.CompiledView{Policy: cp, Options: opts, Output: vw})
+	metrics, err := res.Metrics, res.Err
 	// The cost registry folds the amortized record (like the lifetime
 	// totals), so per-subject byte counters sum to physical work; wire bytes
 	// are the HTTP body bytes this request actually put on the wire.

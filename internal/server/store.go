@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -260,25 +259,13 @@ func (e *DocumentEntry) Subjects() []string {
 	return out
 }
 
-// View evaluates a compiled policy over the protected document and returns
-// the authorized view with its metrics.
-func (e *DocumentEntry) View(cp *xmlac.CompiledPolicy, opts xmlac.ViewOptions) (*xmlac.Document, *xmlac.Metrics, error) {
-	return e.prot.AuthorizedViewCompiled(e.key, cp, opts)
-}
-
-// StreamView evaluates a compiled policy over the protected document,
-// streaming the authorized view into w while the evaluation runs. A write
-// error (a disconnected client) aborts the evaluation mid-document.
-func (e *DocumentEntry) StreamView(cp *xmlac.CompiledPolicy, opts xmlac.ViewOptions, w io.Writer) (*xmlac.Metrics, error) {
-	return e.prot.StreamAuthorizedViewCompiled(e.key, cp, opts, w)
-}
-
-// StreamViews evaluates many subjects' compiled policies over a single
-// shared scan of the protected document (one decryption and integrity pass
-// for the whole batch), streaming each subject's view into its own writer.
-// One subject's failing writer surfaces in its ViewResult; the other
-// subjects' views are unaffected. The request coalescer builds GET /view
-// batches on top of this.
+// StreamViews evaluates one or more subjects' compiled policies over a
+// single shared scan of the protected document (one decryption and integrity
+// pass for the whole batch), streaming each subject's view into its own
+// writer. One subject's failing writer surfaces in its ViewResult; the other
+// subjects' views are unaffected. Every GET /view runs through it: coalesced
+// batches, singleton batches, late arrivals and, with coalescing disabled,
+// each request alone.
 func (e *DocumentEntry) StreamViews(views []xmlac.CompiledView) ([]xmlac.ViewResult, error) {
 	return e.prot.AuthorizedViewsCompiled(e.key, views)
 }

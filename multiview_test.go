@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -272,5 +273,69 @@ func TestAuthorizedViewsCompiledSinkAbort(t *testing.T) {
 	}
 	if outDoctor.String() != soloDoctor.String() {
 		t.Fatal("surviving doctor stream differs from solo after sibling abort")
+	}
+}
+
+// TestAuthorizedViewsCompiledScanFailurePartialMetrics: a shared scan whose
+// reader fails mid-document (one ciphertext byte flipped in the marshalled
+// container) returns the error together with every subject's result, each
+// carrying that error and the partial metrics of the work performed; the
+// solo entry points, one-view scans, report the same partial metrics.
+func TestAuthorizedViewsCompiledScanFailurePartialMetrics(t *testing.T) {
+	xml := xmlstream.SerializeTree(dataset.HospitalFolders(24, 7), false)
+	doc, err := xmlac.ParseDocumentString(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := xmlac.DeriveKey("multi scan failure")
+	good, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := good.Marshal()
+	m := good.Manifest()
+	blob[m.CiphertextOffset+m.CiphertextLen/2] ^= 0xff
+	prot, err := xmlac.UnmarshalProtected(blob)
+	if err != nil {
+		t.Fatalf("a flipped ciphertext byte must still unmarshal: %v", err)
+	}
+	all, err := xmlac.Policy{Subject: "all", Rules: []xmlac.Rule{{Sign: "+", Object: "//Folder"}}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secretary, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	results, err := prot.AuthorizedViewsCompiled(key, []xmlac.CompiledView{
+		{Policy: all, Output: &out},
+		{Policy: secretary},
+	})
+	if err == nil {
+		t.Fatal("scan over a corrupted ciphertext must fail")
+	}
+	if len(results) != 2 {
+		t.Fatalf("failed scan returned %d results, want one per subject", len(results))
+	}
+	for i, res := range results {
+		if !errors.Is(res.Err, err) {
+			t.Fatalf("subject %d: Err = %v, want the scan error %v", i, res.Err, err)
+		}
+		if res.View != nil {
+			t.Fatalf("subject %d: failed scan materialized a view", i)
+		}
+		if res.Metrics == nil || res.Metrics.BytesDecrypted <= 0 || res.Metrics.NodesPermitted <= 0 {
+			t.Fatalf("subject %d: no partial metrics for the work performed: %+v", i, res.Metrics)
+		}
+	}
+
+	solo, err := prot.StreamAuthorizedViewCompiled(key, all, xmlac.ViewOptions{}, io.Discard)
+	if err == nil || solo == nil {
+		t.Fatalf("solo view over the corrupted ciphertext: metrics %+v, err %v; want partial metrics and an error", solo, err)
+	}
+	if scrubSharedCosts(solo) != scrubSharedCosts(results[0].Metrics) {
+		t.Fatalf("solo partial metrics differ from the shared scan's (modulo shared costs):\nsolo:  %+v\nmulti: %+v",
+			solo, results[0].Metrics)
 	}
 }

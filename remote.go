@@ -3,7 +3,6 @@ package xmlac
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -125,43 +124,32 @@ func (d *RemoteDocument) AuthorizedView(policy Policy, opts ViewOptions) (*Docum
 
 // AuthorizedViewCompiled is AuthorizedView for a pre-compiled policy.
 func (d *RemoteDocument) AuthorizedViewCompiled(cp *CompiledPolicy, opts ViewOptions) (*Document, *Metrics, error) {
+	return d.view(CompiledView{Policy: cp, Options: opts})
+}
+
+// view runs one view over the remote document under the one retry rule:
+// when the blob moved under the evaluation (remote.ErrChanged) and no byte
+// has reached the caller's writer yet, re-sync (delta-aware) and retry once
+// on the new version. After the first delivered byte the change surfaces as
+// the error, since a retried stream would duplicate output; a materialized
+// view always restarts cleanly. The returned Metrics, partial ones next to
+// an error included, carry this evaluation's wire counters, so the work
+// performed can be accounted for exactly once by aggregators.
+func (d *RemoteDocument) view(v CompiledView) (*Document, *Metrics, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	before := d.src.Stats()
-	view, metrics, err := authorizedViewOverSource(d.src, d.key, cp, opts)
-	if errors.Is(err, remote.ErrChanged) {
-		// The blob moved under the evaluation: re-sync (delta-aware) and
-		// retry once on the new version. Materialization restarts cleanly.
-		if rerr := d.src.Resync(); rerr != nil {
-			return nil, nil, rerr
+	doc, metrics, err := runView(d.src, d.key, v)
+	if errors.Is(err, remote.ErrChanged) && (metrics == nil || metrics.TimeToFirstByte == 0) {
+		if err = d.src.Resync(); err == nil {
+			doc, metrics, err = runView(d.src, d.key, v)
 		}
-		view, metrics, err = authorizedViewOverSource(d.src, d.key, cp, opts)
 	}
-	if err != nil {
-		return nil, nil, err
+	if metrics != nil {
+		after := d.src.Stats()
+		metrics.BytesOnWire = after.BytesOnWire - before.BytesOnWire
+		metrics.RoundTrips = after.RoundTrips - before.RoundTrips
+		metrics.ChunksReused = after.ChunksReused - before.ChunksReused
 	}
-	d.stampWireDelta(metrics, before)
-	return view, metrics, nil
-}
-
-// stampWireDelta attributes the wire activity since before to one
-// evaluation's metrics (callers hold d.mu for the whole evaluation).
-func (d *RemoteDocument) stampWireDelta(metrics *Metrics, before remote.WireStats) {
-	after := d.src.Stats()
-	metrics.BytesOnWire = after.BytesOnWire - before.BytesOnWire
-	metrics.RoundTrips = after.RoundTrips - before.RoundTrips
-	metrics.ChunksReused = after.ChunksReused - before.ChunksReused
-}
-
-// countingWriter counts delivered bytes so a mid-stream change can decide
-// whether a retry is still safe (nothing delivered yet).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return doc, metrics, err
 }

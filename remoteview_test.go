@@ -1,6 +1,7 @@
 package xmlac_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -213,4 +214,53 @@ func BenchmarkRemoteView(b *testing.B) {
 		}
 		b.ReportMetric(float64(wire)/float64(b.N), "wire-B/view")
 	})
+}
+
+// TestRemoteStreamTraceHasOneViewRootSpan pins the single-view trace
+// contract of a remote stream: the evaluation records exactly one
+// view:<subject> root span under its TraceID, carrying the page-cache counts
+// in its Detail, and no shared-scan span. Trace consumers derive the page
+// hit fraction of remote views from that span.
+func TestRemoteStreamTraceHasOneViewRootSpan(t *testing.T) {
+	docURL, _, key := startBlobServer(t, 24)
+	doc, err := xmlac.OpenRemote(docURL, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := xmlac.NewTrace(4096)
+	// The first view runs on a cold page cache, the second on a warm one.
+	for run, id := range []string{"remote-root-cold", "remote-root-warm"} {
+		if _, err := doc.StreamAuthorizedViewCompiled(cp, xmlac.ViewOptions{Trace: tr, TraceID: id}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var roots []xmlac.TraceSpan
+		for _, sp := range tr.Spans(xmlac.TraceFilter{TraceID: id}) {
+			switch sp.Name {
+			case "shared-scan":
+				t.Fatalf("%s: a one-view evaluation recorded a shared-scan span", id)
+			case "view:secretary":
+				roots = append(roots, sp)
+			}
+		}
+		if len(roots) != 1 {
+			t.Fatalf("%s: %d view:secretary spans, want exactly one", id, len(roots))
+		}
+		if roots[0].SpanID == "" || roots[0].Parent != "" {
+			t.Fatalf("%s: view span is not a root: %+v", id, roots[0])
+		}
+		var hits, misses int64
+		if _, err := fmt.Sscanf(roots[0].Detail, "page_hits=%d page_misses=%d", &hits, &misses); err != nil {
+			t.Fatalf("%s: view span Detail %q carries no page-cache counts: %v", id, roots[0].Detail, err)
+		}
+		if run == 0 && misses == 0 {
+			t.Fatalf("%s: cold view reported no page misses (%q)", id, roots[0].Detail)
+		}
+		if run == 1 && hits == 0 {
+			t.Fatalf("%s: warm view reported no page hits (%q)", id, roots[0].Detail)
+		}
+	}
 }

@@ -87,7 +87,9 @@
 // Per-subject output is byte-identical to the solo entry points and the
 // per-subject counters are identical; only the shared-cost fields
 // (BytesTransferred, BytesDecrypted, BytesSkipped) describe the single
-// shared pass. The Skip index degrades to the union of the subjects' needed
+// shared pass. There is only one pipeline: every solo entry point, local or
+// remote, materialized or streamed, is this scan with a one-element view
+// list. The Skip index degrades to the union of the subjects' needed
 // regions — a subtree is physically skipped only when every subject skips
 // it — and one subject's failing writer removes only that subject from the
 // scan (ViewResult.Err). On the scale-1.0 hospital document, 16 subjects
@@ -167,9 +169,9 @@
 // requests and sessions. Concurrent views of the same (document, blob etag)
 // are coalesced into one shared scan: the first request of a wave waits a
 // small window for company, a per-scan subject cap seals a full batch
-// immediately, and arrivals during a running scan fall back to the solo
-// path; GET /metrics reports per-document shared_scans and a
-// subjects_per_scan histogram.
+// immediately, and arrivals during a running scan run their own singleton
+// batch on the same engine; GET /metrics reports per-document shared_scans
+// and a subjects_per_scan histogram.
 //
 // # Remote SOE
 //
@@ -616,13 +618,17 @@ type ViewOptions struct {
 	// bytes the serial pass pays for once. Metrics.Workers reports the
 	// worker count actually used.
 	//
-	// Evaluations that cannot ride the regions fall back to the serial scan
-	// transparently, before any byte is delivered: queries (their scope
-	// anchors at the document root), policies with a root-anchored predicate
-	// still unresolved after the document prefix (content in one region
-	// would decide delivery in another), documents whose root has fewer than
-	// two children, and remote documents (OpenRemote) or EvaluateDocument,
-	// which ignore Parallelism entirely.
+	// Every entry point runs one pipeline, and serial vs parallel is chosen
+	// once per scan from its input: the region-parallel scan runs when the
+	// document is local, no view of the scan has a query (its scope anchors
+	// at the document root), and the largest Parallelism among the scan's
+	// views is >= 2 — a shared scan (AuthorizedViewsCompiled) runs with that
+	// largest value. Remote documents (OpenRemote) and EvaluateDocument
+	// ignore Parallelism entirely. Evaluations the regions then cannot serve
+	// fall back to the serial scan transparently, before any byte is
+	// delivered: policies with a root-anchored predicate still unresolved
+	// after the document prefix (content in one region would decide delivery
+	// in another) and documents whose root has fewer than two children.
 	Parallelism int
 	// Trace, when non-nil, turns on pipeline tracing for this evaluation:
 	// per-phase timers fill Metrics.PhaseBreakdown and spans (phase
@@ -634,16 +640,17 @@ type ViewOptions struct {
 	// TraceID labels the spans of this evaluation in the Trace (a server
 	// puts its request-scoped X-Request-Id here). Ignored when Trace is nil.
 	TraceID string
-	// Context, when non-nil, bounds the remote fetches of this evaluation:
-	// canceling it closes the in-flight HTTP range/hash/manifest requests of
-	// a remote document, so an abandoned view stops consuming the wire
-	// mid-request instead of at the next range boundary. The evaluation then
-	// fails with the transport's context error and, like any aborted stream,
-	// still reports its partial Metrics exactly once. Serial local
-	// evaluations have no wire to cut and ignore it (abort those through the
-	// output writer); a parallel local scan (Parallelism >= 2) honors it,
-	// aborting every region worker at its next event boundary. Shared scans
-	// (AuthorizedViewsCompiled) ignore it: the scan serves every subject, so
+	// Context, when non-nil, bounds a one-view evaluation: every solo entry
+	// point, and AuthorizedViewsCompiled with a single view. For a remote
+	// document, canceling it closes the in-flight HTTP range/hash/manifest
+	// requests, so an abandoned view stops consuming the wire mid-request
+	// instead of at the next range boundary; the evaluation then fails with
+	// the transport's context error and, like any aborted stream, still
+	// reports its partial Metrics exactly once. A parallel local scan
+	// (Parallelism >= 2) aborts every region worker at its next event
+	// boundary. A serial local scan has no wire to cut and does not poll it
+	// (abort those through the output writer). A shared scan of two or more
+	// views ignores every view's Context: the scan serves every subject, so
 	// no single request's context may cancel it.
 	Context context.Context
 }
