@@ -1,8 +1,8 @@
 // Package server is the multi-tenant document server built on the xmlac
 // library: a concurrency-safe store of protected documents and per-subject
-// policies, a session manager aggregating per-subject evaluation metrics,
-// a sharded LRU cache of compiled policies (compile once, evaluate many)
-// and the HTTP handler set served by cmd/xmlac-serve.
+// policies, a sharded LRU cache of compiled policies (compile once, evaluate
+// many), one accounting ledger holding every exported counter, and the HTTP
+// handler set served by cmd/xmlac-serve.
 //
 // The paper's architecture keeps the publisher untrusted and pushes policy
 // evaluation into each client's Secure Operating Environment. This server
@@ -18,7 +18,6 @@ import (
 	"container/list"
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"xmlac"
 )
@@ -40,12 +39,11 @@ const policyCacheShards = 16
 // (document, subject, policy hash). Shards are locked independently so
 // concurrent view requests for different subjects rarely contend; each shard
 // keeps its entries in LRU order and evicts the least recently used compiled
-// policy when full.
+// policy when full. Hits and misses are counted by the server's ledger,
+// per (subject, policy), when a view folds.
 type PolicyCache struct {
 	seed   maphash.Seed
 	shards [policyCacheShards]cacheShard
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 type cacheShard struct {
@@ -96,11 +94,9 @@ func (c *PolicyCache) Get(k cacheKey) (*xmlac.CompiledPolicy, bool) {
 	defer s.mu.Unlock()
 	el, ok := s.entries[k]
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
 	s.order.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).cp, true
 }
 
@@ -153,9 +149,4 @@ func (c *PolicyCache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *PolicyCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

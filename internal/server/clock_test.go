@@ -101,18 +101,34 @@ func TestFakeClockTimers(t *testing.T) {
 }
 
 // TestSessionExpirySweep drives session idle expiry with the fake clock:
-// no sleeping, exact control over who is idle.
+// no sleeping, exact control over who is idle. The periodic sweep bounds
+// memory between scrapes; a snapshot sweeps too, so no export ever lists a
+// session that has already expired.
 func TestSessionExpirySweep(t *testing.T) {
 	fc := newFakeClock()
-	m := NewSessionManager(time.Minute, fc)
-	m.Acquire("doc", "old")
+	l := newLedger(time.Minute, fc)
+	foldView(l, "old", "h", true, 0, nil, nil)
 	fc.Advance(2 * time.Minute)
-	m.Acquire("doc", "fresh")
-	// The sweep runs every 256 acquires; force it.
-	for i := 0; i < 256; i++ {
-		m.Acquire("doc", "fresh")
+	// The periodic sweep runs every sessionSweepEvery folds; force it.
+	for i := 1; i < sessionSweepEvery; i++ {
+		foldView(l, "fresh", "h", true, 0, nil, nil)
 	}
-	if n := m.Len(); n != 1 {
-		t.Fatalf("%d sessions after expiry sweep, want 1 (the fresh one)", n)
+	l.mu.Lock()
+	live := len(l.sessions)
+	l.mu.Unlock()
+	if live != 1 {
+		t.Fatalf("%d sessions after expiry sweep, want 1 (the fresh one)", live)
+	}
+
+	// Without a periodic sweep due, the snapshot drops the expired session
+	// itself — while the lifetime totals keep its view.
+	fc.Advance(2 * time.Minute)
+	foldView(l, "late", "h", true, 0, nil, nil)
+	snap := l.snapshot(0)
+	if len(snap.Sessions) != 1 || snap.Sessions[0].Subject != "late" {
+		t.Fatalf("snapshot lists sessions %+v, want only the live one", snap.Sessions)
+	}
+	if snap.ViewsServed != sessionSweepEvery+1 {
+		t.Fatalf("views_served = %d, want %d", snap.ViewsServed, sessionSweepEvery+1)
 	}
 }

@@ -53,16 +53,6 @@ func TestCoalesceAdmit(t *testing.T) {
 	if _, admitted := c.admit(key, nil, newReq()); admitted != admitLead {
 		t.Fatal("first request after a finished batch must lead a new wave")
 	}
-	snap := c.Snapshot()
-	if len(snap) != 1 || snap[0].Document != "doc" {
-		t.Fatalf("unexpected stats snapshot: %+v", snap)
-	}
-	if snap[0].LateFallbacks != 1 || snap[0].SharedScans != 1 || snap[0].CoalescedViews != 3 {
-		t.Fatalf("unexpected counters: %+v", snap[0])
-	}
-	if snap[0].SubjectsPerScan["le_4"] != 1 {
-		t.Fatalf("3-subject batch must land in bucket le_4: %+v", snap[0].SubjectsPerScan)
-	}
 }
 
 // openBatchCount reports the number of open coalescing batches (test
@@ -239,7 +229,7 @@ func TestViewCoalescingSingleton(t *testing.T) {
 	if res.status != http.StatusOK || len(res.body) == 0 {
 		t.Fatalf("GET /view: %d (%d bytes)", res.status, len(res.body))
 	}
-	snap := srv.coalesce.Snapshot()
+	snap := srv.snapshot(0).Coalescing.Documents
 	if len(snap) != 1 || snap[0].SoloScans != 1 || snap[0].SharedScans != 0 {
 		t.Fatalf("singleton batch must be recorded as a solo scan: %+v", snap)
 	}

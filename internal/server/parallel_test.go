@@ -71,7 +71,7 @@ func TestParallelViewByteIdenticalAndClamped(t *testing.T) {
 	if !strings.Contains(prom, `xmlac_view_workers_bucket{le="0"}`) {
 		t.Fatalf("worker histogram lacks the serial (0) bucket:\n%s", prom)
 	}
-	snap := srv.viewWorkers.Snapshot()
+	snap := srv.snapshot(0).Histograms.ViewWorkers
 	if snap.Count < 4 {
 		t.Fatalf("worker histogram observed %d views, want >= 4", snap.Count)
 	}

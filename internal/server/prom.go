@@ -4,33 +4,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"xmlac/internal/trace"
 )
 
-// GET /metrics.prom: the aggregated counters in Prometheus text exposition
-// format (version 0.0.4), hand-rolled — the module stays dependency-free.
-// The JSON surface (GET /metrics) remains the human-facing one; this one is
+// GET /metrics.prom: the ledger snapshot in Prometheus text exposition format
+// (version 0.0.4), hand-rolled — the module stays dependency-free. The JSON
+// surface (GET /metrics) renders the same snapshot for humans; this one is
 // for scrapers.
-
-// Histogram bucket boundaries, chosen once at server construction.
-var (
-	// viewSecondsBounds covers sub-millisecond in-memory views up to
-	// multi-second cold remote scans.
-	viewSecondsBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	// viewBytesBounds covers the ciphertext transferred per view.
-	viewBytesBounds = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-	// batchSubjectsBounds mirrors the coalescer's JSON batch-size buckets.
-	batchSubjectsBounds = []float64{1, 2, 4, 8, 16}
-	// viewWorkersBounds counts region workers per view scan; the 0 bucket
-	// isolates serial scans (including parallel requests that fell back).
-	viewWorkersBounds = []float64{0, 1, 2, 4, 8, 16}
-)
 
 func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
@@ -73,12 +57,6 @@ func promLabeledSeries(w io.Writer, name, help, kind string, samples [][2]string
 	}
 }
 
-// sortSamples orders labeled samples by their label set, keeping the
-// exposition deterministic where a series was assembled from a map.
-func sortSamples(samples [][2]string) {
-	sort.Slice(samples, func(i, j int) bool { return samples[i][0] < samples[j][0] })
-}
-
 // promHistogram writes a snapshot in the cumulative-bucket exposition form.
 func promHistogram(w io.Writer, name, help string, snap trace.HistogramSnapshot) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
@@ -94,111 +72,78 @@ func promHistogram(w io.Writer, name, help string, snap trace.HistogramSnapshot)
 }
 
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.cache.Stats()
-	s.totalsMu.Lock()
-	totals := s.totals
-	s.totalsMu.Unlock()
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
+	writeProm(w, s.snapshot(defaultCostTopK))
+}
+
+// writeProm renders one snapshot in the text exposition format.
+func writeProm(w io.Writer, snap *metricsSnapshot) {
+	i64 := func(v int64) string { return strconv.FormatInt(v, 10) }
+	var shared, coalesced, solo, late int64
+	for _, st := range snap.Coalescing.Documents {
+		shared += st.SharedScans
+		coalesced += st.CoalescedViews
+		solo += st.SoloScans
+		late += st.LateFallbacks
+	}
+	st := &snap.Storage
 
 	promCounter(w, "xmlac_uptime_seconds", "Seconds since the server started.", "gauge",
-		promFloat(time.Since(s.started).Seconds()))
+		promFloat(snap.UptimeSeconds))
 	fmt.Fprintf(w, "# HELP xmlac_build_info Build information as an info-style gauge.\n"+
-		"# TYPE xmlac_build_info gauge\nxmlac_build_info{go_version=%q} 1\n", runtime.Version())
-	promCounter(w, "xmlac_requests_total", "HTTP requests received.", "counter",
-		strconv.FormatInt(s.requests.Load(), 10))
-	promCounter(w, "xmlac_views_served_total", "Authorized views streamed to completion.", "counter",
-		strconv.FormatInt(s.viewsOK.Load(), 10))
-	promCounter(w, "xmlac_view_errors_total", "View requests that failed or aborted.", "counter",
-		strconv.FormatInt(s.viewErrors.Load(), 10))
-	promCounter(w, "xmlac_documents", "Registered documents.", "gauge",
-		strconv.Itoa(s.store.Len()))
-	promCounter(w, "xmlac_sessions", "Live (document, subject) sessions.", "gauge",
-		strconv.Itoa(s.sessions.Len()))
-	promCounter(w, "xmlac_updates_applied_total", "Document updates applied.", "counter",
-		strconv.FormatInt(s.updatesOK.Load(), 10))
-	promCounter(w, "xmlac_update_errors_total", "Document updates rejected.", "counter",
-		strconv.FormatInt(s.updateErrors.Load(), 10))
-	promCounter(w, "xmlac_deltas_served_total", "Update deltas served to remote caches.", "counter",
-		strconv.FormatInt(s.deltasServed.Load(), 10))
-	promCounter(w, "xmlac_policy_cache_hits_total", "Compiled-policy cache hits.", "counter",
-		strconv.FormatInt(hits, 10))
-	promCounter(w, "xmlac_policy_cache_misses_total", "Compiled-policy cache misses.", "counter",
-		strconv.FormatInt(misses, 10))
-	promCounter(w, "xmlac_policy_cache_entries", "Compiled policies currently cached.", "gauge",
-		strconv.Itoa(s.cache.Len()))
-
-	if s.coalesce != nil {
-		var shared, coalesced, solo, late int64
-		for _, st := range s.coalesce.Snapshot() {
-			shared += st.SharedScans
-			coalesced += st.CoalescedViews
-			solo += st.SoloScans
-			late += st.LateFallbacks
-		}
-		promCounter(w, "xmlac_coalesce_shared_scans_total", "Shared scans serving two or more subjects.", "counter",
-			strconv.FormatInt(shared, 10))
-		promCounter(w, "xmlac_coalesce_views_total", "Views served through shared scans.", "counter",
-			strconv.FormatInt(coalesced, 10))
-		promCounter(w, "xmlac_coalesce_solo_scans_total", "Single-subject scans (empty batches and late fallbacks).", "counter",
-			strconv.FormatInt(solo, 10))
-		promCounter(w, "xmlac_coalesce_late_fallbacks_total", "Requests that found a sealed batch scanning and ran solo.", "counter",
-			strconv.FormatInt(late, 10))
+		"# TYPE xmlac_build_info gauge\nxmlac_build_info{go_version=%q} 1\n", snap.GoVersion)
+	for _, m := range []struct{ name, kind, help, value string }{
+		{"xmlac_requests_total", "counter", "HTTP requests received.", i64(snap.Requests)},
+		{"xmlac_views_served_total", "counter", "Authorized views streamed to completion.", i64(snap.ViewsServed)},
+		{"xmlac_view_errors_total", "counter", "View requests that failed or aborted.", i64(snap.ViewErrors)},
+		{"xmlac_documents", "gauge", "Registered documents.", strconv.Itoa(snap.Documents)},
+		{"xmlac_sessions", "gauge", "Live (document, subject) sessions.", strconv.Itoa(len(snap.Sessions))},
+		{"xmlac_updates_applied_total", "counter", "Document updates applied.", i64(snap.Updates.Applied)},
+		{"xmlac_update_errors_total", "counter", "Document updates rejected.", i64(snap.Updates.Errors)},
+		{"xmlac_deltas_served_total", "counter", "Update deltas served to remote caches.", i64(snap.Updates.DeltasServed)},
+		{"xmlac_policy_cache_hits_total", "counter", "Compiled-policy cache hits.", i64(snap.PolicyCache.Hits)},
+		{"xmlac_policy_cache_misses_total", "counter", "Compiled-policy cache misses.", i64(snap.PolicyCache.Misses)},
+		{"xmlac_policy_cache_entries", "gauge", "Compiled policies currently cached.", strconv.Itoa(snap.PolicyCache.Entries)},
+		{"xmlac_coalesce_shared_scans_total", "counter", "Shared scans serving two or more subjects.", i64(shared)},
+		{"xmlac_coalesce_views_total", "counter", "Views served through shared scans.", i64(coalesced)},
+		{"xmlac_coalesce_solo_scans_total", "counter", "Single-subject scans (singleton batches, late fallbacks, every view with coalescing disabled).", i64(solo)},
+		{"xmlac_coalesce_late_fallbacks_total", "counter", "Requests that found a sealed batch scanning and ran solo.", i64(late)},
+		{"xmlac_storage_wal_records", "gauge", "Records in the live write-ahead log.", i64(st.WALRecords)},
+		{"xmlac_storage_wal_bytes", "gauge", "Byte size of the live write-ahead log.", i64(st.WALBytes)},
+		{"xmlac_storage_wal_appends_total", "counter", "Records appended to the WAL since open.", i64(st.WALAppends)},
+		{"xmlac_storage_fsyncs_total", "counter", "fsyncs issued by the storage engine.", i64(st.Fsyncs)},
+		{"xmlac_storage_group_commits_total", "counter", "WAL appends that piggybacked on another append's fsync.", i64(st.GroupCommits)},
+		{"xmlac_storage_checkpoints_total", "counter", "Compacting checkpoints taken since open.", i64(st.Checkpoints)},
+		{"xmlac_storage_wal_tail_bytes_dropped", "gauge", "Torn-tail bytes truncated during the last recovery.", i64(st.TailBytesDropped)},
+		{"xmlac_storage_page_cache_hits_total", "counter", "Checkpoint page cache hits.", i64(st.PageCacheHits)},
+		{"xmlac_storage_page_cache_misses_total", "counter", "Checkpoint page cache misses.", i64(st.PageCacheMisses)},
+		{"xmlac_storage_page_cache_evictions_total", "counter", "Checkpoint pages evicted from the LRU cache.", i64(st.PageCacheEvicts)},
+		{"xmlac_bytes_transferred_total", "counter", "Ciphertext bytes transferred into evaluations (amortized for shared scans).", i64(snap.Totals.BytesTransferred)},
+		{"xmlac_bytes_decrypted_total", "counter", "Bytes decrypted by evaluations (amortized for shared scans).", i64(snap.Totals.BytesDecrypted)},
+		{"xmlac_bytes_skipped_total", "counter", "Bytes skipped via the Skip index (amortized for shared scans).", i64(snap.Totals.BytesSkipped)},
+		{"xmlac_nodes_permitted_total", "counter", "Nodes delivered into authorized views.", i64(snap.Totals.NodesPermitted)},
+	} {
+		promCounter(w, m.name, m.help, m.kind, m.value)
 	}
 
-	if s.persist != nil {
-		st := s.persist.engine.Stats()
-		promCounter(w, "xmlac_storage_wal_records", "Records in the live write-ahead log.", "gauge",
-			strconv.FormatInt(st.WALRecords, 10))
-		promCounter(w, "xmlac_storage_wal_bytes", "Byte size of the live write-ahead log.", "gauge",
-			strconv.FormatInt(st.WALBytes, 10))
-		promCounter(w, "xmlac_storage_wal_appends_total", "Records appended to the WAL since open.", "counter",
-			strconv.FormatInt(st.WALAppends, 10))
-		promCounter(w, "xmlac_storage_fsyncs_total", "fsyncs issued by the storage engine.", "counter",
-			strconv.FormatInt(st.Fsyncs, 10))
-		promCounter(w, "xmlac_storage_group_commits_total", "WAL appends that piggybacked on another append's fsync.", "counter",
-			strconv.FormatInt(st.GroupCommits, 10))
-		promCounter(w, "xmlac_storage_checkpoints_total", "Compacting checkpoints taken since open.", "counter",
-			strconv.FormatInt(st.Checkpoints, 10))
-		promCounter(w, "xmlac_storage_wal_tail_bytes_dropped", "Torn-tail bytes truncated during the last recovery.", "gauge",
-			strconv.FormatInt(st.TailBytesDropped, 10))
-		promCounter(w, "xmlac_storage_page_cache_hits_total", "Checkpoint page cache hits.", "counter",
-			strconv.FormatInt(st.PageCacheHits, 10))
-		promCounter(w, "xmlac_storage_page_cache_misses_total", "Checkpoint page cache misses.", "counter",
-			strconv.FormatInt(st.PageCacheMisses, 10))
-		promCounter(w, "xmlac_storage_page_cache_evictions_total", "Checkpoint pages evicted from the LRU cache.", "counter",
-			strconv.FormatInt(st.PageCacheEvicts, 10))
+	// Per-subject cost series: the top-K cost buckets plus the "other"
+	// rollup, so the exposition's cardinality stays bounded no matter how
+	// many subjects the server has seen.
+	entries := snap.Costs.Entries
+	if snap.Costs.Other != nil {
+		entries = append(entries[:len(entries):len(entries)], *snap.Costs.Other)
 	}
-
-	promCounter(w, "xmlac_bytes_transferred_total", "Ciphertext bytes transferred into evaluations (amortized for shared scans).", "counter",
-		strconv.FormatInt(totals.BytesTransferred, 10))
-	promCounter(w, "xmlac_bytes_decrypted_total", "Bytes decrypted by evaluations (amortized for shared scans).", "counter",
-		strconv.FormatInt(totals.BytesDecrypted, 10))
-	promCounter(w, "xmlac_bytes_skipped_total", "Bytes skipped via the Skip index (amortized for shared scans).", "counter",
-		strconv.FormatInt(totals.BytesSkipped, 10))
-	promCounter(w, "xmlac_nodes_permitted_total", "Nodes delivered into authorized views.", "counter",
-		strconv.FormatInt(totals.NodesPermitted, 10))
-
-	// Per-subject cost series: the top-K buckets of the cost registry plus
-	// its "other" rollup, so the exposition's cardinality stays bounded no
-	// matter how many subjects the server has seen.
-	costs := s.costs.snapshot(defaultCostTopK)
-	entries := costs.Entries
-	if costs.Other != nil {
-		entries = append(entries[:len(entries):len(entries)], *costs.Other)
-	}
-	var views, errsS, wire, decrypted, hitsS [][2]string
-	var phases [][2]string
+	var views, errs, wire, decrypted, hits, phases [][2]string
 	for _, e := range entries {
 		labels := promSubjectLabels(e.Subject, e.Policy)
-		views = append(views, [2]string{labels, strconv.FormatInt(e.Views, 10)})
+		views = append(views, [2]string{labels, i64(e.Views)})
 		if e.Errors > 0 {
-			errsS = append(errsS, [2]string{labels, strconv.FormatInt(e.Errors, 10)})
+			errs = append(errs, [2]string{labels, i64(e.Errors)})
 		}
-		wire = append(wire, [2]string{labels, strconv.FormatInt(e.WireBytes, 10)})
-		decrypted = append(decrypted, [2]string{labels, strconv.FormatInt(e.BytesDecrypted, 10)})
-		hitsS = append(hitsS, [2]string{labels, strconv.FormatInt(e.CacheHits, 10)})
+		wire = append(wire, [2]string{labels, i64(e.WireBytes)})
+		decrypted = append(decrypted, [2]string{labels, i64(e.BytesDecrypted)})
+		hits = append(hits, [2]string{labels, i64(e.CacheHits)})
 		for phase, ns := range map[string]int64{
 			"decrypt": e.Phases.DecryptNs, "verify": e.Phases.VerifyNs, "decode": e.Phases.DecodeNs,
 			"skip": e.Phases.SkipNs, "eval": e.Phases.EvalNs, "emit": e.Phases.EmitNs,
@@ -210,30 +155,30 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	sortSamples(phases)
+	// The phase samples were assembled from a map: order them by label set
+	// so the exposition is deterministic.
+	sort.Slice(phases, func(i, j int) bool { return phases[i][0] < phases[j][0] })
 	promLabeledSeries(w, "xmlac_subject_views_total",
 		"Views evaluated per (subject, policy fingerprint); the other bucket rolls up beyond-top-K subjects.",
 		"counter", views)
 	promLabeledSeries(w, "xmlac_subject_view_errors_total",
-		"Failed or aborted views per (subject, policy fingerprint).", "counter", errsS)
+		"Failed or aborted views per (subject, policy fingerprint).", "counter", errs)
 	promLabeledSeries(w, "xmlac_subject_wire_bytes_total",
 		"HTTP body bytes streamed per (subject, policy fingerprint).", "counter", wire)
 	promLabeledSeries(w, "xmlac_subject_bytes_decrypted_total",
 		"Bytes decrypted per (subject, policy fingerprint), amortized for shared scans.", "counter", decrypted)
 	promLabeledSeries(w, "xmlac_subject_cache_hits_total",
-		"Compiled-policy cache hits per (subject, policy fingerprint).", "counter", hitsS)
+		"Compiled-policy cache hits per (subject, policy fingerprint).", "counter", hits)
 	promLabeledSeries(w, "xmlac_subject_phase_seconds_total",
 		"Exclusive evaluation time per (subject, policy fingerprint, pipeline phase).", "counter", phases)
 
+	h := &snap.Histograms
 	promHistogram(w, "xmlac_view_duration_seconds",
-		"Wall time of one view evaluation (shared scans report the whole scan per subject).",
-		s.viewSeconds.Snapshot())
+		"Wall time of one view evaluation (shared scans report the whole scan per subject).", h.ViewSeconds)
 	promHistogram(w, "xmlac_view_wire_bytes",
-		"Ciphertext bytes transferred per view (full shared-pass cost, not amortized).",
-		s.viewBytes.Snapshot())
+		"Ciphertext bytes transferred per view (full shared-pass cost, not amortized).", h.ViewBytes)
 	promHistogram(w, "xmlac_coalesce_batch_subjects",
-		"Subjects per executed scan batch.", s.batchSubjects.Snapshot())
+		"Subjects per executed scan batch.", h.BatchSubjects)
 	promHistogram(w, "xmlac_view_workers",
-		"Region workers per view scan (0 = serial, including parallel requests that fell back).",
-		s.viewWorkers.Snapshot())
+		"Region workers per view scan (0 = serial, including parallel requests that fell back).", h.ViewWorkers)
 }

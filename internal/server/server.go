@@ -14,13 +14,10 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xmlac"
 	"xmlac/internal/storage"
-	"xmlac/internal/trace"
 )
 
 // Options tunes a Server.
@@ -98,45 +95,19 @@ type Options struct {
 
 // Server is the multi-tenant document server: protected documents and
 // per-subject policies live in the Store, compiled policies are shared
-// through the PolicyCache, and per-subject consumption is aggregated by the
-// SessionManager. Every method on the HTTP surface is safe for arbitrary
-// concurrency.
+// through the PolicyCache, and every counter the server exports lives in
+// its accounting ledger. Every method on the HTTP surface is safe for
+// arbitrary concurrency.
 type Server struct {
 	store    *Store
 	cache    *PolicyCache
-	sessions *SessionManager
+	ledger   *ledger
 	coalesce *coalescer // nil when coalescing is disabled
 	opts     Options
 	started  time.Time
 	logger   *slog.Logger
 	trace    *xmlac.Trace // nil when tracing is disabled
-	costs    *costRegistry
-	persist  *persister // nil when Options.DataDir is empty
-
-	// Scrape-facing latency/size distributions (GET /metrics.prom).
-	viewSeconds   *trace.Histogram
-	viewBytes     *trace.Histogram
-	batchSubjects *trace.Histogram
-	viewWorkers   *trace.Histogram
-
-	requests   atomic.Int64
-	viewsOK    atomic.Int64
-	viewErrors atomic.Int64
-
-	// update counters (PATCH /docs/{id} and the delta surface).
-	updatesOK        atomic.Int64
-	updateErrors     atomic.Int64
-	deltasServed     atomic.Int64
-	chunksReencrypt  atomic.Int64
-	bytesReencrypted atomic.Int64
-	bytesReusedTotal atomic.Int64
-
-	// lifetime totals of the evaluation metrics, independent of session
-	// expiry (micro-sharded to keep concurrent views from serializing on one
-	// mutex would be overkill here: a single mutex guards a handful of adds
-	// per request, far from the evaluation cost).
-	totalsMu sync.Mutex
-	totals   xmlac.Metrics
+	persist  *persister   // nil when Options.DataDir is empty
 }
 
 // New builds an in-memory server. Persistence (Options.DataDir) requires the
@@ -174,24 +145,18 @@ func Open(opts Options) (*Server, error) {
 		logger = slog.New(discardHandler{})
 	}
 	s := &Server{
-		store:         newStoreWithClock(opts.clock),
-		cache:         NewPolicyCache(opts.CacheCapacity),
-		sessions:      NewSessionManager(opts.SessionIdle, opts.clock),
-		opts:          opts,
-		started:       time.Now(),
-		logger:        logger,
-		costs:         newCostRegistry(0),
-		viewSeconds:   trace.NewHistogram(viewSecondsBounds...),
-		viewBytes:     trace.NewHistogram(viewBytesBounds...),
-		batchSubjects: trace.NewHistogram(batchSubjectsBounds...),
-		viewWorkers:   trace.NewHistogram(viewWorkersBounds...),
+		store:   newStoreWithClock(opts.clock),
+		cache:   NewPolicyCache(opts.CacheCapacity),
+		ledger:  newLedger(opts.SessionIdle, opts.clock),
+		opts:    opts,
+		started: time.Now(),
+		logger:  logger,
 	}
 	if !opts.DisableTracing {
 		s.trace = xmlac.NewTrace(opts.TraceBufferSize)
 	}
 	if !opts.DisableCoalescing {
 		s.coalesce = newCoalescer(opts.CoalesceWindow, opts.CoalesceMaxSubjects, opts.clock)
-		s.coalesce.batchHist = s.batchSubjects
 	}
 	if opts.DataDir != "" {
 		eng, err := storage.Open(opts.DataDir, storage.Options{NoSync: opts.StorageNoSync})
@@ -250,7 +215,7 @@ func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.S
 	// old-document cache entries are harmless: keys are content-addressed by
 	// policy hash.)
 	s.cache.InvalidateDoc(id)
-	s.sessions.DropDocument(id)
+	s.ledger.dropDocument(id)
 	entry, err := s.store.RegisterXML(id, xmlText, passphrase, scheme)
 	if err != nil {
 		return nil, err
@@ -309,7 +274,9 @@ func (s *Server) Cache() *PolicyCache { return s.cache }
 //	GET    /docs/{id}/blob                 encrypted container (Range, per-version ETag)
 //	GET    /docs/{id}/hashes?chunk=N       fragment hashes of one chunk (ECB-MHT)
 //	GET    /docs/{id}/delta?from=V         merged update delta since version V (binary)
-//	GET    /metrics                        aggregated counters
+//	GET    /metrics                        every counter, as JSON
+//	GET    /metrics.prom                   the same snapshot, Prometheus text format
+//	GET    /debug/costs                    ranked per-(subject, policy) costs
 //	GET    /healthz                        liveness
 //
 // The last three form the untrusted-blob surface of the paper's client-based
@@ -435,7 +402,7 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	version, delta, err := entry.Update(edits)
 	if err != nil {
-		s.updateErrors.Add(1)
+		s.ledger.recordUpdate(nil)
 		status := http.StatusInternalServerError
 		if errors.Is(err, xmlac.ErrInvalidEdit) {
 			status = http.StatusUnprocessableEntity
@@ -454,15 +421,12 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.persist != nil {
 		if err := s.persist.logPatch(entry, delta); err != nil {
-			s.updateErrors.Add(1)
+			s.ledger.recordUpdate(nil)
 			httpError(w, http.StatusInternalServerError, "persisting update: %v", err)
 			return
 		}
 	}
-	s.updatesOK.Add(1)
-	s.chunksReencrypt.Add(int64(len(delta.DirtyChunks)))
-	s.bytesReencrypted.Add(delta.BytesReencrypted)
-	s.bytesReusedTotal.Add(delta.BytesReused)
+	s.ledger.recordUpdate(delta)
 	_, etag := entry.Blob()
 	w.Header().Set("ETag", etag)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -505,7 +469,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	_, etag := entry.Blob()
 	h.Set("ETag", etag)
 	h.Set("Content-Type", "application/octet-stream")
-	s.deltasServed.Add(1)
+	s.ledger.recordDeltaServed()
 	w.WriteHeader(http.StatusOK)
 	w.Write(delta.Marshal())
 }
@@ -534,7 +498,7 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cache.InvalidateDoc(id)
-	s.sessions.DropDocument(id)
+	s.ledger.dropDocument(id)
 	// Open coalescing batches of the deleted document are sealed — exactly as
 	// on PATCH and re-register — so no admitted batch scans the removed entry
 	// after the delete was acknowledged.
@@ -623,7 +587,7 @@ func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
 
 // compiledFor returns the compiled policy for a subject over a document,
 // compiling and caching it on first use. The second return reports whether
-// the cache served it (the cost registry accounts hits per subject).
+// the cache served it (the ledger accounts hits per subject).
 func (s *Server) compiledFor(entry *DocumentEntry, rec PolicyRecord, subject string) (*xmlac.CompiledPolicy, bool, error) {
 	key := cacheKey{docID: entry.ID, subject: subject, hash: rec.Hash}
 	if cp, ok := s.cache.Get(key); ok {
@@ -733,12 +697,11 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sess := s.sessions.Acquire(entry.ID, subject)
 	cp, cacheHit, err := s.compiledFor(entry, rec, subject)
+	outcome := viewOutcome{doc: entry.ID, subject: subject, policy: rec.Hash, cacheHit: cacheHit}
 	if err != nil {
-		sess.RecordError()
-		s.viewErrors.Add(1)
-		s.costs.record(subject, rec.Hash, cacheHit, 0, nil, true)
+		outcome.req = &viewRequest{result: xmlac.ViewResult{Err: err}}
+		s.ledger.recordView(outcome)
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -767,25 +730,16 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	// batch result arrives — serve blocks until then. With coalescing
 	// disabled (nil coalescer) every request is its own singleton batch.
 	_, etag := entry.Blob()
-	res, accounting := s.coalesce.serve(entry.ID+"\x00"+etag, entry,
+	outcome.req = s.coalesce.serve(entry.ID+"\x00"+etag, entry,
 		xmlac.CompiledView{Policy: cp, Options: opts, Output: vw})
-	metrics, err := res.Metrics, res.Err
-	// The cost registry folds the amortized record (like the lifetime
-	// totals), so per-subject byte counters sum to physical work; wire bytes
-	// are the HTTP body bytes this request actually put on the wire.
-	s.costs.record(subject, rec.Hash, cacheHit, vw.written, accounting, err != nil)
+	// The body is complete (or abandoned): fold the view into the ledger
+	// once, before the handler returns and the client sees the end of the
+	// response. Wire bytes are the HTTP body bytes this request put on the
+	// wire.
+	outcome.wireBytes = vw.written
+	s.ledger.recordView(outcome)
+	metrics, err := outcome.req.result.Metrics, outcome.req.result.Err
 	if err != nil {
-		s.viewErrors.Add(1)
-		if accounting != nil {
-			// The aborted evaluation still performed work (decryption,
-			// verification, partial delivery): its partial counters fold into
-			// the session and lifetime totals exactly once, alongside the
-			// error count.
-			sess.RecordAborted(accounting)
-			s.addTotals(accounting)
-		} else {
-			sess.RecordError()
-		}
 		if vw.written == 0 {
 			// Nothing was committed yet (reader setup failed, integrity
 			// check rejected the document, client canceled before the first
@@ -800,7 +754,10 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}
 	// The headers are committed (first body byte or the line above), so
-	// these land in the trailer section.
+	// these land in the trailer section. Trailers carry the view's own
+	// metrics (the full shared-pass costs for a coalesced view, as
+	// AuthorizedViewsCompiled documents); the ledger folds the amortized
+	// share so /metrics totals sum to physical work.
 	h.Set(trailerBytesTransferred, strconv.FormatInt(metrics.BytesTransferred, 10))
 	h.Set(trailerBytesSkipped, strconv.FormatInt(metrics.BytesSkipped, 10))
 	h.Set(trailerNodesPermitted, strconv.FormatInt(metrics.NodesPermitted, 10))
@@ -808,18 +765,6 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	// Trailers carry the view's own metrics (the full shared-pass costs for a
-	// coalesced view, as AuthorizedViewsCompiled documents); the aggregates
-	// fold the amortized record so /metrics totals sum to physical work.
-	sess.Record(accounting)
-	s.viewsOK.Add(1)
-	s.addTotals(accounting)
-	s.viewSeconds.Observe(metrics.Duration.Seconds())
-	s.viewBytes.Observe(float64(metrics.BytesTransferred))
-	// Workers is 0 for serial scans (including every parallel request that
-	// fell back), so the histogram's first bucket counts serial views and
-	// the tail shows how wide the parallel fan-outs actually ran.
-	s.viewWorkers.Observe(float64(metrics.Workers))
 	// An empty authorized view is a legitimate outcome of the closed policy:
 	// the body is empty and the metrics still reach the client.
 }
@@ -912,62 +857,45 @@ func buildInfoSummary() map[string]string {
 	return out
 }
 
-func (s *Server) addTotals(m *xmlac.Metrics) {
-	s.totalsMu.Lock()
-	s.totals.Add(m)
-	s.totalsMu.Unlock()
+// snapshot reads every exported counter at once: the ledger's state plus the
+// gauges of the store, the policy cache, the coalescer configuration and the
+// storage engine. k ranks the cost buckets (<= 0 selects defaultCostTopK).
+func (s *Server) snapshot(k int) *metricsSnapshot {
+	snap := s.ledger.snapshot(k)
+	snap.UptimeSeconds = time.Since(s.started).Seconds()
+	snap.GoVersion = runtime.Version()
+	snap.Build = buildInfoSummary()
+	snap.Documents = s.store.Len()
+	snap.PolicyCache.Entries = s.cache.Len()
+	if s.coalesce != nil {
+		snap.Coalescing.Enabled = true
+		snap.Coalescing.WindowMs = float64(s.coalesce.window) / float64(time.Millisecond)
+		snap.Coalescing.MaxSubjects = s.coalesce.maxSubjects
+	}
+	if s.persist != nil {
+		snap.Storage.Enabled = true
+		snap.Storage.Stats = s.persist.engine.Stats()
+	}
+	return snap
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sessions := s.sessions.Snapshot()
-	hits, misses := s.cache.Stats()
-	s.totalsMu.Lock()
-	totals := s.totals
-	s.totalsMu.Unlock()
-	coalescing := map[string]any{"enabled": s.coalesce != nil}
-	if s.coalesce != nil {
-		coalescing["window_ms"] = float64(s.coalesce.window) / float64(time.Millisecond)
-		coalescing["max_subjects_per_scan"] = s.coalesce.maxSubjects
-		coalescing["documents"] = s.coalesce.Snapshot()
+	writeJSON(w, http.StatusOK, s.snapshot(defaultCostTopK))
+}
+
+// handleDebugCosts serves the ranked cost accounting as JSON: the top ?k=
+// (subject, policy fingerprint) buckets by views (default 20, capped at 200)
+// plus an "other" rollup of everything beyond the rank cutoff or the
+// ledger's key cap.
+func (s *Server) handleDebugCosts(w http.ResponseWriter, r *http.Request) {
+	k := defaultCostTopK
+	if raw := r.URL.Query().Get("k"); raw != "" {
+		parsed, err := strconv.Atoi(raw)
+		if err != nil || parsed <= 0 {
+			httpError(w, http.StatusBadRequest, "invalid %q query parameter: %q", "k", raw)
+			return
+		}
+		k = min(parsed, maxCostTopK)
 	}
-	storageInfo := map[string]any{"enabled": s.persist != nil}
-	if s.persist != nil {
-		st := s.persist.engine.Stats()
-		storageInfo["wal_records"] = st.WALRecords
-		storageInfo["wal_bytes"] = st.WALBytes
-		storageInfo["wal_appends"] = st.WALAppends
-		storageInfo["fsyncs"] = st.Fsyncs
-		storageInfo["group_commits"] = st.GroupCommits
-		storageInfo["checkpoints"] = st.Checkpoints
-		storageInfo["tail_bytes_dropped"] = st.TailBytesDropped
-		storageInfo["page_cache_hits"] = st.PageCacheHits
-		storageInfo["page_cache_misses"] = st.PageCacheMisses
-		storageInfo["page_cache_evictions"] = st.PageCacheEvicts
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_seconds": time.Since(s.started).Seconds(),
-		"go_version":     runtime.Version(),
-		"build":          buildInfoSummary(),
-		"requests":       s.requests.Load(),
-		"views_served":   s.viewsOK.Load(),
-		"view_errors":    s.viewErrors.Load(),
-		"documents":      s.store.Len(),
-		"updates": map[string]any{
-			"applied":            s.updatesOK.Load(),
-			"errors":             s.updateErrors.Load(),
-			"deltas_served":      s.deltasServed.Load(),
-			"chunks_reencrypted": s.chunksReencrypt.Load(),
-			"bytes_reencrypted":  s.bytesReencrypted.Load(),
-			"bytes_reused":       s.bytesReusedTotal.Load(),
-		},
-		"policy_cache": map[string]any{
-			"hits":    hits,
-			"misses":  misses,
-			"entries": s.cache.Len(),
-		},
-		"coalescing": coalescing,
-		"storage":    storageInfo,
-		"totals":     totals,
-		"sessions":   sessions,
-	})
+	writeJSON(w, http.StatusOK, s.snapshot(k).Costs)
 }

@@ -276,7 +276,8 @@ func TestConcurrentSubjects(t *testing.T) {
 
 	// Every subject was compiled exactly once: the concurrent pass was
 	// served from the compiled-policy cache.
-	hits, misses := srv.Cache().Stats()
+	snap := srv.snapshot(0)
+	hits, misses := snap.PolicyCache.Hits, snap.PolicyCache.Misses
 	if misses > subjects {
 		t.Errorf("cache misses %d > %d subjects (compilation not reused)", misses, subjects)
 	}
@@ -448,12 +449,9 @@ func TestViewClientDisconnectAbortsEvaluation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(full) == 0 {
 		t.Fatalf("reference view: %d, %d bytes", resp.StatusCode, len(full))
 	}
-	errorsBefore := srv.viewErrors.Load()
-	okBefore := srv.viewsOK.Load()
-	srv.totalsMu.Lock()
-	totalsBefore := srv.totals
-	srv.totalsMu.Unlock()
-	sessBefore := srv.sessions.Acquire("hospital", "secretary").Stats()
+	before := srv.snapshot(0)
+	totalsBefore := before.Totals
+	sessBefore := sessionOf(before, "hospital", "secretary")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -470,10 +468,11 @@ func TestViewClientDisconnectAbortsEvaluation(t *testing.T) {
 	if got := string(full[:cw.body.Len()]); cw.body.String() != got {
 		t.Fatal("truncated stream is not a prefix of the full view")
 	}
-	if srv.viewErrors.Load() != errorsBefore+1 {
-		t.Fatalf("view errors %d, want %d (aborted stream must be accounted)", srv.viewErrors.Load(), errorsBefore+1)
+	after := srv.snapshot(0)
+	if after.ViewErrors != before.ViewErrors+1 {
+		t.Fatalf("view errors %d, want %d (aborted stream must be accounted)", after.ViewErrors, before.ViewErrors+1)
 	}
-	if srv.viewsOK.Load() != okBefore {
+	if after.ViewsServed != before.ViewsServed {
 		t.Fatal("aborted stream must not count as a served view")
 	}
 
@@ -481,10 +480,8 @@ func TestViewClientDisconnectAbortsEvaluation(t *testing.T) {
 	// and the session totals exactly once: the two deltas agree, are nonzero
 	// (work was performed before the disconnect) and smaller than a full view
 	// (the abort stopped the scan).
-	srv.totalsMu.Lock()
-	totalsAfter := srv.totals
-	srv.totalsMu.Unlock()
-	sessAfter := srv.sessions.Acquire("hospital", "secretary").Stats()
+	totalsAfter := after.Totals
+	sessAfter := sessionOf(after, "hospital", "secretary")
 	totalsDelta := totalsAfter.BytesDecrypted - totalsBefore.BytesDecrypted
 	sessDelta := sessAfter.Totals.BytesDecrypted - sessBefore.Totals.BytesDecrypted
 	if totalsDelta <= 0 {

@@ -35,19 +35,20 @@ type Options struct {
 	NoSync bool
 }
 
-// Stats is a snapshot of the engine's counters, surfaced on /metrics.prom so
-// cache and log behaviour is tuning input rather than a black box.
+// Stats is a snapshot of the engine's counters, surfaced on /metrics and
+// /metrics.prom so cache and log behaviour is tuning input rather than a
+// black box.
 type Stats struct {
-	WALRecords       int64 // records in the live log
-	WALBytes         int64 // live log size in bytes
-	WALAppends       int64 // appends since open
-	Fsyncs           int64 // fsyncs issued since open
-	GroupCommits     int64 // appends that piggybacked on another fsync
-	Checkpoints      int64 // checkpoints taken since open
-	TailBytesDropped int64 // torn-tail bytes truncated during recovery
-	PageCacheHits    int64
-	PageCacheMisses  int64
-	PageCacheEvicts  int64
+	WALRecords       int64 `json:"wal_records"`        // records in the live log
+	WALBytes         int64 `json:"wal_bytes"`          // live log size in bytes
+	WALAppends       int64 `json:"wal_appends"`        // appends since open
+	Fsyncs           int64 `json:"fsyncs"`             // fsyncs issued since open
+	GroupCommits     int64 `json:"group_commits"`      // appends that piggybacked on another fsync
+	Checkpoints      int64 `json:"checkpoints"`        // checkpoints taken since open
+	TailBytesDropped int64 `json:"tail_bytes_dropped"` // torn-tail bytes truncated during recovery
+	PageCacheHits    int64 `json:"page_cache_hits"`
+	PageCacheMisses  int64 `json:"page_cache_misses"`
+	PageCacheEvicts  int64 `json:"page_cache_evictions"`
 }
 
 // Engine is one open data directory: LOCK file, checkpoint.db, wal.log.

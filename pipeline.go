@@ -73,9 +73,10 @@ func streamed(_ *Document, m *Metrics, err error) (*Metrics, error) { return m, 
 // work performed, so aggregators account for it exactly once.
 //
 // A one-view run is that view's own evaluation: its ViewOptions.Context
-// bounds the scan, and its trace context is the scan's, so the trace holds
-// exactly one view:<subject> root span (with the remote page-cache counts in
-// its Detail) and no shared-scan span. A scan serving two or more views
+// bounds the scan, and its trace context is the scan's (the event loop
+// included, as eval time), so the trace holds exactly one view:<subject>
+// root span (with the remote page-cache counts in its Detail) and no
+// shared-scan span. A scan serving two or more views
 // ignores every view's Context — no single request may cancel a scan serving
 // the others — and charges the shared machinery to a separate shared-scan
 // context of the first traced view's Trace, whose phases are folded into
@@ -200,20 +201,27 @@ func serialScan(ctx context.Context, src secure.ChunkSource, key Key, subjects [
 	if err != nil {
 		return nil, err
 	}
-	decoder, err := skipindex.NewDecoder(st.reader)
-	if err != nil {
-		return nil, err
-	}
+	// The trace is attached before the decoder opens, so the header read
+	// (the first chunk's fetch, decryption and verification) is charged to
+	// the scan's phases like every later read.
 	if shared != nil {
 		st.reader.SetTrace(shared)
-		decoder.SetTrace(shared)
 		if ts, ok := src.(traceSetter); ok {
 			ts.SetTrace(shared)
 			defer ts.SetTrace(nil)
 		}
 		defer st.reader.SetTrace(nil)
 	}
+	decoder, err := skipindex.NewDecoder(st.reader)
+	if err != nil {
+		return nil, err
+	}
+	decoder.SetTrace(shared)
 	multi := core.NewMultiEvaluator(decoder)
+	if len(subjects) == 1 {
+		// A one-view scan's loop is that view's own evaluation.
+		multi.SetTrace(shared)
+	}
 	for i, s := range subjects {
 		for len(st.evals) <= i {
 			st.evals = append(st.evals, &core.Evaluator{})

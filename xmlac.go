@@ -717,7 +717,7 @@ type Metrics struct {
 }
 
 // Add accumulates another metrics record; aggregators (internal/server's
-// sessions and totals) fold per-request metrics with it.
+// accounting ledger) fold per-request metrics with it.
 func (m *Metrics) Add(o *Metrics) {
 	m.BytesTransferred += o.BytesTransferred
 	m.BytesDecrypted += o.BytesDecrypted
