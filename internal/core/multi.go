@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
 )
 
@@ -120,9 +119,6 @@ type MultiEvaluator struct {
 	subjects []*multiSubject
 	stats    MultiStats
 	ran      bool
-	// trace, when set, is charged the scan loop as evaluation time (see
-	// SetTrace).
-	trace *trace.Context
 }
 
 // NewMultiEvaluator prepares a multicast scan over the shared reader
@@ -162,13 +158,6 @@ func (m *MultiEvaluator) AddSubject(ev *Evaluator, cp *CompiledPolicy, opts Opti
 	return len(m.subjects) - 1
 }
 
-// SetTrace charges the scan loop — reading events and dispatching them to
-// the subjects — to the eval phase of t; the phases the reader and the
-// subjects open inside it stay exclusive. Set it only to the context of the
-// scan's one subject: with several subjects the loop overlaps each subject's
-// own eval phase, in another context, and would be counted twice.
-func (m *MultiEvaluator) SetTrace(t *trace.Context) { m.trace = t }
-
 // NumSubjects returns the number of registered subjects.
 func (m *MultiEvaluator) NumSubjects() int { return len(m.subjects) }
 
@@ -207,9 +196,7 @@ func (m *MultiEvaluator) Run() ([]SubjectOutcome, error) {
 		return nil, errors.New("core: MultiEvaluator.Run called twice")
 	}
 	m.ran = true
-	m.trace.Begin(trace.PhaseEval)
 	err := m.scan()
-	m.trace.End()
 	if err != nil {
 		for _, s := range m.subjects {
 			if s.err == nil {

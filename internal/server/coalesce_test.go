@@ -235,6 +235,80 @@ func TestViewCoalescingSingleton(t *testing.T) {
 	}
 }
 
+// blockingWriter holds a response's first body write until release is
+// closed, keeping the scan that writes it in flight.
+type blockingWriter struct {
+	http.ResponseWriter
+	entered chan struct{} // closed when the first write arrives
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *blockingWriter) Write(p []byte) (int, error) {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+	return b.ResponseWriter.Write(p)
+}
+
+func (b *blockingWriter) Flush() { b.ResponseWriter.(http.Flusher).Flush() }
+
+// TestViewCoalescingLateArrival: a request arriving while a sealed batch is
+// scanning runs its own singleton batch instead of queueing behind it, and
+// the ledger records it as a late fallback and a solo scan. Both requests
+// go through the HTTP handler; the first one's scan is held mid-write, so
+// the second provably arrives while it is in flight.
+func TestViewCoalescingLateArrival(t *testing.T) {
+	fc := newFakeClock()
+	srv := newServerOpts(t, Options{CoalesceWindow: 5 * time.Millisecond, clock: fc})
+	held := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("subject") == "DrA" {
+			held.ResponseWriter = w
+			w = held
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	putDoc(t, ts, "doc", hospitalXML(4))
+	putPolicy(t, ts, "doc", "DrA", doctorRulesJSON)
+	putPolicy(t, ts, "doc", "DrB", doctorRulesJSON)
+
+	leader := make(chan int, 1)
+	go func() {
+		resp, _ := do(t, http.MethodGet, ts.URL+"/docs/doc/view?subject=DrA", "")
+		leader <- resp.StatusCode
+	}()
+	for srv.coalesce.openBatchCount() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	fc.Advance(5 * time.Millisecond) // seal: the leader starts scanning
+	<-held.entered                   // ... and is held at its first write
+
+	resp, body := do(t, http.MethodGet, ts.URL+"/docs/doc/view?subject=DrB", "")
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("late GET /view: %d (%d bytes)", resp.StatusCode, len(body))
+	}
+	close(held.release)
+	if status := <-leader; status != http.StatusOK {
+		t.Fatalf("leader GET /view: %d", status)
+	}
+
+	docs := srv.snapshot(0).Coalescing.Documents
+	if len(docs) != 1 {
+		t.Fatalf("expected one document's scan record, got %+v", docs)
+	}
+	st := docs[0]
+	if st.LateFallbacks != 1 || st.SoloScans != 2 || st.SharedScans != 0 || st.CoalescedViews != 0 {
+		t.Fatalf("want 1 late fallback and 2 solo scans (the held singleton and the late arrival), got %+v", st)
+	}
+	if st.SubjectsPerScan["le_1"] != 2 {
+		t.Fatalf("both one-view scans must land in bucket le_1, got %+v", st.SubjectsPerScan)
+	}
+}
+
 // TestViewCoalescingDisabled: DisableCoalescing runs every view alone and
 // /metrics reports coalescing off.
 func TestViewCoalescingDisabled(t *testing.T) {

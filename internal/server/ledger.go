@@ -3,6 +3,7 @@ package server
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmlac"
@@ -10,10 +11,13 @@ import (
 	"xmlac/internal/trace"
 )
 
-// The accounting ledger holds every counter the server exports, behind one
-// mutex. A GET /view request folds into it exactly once, when its outcome is
-// known (recordView): one tally record is built from the outcome and added to
-// the lifetime total, to the (document, subject) session and to the
+// The accounting ledger holds every view counter the server exports, behind
+// one mutex. (The request and PATCH counters are lock-free atomics kept
+// beside it: no invariant ties them to the view buckets, and the request
+// counter is bumped by every HTTP request, remote readers' Range fetches
+// included.) A GET /view request folds into it exactly once, when its
+// outcome is known (recordView): one tally record is built from the outcome
+// and added to the lifetime total, to the (document, subject) session and to the
 // (subject, policy) cost bucket; the scan record and the histograms are
 // updated under the same lock. GET /metrics, GET /metrics.prom and
 // GET /debug/costs all render one metricsSnapshot copied under that lock, so
@@ -102,7 +106,8 @@ type costKey struct {
 	policy  string
 }
 
-// updateCounters counts PATCH /docs/{id} outcomes and the delta surface.
+// updateCounters is the exported reading of PATCH /docs/{id} outcomes and
+// the delta surface.
 type updateCounters struct {
 	Applied           int64 `json:"applied"`
 	Errors            int64 `json:"errors"`
@@ -112,6 +117,38 @@ type updateCounters struct {
 	BytesReused       int64 `json:"bytes_reused"`
 }
 
+// updateTally counts PATCH outcomes and served deltas with lock-free atomics,
+// outside the ledger's lock: no invariant ties them to the view buckets.
+type updateTally struct {
+	applied, errors, deltasServed                    atomic.Int64
+	chunksReencrypted, bytesReencrypted, bytesReused atomic.Int64
+}
+
+// record counts one PATCH outcome: the applied delta, or nil for an update
+// that was rejected or could not be made durable.
+func (u *updateTally) record(delta *xmlac.UpdateDelta) {
+	if delta == nil {
+		u.errors.Add(1)
+		return
+	}
+	u.applied.Add(1)
+	u.chunksReencrypted.Add(int64(len(delta.DirtyChunks)))
+	u.bytesReencrypted.Add(delta.BytesReencrypted)
+	u.bytesReused.Add(delta.BytesReused)
+}
+
+// load reads the counters for a metrics snapshot.
+func (u *updateTally) load() updateCounters {
+	return updateCounters{
+		Applied:           u.applied.Load(),
+		Errors:            u.errors.Load(),
+		DeltasServed:      u.deltasServed.Load(),
+		ChunksReencrypted: u.chunksReencrypted.Load(),
+		BytesReencrypted:  u.bytesReencrypted.Load(),
+		BytesReused:       u.bytesReused.Load(),
+	}
+}
+
 // ledger is the server's one accounting registry.
 type ledger struct {
 	clock   clock
@@ -119,8 +156,6 @@ type ledger struct {
 	costCap int
 
 	mu        sync.Mutex
-	requests  int64
-	updates   updateCounters
 	total     tally
 	sessions  map[sessionKey]*session
 	costs     map[costKey]*tally
@@ -159,35 +194,6 @@ func newLedger(maxIdle time.Duration, clk clock) *ledger {
 		batchSubjects: trace.NewHistogram(batchSubjectsBounds...),
 		viewWorkers:   trace.NewHistogram(viewWorkersBounds...),
 	}
-}
-
-// countRequest counts one HTTP request.
-func (l *ledger) countRequest() {
-	l.mu.Lock()
-	l.requests++
-	l.mu.Unlock()
-}
-
-// recordUpdate counts one PATCH outcome: the applied delta, or nil for an
-// update that was rejected or could not be made durable.
-func (l *ledger) recordUpdate(delta *xmlac.UpdateDelta) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if delta == nil {
-		l.updates.Errors++
-		return
-	}
-	l.updates.Applied++
-	l.updates.ChunksReencrypted += int64(len(delta.DirtyChunks))
-	l.updates.BytesReencrypted += delta.BytesReencrypted
-	l.updates.BytesReused += delta.BytesReused
-}
-
-// recordDeltaServed counts one update delta served to a remote cache.
-func (l *ledger) recordDeltaServed() {
-	l.mu.Lock()
-	l.updates.DeltasServed++
-	l.mu.Unlock()
 }
 
 // viewOutcome is everything the ledger folds for one GET /view request.
@@ -450,8 +456,8 @@ type costSnapshot struct {
 }
 
 // metricsSnapshot is one consistent reading of every server counter: the
-// ledger copied under its lock, plus the gauges read from the store, the
-// policy cache and the storage engine. GET /metrics is its JSON encoding;
+// ledger copied under its lock, plus the request and PATCH counters and the
+// gauges read from the store, the policy cache and the storage engine. GET /metrics is its JSON encoding;
 // GET /metrics.prom and GET /debug/costs render from it.
 type metricsSnapshot struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
@@ -504,8 +510,6 @@ func (l *ledger) snapshot(k int) *metricsSnapshot {
 
 	l.mu.Lock()
 	l.sweepLocked(now)
-	snap.Requests = l.requests
-	snap.Updates = l.updates
 	snap.ViewsServed = l.total.Views
 	snap.ViewErrors = l.total.Errors
 	snap.PolicyCache.Hits = l.total.CacheHits

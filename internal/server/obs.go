@@ -103,7 +103,7 @@ func (sw *statusWriter) Flush() {
 // handler returns.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.ledger.countRequest()
+		s.requests.Add(1)
 		id := r.Header.Get(requestIDHeader)
 		if !validRequestID(id) {
 			id = newRequestID()

@@ -14,6 +14,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"xmlac"
@@ -95,13 +96,15 @@ type Options struct {
 
 // Server is the multi-tenant document server: protected documents and
 // per-subject policies live in the Store, compiled policies are shared
-// through the PolicyCache, and every counter the server exports lives in
-// its accounting ledger. Every method on the HTTP surface is safe for
+// through the PolicyCache, and every view counter the server exports lives
+// in its accounting ledger. Every method on the HTTP surface is safe for
 // arbitrary concurrency.
 type Server struct {
 	store    *Store
 	cache    *PolicyCache
 	ledger   *ledger
+	requests atomic.Int64 // HTTP requests, outside the ledger's lock
+	updates  updateTally
 	coalesce *coalescer // nil when coalescing is disabled
 	opts     Options
 	started  time.Time
@@ -402,7 +405,7 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	version, delta, err := entry.Update(edits)
 	if err != nil {
-		s.ledger.recordUpdate(nil)
+		s.updates.record(nil)
 		status := http.StatusInternalServerError
 		if errors.Is(err, xmlac.ErrInvalidEdit) {
 			status = http.StatusUnprocessableEntity
@@ -421,12 +424,12 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.persist != nil {
 		if err := s.persist.logPatch(entry, delta); err != nil {
-			s.ledger.recordUpdate(nil)
+			s.updates.record(nil)
 			httpError(w, http.StatusInternalServerError, "persisting update: %v", err)
 			return
 		}
 	}
-	s.ledger.recordUpdate(delta)
+	s.updates.record(delta)
 	_, etag := entry.Blob()
 	w.Header().Set("ETag", etag)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -469,7 +472,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	_, etag := entry.Blob()
 	h.Set("ETag", etag)
 	h.Set("Content-Type", "application/octet-stream")
-	s.ledger.recordDeltaServed()
+	s.updates.deltasServed.Add(1)
 	w.WriteHeader(http.StatusOK)
 	w.Write(delta.Marshal())
 }
@@ -862,6 +865,8 @@ func buildInfoSummary() map[string]string {
 // storage engine. k ranks the cost buckets (<= 0 selects defaultCostTopK).
 func (s *Server) snapshot(k int) *metricsSnapshot {
 	snap := s.ledger.snapshot(k)
+	snap.Requests = s.requests.Load()
+	snap.Updates = s.updates.load()
 	snap.UptimeSeconds = time.Since(s.started).Seconds()
 	snap.GoVersion = runtime.Version()
 	snap.Build = buildInfoSummary()

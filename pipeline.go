@@ -218,17 +218,22 @@ func serialScan(ctx context.Context, src secure.ChunkSource, key Key, subjects [
 	}
 	decoder.SetTrace(shared)
 	multi := core.NewMultiEvaluator(decoder)
-	if len(subjects) == 1 {
-		// A one-view scan's loop is that view's own evaluation.
-		multi.SetTrace(shared)
-	}
 	for i, s := range subjects {
 		for len(st.evals) <= i {
 			st.evals = append(st.evals, &core.Evaluator{})
 		}
 		multi.AddSubject(st.evals[i], s.CP, s.Opts)
 	}
+	// A one-view scan's event loop is that view's own evaluation. With
+	// several views it would overlap each view's eval phase, kept in the
+	// view's own context, and be counted twice.
+	loop := shared
+	if len(subjects) > 1 {
+		loop = nil
+	}
+	loop.Begin(itrace.PhaseEval)
 	outcomes, err := multi.Run()
+	loop.End()
 	return &scanResult{outcomes: outcomes, costs: st.reader.Costs(), physSkipped: decoder.BytesSkipped()}, err
 }
 
