@@ -23,7 +23,7 @@ func updateEnvDoc(t *testing.T, env *testEnv, edits ...xmlac.Edit) *xmlac.Update
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, delta, err := entry.Update(edits)
+	_, delta, err := entry.Update(edits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

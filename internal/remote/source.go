@@ -14,8 +14,6 @@
 //     into one span (fetching the cheap gap beats another round trip or
 //     another multipart part), and distinct spans ride in a single
 //     multi-range request;
-//   - sequential read-ahead: a miss extends the fetch by a few pages past
-//     the requested range, truncated at end of document;
 //   - wire accounting: BytesOnWire counts the HTTP payload actually read
 //     (range bodies, multipart framing, digest tables, fragment hashes) and
 //     RoundTrips counts requests, surfaced through xmlac.Metrics.
@@ -62,14 +60,6 @@ type Options struct {
 	// many bytes into one range (the gap bytes are fetched and cached too).
 	// 0 selects the page size; negative merges only adjacent spans.
 	GapThreshold int
-	// ReadAhead is the number of pages prefetched past a missing range
-	// (piggybacked on the fetch, never a separate round trip). Zero or
-	// negative leaves read-ahead off, the default: Skip-index access
-	// patterns interleave short reads with short jumps, which defeats naive
-	// prefetch (measured on the hospital profiles, a read-ahead of one page
-	// re-fetches most of what the Skip index saved). Enable it for clients
-	// that scan documents front to back.
-	ReadAhead int
 	// CacheCapacity is the number of pages kept in the LRU chunk cache
 	// (0 selects DefaultCacheCapacity).
 	CacheCapacity int
@@ -94,9 +84,6 @@ func (o Options) withDefaults() Options {
 		o.GapThreshold = o.PageSize
 	} else if o.GapThreshold < 0 {
 		o.GapThreshold = 0
-	}
-	if o.ReadAhead < 0 {
-		o.ReadAhead = 0
 	}
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = DefaultCacheCapacity
@@ -139,12 +126,6 @@ type Source struct {
 	cache      *pageLRU
 	fragHashes map[int][][secure.DigestSize]byte
 	stats      WireStats
-
-	// prevLast is the last page index of the previous CiphertextRange call;
-	// read-ahead only fires when a request continues it (sequential
-	// decoding), never on the landing fetch after a Skip-index jump — bytes
-	// past a jump target are as likely to be the next skipped subtree.
-	prevLast int64
 
 	// trace, when non-nil, charges wire transfer and resync time to the
 	// current evaluation's phase timers, records fetch spans and stamps the
@@ -191,7 +172,6 @@ func Open(baseURL string, opts Options) (*Source, error) {
 		deltaURL:    base + "/delta",
 		opts:        opts.withDefaults(),
 		fragHashes:  map[int][][secure.DigestSize]byte{},
-		prevLast:    -1,
 	}
 	s.cache = newPageLRU(s.opts.CacheCapacity)
 	s.mu.Lock()
@@ -386,8 +366,8 @@ func (s *Source) FragmentHashes(i int) ([][secure.DigestSize]byte, error) {
 }
 
 // CiphertextRange implements secure.ChunkSource: it serves [off, off+n) from
-// the page cache, fetching missing pages (coalesced, read-ahead extended) in
-// at most one HTTP request.
+// the page cache, fetching missing pages (coalesced) in at most one HTTP
+// request.
 func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -408,21 +388,8 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	}
 	s.trace.CountPageHits(last - first + 1 - int64(len(missing)))
 	s.trace.CountPageMisses(int64(len(missing)))
-	sequential := first <= s.prevLast+1 && last >= s.prevLast
-	s.prevLast = last
 	fetched := map[int64][]byte{}
 	if len(missing) > 0 {
-		// Piggyback read-ahead on the fetch we are doing anyway — but only
-		// when the request extends the previous one forward; the last page
-		// of the document truncates the window (never request past EOF).
-		maxPage := (s.man.CiphertextLen - 1) / pageSize
-		if sequential {
-			for p := last + 1; p <= last+int64(s.opts.ReadAhead) && p <= maxPage; p++ {
-				if !s.cache.contains(p) {
-					missing = append(missing, p)
-				}
-			}
-		}
 		var err error
 		fetchStart := s.trace.Now()
 		wireBefore := s.stats.BytesOnWire
@@ -680,7 +647,6 @@ func (s *Source) resyncLocked() error {
 	}
 	s.cache.reset()
 	clear(s.fragHashes)
-	s.prevLast = -1
 	return s.loadPrefix(payload)
 }
 
@@ -771,7 +737,6 @@ func (s *Source) applyDelta(payload manifestPayload, delta *secure.Delta) error 
 			}
 		}
 	}
-	s.prevLast = -1
 	s.stats.ChunksReused += reused
 	return nil
 }

@@ -206,7 +206,7 @@ func TestOpenFetchesManifestAndDigestTable(t *testing.T) {
 // pages issues exactly one request with one contiguous range.
 func TestAdjacentMissesCoalesceIntoOneRange(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1, GapThreshold: -1})
+	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1})
 	env.mustRange(t, src, 0, 200)
 	ranges := env.log.snapshotRanges()
 	if len(ranges) != 1 {
@@ -222,7 +222,7 @@ func TestAdjacentMissesCoalesceIntoOneRange(t *testing.T) {
 // fetches the pages not yet resident.
 func TestOverlappingReadsServedFromCache(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1, GapThreshold: -1})
+	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1})
 	env.mustRange(t, src, 0, 128)  // pages 0,1
 	env.mustRange(t, src, 64, 128) // page 1 cached, page 2 missing
 	env.mustRange(t, src, 32, 96)  // fully cached: no request
@@ -241,7 +241,7 @@ func TestOverlappingReadsServedFromCache(t *testing.T) {
 func TestGapThresholdBoundary(t *testing.T) {
 	t.Run("gap-equal-threshold-merges", func(t *testing.T) {
 		env := newEnv(t, 6)
-		src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1, GapThreshold: 64})
+		src := env.open(t, remote.Options{PageSize: 64, GapThreshold: 64})
 		env.mustRange(t, src, 64, 64) // prime page 1
 		env.mustRange(t, src, 0, 192) // pages {0,2} missing, 64-byte gap
 		ranges := env.log.snapshotRanges()
@@ -254,7 +254,7 @@ func TestGapThresholdBoundary(t *testing.T) {
 	})
 	t.Run("gap-past-threshold-splits", func(t *testing.T) {
 		env := newEnv(t, 6)
-		src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1, GapThreshold: 63})
+		src := env.open(t, remote.Options{PageSize: 64, GapThreshold: 63})
 		env.mustRange(t, src, 64, 64) // prime page 1
 		env.mustRange(t, src, 0, 192) // pages {0,2}: gap 64 > 63
 		ranges := env.log.snapshotRanges()
@@ -268,83 +268,11 @@ func TestGapThresholdBoundary(t *testing.T) {
 	})
 }
 
-// TestReadAheadPrefetch: a miss extends the fetch by the read-ahead window
-// and the prefetched pages serve later reads without new requests.
-func TestReadAheadPrefetch(t *testing.T) {
-	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: 2, GapThreshold: -1})
-	env.mustRange(t, src, 0, 64) // page 0 + read-ahead pages 1,2
-	ranges := env.log.snapshotRanges()
-	if want := "bytes=" + rangeSpec(env.ctOff, 0, 192); len(ranges) != 1 || ranges[0] != want {
-		t.Fatalf("read-ahead fetch %v, want [%q]", ranges, want)
-	}
-	env.mustRange(t, src, 64, 128) // prefetched: no request
-	if got := env.log.blobRequests(); got != 1 {
-		t.Fatalf("prefetched pages should serve later reads, saw %d requests", got)
-	}
-}
-
-// TestEOFTruncatedReadAhead: read-ahead near the end of the document clamps
-// at EOF — the request never extends past the blob and the trailing partial
-// page round-trips correctly through the cache.
-func TestEOFTruncatedReadAhead(t *testing.T) {
-	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: 8, GapThreshold: -1})
-	ctLen := int64(len(env.ciphertext))
-	lastPageStart := (ctLen - 1) / 64 * 64
-	// Land three pages before the end (a jump: no read-ahead), then continue
-	// sequentially: the 8-page read-ahead must truncate at EOF.
-	off := lastPageStart - 128
-	env.mustRange(t, src, off-64, 64)
-	env.mustRange(t, src, off, 64)
-	ranges := env.log.snapshotRanges()
-	if len(ranges) != 2 {
-		t.Fatalf("expected two blob requests, got %v", ranges)
-	}
-	if want := "bytes=" + rangeSpec(env.ctOff, off-64, off); ranges[0] != want {
-		t.Fatalf("jump landing fetched %q, want %q (no read-ahead on a jump)", ranges[0], want)
-	}
-	if want := "bytes=" + rangeSpec(env.ctOff, off, ctLen); ranges[1] != want {
-		t.Fatalf("EOF-truncated read-ahead sent %q, want %q", ranges[1], want)
-	}
-	// The tail (including the partial last page) is now resident.
-	env.mustRange(t, src, ctLen-10, 10)
-	env.mustRange(t, src, lastPageStart, ctLen-lastPageStart)
-	if got := env.log.blobRequests(); got != 2 {
-		t.Fatalf("tail reads after prefetch should be cache hits, saw %d requests", got)
-	}
-}
-
-// TestNoReadAheadOnJump: a fetch that does not continue the previous request
-// (a Skip-index jump landing) carries no read-ahead — prefetching past a
-// jump target would mostly fetch bytes the evaluator is about to skip.
-func TestNoReadAheadOnJump(t *testing.T) {
-	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: 2, GapThreshold: -1})
-	env.mustRange(t, src, 0, 64)   // sequential start: pages 0 + read-ahead 1,2
-	env.mustRange(t, src, 640, 64) // jump: page 10 only
-	env.mustRange(t, src, 704, 64) // continues the jump: read-ahead resumes
-	ranges := env.log.snapshotRanges()
-	want := []string{
-		"bytes=" + rangeSpec(env.ctOff, 0, 192),
-		"bytes=" + rangeSpec(env.ctOff, 640, 704),
-		"bytes=" + rangeSpec(env.ctOff, 704, 896),
-	}
-	if len(ranges) != len(want) {
-		t.Fatalf("expected %d blob requests, got %v", len(want), ranges)
-	}
-	for i := range want {
-		if ranges[i] != want[i] {
-			t.Fatalf("request %d: %q, want %q", i, ranges[i], want[i])
-		}
-	}
-}
-
 // TestLRUChunkCacheBound: the cache never exceeds its capacity and evicted
 // pages are re-fetched on demand.
 func TestLRUChunkCacheBound(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1, GapThreshold: -1, CacheCapacity: 4})
+	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1, CacheCapacity: 4})
 	for p := int64(0); p < 8; p++ {
 		env.mustRange(t, src, p*64, 64)
 	}
@@ -362,7 +290,7 @@ func TestLRUChunkCacheBound(t *testing.T) {
 // 304 Not Modified; after a re-registration the source flushes and reloads.
 func TestRevalidate(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1})
+	src := env.open(t, remote.Options{PageSize: 64})
 	env.mustRange(t, src, 0, 64)
 
 	changed, err := src.Revalidate()
@@ -403,7 +331,7 @@ func TestRevalidate(t *testing.T) {
 // bytes of two documents.
 func TestChangedBlobDetectedMidStream(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1})
+	src := env.open(t, remote.Options{PageSize: 64})
 	env.mustRange(t, src, 0, 64)
 	xml := xmlstream.SerializeTree(dataset.HospitalFolders(9, 11), false)
 	if _, err := env.srv.Store().RegisterXML("hospital", xml, testPassphrase, xmlac.SchemeECBMHT); err != nil {
@@ -444,7 +372,7 @@ func TestFragmentHashesFetchedOncePerChunk(t *testing.T) {
 // TestWireBytesCounted: every response body byte is charged to BytesOnWire.
 func TestWireBytesCounted(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1})
+	src := env.open(t, remote.Options{PageSize: 64})
 	before := src.Stats()
 	env.mustRange(t, src, 0, 64)
 	after := src.Stats()
@@ -467,7 +395,7 @@ func rangeSpec(ctOff, from, to int64) string {
 // root span ID (X-Xmlac-Span-Id); detaching the context stops the stamping.
 func TestTracePropagationHeaders(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, ReadAhead: -1, GapThreshold: -1})
+	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1})
 	tr := trace.New(trace.NewRecorder(16), "trace-0042")
 	if tr.SpanID() == "" {
 		t.Fatal("tracing context has no span ID")
@@ -520,7 +448,7 @@ func TestContextCancelClosesInFlightFetch(t *testing.T) {
 	defer ts.Close()
 	defer close(release)
 
-	src, err := remote.Open(ts.URL+"/docs/hospital", remote.Options{PageSize: 64, ReadAhead: -1})
+	src, err := remote.Open(ts.URL+"/docs/hospital", remote.Options{PageSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,15 +356,17 @@ func TestFailedCoalescedScanIsAccounted(t *testing.T) {
 	blob = append([]byte(nil), blob...)
 	m := good.Manifest()
 	blob[m.CiphertextOffset+m.CiphertextLen/2] ^= 0xff
-	entry, err := srv.Store().installRecovered("hospital", good.Scheme, good.Stats, good.CreatedAt, good.passphrase, blob)
+	prot, err := xmlac.UnmarshalProtected(blob)
 	if err != nil {
 		t.Fatalf("a flipped ciphertext byte must still unmarshal: %v", err)
 	}
+	reg := registerMeta{Scheme: string(good.Scheme), Passphrase: good.passphrase, CreatedAt: good.CreatedAt, Stats: good.Stats}
+	entry := srv.Store().install("hospital", reg, prot, blob, nil)
 	subjects := []string{"DrA", "DrB"}
 	views := make([]xmlac.CompiledView, len(subjects))
 	for i, subj := range subjects {
 		policy := xmlac.Policy{Rules: []xmlac.Rule{{Sign: "+", Object: "//Folder"}}}
-		if _, err := entry.SetPolicy(subj, policy); err != nil {
+		if _, err := entry.SetPolicy(subj, policy, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		policy.Subject = subj

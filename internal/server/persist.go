@@ -28,12 +28,13 @@ import (
 //     check fails recovery loudly on any mismatch.
 //   - RecordDelete   — no payload.
 //
-// Checkpoints snapshot every document as registerMeta plus its policies and
-// retained update history (checkpointDocMeta), so delta resync keeps working
-// across a restart even after the WAL was compacted away.
+// A checkpoint writes the same records: per document, one registration
+// carrying the retained update history (so delta resync keeps working
+// across a restart), then one policy record per subject. Recovery replays
+// snapshot and tail through one loop.
 
-// DefaultCheckpointWALBytes is the WAL size that triggers a compacting
-// checkpoint when Options.CheckpointWALBytes is unset.
+// DefaultCheckpointWALBytes is the log tail size that triggers a checkpoint
+// when Options.CheckpointWALBytes is unset.
 const DefaultCheckpointWALBytes = 8 << 20
 
 // registerMeta is the durable registration metadata of one document.
@@ -42,6 +43,10 @@ type registerMeta struct {
 	Passphrase string      `json:"passphrase"`
 	CreatedAt  time.Time   `json:"created_at"`
 	Stats      xmlac.Stats `json:"stats"`
+	// Deltas is the retained update history, each step in the binary
+	// UpdateDelta wire format (base64 in the JSON). Only checkpoints carry
+	// it: a live registration starts a fresh history.
+	Deltas [][]byte `json:"deltas,omitempty"`
 }
 
 // policyRuleMeta mirrors xmlac.Rule for the durable form.
@@ -58,23 +63,6 @@ type policyMeta struct {
 	UpdatedAt time.Time        `json:"updated_at"`
 }
 
-// checkpointDocMeta is one document's full durable state in a checkpoint.
-type checkpointDocMeta struct {
-	registerMeta
-	Policies map[string]policyMeta `json:"policies,omitempty"`
-	// Deltas is the retained update history, each step in the binary
-	// UpdateDelta wire format (base64 in the JSON).
-	Deltas [][]byte `json:"deltas,omitempty"`
-}
-
-func policyToMeta(p xmlac.Policy, updatedAt time.Time) policyMeta {
-	m := policyMeta{UpdatedAt: updatedAt}
-	for _, r := range p.Rules {
-		m.Rules = append(m.Rules, policyRuleMeta{ID: r.ID, Sign: r.Sign, Object: r.Object})
-	}
-	return m
-}
-
 func metaToPolicy(subject string, m policyMeta) xmlac.Policy {
 	p := xmlac.Policy{Subject: subject}
 	for _, r := range m.Rules {
@@ -83,82 +71,105 @@ func metaToPolicy(subject string, m policyMeta) xmlac.Policy {
 	return p
 }
 
-// persister owns the storage engine on behalf of the server. Mutation
-// handlers log through it after applying to the in-memory store and before
-// acknowledging the request, so an acknowledged mutation is always durable.
+// persister owns the storage engine on behalf of the server. A nil persister
+// is an in-memory store: hold and the log methods are no-ops.
 type persister struct {
 	engine    *storage.Engine
 	store     *Store
 	logger    *slog.Logger
 	threshold int64
 
-	// mu orders appends against checkpoints: appends hold it shared,
-	// a checkpoint exclusively — so no record can land between the state
-	// snapshot and the WAL truncation and be silently compacted away.
+	// mu orders mutations against checkpoints: each mutation holds it shared
+	// while it applies to the store and appends its record, a checkpoint
+	// exclusively — so a snapshot never holds a mutation whose record lands
+	// after it in the log, and replay meets every mutation exactly once.
 	mu sync.RWMutex
 }
 
-// append frames one record durably and triggers a compacting checkpoint when
-// the log has grown past the threshold.
-func (p *persister) append(rec storage.Record) error {
-	p.mu.RLock()
-	err := p.engine.Append(rec)
-	p.mu.RUnlock()
-	if err != nil {
-		return err
+// hold admits one mutation. The caller applies it to the store and logs its
+// record, then calls release, which takes a compacting checkpoint once the
+// log has grown past the threshold.
+func (p *persister) hold() (release func()) {
+	if p == nil {
+		return func() {}
 	}
-	if p.engine.WALSize() >= p.threshold {
-		if cerr := p.checkpoint(); cerr != nil {
-			// The append is durable either way; a failed compaction only
+	p.mu.RLock()
+	return func() {
+		p.mu.RUnlock()
+		if err := p.checkpoint(); err != nil {
+			// The mutation is durable either way; a failed compaction only
 			// leaves a longer log. Surface it in the log, not the request.
-			p.logger.Error("storage checkpoint failed", slog.Any("error", cerr))
+			p.logger.Error("storage checkpoint failed", slog.Any("error", err))
 		}
 	}
-	return nil
 }
 
-// logRegister records a (re-)registration as a full-blob record.
-func (p *persister) logRegister(e *DocumentEntry) error {
+// registerRecord renders a document's registration: its metadata, the given
+// retained history and its current container.
+func registerRecord(e *DocumentEntry, deltas []*xmlac.UpdateDelta) storage.Record {
 	e.mu.RLock()
 	blob := e.blob
 	e.mu.RUnlock()
-	meta, err := json.Marshal(registerMeta{
+	meta := registerMeta{
 		Scheme:     string(e.Scheme),
 		Passphrase: e.passphrase,
 		CreatedAt:  e.CreatedAt,
 		Stats:      e.Stats,
-	})
-	if err != nil {
-		return err
 	}
-	return p.append(storage.Record{Type: storage.RecordRegister, Doc: e.ID, Meta: meta, Blob: blob})
+	for _, d := range deltas {
+		meta.Deltas = append(meta.Deltas, d.Marshal())
+	}
+	return storage.Record{Type: storage.RecordRegister, Doc: e.ID, Meta: mustJSON(meta), Blob: blob}
+}
+
+// policyRecord renders one subject's policy installation.
+func policyRecord(docID, subject string, rec PolicyRecord) storage.Record {
+	m := policyMeta{UpdatedAt: rec.UpdatedAt}
+	for _, r := range rec.Policy.Rules {
+		m.Rules = append(m.Rules, policyRuleMeta{ID: r.ID, Sign: r.Sign, Object: r.Object})
+	}
+	return storage.Record{Type: storage.RecordPolicy, Doc: docID, Subject: subject, Meta: mustJSON(m)}
+}
+
+// mustJSON marshals durable metadata. Every field is a plain string, time,
+// int or byte-slice aggregate; a marshal failure is a programming error,
+// not an operational state.
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("server: marshalling durable metadata: %v", err))
+	}
+	return b
+}
+
+// logRegister records a (re-)registration as a full-blob record.
+func (p *persister) logRegister(e *DocumentEntry) error {
+	if p == nil {
+		return nil
+	}
+	return p.engine.Append(registerRecord(e, nil))
 }
 
 // logPolicy records one subject's policy installation.
 func (p *persister) logPolicy(docID, subject string, rec PolicyRecord) error {
-	meta, err := json.Marshal(policyToMeta(rec.Policy, rec.UpdatedAt))
-	if err != nil {
-		return err
+	if p == nil {
+		return nil
 	}
-	return p.append(storage.Record{Type: storage.RecordPolicy, Doc: docID, Subject: subject, Meta: meta})
+	return p.engine.Append(policyRecord(docID, subject, rec))
 }
 
-// logPatch records one applied update as a delta record. The dirty chunk
-// bytes are cut from the entry's published blob; if another update raced in
-// between (the blob no longer matches the delta's ToVersion), the record
-// falls back to a full-blob registration of the current state — larger but
-// always correct.
+// logPatch records one applied update as a delta record. It runs under the
+// entry's update lock (DocumentEntry.Update calls it), so the published blob
+// is the delta's ToVersion and records of one document land in the order
+// their updates applied.
 func (p *persister) logPatch(e *DocumentEntry, delta *xmlac.UpdateDelta) error {
+	if p == nil {
+		return nil
+	}
 	e.mu.RLock()
 	blob := e.blob
 	man := e.manifest
-	version := e.version
 	e.mu.RUnlock()
-	if version != delta.ToVersion {
-		p.logger.Warn("patch record superseded before logging; falling back to full-blob record",
-			slog.String("doc", e.ID), slog.Uint64("delta_to", delta.ToVersion), slog.Uint64("blob_version", version))
-		return p.logRegister(e)
-	}
 	payload := make([]byte, 0, 4+man.CiphertextOffset+delta.BytesReencrypted+sha256Size)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(man.CiphertextOffset))
 	payload = append(payload, blob[:man.CiphertextOffset]...)
@@ -172,28 +183,36 @@ func (p *persister) logPatch(e *DocumentEntry, delta *xmlac.UpdateDelta) error {
 		payload = append(payload, blob[man.CiphertextOffset+start:man.CiphertextOffset+end]...)
 	}
 	payload = append(payload, blobSum(blob)...)
-	return p.append(storage.Record{Type: storage.RecordPatch, Doc: e.ID, Meta: delta.Marshal(), Blob: payload})
+	return p.engine.Append(storage.Record{Type: storage.RecordPatch, Doc: e.ID, Meta: delta.Marshal(), Blob: payload})
 }
 
 // logDelete records a document removal.
 func (p *persister) logDelete(docID string) error {
-	return p.append(storage.Record{Type: storage.RecordDelete, Doc: docID})
+	if p == nil {
+		return nil
+	}
+	return p.engine.Append(storage.Record{Type: storage.RecordDelete, Doc: docID})
 }
 
-// checkpoint snapshots every document (sorted by id, deterministic layout)
-// and compacts the WAL into a fresh page-file generation.
+// checkpoint rewrites the log as a snapshot of the store once the tail has
+// grown past the threshold.
 func (p *persister) checkpoint() error {
+	if p.engine.WALSize() < p.threshold {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.engine.WALSize() < p.threshold {
-		return nil // another appender's checkpoint got here first
+		return nil // another mutation's checkpoint got here first
 	}
 	return p.engine.Checkpoint(p.snapshot())
 }
 
-// snapshot captures the full durable state of the store. Callers hold p.mu
-// exclusively, so no mutation can be logged while the snapshot is cut.
-func (p *persister) snapshot() []storage.DocSnapshot {
+// snapshot renders the store as the records that rebuild it: per document
+// in id order, its registration with the retained history, then its
+// policies in subject order. Callers hold p.mu exclusively, so no mutation
+// is half applied while the snapshot is cut.
+func (p *persister) snapshot() []storage.Record {
 	p.store.mu.RLock()
 	entries := make([]*DocumentEntry, 0, len(p.store.docs))
 	for _, e := range p.store.docs {
@@ -201,37 +220,19 @@ func (p *persister) snapshot() []storage.DocSnapshot {
 	}
 	p.store.mu.RUnlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	snaps := make([]storage.DocSnapshot, 0, len(entries))
+	var recs []storage.Record
 	for _, e := range entries {
 		e.mu.RLock()
-		meta := checkpointDocMeta{
-			registerMeta: registerMeta{
-				Scheme:     string(e.Scheme),
-				Passphrase: e.passphrase,
-				CreatedAt:  e.CreatedAt,
-				Stats:      e.Stats,
-			},
-		}
-		if len(e.policies) > 0 {
-			meta.Policies = make(map[string]policyMeta, len(e.policies))
-			for subject, rec := range e.policies {
-				meta.Policies[subject] = policyToMeta(rec.Policy, rec.UpdatedAt)
+		deltas := e.deltas
+		e.mu.RUnlock()
+		recs = append(recs, registerRecord(e, deltas))
+		for _, subject := range e.Subjects() {
+			if rec, err := e.PolicyFor(subject); err == nil {
+				recs = append(recs, policyRecord(e.ID, subject, rec))
 			}
 		}
-		for _, d := range e.deltas {
-			meta.Deltas = append(meta.Deltas, d.Marshal())
-		}
-		blob := e.blob
-		e.mu.RUnlock()
-		mb, err := json.Marshal(meta)
-		if err != nil {
-			// Every field is a plain string/time/int aggregate; a marshal
-			// failure is a programming error, not an operational state.
-			panic(fmt.Sprintf("server: marshalling checkpoint metadata for %q: %v", e.ID, err))
-		}
-		snaps = append(snaps, storage.DocSnapshot{Doc: e.ID, Meta: mb, Blob: blob})
 	}
-	return snaps
+	return recs
 }
 
 func (p *persister) close() error {
@@ -247,54 +248,21 @@ func blobSum(blob []byte) []byte {
 	return sum[:]
 }
 
-// recoverPersisted rebuilds the in-memory store from the engine's recovered
-// state: every checkpointed document first, then the durable WAL prefix in
-// append order. Stale patch records (the checkpoint-overlap window after a
-// crash between checkpoint rename and WAL reset) are skipped; any other
+// recoverPersisted rebuilds the in-memory store by replaying every
+// recovered record, the snapshot's first, then the tail's. Any
 // inconsistency fails the open — a durable store that cannot reproduce its
 // last acknowledged state must refuse to start, not improvise one.
-func (s *Server) recoverPersisted(eng *storage.Engine) (docs, replayed int, err error) {
-	for _, cd := range eng.CheckpointDocs() {
-		var meta checkpointDocMeta
-		if err := json.Unmarshal(cd.Meta, &meta); err != nil {
-			return docs, replayed, fmt.Errorf("checkpoint metadata for %q: %w", cd.Doc, err)
-		}
-		blob, err := eng.ReadBlob(cd)
-		if err != nil {
-			return docs, replayed, err
-		}
-		entry, err := s.store.installRecovered(cd.Doc, xmlac.Scheme(meta.Scheme), meta.Stats, meta.CreatedAt, meta.Passphrase, blob)
-		if err != nil {
-			return docs, replayed, err
-		}
-		for _, subject := range sortedKeys(meta.Policies) {
-			if err := entry.setRecoveredPolicy(subject, metaToPolicy(subject, meta.Policies[subject]), meta.Policies[subject].UpdatedAt); err != nil {
-				return docs, replayed, fmt.Errorf("recovering policy %q/%q: %w", cd.Doc, subject, err)
-			}
-		}
-		if len(meta.Deltas) > 0 {
-			deltas := make([]*xmlac.UpdateDelta, 0, len(meta.Deltas))
-			for i, raw := range meta.Deltas {
-				d, err := xmlac.UnmarshalUpdateDelta(raw)
-				if err != nil {
-					return docs, replayed, fmt.Errorf("recovering delta %d of %q: %w", i, cd.Doc, err)
-				}
-				deltas = append(deltas, d)
-			}
-			entry.restoreDeltas(deltas)
-		}
-		docs++
-	}
-	for i, rec := range eng.WALRecords() {
+func (s *Server) recoverPersisted(eng *storage.Engine) (int, error) {
+	recs := eng.WALRecords()
+	for i, rec := range recs {
 		if err := s.replayRecord(rec); err != nil {
-			return docs, replayed, fmt.Errorf("replaying WAL record %d (%q): %w", i, rec.Doc, err)
+			return i, fmt.Errorf("replaying record %d (%q): %w", i, rec.Doc, err)
 		}
-		replayed++
 	}
-	return docs, replayed, nil
+	return len(recs), nil
 }
 
-// replayRecord applies one recovered WAL record to the in-memory store.
+// replayRecord applies one recovered record to the in-memory store.
 func (s *Server) replayRecord(rec storage.Record) error {
 	switch rec.Type {
 	case storage.RecordRegister:
@@ -302,8 +270,20 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
 			return fmt.Errorf("registration metadata: %w", err)
 		}
-		_, err := s.store.installRecovered(rec.Doc, xmlac.Scheme(meta.Scheme), meta.Stats, meta.CreatedAt, meta.Passphrase, rec.Blob)
-		return err
+		deltas := make([]*xmlac.UpdateDelta, len(meta.Deltas))
+		for i, raw := range meta.Deltas {
+			d, err := xmlac.UnmarshalUpdateDelta(raw)
+			if err != nil {
+				return fmt.Errorf("retained delta %d: %w", i, err)
+			}
+			deltas[i] = d
+		}
+		prot, err := xmlac.UnmarshalProtected(rec.Blob)
+		if err != nil {
+			return fmt.Errorf("container: %w", err)
+		}
+		s.store.install(rec.Doc, meta, prot, rec.Blob, deltas)
+		return nil
 	case storage.RecordPolicy:
 		entry, err := s.store.Entry(rec.Doc)
 		if err != nil {
@@ -313,7 +293,8 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
 			return fmt.Errorf("policy metadata: %w", err)
 		}
-		return entry.setRecoveredPolicy(rec.Subject, metaToPolicy(rec.Subject, meta), meta.UpdatedAt)
+		_, err = entry.SetPolicy(rec.Subject, metaToPolicy(rec.Subject, meta), meta.UpdatedAt)
+		return err
 	case storage.RecordPatch:
 		entry, err := s.store.Entry(rec.Doc)
 		if err != nil {
@@ -333,26 +314,10 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		prefix := rec.Blob[4 : 4+prefixLen]
 		dirty := rec.Blob[4+prefixLen : len(rec.Blob)-sha256Size]
 		sum := rec.Blob[len(rec.Blob)-sha256Size:]
-		if err := entry.applyRecoveredPatch(delta, prefix, dirty, sum); err != nil {
-			if err == errStalePatch {
-				return nil
-			}
-			return err
-		}
-		return nil
+		return entry.applyRecoveredPatch(delta, prefix, dirty, sum)
 	case storage.RecordDelete:
 		s.store.Remove(rec.Doc)
 		return nil
 	}
 	return fmt.Errorf("unknown record type %d", rec.Type)
-}
-
-// sortedKeys returns the map's keys sorted, for deterministic replay order.
-func sortedKeys(m map[string]policyMeta) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

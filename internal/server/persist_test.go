@@ -2,10 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"xmlac"
 )
@@ -137,8 +141,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 // TestPersistenceCheckpointRecovery drives the checkpoint path: a one-byte
 // threshold forces a checkpoint after every append, so recovery reads
-// documents, policies and the retained delta history from checkpoint.db
-// rather than WAL replay.
+// documents, policies and the retained delta history from the log's
+// snapshot prefix rather than from replayed tail records.
 func TestPersistenceCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
@@ -211,5 +215,143 @@ func TestPersistenceDeleteAcrossRestart(t *testing.T) {
 	}
 	if body := getOK(t, ts2.URL+"/docs/keep/view?subject=secretary"); len(body) == 0 {
 		t.Fatal("surviving document lost its view after restart")
+	}
+}
+
+// TestPersistenceConcurrentMutationsRecover: PATCHes to one document from
+// four clients, policy installs, and a second document's re-registrations
+// and PATCHes race checkpoints taken after every mutation. A mutation
+// applies and logs as one unit against checkpoints, and one document's
+// PATCHes log in version order, so a reopen recovers exactly the state the
+// server served.
+func TestPersistenceConcurrentMutationsRecover(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	putDoc(t, ts, "hospital", hospitalXML(6))
+	send := func(method, path, body string) error {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			msg, _ := io.ReadAll(resp.Body)
+			return fmt.Errorf("%s %s: %d %s", method, path, resp.StatusCode, msg)
+		}
+		return nil
+	}
+	setText := func(folder int, text string) string {
+		return fmt.Sprintf(`{"edits":[{"op":"set-text","path":"/Hospital/Folder[%d]/Admin/Fname","text":%q}]}`, folder, text)
+	}
+	var wg sync.WaitGroup
+	for w := 1; w <= 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if err := send(http.MethodPatch, "/docs/hospital", setText(w, fmt.Sprintf("client-%d-%d", w, i))); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, subject := range []string{"secretary", "clerk", "DrA"} {
+			rules := secretaryRulesJSON
+			if subject == "DrA" {
+				rules = doctorRulesJSON
+			}
+			if err := send(http.MethodPut, "/docs/hospital/policies/"+subject, rules); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			if err := send(http.MethodPut, "/docs/other", hospitalXML(2+i)); err != nil {
+				t.Error(err)
+			}
+			if err := send(http.MethodPatch, "/docs/other", setText(1, fmt.Sprintf("other-%d", i))); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	state := func(ts *httptest.Server) string {
+		var b strings.Builder
+		for _, path := range []string{
+			"/docs/hospital/blob", "/docs/hospital/delta?from=1", "/docs/other/blob", "/docs/other/delta?from=1",
+			"/docs/hospital/view?subject=secretary", "/docs/hospital/view?subject=DrA", "/docs/hospital/policies/clerk",
+		} {
+			resp, body := do(t, http.MethodGet, ts.URL+path, "")
+			fmt.Fprintf(&b, "%s %d %s %q\n", path, resp.StatusCode, resp.Header.Get("ETag"), body)
+		}
+		return b.String()
+	}
+	want := state(ts)
+	if srv.persist.engine.Stats().Checkpoints == 0 {
+		t.Fatal("no checkpoint ran beside the mutations")
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := openDurable(t, dir, Options{})
+	if got := state(ts2); got != want {
+		t.Fatalf("recovered state differs from the state served before the restart:\n got %.600s\nwant %.600s", got, want)
+	}
+}
+
+// TestMutationsWaitForCheckpoint: while a checkpoint holds the persister
+// exclusively, a mutation does not even apply to the in-memory store — so
+// the snapshot it cuts never holds a mutation whose record would land after
+// it in the log, and replay never meets a PATCH twice.
+func TestMutationsWaitForCheckpoint(t *testing.T) {
+	srv, ts := openDurable(t, t.TempDir(), Options{})
+	putDoc(t, ts, "hospital", hospitalXML(4))
+	entry, err := srv.Store().Entry("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.persist.mu.Lock() // what a checkpoint holds while it cuts the snapshot
+	done := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPatch, ts.URL+"/docs/hospital",
+			strings.NewReader(`{"edits":[{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"late"}]}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	select {
+	case status := <-done:
+		srv.persist.mu.Unlock()
+		t.Fatalf("PATCH answered %d while a checkpoint held the store", status)
+	case <-time.After(100 * time.Millisecond):
+	}
+	v := entry.Version()
+	srv.persist.mu.Unlock()
+	if v != 1 {
+		t.Fatalf("PATCH applied (version %d) while a checkpoint held the store", v)
+	}
+	if status := <-done; status != http.StatusOK {
+		t.Fatalf("PATCH after the checkpoint released the store: %d", status)
+	}
+	if v := entry.Version(); v != 2 {
+		t.Fatalf("version %d after the PATCH, want 2", v)
 	}
 }

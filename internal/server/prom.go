@@ -109,16 +109,13 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 		{"xmlac_coalesce_views_total", "counter", "Views served through shared scans.", i64(coalesced)},
 		{"xmlac_coalesce_solo_scans_total", "counter", "Single-subject scans (singleton batches, late fallbacks, every view with coalescing disabled).", i64(solo)},
 		{"xmlac_coalesce_late_fallbacks_total", "counter", "Requests that found a sealed batch scanning and ran solo.", i64(late)},
-		{"xmlac_storage_wal_records", "gauge", "Records in the live write-ahead log.", i64(st.WALRecords)},
-		{"xmlac_storage_wal_bytes", "gauge", "Byte size of the live write-ahead log.", i64(st.WALBytes)},
+		{"xmlac_storage_wal_records", "gauge", "Records appended to the log since the last checkpoint.", i64(st.WALRecords)},
+		{"xmlac_storage_wal_bytes", "gauge", "Bytes appended to the log since the last checkpoint.", i64(st.WALBytes)},
 		{"xmlac_storage_wal_appends_total", "counter", "Records appended to the WAL since open.", i64(st.WALAppends)},
 		{"xmlac_storage_fsyncs_total", "counter", "fsyncs issued by the storage engine.", i64(st.Fsyncs)},
 		{"xmlac_storage_group_commits_total", "counter", "WAL appends that piggybacked on another append's fsync.", i64(st.GroupCommits)},
 		{"xmlac_storage_checkpoints_total", "counter", "Compacting checkpoints taken since open.", i64(st.Checkpoints)},
 		{"xmlac_storage_wal_tail_bytes_dropped", "gauge", "Torn-tail bytes truncated during the last recovery.", i64(st.TailBytesDropped)},
-		{"xmlac_storage_page_cache_hits_total", "counter", "Checkpoint page cache hits.", i64(st.PageCacheHits)},
-		{"xmlac_storage_page_cache_misses_total", "counter", "Checkpoint page cache misses.", i64(st.PageCacheMisses)},
-		{"xmlac_storage_page_cache_evictions_total", "counter", "Checkpoint pages evicted from the LRU cache.", i64(st.PageCacheEvicts)},
 		{"xmlac_bytes_transferred_total", "counter", "Ciphertext bytes transferred into evaluations (amortized for shared scans).", i64(snap.Totals.BytesTransferred)},
 		{"xmlac_bytes_decrypted_total", "counter", "Bytes decrypted by evaluations (amortized for shared scans).", i64(snap.Totals.BytesDecrypted)},
 		{"xmlac_bytes_skipped_total", "counter", "Bytes skipped via the Skip index (amortized for shared scans).", i64(snap.Totals.BytesSkipped)},

@@ -61,11 +61,14 @@ type Options struct {
 	// every registration, policy installation, PATCH and delete is written
 	// ahead to a fsynced log before the request is acknowledged, and Open
 	// recovers the full store (documents, policies, retained deltas, ETags)
-	// from checkpoint + log replay. Empty keeps the store in-memory (the
-	// default, and what tests use). Requires the Open constructor.
+	// by replaying the log: its snapshot prefix, then its tail. Empty keeps
+	// the store in-memory (the default, and what tests use). Requires the
+	// Open constructor.
 	DataDir string
-	// CheckpointWALBytes is the WAL size that triggers an atomic compacting
-	// checkpoint (<= 0 selects DefaultCheckpointWALBytes).
+	// CheckpointWALBytes is the size of the log tail (the bytes appended
+	// since the last checkpoint) that triggers a checkpoint: the log is
+	// rewritten as a snapshot of the store and atomically renamed into
+	// place (<= 0 selects DefaultCheckpointWALBytes).
 	CheckpointWALBytes int64
 	// StorageNoSync disables the storage engine's per-commit fsyncs. For
 	// benchmarks isolating the fsync cost only: it voids the durability
@@ -167,23 +170,22 @@ func Open(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.persist = &persister{engine: eng, store: s.store, logger: logger, threshold: opts.CheckpointWALBytes}
-		docs, replayed, err := s.recoverPersisted(eng)
+		replayed, err := s.recoverPersisted(eng)
 		if err != nil {
 			eng.Close()
 			return nil, fmt.Errorf("server: recovering %s: %w", opts.DataDir, err)
 		}
-		st := eng.Stats()
 		logger.Info("store recovered",
 			slog.String("data_dir", opts.DataDir),
-			slog.Int("checkpoint_documents", docs),
-			slog.Int("wal_records_replayed", replayed),
-			slog.Int64("wal_tail_bytes_dropped", st.TailBytesDropped))
+			slog.Int("documents", s.store.Len()),
+			slog.Int("records_replayed", replayed),
+			slog.Int64("wal_tail_bytes_dropped", eng.Stats().TailBytesDropped))
 	}
 	return s, nil
 }
 
-// Close releases the durable storage engine (WAL, page file, directory
-// lock). A no-op for in-memory servers.
+// Close releases the durable storage engine (log file, directory lock). A
+// no-op for in-memory servers.
 func (s *Server) Close() error {
 	if s.persist == nil {
 		return nil
@@ -213,6 +215,7 @@ func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.S
 	if scheme == "" {
 		scheme = s.opts.DefaultScheme
 	}
+	defer s.persist.hold()()
 	// Invalidate before installing so cache and session state created for the
 	// new document by concurrent requests is never dropped. (Leftover
 	// old-document cache entries are harmless: keys are content-addressed by
@@ -229,10 +232,8 @@ func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.S
 	if s.coalesce != nil {
 		s.coalesce.invalidateDoc(id)
 	}
-	if s.persist != nil {
-		if err := s.persist.logRegister(entry); err != nil {
-			return nil, fmt.Errorf("%w: registration of %q: %w", errDurability, id, err)
-		}
+	if err := s.persist.logRegister(entry); err != nil {
+		return nil, fmt.Errorf("%w: registration of %q: %w", errDurability, id, err)
 	}
 	return entry, nil
 }
@@ -244,18 +245,17 @@ func (s *Server) InstallPolicy(docID, subject string, policy xmlac.Policy) (stri
 	if err != nil {
 		return "", err
 	}
-	hash, err := entry.SetPolicy(subject, policy)
+	defer s.persist.hold()()
+	hash, err := entry.SetPolicy(subject, policy, s.opts.clock.Now())
 	if err != nil {
 		return "", err
 	}
-	if s.persist != nil {
-		rec, err := entry.PolicyFor(subject)
-		if err == nil {
-			err = s.persist.logPolicy(entry.ID, subject, rec)
-		}
-		if err != nil {
-			return "", fmt.Errorf("%w: policy %q/%q: %w", errDurability, docID, subject, err)
-		}
+	rec, err := entry.PolicyFor(subject)
+	if err == nil {
+		err = s.persist.logPolicy(entry.ID, subject, rec)
+	}
+	if err != nil {
+		return "", fmt.Errorf("%w: policy %q/%q: %w", errDurability, docID, subject, err)
 	}
 	return hash, nil
 }
@@ -403,7 +403,23 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	for i, e := range payload.Edits {
 		edits[i] = xmlac.Edit{Op: xmlac.EditOp(e.Op), Path: e.Path, XML: e.XML, Text: e.Text}
 	}
-	version, delta, err := entry.Update(edits)
+	release := s.persist.hold()
+	version, delta, err := entry.Update(edits, func(delta *xmlac.UpdateDelta) error {
+		// Compiled policies do not depend on document content, but
+		// invalidating them on every content change keeps the cache's
+		// lifecycle rule simple (one rule for replace and update alike);
+		// recompilation is cheap and lazy. Open coalescing batches of the
+		// old blob are sealed so the next wave keys on the new etag.
+		s.cache.InvalidateDoc(id)
+		if s.coalesce != nil {
+			s.coalesce.invalidateDoc(id)
+		}
+		if err := s.persist.logPatch(entry, delta); err != nil {
+			return fmt.Errorf("persisting update: %w", err)
+		}
+		return nil
+	})
+	release()
 	if err != nil {
 		s.updates.record(nil)
 		status := http.StatusInternalServerError
@@ -412,22 +428,6 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 		}
 		httpError(w, status, "%v", err)
 		return
-	}
-	// Compiled policies do not depend on document content, but invalidating
-	// them on every content change keeps the cache's lifecycle rule simple
-	// (one rule for replace and update alike); recompilation is cheap and
-	// lazy. Open coalescing batches of the old blob are sealed so the next
-	// wave keys on the new etag.
-	s.cache.InvalidateDoc(id)
-	if s.coalesce != nil {
-		s.coalesce.invalidateDoc(id)
-	}
-	if s.persist != nil {
-		if err := s.persist.logPatch(entry, delta); err != nil {
-			s.updates.record(nil)
-			httpError(w, http.StatusInternalServerError, "persisting update: %v", err)
-			return
-		}
 	}
 	s.updates.record(delta)
 	_, etag := entry.Blob()
@@ -496,6 +496,7 @@ func (s *Server) handleGetDoc(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	defer s.persist.hold()()
 	if !s.store.Remove(id) {
 		httpError(w, http.StatusNotFound, "document %q not found", id)
 		return
@@ -508,11 +509,9 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	if s.coalesce != nil {
 		s.coalesce.invalidateDoc(id)
 	}
-	if s.persist != nil {
-		if err := s.persist.logDelete(id); err != nil {
-			httpError(w, http.StatusInternalServerError, "persisting delete: %v", err)
-			return
-		}
+	if err := s.persist.logDelete(id); err != nil {
+		httpError(w, http.StatusInternalServerError, "persisting delete: %v", err)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

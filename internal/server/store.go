@@ -61,8 +61,6 @@ type DocumentEntry struct {
 	// itself: the single-machine configuration trusts the server host) so
 	// recovery can re-derive the key with DeriveKey.
 	passphrase string
-	// clock stamps policy timestamps; inherited from the store.
-	clock clock
 
 	// updateMu serializes updates end to end (edit application, blob
 	// re-marshal, delta retention), keeping the version chain linear.
@@ -128,27 +126,42 @@ func (s *Store) RegisterXML(id, xmlText, passphrase string, scheme xmlac.Scheme)
 	if err != nil {
 		return nil, fmt.Errorf("server: protecting document %q: %w", id, err)
 	}
-	blob := prot.Marshal()
-	sum := sha256.Sum256(blob)
+	reg := registerMeta{Scheme: string(scheme), Passphrase: passphrase, CreatedAt: s.clock.Now(), Stats: doc.Stats()}
+	return s.install(id, reg, prot, prot.Marshal(), nil), nil
+}
+
+// install builds the entry of one protected container and publishes it
+// under id, replacing any previous entry. Registration and recovery both
+// come through here: the key is derived from the registration passphrase
+// (trusted demo mode, the same single-machine configuration that holds the
+// key in memory), and the ETag, manifest and version from the blob, so a
+// recovered entry serves exactly what the live one did.
+func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob []byte, deltas []*xmlac.UpdateDelta) *DocumentEntry {
 	entry := &DocumentEntry{
 		ID:         id,
-		Scheme:     scheme,
-		Stats:      doc.Stats(),
-		CreatedAt:  s.clock.Now(),
+		Scheme:     xmlac.Scheme(reg.Scheme),
+		Stats:      reg.Stats,
+		CreatedAt:  reg.CreatedAt,
 		prot:       prot,
-		key:        key,
-		passphrase: passphrase,
-		clock:      s.clock,
+		key:        xmlac.DeriveKey(reg.Passphrase),
+		passphrase: reg.Passphrase,
 		blob:       blob,
-		etag:       `"` + hex.EncodeToString(sum[:]) + `"`,
+		etag:       etagOf(sha256.Sum256(blob)),
 		manifest:   prot.Manifest(),
 		version:    prot.Version(),
+		deltas:     deltas,
 		policies:   make(map[string]PolicyRecord),
 	}
 	s.mu.Lock()
 	s.docs[id] = entry
 	s.mu.Unlock()
-	return entry, nil
+	return entry
+}
+
+// etagOf is the strong entity tag of a blob with the given SHA-256: the
+// quoted digest.
+func etagOf(sum [sha256.Size]byte) string {
+	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
 // Entry returns the document registered under id.
@@ -214,26 +227,18 @@ func (e *DocumentEntry) Info() DocumentInfo {
 }
 
 // SetPolicy validates and installs the policy of one subject over the
-// document, returning its fingerprint.
-func (e *DocumentEntry) SetPolicy(subject string, policy xmlac.Policy) (string, error) {
+// document, stamped updatedAt, returning its fingerprint. Recovery reinstalls
+// a policy with its original stamp; the fingerprint is content-addressed.
+func (e *DocumentEntry) SetPolicy(subject string, policy xmlac.Policy, updatedAt time.Time) (string, error) {
 	policy.Subject = subject
 	hash, err := policy.Fingerprint()
 	if err != nil {
 		return "", err
 	}
 	e.mu.Lock()
-	e.policies[subject] = PolicyRecord{Policy: policy, Hash: hash, UpdatedAt: e.now()}
+	e.policies[subject] = PolicyRecord{Policy: policy, Hash: hash, UpdatedAt: updatedAt}
 	e.mu.Unlock()
 	return hash, nil
-}
-
-// now stamps from the entry's injected clock (real time for entries built
-// outside a store, e.g. directly in tests).
-func (e *DocumentEntry) now() time.Time {
-	if e.clock != nil {
-		return e.clock.Now()
-	}
-	return time.Now()
 }
 
 // PolicyFor returns the policy record of a subject.
@@ -293,8 +298,11 @@ var ErrDeltaUnavailable = errors.New("server: update delta unavailable for that 
 // Update applies the edits as the document's next version: chunk-granular
 // re-encryption through xmlac's Update, a fresh blob and entity tag, and the
 // step delta appended to the retained history. Views running concurrently
-// finish on the version they started with.
-func (e *DocumentEntry) Update(edits []xmlac.Edit) (uint64, *xmlac.UpdateDelta, error) {
+// finish on the version they started with. commit, when non-nil, runs once
+// the version is published, still under the update lock, so the durable
+// records of one document are logged in the order its versions applied;
+// its error is returned with the applied version.
+func (e *DocumentEntry) Update(edits []xmlac.Edit, commit func(*xmlac.UpdateDelta) error) (uint64, *xmlac.UpdateDelta, error) {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
 	version, delta, err := e.prot.Update(e.key, edits)
@@ -307,15 +315,18 @@ func (e *DocumentEntry) Update(edits []xmlac.Edit) (uint64, *xmlac.UpdateDelta, 
 	// history paired with the old version's blob, or vice versa.
 	blob := e.prot.Marshal()
 	manifest := e.prot.Manifest()
-	sum := sha256.Sum256(blob)
+	etag := etagOf(sha256.Sum256(blob))
 	e.mu.Lock()
 	e.blob = blob
-	e.etag = `"` + hex.EncodeToString(sum[:]) + `"`
+	e.etag = etag
 	e.manifest = manifest
 	e.version = version
 	e.deltas = appendRetained(e.deltas, delta)
 	e.mu.Unlock()
-	return version, delta, nil
+	if commit != nil {
+		err = commit(delta)
+	}
+	return version, delta, err
 }
 
 // appendRetained appends one update step and trims the history to the
@@ -332,73 +343,13 @@ func appendRetained(deltas []*xmlac.UpdateDelta, delta *xmlac.UpdateDelta) []*xm
 	return deltas
 }
 
-// errStalePatch marks a replayed patch the entry already contains (the
-// checkpoint-overlap case after a crash between checkpoint rename and WAL
-// reset); recovery skips it.
-var errStalePatch = errors.New("server: recovered patch already applied")
-
-// installRecovered rebuilds a document entry from durable state: the
-// container bytes as the untrusted store held them, the registration
-// metadata, and the passphrase to re-derive the key (trusted demo mode, the
-// same single-machine configuration that holds the key in memory). The etag
-// and manifest are recomputed from the blob, so If-Range revalidation and
-// delta resync keep working across a restart.
-func (s *Store) installRecovered(id string, scheme xmlac.Scheme, stats xmlac.Stats, createdAt time.Time, passphrase string, blob []byte) (*DocumentEntry, error) {
-	prot, err := xmlac.UnmarshalProtected(blob)
-	if err != nil {
-		return nil, fmt.Errorf("server: recovering document %q: %w", id, err)
-	}
-	sum := sha256.Sum256(blob)
-	entry := &DocumentEntry{
-		ID:         id,
-		Scheme:     scheme,
-		Stats:      stats,
-		CreatedAt:  createdAt,
-		prot:       prot,
-		key:        xmlac.DeriveKey(passphrase),
-		passphrase: passphrase,
-		clock:      s.clock,
-		blob:       blob,
-		etag:       `"` + hex.EncodeToString(sum[:]) + `"`,
-		manifest:   prot.Manifest(),
-		version:    prot.Version(),
-		policies:   make(map[string]PolicyRecord),
-	}
-	s.mu.Lock()
-	s.docs[id] = entry
-	s.mu.Unlock()
-	return entry, nil
-}
-
-// setRecoveredPolicy reinstalls a subject's policy with its original
-// timestamp; the fingerprint is recomputed (it is content-addressed).
-func (e *DocumentEntry) setRecoveredPolicy(subject string, policy xmlac.Policy, updatedAt time.Time) error {
-	policy.Subject = subject
-	hash, err := policy.Fingerprint()
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.policies[subject] = PolicyRecord{Policy: policy, Hash: hash, UpdatedAt: updatedAt}
-	e.mu.Unlock()
-	return nil
-}
-
-// restoreDeltas reinstates the retained update history from a checkpoint.
-func (e *DocumentEntry) restoreDeltas(deltas []*xmlac.UpdateDelta) {
-	e.mu.Lock()
-	e.deltas = deltas
-	e.mu.Unlock()
-}
-
 // applyRecoveredPatch replays one WAL patch record: the new container is
 // rebuilt from the entry's current blob (clean chunks are byte-identical at
 // the same offsets — the position-bound chunk layout guarantees it), the
 // recorded new prefix and the recorded dirty chunk bytes, then verified
 // against the recorded content hash before it replaces the entry's surface.
-// A patch whose ToVersion the entry already reached is reported as
-// errStalePatch; a version gap is a hard error — recovery must fail loudly
-// rather than serve a state that never existed.
+// A patch that does not chain from the entry's version is a hard error —
+// recovery must fail loudly rather than serve a state that never existed.
 func (e *DocumentEntry) applyRecoveredPatch(delta *xmlac.UpdateDelta, prefix, dirty []byte, wantSum []byte) error {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
@@ -408,9 +359,6 @@ func (e *DocumentEntry) applyRecoveredPatch(delta *xmlac.UpdateDelta, prefix, di
 	version := e.version
 	e.mu.RUnlock()
 	if delta.FromVersion != version {
-		if delta.ToVersion <= version {
-			return errStalePatch
-		}
 		return fmt.Errorf("server: recovered patch %d->%d does not chain from version %d of document %q",
 			delta.FromVersion, delta.ToVersion, version, e.ID)
 	}
@@ -463,7 +411,7 @@ func (e *DocumentEntry) applyRecoveredPatch(delta *xmlac.UpdateDelta, prefix, di
 	e.mu.Lock()
 	e.prot = prot
 	e.blob = blob
-	e.etag = `"` + hex.EncodeToString(sum[:]) + `"`
+	e.etag = etagOf(sum)
 	e.manifest = manifest
 	e.version = delta.ToVersion
 	e.deltas = appendRetained(e.deltas, delta)

@@ -97,10 +97,7 @@ func NewDecoder(src ByteSource) (*Decoder, error) {
 	d := &Decoder{src: src, bytesTotal: src.Size()}
 	header := make([]byte, 4)
 	if err := d.readFull(header, 0); err != nil {
-		// Keep the cause in the chain: a remote source's "document changed"
-		// error must stay recognizable through errors.Is for the re-sync
-		// retry above this pipeline.
-		return nil, fmt.Errorf("%w: short header: %w", ErrBadFormat, err)
+		return nil, err
 	}
 	for i := range magic {
 		if header[i] != magic[i] {
@@ -234,7 +231,7 @@ func (d *Decoder) decodeElement() error {
 	buf := make([]byte, maxMetaBytes)
 	n, err := d.src.ReadAt(buf, start)
 	if n < len(buf) && err != nil && err != io.EOF {
-		return fmt.Errorf("%w: reading element meta: %w", ErrBadFormat, err)
+		return sourceErr("element meta", start, err)
 	}
 	buf = buf[:n]
 	r := newBitReader(buf)
@@ -384,13 +381,29 @@ func (d *Decoder) readFull(p []byte, off int64) error {
 	if err == nil {
 		err = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("%w: short read at offset %d: %w", ErrBadFormat, off, err)
+	return sourceErr(fmt.Sprintf("%d bytes", len(p)), off, err)
+}
+
+// sourceErr reports a failed read of what at off. Running out of bytes
+// (io.EOF, io.ErrUnexpectedEOF) means the encoding ends early: a format
+// error. Any other failure is the source's own — an integrity check, a
+// canceled context, a document changed on a remote server — and stays
+// itself, so callers can tell an attack from a race and a remote source's
+// re-sync retry still recognizes its error through errors.Is.
+func sourceErr(what string, off int64, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s at offset %d: document ends early", ErrBadFormat, what, off)
+	}
+	return fmt.Errorf("skipindex: reading %s at offset %d: %w", what, off, err)
 }
 
 // readUvarint reads a varint at *off, advancing it and counting the bytes.
 func (d *Decoder) readUvarint(off *int64) (uint64, error) {
 	buf := make([]byte, 10)
-	n, _ := d.src.ReadAt(buf, *off)
+	n, err := d.src.ReadAt(buf, *off)
+	if n < len(buf) && err != nil && err != io.EOF {
+		return 0, sourceErr("varint", *off, err)
+	}
 	v, consumed := uvarint(buf[:n])
 	if consumed == 0 {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrBadFormat, *off)

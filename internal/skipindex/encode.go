@@ -36,7 +36,10 @@ import (
 // magic identifies the encoding.
 var magic = []byte("XSI1")
 
-// ErrBadFormat wraps every decoding error.
+// ErrBadFormat wraps every error about the encoded bytes themselves: a
+// structure that decodes wrong or a document that ends early. A failure of
+// the ByteSource underneath (an integrity check, a canceled context, a
+// changed remote document) is not a format error and is returned as itself.
 var ErrBadFormat = errors.New("skipindex: malformed encoded document")
 
 // Encoded is an encoded document plus the information the publisher-side

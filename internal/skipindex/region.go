@@ -3,6 +3,7 @@ package skipindex
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"xmlac/internal/xmlstream"
 )
@@ -108,8 +109,8 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 	buf := make([]byte, maxMeta)
 	for off := p.childrenStart; off < p.rootEndOff; {
 		n, err := src.ReadAt(buf, off)
-		if n < len(buf) && err != nil && n == 0 {
-			return nil, fmt.Errorf("%w: reading child meta at offset %d: %w", ErrBadFormat, off, err)
+		if n < len(buf) && err != nil && err != io.EOF {
+			return nil, sourceErr("child meta", off, err)
 		}
 		r := newBitReader(buf[:n])
 		if _, ok := r.readBool(); !ok { // isLeaf bit

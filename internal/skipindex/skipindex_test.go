@@ -2,6 +2,7 @@ package skipindex
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -477,5 +478,57 @@ func TestEncodeIndexedSpliceEqualsReencode(t *testing.T) {
 	aspan := enc.TextSpans[act]
 	if string(enc.Data[aspan.Off:aspan.Off+aspan.Len]) != "preamble  tail" {
 		t.Fatalf("concatenated span reads %q", string(enc.Data[aspan.Off:aspan.Off+aspan.Len]))
+	}
+}
+
+// failingSource serves data but fails every read that touches offset k with
+// err, the way an integrity check or a canceled fetch fails mid-document.
+type failingSource struct {
+	ByteSource
+	k   int64
+	err error
+}
+
+func (s failingSource) ReadAt(p []byte, off int64) (int, error) {
+	if off <= s.k && s.k < off+int64(len(p)) {
+		return 0, s.err
+	}
+	return s.ByteSource.ReadAt(p, off)
+}
+
+// TestSourceErrorsAreNotFormatErrors: a source failing at any offset k of a
+// full scan (or of region planning) surfaces its own error, never dressed as
+// ErrBadFormat, while a document that ends early still is a format error.
+func TestSourceErrorsAreNotFormatErrors(t *testing.T) {
+	enc, err := Encode(sampleDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinel := errors.New("source failed")
+	scan := func(src ByteSource) error {
+		dec, err := NewDecoder(src)
+		if err != nil {
+			return err
+		}
+		for {
+			if _, err := dec.Next(); err != nil {
+				return err
+			}
+		}
+	}
+	for k := int64(0); k < int64(len(enc.Data)); k++ {
+		src := failingSource{NewBytesSource(enc.Data), k, sentinel}
+		err := scan(src)
+		if !errors.Is(err, sentinel) || errors.Is(err, ErrBadFormat) {
+			t.Fatalf("source failing at offset %d: scan error %v, want the source's own error", k, err)
+		}
+		if _, err := PlanRegions(src, 4); err != nil && (!errors.Is(err, sentinel) || errors.Is(err, ErrBadFormat)) {
+			t.Fatalf("source failing at offset %d: region planning error %v, want the source's own error", k, err)
+		}
+	}
+	for _, n := range []int{3, 8, len(enc.Data) - 5} {
+		if err := scan(NewBytesSource(enc.Data[:n])); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("document truncated to %d bytes: %v, want ErrBadFormat", n, err)
+		}
 	}
 }

@@ -1,88 +1,98 @@
-// Package storage is the durable half of the untrusted store: a write-ahead
-// log of opaque mutation records plus a page-backed checkpoint read through
-// an LRU page cache. The paper's server is a dumb, durable blob host — this
-// package supplies the durable part without ever interpreting a payload
-// (containers, deltas and policies pass through as bytes; keys never enter).
+// Package storage is the durable half of the untrusted store: one log file
+// of opaque mutation records whose prefix is the snapshot of the last
+// checkpoint. The paper's server is a dumb, durable blob host — this package
+// supplies the durable part without ever interpreting a payload (containers,
+// deltas and policies pass through as bytes; keys never enter).
 //
-// Durability contract:
+// A data directory holds LOCK and wal.log, plus wal.tmp while a checkpoint
+// runs. Durability contract:
 //
 //   - Append returns only after an fsync covers the record (group commit:
 //     concurrent appenders share one fsync).
-//   - Recovery replays the WAL prefix up to the first torn or corrupt frame
-//     and truncates the rest; an acknowledged append is always in the prefix.
-//   - Checkpoint atomically replaces the page file (write tmp, fsync, rename,
-//     fsync dir) and only then truncates the WAL, so a crash anywhere leaves
-//     either the old state or the new.
+//   - Recovery reads every snapshot frame, failing on any damage there, then
+//     the tail up to the first torn or corrupt frame, and truncates the
+//     rest; an acknowledged append is always in the prefix.
+//   - Checkpoint writes the store's state as records into wal.tmp, fsyncs
+//     it, renames it over wal.log and fsyncs the directory. The rename is
+//     the one commit point: a crash leaves either the old log or the new
+//     one, and Open removes a leftover wal.tmp.
+//
+// The log format is in wal.go.
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
-// Options tunes an engine. The zero value is usable: default page size and
-// cache, fsync on every commit.
+// File names inside a data directory.
+const (
+	logName = "wal.log"
+	tmpName = "wal.tmp"
+	// oldCheckpointName is the page file of the earlier format; Open refuses
+	// a directory holding one rather than ignore the state inside it.
+	oldCheckpointName = "checkpoint.db"
+)
+
+// Options tunes an engine. The zero value fsyncs on every commit.
 type Options struct {
-	// PageSize is the checkpoint page granularity (DefaultPageSize when 0).
-	PageSize int
-	// CachePages bounds the LRU page cache (DefaultCachePages when 0).
-	CachePages int
 	// NoSync skips fsyncs (for benchmarks measuring the fsync cost, never
 	// for production use: it voids the durability contract).
 	NoSync bool
 }
 
 // Stats is a snapshot of the engine's counters, surfaced on /metrics and
-// /metrics.prom so cache and log behaviour is tuning input rather than a
-// black box.
+// /metrics.prom. The WAL figures count the tail appended since the last
+// checkpoint, never the snapshot prefix.
 type Stats struct {
-	WALRecords       int64 `json:"wal_records"`        // records in the live log
-	WALBytes         int64 `json:"wal_bytes"`          // live log size in bytes
+	WALRecords       int64 `json:"wal_records"`        // records in the tail
+	WALBytes         int64 `json:"wal_bytes"`          // tail size in bytes
 	WALAppends       int64 `json:"wal_appends"`        // appends since open
 	Fsyncs           int64 `json:"fsyncs"`             // fsyncs issued since open
 	GroupCommits     int64 `json:"group_commits"`      // appends that piggybacked on another fsync
 	Checkpoints      int64 `json:"checkpoints"`        // checkpoints taken since open
 	TailBytesDropped int64 `json:"tail_bytes_dropped"` // torn-tail bytes truncated during recovery
-	PageCacheHits    int64 `json:"page_cache_hits"`
-	PageCacheMisses  int64 `json:"page_cache_misses"`
-	PageCacheEvicts  int64 `json:"page_cache_evictions"`
 }
 
-// Engine is one open data directory: LOCK file, checkpoint.db, wal.log.
+// Engine is one open data directory.
 type Engine struct {
-	dir   string
-	opts  Options
-	lock  *os.File
-	cache *pageCache
+	dir    string
+	noSync bool
+	lock   *os.File
 
-	wal *wal
-
-	// mu guards the checkpoint swap (pages + recovered state).
+	// mu serializes frame writes and checkpoints, and guards the file, its
+	// offsets, the recovered records and the append-side counters.
 	mu          sync.Mutex
-	pages       *pageFile
-	gen         uint64
+	f           *os.File
+	size        int64  // file size
+	tailStart   int64  // offset of the first tail frame (0 before the header)
+	appended    uint64 // frames written (not necessarily synced)
+	records     int64  // frames in the tail
+	appends     int64
 	checkpoints int64
+	recovered   []Record
+	tailDropped int64
 
-	recoveredDocs []CheckpointDoc
-	recoveredWAL  []Record
-	tailDropped   int64
+	fsyncs    atomic.Int64
+	piggyback atomic.Int64
+
+	// syncMu admits one group-commit leader at a time; synced is the highest
+	// frame sequence covered by a completed fsync.
+	syncMu sync.Mutex
+	synced atomic.Uint64
 }
 
-// Open acquires the data directory (creating it if needed), loads the
-// checkpoint, scans the WAL and truncates any torn tail. The recovered state
-// is available through CheckpointDocs/ReadBlob/WALRecords until the next
-// Checkpoint. A second concurrent Open of the same directory fails: the lock
-// is an OS advisory lock, released automatically if the process dies.
+// Open acquires the data directory (creating it if needed), scans the log
+// and truncates any torn tail; WALRecords hands over the recovered records.
+// A second concurrent Open of the same directory fails: the lock is an OS
+// advisory lock, released automatically if the process dies.
 func Open(dir string, opts Options) (*Engine, error) {
-	if opts.PageSize <= 0 {
-		opts.PageSize = DefaultPageSize
-	}
-	if opts.CachePages <= 0 {
-		opts.CachePages = DefaultCachePages
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -98,180 +108,240 @@ func Open(dir string, opts Options) (*Engine, error) {
 	lock.Truncate(0)
 	fmt.Fprintf(lock, "%d\n", os.Getpid())
 
-	cache := newPageCache(opts.CachePages)
-	pages, docs, err := openCheckpoint(filepath.Join(dir, checkpointName), cache)
-	if err != nil {
+	e := &Engine{dir: dir, noSync: opts.NoSync, lock: lock}
+	if err := e.recover(); err != nil {
 		lock.Close()
 		return nil, err
-	}
-	w, recs, dropped, err := openWAL(filepath.Join(dir, "wal.log"), opts.NoSync)
-	if err != nil {
-		if pages != nil {
-			pages.f.Close()
-		}
-		lock.Close()
-		return nil, err
-	}
-	e := &Engine{
-		dir:           dir,
-		opts:          opts,
-		lock:          lock,
-		cache:         cache,
-		wal:           w,
-		pages:         pages,
-		recoveredDocs: docs,
-		tailDropped:   dropped,
-	}
-	if pages != nil {
-		e.gen = pages.gen
-	}
-	e.recoveredWAL = make([]Record, len(recs))
-	for i, r := range recs {
-		e.recoveredWAL[i] = r.Record
 	}
 	return e, nil
 }
 
-// CheckpointDocs returns the documents recovered from the checkpoint at Open
-// (directory order, blobs still on disk — fetch them with ReadBlob).
-func (e *Engine) CheckpointDocs() []CheckpointDoc {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.recoveredDocs
-}
-
-// ReadBlob reads one recovered document's container bytes through the page
-// cache.
-func (e *Engine) ReadBlob(d CheckpointDoc) ([]byte, error) {
-	e.mu.Lock()
-	pages := e.pages
-	e.mu.Unlock()
-	if pages == nil {
-		return nil, fmt.Errorf("storage: no checkpoint to read %q from", d.Doc)
+// recover opens wal.log, reads its records and truncates its torn tail.
+func (e *Engine) recover() error {
+	old := filepath.Join(e.dir, oldCheckpointName)
+	if _, err := os.Lstat(old); err == nil {
+		return fmt.Errorf("storage: %s is a page-file checkpoint of an earlier format; this engine keeps all state in %s and cannot read it", old, logName)
 	}
-	return pages.readRun(d.firstPage, d.blobLen)
-}
-
-// WALRecords returns the durable log records recovered at Open, in append
-// order; the server replays them on top of the checkpoint.
-func (e *Engine) WALRecords() []Record {
-	return e.recoveredWAL
-}
-
-// Append logs one record durably. On return the record has been fsynced
-// (unless NoSync) and will survive a crash.
-func (e *Engine) Append(rec Record) error {
-	return e.wal.append(rec)
-}
-
-// Checkpoint writes the full store state as a new page file generation,
-// atomically installs it and truncates the WAL. docs must be the complete
-// state: recovery after this point starts from exactly these snapshots.
-func (e *Engine) Checkpoint(docs []DocSnapshot) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	gen := e.gen + 1
-	tmp := filepath.Join(e.dir, "checkpoint.tmp")
-	if err := writeCheckpoint(tmp, gen, e.opts.PageSize, docs); err != nil {
-		os.Remove(tmp)
+	// A leftover wal.tmp is a checkpoint that never reached its rename:
+	// wal.log is still the whole truth.
+	if err := os.Remove(filepath.Join(e.dir, tmpName)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	if err := replaceCheckpoint(e.dir, tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	f, err := os.Open(filepath.Join(e.dir, checkpointName))
+	path := filepath.Join(e.dir, logName)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	st, err := f.Stat()
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		err = e.load(f, size)
+	}
 	if err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("storage: %s: %w", path, err)
 	}
-	// From here the new checkpoint is the durable truth; compact the log.
-	// (A crash before reset replays WAL records the checkpoint already
-	// contains — version-aware replay on the server side skips them.)
-	if err := e.wal.reset(); err != nil {
-		f.Close()
-		return err
-	}
-	if e.pages != nil {
-		e.pages.f.Close()
-	}
-	dirPages := pagesFor(checkpointDirBytes(docs), e.opts.PageSize)
-	e.pages = &pageFile{
-		f:        f,
-		gen:      gen,
-		pageSize: e.opts.PageSize,
-		dataOff:  dirPages * int64(e.opts.PageSize),
-		numPages: pagesFor(st.Size(), e.opts.PageSize) - dirPages,
-		cache:    e.cache,
-	}
-	e.gen = gen
-	e.checkpoints++
-	// Recovery state from Open is superseded; rebuild the directory view so
-	// ReadBlob keeps working against the new generation.
-	e.recoveredDocs = e.recoveredDocs[:0]
-	nextPage := int64(0)
-	for _, d := range docs {
-		e.recoveredDocs = append(e.recoveredDocs, CheckpointDoc{
-			Doc:       d.Doc,
-			Meta:      append([]byte(nil), d.Meta...),
-			blobLen:   int64(len(d.Blob)),
-			firstPage: nextPage,
-		})
-		nextPage += pagesFor(int64(len(d.Blob)), e.opts.PageSize)
-	}
-	e.recoveredWAL = nil
 	return nil
 }
 
-// checkpointDirBytes is dirSize for the write-side snapshot type.
-func checkpointDirBytes(docs []DocSnapshot) int64 {
-	n := int64(len(checkpointMagic) + 4 + 8 + 4)
-	for _, d := range docs {
-		n += 2 + int64(len(d.Doc)) + 4 + int64(len(d.Meta)) + 8 + 8
+// load installs the scanned log f as the engine's file.
+func (e *Engine) load(f *os.File, size int64) error {
+	s, err := scanLog(f, size)
+	if err != nil {
+		return err
 	}
-	return n + 4
+	if dropped := size - s.good; dropped > 0 {
+		if err := f.Truncate(s.good); err != nil {
+			return fmt.Errorf("truncating torn tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		e.tailDropped = dropped
+	}
+	if _, err := f.Seek(s.good, io.SeekStart); err != nil {
+		return err
+	}
+	e.f, e.size, e.tailStart = f, s.good, s.snapEnd
+	e.appended = uint64(len(s.recs))
+	e.synced.Store(e.appended)
+	e.recovered = make([]Record, len(s.recs))
+	for i, r := range s.recs {
+		e.recovered[i] = r.Record
+		if !r.Snapshot {
+			e.records++
+		}
+	}
+	return nil
 }
 
-// WALSize returns the live log's byte size (the server's checkpoint trigger
-// watches this).
+// WALRecords hands over the records recovered at Open: the snapshot's, then
+// the tail's, in log order. The server replays them all through one loop.
+// The engine drops its reference, so the recovered containers live only as
+// long as the caller keeps them, and a second call returns nil.
+func (e *Engine) WALRecords() []Record {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	recs := e.recovered
+	e.recovered = nil
+	return recs
+}
+
+// errClosed reaches appenders racing a Close.
+var errClosed = errors.New("storage: engine is closed")
+
+// Append logs one record durably. It frames the record into the tail and
+// waits until a completed fsync covers it (group commit: the fsync is
+// usually someone else's). On return the record has been fsynced (unless
+// NoSync) and will survive a crash.
+func (e *Engine) Append(rec Record) error {
+	frame, err := encodeFrame(rec)
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	if e.f == nil {
+		e.mu.Unlock()
+		return errClosed
+	}
+	if e.size == 0 {
+		if _, err := e.f.Write(logHeader(0)); err != nil {
+			e.mu.Unlock()
+			return err
+		}
+		e.size, e.tailStart = headerSize, headerSize
+	}
+	if _, err := e.f.Write(frame); err != nil {
+		// A torn frame write is exactly what recovery truncates; leave the
+		// tail to the next open rather than trying to repair in place.
+		e.mu.Unlock()
+		return err
+	}
+	e.size += int64(len(frame))
+	e.appended++
+	seq := e.appended
+	e.records++
+	e.appends++
+	e.mu.Unlock()
+	return e.syncTo(seq)
+}
+
+// syncTo blocks until an fsync covering frame sequence seq has completed.
+// The first caller into the sync section becomes the group leader: it syncs
+// once for everything appended so far, and every waiter whose frame that
+// fsync covered returns without issuing its own.
+func (e *Engine) syncTo(seq uint64) error {
+	if e.noSync {
+		return nil
+	}
+	if e.synced.Load() >= seq {
+		e.piggyback.Add(1)
+		return nil
+	}
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
+	if e.synced.Load() >= seq {
+		// A leader that ran while this goroutine waited covered the frame.
+		e.piggyback.Add(1)
+		return nil
+	}
+	e.mu.Lock()
+	f, cover := e.f, e.appended
+	e.mu.Unlock()
+	if f == nil {
+		return errClosed
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	e.fsyncs.Add(1)
+	e.synced.Store(cover)
+	return nil
+}
+
+// Checkpoint rewrites the log with recs as its snapshot and an empty tail.
+// recs must be the complete state, and no Append may run concurrently:
+// recovery after this point starts from exactly these records. The new log
+// is written to wal.tmp and fsynced, then renamed over wal.log; appends
+// continue on the new file.
+func (e *Engine) Checkpoint(recs []Record) error {
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.f == nil {
+		return errClosed
+	}
+	tmp := filepath.Join(e.dir, tmpName)
+	f, size, err := writeSnapshot(tmp, recs, e.noSync)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(e.dir, logName))
+		if err != nil {
+			f.Close()
+		}
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	// The rename committed the checkpoint and unlinked the old log, so
+	// appends move to the new file whatever happens next.
+	e.f.Close()
+	e.f, e.size, e.tailStart = f, size, size
+	e.synced.Store(e.appended)
+	e.records = 0
+	e.checkpoints++
+	if e.noSync {
+		return nil
+	}
+	e.fsyncs.Add(2) // wal.tmp's, in writeSnapshot, and the directory's
+	return syncDir(e.dir)
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// WALSize returns the byte size of the tail appended since the last
+// checkpoint (the server's checkpoint trigger watches this).
 func (e *Engine) WALSize() int64 {
-	return e.wal.walSize()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.size - e.tailStart
 }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	checkpoints := e.checkpoints
-	dropped := e.tailDropped
-	e.mu.Unlock()
+	defer e.mu.Unlock()
 	return Stats{
-		WALRecords:       e.wal.records.Load(),
-		WALBytes:         e.wal.bytes.Load(),
-		WALAppends:       e.wal.appends.Load(),
-		Fsyncs:           e.wal.fsyncs.Load(),
-		GroupCommits:     e.wal.piggyback.Load(),
-		Checkpoints:      checkpoints,
-		TailBytesDropped: dropped,
-		PageCacheHits:    e.cache.hits.Load(),
-		PageCacheMisses:  e.cache.misses.Load(),
-		PageCacheEvicts:  e.cache.evictions.Load(),
+		WALRecords:       e.records,
+		WALBytes:         e.size - e.tailStart,
+		WALAppends:       e.appends,
+		Fsyncs:           e.fsyncs.Load(),
+		GroupCommits:     e.piggyback.Load(),
+		Checkpoints:      e.checkpoints,
+		TailBytesDropped: e.tailDropped,
 	}
 }
 
-// Close releases the WAL, page file and directory lock. The engine is not
-// usable afterwards.
+// Close releases the log file and the directory lock. The engine is not
+// usable afterwards; appends racing a close fail with errClosed.
 func (e *Engine) Close() error {
-	err := e.wal.close()
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
 	e.mu.Lock()
-	if e.pages != nil {
-		e.pages.f.Close()
-		e.pages = nil
+	defer e.mu.Unlock()
+	var err error
+	if e.f != nil {
+		err = e.f.Close()
+		e.f = nil
 	}
-	e.mu.Unlock()
 	if e.lock != nil {
 		// Closing the descriptor drops the flock.
 		e.lock.Close()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -114,8 +115,14 @@ func TestWALAppendReopen(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if len(e2.CheckpointDocs()) != 0 {
-		t.Fatalf("no checkpoint was taken, got %d docs", len(e2.CheckpointDocs()))
+	recs, err := ReadWALFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if r.Snapshot {
+			t.Fatalf("no checkpoint was taken, yet record %d is in a snapshot", i)
+		}
 	}
 }
 
@@ -132,7 +139,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	e.Close()
 
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := filepath.Join(dir, logName)
 	recs, err := ReadWALFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +187,7 @@ func TestWALCorruptFrameStopsReplay(t *testing.T) {
 	}
 	e.Close()
 
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := filepath.Join(dir, logName)
 	recs, err := ReadWALFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +230,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	// Hold the group-commit leader slot while N appends pile up behind it;
 	// releasing it lets exactly one leader fsync for the whole group.
 	const n = 8
-	e.wal.syncMu.Lock()
+	e.syncMu.Lock()
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 1; i <= n; i++ {
@@ -234,14 +241,14 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 		}(i)
 	}
 	for {
-		e.wal.mu.Lock()
-		appended := e.wal.appended
-		e.wal.mu.Unlock()
+		e.mu.Lock()
+		appended := e.appended
+		e.mu.Unlock()
 		if appended >= uint64(n)+1 {
 			break
 		}
 	}
-	e.wal.syncMu.Unlock()
+	e.syncMu.Unlock()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -261,14 +268,15 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 
 func TestCheckpointAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{PageSize: 512, CachePages: 64})
+	e, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := []DocSnapshot{
-		{Doc: "alpha", Meta: []byte(`{"v":3}`), Blob: bytes.Repeat([]byte("A"), 1300)},
-		{Doc: "beta", Meta: []byte(`{"v":1}`), Blob: bytes.Repeat([]byte("B"), 512)},
-		{Doc: "gamma", Meta: []byte(`{"v":7}`), Blob: []byte("tiny")},
+	snaps := []Record{
+		{Type: RecordRegister, Doc: "alpha", Meta: []byte(`{"v":3}`), Blob: bytes.Repeat([]byte("A"), 1300)},
+		{Type: RecordRegister, Doc: "beta", Meta: []byte(`{"v":1}`), Blob: bytes.Repeat([]byte("B"), 512)},
+		{Type: RecordPolicy, Doc: "beta", Subject: "s", Meta: []byte("{}")},
+		{Type: RecordRegister, Doc: "gamma", Meta: []byte(`{"v":7}`), Blob: []byte("tiny")},
 	}
 	for i := 0; i < 3; i++ {
 		if err := e.Append(testRecord(i)); err != nil {
@@ -281,100 +289,197 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	if e.WALSize() != 0 {
 		t.Fatalf("wal size %d after checkpoint, want 0", e.WALSize())
 	}
-	// Post-checkpoint appends land in the fresh log.
+	// Post-checkpoint appends land in the tail of the new log.
 	extra := Record{Type: RecordPolicy, Doc: "alpha", Subject: "s", Meta: []byte("{}")}
 	if err := e.Append(extra); err != nil {
 		t.Fatal(err)
 	}
+	if st := e.Stats(); st.WALRecords != 1 || st.WALBytes != e.WALSize() || st.WALBytes == 0 {
+		t.Fatalf("tail counters after one append: %+v (WALSize %d)", st, e.WALSize())
+	}
 	e.Close()
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("data directory holds %v (%v), want LOCK and %s only", entries, err, logName)
+	}
 
-	e2, err := Open(dir, Options{PageSize: 512, CachePages: 64})
+	e2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	docs := e2.CheckpointDocs()
-	if len(docs) != len(snaps) {
-		t.Fatalf("recovered %d checkpoint docs, want %d", len(docs), len(snaps))
+	got := e2.WALRecords()
+	want := append(snaps, extra)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d records, want %d snapshot records and the 1 post-checkpoint append", len(got), len(snaps))
 	}
-	for i, d := range docs {
-		if d.Doc != snaps[i].Doc || !bytes.Equal(d.Meta, snaps[i].Meta) {
-			t.Fatalf("doc %d directory mismatch: %q", i, d.Doc)
-		}
-		blob, err := e2.ReadBlob(d)
-		if err != nil {
-			t.Fatalf("read blob %q: %v", d.Doc, err)
-		}
-		if !bytes.Equal(blob, snaps[i].Blob) {
-			t.Fatalf("blob %q differs after recovery", d.Doc)
+	for i := range want {
+		if !recordsEqual(got[i], want[i]) {
+			t.Fatalf("record %d (%q) differs after recovery", i, want[i].Doc)
 		}
 	}
-	wrecs := e2.WALRecords()
-	if len(wrecs) != 1 || !recordsEqual(wrecs[0], extra) {
-		t.Fatalf("recovered wal = %d records, want the 1 post-checkpoint append", len(wrecs))
-	}
-
-	// Re-reading the same blobs is all page-cache hits.
-	st := e2.Stats()
-	for _, d := range docs {
-		if _, err := e2.ReadBlob(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st2 := e2.Stats()
-	if st2.PageCacheMisses != st.PageCacheMisses {
-		t.Fatalf("re-read caused %d cache misses, want 0", st2.PageCacheMisses-st.PageCacheMisses)
-	}
-	if st2.PageCacheHits <= st.PageCacheHits {
-		t.Fatal("re-read produced no cache hits")
+	if st := e2.Stats(); st.WALRecords != 1 {
+		t.Fatalf("reopened tail holds %d records, want 1", st.WALRecords)
 	}
 }
 
 func TestCheckpointSupersedesOldGeneration(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{PageSize: 512})
+	e, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if err := e.Checkpoint([]DocSnapshot{{Doc: "d", Blob: bytes.Repeat([]byte("x"), 600)}}); err != nil {
+	if err := e.Checkpoint([]Record{{Type: RecordRegister, Doc: "d", Blob: bytes.Repeat([]byte("x"), 600)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ReadBlob(e.CheckpointDocs()[0]); err != nil {
+	// The second checkpoint replaces the first snapshot wholesale.
+	second := Record{Type: RecordRegister, Doc: "d", Blob: bytes.Repeat([]byte("y"), 700)}
+	if err := e.Checkpoint([]Record{second}); err != nil {
 		t.Fatal(err)
-	}
-	// Second checkpoint bumps the generation: reads hit the new pages.
-	if err := e.Checkpoint([]DocSnapshot{{Doc: "d", Blob: bytes.Repeat([]byte("y"), 700)}}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := e.ReadBlob(e.CheckpointDocs()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob) != 700 || blob[0] != 'y' {
-		t.Fatalf("read stale generation: %d bytes, first %q", len(blob), blob[0])
 	}
 	if got := e.Stats().Checkpoints; got != 2 {
 		t.Fatalf("Checkpoints = %d, want 2", got)
 	}
+	e.Close()
+	e2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := e2.WALRecords(); len(got) != 1 || !recordsEqual(got[0], second) {
+		t.Fatalf("recovered %d records, want only the second snapshot", len(got))
+	}
 }
 
-func TestPageCacheLRUEviction(t *testing.T) {
-	c := newPageCache(2)
-	c.put(pageKey{1, 0}, []byte("a"))
-	c.put(pageKey{1, 1}, []byte("b"))
-	if c.get(pageKey{1, 0}) == nil { // promote page 0
-		t.Fatal("miss on cached page")
+// compactedLog builds a log with a three-record snapshot and a two-record
+// tail, returning its directory and frame extents.
+func compactedLog(t *testing.T) (string, []WALRecordPos) {
+	t.Helper()
+	dir := t.TempDir()
+	e, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.put(pageKey{1, 2}, []byte("c")) // evicts page 1, the LRU tail
-	if c.get(pageKey{1, 1}) != nil {
-		t.Fatal("LRU tail survived eviction")
+	if err := e.Checkpoint([]Record{testRecord(0), testRecord(1), testRecord(2)}); err != nil {
+		t.Fatal(err)
 	}
-	if c.get(pageKey{1, 0}) == nil || c.get(pageKey{1, 2}) == nil {
-		t.Fatal("promoted or fresh page evicted")
+	for i := 3; i < 5; i++ {
+		if err := e.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ev := c.evictions.Load(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
+	e.Close()
+	recs, err := ReadWALFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 || !recs[2].Snapshot || recs[3].Snapshot {
+		t.Fatalf("log holds %d records with snapshot flags %v, want 3 snapshot + 2 tail", len(recs), recs)
+	}
+	return dir, recs
+}
+
+// TestSnapshotDamageFailsOpen: a snapshot frame cut short or carrying a
+// flipped byte fails Open with an error naming its offset, while damage in
+// the tail only shortens the tail.
+func TestSnapshotDamageFailsOpen(t *testing.T) {
+	for k := 0; k < 3; k++ {
+		for _, mode := range []string{"truncate", "flip"} {
+			dir, recs := compactedLog(t)
+			walPath := filepath.Join(dir, logName)
+			mid := recs[k].Start + (recs[k].End-recs[k].Start)/2
+			if mode == "truncate" {
+				if err := os.Truncate(walPath, mid); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				flipByte(t, walPath, mid)
+			}
+			e, err := Open(dir, Options{})
+			if err == nil {
+				e.Close()
+				t.Fatalf("%s in snapshot frame %d: Open succeeded", mode, k)
+			}
+			if want := fmt.Sprintf("offset %d", recs[k].Start); mode == "flip" && !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s in snapshot frame %d: error %q does not name %s", mode, k, err, want)
+			}
+		}
+	}
+	dir, recs := compactedLog(t)
+	flipByte(t, filepath.Join(dir, logName), recs[3].Start+frameHeaderSize)
+	e, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("corrupt tail frame: %v", err)
+	}
+	defer e.Close()
+	if got := len(e.WALRecords()); got != 3 {
+		t.Fatalf("recovered %d records after a corrupt first tail frame, want the 3 snapshot records", got)
+	}
+}
+
+// TestLeftoverTmpIgnored: a wal.tmp left by a crash before the checkpoint's
+// rename, torn or complete, is removed and recovery reads wal.log alone.
+func TestLeftoverTmpIgnored(t *testing.T) {
+	for _, torn := range []bool{true, false} {
+		dir, recs := compactedLog(t)
+		// The unfinished checkpoint holds a different state: if recovery
+		// read it, the record count would show.
+		tmp := filepath.Join(dir, tmpName)
+		f, size, err := writeSnapshot(tmp, []Record{testRecord(9)}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if torn {
+			if err := os.Truncate(tmp, size/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("torn=%v: %v", torn, err)
+		}
+		if got := len(e.WALRecords()); got != len(recs) {
+			t.Fatalf("torn=%v: recovered %d records, want the %d of %s", torn, got, len(recs), logName)
+		}
+		e.Close()
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("torn=%v: leftover %s not removed (%v)", torn, tmpName, err)
+		}
+	}
+}
+
+// TestOpenRefusesOldFormats: a page-file checkpoint or a v1 log header is
+// refused with an error naming the file, never silently ignored.
+func TestOpenRefusesOldFormats(t *testing.T) {
+	for name, data := range map[string][]byte{
+		oldCheckpointName: []byte("XCKP\x01"),
+		logName:           append([]byte("XWAL\x01"), make([]byte, 32)...),
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(dir, Options{})
+		if err == nil {
+			e.Close()
+			t.Fatalf("Open accepted a directory holding an old %s", name)
+		}
+		if !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+			t.Fatalf("error %q does not name %s", err, name)
+		}
+	}
+}
+
+// flipByte inverts one byte of a file in place.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -408,11 +513,11 @@ func TestWALRecordExtents(t *testing.T) {
 		}
 	}
 	e.Close()
-	recs, err := ReadWALFile(filepath.Join(dir, "wal.log"))
+	recs, err := ReadWALFile(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int64(len(walMagic))
+	off := int64(headerSize)
 	for i, r := range recs {
 		if r.Start != off {
 			t.Fatalf("record %d starts at %d, want %d", i, r.Start, off)
@@ -422,7 +527,7 @@ func TestWALRecordExtents(t *testing.T) {
 		}
 		off = r.End
 	}
-	st, err := os.Stat(filepath.Join(dir, "wal.log"))
+	st, err := os.Stat(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}

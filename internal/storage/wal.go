@@ -1,27 +1,40 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 )
 
-// The write-ahead log. Every store mutation is appended as one CRC-guarded
-// frame and fsynced before the mutation is acknowledged, so an acknowledged
-// write survives any crash. Appends from concurrent requests share fsyncs
-// through group commit: the first waiter into the sync section syncs the
-// file once for every frame written so far, and the waiters it covered
-// return without touching the disk. Recovery reads frames until the first
-// torn or corrupt one and truncates the file there — the WAL contract is
-// prefix durability, never a holed history.
+// The log file. Every store mutation is one CRC-guarded frame, and a
+// checkpoint is the same frames again: it writes the store's state as a
+// fresh run of records and makes that run the new file's prefix. Layout:
+//
+//	header:   "XWAL\x02" | snapLen u64 | crc32 u32 (of the 13 bytes before it)
+//	snapshot: snapLen bytes of frames, the state at the last checkpoint
+//	tail:     frames appended since
+//	frame:    crc32 u32 (of the payload) | length u32 | payload (EncodeRecord)
+//
+// A fresh log has snapLen 0. The two regions obey different rules on
+// recovery. The snapshot was fsynced before the rename that installed it,
+// so no crash can tear it: any damage there is corruption, and Open fails.
+// The tail grows one appended frame at a time, so its end may be torn: Open
+// keeps the frames up to the first torn or corrupt one and truncates the
+// rest (prefix durability, never a holed history).
 
-// walMagic opens a WAL file; the trailing byte is the format version.
-var walMagic = []byte("XWAL\x01")
+// logMagic opens a log file; the trailing byte is the format version.
+var logMagic = []byte("XWAL\x02")
+
+// logMagicV1 is the earlier format (a headerless snapshot-free log beside a
+// page-file checkpoint), which this engine refuses rather than misreads.
+var logMagicV1 = []byte("XWAL\x01")
+
+// headerSize is the fixed size of the log header.
+const headerSize = 5 + 8 + 4
 
 // frameHeaderSize is the per-record framing overhead: crc32 u32 | length u32.
 const frameHeaderSize = 8
@@ -30,275 +43,184 @@ const frameHeaderSize = 8
 // corrupt length field reads as a torn tail, not a giant allocation.
 const maxFrameLen = maxBlobLen + maxMetaLen + 2*maxNameLen + 64
 
-// wal is the append half of the engine.
-type wal struct {
-	path   string
-	noSync bool
-
-	// mu serializes frame writes and guards f and the append-side counters.
-	mu        sync.Mutex
-	f         *os.File
-	size      int64
-	appended  uint64 // frames written (not necessarily synced)
-	records   atomic.Int64
-	bytes     atomic.Int64
-	appends   atomic.Int64
-	fsyncs    atomic.Int64
-	piggyback atomic.Int64
-
-	// syncMu admits one group-commit leader at a time; synced is the highest
-	// frame sequence covered by a completed fsync.
-	syncMu sync.Mutex
-	synced atomic.Uint64
+// logHeader renders the header of a log whose snapshot is snapLen bytes.
+func logHeader(snapLen int64) []byte {
+	h := binary.LittleEndian.AppendUint64(append([]byte(nil), logMagic...), uint64(snapLen))
+	return binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(h))
 }
 
-// walRecord is one decoded frame with its file extent, as recovery sees it.
-type walRecord struct {
-	Record Record
-	// Start and End are the frame's byte offsets in the file (End is the
-	// offset of the next frame): the torture harness truncates at these
-	// boundaries to simulate crashes between and inside commits.
-	Start, End int64
-}
-
-// openWAL opens (or creates) the log at path, scans it, truncates any torn
-// or corrupt tail, and returns the records of the durable prefix in append
-// order along with the bytes dropped from the tail.
-func openWAL(path string, noSync bool) (*wal, []walRecord, int64, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	recs, good, total, err := scanWAL(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	dropped := total - good
-	if dropped > 0 {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, 0, err
-		}
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	w := &wal{path: path, noSync: noSync, f: f, size: good, appended: uint64(len(recs))}
-	w.synced.Store(uint64(len(recs)))
-	w.records.Store(int64(len(recs)))
-	w.bytes.Store(good)
-	return w, recs, dropped, nil
-}
-
-// scanWAL reads the log from the start: the file header (written lazily by
-// the first append, so an empty file is a valid empty log), then frames
-// until EOF or the first frame that is torn (short) or corrupt (bad CRC,
-// implausible length, undecodable record). It returns the decoded records,
-// the offset of the durable prefix and the file's total size.
-func scanWAL(f *os.File) ([]walRecord, int64, int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	total := st.Size()
-	if total == 0 {
-		return nil, 0, 0, nil
-	}
-	header := make([]byte, len(walMagic))
-	if _, err := f.ReadAt(header, 0); err != nil {
-		// A file shorter than the header is a torn header write.
-		return nil, 0, total, nil
-	}
-	for i, b := range walMagic {
-		if header[i] != b {
-			return nil, 0, 0, fmt.Errorf("storage: %s is not a WAL (bad magic)", f.Name())
-		}
-	}
-	var recs []walRecord
-	off := int64(len(walMagic))
-	head := make([]byte, frameHeaderSize)
-	for off < total {
-		if _, err := f.ReadAt(head, off); err != nil {
-			break // torn frame header
-		}
-		sum := binary.LittleEndian.Uint32(head[0:4])
-		n := int64(binary.LittleEndian.Uint32(head[4:8]))
-		if n > maxFrameLen || off+frameHeaderSize+n > total {
-			break // implausible length or torn payload
-		}
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, off+frameHeaderSize); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt payload
-		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			break // CRC-clean but undecodable: treat as corruption, stop here
-		}
-		recs = append(recs, walRecord{Record: rec, Start: off, End: off + frameHeaderSize + n})
-		off += frameHeaderSize + n
-	}
-	return recs, off, total, nil
-}
-
-// errWALClosed reaches appenders racing a Close.
-var errWALClosed = errors.New("storage: WAL is closed")
-
-// append frames one record into the log and waits until a completed fsync
-// covers it (group commit: the fsync is usually someone else's). On return
-// the record is durable — the caller may acknowledge the mutation.
-func (w *wal) append(rec Record) error {
+// encodeFrame encodes one record and frames it with its length and CRC.
+func encodeFrame(rec Record) ([]byte, error) {
 	payload, err := EncodeRecord(rec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	frame = append(frame, payload...)
+	return append(frame, payload...), nil
+}
 
-	w.mu.Lock()
-	if w.f == nil {
-		w.mu.Unlock()
-		return errWALClosed
+// logScan is what one pass of the frame scanner found in a log file.
+type logScan struct {
+	recs    []WALRecordPos // snapshot records first, then the tail's
+	snapEnd int64          // offset where the tail starts (0: no header yet)
+	good    int64          // end of the last intact frame: the durable prefix
+}
+
+// errFrame marks bytes that are not an intact frame, as opposed to a failed
+// read: the tail ends at the first such frame.
+var errFrame = errors.New("torn or corrupt frame")
+
+// scanLog reads a log file of the given size: the header (written lazily by
+// the first append, so an empty file is a valid empty log and a file shorter
+// than the header is a torn header write), every snapshot frame, then tail
+// frames until EOF or the first torn or corrupt one. It fails on a bad or
+// outdated header and on any damage inside the snapshot. Every allocation is
+// bounded by the bytes actually present.
+func scanLog(r io.ReaderAt, size int64) (logScan, error) {
+	var s logScan
+	head := make([]byte, min(size, headerSize))
+	if _, err := r.ReadAt(head, 0); err != nil && err != io.EOF {
+		return s, err
 	}
-	if w.size == 0 {
-		if _, err := w.f.Write(walMagic); err != nil {
-			w.mu.Unlock()
-			return err
+	if n := min(len(head), len(logMagic)); !bytes.Equal(head[:n], logMagic[:n]) {
+		if bytes.HasPrefix(head, logMagicV1) {
+			return s, errors.New("log has the v1 format of a page-file checkpoint engine; this engine cannot read it")
 		}
-		w.size = int64(len(walMagic))
+		return s, errors.New("not a log file (bad magic)")
 	}
-	if _, err := w.f.Write(frame); err != nil {
-		// A torn frame write is exactly what recovery truncates; leave the
-		// tail to the next open rather than trying to repair in place.
-		w.mu.Unlock()
-		return err
+	if size < headerSize {
+		return s, nil
 	}
-	w.size += int64(len(frame))
-	w.appended++
-	seq := w.appended
-	w.records.Add(1)
-	w.bytes.Store(w.size)
-	w.appends.Add(1)
-	w.mu.Unlock()
-	return w.syncTo(seq)
-}
-
-// syncTo blocks until an fsync covering frame sequence seq has completed.
-// The first caller into the sync section becomes the group leader: it syncs
-// once for everything appended so far, and every waiter whose frame that
-// fsync covered returns without issuing its own.
-func (w *wal) syncTo(seq uint64) error {
-	if w.noSync {
-		return nil
+	if crc32.ChecksumIEEE(head[:headerSize-4]) != binary.LittleEndian.Uint32(head[headerSize-4:]) {
+		return s, errors.New("log header CRC mismatch")
 	}
-	if w.synced.Load() >= seq {
-		w.piggyback.Add(1)
-		return nil
+	snapLen := binary.LittleEndian.Uint64(head[len(logMagic):])
+	if snapLen > uint64(size-headerSize) {
+		return s, fmt.Errorf("snapshot of %d bytes runs past the end of the %d-byte file", snapLen, size)
 	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.synced.Load() >= seq {
-		// A leader that ran while this goroutine waited covered the frame.
-		w.piggyback.Add(1)
-		return nil
-	}
-	w.mu.Lock()
-	f, cover := w.f, w.appended
-	w.mu.Unlock()
-	if f == nil {
-		return errWALClosed
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	w.fsyncs.Add(1)
-	w.synced.Store(cover)
-	return nil
-}
-
-// reset truncates the log to empty after a checkpoint made its contents
-// redundant, fsyncing the truncation so a crash cannot resurrect compacted
-// records on top of the new checkpoint.
-func (w *wal) reset() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errWALClosed
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if !w.noSync {
-		if err := w.f.Sync(); err != nil {
-			return err
+	s.snapEnd = headerSize + int64(snapLen)
+	off := int64(headerSize)
+	for off < s.snapEnd {
+		rec, end, err := readFrame(r, off, s.snapEnd)
+		if err != nil {
+			return s, fmt.Errorf("snapshot frame at offset %d: %w", off, err)
 		}
-		w.fsyncs.Add(1)
+		s.recs = append(s.recs, WALRecordPos{Record: rec, Start: off, End: end, Snapshot: true})
+		off = end
 	}
-	w.size = 0
-	w.bytes.Store(0)
-	w.records.Store(0)
-	return nil
-}
-
-// walSize returns the log's current byte size.
-func (w *wal) walSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
-// close releases the file. Appends racing a close fail with errWALClosed.
-func (w *wal) close() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
+	for off < size {
+		rec, end, err := readFrame(r, off, size)
+		if errors.Is(err, errFrame) {
+			break
+		}
+		if err != nil {
+			return s, err
+		}
+		s.recs = append(s.recs, WALRecordPos{Record: rec, Start: off, End: end})
+		off = end
 	}
-	err := w.f.Close()
-	w.f = nil
-	return err
+	s.good = off
+	return s, nil
 }
 
-// ReadWALFile scans a WAL file offline and returns its durable records with
-// their frame extents. Diagnostic surface for tests and tooling (the crash
-// torture harness uses the extents to truncate at exact record boundaries);
-// the file is not modified.
+// readFrame decodes the frame at off, which must end by limit. It returns
+// the record and the offset of the next frame.
+func readFrame(r io.ReaderAt, off, limit int64) (Record, int64, error) {
+	var head [frameHeaderSize]byte
+	if limit-off < frameHeaderSize {
+		return Record{}, 0, fmt.Errorf("%w: short frame header", errFrame)
+	}
+	if _, err := r.ReadAt(head[:], off); err != nil {
+		return Record{}, 0, err
+	}
+	n := int64(binary.LittleEndian.Uint32(head[4:8]))
+	if n > maxFrameLen || n > limit-off-frameHeaderSize {
+		return Record{}, 0, fmt.Errorf("%w: payload of %d bytes overruns the region", errFrame, n)
+	}
+	payload := make([]byte, n)
+	if _, err := r.ReadAt(payload, off+frameHeaderSize); err != nil {
+		return Record{}, 0, err
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(head[0:4]) {
+		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", errFrame)
+	}
+	rec, err := DecodeRecord(payload)
+	if err != nil {
+		// CRC-clean but undecodable: corruption all the same.
+		return Record{}, 0, fmt.Errorf("%w: %w", errFrame, err)
+	}
+	return rec, off + frameHeaderSize + n, nil
+}
+
+// writeSnapshot writes recs as the snapshot of a fresh log at path and
+// returns the file (positioned at its end, ready for appends) and its size.
+// The header goes in last, once the snapshot length is known; the file is
+// fsynced unless noSync, and not yet renamed into place.
+func writeSnapshot(path string, recs []Record, noSync bool) (*os.File, int64, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, 0, err
+	}
+	fail := func(err error) (*os.File, int64, error) {
+		f.Close()
+		return nil, 0, err
+	}
+	size := int64(headerSize)
+	if _, err := f.Seek(size, io.SeekStart); err != nil {
+		return fail(err)
+	}
+	for _, rec := range recs {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			return fail(err)
+		}
+		if _, err := f.Write(frame); err != nil {
+			return fail(err)
+		}
+		size += int64(len(frame))
+	}
+	if _, err := f.WriteAt(logHeader(size-headerSize), 0); err != nil {
+		return fail(err)
+	}
+	if !noSync {
+		if err := f.Sync(); err != nil {
+			return fail(err)
+		}
+	}
+	return f, size, nil
+}
+
+// ReadWALFile scans a log file offline and returns its durable records with
+// their frame extents, snapshot first. Diagnostic surface for tests and
+// tooling (the crash torture harness uses the extents to cut and corrupt
+// exact frames); the file is not modified.
 func ReadWALFile(path string) ([]WALRecordPos, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	recs, _, _, err := scanWAL(f)
+	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WALRecordPos, len(recs))
-	for i, r := range recs {
-		out[i] = WALRecordPos{Record: r.Record, Start: r.Start, End: r.End}
+	s, err := scanLog(f, st.Size())
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
-	return out, nil
+	return s.recs, nil
 }
 
 // WALRecordPos is one record with its byte extent in the log file.
 type WALRecordPos struct {
-	Record     Record
+	Record Record
+	// Start and End are the frame's byte offsets in the file (End is the
+	// offset of the next frame): the torture harness truncates at these
+	// boundaries to simulate crashes between and inside commits.
 	Start, End int64
+	// Snapshot marks the records of the checkpoint prefix, where any damage
+	// fails Open instead of truncating the log.
+	Snapshot bool
 }

@@ -28,21 +28,10 @@ type RemoteDocument struct {
 	mu sync.Mutex
 }
 
-// RemoteOptions tunes OpenRemoteOptions.
+// RemoteOptions tunes OpenRemoteOptions. Transfers move in pages of 256
+// bytes, the ECB-MHT fragment size and so the natural transfer quantum
+// under integrity checking.
 type RemoteOptions struct {
-	// PageSize is the transfer/cache granularity in bytes (0 selects the
-	// internal default, 256 — the ECB-MHT fragment size, the natural
-	// transfer quantum under integrity checking).
-	PageSize int
-	// GapThreshold merges range requests whose gap is at most this many
-	// bytes (0 selects the page size; negative merges only adjacent ranges).
-	GapThreshold int
-	// ReadAhead is the number of pages prefetched past each fetched range
-	// when the access pattern is sequential. Zero or negative leaves
-	// read-ahead off (the default): Skip-index evaluation interleaves short
-	// reads with short jumps, which defeats naive prefetch. Enable it for
-	// clients that scan documents front to back.
-	ReadAhead int
 	// CacheCapacity is the number of pages kept in the client chunk cache
 	// (0 selects the internal default, 2048).
 	CacheCapacity int
@@ -61,9 +50,6 @@ func OpenRemote(url string, key Key) (*RemoteDocument, error) {
 // OpenRemoteOptions is OpenRemote with explicit transfer tuning.
 func OpenRemoteOptions(url string, key Key, opts RemoteOptions) (*RemoteDocument, error) {
 	src, err := remote.Open(url, remote.Options{
-		PageSize:      opts.PageSize,
-		GapThreshold:  opts.GapThreshold,
-		ReadAhead:     opts.ReadAhead,
 		CacheCapacity: opts.CacheCapacity,
 		HTTPClient:    opts.HTTPClient,
 	})

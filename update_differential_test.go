@@ -186,7 +186,7 @@ func TestDifferentialUpdateHarness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := entry.Update([]xmlac.Edit{edit}); err != nil {
+			if _, _, err := entry.Update([]xmlac.Edit{edit}, nil); err != nil {
 				t.Fatalf("seq %d step %d: server update: %v", seq, step, err)
 			}
 			if err := mirror.ApplyEdits(edit); err != nil {
