@@ -323,8 +323,8 @@ func BenchmarkPublicAPIAuthorizedView(b *testing.B) {
 // hospital document. "per-request-compile" re-parses every rule on every
 // call (the pre-CompiledPolicy behaviour of AuthorizedView);
 // "compiled-cached" compiles each subject's policy once and reuses it, the
-// way internal/server's policy cache does. The delta is the compilation
-// work the cache removes from the hot path.
+// way internal/server compiles each policy when it is installed. The delta
+// is the compilation work that removes from the hot path.
 func BenchmarkConcurrentAuthorizedViews(b *testing.B) {
 	root := dataset.HospitalFolders(4, 42)
 	doc, err := ParseDocumentString(xmlstream.SerializeTree(root, false))

@@ -18,8 +18,6 @@ type costEntry struct {
 	BytesTransferred int64                `json:"bytes_transferred"`
 	BytesDecrypted   int64                `json:"bytes_decrypted"`
 	BytesSkipped     int64                `json:"bytes_skipped"`
-	CacheHits        int64                `json:"cache_hits"`
-	CacheMisses      int64                `json:"cache_misses"`
 	Phases           xmlac.PhaseBreakdown `json:"phases"`
 }
 

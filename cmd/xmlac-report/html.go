@@ -643,7 +643,7 @@ func roundedRight(x, y, w, h, r float64) string {
 // per-subject magnitudes read better as aligned numbers than as paint.
 func writeCosts(b *strings.Builder, snap *costSnapshot) {
 	b.WriteString("<h2>Per-subject costs</h2>\n<div class=\"card\">\n<table>\n")
-	b.WriteString("<tr><th>Subject</th><th>Policy</th><th class=\"num\">Views</th><th class=\"num\">Errors</th><th class=\"num\">Cache hits</th><th class=\"num\">Wire</th><th class=\"num\">Decrypted</th><th class=\"num\">Eval time</th></tr>\n")
+	b.WriteString("<tr><th>Subject</th><th>Policy</th><th class=\"num\">Views</th><th class=\"num\">Errors</th><th class=\"num\">Wire</th><th class=\"num\">Decrypted</th><th class=\"num\">Eval time</th></tr>\n")
 	rows := snap.Entries
 	if snap.Other != nil {
 		rows = append(rows[:len(rows):len(rows)], *snap.Other)
@@ -653,8 +653,8 @@ func writeCosts(b *strings.Builder, snap *costSnapshot) {
 		if len(policy) > 12 {
 			policy = policy[:12] + "…"
 		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n",
-			esc(e.Subject), esc(policy), e.Views, e.Errors, e.CacheHits,
+		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n",
+			esc(e.Subject), esc(policy), e.Views, e.Errors,
 			esc(fmtBytes(e.WireBytes)), esc(fmtBytes(e.BytesDecrypted)),
 			esc(fmtNs(float64(e.Phases.EvalNs))))
 	}

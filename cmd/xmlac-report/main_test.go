@@ -22,7 +22,7 @@ const sampleTrace = `{"trace_id":"t-merged","span_id":"c1c1c1c1c1c1c1c1","parent
 {"trace_id":"t-merged","span_id":"s2s2s2s2s2s2s2s2","parent":"root00000000aaaa","name":"server.manifest","start":"2026-08-07T00:00:00.000Z","dur_ns":2000000,"seq":2}
 `
 
-const sampleCosts = `{"entries":[{"subject":"secretary","policy":"abcdef0123456789","views":2,"errors":0,"wire_bytes":4096,"bytes_decrypted":8192,"cache_hits":1,"cache_misses":1,"phases":{"EvalNs":1000000}}],"other":{"subject":"other","views":1,"wire_bytes":100},"distinct":2,"collapsed":0}`
+const sampleCosts = `{"entries":[{"subject":"secretary","policy":"abcdef0123456789","views":2,"errors":0,"wire_bytes":4096,"bytes_decrypted":8192,"phases":{"EvalNs":1000000}}],"other":{"subject":"other","views":1,"wire_bytes":100},"distinct":2,"collapsed":0}`
 
 func writeInputs(t *testing.T) (traj, trace, costs string) {
 	t.Helper()

@@ -1,7 +1,7 @@
 // xmlac-serve is the multi-tenant document server: it registers protected
 // XML documents and per-subject access-control policies over HTTP and
-// serves streamed authorized views concurrently, with a shared cache of
-// compiled policies (compile once, evaluate many).
+// serves streamed authorized views concurrently. Each policy is compiled
+// once, when it is installed, and evaluated by every view of its subject.
 //
 // Quickstart:
 //
@@ -37,7 +37,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheCap := flag.Int("cache", 1024, "compiled-policy cache capacity (entries)")
 	sessionIdle := flag.Duration("session-idle", server.DefaultSessionIdle, "drop sessions idle for this long")
 	scheme := flag.String("scheme", string(xmlac.SchemeECBMHT), "default protection scheme (ecb, ecb-mht, cbc-sha, cbc-shac)")
 	demo := flag.Bool("demo", false, "preload the hospital demo document and the paper's three profiles")
@@ -62,7 +61,6 @@ func main() {
 		fatal(logger, "parsing scheme", err)
 	}
 	srv, err := server.Open(server.Options{
-		CacheCapacity:   *cacheCap,
 		SessionIdle:     *sessionIdle,
 		DefaultScheme:   defScheme,
 		DataDir:         *dataDir,

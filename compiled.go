@@ -14,8 +14,8 @@ import (
 // a server streaming authorized views to a fleet of clients.
 //
 // A CompiledPolicy is immutable and safe for concurrent use by any number of
-// goroutines; a server can keep one per (document, subject, policy version)
-// in a cache (see internal/server) and share it across requests.
+// goroutines; a server can compile each subject's policy once, when it is
+// installed, and share it across requests (see internal/server).
 type CompiledPolicy struct {
 	subject string
 	hash    string
@@ -124,8 +124,7 @@ type ViewResult struct {
 // scan. A failure of the scan itself (an integrity violation, truncated
 // ciphertext) is returned as the error together with the results: every
 // subject still in the scan carries it in ViewResult.Err, next to the
-// partial Metrics of the work performed. internal/server serves every
-// GET /view through this entry point.
+// partial Metrics of the work performed.
 func (p *Protected) AuthorizedViewsCompiled(key Key, views []CompiledView) ([]ViewResult, error) {
 	return runViews(p.snapshot(), key, views)
 }

@@ -169,9 +169,8 @@ func (p *Policy) Labels() map[string]struct{} {
 
 // Fingerprint returns a stable hex digest identifying the policy: same
 // subject and same rules (IDs, signs and objects, in order) yield the same
-// fingerprint across processes. Compiled-policy caches use it as part of
-// their key so that replacing a subject's policy naturally invalidates the
-// cached compilation.
+// fingerprint across processes. The server reports it as the policy hash of
+// every view and keys its per-(subject, policy) cost buckets on it.
 func (p *Policy) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, p.Subject)

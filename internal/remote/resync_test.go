@@ -193,12 +193,12 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := entry.StreamViews([]xmlac.CompiledView{{Policy: clerk}})
+	var localView bytes.Buffer
+	localMetrics, err := entry.StreamView(clerk, xmlac.ViewOptions{}, &localView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localView, localMetrics := local[0].View, local[0].Metrics
-	if view.XML() != localView.XML() {
+	if view.XML() != localView.String() {
 		t.Fatal("remote view after resync differs from the local view")
 	}
 	if metrics.BytesTransferred != localMetrics.BytesTransferred || metrics.BytesSkipped != localMetrics.BytesSkipped {

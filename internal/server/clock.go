@@ -3,28 +3,16 @@ package server
 import "time"
 
 // clock abstracts the wall clock for the server's timing-sensitive pieces
-// (coalescing windows, session idle expiry) so tests drive time explicitly
-// instead of sleeping on real windows — the difference between a determinate
-// test and a flaky one. Production uses realClock; tests inject a fake
-// through Options.clock.
+// (session idle expiry, store timestamps, access-log durations) so tests
+// drive time explicitly instead of sleeping — the difference between a
+// determinate test and a flaky one. Production uses realClock; tests inject
+// a fake through Options.clock.
 type clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// AfterFunc schedules f to run after d, returning a handle that can
-	// cancel it.
-	AfterFunc(d time.Duration, f func()) timerHandle
-}
-
-// timerHandle is the cancellable half of a scheduled AfterFunc.
-type timerHandle interface {
-	// Stop cancels the timer; it reports whether the call prevented the
-	// function from running.
-	Stop() bool
 }
 
 // realClock is the production clock.
 type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
-
-func (realClock) AfterFunc(d time.Duration, f func()) timerHandle { return time.AfterFunc(d, f) }

@@ -7,21 +7,12 @@ import (
 )
 
 // fakeClock is the deterministic clock the timing-sensitive tests inject
-// instead of sleeping on real wall-clock windows: time only moves when a
-// test calls Advance, so a coalescing window "elapses" exactly when the test
-// says so, on the slowest CI runner as on a laptop.
+// instead of sleeping on the wall clock: time only moves when a test calls
+// Advance, so a session expires exactly when the test says so, on the
+// slowest CI runner as on a laptop.
 type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	clock   *fakeClock
-	when    time.Time
-	f       func()
-	stopped bool
-	fired   bool
+	mu  sync.Mutex
+	now time.Time
 }
 
 func newFakeClock() *fakeClock {
@@ -34,70 +25,11 @@ func (c *fakeClock) Now() time.Time {
 	return c.now
 }
 
-func (c *fakeClock) AfterFunc(d time.Duration, f func()) timerHandle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{clock: c, when: c.now.Add(d), f: f}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-func (t *fakeTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	was := !t.stopped && !t.fired
-	t.stopped = true
-	return was
-}
-
-// Advance moves the clock forward and fires every timer that came due, in
-// schedule order, outside the clock lock (fired functions may re-enter the
-// clock).
+// Advance moves the clock forward.
 func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
-	var due []*fakeTimer
-	for _, t := range c.timers {
-		if !t.stopped && !t.fired && !t.when.After(c.now) {
-			t.fired = true
-			due = append(due, t)
-		}
-	}
 	c.mu.Unlock()
-	for _, t := range due {
-		t.f()
-	}
-}
-
-// TestFakeClockTimers pins the fake itself: timers fire exactly at their
-// deadline, stopped timers never fire, and Now follows Advance.
-func TestFakeClockTimers(t *testing.T) {
-	fc := newFakeClock()
-	fired := make(map[string]bool)
-	fc.AfterFunc(10*time.Millisecond, func() { fired["a"] = true })
-	handle := fc.AfterFunc(20*time.Millisecond, func() { fired["b"] = true })
-	fc.AfterFunc(30*time.Millisecond, func() { fired["c"] = true })
-	fc.Advance(9 * time.Millisecond)
-	if len(fired) != 0 {
-		t.Fatalf("timers fired before their deadline: %v", fired)
-	}
-	fc.Advance(1 * time.Millisecond)
-	if !fired["a"] || fired["b"] {
-		t.Fatalf("only timer a is due at +10ms: %v", fired)
-	}
-	if !handle.Stop() {
-		t.Fatal("stopping a pending timer must report true")
-	}
-	fc.Advance(time.Hour)
-	if fired["b"] {
-		t.Fatal("stopped timer fired")
-	}
-	if !fired["c"] {
-		t.Fatal("timer c never fired")
-	}
-	if handle.Stop() {
-		t.Fatal("stopping a dead timer must report false")
-	}
 }
 
 // TestSessionExpirySweep drives session idle expiry with the fake clock:
@@ -107,11 +39,11 @@ func TestFakeClockTimers(t *testing.T) {
 func TestSessionExpirySweep(t *testing.T) {
 	fc := newFakeClock()
 	l := newLedger(time.Minute, fc)
-	foldView(l, "old", "h", true, 0, nil, nil)
+	foldView(l, "old", "h", 0, nil, nil)
 	fc.Advance(2 * time.Minute)
 	// The periodic sweep runs every sessionSweepEvery folds; force it.
 	for i := 1; i < sessionSweepEvery; i++ {
-		foldView(l, "fresh", "h", true, 0, nil, nil)
+		foldView(l, "fresh", "h", 0, nil, nil)
 	}
 	l.mu.Lock()
 	live := len(l.sessions)
@@ -123,7 +55,7 @@ func TestSessionExpirySweep(t *testing.T) {
 	// Without a periodic sweep due, the snapshot drops the expired session
 	// itself — while the lifetime totals keep its view.
 	fc.Advance(2 * time.Minute)
-	foldView(l, "late", "h", true, 0, nil, nil)
+	foldView(l, "late", "h", 0, nil, nil)
 	snap := l.snapshot(0)
 	if len(snap.Sessions) != 1 || snap.Sessions[0].Subject != "late" {
 		t.Fatalf("snapshot lists sessions %+v, want only the live one", snap.Sessions)

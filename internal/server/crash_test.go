@@ -171,7 +171,7 @@ func TestCrashRecoveryCompactedTorture(t *testing.T) {
 	ref := filepath.Join(base, "reference")
 	// The fake clock stamps every registration and policy with one instant,
 	// so replaying a step on a copy writes the reference's bytes again.
-	opts := Options{clock: newFakeClock(), DisableCoalescing: true}
+	opts := Options{clock: newFakeClock()}
 	patch := func(edit string) func(*httptest.Server) {
 		return func(ts *httptest.Server) {
 			if status, _, body := patchDoc(t, ts, "hospital", edit); status != http.StatusOK {

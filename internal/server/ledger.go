@@ -18,12 +18,12 @@ import (
 // included.) A GET /view request folds into it exactly once, when its
 // outcome is known (recordView): one tally record is built from the outcome
 // and added to the lifetime total, to the (document, subject) session and to the
-// (subject, policy) cost bucket; the scan record and the histograms are
-// updated under the same lock. GET /metrics, GET /metrics.prom and
-// GET /debug/costs all render one metricsSnapshot copied under that lock, so
-// the three surfaces never disagree and every snapshot is internally
-// consistent: its cost buckets sum to its totals, and so do its sessions
-// until one expires or is dropped with its document.
+// (subject, policy) cost bucket; the histograms are updated under the same
+// lock. GET /metrics, GET /metrics.prom and GET /debug/costs all render one
+// metricsSnapshot copied under that lock, so the three surfaces never
+// disagree and every snapshot is internally consistent: its cost buckets
+// sum to its totals, and so do its sessions until one expires or is dropped
+// with its document.
 //
 // Cardinality is bounded on the cost side twice. The ledger caps the number
 // of distinct (subject, policy) keys (defaultCostKeys); once full, new keys
@@ -56,8 +56,6 @@ var (
 	viewSecondsBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 	// viewBytesBounds covers the ciphertext transferred per view.
 	viewBytesBounds = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-	// batchSubjectsBounds mirrors the per-document JSON batch-size buckets.
-	batchSubjectsBounds = []float64{1, 2, 4, 8, 16}
 	// viewWorkersBounds counts region workers per view scan; the 0 bucket
 	// isolates serial scans (including parallel requests that fell back).
 	viewWorkersBounds = []float64{0, 1, 2, 4, 8, 16}
@@ -68,13 +66,11 @@ var (
 // metricsfold analyzer checks it), so a counter added here reaches every
 // bucket at once.
 type tally struct {
-	Views       int64 // views streamed to completion
-	Errors      int64 // views that failed or aborted
-	WireBytes   int64 // HTTP body bytes put on the wire
-	CacheHits   int64 // compiled-policy cache hits
-	CacheMisses int64 // compiled-policy cache misses
-	// Work is the evaluation work, amortized for shared scans (see
-	// amortizeShared), so sums over buckets equal the physical work.
+	Views     int64 // views streamed to completion
+	Errors    int64 // views that failed or aborted
+	WireBytes int64 // HTTP body bytes put on the wire
+	// Work is the evaluation work: every view runs its own scan, so sums
+	// over buckets equal the physical work.
 	Work xmlac.Metrics
 }
 
@@ -83,8 +79,6 @@ func (t *tally) Add(o *tally) {
 	t.Views += o.Views
 	t.Errors += o.Errors
 	t.WireBytes += o.WireBytes
-	t.CacheHits += o.CacheHits
-	t.CacheMisses += o.CacheMisses
 	t.Work.Add(&o.Work)
 }
 
@@ -165,12 +159,10 @@ type ledger struct {
 	// identities it rejected — that would be the unbounded memory the cap
 	// exists to avoid).
 	collapsed int64
-	scans     map[string]*CoalesceDocStats
 
-	viewSeconds   *trace.Histogram
-	viewBytes     *trace.Histogram
-	batchSubjects *trace.Histogram
-	viewWorkers   *trace.Histogram
+	viewSeconds *trace.Histogram
+	viewBytes   *trace.Histogram
+	viewWorkers *trace.Histogram
 }
 
 // newLedger builds an empty ledger; maxIdle <= 0 selects DefaultSessionIdle
@@ -183,16 +175,14 @@ func newLedger(maxIdle time.Duration, clk clock) *ledger {
 		clk = realClock{}
 	}
 	return &ledger{
-		clock:         clk,
-		maxIdle:       maxIdle,
-		costCap:       defaultCostKeys,
-		sessions:      make(map[sessionKey]*session),
-		costs:         make(map[costKey]*tally),
-		scans:         make(map[string]*CoalesceDocStats),
-		viewSeconds:   trace.NewHistogram(viewSecondsBounds...),
-		viewBytes:     trace.NewHistogram(viewBytesBounds...),
-		batchSubjects: trace.NewHistogram(batchSubjectsBounds...),
-		viewWorkers:   trace.NewHistogram(viewWorkersBounds...),
+		clock:       clk,
+		maxIdle:     maxIdle,
+		costCap:     defaultCostKeys,
+		sessions:    make(map[sessionKey]*session),
+		costs:       make(map[costKey]*tally),
+		viewSeconds: trace.NewHistogram(viewSecondsBounds...),
+		viewBytes:   trace.NewHistogram(viewBytesBounds...),
+		viewWorkers: trace.NewHistogram(viewWorkersBounds...),
 	}
 }
 
@@ -200,31 +190,25 @@ func newLedger(maxIdle time.Duration, clk clock) *ledger {
 type viewOutcome struct {
 	doc, subject string
 	policy       string // policy fingerprint
-	cacheHit     bool
 	wireBytes    int64
-	// req is the request's slot in the scan that served it; a request that
-	// failed before scanning carries only its error.
-	req *viewRequest
+	// metrics and err are the scan's result: nil metrics for a view that
+	// failed before scanning.
+	metrics *xmlac.Metrics
+	err     error
 }
 
 // recordView folds one view into every bucket it belongs to.
 func (l *ledger) recordView(o viewOutcome) {
-	r := o.req
 	d := tally{WireBytes: o.wireBytes}
-	if r.result.Err != nil {
+	if o.err != nil {
 		d.Errors = 1
 	} else {
 		d.Views = 1
 	}
-	if o.cacheHit {
-		d.CacheHits = 1
-	} else {
-		d.CacheMisses = 1
-	}
-	if m := r.result.Metrics; m != nil {
+	if o.metrics != nil {
 		// A failed view still performed work (decryption, verification,
 		// partial delivery): its partial counters fold like a served view's.
-		d.Work = amortizeShared(m, r.batch, r.leader)
+		d.Work = *o.metrics
 	}
 	now := l.clock.Now()
 
@@ -244,45 +228,14 @@ func (l *ledger) recordView(o viewOutcome) {
 	}
 	l.costLocked(o.subject, o.policy).Add(&d)
 
-	if r.batch > 0 {
-		l.recordScanLocked(o.doc, r)
-	}
-	// The histograms describe what clients saw: the full shared-pass costs
-	// of served views, not the amortized share.
-	if m := r.result.Metrics; m != nil && r.result.Err == nil {
+	// The histograms describe served views.
+	if m := o.metrics; m != nil && o.err == nil {
 		l.viewSeconds.Observe(m.Duration.Seconds())
 		l.viewBytes.Observe(float64(m.BytesTransferred))
 		// Workers is 0 for serial scans (including every parallel request
 		// that fell back), so the first bucket counts serial views and the
 		// tail shows how wide the parallel fan-outs actually ran.
 		l.viewWorkers.Observe(float64(m.Workers))
-	}
-}
-
-// recordScanLocked folds a view's part of the scan that served it into its
-// document's scan record. The batch leader records the scan itself; every
-// member of a shared scan counts as one coalesced view.
-func (l *ledger) recordScanLocked(doc string, r *viewRequest) {
-	st := l.scans[doc]
-	if st == nil {
-		st = &CoalesceDocStats{Document: doc, SubjectsPerScan: make(map[string]int64)}
-		l.scans[doc] = st
-	}
-	n := r.batch
-	if r.leader {
-		st.SubjectsPerScan[bucketLabel(n)]++
-		l.batchSubjects.Observe(float64(n))
-		if n >= 2 {
-			st.SharedScans++
-		} else {
-			st.SoloScans++
-		}
-	}
-	if n >= 2 {
-		st.CoalescedViews++
-	}
-	if r.late {
-		st.LateFallbacks++
 	}
 }
 
@@ -323,60 +276,6 @@ func (l *ledger) dropDocument(docID string) {
 	l.mu.Unlock()
 }
 
-func bucketLabel(n int) string {
-	switch {
-	case n <= 1:
-		return "le_1"
-	case n <= 2:
-		return "le_2"
-	case n <= 4:
-		return "le_4"
-	case n <= 8:
-		return "le_8"
-	case n <= 16:
-		return "le_16"
-	default:
-		return "gt_16"
-	}
-}
-
-// amortizeShared returns a view's metrics with the shared-cost fields split
-// evenly over the n members of the scan that served it (the leader picks up
-// the integer remainders), so folding one record per member sums back to the
-// physical cost of the one shared pass instead of n times it. A one-view
-// scan keeps its metrics whole. The per-subject counters are left untouched;
-// the smart-card estimate is divided as an approximation (it mixes shared
-// byte costs with per-subject automata work).
-func amortizeShared(m *xmlac.Metrics, n int, leader bool) xmlac.Metrics {
-	out := *m
-	if n <= 1 {
-		return out
-	}
-	share := func(v int64) int64 {
-		if leader {
-			return v/int64(n) + v%int64(n)
-		}
-		return v / int64(n)
-	}
-	out.BytesTransferred = share(m.BytesTransferred)
-	out.BytesDecrypted = share(m.BytesDecrypted)
-	out.BytesSkipped = share(m.BytesSkipped)
-	out.EstimatedSmartCardSeconds = m.EstimatedSmartCardSeconds / float64(n)
-	// The shared phase timers (decrypt, verify, decode, skip, fetch) describe
-	// the one shared pass and were stamped into every subject's breakdown;
-	// amortize them like the byte counters. EvalNs and EmitNs are genuinely
-	// per-subject and stay whole. Duration stays whole too: it is wall time,
-	// not work, and Metrics.Add sums it like any other field.
-	out.PhaseBreakdown.DecryptNs = share(m.PhaseBreakdown.DecryptNs)
-	out.PhaseBreakdown.VerifyNs = share(m.PhaseBreakdown.VerifyNs)
-	out.PhaseBreakdown.HashFetchNs = share(m.PhaseBreakdown.HashFetchNs)
-	out.PhaseBreakdown.DecodeNs = share(m.PhaseBreakdown.DecodeNs)
-	out.PhaseBreakdown.SkipNs = share(m.PhaseBreakdown.SkipNs)
-	out.PhaseBreakdown.FetchNs = share(m.PhaseBreakdown.FetchNs)
-	out.PhaseBreakdown.ResyncNs = share(m.PhaseBreakdown.ResyncNs)
-	return out
-}
-
 // SessionStats is the exported snapshot of one session.
 type SessionStats struct {
 	Document string        `json:"document"`
@@ -385,26 +284,6 @@ type SessionStats struct {
 	Errors   int64         `json:"errors"`
 	Totals   xmlac.Metrics `json:"totals"`
 	LastSeen time.Time     `json:"last_seen"`
-}
-
-// CoalesceDocStats is the per-document record of the scans that served its
-// views.
-type CoalesceDocStats struct {
-	Document string `json:"document"`
-	// SharedScans counts executed batches serving >= 2 subjects.
-	SharedScans int64 `json:"shared_scans"`
-	// CoalescedViews is the number of views served through those batches.
-	CoalescedViews int64 `json:"coalesced_views"`
-	// SoloScans counts single-subject scans: singleton batches (nobody joined
-	// inside the window), late-joiner fallbacks and, with coalescing
-	// disabled, every view.
-	SoloScans int64 `json:"solo_scans"`
-	// LateFallbacks counts requests that found a sealed batch scanning and
-	// ran solo instead of queueing behind it.
-	LateFallbacks int64 `json:"late_fallbacks"`
-	// SubjectsPerScan is the histogram of batch sizes, keyed "le_1", "le_2",
-	// "le_4", "le_8", "le_16", "gt_16".
-	SubjectsPerScan map[string]int64 `json:"subjects_per_scan"`
 }
 
 // CostEntry is one ranked (subject, policy fingerprint) bucket of the cost
@@ -419,8 +298,6 @@ type CostEntry struct {
 	BytesTransferred int64                `json:"bytes_transferred"`
 	BytesDecrypted   int64                `json:"bytes_decrypted"`
 	BytesSkipped     int64                `json:"bytes_skipped"`
-	CacheHits        int64                `json:"cache_hits"`
-	CacheMisses      int64                `json:"cache_misses"`
 	Phases           xmlac.PhaseBreakdown `json:"phases"`
 }
 
@@ -434,8 +311,6 @@ func newCostEntry(key costKey, t *tally) CostEntry {
 		BytesTransferred: t.Work.BytesTransferred,
 		BytesDecrypted:   t.Work.BytesDecrypted,
 		BytesSkipped:     t.Work.BytesSkipped,
-		CacheHits:        t.CacheHits,
-		CacheMisses:      t.CacheMisses,
 		Phases:           t.Work.PhaseBreakdown,
 	}
 }
@@ -457,8 +332,8 @@ type costSnapshot struct {
 
 // metricsSnapshot is one consistent reading of every server counter: the
 // ledger copied under its lock, plus the request and PATCH counters and the
-// gauges read from the store, the policy cache and the storage engine. GET /metrics is its JSON encoding;
-// GET /metrics.prom and GET /debug/costs render from it.
+// gauges read from the store and the storage engine. GET /metrics is its
+// JSON encoding; GET /metrics.prom and GET /debug/costs render from it.
 type metricsSnapshot struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	GoVersion     string            `json:"go_version"`
@@ -468,18 +343,7 @@ type metricsSnapshot struct {
 	ViewErrors    int64             `json:"view_errors"`
 	Documents     int               `json:"documents"`
 	Updates       updateCounters    `json:"updates"`
-	PolicyCache   struct {
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-		Entries int   `json:"entries"`
-	} `json:"policy_cache"`
-	Coalescing struct {
-		Enabled     bool               `json:"enabled"`
-		WindowMs    float64            `json:"window_ms"`
-		MaxSubjects int                `json:"max_subjects_per_scan"`
-		Documents   []CoalesceDocStats `json:"documents"`
-	} `json:"coalescing"`
-	Storage struct {
+	Storage       struct {
 		Enabled bool `json:"enabled"`
 		storage.Stats
 	} `json:"storage"`
@@ -487,10 +351,9 @@ type metricsSnapshot struct {
 	Sessions   []SessionStats `json:"sessions"`
 	Costs      costSnapshot   `json:"costs"`
 	Histograms struct {
-		ViewSeconds   trace.HistogramSnapshot `json:"view_duration_seconds"`
-		ViewBytes     trace.HistogramSnapshot `json:"view_wire_bytes"`
-		BatchSubjects trace.HistogramSnapshot `json:"coalesce_batch_subjects"`
-		ViewWorkers   trace.HistogramSnapshot `json:"view_workers"`
+		ViewSeconds trace.HistogramSnapshot `json:"view_duration_seconds"`
+		ViewBytes   trace.HistogramSnapshot `json:"view_wire_bytes"`
+		ViewWorkers trace.HistogramSnapshot `json:"view_workers"`
 	} `json:"histograms"`
 }
 
@@ -512,8 +375,6 @@ func (l *ledger) snapshot(k int) *metricsSnapshot {
 	l.sweepLocked(now)
 	snap.ViewsServed = l.total.Views
 	snap.ViewErrors = l.total.Errors
-	snap.PolicyCache.Hits = l.total.CacheHits
-	snap.PolicyCache.Misses = l.total.CacheMisses
 	snap.Totals = l.total.Work
 	snap.Sessions = make([]SessionStats, 0, len(l.sessions))
 	for key, sess := range l.sessions {
@@ -532,19 +393,9 @@ func (l *ledger) snapshot(k int) *metricsSnapshot {
 	}
 	other := l.costOther
 	snap.Costs.Collapsed = l.collapsed
-	snap.Coalescing.Documents = make([]CoalesceDocStats, 0, len(l.scans))
-	for _, st := range l.scans {
-		cp := *st
-		cp.SubjectsPerScan = make(map[string]int64, len(st.SubjectsPerScan))
-		for b, n := range st.SubjectsPerScan {
-			cp.SubjectsPerScan[b] = n
-		}
-		snap.Coalescing.Documents = append(snap.Coalescing.Documents, cp)
-	}
 	h := &snap.Histograms
 	h.ViewSeconds = l.viewSeconds.Snapshot()
 	h.ViewBytes = l.viewBytes.Snapshot()
-	h.BatchSubjects = l.batchSubjects.Snapshot()
 	h.ViewWorkers = l.viewWorkers.Snapshot()
 	l.mu.Unlock()
 
@@ -554,9 +405,6 @@ func (l *ledger) snapshot(k int) *metricsSnapshot {
 			return a.Document < b.Document
 		}
 		return a.Subject < b.Subject
-	})
-	sort.Slice(snap.Coalescing.Documents, func(i, j int) bool {
-		return snap.Coalescing.Documents[i].Document < snap.Coalescing.Documents[j].Document
 	})
 	sort.Slice(costs, func(i, j int) bool {
 		a, b := costs[i], costs[j]

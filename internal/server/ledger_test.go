@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,13 +17,10 @@ import (
 	"xmlac"
 )
 
-// foldView records one view outcome straight into a ledger as a solo scan
-// of document "doc": nil metrics model a view that failed before scanning.
-func foldView(l *ledger, subject, policy string, cacheHit bool, wire int64, m *xmlac.Metrics, err error) {
-	l.recordView(viewOutcome{
-		doc: "doc", subject: subject, policy: policy, cacheHit: cacheHit, wireBytes: wire,
-		req: &viewRequest{result: xmlac.ViewResult{Metrics: m, Err: err}, batch: 1, leader: true},
-	})
+// foldView records one view outcome of document "doc" straight into a
+// ledger: nil metrics model a view that failed before scanning.
+func foldView(l *ledger, subject, policy string, wire int64, m *xmlac.Metrics, err error) {
+	l.recordView(viewOutcome{doc: "doc", subject: subject, policy: policy, wireBytes: wire, metrics: m, err: err})
 }
 
 // sessionOf returns a snapshot's record of one (document, subject) session
@@ -42,7 +41,7 @@ func TestCostRegistryCardinalityCap(t *testing.T) {
 	l := newLedger(0, nil)
 	l.costCap = 32
 	for i := 0; i < 10_000; i++ {
-		foldView(l, fmt.Sprintf("subject-%05d", i), "hash-a", i%2 == 0, 100,
+		foldView(l, fmt.Sprintf("subject-%05d", i), "hash-a", 100,
 			&xmlac.Metrics{BytesDecrypted: 10}, nil)
 	}
 	l.mu.Lock()
@@ -80,10 +79,10 @@ func TestCostRegistryCardinalityCap(t *testing.T) {
 func TestCostRegistryRanking(t *testing.T) {
 	l := newLedger(0, nil)
 	for i := 0; i < 3; i++ {
-		foldView(l, "heavy", "h1", true, 50, &xmlac.Metrics{}, nil)
+		foldView(l, "heavy", "h1", 50, &xmlac.Metrics{}, nil)
 	}
-	foldView(l, "light", "h2", false, 10, &xmlac.Metrics{}, errors.New("aborted"))
-	foldView(l, "mid", "h3", false, 999, &xmlac.Metrics{}, nil)
+	foldView(l, "light", "h2", 10, &xmlac.Metrics{}, errors.New("aborted"))
+	foldView(l, "mid", "h3", 999, &xmlac.Metrics{}, nil)
 
 	snap := l.snapshot(2).Costs
 	if len(snap.Entries) != 2 || snap.Entries[0].Subject != "heavy" || snap.Entries[1].Subject != "mid" {
@@ -106,7 +105,7 @@ func TestPromLabelEscaping(t *testing.T) {
 		`all"of\them` + "\n" + `at once`,
 	}
 	for _, subject := range hostile {
-		foldView(srv.ledger, subject, `policy"hash\`, true, 42, &xmlac.Metrics{BytesDecrypted: 7}, nil)
+		foldView(srv.ledger, subject, `policy"hash\`, 42, &xmlac.Metrics{BytesDecrypted: 7}, nil)
 	}
 
 	resp, body := do(t, http.MethodGet, ts.URL+"/metrics.prom", "")
@@ -142,7 +141,7 @@ func TestPromLabelEscaping(t *testing.T) {
 }
 
 // TestDebugCostsSurface: views accumulate per (subject, policy) buckets
-// served ranked on /debug/costs, with cache hits and phase time visible.
+// served ranked on /debug/costs, with phase time visible.
 func TestDebugCostsSurface(t *testing.T) {
 	_, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
@@ -168,7 +167,6 @@ func TestDebugCostsSurface(t *testing.T) {
 			Policy    string `json:"policy"`
 			Views     int64  `json:"views"`
 			WireBytes int64  `json:"wire_bytes"`
-			CacheHits int64  `json:"cache_hits"`
 			Phases    struct {
 				EvalNs int64
 			} `json:"phases"`
@@ -187,9 +185,6 @@ func TestDebugCostsSurface(t *testing.T) {
 	}
 	if top.Policy == "" || top.WireBytes <= 0 {
 		t.Fatalf("bucket misses policy fingerprint or wire bytes: %+v", top)
-	}
-	if top.CacheHits != 1 {
-		t.Fatalf("secretary cache hits %d, want 1 (second view reuses the compilation)", top.CacheHits)
 	}
 	if top.Phases.EvalNs <= 0 {
 		t.Fatalf("phase breakdown empty despite tracing on: %+v", top)
@@ -221,43 +216,71 @@ func TestDebugCostsSurface(t *testing.T) {
 	}
 }
 
-// TestLedgerRecordsScanShapes: each view folds its part of the scan that
-// served it. The leader records the scan, every member of a shared scan
-// counts as a coalesced view, a late arrival counts its fallback, and the
-// shared work is amortized so the members sum to the one pass while the
-// histograms see what each client saw.
-func TestLedgerRecordsScanShapes(t *testing.T) {
-	l := newLedger(0, nil)
-	shared := xmlac.Metrics{BytesTransferred: 1001, BytesDecrypted: 1000, NodesPermitted: 5}
-	for i, subject := range []string{"a", "b", "c"} {
-		m := shared
-		l.recordView(viewOutcome{doc: "doc", subject: subject, policy: "h",
-			req: &viewRequest{result: xmlac.ViewResult{Metrics: &m}, batch: 3, leader: i == 0}})
+// TestFailedViewIsAccounted: a view whose scan fails mid-document (one
+// ciphertext byte flipped, so an integrity check fails halfway through)
+// still folds its partial work into the server totals, exactly the work its
+// scan performed, like a served view's.
+func TestFailedViewIsAccounted(t *testing.T) {
+	srv := newServerOpts(t, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	putDoc(t, ts, "hospital", hospitalXML(12))
+	good, err := srv.Store().Entry("hospital")
+	if err != nil {
+		t.Fatal(err)
 	}
-	l.recordView(viewOutcome{doc: "doc", subject: "d", policy: "h",
-		req: &viewRequest{result: xmlac.ViewResult{Metrics: &xmlac.Metrics{BytesDecrypted: 7}}, batch: 1, leader: true, late: true}})
+	blob, _ := good.Blob()
+	blob = append([]byte(nil), blob...)
+	m := good.Manifest()
+	blob[m.CiphertextOffset+m.CiphertextLen/2] ^= 0xff
+	prot, err := xmlac.UnmarshalProtected(blob)
+	if err != nil {
+		t.Fatalf("a flipped ciphertext byte must still unmarshal: %v", err)
+	}
+	reg := registerMeta{Scheme: string(good.Scheme), Passphrase: good.passphrase, CreatedAt: good.CreatedAt, Stats: good.Stats}
+	entry, err := srv.Store().install("hospital", reg, prot, blob, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects := []string{"DrA", "DrB"}
+	var partial int64
+	for _, subj := range subjects {
+		policy := xmlac.Policy{Rules: []xmlac.Rule{{Sign: "+", Object: "//Folder"}}}
+		if _, err := entry.SetPolicy(subj, policy, time.Time{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := entry.PolicyFor(subj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The physical work of one failed scan, measured directly.
+		m, scanErr := entry.StreamView(rec.Compiled, xmlac.ViewOptions{}, io.Discard)
+		if scanErr == nil || m == nil {
+			t.Fatalf("corrupted scan must fail with partial metrics, got %v / %+v", scanErr, m)
+		}
+		if m.BytesDecrypted <= 0 {
+			t.Fatal("failed scan reports no decrypted bytes; the flip landed too early")
+		}
+		partial += m.BytesDecrypted
+	}
 
-	snap := l.snapshot(0)
-	if len(snap.Coalescing.Documents) != 1 {
-		t.Fatalf("scan records %+v, want one document", snap.Coalescing.Documents)
+	for _, subj := range subjects {
+		do(t, http.MethodGet, fmt.Sprintf("%s/docs/hospital/view?subject=%s", ts.URL, subj), "")
 	}
-	st := snap.Coalescing.Documents[0]
-	if st.Document != "doc" || st.SharedScans != 1 || st.CoalescedViews != 3 || st.SoloScans != 1 || st.LateFallbacks != 1 {
-		t.Fatalf("scan record %+v, want 1 shared scan of 3 views and 1 late solo scan", st)
+
+	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	var metrics struct {
+		ViewErrors int64         `json:"view_errors"`
+		Totals     xmlac.Metrics `json:"totals"`
 	}
-	if st.SubjectsPerScan["le_4"] != 1 || st.SubjectsPerScan["le_1"] != 1 {
-		t.Fatalf("batch-size buckets %+v, want one le_4 and one le_1", st.SubjectsPerScan)
+	if err := json.Unmarshal([]byte(body), &metrics); err != nil {
+		t.Fatal(err)
 	}
-	if got := snap.Histograms.BatchSubjects.Count; got != 2 {
-		t.Fatalf("batch histogram observed %d scans, want 2", got)
+	if metrics.ViewErrors != 2 {
+		t.Fatalf("view_errors = %d, want 2", metrics.ViewErrors)
 	}
-	// One shared pass plus the solo scan; the leader keeps the remainder of
-	// the uneven split, and per-subject counters stay whole.
-	if snap.Totals.BytesDecrypted != 1007 || snap.Totals.BytesTransferred != 1001 || snap.Totals.NodesPermitted != 15 {
-		t.Fatalf("totals %+v, want 1007 decrypted, 1001 transferred, 15 nodes", snap.Totals)
-	}
-	if got := snap.Histograms.ViewBytes.Sum; got != 3*1001 {
-		t.Fatalf("view-bytes histogram sum %v, want the full shared pass per client (%d)", got, 3*1001)
+	if got := metrics.Totals.BytesDecrypted; got != partial {
+		t.Fatalf("totals.BytesDecrypted = %d, want the failed scans' %d", got, partial)
 	}
 }
 
@@ -277,7 +300,7 @@ func TestSnapshotConsistentUnderConcurrentViews(t *testing.T) {
 				if i%7 == 0 {
 					err = errors.New("aborted")
 				}
-				foldView(l, fmt.Sprintf("s%d", (g+i)%6), "h", i%3 == 0, 10,
+				foldView(l, fmt.Sprintf("s%d", (g+i)%6), "h", 10,
 					&xmlac.Metrics{BytesDecrypted: int64(g + 1)}, err)
 			}
 		}(g)
@@ -288,7 +311,7 @@ func TestSnapshotConsistentUnderConcurrentViews(t *testing.T) {
 	check := func(snap *metricsSnapshot) {
 		t.Helper()
 		attempts := snap.ViewsServed + snap.ViewErrors
-		var sessViews, sessDecrypted, costViews, costDecrypted, costHits int64
+		var sessViews, sessDecrypted, costViews, costDecrypted int64
 		for _, s := range snap.Sessions {
 			sessViews += s.Views + s.Errors
 			sessDecrypted += s.Totals.BytesDecrypted
@@ -300,7 +323,6 @@ func TestSnapshotConsistentUnderConcurrentViews(t *testing.T) {
 		for _, e := range entries {
 			costViews += e.Views
 			costDecrypted += e.BytesDecrypted
-			costHits += e.CacheHits
 		}
 		if sessViews != attempts || costViews != attempts {
 			t.Fatalf("views: sessions %d, costs %d, totals %d", sessViews, costViews, attempts)
@@ -308,8 +330,9 @@ func TestSnapshotConsistentUnderConcurrentViews(t *testing.T) {
 		if sessDecrypted != snap.Totals.BytesDecrypted || costDecrypted != snap.Totals.BytesDecrypted {
 			t.Fatalf("bytes decrypted: sessions %d, costs %d, totals %d", sessDecrypted, costDecrypted, snap.Totals.BytesDecrypted)
 		}
-		if costHits != snap.PolicyCache.Hits {
-			t.Fatalf("cache hits: costs %d, totals %d", costHits, snap.PolicyCache.Hits)
+		// The histograms observe served views only, in the same fold.
+		if got := snap.Histograms.ViewBytes.Count; got != snap.ViewsServed {
+			t.Fatalf("view-bytes histogram observed %d views, views served %d", got, snap.ViewsServed)
 		}
 	}
 	for {
@@ -347,13 +370,11 @@ func promSamples(t *testing.T, body string) map[string]float64 {
 }
 
 // TestMetricsSurfacesAgree: GET /metrics, GET /metrics.prom and
-// GET /debug/costs render the same ledger, so after a mix of shared scans
-// every counter they have in common reads the same on all three, and the
-// per-subject rows sum to the totals.
+// GET /debug/costs render the same ledger, so after pairs of concurrent
+// views every counter they have in common reads the same on all three, and
+// the per-subject rows sum to the totals.
 func TestMetricsSurfacesAgree(t *testing.T) {
-	// The fake clock never elapses the window: a full batch of two seals
-	// it, so each pair of concurrent requests shares one scan.
-	srv, ts, _ := newLoggedServer(t, Options{CoalesceWindow: 2 * time.Second, CoalesceMaxSubjects: 2, clock: newFakeClock()})
+	srv, ts, _ := newLoggedServer(t, Options{clock: newFakeClock()})
 	putDoc(t, ts, "hospital", hospitalXML(6))
 	for _, subject := range []string{"DrA", "DrB", "DrC", "DrD"} {
 		putPolicy(t, ts, "hospital", subject, doctorRulesJSON)
@@ -395,19 +416,11 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 		}
 	}
 	same("views served", js.ViewsServed, prom["xmlac_views_served_total"])
+	same("view errors", js.ViewErrors, prom["xmlac_view_errors_total"])
+	same("bytes transferred", js.Totals.BytesTransferred, prom["xmlac_bytes_transferred_total"])
 	same("bytes decrypted", js.Totals.BytesDecrypted, prom["xmlac_bytes_decrypted_total"])
-	same("cache hits", js.PolicyCache.Hits, prom["xmlac_policy_cache_hits_total"])
-	same("cache misses", js.PolicyCache.Misses, prom["xmlac_policy_cache_misses_total"])
 	same("sessions", int64(len(js.Sessions)), prom["xmlac_sessions"])
 	same("view duration count", js.Histograms.ViewSeconds.Count, prom["xmlac_view_duration_seconds_count"])
-	var shared int64
-	for _, st := range js.Coalescing.Documents {
-		shared += st.SharedScans
-	}
-	if shared != 3 {
-		t.Fatalf("shared scans %d, want 3", shared)
-	}
-	same("shared scans", shared, prom["xmlac_coalesce_shared_scans_total"])
 
 	// Per-subject rows sum to the totals on every surface.
 	var sessDecrypted, costViews, costDecrypted int64

@@ -255,8 +255,7 @@ func TestPrometheusExpositionFormat(t *testing.T) {
 	// The counters the issue names must be present and sane.
 	for _, want := range []string{
 		"xmlac_requests_total", "xmlac_views_served_total", "xmlac_view_errors_total",
-		"xmlac_policy_cache_hits_total", "xmlac_policy_cache_misses_total",
-		"xmlac_coalesce_shared_scans_total", "xmlac_coalesce_solo_scans_total",
+		"xmlac_documents", "xmlac_sessions", "xmlac_bytes_decrypted_total",
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Errorf("metric %s missing from exposition", want)
@@ -268,7 +267,7 @@ func TestPrometheusExpositionFormat(t *testing.T) {
 
 	// Histogram invariants: buckets cumulative and nondecreasing, +Inf equals
 	// _count, and the view-latency histogram saw the three views.
-	for _, h := range []string{"xmlac_view_duration_seconds", "xmlac_view_wire_bytes", "xmlac_coalesce_batch_subjects"} {
+	for _, h := range []string{"xmlac_view_duration_seconds", "xmlac_view_wire_bytes", "xmlac_view_workers"} {
 		prev := -1.0
 		inf := -1.0
 		for _, line := range order {

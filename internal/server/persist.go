@@ -282,8 +282,8 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		if err != nil {
 			return fmt.Errorf("container: %w", err)
 		}
-		s.store.install(rec.Doc, meta, prot, rec.Blob, deltas)
-		return nil
+		_, err = s.store.install(rec.Doc, meta, prot, rec.Blob, deltas, nil)
+		return err
 	case storage.RecordPolicy:
 		entry, err := s.store.Entry(rec.Doc)
 		if err != nil {
@@ -293,7 +293,7 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
 			return fmt.Errorf("policy metadata: %w", err)
 		}
-		_, err = entry.SetPolicy(rec.Subject, metaToPolicy(rec.Subject, meta), meta.UpdatedAt)
+		_, err = entry.SetPolicy(rec.Subject, metaToPolicy(rec.Subject, meta), meta.UpdatedAt, nil)
 		return err
 	case storage.RecordPatch:
 		entry, err := s.store.Entry(rec.Doc)
@@ -316,7 +316,9 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		sum := rec.Blob[len(rec.Blob)-sha256Size:]
 		return entry.applyRecoveredPatch(delta, prefix, dirty, sum)
 	case storage.RecordDelete:
-		s.store.Remove(rec.Doc)
+		// Replay is single-threaded, so the only possible error is
+		// ErrNotFound: deleting an absent document is a no-op.
+		_ = s.store.Remove(rec.Doc, nil)
 		return nil
 	}
 	return fmt.Errorf("unknown record type %d", rec.Type)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,5 +355,119 @@ func TestMutationsWaitForCheckpoint(t *testing.T) {
 	}
 	if v := entry.Version(); v != 2 {
 		t.Fatalf("version %d after the PATCH, want 2", v)
+	}
+}
+
+// TestPersistenceReplaceRaces: a mutation racing a re-registration or a
+// delete of the same document id either applies and logs before the record
+// that retires its entry, or loses the race (404 or 409) and logs nothing.
+// Four pairs race on one id, every request of a round at once: PUT vs
+// PATCH, DELETE vs PATCH, PUT vs policy install and PUT vs PUT. Odd rounds
+// checkpoint after every mutation. After each round a reopen must succeed
+// and serve exactly what the server served before it closed: blob, ETag,
+// delta, document info and policies.
+func TestPersistenceReplaceRaces(t *testing.T) {
+	type step struct{ method, path, body string }
+	repeat := func(n int, f func(i int) step) []step {
+		steps := make([]step, n)
+		for i := range steps {
+			steps[i] = f(i)
+		}
+		return steps
+	}
+	// register re-registers the document n times, each time with a
+	// different variant of the same size, so concurrent PUTs finish their
+	// protection work at about the same time.
+	doc := hospitalXML(16)
+	register := func(first, n int) []step {
+		return repeat(n, func(i int) step {
+			return step{http.MethodPut, "/docs/doc", strings.Replace(doc, "<Fname>", fmt.Sprintf("<Fname>r%d", first+i), 1)}
+		})
+	}
+	patches := repeat(6, func(i int) step {
+		return step{http.MethodPatch, "/docs/doc",
+			fmt.Sprintf(`{"edits":[{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"v%d"}]}`, i)}
+	})
+	policies := repeat(4, func(i int) step {
+		return step{http.MethodPut, fmt.Sprintf("/docs/doc/policies/s%d", i), secretaryRulesJSON}
+	})
+	races := []struct {
+		name  string
+		steps []step
+	}{
+		{"PUT vs PATCH", append(register(0, 2), patches...)},
+		{"DELETE vs PATCH", append([]step{{http.MethodDelete, "/docs/doc", ""}}, patches...)},
+		{"PUT vs policy install", append(register(0, 2), policies...)},
+		{"PUT vs PUT", register(0, 4)},
+	}
+	state := func(ts *httptest.Server) string {
+		var b strings.Builder
+		for _, path := range []string{"/docs/doc", "/docs/doc/blob", "/docs/doc/delta?from=1",
+			"/docs/doc/policies/s0", "/docs/doc/policies/s1", "/docs/doc/policies/s2", "/docs/doc/policies/s3"} {
+			resp, body := do(t, http.MethodGet, ts.URL+path, "")
+			fmt.Fprintf(&b, "%s %d %s %x\n", path, resp.StatusCode, resp.Header.Get("ETag"), sha256.Sum256([]byte(body)))
+		}
+		return b.String()
+	}
+	const rounds = 6
+	for _, race := range races {
+		var lost atomic.Int64
+		for round := 0; round < rounds; round++ {
+			dir := t.TempDir()
+			opts := Options{}
+			if round%2 == 1 {
+				opts.CheckpointWALBytes = 1
+			}
+			srv, ts := openDurable(t, dir, opts)
+			putDoc(t, ts, "doc", hospitalXML(4))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for _, st := range race.steps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					req, err := http.NewRequest(st.method, ts.URL+st.path, strings.NewReader(st.body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					switch resp.StatusCode {
+					case http.StatusOK, http.StatusCreated, http.StatusNoContent:
+					case http.StatusNotFound, http.StatusConflict:
+						lost.Add(1)
+					default:
+						t.Errorf("%s: %s %s answered %d", race.name, st.method, st.path, resp.StatusCode)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			want := state(ts)
+			ts.Close()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv2, err := Open(Options{DataDir: dir})
+			if err != nil {
+				t.Fatalf("%s, round %d: reopen failed: %v", race.name, round, err)
+			}
+			ts2 := httptest.NewServer(srv2.Handler())
+			got := state(ts2)
+			ts2.Close()
+			srv2.Close()
+			if got != want {
+				t.Fatalf("%s, round %d: recovered state differs from the state served before close:\n got %s\nwant %s",
+					race.name, round, got, want)
+			}
+		}
+		t.Logf("%s: %d requests lost their race in %d rounds", race.name, lost.Load(), rounds)
 	}
 }

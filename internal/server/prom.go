@@ -80,13 +80,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 // writeProm renders one snapshot in the text exposition format.
 func writeProm(w io.Writer, snap *metricsSnapshot) {
 	i64 := func(v int64) string { return strconv.FormatInt(v, 10) }
-	var shared, coalesced, solo, late int64
-	for _, st := range snap.Coalescing.Documents {
-		shared += st.SharedScans
-		coalesced += st.CoalescedViews
-		solo += st.SoloScans
-		late += st.LateFallbacks
-	}
 	st := &snap.Storage
 
 	promCounter(w, "xmlac_uptime_seconds", "Seconds since the server started.", "gauge",
@@ -102,13 +95,6 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 		{"xmlac_updates_applied_total", "counter", "Document updates applied.", i64(snap.Updates.Applied)},
 		{"xmlac_update_errors_total", "counter", "Document updates rejected.", i64(snap.Updates.Errors)},
 		{"xmlac_deltas_served_total", "counter", "Update deltas served to remote caches.", i64(snap.Updates.DeltasServed)},
-		{"xmlac_policy_cache_hits_total", "counter", "Compiled-policy cache hits.", i64(snap.PolicyCache.Hits)},
-		{"xmlac_policy_cache_misses_total", "counter", "Compiled-policy cache misses.", i64(snap.PolicyCache.Misses)},
-		{"xmlac_policy_cache_entries", "gauge", "Compiled policies currently cached.", strconv.Itoa(snap.PolicyCache.Entries)},
-		{"xmlac_coalesce_shared_scans_total", "counter", "Shared scans serving two or more subjects.", i64(shared)},
-		{"xmlac_coalesce_views_total", "counter", "Views served through shared scans.", i64(coalesced)},
-		{"xmlac_coalesce_solo_scans_total", "counter", "Single-subject scans (singleton batches, late fallbacks, every view with coalescing disabled).", i64(solo)},
-		{"xmlac_coalesce_late_fallbacks_total", "counter", "Requests that found a sealed batch scanning and ran solo.", i64(late)},
 		{"xmlac_storage_wal_records", "gauge", "Records appended to the log since the last checkpoint.", i64(st.WALRecords)},
 		{"xmlac_storage_wal_bytes", "gauge", "Bytes appended to the log since the last checkpoint.", i64(st.WALBytes)},
 		{"xmlac_storage_wal_appends_total", "counter", "Records appended to the WAL since open.", i64(st.WALAppends)},
@@ -116,9 +102,9 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 		{"xmlac_storage_group_commits_total", "counter", "WAL appends that piggybacked on another append's fsync.", i64(st.GroupCommits)},
 		{"xmlac_storage_checkpoints_total", "counter", "Compacting checkpoints taken since open.", i64(st.Checkpoints)},
 		{"xmlac_storage_wal_tail_bytes_dropped", "gauge", "Torn-tail bytes truncated during the last recovery.", i64(st.TailBytesDropped)},
-		{"xmlac_bytes_transferred_total", "counter", "Ciphertext bytes transferred into evaluations (amortized for shared scans).", i64(snap.Totals.BytesTransferred)},
-		{"xmlac_bytes_decrypted_total", "counter", "Bytes decrypted by evaluations (amortized for shared scans).", i64(snap.Totals.BytesDecrypted)},
-		{"xmlac_bytes_skipped_total", "counter", "Bytes skipped via the Skip index (amortized for shared scans).", i64(snap.Totals.BytesSkipped)},
+		{"xmlac_bytes_transferred_total", "counter", "Ciphertext bytes transferred into evaluations.", i64(snap.Totals.BytesTransferred)},
+		{"xmlac_bytes_decrypted_total", "counter", "Bytes decrypted by evaluations.", i64(snap.Totals.BytesDecrypted)},
+		{"xmlac_bytes_skipped_total", "counter", "Bytes skipped via the Skip index.", i64(snap.Totals.BytesSkipped)},
 		{"xmlac_nodes_permitted_total", "counter", "Nodes delivered into authorized views.", i64(snap.Totals.NodesPermitted)},
 	} {
 		promCounter(w, m.name, m.help, m.kind, m.value)
@@ -131,7 +117,7 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 	if snap.Costs.Other != nil {
 		entries = append(entries[:len(entries):len(entries)], *snap.Costs.Other)
 	}
-	var views, errs, wire, decrypted, hits, phases [][2]string
+	var views, errs, wire, decrypted, phases [][2]string
 	for _, e := range entries {
 		labels := promSubjectLabels(e.Subject, e.Policy)
 		views = append(views, [2]string{labels, i64(e.Views)})
@@ -140,7 +126,6 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 		}
 		wire = append(wire, [2]string{labels, i64(e.WireBytes)})
 		decrypted = append(decrypted, [2]string{labels, i64(e.BytesDecrypted)})
-		hits = append(hits, [2]string{labels, i64(e.CacheHits)})
 		for phase, ns := range map[string]int64{
 			"decrypt": e.Phases.DecryptNs, "verify": e.Phases.VerifyNs, "decode": e.Phases.DecodeNs,
 			"skip": e.Phases.SkipNs, "eval": e.Phases.EvalNs, "emit": e.Phases.EmitNs,
@@ -163,19 +148,15 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 	promLabeledSeries(w, "xmlac_subject_wire_bytes_total",
 		"HTTP body bytes streamed per (subject, policy fingerprint).", "counter", wire)
 	promLabeledSeries(w, "xmlac_subject_bytes_decrypted_total",
-		"Bytes decrypted per (subject, policy fingerprint), amortized for shared scans.", "counter", decrypted)
-	promLabeledSeries(w, "xmlac_subject_cache_hits_total",
-		"Compiled-policy cache hits per (subject, policy fingerprint).", "counter", hits)
+		"Bytes decrypted per (subject, policy fingerprint).", "counter", decrypted)
 	promLabeledSeries(w, "xmlac_subject_phase_seconds_total",
 		"Exclusive evaluation time per (subject, policy fingerprint, pipeline phase).", "counter", phases)
 
 	h := &snap.Histograms
 	promHistogram(w, "xmlac_view_duration_seconds",
-		"Wall time of one view evaluation (shared scans report the whole scan per subject).", h.ViewSeconds)
+		"Wall time of one view evaluation.", h.ViewSeconds)
 	promHistogram(w, "xmlac_view_wire_bytes",
-		"Ciphertext bytes transferred per view (full shared-pass cost, not amortized).", h.ViewBytes)
-	promHistogram(w, "xmlac_coalesce_batch_subjects",
-		"Subjects per executed scan batch.", h.BatchSubjects)
+		"Ciphertext bytes transferred per view.", h.ViewBytes)
 	promHistogram(w, "xmlac_view_workers",
 		"Region workers per view scan (0 = serial, including parallel requests that fell back).", h.ViewWorkers)
 }

@@ -1,3 +1,17 @@
+// Package server is the multi-tenant document server built on the xmlac
+// library: a concurrency-safe store of protected documents and per-subject
+// policies (each compiled once, when it is installed), one accounting ledger
+// holding every exported counter, and the HTTP handler set served by
+// cmd/xmlac-serve.
+//
+// The paper's architecture keeps the publisher untrusted and pushes policy
+// evaluation into each client's Secure Operating Environment. This server
+// plays the complementary role for deployments where the operator is
+// trusted: it hosts the protected documents and simulates one SOE per
+// request, so that many tenants (documents) and many subjects are served
+// concurrently from the same process while the per-request cost model
+// (bytes transferred, decrypted, skipped) stays observable through
+// /metrics.
 package server
 
 import (
@@ -23,9 +37,6 @@ import (
 
 // Options tunes a Server.
 type Options struct {
-	// CacheCapacity is the total number of compiled policies kept across the
-	// cache shards (<= 0 selects the default of 1024).
-	CacheCapacity int
 	// SessionIdle is the idle duration after which a session is dropped
 	// (<= 0 selects DefaultSessionIdle).
 	SessionIdle time.Duration
@@ -35,26 +46,12 @@ type Options struct {
 	// MaxDocumentBytes bounds the accepted XML body size (<= 0 selects
 	// 64 MiB).
 	MaxDocumentBytes int64
-	// CoalesceWindow is how long the first GET /view request of a wave waits
-	// for other subjects of the same (document, blob etag) to join its shared
-	// scan (<= 0 selects DefaultCoalesceWindow). The window bounds the
-	// latency cost of coalescing on idle traffic; under load it converts N
-	// concurrent decrypt/parse passes into one.
-	CoalesceWindow time.Duration
-	// CoalesceMaxSubjects caps the subjects sharing one scan (<= 0 selects
-	// DefaultCoalesceMaxSubjects). Filling the cap seals the batch without
-	// waiting out the window.
-	CoalesceMaxSubjects int
-	// DisableCoalescing turns request coalescing off: every GET /view runs
-	// its own scan (the pre-coalescing behaviour).
-	DisableCoalescing bool
 	// ViewParallelism, when >= 2, lets view scans run the region-parallel
 	// evaluation (ViewOptions.Parallelism) with up to this many workers per
 	// scan. It is both the default and the cap: a request may lower it with
 	// ?parallel=N (N=0/1 forces the serial scan) but never raise it, so the
 	// operator bounds the per-request core budget. 0 (the default) keeps
-	// every scan serial. Coalesced shared scans parallelize as one unit:
-	// the batch runs at the largest parallelism among its members.
+	// every scan serial.
 	ViewParallelism int
 
 	// DataDir enables the durable storage engine rooted at this directory:
@@ -91,24 +88,21 @@ type Options struct {
 	// Metrics.PhaseBreakdown stays zero.
 	DisableTracing bool
 
-	// clock overrides the wall clock for coalescing windows and session
-	// expiry; tests inject a fake to drive time deterministically. nil
-	// selects the real clock.
+	// clock overrides the wall clock for session expiry, store timestamps
+	// and access-log timing; tests inject a fake to drive time
+	// deterministically. nil selects the real clock.
 	clock clock
 }
 
 // Server is the multi-tenant document server: protected documents and
-// per-subject policies live in the Store, compiled policies are shared
-// through the PolicyCache, and every view counter the server exports lives
-// in its accounting ledger. Every method on the HTTP surface is safe for
-// arbitrary concurrency.
+// per-subject compiled policies live in the Store, and every view counter
+// the server exports lives in its accounting ledger. Every method on the
+// HTTP surface is safe for arbitrary concurrency.
 type Server struct {
 	store    *Store
-	cache    *PolicyCache
 	ledger   *ledger
 	requests atomic.Int64 // HTTP requests, outside the ledger's lock
 	updates  updateTally
-	coalesce *coalescer // nil when coalescing is disabled
 	opts     Options
 	started  time.Time
 	logger   *slog.Logger
@@ -152,7 +146,6 @@ func Open(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		store:   newStoreWithClock(opts.clock),
-		cache:   NewPolicyCache(opts.CacheCapacity),
 		ledger:  newLedger(opts.SessionIdle, opts.clock),
 		opts:    opts,
 		started: time.Now(),
@@ -160,9 +153,6 @@ func Open(opts Options) (*Server, error) {
 	}
 	if !opts.DisableTracing {
 		s.trace = xmlac.NewTrace(opts.TraceBufferSize)
-	}
-	if !opts.DisableCoalescing {
-		s.coalesce = newCoalescer(opts.CoalesceWindow, opts.CoalesceMaxSubjects, opts.clock)
 	}
 	if opts.DataDir != "" {
 		eng, err := storage.Open(opts.DataDir, storage.Options{NoSync: opts.StorageNoSync})
@@ -207,38 +197,27 @@ func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 func (s *Server) Store() *Store { return s.store }
 
 // RegisterDocument registers (or replaces) a document through the full
-// server pipeline: store install, cache/session/coalescer invalidation, and
-// the durable registration record when persistence is enabled. An empty
-// scheme selects the server default. PUT /docs/{id} and the demo preload go
-// through here so both are durable.
+// server pipeline: session invalidation, store install and the durable
+// registration record when persistence is enabled. An empty scheme selects
+// the server default. PUT /docs/{id} and the demo preload go through here so
+// both are durable.
 func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.Scheme) (*DocumentEntry, error) {
 	if scheme == "" {
 		scheme = s.opts.DefaultScheme
 	}
 	defer s.persist.hold()()
-	// Invalidate before installing so cache and session state created for the
-	// new document by concurrent requests is never dropped. (Leftover
-	// old-document cache entries are harmless: keys are content-addressed by
-	// policy hash.)
-	s.cache.InvalidateDoc(id)
+	// Drop sessions before installing so session state created for the new
+	// document by concurrent requests is never dropped.
 	s.ledger.dropDocument(id)
-	entry, err := s.store.RegisterXML(id, xmlText, passphrase, scheme)
-	if err != nil {
-		return nil, err
-	}
-	// A re-registration replaces the blob a coalescing batch may have been
-	// admitted against: seal open batches (like PATCH does) so no shared scan
-	// admitted for the old document runs after the replacement.
-	if s.coalesce != nil {
-		s.coalesce.invalidateDoc(id)
-	}
-	if err := s.persist.logRegister(entry); err != nil {
-		return nil, fmt.Errorf("%w: registration of %q: %w", errDurability, id, err)
-	}
-	return entry, nil
+	return s.store.registerXML(id, xmlText, passphrase, scheme, func(entry *DocumentEntry) error {
+		if err := s.persist.logRegister(entry); err != nil {
+			return fmt.Errorf("%w: registration of %q: %w", errDurability, id, err)
+		}
+		return nil
+	})
 }
 
-// InstallPolicy validates and installs one subject's policy over a document,
+// InstallPolicy compiles and installs one subject's policy over a document,
 // writing the durable policy record when persistence is enabled.
 func (s *Server) InstallPolicy(docID, subject string, policy xmlac.Policy) (string, error) {
 	entry, err := s.store.Entry(docID)
@@ -246,22 +225,13 @@ func (s *Server) InstallPolicy(docID, subject string, policy xmlac.Policy) (stri
 		return "", err
 	}
 	defer s.persist.hold()()
-	hash, err := entry.SetPolicy(subject, policy, s.opts.clock.Now())
-	if err != nil {
-		return "", err
-	}
-	rec, err := entry.PolicyFor(subject)
-	if err == nil {
-		err = s.persist.logPolicy(entry.ID, subject, rec)
-	}
-	if err != nil {
-		return "", fmt.Errorf("%w: policy %q/%q: %w", errDurability, docID, subject, err)
-	}
-	return hash, nil
+	return entry.SetPolicy(subject, policy, s.opts.clock.Now(), func(rec PolicyRecord) error {
+		if err := s.persist.logPolicy(entry.ID, subject, rec); err != nil {
+			return fmt.Errorf("%w: policy %q/%q: %w", errDurability, docID, subject, err)
+		}
+		return nil
+	})
 }
-
-// Cache exposes the compiled-policy cache.
-func (s *Server) Cache() *PolicyCache { return s.cache }
 
 // Handler returns the HTTP handler serving the API:
 //
@@ -325,6 +295,22 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// statusOf maps a failed mutation to its HTTP status; fallback covers the
+// errors no sentinel names.
+func statusOf(err error, fallback int) int {
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, ErrRetired):
+		return http.StatusConflict
+	case errors.Is(err, errDurability):
+		return http.StatusInternalServerError
+	case errors.Is(err, xmlac.ErrInvalidEdit):
+		return http.StatusUnprocessableEntity
+	}
+	return fallback
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -355,11 +341,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	passphrase := r.Header.Get("X-Xmlac-Passphrase")
 	entry, err := s.RegisterDocument(id, string(body), passphrase, scheme)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, errDurability) {
-			status = http.StatusInternalServerError
-		}
-		httpError(w, status, "%v", err)
+		httpError(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, entry.Info())
@@ -380,9 +362,10 @@ type patchPayload struct {
 }
 
 // handlePatchDoc applies subtree edits as the document's next version:
-// chunk-granular re-encryption, a fresh per-version ETag, compiled-policy
-// and coalescer invalidation, and the step delta retained for remote chunk
-// caches. The whole batch applies atomically or not at all.
+// chunk-granular re-encryption, a fresh per-version ETag and the step delta
+// retained for remote chunk caches. The whole batch applies atomically or
+// not at all; a PATCH that lost a race against a PUT or DELETE of the
+// document applies nothing and answers 409.
 func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	entry, err := s.store.Entry(id)
@@ -405,15 +388,6 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	release := s.persist.hold()
 	version, delta, err := entry.Update(edits, func(delta *xmlac.UpdateDelta) error {
-		// Compiled policies do not depend on document content, but
-		// invalidating them on every content change keeps the cache's
-		// lifecycle rule simple (one rule for replace and update alike);
-		// recompilation is cheap and lazy. Open coalescing batches of the
-		// old blob are sealed so the next wave keys on the new etag.
-		s.cache.InvalidateDoc(id)
-		if s.coalesce != nil {
-			s.coalesce.invalidateDoc(id)
-		}
 		if err := s.persist.logPatch(entry, delta); err != nil {
 			return fmt.Errorf("persisting update: %w", err)
 		}
@@ -422,11 +396,7 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	release()
 	if err != nil {
 		s.updates.record(nil)
-		status := http.StatusInternalServerError
-		if errors.Is(err, xmlac.ErrInvalidEdit) {
-			status = http.StatusUnprocessableEntity
-		}
-		httpError(w, status, "%v", err)
+		httpError(w, statusOf(err, http.StatusInternalServerError), "%v", err)
 		return
 	}
 	s.updates.record(delta)
@@ -497,20 +467,15 @@ func (s *Server) handleGetDoc(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	defer s.persist.hold()()
-	if !s.store.Remove(id) {
-		httpError(w, http.StatusNotFound, "document %q not found", id)
-		return
-	}
-	s.cache.InvalidateDoc(id)
-	s.ledger.dropDocument(id)
-	// Open coalescing batches of the deleted document are sealed — exactly as
-	// on PATCH and re-register — so no admitted batch scans the removed entry
-	// after the delete was acknowledged.
-	if s.coalesce != nil {
-		s.coalesce.invalidateDoc(id)
-	}
-	if err := s.persist.logDelete(id); err != nil {
-		httpError(w, http.StatusInternalServerError, "persisting delete: %v", err)
+	err := s.store.Remove(id, func() error {
+		s.ledger.dropDocument(id)
+		if err := s.persist.logDelete(id); err != nil {
+			return fmt.Errorf("persisting delete: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		httpError(w, statusOf(err, http.StatusInternalServerError), "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -527,10 +492,6 @@ type policyPayload struct {
 
 func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, err := s.store.Entry(id); err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
 	subject := r.PathValue("subject")
 	var payload policyPayload
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&payload); err != nil {
@@ -541,17 +502,10 @@ func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	for _, rule := range payload.Rules {
 		policy.Rules = append(policy.Rules, xmlac.Rule{ID: rule.ID, Sign: rule.Sign, Object: rule.Object})
 	}
-	if err := policy.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	// A policy that does not compile is the client's error.
 	hash, err := s.InstallPolicy(id, subject, policy)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, errDurability) {
-			status = http.StatusInternalServerError
-		}
-		httpError(w, status, "%v", err)
+		httpError(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{
@@ -585,22 +539,6 @@ func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
 		"updated_at": rec.UpdatedAt,
 		"rules":      rules,
 	})
-}
-
-// compiledFor returns the compiled policy for a subject over a document,
-// compiling and caching it on first use. The second return reports whether
-// the cache served it (the ledger accounts hits per subject).
-func (s *Server) compiledFor(entry *DocumentEntry, rec PolicyRecord, subject string) (*xmlac.CompiledPolicy, bool, error) {
-	key := cacheKey{docID: entry.ID, subject: subject, hash: rec.Hash}
-	if cp, ok := s.cache.Get(key); ok {
-		return cp, true, nil
-	}
-	cp, err := rec.Policy.Compile()
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.Put(key, cp)
-	return cp, false, nil
 }
 
 // viewFlushThreshold is how many body bytes may accumulate before the
@@ -693,19 +631,11 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		TraceID: requestID(r.Context()),
 	}
 	if opts.Query != "" {
-		// Reject bad queries with a 400 before compiling the policy.
+		// Reject bad queries with a 400 before the scan starts.
 		if err := xmlac.ValidateXPath(opts.Query); err != nil {
 			httpError(w, http.StatusBadRequest, "invalid query: %v", err)
 			return
 		}
-	}
-	cp, cacheHit, err := s.compiledFor(entry, rec, subject)
-	outcome := viewOutcome{doc: entry.ID, subject: subject, policy: rec.Hash, cacheHit: cacheHit}
-	if err != nil {
-		outcome.req = &viewRequest{result: xmlac.ViewResult{Err: err}}
-		s.ledger.recordView(outcome)
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
 	}
 
 	// The view is streamed from the evaluator into the chunked response as
@@ -725,22 +655,15 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	}, ", "))
 	flusher, _ := w.(http.Flusher)
 	vw := &viewWriter{ctx: r.Context(), w: w, flusher: flusher}
-	// Request coalescing: concurrent views of the same immutable blob join
-	// one shared scan (one decryption pass serving every joined subject)
-	// instead of each running their own; the leader's goroutine writes every
-	// member's body, so this handler's writer must stay valid until the
-	// batch result arrives — serve blocks until then. With coalescing
-	// disabled (nil coalescer) every request is its own singleton batch.
-	_, etag := entry.Blob()
-	outcome.req = s.coalesce.serve(entry.ID+"\x00"+etag, entry,
-		xmlac.CompiledView{Policy: cp, Options: opts, Output: vw})
+	// The policy was compiled when it was installed: the view is one scan of
+	// the entry with it.
+	metrics, err := entry.StreamView(rec.Compiled, opts, vw)
 	// The body is complete (or abandoned): fold the view into the ledger
 	// once, before the handler returns and the client sees the end of the
 	// response. Wire bytes are the HTTP body bytes this request put on the
 	// wire.
-	outcome.wireBytes = vw.written
-	s.ledger.recordView(outcome)
-	metrics, err := outcome.req.result.Metrics, outcome.req.result.Err
+	s.ledger.recordView(viewOutcome{doc: entry.ID, subject: subject, policy: rec.Hash,
+		wireBytes: vw.written, metrics: metrics, err: err})
 	if err != nil {
 		if vw.written == 0 {
 			// Nothing was committed yet (reader setup failed, integrity
@@ -756,10 +679,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}
 	// The headers are committed (first body byte or the line above), so
-	// these land in the trailer section. Trailers carry the view's own
-	// metrics (the full shared-pass costs for a coalesced view, as
-	// AuthorizedViewsCompiled documents); the ledger folds the amortized
-	// share so /metrics totals sum to physical work.
+	// these land in the trailer section.
 	h.Set(trailerBytesTransferred, strconv.FormatInt(metrics.BytesTransferred, 10))
 	h.Set(trailerBytesSkipped, strconv.FormatInt(metrics.BytesSkipped, 10))
 	h.Set(trailerNodesPermitted, strconv.FormatInt(metrics.NodesPermitted, 10))
@@ -792,7 +712,12 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 // handleBlob range-serves the encrypted container. http.ServeContent
 // provides single- and multi-range responses (206 / multipart/byteranges),
 // If-None-Match revalidation (304 against the ETag set below) and If-Range
-// guards, so a remote chunk cache revalidates for free.
+// guards, so a remote chunk cache revalidates for free. The per-version ETag
+// is the only validator: HTTP dates have one-second resolution and several
+// PATCHes can land within a second, so a modification date would let
+// If-Modified-Since or a date If-Range serve stale or torn bytes. The zero
+// time sends no Last-Modified and makes ServeContent ignore both date
+// preconditions.
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	entry, err := s.store.Entry(r.PathValue("id"))
 	if err != nil {
@@ -802,7 +727,7 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	blob, etag := entry.Blob()
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeContent(w, r, "", entry.CreatedAt, bytes.NewReader(blob))
+	http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
 }
 
 // handleFragmentHashes serves the ciphertext fragment hashes of one chunk
@@ -860,8 +785,8 @@ func buildInfoSummary() map[string]string {
 }
 
 // snapshot reads every exported counter at once: the ledger's state plus the
-// gauges of the store, the policy cache, the coalescer configuration and the
-// storage engine. k ranks the cost buckets (<= 0 selects defaultCostTopK).
+// gauges of the store and the storage engine. k ranks the cost buckets (<= 0
+// selects defaultCostTopK).
 func (s *Server) snapshot(k int) *metricsSnapshot {
 	snap := s.ledger.snapshot(k)
 	snap.Requests = s.requests.Load()
@@ -870,12 +795,6 @@ func (s *Server) snapshot(k int) *metricsSnapshot {
 	snap.GoVersion = runtime.Version()
 	snap.Build = buildInfoSummary()
 	snap.Documents = s.store.Len()
-	snap.PolicyCache.Entries = s.cache.Len()
-	if s.coalesce != nil {
-		snap.Coalescing.Enabled = true
-		snap.Coalescing.WindowMs = float64(s.coalesce.window) / float64(time.Millisecond)
-		snap.Coalescing.MaxSubjects = s.coalesce.maxSubjects
-	}
 	if s.persist != nil {
 		snap.Storage.Enabled = true
 		snap.Storage.Stats = s.persist.engine.Stats()

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -16,6 +17,11 @@ import (
 
 // ErrNotFound is returned for unknown documents or subjects.
 var ErrNotFound = errors.New("server: not found")
+
+// ErrRetired is returned by a mutation whose document entry a concurrent
+// PUT replaced or DELETE removed before the mutation could apply: it lost
+// the race, applied nothing and logged nothing.
+var ErrRetired = errors.New("server: document was replaced or deleted concurrently")
 
 // Store is the concurrency-safe registry of protected documents and their
 // per-subject policies. Each document is protected (compressed, encrypted,
@@ -62,9 +68,16 @@ type DocumentEntry struct {
 	// recovery can re-derive the key with DeriveKey.
 	passphrase string
 
-	// updateMu serializes updates end to end (edit application, blob
-	// re-marshal, delta retention), keeping the version chain linear.
+	// updateMu orders every mutation of the entry end to end, its durable
+	// record included: PATCHes (edit application, blob re-marshal, delta
+	// retention), policy installs, the registration that published the entry
+	// and the PUT or DELETE that retires it. The version chain stays linear
+	// and the log holds one document id's records in the order they applied.
 	updateMu sync.Mutex
+	// retired marks an entry a PUT replaced or a DELETE removed; a mutation
+	// that finds it set under updateMu lost the race (ErrRetired). Guarded by
+	// updateMu.
+	retired bool
 
 	// mu guards the whole untrusted-blob surface as one consistent unit —
 	// marshalled blob, its entity tag, the manifest, the version and the
@@ -90,9 +103,11 @@ type DocumentEntry struct {
 // full re-sync, exactly as if the document had been re-registered.
 const maxRetainedDeltas = 64
 
-// PolicyRecord is one subject's policy with its content fingerprint.
+// PolicyRecord is one subject's policy with its content fingerprint and its
+// compiled form, built once when the policy is installed or replayed.
 type PolicyRecord struct {
 	Policy    xmlac.Policy
+	Compiled  *xmlac.CompiledPolicy
 	Hash      string
 	UpdatedAt time.Time
 }
@@ -114,6 +129,11 @@ type DocumentInfo struct {
 // passphrase; an empty passphrase derives a deterministic per-document
 // default (fine for demos, not for production).
 func (s *Store) RegisterXML(id, xmlText, passphrase string, scheme xmlac.Scheme) (*DocumentEntry, error) {
+	return s.registerXML(id, xmlText, passphrase, scheme, nil)
+}
+
+// registerXML is RegisterXML with the commit hook install describes.
+func (s *Store) registerXML(id, xmlText, passphrase string, scheme xmlac.Scheme, commit func(*DocumentEntry) error) (*DocumentEntry, error) {
 	doc, err := xmlac.ParseDocumentString(xmlText)
 	if err != nil {
 		return nil, fmt.Errorf("server: parsing document %q: %w", id, err)
@@ -127,7 +147,7 @@ func (s *Store) RegisterXML(id, xmlText, passphrase string, scheme xmlac.Scheme)
 		return nil, fmt.Errorf("server: protecting document %q: %w", id, err)
 	}
 	reg := registerMeta{Scheme: string(scheme), Passphrase: passphrase, CreatedAt: s.clock.Now(), Stats: doc.Stats()}
-	return s.install(id, reg, prot, prot.Marshal(), nil), nil
+	return s.install(id, reg, prot, prot.Marshal(), nil, commit)
 }
 
 // install builds the entry of one protected container and publishes it
@@ -136,7 +156,14 @@ func (s *Store) RegisterXML(id, xmlText, passphrase string, scheme xmlac.Scheme)
 // (trusted demo mode, the same single-machine configuration that holds the
 // key in memory), and the ETag, manifest and version from the blob, so a
 // recovered entry serves exactly what the live one did.
-func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob []byte, deltas []*xmlac.UpdateDelta) *DocumentEntry {
+//
+// The new entry is published holding its update lock, which is released
+// only once the entry it replaces is retired and commit (when non-nil: the
+// registration record) has run. So a mutation of the replaced entry either
+// logged before the registration or finds the entry retired, and every
+// mutation of the new entry logs after it. commit's error is returned with
+// the published entry.
+func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob []byte, deltas []*xmlac.UpdateDelta, commit func(*DocumentEntry) error) (*DocumentEntry, error) {
 	entry := &DocumentEntry{
 		ID:         id,
 		Scheme:     xmlac.Scheme(reg.Scheme),
@@ -152,10 +179,21 @@ func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob
 		deltas:     deltas,
 		policies:   make(map[string]PolicyRecord),
 	}
+	entry.updateMu.Lock()
+	defer entry.updateMu.Unlock()
 	s.mu.Lock()
+	old := s.docs[id]
 	s.docs[id] = entry
 	s.mu.Unlock()
-	return entry
+	if old != nil {
+		old.updateMu.Lock()
+		old.retired = true
+		old.updateMu.Unlock()
+	}
+	if commit == nil {
+		return entry, nil
+	}
+	return entry, commit(entry)
 }
 
 // etagOf is the strong entity tag of a blob with the given SHA-256: the
@@ -175,13 +213,32 @@ func (s *Store) Entry(id string) (*DocumentEntry, error) {
 	return entry, nil
 }
 
-// Remove deletes a document; it reports whether the document existed.
-func (s *Store) Remove(id string) bool {
+// Remove deletes the document registered under id. commit, when non-nil,
+// runs under the entry's update lock once the entry is retired and before it
+// leaves the store: the delete record lands after every record of the entry
+// and before the registration of any document that replaces it. Remove
+// returns ErrNotFound for an unknown id, ErrRetired when a concurrent PUT or
+// DELETE retired the entry first, and otherwise commit's error.
+func (s *Store) Remove(id string, commit func() error) error {
+	entry, err := s.Entry(id)
+	if err != nil {
+		return err
+	}
+	entry.updateMu.Lock()
+	defer entry.updateMu.Unlock()
+	if entry.retired {
+		return ErrRetired
+	}
+	entry.retired = true
+	if commit != nil {
+		err = commit()
+	}
 	s.mu.Lock()
-	_, ok := s.docs[id]
-	delete(s.docs, id)
+	if s.docs[id] == entry {
+		delete(s.docs, id)
+	}
 	s.mu.Unlock()
-	return ok
+	return err
 }
 
 // Len returns the number of registered documents.
@@ -226,19 +283,33 @@ func (e *DocumentEntry) Info() DocumentInfo {
 	}
 }
 
-// SetPolicy validates and installs the policy of one subject over the
-// document, stamped updatedAt, returning its fingerprint. Recovery reinstalls
-// a policy with its original stamp; the fingerprint is content-addressed.
-func (e *DocumentEntry) SetPolicy(subject string, policy xmlac.Policy, updatedAt time.Time) (string, error) {
+// SetPolicy compiles and installs the policy of one subject over the
+// document, stamped updatedAt, and returns its fingerprint. Live installs and
+// recovery both come through here, so every policy is compiled exactly once
+// per install or replayed record; recovery reinstalls a policy with its
+// original stamp. commit, when non-nil, runs under the entry's update lock
+// with the installed record, so the policy record lands before the record of
+// the PUT or DELETE that retires the entry. A retired entry installs nothing
+// (ErrRetired).
+func (e *DocumentEntry) SetPolicy(subject string, policy xmlac.Policy, updatedAt time.Time, commit func(PolicyRecord) error) (string, error) {
 	policy.Subject = subject
-	hash, err := policy.Fingerprint()
+	cp, err := policy.Compile()
 	if err != nil {
 		return "", err
 	}
+	rec := PolicyRecord{Policy: policy, Compiled: cp, Hash: cp.Hash(), UpdatedAt: updatedAt}
+	e.updateMu.Lock()
+	defer e.updateMu.Unlock()
+	if e.retired {
+		return "", ErrRetired
+	}
 	e.mu.Lock()
-	e.policies[subject] = PolicyRecord{Policy: policy, Hash: hash, UpdatedAt: updatedAt}
+	e.policies[subject] = rec
 	e.mu.Unlock()
-	return hash, nil
+	if commit != nil {
+		err = commit(rec)
+	}
+	return rec.Hash, err
 }
 
 // PolicyFor returns the policy record of a subject.
@@ -264,15 +335,11 @@ func (e *DocumentEntry) Subjects() []string {
 	return out
 }
 
-// StreamViews evaluates one or more subjects' compiled policies over a
-// single shared scan of the protected document (one decryption and integrity
-// pass for the whole batch), streaming each subject's view into its own
-// writer. One subject's failing writer surfaces in its ViewResult; the other
-// subjects' views are unaffected. Every GET /view runs through it: coalesced
-// batches, singleton batches, late arrivals and, with coalescing disabled,
-// each request alone.
-func (e *DocumentEntry) StreamViews(views []xmlac.CompiledView) ([]xmlac.ViewResult, error) {
-	return e.prot.AuthorizedViewsCompiled(e.key, views)
+// StreamView evaluates one compiled policy over the protected document in a
+// one-view scan, streaming the authorized view to w. Every GET /view runs
+// through it.
+func (e *DocumentEntry) StreamView(cp *xmlac.CompiledPolicy, opts xmlac.ViewOptions, w io.Writer) (*xmlac.Metrics, error) {
+	return e.prot.StreamAuthorizedViewCompiled(e.key, cp, opts, w)
 }
 
 // Blob returns the marshalled protected container and its strong ETag, a
@@ -301,10 +368,14 @@ var ErrDeltaUnavailable = errors.New("server: update delta unavailable for that 
 // finish on the version they started with. commit, when non-nil, runs once
 // the version is published, still under the update lock, so the durable
 // records of one document are logged in the order its versions applied;
-// its error is returned with the applied version.
+// its error is returned with the applied version. A retired entry applies
+// nothing (ErrRetired).
 func (e *DocumentEntry) Update(edits []xmlac.Edit, commit func(*xmlac.UpdateDelta) error) (uint64, *xmlac.UpdateDelta, error) {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
+	if e.retired {
+		return 0, nil, ErrRetired
+	}
 	version, delta, err := e.prot.Update(e.key, edits)
 	if err != nil {
 		return 0, nil, err

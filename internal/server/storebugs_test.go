@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -14,78 +13,8 @@ import (
 )
 
 // Regression tests for the latent server-store bugs fixed alongside the
-// storage engine: coalescing batches surviving PUT re-registration and
-// DELETE, the retained-delta trim pinning evicted deltas through the shared
-// backing array, and time.Now() calls bypassing the injected clock.
-
-// startBlockedView issues a view request that leads a coalescing batch whose
-// join window (driven by a fake clock that never advances) cannot elapse,
-// then waits until the batch is provably open. The returned channel yields
-// the response when something other than the window — the invalidation under
-// test — releases the leader.
-func startBlockedView(t *testing.T, srv *Server, ts *httptest.Server, doc, subject string) chan int {
-	t.Helper()
-	done := make(chan int, 1)
-	go func() {
-		resp, _ := do(t, http.MethodGet, ts.URL+"/docs/"+doc+"/view?subject="+subject, "")
-		done <- resp.StatusCode
-	}()
-	for srv.coalesce.openBatchCount() == 0 {
-		select {
-		case status := <-done:
-			t.Fatalf("leader finished (status %d) before anything sealed the batch", status)
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	return done
-}
-
-// awaitRelease fails the test unless the blocked leader completes promptly —
-// on the unfixed code the batch stays open until the (never-elapsing) window
-// fires, so the request hangs.
-func awaitRelease(t *testing.T, done chan int, op string) {
-	t.Helper()
-	select {
-	case status := <-done:
-		if status != http.StatusOK {
-			t.Fatalf("view released by %s: status %d, want 200", op, status)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s did not seal the open coalescing batch: leader still blocked", op)
-	}
-}
-
-// TestCoalescerSealedOnReplaceAndDelete: PUT re-registration and DELETE must
-// seal open coalescing batches exactly as PATCH does — a batch admitted
-// against the old blob must not keep waiting for joiners after the document
-// it keyed on was replaced or removed.
-func TestCoalescerSealedOnReplaceAndDelete(t *testing.T) {
-	fc := newFakeClock()
-	srv := newServerOpts(t, Options{CoalesceWindow: time.Hour, clock: fc})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	putDoc(t, ts, "doc", hospitalXML(3))
-	putPolicy(t, ts, "doc", "secretary", secretaryRulesJSON)
-
-	// Re-registration seals the batch; the leader finishes on the snapshot it
-	// was admitted with.
-	done := startBlockedView(t, srv, ts, "doc", "secretary")
-	if resp, body := do(t, http.MethodPut, ts.URL+"/docs/doc", hospitalXML(3)); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT re-registration: %d %s", resp.StatusCode, body)
-	}
-	awaitRelease(t, done, "PUT re-registration")
-
-	// DELETE seals the batch too. (Re-registration replaced the entry and
-	// dropped its policies, so the profile is installed again first.)
-	putPolicy(t, ts, "doc", "secretary", secretaryRulesJSON)
-	done = startBlockedView(t, srv, ts, "doc", "secretary")
-	if resp, body := do(t, http.MethodDelete, ts.URL+"/docs/doc", ""); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("DELETE: %d %s", resp.StatusCode, body)
-	}
-	awaitRelease(t, done, "DELETE")
-}
+// storage engine: the retained-delta trim pinning evicted deltas through the
+// shared backing array, and time.Now() calls bypassing the injected clock.
 
 // TestRetainedDeltaTrimReleasesEvicted pins the memory-leak fix in
 // appendRetained: once a delta falls out of the retention window it must
@@ -127,7 +56,7 @@ func TestRetainedDeltaTrimReleasesEvicted(t *testing.T) {
 func TestStoreTimestampsUseInjectedClock(t *testing.T) {
 	fc := newFakeClock()
 	epoch := fc.Now()
-	srv := newServerOpts(t, Options{DisableCoalescing: true, clock: fc})
+	srv := newServerOpts(t, Options{clock: fc})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -155,7 +84,7 @@ func TestStoreTimestampsUseInjectedClock(t *testing.T) {
 // directly and logged real elapsed time regardless of the clock option.
 func TestAccessLogDurationUsesInjectedClock(t *testing.T) {
 	fc := newFakeClock()
-	_, ts, buf := newLoggedServer(t, Options{DisableCoalescing: true, clock: fc})
+	_, ts, buf := newLoggedServer(t, Options{clock: fc})
 	putDoc(t, ts, "doc", hospitalXML(2))
 	putPolicy(t, ts, "doc", "secretary", secretaryRulesJSON)
 	getOK(t, ts.URL+"/docs/doc/view?subject=secretary")

@@ -161,13 +161,13 @@ func TestPatchDocumentRejectsBadEdits(t *testing.T) {
 	}
 }
 
-// TestConcurrentPatchAndCoalescedViews is the update/read race test: two
-// writers PATCH disjoint fields of the same document while a fleet of
-// readers pulls coalesced GET /view batches. Every response must be one
+// TestConcurrentPatchAndViews is the update/read race test: two writers
+// PATCH disjoint fields of the same document while a fleet of readers pulls
+// concurrent GET /view responses. Every response must be one
 // consistent version — byte-identical to the expected view of some
 // (writer-A-progress, writer-B-progress) state — never a torn mix of two
 // versions. Run under -race in CI (the whole test job is).
-func TestConcurrentPatchAndCoalescedViews(t *testing.T) {
+func TestConcurrentPatchAndViews(t *testing.T) {
 	srv, ts := newTestServer(t)
 	const folders = 6
 	xml := xmlstream.SerializeTree(dataset.HospitalFolders(folders, 7), false)

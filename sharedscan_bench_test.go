@@ -10,7 +10,7 @@ import (
 // BenchmarkSharedScan measures the shared-scan fan-out on the scale-1.0
 // hospital document (the paper's evaluation dataset at full size): N
 // administrative-clerk subjects request views of the same document, served
-// either by N independent scans ("solo", the pre-coalescing behaviour,
+// either by N independent scans ("solo", how the server serves GET /view,
 // linear in N) or by one multicast scan ("multicast", one
 // decrypt/integrity/parse pass dispatching to N automata). The amortization
 // target: 16 multicast subjects cost well under 4x one solo subject, where

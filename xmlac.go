@@ -163,15 +163,10 @@
 // views cost thousands of working sets. The evaluation metrics travel as
 // HTTP trailers (they are not known when the headers go out), and a client
 // that disconnects mid-view cancels the request context and stops the
-// evaluation mid-document. Compiled policies are shared across requests
-// through a sharded LRU cache keyed on (document, subject, policy hash);
-// GET /metrics aggregates the Metrics counters of every evaluation across
-// requests and sessions. Concurrent views of the same (document, blob etag)
-// are coalesced into one shared scan: the first request of a wave waits a
-// small window for company, a per-scan subject cap seals a full batch
-// immediately, and arrivals during a running scan run their own singleton
-// batch on the same engine; GET /metrics reports per-document shared_scans
-// and a subjects_per_scan histogram.
+// evaluation mid-document. Each policy is compiled once, when it is
+// installed, and every view of its subject runs one scan with that compiled
+// form; GET /metrics aggregates the Metrics counters of every evaluation
+// across requests and sessions.
 //
 // # Remote SOE
 //
