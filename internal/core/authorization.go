@@ -183,11 +183,15 @@ func (e *authEntry) status() entryStatus {
 }
 
 // authLevel groups the entries pushed at one document depth, i.e. one level
-// of the Authorization Stack.
+// of the Authorization Stack. A level is immutable once pushed, because
+// pending nodes keep snapshots of the stack.
 type authLevel struct {
-	depth   int
 	entries []*authEntry
 }
+
+// emptyLevel is the level of every depth where no rule instance starts; being
+// immutable, one value serves them all.
+var emptyLevel = &authLevel{}
 
 // decideLevels implements the conflict-resolution algorithm of Figure 4 over
 // a snapshot of Authorization Stack levels (query entries excluded), from

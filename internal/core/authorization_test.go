@@ -120,8 +120,15 @@ func TestDecideQueryAndCombine(t *testing.T) {
 	}
 }
 
+// newTreeBuilder returns a builder that materializes its view.
+func newTreeBuilder() *resultBuilder {
+	b := &resultBuilder{}
+	b.reset(nil, false)
+	return b
+}
+
 func TestResultBuilderStructuralRule(t *testing.T) {
-	b := newResultBuilder(false)
+	b := newTreeBuilder()
 	b.openElement("root", Deny, Deny, nil, false)
 	b.openElement("secret", Deny, Deny, nil, false)
 	b.openElement("leaf", Permit, Permit, nil, false)
@@ -143,7 +150,7 @@ func TestResultBuilderStructuralRule(t *testing.T) {
 }
 
 func TestResultBuilderPendingResolution(t *testing.T) {
-	b := newResultBuilder(false)
+	b := newTreeBuilder()
 	b.openElement("root", Deny, Deny, nil, false)
 	n := b.openElement("maybe", Pending, Pending, nil, false)
 	b.text("value")
@@ -172,7 +179,7 @@ func TestResultBuilderPendingResolution(t *testing.T) {
 }
 
 func TestResultBuilderPendingDefaultsToDeny(t *testing.T) {
-	b := newResultBuilder(false)
+	b := newTreeBuilder()
 	b.openElement("root", Permit, Permit, nil, false)
 	b.openElement("maybe", Pending, Pending, nil, false)
 	b.text("hidden")
@@ -189,7 +196,7 @@ func TestResultBuilderPendingDefaultsToDeny(t *testing.T) {
 }
 
 func TestResultBuilderUnbalanced(t *testing.T) {
-	b := newResultBuilder(false)
+	b := newTreeBuilder()
 	b.openElement("root", Permit, Permit, nil, false)
 	if _, err := b.finalize(); err == nil {
 		t.Fatal("unbalanced result must fail")

@@ -12,12 +12,11 @@ import (
 )
 
 // MetaProvider is implemented by event readers that carry Skip-index
-// metadata (internal/skipindex). CurrentDescendantTags returns the set of
-// element tags appearing in the subtree rooted at the most recently opened
-// element; the boolean is false when the metadata is unavailable (plain
-// event streams, leaf elements).
+// metadata (internal/skipindex). HasDescendantTag reports whether an element
+// tag appears in the subtree rooted at the most recently opened element;
+// known is false when the metadata is unavailable.
 type MetaProvider interface {
-	CurrentDescendantTags() (map[string]struct{}, bool)
+	HasDescendantTag(name string) (has, known bool)
 }
 
 // Options tunes an evaluation run.
@@ -104,7 +103,8 @@ type Evaluator struct {
 	skipper xmlstream.Skipper
 
 	// tokenStack[d] holds the tokens that can fire on events at depth d+1;
-	// tokenStack[0] is the initial token set.
+	// tokenStack[0] is the initial token set. Levels are filtered in place
+	// and their arrays reused once popped (spareTokenLevel).
 	tokenStack [][]automaton.Token
 	// authLevels[d-1] is the Authorization Stack level created at depth d.
 	authLevels []*authLevel
@@ -184,11 +184,10 @@ func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts
 	} else {
 		clear(e.anchorIndex)
 	}
-	if opts.Sink != nil {
-		e.builder = newSinkResultBuilder(opts.Sink, opts.DummyDeniedNames)
-	} else {
-		e.builder = newResultBuilder(opts.DummyDeniedNames)
+	if e.builder == nil {
+		e.builder = &resultBuilder{}
 	}
+	e.builder.reset(opts.Sink, opts.DummyDeniedNames)
 
 	if !opts.DisableSkipIndex {
 		if mp, ok := reader.(MetaProvider); ok {
@@ -300,15 +299,15 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 
 	if e.blanketPermitDepth > 0 {
 		// Whole-subtree Permit already decided: deliver without evaluation.
-		e.tokenStack = append(e.tokenStack, nil)
-		e.authLevels = append(e.authLevels, &authLevel{depth: depth})
+		e.tokenStack = append(e.tokenStack, e.spareTokenLevel())
+		e.authLevels = append(e.authLevels, emptyLevel)
 		e.builder.openElement(ev.Name, Permit, Permit, nil, e.hasQuery)
 		e.metrics.NodesPermitted++
 		return nil
 	}
 
 	top := e.tokenStack[len(e.tokenStack)-1]
-	newLevel := make([]automaton.Token, 0, len(top))
+	newLevel := e.spareTokenLevel()
 	var newEntries []*authEntry
 	// Query existence predicates satisfied by the element being opened are
 	// collected here and gated on the element's access decision after it has
@@ -387,7 +386,11 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 	}
 
 	e.tokenStack = append(e.tokenStack, newLevel)
-	e.authLevels = append(e.authLevels, &authLevel{depth: depth, entries: newEntries})
+	level := emptyLevel
+	if len(newEntries) > 0 {
+		level = &authLevel{entries: newEntries}
+	}
+	e.authLevels = append(e.authLevels, level)
 	if len(newLevel) > e.metrics.MaxTokenLevel {
 		e.metrics.MaxTokenLevel = len(newLevel)
 	}
@@ -628,16 +631,23 @@ func (e *Evaluator) resolveDeferrals(node *resultNode) {
 	}
 }
 
+// spareTokenLevel returns an empty token level for the next depth, backed by
+// the array that depth used last, so opening an element reuses the Token
+// Stack's storage instead of allocating a level. Each depth owns its array,
+// so levels never alias one another.
+func (e *Evaluator) spareTokenLevel() []automaton.Token {
+	if n := len(e.tokenStack); n < cap(e.tokenStack) {
+		return e.tokenStack[:n+1][n][:0]
+	}
+	return nil
+}
+
 // filterTokensWithIndex applies the Skip-index RemainingLabels test: a token
 // whose remaining labels are not all present in the descendant-tag set of
 // the element just opened cannot reach a final state inside this subtree and
 // is removed from the top of the Token Stack.
 func (e *Evaluator) filterTokensWithIndex() {
 	if e.meta == nil {
-		return
-	}
-	descTags, ok := e.meta.CurrentDescendantTags()
-	if !ok {
 		return
 	}
 	top := e.tokenStack[len(e.tokenStack)-1]
@@ -651,7 +661,14 @@ func (e *Evaluator) filterTokensWithIndex() {
 		}
 		reachable := true
 		for l := range labels {
-			if _, present := descTags[l]; !present {
+			has, known := e.meta.HasDescendantTag(l)
+			if !known {
+				// No metadata for this element. Every query about it
+				// answers alike, so this is the first one and no token
+				// has been dropped yet.
+				return
+			}
+			if !has {
 				reachable = false
 				break
 			}
@@ -708,7 +725,7 @@ func (e *Evaluator) maybeSuspendOrSkip(depth int) error {
 		}
 	}
 	// Suspend every navigational token: they cannot change the outcome.
-	var ptOnly []automaton.Token
+	ptOnly := top[:0]
 	for _, t := range top {
 		if !t.Path.IsNav() {
 			ptOnly = append(ptOnly, t)

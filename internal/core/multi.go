@@ -49,14 +49,14 @@ func (f *subjectFeed) Next() (xmlstream.Event, error) {
 	return xmlstream.Event{}, errMultiFeedNext
 }
 
-// CurrentDescendantTags implements MetaProvider by delegation: the shared
+// HasDescendantTag implements MetaProvider by delegation: the shared
 // decoder's most recently opened element is exactly the element every subject
 // is currently processing, so the metadata is valid for all of them.
-func (f *subjectFeed) CurrentDescendantTags() (map[string]struct{}, bool) {
+func (f *subjectFeed) HasDescendantTag(name string) (has, known bool) {
 	if f.m.meta == nil {
-		return nil, false
+		return false, false
 	}
-	return f.m.meta.CurrentDescendantTags()
+	return f.m.meta.HasDescendantTag(name)
 }
 
 // skipSubjectFeed adds the Skipper facade for shared readers that can skip: a

@@ -98,9 +98,10 @@ type ParallelConfig struct {
 	// RootName is the root element's tag name, used for the stitched Close
 	// event and the structural root of subjects whose root is denied.
 	RootName string
-	// RootDescTags is the root's descendant-tag set — the MetaProvider
-	// answer a whole-document decoder gives right after the root opens.
-	RootDescTags map[string]struct{}
+	// RootDescTags is the root's descendant-tag set
+	// (skipindex.RegionPlan.RootDescendantTags) — the MetaProvider answer a
+	// whole-document decoder gives right after the root opens.
+	RootDescTags MetaProvider
 	// RootSkipDistance is the byte count a depth-1 SkipToClose jumps right
 	// after the prefix (skipindex.RegionPlan.RootSkipDistance); subjects
 	// that deny the whole document are charged it, exactly like the serial
@@ -177,7 +178,7 @@ func (nopViewSink) End() error                { return nil }
 // and a depth-1 skip request is recorded — with the serial path's byte
 // charge — instead of moving any reader.
 type prefixFeed struct {
-	descTags map[string]struct{}
+	rootTags MetaProvider
 	skipDist int64
 	skipped  bool
 }
@@ -186,8 +187,11 @@ func (f *prefixFeed) Next() (xmlstream.Event, error) {
 	return xmlstream.Event{}, errMultiFeedNext
 }
 
-func (f *prefixFeed) CurrentDescendantTags() (map[string]struct{}, bool) {
-	return f.descTags, f.descTags != nil
+func (f *prefixFeed) HasDescendantTag(name string) (has, known bool) {
+	if f.rootTags == nil {
+		return false, false
+	}
+	return f.rootTags.HasDescendantTag(name)
 }
 
 func (f *prefixFeed) SkipToClose(int) (int64, error) {
@@ -325,7 +329,7 @@ func RunParallel(cfg ParallelConfig, subjects []ParallelSubject) ([]SubjectOutco
 		dopts := subjects[i].Opts
 		dopts.Sink = nopViewSink{}
 		dopts.Trace = nil
-		feed := &prefixFeed{descTags: cfg.RootDescTags, skipDist: cfg.RootSkipDistance}
+		feed := &prefixFeed{rootTags: cfg.RootDescTags, skipDist: cfg.RootSkipDistance}
 		dry.Reset(feed, subjects[i].CP, dopts)
 		for _, ev := range cfg.Prefix {
 			if err := dry.ProcessEvent(ev); err != nil {
@@ -355,7 +359,7 @@ func RunParallel(cfg ParallelConfig, subjects []ParallelSubject) ([]SubjectOutco
 		if subjects[i].Opts.DummyDeniedNames {
 			st.lazyName = "_"
 		}
-		feed := &prefixFeed{descTags: cfg.RootDescTags, skipDist: cfg.RootSkipDistance}
+		feed := &prefixFeed{rootTags: cfg.RootDescTags, skipDist: cfg.RootSkipDistance}
 		e0opts := subjects[i].Opts
 		e0opts.Sink = st.sink
 		st.e0 = &Evaluator{}

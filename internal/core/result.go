@@ -88,6 +88,11 @@ type resultNode struct {
 	// the pending instances it waits on resolves.
 	snapshot []*authLevel
 	hasQuery bool
+
+	// pinned marks an element created undecided. The evaluator registers it
+	// in the waiter lists of predicate instances, which may keep it for the
+	// rest of the run, so it is never recycled.
+	pinned bool
 }
 
 // ErrUnbalancedResult is returned when Finalize is called while elements are
@@ -115,21 +120,51 @@ type resultBuilder struct {
 	// metrics
 	deliveredEarly int64 // nodes whose decision was known when first seen
 	deliveredLate  int64 // nodes delivered after a pending resolution
+
+	// free holds settled nodes for reuse, so a run allocates nodes only up
+	// to the size of the skeleton it buffers at once. It survives reset.
+	free []*resultNode
 }
 
-// newResultBuilder returns a materializing builder: the view is collected
-// into a tree returned by finalize. It delivers through a TreeSink, so the
-// materialized path is a thin adapter over the same streaming emission.
-func newResultBuilder(dummyNames bool) *resultBuilder {
-	tree := xmlstream.NewTreeSink()
-	b := newSinkResultBuilder(tree, dummyNames)
-	b.tree = tree
-	return b
+// reset re-arms the builder for a run delivering into sink; a nil sink
+// materializes the view into a tree returned by finalize, through a
+// TreeSink, so the materialized path is a thin adapter over the same
+// streaming emission. The node free list and the open stack are kept.
+func (b *resultBuilder) reset(sink ViewSink, dummyNames bool) {
+	var tree *xmlstream.TreeSink
+	if sink == nil {
+		tree = xmlstream.NewTreeSink()
+		sink = tree
+	}
+	clear(b.openStack)
+	*b = resultBuilder{
+		sink:       sink,
+		tree:       tree,
+		dummyNames: dummyNames,
+		openStack:  b.openStack[:0],
+		free:       b.free,
+	}
 }
 
-// newSinkResultBuilder returns a streaming builder delivering into sink.
-func newSinkResultBuilder(sink ViewSink, dummyNames bool) *resultBuilder {
-	return &resultBuilder{sink: sink, dummyNames: dummyNames}
+// newNode returns a zeroed node, recycled when one is free.
+func (b *resultBuilder) newNode() *resultNode {
+	if len(b.free) == 0 {
+		return &resultNode{}
+	}
+	n := b.free[len(b.free)-1]
+	b.free = b.free[:len(b.free)-1]
+	return n
+}
+
+// recycle returns a settled node, no longer reachable from the skeleton, to
+// the free list. Its children and deferred keys keep their capacity.
+func (b *resultBuilder) recycle(n *resultNode) {
+	if n.pinned {
+		return
+	}
+	clear(n.children)
+	*n = resultNode{children: n.children[:0], deferredQuery: n.deferredQuery[:0]}
+	b.free = append(b.free, n)
 }
 
 // openElement records an element with its (possibly pending) delivery
@@ -137,7 +172,8 @@ func newSinkResultBuilder(sink ViewSink, dummyNames bool) *resultBuilder {
 // node so the evaluator can register it as a waiter on unresolved predicate
 // instances.
 func (b *resultBuilder) openElement(name string, d, access Decision, snapshot []*authLevel, hasQuery bool) *resultNode {
-	n := &resultNode{name: name, parent: b.current, access: access}
+	n := b.newNode()
+	n.name, n.parent, n.access = name, b.current, access
 	switch d {
 	case Permit:
 		n.state = stateIncluded
@@ -148,6 +184,7 @@ func (b *resultBuilder) openElement(name string, d, access Decision, snapshot []
 		n.state = stateUndecided
 		n.snapshot = snapshot
 		n.hasQuery = hasQuery
+		n.pinned = true
 		b.pendingCount++
 	}
 	if b.current == nil {
@@ -169,7 +206,8 @@ func (b *resultBuilder) text(value string) {
 	if b.current == nil || b.current.state == stateExcluded {
 		return
 	}
-	n := &resultNode{isText: true, value: value, parent: b.current, state: b.current.state}
+	n := b.newNode()
+	n.isText, n.value, n.parent, n.state = true, value, b.current, b.current.state
 	b.current.children = append(b.current.children, n)
 }
 
@@ -194,7 +232,21 @@ func (b *resultBuilder) closeElement() {
 		// (not spliced) so the parent's emission index stays valid; the
 		// closing element is always the parent's most recent child.
 		n.parent.children[len(n.parent.children)-1] = nil
+		b.recycleTree(n)
 	}
+}
+
+// recycleTree recycles a dropped subtree, bottom up. Slots are nilled as
+// their nodes go, so a pinned node that stays behind in a waiter list
+// points at none of them.
+func (b *resultBuilder) recycleTree(n *resultNode) {
+	for i, c := range n.children {
+		if c != nil {
+			b.recycleTree(c)
+			n.children[i] = nil
+		}
+	}
+	b.recycle(n)
 }
 
 // hasLiveDescendant reports whether any descendant (or the node itself) is
@@ -300,6 +352,7 @@ func (b *resultBuilder) settle(n *resultNode) bool {
 			}
 			n.children[n.next] = nil
 			n.next++
+			b.recycle(c)
 			continue
 		}
 		if !b.settle(c) {
@@ -307,6 +360,7 @@ func (b *resultBuilder) settle(n *resultNode) bool {
 		}
 		n.children[n.next] = nil
 		n.next++
+		b.recycle(c)
 	}
 	if n.next > 0 && n.next == len(n.children) {
 		// Every child so far is settled: recycle the slice so a long-open

@@ -114,57 +114,53 @@ func xorPosition(dst, src []byte, blockIndex uint64) {
 }
 
 // encryptBlockAt encrypts one 8-byte block at the given block index with the
-// position-XOR ECB construction.
+// position-XOR ECB construction. It works in dst, so no temporary escapes
+// through the cipher.Block interface.
 func encryptBlockAt(block cipher.Block, dst, src []byte, blockIndex uint64) {
-	var tmp [BlockSize]byte
-	xorPosition(tmp[:], src, blockIndex)
-	block.Encrypt(dst, tmp[:])
+	xorPosition(dst, src, blockIndex)
+	block.Encrypt(dst, dst)
 }
 
-// decryptBlockAt reverses encryptBlockAt.
+// decryptBlockAt reverses encryptBlockAt, in dst.
 func decryptBlockAt(block cipher.Block, dst, src []byte, blockIndex uint64) {
-	var tmp [BlockSize]byte
-	block.Decrypt(tmp[:], src)
-	xorPosition(dst, tmp[:], blockIndex)
+	block.Decrypt(dst, src)
+	xorPosition(dst, dst, blockIndex)
 }
 
-// encryptPositionECB encrypts a whole buffer (length multiple of BlockSize)
+// encryptPositionECB encrypts src (length multiple of BlockSize) into dst
 // with the position-XOR ECB construction, starting at block index
-// firstBlock.
-func encryptPositionECB(block cipher.Block, data []byte, firstBlock uint64) []byte {
-	out := make([]byte, len(data))
-	for off := 0; off < len(data); off += BlockSize {
-		encryptBlockAt(block, out[off:off+BlockSize], data[off:off+BlockSize], firstBlock+uint64(off/BlockSize))
+// firstBlock. dst may be src.
+func encryptPositionECB(block cipher.Block, dst, src []byte, firstBlock uint64) {
+	for off := 0; off < len(src); off += BlockSize {
+		encryptBlockAt(block, dst[off:off+BlockSize], src[off:off+BlockSize], firstBlock+uint64(off/BlockSize))
 	}
-	return out
-}
-
-// decryptPositionECB reverses encryptPositionECB.
-func decryptPositionECB(block cipher.Block, data []byte, firstBlock uint64) []byte {
-	out := make([]byte, len(data))
-	for off := 0; off < len(data); off += BlockSize {
-		decryptBlockAt(block, out[off:off+BlockSize], data[off:off+BlockSize], firstBlock+uint64(off/BlockSize))
-	}
-	return out
 }
 
 // encryptCBC encrypts a buffer in CBC mode with a fixed derived IV (the
 // comparison schemes CBC-SHA and CBC-SHAC of Figure 11).
 func encryptCBC(block cipher.Block, data []byte, key Key) []byte {
-	return encryptCBCFrom(block, data, cbcIV(key))
+	out := make([]byte, len(data))
+	encryptCBCFrom(block, out, data, cbcIV(key))
+	return out
 }
 
-// encryptCBCFrom encrypts a buffer suffix in CBC mode chained off prev, the
-// ciphertext of the block immediately preceding the suffix (or the derived IV
-// when the suffix starts the document). Encrypting [0, len) with the IV is
-// exactly encryptCBC; re-encrypting a suffix whose preceding ciphertext is
-// unchanged reproduces, byte for byte, what a from-scratch encryption of the
-// whole buffer would put there — the property chunk-granular updates rely on.
-func encryptCBCFrom(block cipher.Block, data, prev []byte) []byte {
+// encryptCBCFrom encrypts a buffer suffix src into dst in CBC mode chained
+// off prev, the ciphertext of the block immediately preceding the suffix (or
+// the derived IV when the suffix starts the document). src may end in a
+// partial block, which is encrypted zero-padded. Encrypting [0, len) with the
+// IV is exactly encryptCBC; re-encrypting a suffix whose preceding
+// ciphertext is unchanged reproduces, byte for byte, what a from-scratch
+// encryption of the whole buffer would put there — the property
+// chunk-granular updates rely on.
+func encryptCBCFrom(block cipher.Block, dst, src, prev []byte) {
 	mode := cipher.NewCBCEncrypter(block, prev)
-	out := make([]byte, len(data))
-	mode.CryptBlocks(out, data)
-	return out
+	whole := len(src) - len(src)%BlockSize
+	mode.CryptBlocks(dst[:whole], src[:whole])
+	if whole < len(src) {
+		var last [BlockSize]byte
+		copy(last[:], src[whole:])
+		mode.CryptBlocks(dst[whole:whole+BlockSize], last[:])
+	}
 }
 
 // cbcIV derives the fixed CBC initialization vector of encryptCBC.
@@ -173,32 +169,37 @@ func cbcIV(key Key) []byte {
 	return iv[:BlockSize]
 }
 
-// decryptCBCRange decrypts the CBC ciphertext blocks [firstBlock,
-// firstBlock+n) given the ciphertext of the preceding block (or the IV for
-// the first block).
-func decryptCBCRange(block cipher.Block, ciphertext []byte, firstBlock uint64, prev []byte) []byte {
-	out := make([]byte, len(ciphertext))
-	prevBlock := prev
+// decryptCBCRange decrypts CBC ciphertext blocks into dst (of the same
+// length) given the ciphertext of the preceding block (or the IV for the
+// first block of the document).
+func decryptCBCRange(block cipher.Block, dst, ciphertext, prev []byte) {
 	for off := 0; off < len(ciphertext); off += BlockSize {
-		var tmp [BlockSize]byte
-		block.Decrypt(tmp[:], ciphertext[off:off+BlockSize])
-		for i := 0; i < BlockSize; i++ {
-			out[off+i] = tmp[i] ^ prevBlock[i]
+		out := dst[off : off+BlockSize]
+		block.Decrypt(out, ciphertext[off:off+BlockSize])
+		for i := range out {
+			out[i] ^= prev[i]
 		}
-		prevBlock = ciphertext[off : off+BlockSize]
+		prev = ciphertext[off : off+BlockSize]
 	}
-	_ = firstBlock
-	return out
 }
 
-// pad pads data with zero bytes to a multiple of BlockSize.
-func pad(data []byte) []byte {
-	rem := len(data) % BlockSize
-	if rem == 0 {
-		return data
+// paddedLen is the length of n bytes zero-padded to a multiple of
+// BlockSize.
+func paddedLen(n int) int {
+	return (n + BlockSize - 1) / BlockSize * BlockSize
+}
+
+// paddedRange returns bytes [start, end) of data zero-padded to a multiple
+// of BlockSize: a subslice of data, or a copy when the range reaches into
+// the padding.
+func paddedRange(data []byte, start, end int) []byte {
+	if end <= len(data) {
+		return data[start:end]
 	}
-	out := make([]byte, len(data)+BlockSize-rem)
-	copy(out, data)
+	out := make([]byte, end-start)
+	if start < len(data) {
+		copy(out, data[start:])
+	}
 	return out
 }
 
@@ -209,11 +210,21 @@ func encryptDigest(block cipher.Block, digest []byte, chunkIndex uint64) []byte 
 	buf := make([]byte, encryptedDigestSize)
 	copy(buf, digest)
 	// Use a distinct position space (high bit set) for digests.
-	return encryptPositionECB(block, buf, 1<<62+chunkIndex*uint64(encryptedDigestSize/BlockSize))
+	encryptPositionECB(block, buf, buf, 1<<62+chunkIndex*uint64(encryptedDigestSize/BlockSize))
+	return buf
 }
 
-// decryptDigest reverses encryptDigest.
-func decryptDigest(block cipher.Block, enc []byte, chunkIndex uint64) []byte {
-	out := decryptPositionECB(block, enc, 1<<62+chunkIndex*uint64(encryptedDigestSize/BlockSize))
-	return out[:DigestSize]
+// decryptDigest reverses encryptDigest, decrypting through buf (scratch
+// owned by the caller, so nothing escapes per digest). ok is false when enc
+// does not have the size of an encrypted digest.
+func decryptDigest(block cipher.Block, buf *[encryptedDigestSize]byte, enc []byte, chunkIndex uint64) (digest [DigestSize]byte, ok bool) {
+	if len(enc) != encryptedDigestSize {
+		return digest, false
+	}
+	first := 1<<62 + chunkIndex*uint64(encryptedDigestSize/BlockSize)
+	for off := 0; off < encryptedDigestSize; off += BlockSize {
+		decryptBlockAt(block, buf[off:off+BlockSize], enc[off:off+BlockSize], first+uint64(off/BlockSize))
+	}
+	copy(digest[:], buf[:DigestSize])
+	return digest, true
 }

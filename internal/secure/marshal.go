@@ -26,7 +26,13 @@ const (
 
 // Marshal serializes the protected document.
 func (p *Protected) Marshal() []byte {
-	out := make([]byte, 0, len(p.Ciphertext)+len(p.ChunkDigests)*encryptedDigestSize+64)
+	// Sized exactly: the blob is as large as the document, and a
+	// reallocation would copy and allocate it again.
+	size := len(containerMagic) + 2 + 4 + 4 + 8 + 8 + 4 + 8 + len(p.Ciphertext)
+	for _, d := range p.ChunkDigests {
+		size += 4 + len(d)
+	}
+	out := make([]byte, 0, size)
 	out = append(out, containerMagic...)
 	out = append(out, containerVersion)
 	out = append(out, byte(p.Scheme))

@@ -120,7 +120,7 @@ func Protect(plaintext []byte, key Key, opts ProtectOptions) (*Protected, error)
 		return nil, fmt.Errorf("secure: chunk size %d must be a multiple of fragment size %d, itself a multiple of %d",
 			chunkSize, fragmentSize, BlockSize)
 	}
-	padded := pad(plaintext)
+	padded := paddedRange(plaintext, 0, paddedLen(len(plaintext)))
 	p := &Protected{
 		Scheme:       opts.Scheme,
 		PlainLen:     len(plaintext),
@@ -130,7 +130,8 @@ func Protect(plaintext []byte, key Key, opts ProtectOptions) (*Protected, error)
 	}
 	switch opts.Scheme {
 	case SchemeECB, SchemeECBMHT:
-		p.Ciphertext = encryptPositionECB(block, padded, 0)
+		p.Ciphertext = make([]byte, len(padded))
+		encryptPositionECB(block, p.Ciphertext, padded, 0)
 	case SchemeCBCSHA, SchemeCBCSHAC:
 		p.Ciphertext = encryptCBC(block, padded, key)
 	default:
@@ -170,22 +171,24 @@ func merkleRoot(chunk []byte, fragmentSize int) [DigestSize]byte {
 	return merkleCombine(leaves)
 }
 
-// merkleCombine folds leaf hashes pairwise up to the root.
+// merkleCombine folds leaf hashes pairwise up to the root. It works in
+// place: each level overwrites the front of the one below it, so level is
+// clobbered.
 func merkleCombine(level [][DigestSize]byte) [DigestSize]byte {
 	if len(level) == 0 {
 		return sha1.Sum(nil)
 	}
-	for len(level) > 1 {
-		var next [][DigestSize]byte
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
+	var joined [2 * DigestSize]byte
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			if i+1 == n {
+				level[i/2] = level[i]
 				continue
 			}
-			joined := append(append([]byte{}, level[i][:]...), level[i+1][:]...)
-			next = append(next, sha1.Sum(joined))
+			copy(joined[:DigestSize], level[i][:])
+			copy(joined[DigestSize:], level[i+1][:])
+			level[i/2] = sha1.Sum(joined[:])
 		}
-		level = next
 	}
 	return level[0]
 }

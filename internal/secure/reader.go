@@ -50,38 +50,48 @@ func (c *Costs) Add(o Costs) {
 // CiphertextRange call translates into network transfer, so the bytes the
 // Skip index avoids are bytes that never cross the wire.
 // It implements skipindex.ByteSource.
+//
+// A reader's tables and buffers survive Reset, so a pooled reader serves a
+// view without allocating beyond what its ChunkSource hands out.
 type Reader struct {
 	src   ChunkSource
 	man   Manifest
 	key   Key
 	block cipher.Block
+	iv    [BlockSize]byte // the CBC schemes' derived IV
 
-	// verification state kept in the SOE: one entry per chunk already
-	// verified (CBC schemes) or per fragment already verified (ECB-MHT),
-	// plus the decrypted chunk digests and the fragment leaf hashes of the
-	// chunks being worked on (the SOE keeps the leaves of the current chunk,
-	// 8 x 20 bytes, well within its RAM budget, so sibling hashes are
-	// transferred at most once per chunk).
-	verifiedChunks    map[int]bool
-	verifiedFragments map[int]map[int]bool
-	digestCache       map[int][]byte
-	leafCache         map[int]map[int][DigestSize]byte
+	// verification state kept in the SOE: which chunks (CBC schemes) and
+	// fragments (ECB-MHT) are verified, the decrypted chunk digests and the
+	// fragment leaf hashes of the chunks being worked on (the SOE keeps the
+	// leaves of the current chunk, 8 x 20 bytes, well within its RAM budget,
+	// so sibling hashes are transferred at most once per chunk). A chunk's
+	// entry is current only when it carries the reader's epoch, and the
+	// fragment states of the chunks touched in the current epoch sit in
+	// frags: Reset moves to a new epoch and empties frags instead of
+	// clearing anything, so re-arming a pooled reader costs the same however
+	// much its previous view verified.
+	epoch  uint64
+	chunks map[int]chunkState
+	frags  []fragState
 
-	// blockCache holds the most recently decrypted plaintext blocks so that
-	// the many small overlapping reads of the streaming decoder do not
+	// The block cache holds the most recently decrypted plaintext blocks so
+	// that the many small overlapping reads of the streaming decoder do not
 	// transfer and decrypt the same block twice. The capacity is a few
-	// hundred bytes, compatible with the SOE RAM budget; eviction is a cheap
-	// clock over a fixed-size table.
-	blockCache     map[int64][]byte
-	blockCacheKeys []int64
-	blockCachePos  int
+	// hundred bytes, compatible with the SOE RAM budget; blocks are
+	// decrypted straight into a fixed table whose slots are recycled in
+	// first-in first-out order. blockSlot maps a cached block index to its
+	// slot; blockKeys[slot] is the block a slot holds, -1 when empty.
+	blockSlot     map[int64]int
+	blockKeys     [blockCacheSize]int64
+	blockPlain    [blockCacheSize][BlockSize]byte
+	blockCachePos int
 
-	// justFetched marks the ciphertext blocks that the current ReadAt call
-	// already pulled into the SOE for integrity verification, so the
+	// justFetched lists the ciphertext block ranges that the current ReadAt
+	// call already pulled into the SOE for integrity verification, so the
 	// decryption step of the same call does not charge their transfer a
 	// second time (the SOE hashes and decrypts the incoming stream in one
 	// pass).
-	justFetched map[int64]bool
+	justFetched []blockRange
 
 	// ctCache keeps the ciphertext byte ranges of the last few fragments
 	// transferred for Merkle verification (ECB-MHT): subsequent reads inside
@@ -92,12 +102,43 @@ type Reader struct {
 	ctCacheKeys []int64
 	ctCachePos  int
 
+	// Scratch space reused across calls: the plaintext a ReadAt serves, the
+	// fragments one verification hashes and their leaves, the leaves of the
+	// Merkle tree it folds, a whole CBC chunk and one encrypted digest.
+	out       []byte
+	newFrags  []int
+	newLeaves [][DigestSize]byte
+	leaves    [][DigestSize]byte
+	chunk     []byte
+	digestBuf [encryptedDigestSize]byte
+
 	costs Costs
 
 	// trace, when non-nil, charges decrypt/verify/hash-fetch time to the
 	// evaluation's phase timers. Cleared by Reset; set per evaluation.
 	trace *trace.Context
 }
+
+// chunkState is the verification state of one chunk.
+type chunkState struct {
+	epoch     uint64
+	verified  bool
+	hasDigest bool
+	digest    [DigestSize]byte
+	// frags is the offset of the chunk's fragment states in Reader.frags;
+	// -1 until its first Merkle verification in the epoch.
+	frags int
+}
+
+// fragState is the verification state of one fragment of a chunk.
+type fragState struct {
+	verified bool
+	hasLeaf  bool
+	leaf     [DigestSize]byte
+}
+
+// blockRange is the half-open block index range [from, to).
+type blockRange struct{ from, to int64 }
 
 // ctCacheSize is the number of fragments of ciphertext the SOE retains
 // (4 x 256 bytes = 1 KB of RAM).
@@ -128,28 +169,49 @@ func (r *Reader) inCtCache(off int64) bool {
 	return ok && off >= rng[0] && off < rng[1]
 }
 
+// stateOf returns the current epoch's state of a chunk; the caller
+// stores it back after changing it.
+func (r *Reader) stateOf(chunk int) chunkState {
+	if cs, ok := r.chunks[chunk]; ok && cs.epoch == r.epoch {
+		return cs
+	}
+	return chunkState{epoch: r.epoch, frags: -1}
+}
+
+// fetched reports whether the current ReadAt call already transferred the
+// ciphertext of a block.
+func (r *Reader) fetched(block int64) bool {
+	for _, br := range r.justFetched {
+		if block >= br.from && block < br.to {
+			return true
+		}
+	}
+	return false
+}
+
 // blockCacheSize is the number of 8-byte plaintext blocks the SOE keeps
 // (512 bytes of RAM).
 const blockCacheSize = 64
 
 func (r *Reader) cacheGet(block int64) ([]byte, bool) {
-	b, ok := r.blockCache[block]
-	return b, ok
+	slot, ok := r.blockSlot[block]
+	if !ok {
+		return nil, false
+	}
+	return r.blockPlain[slot][:], true
 }
 
-func (r *Reader) cachePut(block int64, plain []byte) {
-	if r.blockCacheKeys == nil {
-		r.blockCacheKeys = make([]int64, blockCacheSize)
-		for i := range r.blockCacheKeys {
-			r.blockCacheKeys[i] = -1
-		}
+// cacheSlot evicts the oldest cached block and hands its slot to block; the
+// caller decrypts the block into the returned bytes.
+func (r *Reader) cacheSlot(block int64) []byte {
+	slot := r.blockCachePos
+	if old := r.blockKeys[slot]; old >= 0 {
+		delete(r.blockSlot, old)
 	}
-	if old := r.blockCacheKeys[r.blockCachePos]; old >= 0 {
-		delete(r.blockCache, old)
-	}
-	r.blockCacheKeys[r.blockCachePos] = block
-	r.blockCachePos = (r.blockCachePos + 1) % blockCacheSize
-	r.blockCache[block] = plain
+	r.blockKeys[slot] = block
+	r.blockSlot[block] = slot
+	r.blockCachePos = (slot + 1) % blockCacheSize
+	return r.blockPlain[slot][:]
 }
 
 // NewReader builds a secure reader over a chunk source (an in-memory
@@ -176,29 +238,25 @@ func (r *Reader) Reset(src ChunkSource, key Key) error {
 		}
 		r.block = block
 		r.key = append(r.key[:0], key...)
+		copy(r.iv[:], cbcIV(key))
 	}
 	r.src = src
 	r.man = src.Manifest()
 	r.costs = Costs{}
-	r.justFetched = nil
+	r.justFetched = r.justFetched[:0]
 	r.trace = nil
-	if r.verifiedChunks == nil {
-		r.verifiedChunks = map[int]bool{}
-		r.verifiedFragments = map[int]map[int]bool{}
-		r.digestCache = map[int][]byte{}
-		r.leafCache = map[int]map[int][DigestSize]byte{}
-		r.blockCache = map[int64][]byte{}
+	r.epoch++
+	r.frags = r.frags[:0]
+	if r.chunks == nil {
+		r.chunks = map[int]chunkState{}
+		r.blockSlot = map[int64]int{}
 		r.ctCache = map[int64][2]int64{}
 	} else {
-		clear(r.verifiedChunks)
-		clear(r.verifiedFragments)
-		clear(r.digestCache)
-		clear(r.leafCache)
-		clear(r.blockCache)
+		clear(r.blockSlot)
 		clear(r.ctCache)
 	}
-	for i := range r.blockCacheKeys {
-		r.blockCacheKeys[i] = -1
+	for i := range r.blockKeys {
+		r.blockKeys[i] = -1
 	}
 	r.blockCachePos = 0
 	for i := range r.ctCacheKeys {
@@ -233,7 +291,7 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	r.justFetched = nil
+	r.justFetched = r.justFetched[:0]
 	firstBlock := off / BlockSize
 	lastBlock := (off + int64(n) - 1) / BlockSize
 	plain, err := r.readBlocks(firstBlock, lastBlock)
@@ -248,7 +306,8 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // readBlocks returns the decrypted bytes of blocks [first, last] inclusive,
-// verifying integrity according to the scheme.
+// verifying integrity according to the scheme. The bytes live in the
+// reader's scratch space and are valid until the next call.
 func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 	start := first * BlockSize
 	end := (last + 1) * BlockSize
@@ -257,12 +316,12 @@ func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 	}
 	switch r.man.Scheme {
 	case SchemeECB:
-		return r.readECB(start, end, first)
+		return r.readECB(start, end)
 	case SchemeECBMHT:
 		if err := r.verifyMHT(start, end); err != nil {
 			return nil, err
 		}
-		return r.readECB(start, end, first)
+		return r.readECB(start, end)
 	case SchemeCBCSHA:
 		return r.readCBC(start, end, true)
 	case SchemeCBCSHAC:
@@ -275,10 +334,10 @@ func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 // readECB fetches and decrypts the ciphertext range with the position-XOR
 // ECB construction (random access, block granularity). Recently decrypted
 // blocks are served from the SOE-side block cache without re-transfer.
-func (r *Reader) readECB(start, end, firstBlock int64) ([]byte, error) {
+func (r *Reader) readECB(start, end int64) ([]byte, error) {
 	r.trace.Begin(trace.PhaseDecrypt)
 	defer r.trace.End()
-	out := make([]byte, 0, end-start)
+	out := r.out[:0]
 	for off := start; off < end; off += BlockSize {
 		blockIdx := off / BlockSize
 		if plain, ok := r.cacheGet(blockIdx); ok {
@@ -289,16 +348,15 @@ func (r *Reader) readECB(start, end, firstBlock int64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !r.justFetched[blockIdx] && !r.inCtCache(off) {
+		if !r.fetched(blockIdx) && !r.inCtCache(off) {
 			r.costs.BytesTransferred += BlockSize
 		}
 		r.costs.BytesDecrypted += BlockSize
-		plain := make([]byte, BlockSize)
+		plain := r.cacheSlot(blockIdx)
 		decryptBlockAt(r.block, plain, ct, uint64(blockIdx))
-		r.cachePut(blockIdx, plain)
 		out = append(out, plain...)
 	}
-	_ = firstBlock
+	r.out = out
 	return out, nil
 }
 
@@ -313,44 +371,34 @@ func (r *Reader) verifyMHT(start, end int64) error {
 	fragSize := int64(r.man.FragmentSize)
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
 		cStart, cEnd := r.man.ChunkBounds(chunk)
-		frags := r.verifiedFragments[chunk]
-		if frags == nil {
-			frags = map[int]bool{}
-			r.verifiedFragments[chunk] = frags
+		numFrags := r.man.NumFragments(chunk)
+		// The chunk's fragment states exist once it has been through a
+		// verification in this epoch; until then no fragment is verified.
+		var frags []fragState
+		if cs := r.stateOf(chunk); cs.frags >= 0 {
+			frags = r.frags[cs.frags : cs.frags+numFrags]
 		}
 		// Fragments of this chunk overlapped by the requested range and not
 		// yet verified.
-		lo := start
-		if cStart > lo {
-			lo = cStart
-		}
-		hi := end
-		if cEnd < hi {
-			hi = cEnd
-		}
-		var newFrags []int
+		lo := max(start, cStart)
+		hi := min(end, cEnd)
+		newFrags := r.newFrags[:0]
 		for f := int((lo - cStart) / fragSize); f <= int((hi-1-cStart)/fragSize); f++ {
-			if !frags[f] {
+			if frags == nil || !frags[f].verified {
 				newFrags = append(newFrags, f)
 			}
 		}
+		r.newFrags = newFrags
 		if len(newFrags) == 0 {
 			continue
 		}
-		leaves := r.leafCache[chunk]
-		if leaves == nil {
-			leaves = map[int][DigestSize]byte{}
-			r.leafCache[chunk] = leaves
-		}
+		newLeaves := r.newLeaves[:0]
 		// The SOE receives each new fragment from the position of interest
 		// to the end of the fragment, together with the terminal's
 		// intermediate hash of the prefix (Appendix A), hashes it and keeps
 		// the leaf. The verification below still hashes the whole fragment
 		// (the prefix-state hand-off is modelled in the cost accounting);
 		// tampering anywhere in the fragment therefore remains detected.
-		if r.justFetched == nil {
-			r.justFetched = map[int64]bool{}
-		}
 		for _, f := range newFrags {
 			fStart := cStart + int64(f)*fragSize
 			fEnd := fStart + fragSize
@@ -373,15 +421,14 @@ func (r *Reader) verifyMHT(start, end int64) error {
 				// terminal.
 				r.costs.BytesTransferred += 24
 			}
-			for b := fetchFrom / BlockSize; b < fEnd/BlockSize; b++ {
-				r.justFetched[b] = true
-			}
+			r.justFetched = append(r.justFetched, blockRange{fetchFrom / BlockSize, fEnd / BlockSize})
 			// The transferred ciphertext stays in the SOE for the next few
 			// reads so it is not paid for twice.
 			r.ctCachePut(cStart/fragSize+int64(f), fetchFrom, fEnd)
-			leaves[f] = sha1.Sum(frag)
+			newLeaves = append(newLeaves, sha1.Sum(frag))
 			r.costs.FragmentsVerified++
 		}
+		r.newLeaves = newLeaves
 		// The terminal provides the hashes needed to recompute the root: a
 		// Merkle co-path of ceil(log2(#fragments)) digests per verification
 		// (the flat implementation below exchanges the missing leaves, but
@@ -393,10 +440,25 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		if err != nil {
 			return err
 		}
-		numFrags := len(all)
+		if len(all) != numFrags {
+			return fmt.Errorf("%w: chunk %d: %d fragment hashes for %d fragments", ErrIntegrity, chunk, len(all), numFrags)
+		}
+		// The states are allocated only now, after the terminal sent a hash
+		// per fragment: a hostile layout costs the SOE no more memory than
+		// the hashes it actually transfers.
+		if frags == nil {
+			cs := r.stateOf(chunk)
+			cs.frags = len(r.frags)
+			r.frags = append(r.frags, make([]fragState, numFrags)...)
+			r.chunks[chunk] = cs
+			frags = r.frags[cs.frags : cs.frags+numFrags]
+		}
+		for i, f := range newFrags {
+			frags[f].leaf, frags[f].hasLeaf = newLeaves[i], true
+		}
 		missing := 0
-		for f := 0; f < numFrags; f++ {
-			if _, ok := leaves[f]; !ok {
+		for f := range frags {
+			if !frags[f].hasLeaf {
 				missing++
 			}
 		}
@@ -405,54 +467,64 @@ func (r *Reader) verifyMHT(start, end int64) error {
 			coPath = int64(missing)
 		}
 		r.costs.BytesTransferred += coPath * DigestSize
-		for f := 0; f < numFrags; f++ {
-			if _, ok := leaves[f]; !ok {
-				leaves[f] = all[f]
+		// Recompute the root from the leaves in fragment order.
+		leaves := r.leaves[:0]
+		for f := range frags {
+			if !frags[f].hasLeaf {
+				frags[f].leaf, frags[f].hasLeaf = all[f], true
 			}
+			leaves = append(leaves, frags[f].leaf)
 		}
-		// Recompute the root.
-		ordered := make([][DigestSize]byte, numFrags)
-		for f := 0; f < numFrags; f++ {
-			ordered[f] = leaves[f]
-		}
-		root := merkleCombine(ordered)
+		r.leaves = leaves
+		root := merkleCombine(leaves)
 		r.costs.BytesHashed += int64(numFrags * DigestSize)
 		digest, err := r.chunkDigest(chunk)
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(root[:], digest) {
+		if root != digest {
 			return fmt.Errorf("%w: chunk %d Merkle root mismatch", ErrIntegrity, chunk)
 		}
 		for _, f := range newFrags {
-			frags[f] = true
+			frags[f].verified = true
 		}
-		if !r.verifiedChunks[chunk] {
-			r.verifiedChunks[chunk] = true
-			r.costs.ChunksVerified++
-		}
+		r.markVerified(chunk)
 	}
 	return nil
 }
 
+// markVerified records a chunk's first verification.
+func (r *Reader) markVerified(chunk int) {
+	if cs := r.stateOf(chunk); !cs.verified {
+		cs.verified = true
+		r.chunks[chunk] = cs
+		r.costs.ChunksVerified++
+	}
+}
+
 // chunkDigest returns the decrypted digest of a chunk, fetching and
 // decrypting it the first time.
-func (r *Reader) chunkDigest(chunk int) ([]byte, error) {
-	if d, ok := r.digestCache[chunk]; ok {
-		return d, nil
+func (r *Reader) chunkDigest(chunk int) ([DigestSize]byte, error) {
+	cs := r.stateOf(chunk)
+	if cs.hasDigest {
+		return cs.digest, nil
 	}
 	if chunk >= r.man.NumDigests {
-		return nil, fmt.Errorf("%w: missing digest for chunk %d", ErrIntegrity, chunk)
+		return [DigestSize]byte{}, fmt.Errorf("%w: missing digest for chunk %d", ErrIntegrity, chunk)
 	}
 	enc, err := r.src.ChunkDigest(chunk)
 	if err != nil {
-		return nil, err
+		return [DigestSize]byte{}, err
 	}
 	r.costs.BytesTransferred += int64(len(enc))
 	r.costs.BytesDecrypted += int64(len(enc))
 	r.costs.DigestsDecrypted++
-	d := decryptDigest(r.block, enc, uint64(chunk))
-	r.digestCache[chunk] = d
+	d, ok := decryptDigest(r.block, &r.digestBuf, enc, uint64(chunk))
+	if !ok {
+		return d, fmt.Errorf("%w: chunk %d digest is %d bytes", ErrIntegrity, chunk, len(enc))
+	}
+	cs.digest, cs.hasDigest = d, true
+	r.chunks[chunk] = cs
 	return d, nil
 }
 
@@ -462,7 +534,7 @@ func (r *Reader) chunkDigest(chunk int) ([]byte, error) {
 // but partial decryption).
 func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 	chunkSize := int64(r.man.ChunkSize)
-	var out []byte
+	out := r.out[:0]
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
 		cStart, cEnd := r.man.ChunkBounds(chunk)
 		wholeChunkTransferred, err := r.verifyCBCChunk(chunk, hashPlaintext)
@@ -474,6 +546,7 @@ func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 			return nil, err
 		}
 	}
+	r.out = out
 	return out, nil
 }
 
@@ -483,7 +556,7 @@ func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 // whether this call transferred the whole chunk into the SOE (so the serve
 // step does not charge those bytes again).
 func (r *Reader) verifyCBCChunk(chunk int, hashPlaintext bool) (wholeChunkTransferred bool, err error) {
-	if r.verifiedChunks[chunk] {
+	if r.stateOf(chunk).verified {
 		return false, nil
 	}
 	r.trace.Begin(trace.PhaseVerify)
@@ -512,11 +585,10 @@ func (r *Reader) verifyCBCChunk(chunk int, hashPlaintext bool) (wholeChunkTransf
 		r.costs.BytesHashed += chunkLen
 		computed = sha1.Sum(chunkBytes)
 	}
-	if !bytes.Equal(computed[:], digest) {
+	if computed != digest {
 		return true, fmt.Errorf("%w: chunk %d digest mismatch", ErrIntegrity, chunk)
 	}
-	r.verifiedChunks[chunk] = true
-	r.costs.ChunksVerified++
+	r.markVerified(chunk)
 	return true, nil
 }
 
@@ -525,29 +597,16 @@ func (r *Reader) verifyCBCChunk(chunk int, hashPlaintext bool) (wholeChunkTransf
 func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, wholeChunkTransferred bool) ([]byte, error) {
 	r.trace.Begin(trace.PhaseDecrypt)
 	defer r.trace.End()
-	lo := start
-	if cStart > lo {
-		lo = cStart
-	}
-	hi := end
-	if cEnd < hi {
-		hi = cEnd
-	}
+	lo := max(start, cStart)
+	hi := min(end, cEnd)
 	// CBC random access needs the preceding ciphertext block.
 	firstBlock := lo / BlockSize
-	prev := make([]byte, BlockSize)
-	if firstBlock > 0 {
-		pb, err := r.src.CiphertextRange((firstBlock-1)*BlockSize, BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		copy(prev, pb)
-		if !wholeChunkTransferred {
-			r.costs.BytesTransferred += BlockSize
-		}
-	} else {
-		iv := sha1.Sum(append([]byte("xmlac-iv"), r.key...))
-		copy(prev, iv[:BlockSize])
+	prev, err := r.prevCBCBlock(firstBlock)
+	if err != nil {
+		return nil, err
+	}
+	if firstBlock > 0 && !wholeChunkTransferred {
+		r.costs.BytesTransferred += BlockSize
 	}
 	for off := lo; off < hi; off += BlockSize {
 		blockIdx := off / BlockSize
@@ -561,25 +620,30 @@ func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, whole
 			r.costs.BytesTransferred += BlockSize
 		}
 		r.costs.BytesDecrypted += BlockSize
-		var prevBlock []byte
-		if off == lo {
-			prevBlock = prev
-		} else {
-			pb, err := r.src.CiphertextRange(off-BlockSize, BlockSize)
-			if err != nil {
+		prevBlock := prev
+		if off != lo {
+			if prevBlock, err = r.src.CiphertextRange(off-BlockSize, BlockSize); err != nil {
 				return nil, err
 			}
-			prevBlock = pb
 		}
 		ct, err := r.src.CiphertextRange(off, BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		plain := decryptCBCRange(r.block, ct, uint64(blockIdx), prevBlock)
-		r.cachePut(blockIdx, plain)
+		plain := r.cacheSlot(blockIdx)
+		decryptCBCRange(r.block, plain, ct, prevBlock)
 		out = append(out, plain...)
 	}
 	return out, nil
+}
+
+// prevCBCBlock returns the ciphertext block preceding a block, or the IV
+// for the document's first block.
+func (r *Reader) prevCBCBlock(block int64) ([]byte, error) {
+	if block == 0 {
+		return r.iv[:], nil
+	}
+	return r.src.CiphertextRange((block-1)*BlockSize, BlockSize)
 }
 
 // bitsLen returns ceil(log2(n)) for n >= 1.
@@ -591,26 +655,24 @@ func bitsLen(n int) int {
 	return bits
 }
 
-// decryptCBCChunk decrypts a whole chunk (CBC-SHA verification path).
+// decryptCBCChunk decrypts a whole chunk (CBC-SHA verification path) into
+// the reader's chunk scratch.
 func (r *Reader) decryptCBCChunk(chunk int) ([]byte, error) {
 	cStart, cEnd := r.man.ChunkBounds(chunk)
-	firstBlock := cStart / BlockSize
-	prev := make([]byte, BlockSize)
-	if firstBlock > 0 {
-		pb, err := r.src.CiphertextRange((firstBlock-1)*BlockSize, BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		copy(prev, pb)
-	} else {
-		iv := sha1.Sum(append([]byte("xmlac-iv"), r.key...))
-		copy(prev, iv[:BlockSize])
+	prev, err := r.prevCBCBlock(cStart / BlockSize)
+	if err != nil {
+		return nil, err
 	}
 	ct, err := r.src.CiphertextRange(cStart, cEnd-cStart)
 	if err != nil {
 		return nil, err
 	}
-	return decryptCBCRange(r.block, ct, uint64(firstBlock), prev), nil
+	if cap(r.chunk) < len(ct) {
+		r.chunk = make([]byte, len(ct))
+	}
+	plain := r.chunk[:len(ct)]
+	decryptCBCRange(r.block, plain, ct, prev)
+	return plain, nil
 }
 
 // Decrypt fully decrypts a protected document (publisher-side utility and

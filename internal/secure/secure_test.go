@@ -126,13 +126,28 @@ func TestTamperDetection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Random modification of one ciphertext byte.
-			prot.Ciphertext[3000] ^= 0x55
+			// A reader that verified the range on the clean document and is
+			// then reset onto the tampered one must verify it again.
 			r, _ := NewReader(prot, testKey())
 			buf := make([]byte, 64)
-			_, err = r.ReadAt(buf, 2990)
-			if !errors.Is(err, ErrIntegrity) {
-				t.Fatalf("tampering not detected: %v", err)
+			if _, err := r.ReadAt(buf, 2990); err != nil {
+				t.Fatal(err)
+			}
+			tampered, err := Protect(plain, testKey(), ProtectOptions{Scheme: scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Random modification of one ciphertext byte.
+			tampered.Ciphertext[3000] ^= 0x55
+			for name, r := range map[string]*Reader{"fresh": nil, "reset": r} {
+				if r == nil {
+					r, _ = NewReader(tampered, testKey())
+				} else if err := r.Reset(tampered, testKey()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.ReadAt(buf, 2990); !errors.Is(err, ErrIntegrity) {
+					t.Fatalf("%s reader: tampering not detected: %v", name, err)
+				}
 			}
 		})
 	}

@@ -217,22 +217,20 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 	if err != nil {
 		return nil, nil, err
 	}
-	paddedOld := pad(oldPlain)
-	paddedNew := pad(newPlain)
 	np := &Protected{
 		Scheme:       old.Scheme,
 		PlainLen:     len(newPlain),
 		ChunkSize:    old.ChunkSize,
 		FragmentSize: old.FragmentSize,
 		Version:      old.docVersion() + 1,
-		Ciphertext:   make([]byte, len(paddedNew)),
+		Ciphertext:   make([]byte, paddedLen(len(newPlain))),
 	}
 	nChunks := np.NumChunks()
 	delta := &Delta{
 		FromVersion:      old.docVersion(),
 		ToVersion:        np.Version,
 		NewPlainLen:      np.PlainLen,
-		NewCiphertextLen: int64(len(paddedNew)),
+		NewCiphertextLen: int64(len(np.Ciphertext)),
 		NumChunks:        nChunks,
 	}
 
@@ -249,7 +247,7 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 		isClean := !(chained && seenDirty) && i < old.NumChunks()
 		if isClean {
 			oStart, oEnd := old.chunkBounds(i)
-			isClean = oStart == start && oEnd == end && bytes.Equal(paddedOld[start:end], paddedNew[start:end])
+			isClean = oStart == start && oEnd == end && bytes.Equal(paddedRange(oldPlain, start, end), paddedRange(newPlain, start, end))
 		}
 		if !isClean {
 			dirty[i] = true
@@ -277,7 +275,7 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 				continue
 			}
 			start, end := np.chunkBounds(i)
-			copy(np.Ciphertext[start:end], encryptPositionECB(block, paddedNew[start:end], uint64(start)/BlockSize))
+			encryptPositionECB(block, np.Ciphertext[start:end], paddedRange(newPlain, start, end), uint64(start)/BlockSize)
 		}
 	case SchemeCBCSHA, SchemeCBCSHAC:
 		if len(delta.DirtyChunks) > 0 {
@@ -286,7 +284,7 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 			if start > 0 {
 				prev = np.Ciphertext[start-BlockSize : start]
 			}
-			copy(np.Ciphertext[start:], encryptCBCFrom(block, paddedNew[start:], prev))
+			encryptCBCFrom(block, np.Ciphertext[start:], newPlain[start:], prev)
 		}
 	default:
 		return nil, nil, fmt.Errorf("secure: unknown scheme %v", old.Scheme)
@@ -306,7 +304,7 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 			var digest [DigestSize]byte
 			switch old.Scheme {
 			case SchemeCBCSHA:
-				digest = sha1.Sum(paddedNew[start:end])
+				digest = sha1.Sum(paddedRange(newPlain, start, end))
 			case SchemeCBCSHAC:
 				digest = sha1.Sum(np.Ciphertext[start:end])
 			case SchemeECBMHT:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
@@ -40,30 +41,69 @@ func NewBytesSource(data []byte) ByteSource { return bytesSource(data) }
 
 // openElement is the decoder's per-open-element state (the paper's
 // SkipStack): everything needed to decode the children of the element and to
-// know where its encoding ends.
+// know where its encoding ends. An element's depth is its index in the
+// decoder's stack.
 type openElement struct {
-	name     string
-	descIDs  []int // descendant tag ids (parent context for the children)
-	size     uint64
-	endOff   int64
-	depth    int
-	descTags map[string]struct{}
+	name string
+	// descLo and descHi bound the element's descendant tag ids in the
+	// decoder's id arena (ids[descLo:descHi], ascending): the parent context
+	// for the children's tag indexes and tag arrays.
+	descLo, descHi int
+	size           uint64
+	endOff         int64
+}
+
+// DescendantTags is the descendant-tag set of one element, in the form the
+// decoder keeps it: the element's ascending tag ids over the document's
+// sorted tag dictionary, which doubles as the name-to-id index. It answers
+// the evaluator's section 4.2 label test (core.MetaProvider) without
+// building a set per element.
+type DescendantTags struct {
+	ids  []int
+	dict []string
+}
+
+// HasDescendantTag reports whether a tag occurs in the subtree. known is
+// false for the zero value, which carries no metadata.
+func (t DescendantTags) HasDescendantTag(name string) (has, known bool) {
+	if t.dict == nil {
+		return false, false
+	}
+	id := sort.SearchStrings(t.dict, name)
+	if id == len(t.dict) || t.dict[id] != name {
+		return false, true
+	}
+	i := sort.SearchInts(t.ids, id)
+	return i < len(t.ids) && t.ids[i] == id, true
 }
 
 // Decoder streams a Skip-index encoded document as SAX-like events. It
 // implements xmlstream.EventReader, xmlstream.Skipper (constant-time subtree
 // skips driven by SubtreeSize) and the evaluator's MetaProvider interface
-// (descendant-tag sets driving rule filtering).
+// (descendant-tag membership driving rule filtering).
+//
+// A decoder's state is bounded by the document depth: a value stack of open
+// elements, one LIFO arena holding their descendant tag ids, a short queue
+// of decoded events and one scratch buffer for metadata, varint and text
+// reads. Reset re-arms it over another source and keeps all of them, so a
+// pooled decoder allocates only the text strings it delivers.
 type Decoder struct {
 	src  ByteSource
-	dict []string
+	dict []string // sorted; a tag's id is its position
 
-	off     int64
-	stack   []*openElement
+	off   int64
+	stack []openElement // stack[d] is open at depth d; stack[0] is the virtual super-root
+	ids   []int         // descendant tag id arena, cut back as elements pop
+
+	// pending[head:] are the decoded events not yet delivered.
 	pending []xmlstream.Event
+	head    int
 
-	// last opened element metadata, exposed through CurrentDescendantTags.
-	lastOpened *openElement
+	// lastOpened is the stack index of the most recently opened element
+	// (0: none), the element HasDescendantTag answers for.
+	lastOpened int
+
+	scratch []byte
 
 	// bytesRead counts the bytes actually fetched from the source (skipped
 	// bytes excluded); the SOE cost model charges communication and
@@ -87,64 +127,118 @@ type Decoder struct {
 }
 
 // SetTrace attaches (or detaches, with nil) the tracing context that decode
-// and skip time is charged to. The header parse in NewDecoder runs before
-// any context can be attached and stays unattributed.
+// and skip time is charged to. The header parse in Reset runs before any
+// context can be attached and stays unattributed.
 func (d *Decoder) SetTrace(t *trace.Context) { d.trace = t }
 
 // NewDecoder parses the header and returns a Decoder positioned on the root
 // element.
 func NewDecoder(src ByteSource) (*Decoder, error) {
-	d := &Decoder{src: src, bytesTotal: src.Size()}
-	header := make([]byte, 4)
-	if err := d.readFull(header, 0); err != nil {
+	d := &Decoder{}
+	if err := d.Reset(src); err != nil {
 		return nil, err
 	}
-	for i := range magic {
-		if header[i] != magic[i] {
-			return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-		}
+	return d, nil
+}
+
+// Reset re-arms the decoder over a new source, as NewDecoder would, reusing
+// the stacks and buffers of the previous run. A dictionary equal to the
+// previous one is kept as it is. After a failed Reset the decoder only
+// reports that error until the next Reset.
+func (d *Decoder) Reset(src ByteSource) error {
+	*d = Decoder{
+		src:        src,
+		bytesTotal: src.Size(),
+		dict:       d.dict,
+		stack:      d.stack[:0],
+		ids:        d.ids[:0],
+		pending:    d.pending[:0],
+		scratch:    d.scratch,
 	}
-	off := int64(4)
+	d.err = d.readHeader()
+	return d.err
+}
+
+// readHeader parses the magic, the tag dictionary and the body length, and
+// pushes the virtual super-root context: the full dictionary, the body
+// length.
+func (d *Decoder) readHeader() error {
+	header := d.buf(len(magic))
+	if err := d.readFull(header, 0); err != nil {
+		return err
+	}
+	if string(header) != string(magic) {
+		return fmt.Errorf("%w: bad magic", ErrBadFormat)
+	}
+	off := int64(len(magic))
 	nt, err := d.readUvarint(&off)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nt == 0 || nt > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible dictionary size %d", ErrBadFormat, nt)
+		return fmt.Errorf("%w: implausible dictionary size %d", ErrBadFormat, nt)
 	}
-	d.dict = make([]string, nt)
-	for i := range d.dict {
+	// The previous run's dictionary stays shared until the first tag that
+	// differs; from there on the tags go into a fresh slice.
+	dict := d.dict
+	fresh := len(dict) != int(nt)
+	if fresh {
+		dict = make([]string, nt)
+	}
+	for i := range dict {
 		l, err := d.readUvarint(&off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if l > 4096 {
-			return nil, fmt.Errorf("%w: implausible tag length %d", ErrBadFormat, l)
+			return fmt.Errorf("%w: implausible tag length %d", ErrBadFormat, l)
 		}
-		buf := make([]byte, l)
-		if err := d.readFull(buf, off); err != nil {
-			return nil, err
+		tag := d.buf(int(l))
+		if err := d.readFull(tag, off); err != nil {
+			return err
 		}
 		off += int64(l)
-		d.dict[i] = string(buf)
+		if !fresh && dict[i] == string(tag) {
+			continue
+		}
+		if !fresh {
+			dict = append(make([]string, 0, nt), dict[:i]...)
+			dict = dict[:nt]
+			fresh = true
+		}
+		dict[i] = string(tag)
+		if i > 0 && dict[i-1] >= dict[i] {
+			return fmt.Errorf("%w: tag dictionary not sorted at entry %d", ErrBadFormat, i)
+		}
 	}
 	bodyLen, err := d.readUvarint(&off)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if int64(bodyLen) != d.bytesTotal-off {
-		return nil, fmt.Errorf("%w: body length %d does not match source size %d", ErrBadFormat, bodyLen, d.bytesTotal-off)
+	if bodyLen != uint64(d.bytesTotal-off) {
+		return fmt.Errorf("%w: body length %d does not match source size %d", ErrBadFormat, bodyLen, d.bytesTotal-off)
 	}
+	d.dict = dict
 	d.off = off
-	// Virtual super-root context: full dictionary, body length.
-	d.stack = []*openElement{{
-		name:    "",
-		descIDs: allIDs(len(d.dict)),
-		size:    bodyLen,
-		endOff:  d.bytesTotal,
-		depth:   0,
-	}}
-	return d, nil
+	d.pushAllIDs()
+	d.stack = append(d.stack, openElement{descHi: len(d.ids), size: bodyLen, endOff: d.bytesTotal})
+	return nil
+}
+
+// pushAllIDs appends the full dictionary's ids to the arena.
+func (d *Decoder) pushAllIDs() {
+	for id := range d.dict {
+		d.ids = append(d.ids, id)
+	}
+}
+
+// buf returns the decoder's scratch buffer sized to n bytes; its contents
+// are valid until the next call.
+func (d *Decoder) buf(n int) []byte {
+	if cap(d.scratch) < n {
+		d.scratch = make([]byte, n)
+	}
+	return d.scratch[:n]
 }
 
 // Dictionary returns the tag dictionary of the document.
@@ -158,13 +252,14 @@ func (d *Decoder) BytesRead() int64 { return d.bytesRead }
 // SkipToClose calls.
 func (d *Decoder) BytesSkipped() int64 { return d.skippedByte }
 
-// CurrentDescendantTags implements the evaluator's MetaProvider: the tag set
-// of the subtree rooted at the most recently opened element.
-func (d *Decoder) CurrentDescendantTags() (map[string]struct{}, bool) {
-	if d.lastOpened == nil {
-		return nil, false
+// HasDescendantTag implements the evaluator's MetaProvider: whether a tag
+// occurs in the subtree rooted at the most recently opened element.
+func (d *Decoder) HasDescendantTag(name string) (has, known bool) {
+	if d.lastOpened == 0 || d.lastOpened >= len(d.stack) {
+		return false, false
 	}
-	return d.lastOpened.descTags, true
+	el := &d.stack[d.lastOpened]
+	return DescendantTags{ids: d.ids[el.descLo:el.descHi], dict: d.dict}.HasDescendantTag(name)
 }
 
 // Next implements xmlstream.EventReader.
@@ -175,9 +270,12 @@ func (d *Decoder) Next() (xmlstream.Event, error) {
 	d.trace.Begin(trace.PhaseDecode)
 	defer d.trace.End()
 	for {
-		if len(d.pending) > 0 {
-			ev := d.pending[0]
-			d.pending = d.pending[1:]
+		if d.head < len(d.pending) {
+			ev := d.pending[d.head]
+			d.head++
+			if d.head == len(d.pending) {
+				d.pending, d.head = d.pending[:0], 0
+			}
 			return ev, nil
 		}
 		if err := d.advance(); err != nil {
@@ -191,29 +289,24 @@ func (d *Decoder) Next() (xmlstream.Event, error) {
 func (d *Decoder) advance() error {
 	// A region decoder ends where its region does: once the position reaches
 	// the limit with only the root open, the remaining children belong to
-	// later regions. Checked before the close loop so the root element is
+	// later regions. Checked before the close step so the root element is
 	// never popped — its Close event is owned by the caller that stitched
 	// the regions together, not by any single region.
 	if d.limit > 0 && len(d.stack) == 2 && d.off >= d.limit {
 		return xmlstream.ErrEndOfDocument
 	}
-	// Close every element whose encoding is exhausted.
-	for len(d.stack) > 1 {
-		top := d.stack[len(d.stack)-1]
-		if d.off < top.endOff {
-			break
-		}
-		if d.off > top.endOff {
-			return fmt.Errorf("%w: element <%s> overran its subtree size", ErrBadFormat, top.name)
-		}
-		d.stack = d.stack[:len(d.stack)-1]
-		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Close, Name: top.name, Depth: top.depth})
+	// Close the innermost element once its encoding is exhausted. The
+	// position never passes an open element's end: decodeElement rejects a
+	// child that would run past it.
+	if depth := len(d.stack) - 1; depth > 0 && d.off == d.stack[depth].endOff {
+		top := d.stack[depth]
+		d.stack = d.stack[:depth]
+		d.ids = d.ids[:top.descLo]
+		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Close, Name: top.name, Depth: depth})
 		return nil
 	}
-	if len(d.stack) == 1 {
-		if d.off >= d.bytesTotal {
-			return xmlstream.ErrEndOfDocument
-		}
+	if len(d.stack) == 1 && d.off >= d.bytesTotal {
+		return xmlstream.ErrEndOfDocument
 	}
 	return d.decodeElement()
 }
@@ -222,51 +315,58 @@ func (d *Decoder) advance() error {
 // the Open and Text events.
 func (d *Decoder) decodeElement() error {
 	parent := d.stack[len(d.stack)-1]
+	parentIDs := d.ids[parent.descLo:parent.descHi]
 	start := d.off
 
-	metaWidthBits := 1 + int(bitsForCount(len(parent.descIDs))) + int(bitsFor(parent.size))
+	tagBits := bitsForCount(len(parentIDs))
+	sizeBits := bitsFor(parent.size)
 	// The TagArray is only present for internal elements, but its presence
 	// is known from the first bit; read the maximum meta size then re-parse.
-	maxMetaBytes := (metaWidthBits + len(parent.descIDs) + 7) / 8
-	buf := make([]byte, maxMetaBytes)
+	buf := d.buf((1 + int(tagBits) + int(sizeBits) + len(parentIDs) + 7) / 8)
 	n, err := d.src.ReadAt(buf, start)
 	if n < len(buf) && err != nil && err != io.EOF {
 		return sourceErr("element meta", start, err)
 	}
-	buf = buf[:n]
-	r := newBitReader(buf)
+	r := bitReader{buf: buf[:n]}
 	isLeaf, ok := r.readBool()
 	if !ok {
 		return fmt.Errorf("%w: truncated element meta", ErrBadFormat)
 	}
-	tagIdx, ok := r.readBits(bitsForCount(len(parent.descIDs)))
+	tagIdx, ok := r.readBits(tagBits)
 	if !ok {
 		return fmt.Errorf("%w: truncated tag index", ErrBadFormat)
 	}
-	if int(tagIdx) >= len(parent.descIDs) {
+	if tagIdx >= uint64(len(parentIDs)) {
 		return fmt.Errorf("%w: tag index %d out of range", ErrBadFormat, tagIdx)
 	}
-	tagID := parent.descIDs[tagIdx]
-	size, ok := r.readBits(bitsFor(parent.size))
+	tagID := parentIDs[tagIdx]
+	size, ok := r.readBits(sizeBits)
 	if !ok {
 		return fmt.Errorf("%w: truncated subtree size", ErrBadFormat)
 	}
 	if size > parent.size {
 		return fmt.Errorf("%w: subtree size %d exceeds parent size %d", ErrBadFormat, size, parent.size)
 	}
-	var descIDs []int
-	if !isLeaf {
-		for i := range parent.descIDs {
+	name := d.dict[tagID]
+	endOff := start + int64(size)
+	if endOff > parent.endOff {
+		return fmt.Errorf("%w: element <%s> extends past its parent's end", ErrBadFormat, name)
+	}
+	// The element's descendant ids go on top of the arena. Appending never
+	// overwrites parentIDs, which ends at or before the arena's length.
+	lo := len(d.ids)
+	if isLeaf {
+		d.ids = append(d.ids, tagID)
+	} else {
+		for _, id := range parentIDs {
 			present, ok := r.readBool()
 			if !ok {
 				return fmt.Errorf("%w: truncated tag array", ErrBadFormat)
 			}
 			if present {
-				descIDs = append(descIDs, parent.descIDs[i])
+				d.ids = append(d.ids, id)
 			}
 		}
-	} else {
-		descIDs = []int{tagID}
 	}
 	r.align()
 	metaBytes := r.bytesConsumed()
@@ -277,12 +377,12 @@ func (d *Decoder) decodeElement() error {
 	if err != nil {
 		return err
 	}
-	if int64(textLen) > d.bytesTotal-off {
-		return fmt.Errorf("%w: text length %d overruns document", ErrBadFormat, textLen)
+	if off > endOff || textLen > uint64(endOff-off) {
+		return fmt.Errorf("%w: element <%s> header and text (%d bytes) run past its end", ErrBadFormat, name, textLen)
 	}
 	var text string
 	if textLen > 0 {
-		tb := make([]byte, textLen)
+		tb := d.buf(int(textLen))
 		if err := d.readFull(tb, off); err != nil {
 			return err
 		}
@@ -291,25 +391,11 @@ func (d *Decoder) decodeElement() error {
 	}
 
 	depth := len(d.stack) // virtual super-root occupies index 0
-	el := &openElement{
-		name:    d.dict[tagID],
-		descIDs: descIDs,
-		size:    size,
-		endOff:  start + int64(size),
-		depth:   depth,
-	}
-	el.descTags = make(map[string]struct{}, len(descIDs))
-	for _, id := range descIDs {
-		el.descTags[d.dict[id]] = struct{}{}
-	}
-	if el.endOff > d.bytesTotal {
-		return fmt.Errorf("%w: element <%s> extends past end of document", ErrBadFormat, el.name)
-	}
-	d.stack = append(d.stack, el)
-	d.lastOpened = el
+	d.stack = append(d.stack, openElement{name: name, descLo: lo, descHi: len(d.ids), size: size, endOff: endOff})
+	d.lastOpened = depth
 	d.off = off
 
-	d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Open, Name: el.name, Depth: depth})
+	d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Open, Name: name, Depth: depth})
 	if text != "" {
 		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Text, Value: text, Depth: depth})
 	}
@@ -322,15 +408,10 @@ func (d *Decoder) decodeElement() error {
 // evaluation would have skipped even when other subjects still need the
 // subtree, so per-subject skip accounting matches the solo path exactly.
 func (d *Decoder) SkipDistance(depth int) (int64, error) {
-	for i := len(d.stack) - 1; i >= 1; i-- {
-		if d.stack[i].depth == depth {
-			if skipped := d.stack[i].endOff - d.off; skipped > 0 {
-				return skipped, nil
-			}
-			return 0, nil
-		}
+	if depth < 1 || depth >= len(d.stack) {
+		return 0, fmt.Errorf("%w: no open element at depth %d", ErrBadFormat, depth)
 	}
-	return 0, fmt.Errorf("%w: no open element at depth %d", ErrBadFormat, depth)
+	return d.stack[depth].endOff - d.off, nil
 }
 
 // SkipToClose implements xmlstream.Skipper: it jumps to the end of the
@@ -340,34 +421,23 @@ func (d *Decoder) SkipDistance(depth int) (int64, error) {
 func (d *Decoder) SkipToClose(depth int) (int64, error) {
 	d.trace.Begin(trace.PhaseSkip)
 	defer d.trace.End()
-	// Find the element at that depth in the open stack.
-	var target *openElement
-	idx := -1
-	for i := len(d.stack) - 1; i >= 1; i-- {
-		if d.stack[i].depth == depth {
-			target = d.stack[i]
-			idx = i
-			break
-		}
-	}
-	if target == nil {
+	if depth < 1 || depth >= len(d.stack) {
 		return 0, fmt.Errorf("%w: no open element at depth %d", ErrBadFormat, depth)
 	}
+	target := d.stack[depth]
 	skipped := target.endOff - d.off
-	if skipped < 0 {
-		skipped = 0
-	}
 	d.off = target.endOff
 	d.skippedByte += skipped
 	// Events already decoded but not yet delivered all belong to the skipped
 	// subtree: drop them. Elements below the target that the consumer has
 	// already opened still need their Close events, in innermost-first
 	// order, before the target's own Close.
-	d.pending = d.pending[:0]
-	for i := len(d.stack) - 1; i > idx; i-- {
-		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Close, Name: d.stack[i].name, Depth: d.stack[i].depth})
+	d.pending, d.head = d.pending[:0], 0
+	for i := len(d.stack) - 1; i > depth; i-- {
+		d.pending = append(d.pending, xmlstream.Event{Kind: xmlstream.Close, Name: d.stack[i].name, Depth: i})
 	}
-	d.stack = d.stack[:idx+1]
+	d.stack = d.stack[:depth+1]
+	d.ids = d.ids[:target.descHi]
 	return skipped, nil
 }
 
@@ -399,7 +469,7 @@ func sourceErr(what string, off int64, err error) error {
 
 // readUvarint reads a varint at *off, advancing it and counting the bytes.
 func (d *Decoder) readUvarint(off *int64) (uint64, error) {
-	buf := make([]byte, 10)
+	buf := d.buf(10)
 	n, err := d.src.ReadAt(buf, *off)
 	if n < len(buf) && err != nil && err != io.EOF {
 		return 0, sourceErr("varint", *off, err)

@@ -3,7 +3,7 @@ package skipindex
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xmlac/internal/xmlstream"
 )
@@ -73,71 +73,73 @@ type TextSpan struct {
 	Len int
 }
 
-// encNode is the per-element working state of the encoder.
+// encNode is the per-element working state of the encoder. The elements of
+// a document sit in one slice in document order, so an element's subtree is
+// the index range [i, end) and its first child, if any, is at i+1. The
+// entries hold no pointers: the encoder walks the document tree alongside.
 type encNode struct {
-	node     *xmlstream.Node
-	children []*encNode
-	descTags []int // sorted tag ids present in the subtree (including self)
-	text     string
-	isLeaf   bool
 	// size is the encoded byte length of the subtree (meta+text+children),
 	// recomputed at each fixpoint iteration.
 	size uint64
-	// metaBits of the last computation (diagnostics / Figure 8).
-	metaBits int
+	// textLen is the length of the concatenated direct text.
+	textLen int
+	end     int32 // index past the element's subtree
+	tag     int32 // tag id
+	// desc and ndesc locate the element's descendant tags (including its
+	// own), sorted, in Encoder.desc.
+	desc, ndesc int32
+}
+
+// An Encoder builds TCSBR encodings. It keeps its working state (one entry
+// per element and, in one arena, the elements' descendant-tag lists) for the
+// next document, so a publisher re-encoding an edited document does not
+// allocate it again. The zero value is ready to use; an Encoder is not safe
+// for concurrent use.
+type Encoder struct {
+	nodes   []encNode
+	desc    []int32
+	scratch []int32
+	tagID   map[string]int32
+	w       bitWriter
+
+	// The encoding being emitted.
+	enc  *Encoded
+	data []byte
 }
 
 // Encode builds the TCSBR encoding of a document tree.
 func Encode(root *xmlstream.Node) (*Encoded, error) {
-	return encode(root, false)
+	return new(Encoder).encode(root, false, nil)
 }
 
 // EncodeIndexed is Encode plus the per-element text span index (TextSpans)
 // the in-place update fast path needs. The index costs one map entry per
-// element, so the plain Encode skips it.
-func EncodeIndexed(root *xmlstream.Node) (*Encoded, error) {
-	return encode(root, true)
+// element, so the plain Encode skips it. A non-nil spans is cleared and
+// filled as the index, so re-indexing an edited document reuses the map.
+func (e *Encoder) EncodeIndexed(root *xmlstream.Node, spans map[*xmlstream.Node]TextSpan) (*Encoded, error) {
+	return e.encode(root, true, spans)
 }
 
-func encode(root *xmlstream.Node, indexed bool) (*Encoded, error) {
+func (e *Encoder) encode(root *xmlstream.Node, indexed bool, spans map[*xmlstream.Node]TextSpan) (*Encoded, error) {
 	if root == nil || root.Kind != xmlstream.ElementNode {
 		return nil, fmt.Errorf("%w: document root must be an element", ErrBadFormat)
 	}
 	// Tag dictionary.
 	dict := root.DistinctTags()
-	tagID := make(map[string]int, len(dict))
+	if e.tagID == nil {
+		e.tagID = make(map[string]int32, len(dict))
+	}
+	clear(e.tagID)
 	for i, t := range dict {
-		tagID[t] = i
+		e.tagID[t] = int32(i)
 	}
-
-	// Build the encoder tree with descendant-tag sets.
-	var build func(n *xmlstream.Node) *encNode
-	build = func(n *xmlstream.Node) *encNode {
-		en := &encNode{node: n, isLeaf: true}
-		tagSet := map[int]struct{}{tagID[n.Name]: {}}
-		text := ""
-		for _, c := range n.Children {
-			switch c.Kind {
-			case xmlstream.TextNode:
-				text += c.Value
-			case xmlstream.ElementNode:
-				en.isLeaf = false
-				ce := build(c)
-				en.children = append(en.children, ce)
-				for _, id := range ce.descTags {
-					tagSet[id] = struct{}{}
-				}
-			}
-		}
-		en.text = text
-		en.descTags = make([]int, 0, len(tagSet))
-		for id := range tagSet {
-			en.descTags = append(en.descTags, id)
-		}
-		sort.Ints(en.descTags)
-		return en
+	e.nodes = slices.Grow(e.nodes[:0], root.CountElements())
+	e.desc = e.desc[:0]
+	e.build(root)
+	all := make([]int32, len(dict))
+	for i := range all {
+		all[i] = int32(i)
 	}
-	eroot := build(root)
 
 	// Fixpoint on subtree sizes: the width of an element's SubtreeSize field
 	// is ceil(log2(SubtreeSize_parent)) bits, so every size depends on its
@@ -146,119 +148,153 @@ func encode(root *xmlstream.Node, indexed bool) (*Encoded, error) {
 	// (each pass using the previous pass's parent sizes for the field
 	// widths) until they stop changing; widths and sizes are monotonically
 	// non-increasing, so the iteration converges.
-	var seed func(en *encNode)
-	seed = func(en *encNode) {
-		en.size = 1 << 40
-		for _, c := range en.children {
-			seed(c)
-		}
-	}
-	seed(eroot)
-	var recompute func(en *encNode, parentDesc []int, parentPrevSize uint64) uint64
-	recompute = func(en *encNode, parentDesc []int, parentPrevSize uint64) uint64 {
-		metaBits := 1 + int(bitsForCount(len(parentDesc))) + int(bitsFor(parentPrevSize))
-		if !en.isLeaf {
-			metaBits += len(parentDesc)
-		}
-		en.metaBits = metaBits
-		size := uint64((metaBits + 7) / 8)
-		size += uint64(uvarintLen(uint64(len(en.text)))) + uint64(len(en.text))
-		prevOwn := en.size
-		for _, c := range en.children {
-			size += recompute(c, en.descTags, prevOwn)
-		}
-		en.size = size
-		return size
+	for i := range e.nodes {
+		e.nodes[i].size = 1 << 40
 	}
 	const maxIterations = 64
 	prevTotal := uint64(0)
 	for i := 0; i < maxIterations; i++ {
-		total := recompute(eroot, allIDs(len(dict)), eroot.size)
+		total := e.recompute(0, len(all), e.nodes[0].size)
 		if total == prevTotal {
 			break
 		}
 		prevTotal = total
 	}
 
-	// Emit.
-	var data []byte
-	data = append(data, magic...)
-	data = putUvarint(data, uint64(len(dict)))
+	// Emit. Header and body sizes are known from the fixpoint, so data is
+	// allocated once.
+	rootSize := e.nodes[0].size
+	size := len(magic) + uvarintLen(uint64(len(dict))) + uvarintLen(rootSize) + int(rootSize)
 	for _, t := range dict {
-		data = putUvarint(data, uint64(len(t)))
-		data = append(data, t...)
+		size += uvarintLen(uint64(len(t))) + len(t)
 	}
-	data = putUvarint(data, eroot.size)
-	bodyOffset := len(data)
+	e.data = make([]byte, 0, size)
+	e.data = append(e.data, magic...)
+	e.data = putUvarint(e.data, uint64(len(dict)))
+	for _, t := range dict {
+		e.data = putUvarint(e.data, uint64(len(t)))
+		e.data = append(e.data, t...)
+	}
+	e.data = putUvarint(e.data, rootSize)
 
-	enc := &Encoded{Dictionary: dict, BodyOffset: bodyOffset}
+	enc := &Encoded{Dictionary: dict, BodyOffset: len(e.data)}
 	if indexed {
-		enc.TextSpans = make(map[*xmlstream.Node]TextSpan)
+		if spans == nil {
+			spans = make(map[*xmlstream.Node]TextSpan, len(e.nodes))
+		}
+		clear(spans)
+		enc.TextSpans = spans
 	}
-	var emit func(en *encNode, parentDesc []int, parentSize uint64) error
-	emit = func(en *encNode, parentDesc []int, parentSize uint64) error {
-		w := &bitWriter{}
-		w.writeBool(en.isLeaf)
-		idx := indexOf(parentDesc, tagID[en.node.Name])
-		if idx < 0 {
-			return fmt.Errorf("%w: tag %q missing from parent context", ErrBadFormat, en.node.Name)
-		}
-		w.writeBits(uint64(idx), bitsForCount(len(parentDesc)))
-		if en.size > parentSize {
-			return fmt.Errorf("%w: subtree size %d exceeds parent size %d", ErrBadFormat, en.size, parentSize)
-		}
-		w.writeBits(en.size, bitsFor(parentSize))
-		if !en.isLeaf {
-			own := map[int]struct{}{}
-			for _, id := range en.descTags {
-				own[id] = struct{}{}
-			}
-			for _, id := range parentDesc {
-				_, present := own[id]
-				w.writeBool(present)
-			}
-		}
-		enc.StructureBits += w.bitLen()
-		meta := w.bytes()
-		start := len(data)
-		data = append(data, meta...)
-		data = putUvarint(data, uint64(len(en.text)))
-		if indexed {
-			enc.TextSpans[en.node] = TextSpan{Off: len(data), Len: len(en.text)}
-		}
-		data = append(data, en.text...)
-		enc.TextBytes += len(en.text)
-		for _, c := range en.children {
-			if err := emit(c, en.descTags, en.size); err != nil {
-				return err
-			}
-		}
-		if got := uint64(len(data) - start); got != en.size {
-			return fmt.Errorf("%w: size mismatch for <%s>: computed %d, emitted %d", ErrBadFormat, en.node.Name, en.size, got)
-		}
-		return nil
-	}
-	if err := emit(eroot, allIDs(len(dict)), eroot.size); err != nil {
+	e.enc = enc
+	err := e.emit(0, root, all, rootSize)
+	enc.Data = e.data
+	e.enc, e.data = nil, nil
+	if err != nil {
 		return nil, err
 	}
-	enc.Data = data
 	return enc, nil
 }
 
-// allIDs returns [0..n).
-func allIDs(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func indexOf(ids []int, id int) int {
-	for i, v := range ids {
-		if v == id {
-			return i
+// build appends the subtree of n to e.nodes in document order and records
+// each element's descendant tags: its own tag plus its children's, sorted
+// and deduplicated.
+func (e *Encoder) build(n *xmlstream.Node) {
+	i := len(e.nodes)
+	e.nodes = append(e.nodes, encNode{tag: e.tagID[n.Name]})
+	textLen := 0
+	for _, c := range n.Children {
+		switch c.Kind {
+		case xmlstream.TextNode:
+			textLen += len(c.Value)
+		case xmlstream.ElementNode:
+			e.build(c)
 		}
 	}
-	return -1
+	tags := append(e.scratch[:0], e.nodes[i].tag)
+	for j := i + 1; j < len(e.nodes); j = int(e.nodes[j].end) {
+		c := &e.nodes[j]
+		tags = append(tags, e.desc[c.desc:c.desc+c.ndesc]...)
+	}
+	slices.Sort(tags)
+	tags = slices.Compact(tags)
+	e.scratch = tags
+	en := &e.nodes[i]
+	en.end = int32(len(e.nodes))
+	en.textLen = textLen
+	en.desc, en.ndesc = int32(len(e.desc)), int32(len(tags))
+	e.desc = append(e.desc, tags...)
+}
+
+// recompute sets the sizes of the subtree at i from the parent's previous
+// size and descendant-tag count, and returns the element's size.
+func (e *Encoder) recompute(i, parentDesc int, parentPrevSize uint64) uint64 {
+	en := &e.nodes[i]
+	metaBits := 1 + int(bitsForCount(parentDesc)) + int(bitsFor(parentPrevSize))
+	if int(en.end) > i+1 {
+		metaBits += parentDesc
+	}
+	size := uint64((metaBits + 7) / 8)
+	size += uint64(uvarintLen(uint64(en.textLen))) + uint64(en.textLen)
+	for j := i + 1; j < int(en.end); j = int(e.nodes[j].end) {
+		size += e.recompute(j, int(en.ndesc), en.size)
+	}
+	en.size = size
+	return size
+}
+
+// emit appends the encoding of the subtree at i, element n, to e.data.
+func (e *Encoder) emit(i int, n *xmlstream.Node, parentDesc []int32, parentSize uint64) error {
+	en := &e.nodes[i]
+	isLeaf := int(en.end) == i+1
+	w := &e.w
+	w.buf, w.cur, w.nbit = w.buf[:0], 0, 0
+	w.writeBool(isLeaf)
+	idx, found := slices.BinarySearch(parentDesc, en.tag)
+	if !found {
+		return fmt.Errorf("%w: tag %q missing from parent context", ErrBadFormat, n.Name)
+	}
+	w.writeBits(uint64(idx), bitsForCount(len(parentDesc)))
+	if en.size > parentSize {
+		return fmt.Errorf("%w: subtree size %d exceeds parent size %d", ErrBadFormat, en.size, parentSize)
+	}
+	w.writeBits(en.size, bitsFor(parentSize))
+	desc := e.desc[en.desc : en.desc+en.ndesc]
+	if !isLeaf {
+		// Both tag lists are sorted and the element's is a subset of its
+		// parent's: one merge pass sets the TagArray bits.
+		own := desc
+		for _, id := range parentDesc {
+			for len(own) > 0 && own[0] < id {
+				own = own[1:]
+			}
+			w.writeBool(len(own) > 0 && own[0] == id)
+		}
+	}
+	e.enc.StructureBits += w.bitLen()
+	start := len(e.data)
+	e.data = append(e.data, w.bytes()...)
+	e.data = putUvarint(e.data, uint64(en.textLen))
+	if e.enc.TextSpans != nil {
+		e.enc.TextSpans[n] = TextSpan{Off: len(e.data), Len: en.textLen}
+	}
+	for _, c := range n.Children {
+		if c.Kind == xmlstream.TextNode {
+			e.data = append(e.data, c.Value...)
+		}
+	}
+	e.enc.TextBytes += en.textLen
+	j := i + 1
+	for _, c := range n.Children {
+		if c.Kind != xmlstream.ElementNode {
+			continue
+		}
+		if err := e.emit(j, c, desc, en.size); err != nil {
+			return err
+		}
+		j = int(e.nodes[j].end)
+	}
+	if got := uint64(len(e.data) - start); got != en.size {
+		return fmt.Errorf("%w: size mismatch for <%s>: computed %d, emitted %d", ErrBadFormat, n.Name, en.size, got)
+	}
+	return nil
 }

@@ -38,11 +38,10 @@ type RegionPlan struct {
 
 	prefix []xmlstream.Event
 
-	rootName     string
-	rootDescIDs  []int
-	rootDescTags map[string]struct{}
-	rootSize     uint64
-	rootEndOff   int64
+	rootName    string
+	rootDescIDs []int
+	rootSize    uint64
+	rootEndOff  int64
 
 	bodySize      uint64
 	bytesTotal    int64
@@ -76,15 +75,14 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 		return nil, fmt.Errorf("%w: document does not start with a root element", ErrBadFormat)
 	}
 	prefix := []xmlstream.Event{openEv}
-	prefix = append(prefix, d.pending...) // the root's direct-text event, if any
+	prefix = append(prefix, d.pending[d.head:]...) // the root's direct-text event, if any
 	root := d.stack[1]
 
 	p := &RegionPlan{
 		dict:          d.dict,
 		prefix:        prefix,
 		rootName:      root.name,
-		rootDescIDs:   root.descIDs,
-		rootDescTags:  root.descTags,
+		rootDescIDs:   append([]int(nil), d.ids[root.descLo:root.descHi]...),
 		rootSize:      root.size,
 		rootEndOff:    root.endOff,
 		bodySize:      d.stack[0].size,
@@ -98,9 +96,9 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 	// Shallow child walk: each child's subtree size is in its metadata, so
 	// the extent chain [start, start+size) is readable without decoding any
 	// grandchild. Widths mirror decodeElement with the root as parent.
-	tagBits := bitsForCount(len(root.descIDs))
+	tagBits := bitsForCount(len(p.rootDescIDs))
 	sizeBits := bitsFor(root.size)
-	maxMeta := (1 + int(tagBits) + int(sizeBits) + len(root.descIDs) + 7) / 8
+	maxMeta := (1 + int(tagBits) + int(sizeBits) + len(p.rootDescIDs) + 7) / 8
 	type childExtent struct {
 		start int64
 		size  int64
@@ -120,7 +118,7 @@ func PlanRegions(src ByteSource, maxRegions int) (*RegionPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: truncated child tag index at offset %d", ErrBadFormat, off)
 		}
-		if int(tagIdx) >= len(root.descIDs) {
+		if int(tagIdx) >= len(p.rootDescIDs) {
 			return nil, fmt.Errorf("%w: child tag index %d out of range at offset %d", ErrBadFormat, tagIdx, off)
 		}
 		size, ok := r.readBits(sizeBits)
@@ -184,7 +182,9 @@ func (p *RegionPlan) RootName() string { return p.rootName }
 // RootDescendantTags returns the descendant-tag set of the root element —
 // the MetaProvider answer a whole-document decoder would give right after
 // the root opens.
-func (p *RegionPlan) RootDescendantTags() map[string]struct{} { return p.rootDescTags }
+func (p *RegionPlan) RootDescendantTags() DescendantTags {
+	return DescendantTags{ids: p.rootDescIDs, dict: p.dict}
+}
 
 // RootSkipDistance returns the number of encoded bytes a SkipToClose at the
 // root (depth 1) jumps over when issued immediately after the prefix: the
@@ -202,7 +202,7 @@ func (p *RegionPlan) RegionCount() int { return len(p.regions) }
 // NewRegionDecoder returns a Decoder positioned at the start of region r of
 // the plan, as if a whole-document decoder had consumed the prefix and all
 // earlier regions without reading them: the open stack already holds the
-// root element, CurrentDescendantTags answers for the root (so replaying
+// root element, HasDescendantTag answers for the root (so replaying
 // the prefix through an evaluator sees the same metadata as the serial
 // scan), and the decoder reports end-of-document — with the root still open
 // and no root Close emitted — when the region's extent is exhausted.
@@ -213,30 +213,18 @@ func NewRegionDecoder(src ByteSource, p *RegionPlan, r int) (*Decoder, error) {
 	if r < 0 || r >= len(p.regions) {
 		return nil, fmt.Errorf("skipindex: region %d out of range (plan has %d)", r, len(p.regions))
 	}
-	root := &openElement{
-		name:     p.rootName,
-		descIDs:  p.rootDescIDs,
-		size:     p.rootSize,
-		endOff:   p.rootEndOff,
-		depth:    1,
-		descTags: p.rootDescTags,
-	}
 	d := &Decoder{
 		src:        src,
 		dict:       p.dict,
 		off:        p.regions[r].Start,
 		bytesTotal: p.bytesTotal,
 		limit:      p.regions[r].End,
-		lastOpened: root,
+		lastOpened: 1,
 	}
-	d.stack = []*openElement{
-		{
-			descIDs: allIDs(len(p.dict)),
-			size:    p.bodySize,
-			endOff:  p.bytesTotal,
-			depth:   0,
-		},
-		root,
-	}
+	d.pushAllIDs()
+	d.stack = append(d.stack, openElement{descHi: len(d.ids), size: p.bodySize, endOff: p.bytesTotal})
+	lo := len(d.ids)
+	d.ids = append(d.ids, p.rootDescIDs...)
+	d.stack = append(d.stack, openElement{name: p.rootName, descLo: lo, descHi: len(d.ids), size: p.rootSize, endOff: p.rootEndOff})
 	return d, nil
 }

@@ -94,7 +94,7 @@ func TestPlanRegionsPartition(t *testing.T) {
 	if plan.RootName() != "Hospital" {
 		t.Fatalf("RootName = %q", plan.RootName())
 	}
-	if _, ok := plan.RootDescendantTags()["Diagnostic"]; !ok {
+	if has, known := plan.RootDescendantTags().HasDescendantTag("Diagnostic"); !has || !known {
 		t.Fatal("root descendant tags must include Diagnostic")
 	}
 	prefix := plan.Prefix()
@@ -184,11 +184,11 @@ func TestRegionDecoderMetaAndSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags, ok := dec.CurrentDescendantTags()
-	if !ok {
+	has, known := dec.HasDescendantTag("MedActs")
+	if !known {
 		t.Fatal("region decoder must answer for the root before its first event")
 	}
-	if _, present := tags["MedActs"]; !present {
+	if !has {
 		t.Fatal("root descendant tags must include MedActs")
 	}
 	// Open the first Folder, then skip it: next events are its Close and

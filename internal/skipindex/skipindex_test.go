@@ -166,17 +166,18 @@ func TestDecoderDescendantTags(t *testing.T) {
 			break
 		}
 	}
-	tags, ok := dec.CurrentDescendantTags()
-	if !ok {
+	if _, known := dec.HasDescendantTag("MedActs"); !known {
 		t.Fatal("descendant tags unavailable")
 	}
 	for _, want := range []string{"MedActs", "Act", "RPhys", "Details", "Diagnostic"} {
-		if _, present := tags[want]; !present {
+		if has, _ := dec.HasDescendantTag(want); !has {
 			t.Errorf("missing descendant tag %s", want)
 		}
 	}
-	if _, present := tags["Admin"]; present {
-		t.Error("Admin must not be reported under MedActs")
+	for _, absent := range []string{"Admin", "NoSuchTag", ""} {
+		if has, _ := dec.HasDescendantTag(absent); has {
+			t.Errorf("%q must not be reported under MedActs", absent)
+		}
 	}
 }
 
@@ -431,7 +432,7 @@ func TestEncodeIndexedSpliceEqualsReencode(t *testing.T) {
 			xmlstream.NewText(" tail"),
 		),
 	)
-	enc, err := EncodeIndexed(root)
+	enc, err := new(Encoder).EncodeIndexed(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +479,41 @@ func TestEncodeIndexedSpliceEqualsReencode(t *testing.T) {
 	aspan := enc.TextSpans[act]
 	if string(enc.Data[aspan.Off:aspan.Off+aspan.Len]) != "preamble  tail" {
 		t.Fatalf("concatenated span reads %q", string(enc.Data[aspan.Off:aspan.Off+aspan.Len]))
+	}
+}
+
+// TestEncoderReuse: an Encoder that already encoded other documents, larger
+// and smaller, yields the bytes a fresh one does, and refills a reused span
+// map with exactly the new document's elements.
+func TestEncoderReuse(t *testing.T) {
+	var e Encoder
+	stale := xmlstream.Elem("Gone", "x")
+	spans := map[*xmlstream.Node]TextSpan{stale: {Off: 1, Len: 1}}
+	for _, doc := range []*xmlstream.Node{randomTree(7), sampleDoc(), randomTree(11), randomTree(3), sampleDoc()} {
+		want, err := Encode(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.EncodeIndexed(doc, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, want.Data) || got.StructureBits != want.StructureBits || got.TextBytes != want.TextBytes {
+			t.Fatal("a reused Encoder differs from a fresh one")
+		}
+		if len(spans) != doc.CountElements() {
+			t.Fatalf("span map holds %d entries for %d elements", len(spans), doc.CountElements())
+		}
+		doc.Walk(func(n *xmlstream.Node) bool {
+			if n.Kind != xmlstream.ElementNode {
+				return true
+			}
+			span, ok := spans[n]
+			if !ok || string(got.Data[span.Off:span.Off+span.Len]) != n.Text() {
+				t.Fatalf("<%s>: span %+v (present %v) does not read its text %q", n.Name, span, ok, n.Text())
+			}
+			return true
+		})
 	}
 }
 

@@ -321,20 +321,9 @@ func unescape(s string) string {
 	return replacer.Replace(s)
 }
 
-// Escape escapes the XML special characters of a text value.
-func Escape(s string) string {
-	if !strings.ContainsAny(s, "<>&\"'") {
-		return s
-	}
-	replacer := strings.NewReplacer(
-		"&", "&amp;",
-		"<", "&lt;",
-		">", "&gt;",
-		`"`, "&quot;",
-		"'", "&apos;",
-	)
-	return replacer.Replace(s)
-}
+// Escape escapes the XML special characters of a text value, exactly as the
+// Serializer writes it.
+func Escape(s string) string { return string(appendEscaped(nil, s)) }
 
 // ParseTree parses a full document into a Node tree. It is used by the
 // dataset round-trip tests and by the protect pipeline, not by the SOE.

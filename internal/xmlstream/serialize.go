@@ -8,16 +8,15 @@ import (
 
 // Serializer writes an event stream back to textual XML. It implements
 // EventWriter and is used to materialize the authorized view delivered by the
-// access-control evaluator on the terminal side.
+// access-control evaluator on the terminal side. Each event reaches the
+// writer as one Write of a reused buffer.
 type Serializer struct {
 	w      io.Writer
 	Indent bool
 	depth  int
 	err    error
-	// openTag tracks whether the last event was an Open so that empty
-	// elements can be collapsed visually when indenting; kept simple: we
-	// always emit explicit open/close pairs for fidelity with the paper's
-	// structural rule.
+	// buf holds the bytes of the event being written.
+	buf          []byte
 	bytesWritten int64
 }
 
@@ -34,49 +33,74 @@ func (s *Serializer) WriteEvent(ev Event) error {
 	if s.err != nil {
 		return s.err
 	}
+	b := s.buf[:0]
 	switch ev.Kind {
 	case Open:
-		s.write(s.indentation())
-		s.write("<" + ev.Name + ">")
+		b = s.appendIndent(b)
+		b = append(b, '<')
+		b = append(b, ev.Name...)
+		b = append(b, '>')
 		s.depth++
-		if s.Indent {
-			s.write("\n")
-		}
 	case Text:
-		s.write(s.indentation())
-		s.write(Escape(ev.Value))
-		if s.Indent {
-			s.write("\n")
-		}
+		b = s.appendIndent(b)
+		b = appendEscaped(b, ev.Value)
 	case Close:
 		s.depth--
-		s.write(s.indentation())
-		s.write("</" + ev.Name + ">")
-		if s.Indent {
-			s.write("\n")
-		}
+		b = s.appendIndent(b)
+		b = append(b, "</"...)
+		b = append(b, ev.Name...)
+		b = append(b, '>')
 	default:
 		s.err = fmt.Errorf("xmlstream: unknown event kind %v", ev.Kind)
+		return s.err
 	}
-	return s.err
-}
-
-func (s *Serializer) indentation() string {
-	if !s.Indent || s.depth == 0 {
-		return ""
+	if s.Indent {
+		b = append(b, '\n')
 	}
-	return strings.Repeat("  ", s.depth)
-}
-
-func (s *Serializer) write(str string) {
-	if s.err != nil || str == "" {
-		return
+	s.buf = b
+	if len(b) == 0 {
+		return nil
 	}
-	n, err := io.WriteString(s.w, str)
+	n, err := s.w.Write(b)
 	s.bytesWritten += int64(n)
-	if err != nil {
-		s.err = err
+	s.err = err
+	return err
+}
+
+func (s *Serializer) appendIndent(b []byte) []byte {
+	if s.Indent {
+		for i := 0; i < s.depth; i++ {
+			b = append(b, "  "...)
+		}
 	}
+	return b
+}
+
+// appendEscaped appends a text value to b with the XML special characters
+// escaped.
+func appendEscaped(b []byte, text string) []byte {
+	last := 0
+	for i := 0; i < len(text); i++ {
+		var esc string
+		switch text[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		case '\'':
+			esc = "&apos;"
+		default:
+			continue
+		}
+		b = append(b, text[last:i]...)
+		b = append(b, esc...)
+		last = i + 1
+	}
+	return append(b, text[last:]...)
 }
 
 // SerializeTree renders a Node tree as textual XML.

@@ -169,13 +169,14 @@ func runViews(src secure.ChunkSource, key Key, views []CompiledView) ([]ViewResu
 	return results, err
 }
 
-// scanState bundles the serial scan's machinery (secure reader plus one
-// evaluator per view), reused across scans through a sync.Pool: concurrent
-// views do not re-allocate the reader caches and evaluator tables, they only
-// reset them.
+// scanState bundles the serial scan's machinery (secure reader, Skip-index
+// decoder and one evaluator per view), reused across scans through a
+// sync.Pool: concurrent views do not re-allocate the reader caches, decoder
+// stacks and evaluator tables, they only reset them.
 type scanState struct {
-	reader *secure.Reader
-	evals  []*core.Evaluator
+	reader  *secure.Reader
+	decoder skipindex.Decoder
+	evals   []*core.Evaluator
 }
 
 var scanPool = sync.Pool{New: func() any { return &scanState{} }}
@@ -212,8 +213,8 @@ func serialScan(ctx context.Context, src secure.ChunkSource, key Key, subjects [
 		}
 		defer st.reader.SetTrace(nil)
 	}
-	decoder, err := skipindex.NewDecoder(st.reader)
-	if err != nil {
+	decoder := &st.decoder
+	if err := decoder.Reset(st.reader); err != nil {
 		return nil, err
 	}
 	decoder.SetTrace(shared)

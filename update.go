@@ -177,31 +177,35 @@ func (p *Protected) Update(key Key, edits []Edit) (uint64, *UpdateDelta, error) 
 		return 0, nil, err
 	}
 	if !ok {
-		undo, err := applyEdits(p.root, edits)
-		if err != nil {
+		if err := applyEdits(p.root, edits); err != nil {
 			return 0, nil, err
 		}
-		encoded, encErr := skipindex.EncodeIndexed(p.root)
-		if encErr != nil {
-			undo()
-			return 0, nil, encErr
+		encoded, err := p.enc.EncodeIndexed(p.root, p.spans)
+		if err != nil {
+			p.dropEditState()
+			return 0, nil, err
 		}
 		newPlain, newSpans = encoded.Data, encoded.TextSpans
 	}
 	newProt, delta, err := secure.Update(old, oldPlain, newPlain, key)
 	if err != nil {
-		// The tree may already carry the edits; re-deriving it from the
-		// unchanged plaintext on the next call is simpler and safer than
-		// undoing across the splice and structural paths.
-		p.mu.Lock()
-		p.plain, p.root, p.spans = nil, nil, nil
-		p.mu.Unlock()
+		p.dropEditState()
 		return 0, nil, err
 	}
 	p.mu.Lock()
 	p.prot, p.plain, p.spans = newProt, newPlain, newSpans
 	p.mu.Unlock()
 	return newProt.Version, deltaFromSecure(delta), nil
+}
+
+// dropEditState forgets the edit state after a failed Update: the tree may
+// already carry the edits and the span index may be half rebuilt, and
+// re-deriving both from the unchanged ciphertext on the next call is simpler
+// and safer than undoing across the splice and structural paths.
+func (p *Protected) dropEditState() {
+	p.mu.Lock()
+	p.plain, p.root, p.spans = nil, nil, nil
+	p.mu.Unlock()
 }
 
 // ensureEditable materializes the publisher-side edit state (plaintext
@@ -222,7 +226,7 @@ func (p *Protected) ensureEditable(key Key) error {
 	if err != nil {
 		return fmt.Errorf("xmlac: decoding document for update (wrong key?): %w", err)
 	}
-	encoded, err := skipindex.EncodeIndexed(root)
+	encoded, err := p.enc.EncodeIndexed(root, nil)
 	if err != nil {
 		return err
 	}
@@ -286,11 +290,10 @@ func setDirectText(n *xmlstream.Node, text string) {
 	n.Children = children
 }
 
-// applyEdits applies the batch to the tree in order, returning an undo
-// closure restoring the tree if a later stage fails. Each edit is validated
-// before it mutates anything, so a failed batch leaves the tree as the undo
-// log can restore it.
-func applyEdits(root *xmlstream.Node, edits []Edit) (undo func(), err error) {
+// applyEdits applies the batch to the tree in order. Each edit is validated
+// before it mutates anything, and a failing edit restores the tree from the
+// undo log, so the batch applies whole or not at all.
+func applyEdits(root *xmlstream.Node, edits []Edit) error {
 	type saved struct {
 		node     *xmlstream.Node
 		children []*xmlstream.Node
@@ -299,7 +302,7 @@ func applyEdits(root *xmlstream.Node, edits []Edit) (undo func(), err error) {
 	save := func(n *xmlstream.Node) {
 		log = append(log, saved{node: n, children: append([]*xmlstream.Node(nil), n.Children...)})
 	}
-	undo = func() {
+	undo := func() {
 		for i := len(log) - 1; i >= 0; i-- {
 			log[i].node.Children = log[i].children
 		}
@@ -309,19 +312,19 @@ func applyEdits(root *xmlstream.Node, edits []Edit) (undo func(), err error) {
 		parent, idx, node, rerr := resolveEditPath(root, e.Path)
 		if rerr != nil {
 			undo()
-			return nil, fmt.Errorf("%w: edit %d: %w", ErrInvalidEdit, i, rerr)
+			return fmt.Errorf("%w: edit %d: %w", ErrInvalidEdit, i, rerr)
 		}
 		switch e.Op {
 		case EditReplace, EditInsert:
 			frag, perr := parseFragment(e.XML)
 			if perr != nil {
 				undo()
-				return nil, fmt.Errorf("%w: edit %d: %w", ErrInvalidEdit, i, perr)
+				return fmt.Errorf("%w: edit %d: %w", ErrInvalidEdit, i, perr)
 			}
 			if e.Op == EditReplace {
 				if parent == nil {
 					undo()
-					return nil, fmt.Errorf("%w: edit %d: cannot replace the document root", ErrInvalidEdit, i)
+					return fmt.Errorf("%w: edit %d: cannot replace the document root", ErrInvalidEdit, i)
 				}
 				save(parent)
 				parent.Children[idx] = frag
@@ -332,7 +335,7 @@ func applyEdits(root *xmlstream.Node, edits []Edit) (undo func(), err error) {
 		case EditDelete:
 			if parent == nil {
 				undo()
-				return nil, fmt.Errorf("%w: edit %d: cannot delete the document root", ErrInvalidEdit, i)
+				return fmt.Errorf("%w: edit %d: cannot delete the document root", ErrInvalidEdit, i)
 			}
 			save(parent)
 			parent.Children = append(parent.Children[:idx:idx], parent.Children[idx+1:]...)
@@ -341,10 +344,10 @@ func applyEdits(root *xmlstream.Node, edits []Edit) (undo func(), err error) {
 			setDirectText(node, e.Text)
 		default:
 			undo()
-			return nil, fmt.Errorf("%w: edit %d: unknown op %q", ErrInvalidEdit, i, e.Op)
+			return fmt.Errorf("%w: edit %d: unknown op %q", ErrInvalidEdit, i, e.Op)
 		}
 	}
-	return undo, nil
+	return nil
 }
 
 // ApplyEdits applies the edits to a plain document with exactly the
@@ -356,8 +359,7 @@ func (d *Document) ApplyEdits(edits ...Edit) error {
 	if d.IsEmpty() {
 		return fmt.Errorf("%w: empty document", ErrInvalidEdit)
 	}
-	_, err := applyEdits(d.root, edits)
-	return err
+	return applyEdits(d.root, edits)
 }
 
 // parseFragment parses an XML fragment that must be a single element.

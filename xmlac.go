@@ -467,6 +467,9 @@ type Protected struct {
 	plain []byte
 	root  *xmlstream.Node
 	spans map[*xmlstream.Node]skipindex.TextSpan
+	// enc re-encodes root after structural edits; it keeps its working
+	// state between updates and is used only under updateMu.
+	enc skipindex.Encoder
 }
 
 // snapshot returns the current immutable protected form; evaluations hold it
