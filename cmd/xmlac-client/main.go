@@ -43,7 +43,7 @@ func main() {
 	out := flag.String("out", "", "output file (default: stdout)")
 	dummy := flag.Bool("dummy-names", false, "replace denied ancestor names with '_'")
 	wire := flag.Bool("wire", false, "print transfer statistics to stderr")
-	traceOut := flag.String("trace-out", "", "write a merged Chrome trace (chrome://tracing / Perfetto) of the evaluation to this file: the client's decrypt/skip/eval lanes plus, when the server's /debug/trace is reachable, its fetch/view spans of the same trace ID")
+	traceOut := flag.String("trace-out", "", "write a merged Chrome trace (chrome://tracing / Perfetto) of the evaluation to this file: the client's decrypt/skip/eval lanes plus, when the server's /debug/trace is reachable, its request spans of the same trace ID")
 	traceJSONL := flag.String("trace-jsonl", "", "also write the merged client+server spans as JSONL (the xmlac-report -trace input)")
 	flag.Parse()
 

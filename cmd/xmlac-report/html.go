@@ -26,10 +26,8 @@ type reportData struct {
 	Generated      string
 	Trajectory     []bench.TrajectoryEntry
 	Spans          []xmlac.TraceSpan
-	Costs          *costSnapshot
 	TrajectoryPath string
 	TracePath      string
-	CostsPath      string
 }
 
 // The categorical palette (validated order — see the phase slot list): light
@@ -124,17 +122,6 @@ func fmtNs(ns float64) string {
 	}
 }
 
-func fmtBytes(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", b)
-	}
-}
-
 // niceCeil rounds up to a clean 1/2/5 step for axis maxima.
 func niceCeil(v float64) float64 {
 	if v <= 0 {
@@ -170,12 +157,9 @@ func renderHTML(w io.Writer, d *reportData) error {
 	if len(d.Spans) > 0 {
 		writeTraceSection(&b, d.Spans)
 	}
-	if d.Costs != nil {
-		writeCosts(&b, d.Costs)
-	}
 
 	b.WriteString("<footer>Inputs:")
-	for _, p := range []string{d.TrajectoryPath, d.TracePath, d.CostsPath} {
+	for _, p := range []string{d.TrajectoryPath, d.TracePath} {
 		if p != "" {
 			fmt.Fprintf(&b, " %s", esc(p))
 		}
@@ -637,27 +621,4 @@ func writeTraceSection(b *strings.Builder, spans []xmlac.TraceSpan) {
 func roundedRight(x, y, w, h, r float64) string {
 	return fmt.Sprintf("M%.1f %.1f h%.1f a%.1f %.1f 0 0 1 %.1f %.1f v%.1f a%.1f %.1f 0 0 1 -%.1f %.1f h-%.1f z",
 		x, y, w-r, r, r, r, r, h-2*r, r, r, r, r, w-r)
-}
-
-// writeCosts renders the /debug/costs snapshot as the ranked table it is —
-// per-subject magnitudes read better as aligned numbers than as paint.
-func writeCosts(b *strings.Builder, snap *costSnapshot) {
-	b.WriteString("<h2>Per-subject costs</h2>\n<div class=\"card\">\n<table>\n")
-	b.WriteString("<tr><th>Subject</th><th>Policy</th><th class=\"num\">Views</th><th class=\"num\">Errors</th><th class=\"num\">Wire</th><th class=\"num\">Decrypted</th><th class=\"num\">Eval time</th></tr>\n")
-	rows := snap.Entries
-	if snap.Other != nil {
-		rows = append(rows[:len(rows):len(rows)], *snap.Other)
-	}
-	for _, e := range rows {
-		policy := e.Policy
-		if len(policy) > 12 {
-			policy = policy[:12] + "…"
-		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n",
-			esc(e.Subject), esc(policy), e.Views, e.Errors,
-			esc(fmtBytes(e.WireBytes)), esc(fmtBytes(e.BytesDecrypted)),
-			esc(fmtNs(float64(e.Phases.EvalNs))))
-	}
-	fmt.Fprintf(b, "</table>\n<div class=\"note\">%d distinct (subject, policy) buckets tracked; %d recordings collapsed into other.</div>\n</div>\n",
-		snap.Distinct, snap.Collapsed)
 }

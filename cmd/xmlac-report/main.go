@@ -1,17 +1,17 @@
 // Command xmlac-report renders the repository's observability artifacts into
 // one self-contained HTML page: the benchmark trajectory of
-// BENCH_trajectory.jsonl as small-multiple trend panels, a span JSONL trace
-// (client SOE phases and server request spans) as a phase-breakdown
-// comparison, and a saved /debug/costs snapshot as the per-subject cost
-// table. The page embeds everything inline — no scripts, stylesheets, fonts
-// or images are fetched, so the CI artifact renders without network access.
+// BENCH_trajectory.jsonl as small-multiple trend panels and a span JSONL
+// trace (client SOE phases and server request spans) as a phase-breakdown
+// comparison. The page embeds everything inline — no scripts, stylesheets,
+// fonts or images are fetched, so the CI artifact renders without network
+// access.
 //
 // Every input is optional; sections render for whatever was provided.
 //
 // Usage:
 //
 //	xmlac-report -trajectory BENCH_trajectory.jsonl -trace view.trace.jsonl \
-//	  -costs costs.json -out report.html
+//	  -out report.html
 //	xmlac-report -trace view.trace.jsonl -assert-merged
 //
 // With -assert-merged the command verifies the trace is a *merged*
@@ -34,18 +34,17 @@ import (
 func main() {
 	trajPath := flag.String("trajectory", "", "trajectory JSONL (BENCH_trajectory.jsonl)")
 	tracePath := flag.String("trace", "", "span JSONL of one traced view (client and/or server spans)")
-	costsPath := flag.String("costs", "", "saved /debug/costs JSON snapshot")
 	outPath := flag.String("out", "xmlac-report.html", "output HTML file")
 	assertMerged := flag.Bool("assert-merged", false, "fail unless -trace holds a merged client+server trace with parent linkage")
 	flag.Parse()
 
-	if err := run(*trajPath, *tracePath, *costsPath, *outPath, *assertMerged); err != nil {
+	if err := run(*trajPath, *tracePath, *outPath, *assertMerged); err != nil {
 		fmt.Fprintln(os.Stderr, "xmlac-report:", err)
 		os.Exit(1)
 	}
 }
 
-func run(trajPath, tracePath, costsPath, outPath string, assertMerged bool) error {
+func run(trajPath, tracePath, outPath string, assertMerged bool) error {
 	var data reportData
 	data.Generated = time.Now().UTC().Format(time.RFC3339)
 
@@ -69,14 +68,6 @@ func run(trajPath, tracePath, costsPath, outPath string, assertMerged bool) erro
 		}
 		data.Spans = spans
 		data.TracePath = tracePath
-	}
-	if costsPath != "" {
-		snap, err := readCosts(costsPath)
-		if err != nil {
-			return err
-		}
-		data.Costs = snap
-		data.CostsPath = costsPath
 	}
 
 	if assertMerged {

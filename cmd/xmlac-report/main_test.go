@@ -22,31 +22,26 @@ const sampleTrace = `{"trace_id":"t-merged","span_id":"c1c1c1c1c1c1c1c1","parent
 {"trace_id":"t-merged","span_id":"s2s2s2s2s2s2s2s2","parent":"root00000000aaaa","name":"server.manifest","start":"2026-08-07T00:00:00.000Z","dur_ns":2000000,"seq":2}
 `
 
-const sampleCosts = `{"entries":[{"subject":"secretary","policy":"abcdef0123456789","views":2,"errors":0,"wire_bytes":4096,"bytes_decrypted":8192,"phases":{"EvalNs":1000000}}],"other":{"subject":"other","views":1,"wire_bytes":100},"distinct":2,"collapsed":0}`
-
-func writeInputs(t *testing.T) (traj, trace, costs string) {
+func writeInputs(t *testing.T) (traj, trace string) {
 	t.Helper()
 	dir := t.TempDir()
 	traj = filepath.Join(dir, "traj.jsonl")
 	trace = filepath.Join(dir, "trace.jsonl")
-	costs = filepath.Join(dir, "costs.json")
-	for path, content := range map[string]string{
-		traj: sampleTrajectory, trace: sampleTrace, costs: sampleCosts,
-	} {
+	for path, content := range map[string]string{traj: sampleTrajectory, trace: sampleTrace} {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return traj, trace, costs
+	return traj, trace
 }
 
 // TestReportSelfContained renders a full report and pins the acceptance
 // criterion: the HTML references no external asset — no script/img/link
 // sources, no CSS imports or url() fetches — so it renders offline.
 func TestReportSelfContained(t *testing.T) {
-	traj, trace, costs := writeInputs(t)
+	traj, trace := writeInputs(t)
 	out := filepath.Join(t.TempDir(), "report.html")
-	if err := run(traj, trace, costs, out, true); err != nil {
+	if err := run(traj, trace, out, true); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -74,9 +69,6 @@ func TestReportSelfContained(t *testing.T) {
 		"untrusted server",   //
 		"phase breakdown",    //
 		"other (resync",      // beyond-palette phase folded and named in the table
-		"secretary",          // costs table
-		"abcdef012345…",      // policy fingerprint shortened
-		"2 distinct",         // registry shape note
 		"var(--s1)",          // series color applied via tokens
 		"stroke-width=\"2\"", // 2px line spec
 	} {
@@ -97,9 +89,9 @@ func TestReportSelfContained(t *testing.T) {
 // one panel per profile from the newest entry's ParallelScan results, x ticks
 // at the worker counts, speedup vs the serial arm direct-labeled and tabled.
 func TestReportParallelScaling(t *testing.T) {
-	traj, _, _ := writeInputs(t)
+	traj, _ := writeInputs(t)
 	out := filepath.Join(t.TempDir(), "report.html")
-	if err := run(traj, "", "", out, false); err != nil {
+	if err := run(traj, "", out, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -127,7 +119,7 @@ func TestReportParallelScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	out2 := filepath.Join(t.TempDir(), "report2.html")
-	if err := run(single, "", "", out2, false); err != nil {
+	if err := run(single, "", out2, false); err != nil {
 		t.Fatal(err)
 	}
 	raw2, err := os.ReadFile(out2)
@@ -141,9 +133,9 @@ func TestReportParallelScaling(t *testing.T) {
 
 // TestReportPartialInputs: each input is optional; any subset renders.
 func TestReportPartialInputs(t *testing.T) {
-	traj, _, _ := writeInputs(t)
+	traj, _ := writeInputs(t)
 	out := filepath.Join(t.TempDir(), "report.html")
-	if err := run(traj, "", "", out, false); err != nil {
+	if err := run(traj, "", out, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)

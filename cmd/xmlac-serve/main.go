@@ -1,20 +1,23 @@
-// xmlac-serve is the multi-tenant document server: it registers protected
-// XML documents and per-subject access-control policies over HTTP and
-// serves streamed authorized views concurrently. Each policy is compiled
-// once, when it is installed, and evaluated by every view of its subject.
+// xmlac-serve is the paper's untrusted document store: it keeps protected
+// XML documents and range-serves each encrypted container, its manifest,
+// fragment hashes and update deltas over HTTP. It never evaluates a policy;
+// every view runs in a client SOE (xmlac-client, xmlac.OpenRemote) that
+// pulls only the ciphertext its policy needs.
 //
 // Quickstart:
 //
 //	xmlac-serve -addr :8080 -demo &
-//	curl 'localhost:8080/docs/hospital/view?subject=DrA&indent=1'
+//	xmlac-client -url http://localhost:8080/docs/hospital -profile doctor:DrA
 //	curl 'localhost:8080/metrics'
 //
-// Registering your own document and policy:
+// Registering your own document (the server derives the key from the
+// passphrase and protects the document; the client needs the same
+// passphrase):
 //
-//	curl -X PUT --data-binary @doc.xml localhost:8080/docs/mydoc
-//	curl -X PUT -d '{"rules":[{"sign":"+","object":"//public"}]}' \
-//	     localhost:8080/docs/mydoc/policies/alice
-//	curl 'localhost:8080/docs/mydoc/view?subject=alice'
+//	curl -X PUT -H 'X-Xmlac-Passphrase: secret' --data-binary @doc.xml \
+//	     localhost:8080/docs/mydoc
+//	xmlac-client -url http://localhost:8080/docs/mydoc -passphrase secret \
+//	     -rules rules.txt -subject alice
 package main
 
 import (
@@ -37,16 +40,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	sessionIdle := flag.Duration("session-idle", server.DefaultSessionIdle, "drop sessions idle for this long")
 	scheme := flag.String("scheme", string(xmlac.SchemeECBMHT), "default protection scheme (ecb, ecb-mht, cbc-sha, cbc-shac)")
-	demo := flag.Bool("demo", false, "preload the hospital demo document and the paper's three profiles")
+	demo := flag.Bool("demo", false, "preload the hospital demo document")
 	demoFolders := flag.Int("demo-folders", 100, "folders in the demo hospital document")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	dataDir := flag.String("data-dir", "", "durable storage directory (WAL + checkpoints); empty keeps the store in-memory")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	traceBuffer := flag.Int("trace-buffer", 0, "spans retained for GET /debug/trace (0 selects the default; negative disables tracing)")
-	parallelism := flag.Int("parallelism", 0, "region workers per view scan (0 = serial; >= 2 enables the parallel intra-document scan and caps ?parallel=N)")
 	flag.Parse()
 
 	logger, err := buildLogger(*logLevel, *logFormat)
@@ -61,14 +62,12 @@ func main() {
 		fatal(logger, "parsing scheme", err)
 	}
 	srv, err := server.Open(server.Options{
-		SessionIdle:     *sessionIdle,
 		DefaultScheme:   defScheme,
 		DataDir:         *dataDir,
 		Logger:          logger,
 		EnablePprof:     *pprof,
 		TraceBufferSize: *traceBuffer,
 		DisableTracing:  *traceBuffer < 0,
-		ViewParallelism: *parallelism,
 	})
 	if err != nil {
 		fatal(logger, "opening server", err)
@@ -81,11 +80,11 @@ func main() {
 		if _, err := srv.Store().Entry("hospital"); err == nil {
 			logger.Info("demo document recovered from data dir, preload skipped", "document", "hospital")
 		} else {
-			if err := preloadDemo(srv, *demoFolders); err != nil {
-				fatal(logger, "preloading demo content", err)
+			xml := xmlstream.SerializeTree(dataset.HospitalFolders(*demoFolders, 2026), false)
+			if _, err := srv.RegisterDocument("hospital", xml, "", xmlac.SchemeECBMHT); err != nil {
+				fatal(logger, "preloading the demo document", err)
 			}
-			logger.Info("demo document loaded", "document", "hospital",
-				"subjects", "secretary, DrA..DrH, researcher", "folders", *demoFolders)
+			logger.Info("demo document loaded", "document", "hospital", "folders", *demoFolders)
 		}
 	}
 
@@ -140,25 +139,4 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 func fatal(logger *slog.Logger, msg string, err error) {
 	logger.Error(msg, "error", err)
 	os.Exit(1)
-}
-
-// preloadDemo registers the paper's hospital document and the three profile
-// policies of the motivating example (Figure 1). It goes through the server's
-// registration pipeline (not the bare store) so the demo content is durable
-// when -data-dir is set.
-func preloadDemo(srv *server.Server, folders int) error {
-	xml := xmlstream.SerializeTree(dataset.HospitalFolders(folders, 2026), false)
-	if _, err := srv.RegisterDocument("hospital", xml, "", xmlac.SchemeECBMHT); err != nil {
-		return err
-	}
-	policies := []xmlac.Policy{xmlac.SecretaryPolicy(), xmlac.ResearcherPolicy("G1", "G2", "G3")}
-	for _, phys := range dataset.Physicians() {
-		policies = append(policies, xmlac.DoctorPolicy(phys))
-	}
-	for _, p := range policies {
-		if _, err := srv.InstallPolicy("hospital", p.Subject, p); err != nil {
-			return fmt.Errorf("policy for %q: %w", p.Subject, err)
-		}
-	}
-	return nil
 }

@@ -14,11 +14,10 @@ import (
 // a server streaming authorized views to a fleet of clients.
 //
 // A CompiledPolicy is immutable and safe for concurrent use by any number of
-// goroutines; a server can compile each subject's policy once, when it is
-// installed, and share it across requests (see internal/server).
+// goroutines; a client can compile each subject's policy once and share it
+// across every view of that subject.
 type CompiledPolicy struct {
 	subject string
-	hash    string
 	rules   int
 	core    *core.CompiledPolicy
 }
@@ -34,30 +33,13 @@ func (p Policy) Compile() (*CompiledPolicy, error) {
 	}
 	return &CompiledPolicy{
 		subject: p.Subject,
-		hash:    internal.Fingerprint(),
 		rules:   len(internal.Rules),
 		core:    core.CompilePolicy(internal),
 	}, nil
 }
 
-// Fingerprint returns the stable content hash of the policy (subject and
-// rules), without keeping the compiled form. Two policies with the same
-// subject and the same rules in the same order share a fingerprint across
-// processes; caches key compiled policies on it.
-func (p Policy) Fingerprint() (string, error) {
-	internal, err := p.compile()
-	if err != nil {
-		return "", err
-	}
-	return internal.Fingerprint(), nil
-}
-
 // Subject returns the subject the policy was compiled for.
 func (cp *CompiledPolicy) Subject() string { return cp.subject }
-
-// Hash returns the stable content hash of the source policy; it equals
-// Policy.Fingerprint of the policy it was compiled from.
-func (cp *CompiledPolicy) Hash() string { return cp.hash }
 
 // NumRules returns the number of compiled rules.
 func (cp *CompiledPolicy) NumRules() int { return cp.rules }

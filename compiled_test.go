@@ -1,7 +1,6 @@
 package xmlac
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -137,34 +136,3 @@ var errMismatch = errorString("concurrent compiled evaluation produced a differe
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
-
-func TestPolicyFingerprint(t *testing.T) {
-	a, err := DoctorPolicy("DrA").Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DoctorPolicy("DrA").Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b || len(a) != 64 {
-		t.Fatalf("fingerprint not stable: %q vs %q", a, b)
-	}
-	c, _ := DoctorPolicy("DrB").Fingerprint()
-	if c == a {
-		t.Fatal("different subjects must fingerprint differently")
-	}
-	cp, err := DoctorPolicy("DrA").Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Hash() != a {
-		t.Fatalf("CompiledPolicy.Hash %q != Fingerprint %q", cp.Hash(), a)
-	}
-	if _, err := (Policy{Subject: "x"}).Compile(); err == nil {
-		t.Fatal("empty policy must not compile")
-	}
-	if !strings.Contains(ErrInvalidPolicy.Error(), "invalid policy") {
-		t.Fatal("sentinel error text changed")
-	}
-}

@@ -8,11 +8,8 @@
 package accessrule
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"xmlac/internal/xpath"
@@ -165,25 +162,6 @@ func (p *Policy) Labels() map[string]struct{} {
 		}
 	}
 	return out
-}
-
-// Fingerprint returns a stable hex digest identifying the policy: same
-// subject and same rules (IDs, signs and objects, in order) yield the same
-// fingerprint across processes. The server reports it as the policy hash of
-// every view and keys its per-(subject, policy) cost buckets on it.
-func (p *Policy) Fingerprint() string {
-	h := sha256.New()
-	io.WriteString(h, p.Subject)
-	h.Write([]byte{0})
-	for _, r := range p.Rules {
-		io.WriteString(h, r.ID)
-		h.Write([]byte{0})
-		io.WriteString(h, r.Sign.String())
-		h.Write([]byte{0})
-		io.WriteString(h, r.Object.String())
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Clone returns a deep copy of the policy.

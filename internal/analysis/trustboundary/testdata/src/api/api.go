@@ -14,6 +14,18 @@ func DeriveKey(pass string) Key {
 	return k
 }
 
+// Policy mirrors the facade's declarative policy.
+type Policy struct {
+	Subject string
+	Rules   []string
+}
+
+// ViewOptions mirrors the facade's per-view options.
+type ViewOptions struct{ Query string }
+
+// Evaluate mirrors a view entry point: it takes the denied types.
+func Evaluate(doc []byte, p Policy, opts ViewOptions) []byte { return doc }
+
 // Vault carries a method-form denied symbol.
 type Vault struct{}
 

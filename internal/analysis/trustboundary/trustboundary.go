@@ -4,9 +4,10 @@
 // points. The boundary is config-driven ([trustboundary] in
 // .xmlac-vet.toml): a list of package prefixes the rules apply to, import
 // prefixes they must not pull in, and fully-qualified symbols they must
-// not reference. The intentional exception — the trusted single-machine
-// demo mode in internal/server — is carried as documented allow entries in
-// the baseline, so any *new* crossing of the boundary fails vet.
+// not reference. The intentional exception — the plaintext write path in
+// internal/server, which derives keys and protects documents — is carried as
+// documented allow entries in the baseline, so any *new* crossing of the
+// boundary fails vet.
 package trustboundary
 
 import (
@@ -19,8 +20,9 @@ import (
 )
 
 // DefaultConfig is the production boundary: the server side may serve
-// ciphertext and metadata but must not touch keys, protection, or compiled
-// policies (the evaluator's handle).
+// ciphertext and metadata but must not touch keys or protection, and it
+// never evaluates: policies, compiled policies (the evaluator's handle) and
+// view options are all out of bounds.
 func DefaultConfig() vetcfg.Trustboundary {
 	return vetcfg.Trustboundary{
 		Packages:    []string{"xmlac/internal/server", "xmlac/cmd/xmlac-serve"},
@@ -30,6 +32,8 @@ func DefaultConfig() vetcfg.Trustboundary {
 			"xmlac.DeriveKey",
 			"xmlac.Protect",
 			"xmlac.CompiledPolicy",
+			"xmlac.Policy",
+			"xmlac.ViewOptions",
 		},
 	}
 }

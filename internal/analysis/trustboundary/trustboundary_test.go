@@ -17,6 +17,8 @@ func testConfig() vetcfg.Trustboundary {
 			"vettest/api.Key",
 			"vettest/api.DeriveKey",
 			"vettest/api.Vault.Unseal",
+			"vettest/api.Policy",
+			"vettest/api.ViewOptions",
 		},
 	}
 }

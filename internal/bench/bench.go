@@ -168,8 +168,8 @@ func (f *Fixture) MaterializedView(cp *xmlac.CompiledPolicy) func(*testing.B) {
 	}
 }
 
-// SharedScanSolo serves every subject with its own scan per op, as the
-// server serves every GET /view: linear in the number of subjects.
+// SharedScanSolo serves every subject with its own scan per op, as one client
+// SOE per subject does: linear in the number of subjects.
 func (f *Fixture) SharedScanSolo(cps []*xmlac.CompiledPolicy) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

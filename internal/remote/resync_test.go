@@ -2,7 +2,11 @@ package remote_test
 
 import (
 	"bytes"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xmlac"
@@ -74,8 +78,7 @@ func TestDeltaResyncKeepsCleanChunks(t *testing.T) {
 		t.Fatalf("ChunksReused = %d, want every clean chunk (%d of %d)",
 			st.ChunksReused, delta.NumChunks-len(delta.DirtyChunks), delta.NumChunks)
 	}
-	pageSize := int64(remote.DefaultPageSize)
-	maxEvicted := (int64(man.ChunkSize)/pageSize + 2) * int64(len(delta.DirtyChunks))
+	maxEvicted := (int64(man.ChunkSize)/page + 2) * int64(len(delta.DirtyChunks))
 	if evicted := int64(pagesBefore - src.CachedPages()); evicted > maxEvicted {
 		t.Fatalf("resync evicted %d pages, dirty chunks only cover ~%d", evicted, maxEvicted)
 	}
@@ -188,13 +191,14 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 		t.Fatal("transparent resync metrics claim no reused chunks")
 	}
 
-	// Byte-identity with a local evaluation of the updated document.
-	entry, err := env.srv.Store().Entry("hospital")
+	// Byte-identity with a local evaluation of the updated blob.
+	blob, _ := mustEntryBlob(t, env)
+	local, err := xmlac.UnmarshalProtected(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var localView bytes.Buffer
-	localMetrics, err := entry.StreamView(clerk, xmlac.ViewOptions{}, &localView)
+	localMetrics, err := local.StreamAuthorizedViewCompiled(env.key, clerk, xmlac.ViewOptions{}, &localView)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,5 +207,67 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 	}
 	if metrics.BytesTransferred != localMetrics.BytesTransferred || metrics.BytesSkipped != localMetrics.BytesSkipped {
 		t.Fatalf("SOE metrics diverge after resync: remote %+v vs local %+v", metrics, localMetrics)
+	}
+}
+
+// TestPrefixFetchDetectsConcurrentPatch: a PATCH that lands between the
+// manifest response and the prefix request makes Open and Revalidate fail
+// with ErrChanged — a benign version race the caller retries — instead of
+// parsing the next version's prefix against the previous version's
+// manifest. The retry then lands on the new version.
+func TestPrefixFetchDetectsConcurrentPatch(t *testing.T) {
+	env := newEnv(t, 6)
+	entry, err := env.srv.Store().Entry("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The next manifest request is answered, then a length-changing PATCH
+	// lands before the client's follow-up request can arrive.
+	var armed atomic.Bool
+	handler := env.srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/manifest") && armed.CompareAndSwap(true, false) {
+			if _, _, err := entry.Update([]xmlac.Edit{{
+				Op: xmlac.EditInsert, Path: "/Hospital", XML: "<Folder><Admin><Fname>raced</Fname></Admin></Folder>",
+			}}, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	}))
+	defer ts.Close()
+	docURL := ts.URL + "/docs/hospital"
+
+	armed.Store(true)
+	if _, err := remote.Open(docURL, remote.Options{}); !errors.Is(err, remote.ErrChanged) {
+		t.Fatalf("Open across a concurrent PATCH: %v, want ErrChanged", err)
+	}
+	src, err := remote.Open(docURL, remote.Options{})
+	if err != nil {
+		t.Fatalf("Open after the race: %v", err)
+	}
+	if v := src.Manifest().Version; v != 2 {
+		t.Fatalf("reopened source at version %d, want 2", v)
+	}
+
+	updateEnvDoc(t, env, xmlac.Edit{Op: xmlac.EditSetText, Path: "/Hospital/Folder[1]/Admin/Fname", Text: "moved"})
+	armed.Store(true)
+	if _, err := src.Revalidate(); !errors.Is(err, remote.ErrChanged) {
+		t.Fatalf("Revalidate across a concurrent PATCH: %v, want ErrChanged", err)
+	}
+	if _, err := src.Revalidate(); err != nil {
+		t.Fatalf("Revalidate after the race: %v", err)
+	}
+	blob, _ := mustEntryBlob(t, env)
+	man := src.Manifest()
+	if man.Version != 4 {
+		t.Fatalf("revalidated source at version %d, want 4", man.Version)
+	}
+	got, err := src.CiphertextRange(0, man.CiphertextLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob[int64(len(blob))-man.CiphertextLen:]) {
+		t.Fatal("reads after the retried revalidation do not match the current blob")
 	}
 }

@@ -53,13 +53,6 @@ var ErrChanged = errors.New("remote: document changed on server (etag mismatch)"
 
 // Options tunes a Source.
 type Options struct {
-	// PageSize is the granularity of the chunk cache and of range fetches in
-	// bytes (0 selects DefaultPageSize).
-	PageSize int
-	// GapThreshold merges two cache-miss spans whose gap is at most this
-	// many bytes into one range (the gap bytes are fetched and cached too).
-	// 0 selects the page size; negative merges only adjacent spans.
-	GapThreshold int
 	// CacheCapacity is the number of pages kept in the LRU chunk cache
 	// (0 selects DefaultCacheCapacity).
 	CacheCapacity int
@@ -67,24 +60,23 @@ type Options struct {
 	HTTPClient *http.Client
 }
 
-// Defaults for Options fields left zero. The page size matches the default
-// ECB-MHT fragment size: integrity verification pulls whole fragments
-// through the source anyway, so larger pages only round skip boundaries up
-// and waste wire, while smaller pages cannot reduce transfer further.
 const (
-	DefaultPageSize      = 256
+	// PageSize is the granularity of the chunk cache and of range fetches
+	// in bytes. It matches the default ECB-MHT fragment size: integrity
+	// verification pulls whole fragments through the source anyway, so
+	// larger pages only round skip boundaries up and waste wire, while
+	// smaller pages cannot reduce transfer further.
+	PageSize = 256
+	// GapThreshold merges two cache-miss spans whose gap is at most this
+	// many bytes into one range (the gap bytes are fetched and cached too):
+	// one page, cheaper to fetch than another multipart part.
+	GapThreshold = PageSize
+	// DefaultCacheCapacity is the page count of the LRU chunk cache when
+	// Options.CacheCapacity is zero.
 	DefaultCacheCapacity = 2048
 )
 
 func (o Options) withDefaults() Options {
-	if o.PageSize <= 0 {
-		o.PageSize = DefaultPageSize
-	}
-	if o.GapThreshold == 0 {
-		o.GapThreshold = o.PageSize
-	} else if o.GapThreshold < 0 {
-		o.GapThreshold = 0
-	}
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = DefaultCacheCapacity
 	}
@@ -116,7 +108,6 @@ type Source struct {
 	blobURL     string
 	hashesURL   string
 	deltaURL    string
-	opts        Options
 
 	mu         sync.Mutex
 	man        secure.Manifest
@@ -164,16 +155,16 @@ func (s *Source) SetContext(ctx context.Context) {
 // table) so that later reads translate directly into ciphertext ranges.
 func Open(baseURL string, opts Options) (*Source, error) {
 	base := strings.TrimRight(baseURL, "/")
+	opts = opts.withDefaults()
 	s := &Source{
-		client:      opts.withDefaults().HTTPClient,
+		client:      opts.HTTPClient,
 		manifestURL: base + "/manifest",
 		blobURL:     base + "/blob",
 		hashesURL:   base + "/hashes",
 		deltaURL:    base + "/delta",
-		opts:        opts.withDefaults(),
+		cache:       newPageLRU(opts.CacheCapacity),
 		fragHashes:  map[int][][secure.DigestSize]byte{},
 	}
-	s.cache = newPageLRU(s.opts.CacheCapacity)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.load(); err != nil {
@@ -218,7 +209,8 @@ func (s *Source) fetchManifest() (manifestPayload, error) {
 // loadPrefix pulls and parses the container prefix (header plus encrypted
 // digest table) described by a manifest payload and installs it. Digests are
 // tiny and every integrity-checked read needs one, so prefetching the table
-// costs one round trip total. Callers hold s.mu.
+// costs one round trip total. A document updated since the manifest was
+// served fails with ErrChanged. Callers hold s.mu.
 func (s *Source) loadPrefix(payload manifestPayload) error {
 	ctOff := payload.Manifest.CiphertextOffset
 	prefix, etag, err := s.fetchPrefix(ctOff, payload.ETag)
@@ -253,13 +245,19 @@ func (s *Source) load() error {
 }
 
 // fetchPrefix retrieves blob[0, ctOff) and returns it with the blob's entity
-// tag. Callers hold s.mu.
-func (s *Source) fetchPrefix(ctOff int64, fallbackETag string) ([]byte, string, error) {
+// tag. The request is conditional on manifestETag, the tag the manifest was
+// served with: a blob that moved on since (a PATCH landed between the two
+// requests) answers 412, reported as ErrChanged, instead of a prefix of the
+// next version that the manifest does not describe. Callers hold s.mu.
+func (s *Source) fetchPrefix(ctOff int64, manifestETag string) ([]byte, string, error) {
 	req, err := http.NewRequest("GET", s.blobURL, nil)
 	if err != nil {
 		return nil, "", err
 	}
 	req.Header.Set("Range", fmt.Sprintf("bytes=0-%d", ctOff-1))
+	if manifestETag != "" {
+		req.Header.Set("If-Match", manifestETag)
+	}
 	resp, err := s.doReq(req)
 	if err != nil {
 		return nil, "", err
@@ -276,12 +274,14 @@ func (s *Source) fetchPrefix(ctOff int64, fallbackETag string) ([]byte, string, 
 			return nil, "", fmt.Errorf("remote: blob shorter (%d) than ciphertext offset %d", len(body), ctOff)
 		}
 		body = body[:ctOff]
+	case http.StatusPreconditionFailed:
+		return nil, "", fmt.Errorf("%w: the blob moved on from %s after its manifest was served", ErrChanged, manifestETag)
 	default:
 		return nil, "", fmt.Errorf("remote: blob prefix: %s", httpErrorDetail(resp, body))
 	}
 	etag := resp.Header.Get("ETag")
 	if etag == "" {
-		etag = fallbackETag
+		etag = manifestETag
 	}
 	return body, etag, nil
 }
@@ -377,9 +377,8 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	pageSize := int64(s.opts.PageSize)
-	first := off / pageSize
-	last := (off + n - 1) / pageSize
+	first := off / PageSize
+	last := (off + n - 1) / PageSize
 	var missing []int64
 	for p := first; p <= last; p++ {
 		if !s.cache.contains(p) {
@@ -413,7 +412,7 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("remote: page %d missing after fetch", p)
 		}
-		pageStart := p * pageSize
+		pageStart := p * PageSize
 		lo := off
 		if pageStart > lo {
 			lo = pageStart
@@ -435,16 +434,14 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 // gap threshold: the bytes in between are fetched (and cached) instead of
 // paying another multipart part or round trip for the split.
 func (s *Source) coalesce(pages []int64) [][2]int64 {
-	pageSize := int64(s.opts.PageSize)
-	gap := int64(s.opts.GapThreshold)
 	var spans [][2]int64
 	for _, p := range pages {
-		start := p * pageSize
-		end := start + pageSize
+		start := p * PageSize
+		end := start + PageSize
 		if end > s.man.CiphertextLen {
 			end = s.man.CiphertextLen
 		}
-		if len(spans) > 0 && start-spans[len(spans)-1][1] <= gap {
+		if len(spans) > 0 && start-spans[len(spans)-1][1] <= GapThreshold {
 			if end > spans[len(spans)-1][1] {
 				spans[len(spans)-1][1] = end
 			}
@@ -559,12 +556,11 @@ func (s *Source) readMultipart(resp *http.Response, boundary string, out map[int
 // coordinates) into whole pages. Runs are page-aligned by construction; a
 // trailing partial page is kept only when it ends at EOF.
 func (s *Source) runToPages(start int64, data []byte, out map[int64][]byte) {
-	pageSize := int64(s.opts.PageSize)
 	end := start + int64(len(data))
 	for off := start; off < end; {
-		p := off / pageSize
-		pageStart := p * pageSize
-		pageEnd := pageStart + pageSize
+		p := off / PageSize
+		pageStart := p * PageSize
+		pageEnd := pageStart + PageSize
 		if pageEnd > s.man.CiphertextLen {
 			pageEnd = s.man.CiphertextLen
 		}
@@ -699,7 +695,6 @@ func (s *Source) applyDelta(payload manifestPayload, delta *secure.Delta) error 
 	if payload.ETag != "" && s.etag != payload.ETag {
 		return fmt.Errorf("remote: blob changed while re-syncing")
 	}
-	pageSize := int64(s.opts.PageSize)
 	chunkSize := int64(man.ChunkSize)
 	dirty := make(map[int]bool, len(delta.DirtyChunks))
 	for _, c := range delta.DirtyChunks {
@@ -707,13 +702,13 @@ func (s *Source) applyDelta(payload manifestPayload, delta *secure.Delta) error 
 	}
 	for _, c := range delta.DirtyChunks {
 		start := int64(c) * chunkSize
-		for p := start / pageSize; p*pageSize < start+chunkSize; p++ {
+		for p := start / PageSize; p*PageSize < start+chunkSize; p++ {
 			s.cache.remove(p)
 		}
 		delete(s.fragHashes, c)
 	}
 	if man.CiphertextLen > 0 {
-		s.cache.removeAbove((man.CiphertextLen - 1) / pageSize)
+		s.cache.removeAbove((man.CiphertextLen - 1) / PageSize)
 	}
 	for c := range s.fragHashes {
 		if c >= delta.NumChunks {
@@ -730,7 +725,7 @@ func (s *Source) applyDelta(payload manifestPayload, delta *secure.Delta) error 
 			continue
 		}
 		start, end := man.ChunkBounds(c)
-		for p := start / pageSize; p*pageSize < end; p++ {
+		for p := start / PageSize; p*PageSize < end; p++ {
 			if s.cache.contains(p) {
 				reused++
 				break

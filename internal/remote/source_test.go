@@ -206,13 +206,13 @@ func TestOpenFetchesManifestAndDigestTable(t *testing.T) {
 // pages issues exactly one request with one contiguous range.
 func TestAdjacentMissesCoalesceIntoOneRange(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1})
-	env.mustRange(t, src, 0, 200)
+	src := env.open(t, remote.Options{})
+	env.mustRange(t, src, 0, 3*page+32)
 	ranges := env.log.snapshotRanges()
 	if len(ranges) != 1 {
 		t.Fatalf("expected one blob request, got %v", ranges)
 	}
-	want := "bytes=" + rangeSpec(env.ctOff, 0, 256)
+	want := "bytes=" + rangeSpec(env.ctOff, 0, 4*page)
 	if ranges[0] != want {
 		t.Fatalf("range header %q, want %q (pages 0-3 coalesced)", ranges[0], want)
 	}
@@ -222,46 +222,46 @@ func TestAdjacentMissesCoalesceIntoOneRange(t *testing.T) {
 // fetches the pages not yet resident.
 func TestOverlappingReadsServedFromCache(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1})
-	env.mustRange(t, src, 0, 128)  // pages 0,1
-	env.mustRange(t, src, 64, 128) // page 1 cached, page 2 missing
-	env.mustRange(t, src, 32, 96)  // fully cached: no request
+	src := env.open(t, remote.Options{})
+	env.mustRange(t, src, 0, 2*page)        // pages 0,1
+	env.mustRange(t, src, page, 2*page)     // page 1 cached, page 2 missing
+	env.mustRange(t, src, page/2, 3*page/2) // fully cached: no request
 	ranges := env.log.snapshotRanges()
 	if len(ranges) != 2 {
 		t.Fatalf("expected two blob requests, got %v", ranges)
 	}
-	if want := "bytes=" + rangeSpec(env.ctOff, 128, 192); ranges[1] != want {
+	if want := "bytes=" + rangeSpec(env.ctOff, 2*page, 3*page); ranges[1] != want {
 		t.Fatalf("second fetch %q, want only the missing page %q", ranges[1], want)
 	}
 }
 
 // TestGapThresholdBoundary: two miss spans separated by exactly the gap
-// threshold merge into one range; one byte past the threshold they stay two
-// ranges — still a single round trip, as a multi-range request.
+// threshold (one page) merge into one range; a page past the threshold they
+// stay two ranges — still a single round trip, as a multi-range request.
 func TestGapThresholdBoundary(t *testing.T) {
 	t.Run("gap-equal-threshold-merges", func(t *testing.T) {
 		env := newEnv(t, 6)
-		src := env.open(t, remote.Options{PageSize: 64, GapThreshold: 64})
-		env.mustRange(t, src, 64, 64) // prime page 1
-		env.mustRange(t, src, 0, 192) // pages {0,2} missing, 64-byte gap
+		src := env.open(t, remote.Options{})
+		env.mustRange(t, src, page, page) // prime page 1
+		env.mustRange(t, src, 0, 3*page)  // pages {0,2} missing, one-page gap
 		ranges := env.log.snapshotRanges()
 		if len(ranges) != 2 {
 			t.Fatalf("expected two blob requests total, got %v", ranges)
 		}
-		if want := "bytes=" + rangeSpec(env.ctOff, 0, 192); ranges[1] != want {
+		if want := "bytes=" + rangeSpec(env.ctOff, 0, 3*page); ranges[1] != want {
 			t.Fatalf("gap == threshold should merge into %q, got %q", want, ranges[1])
 		}
 	})
 	t.Run("gap-past-threshold-splits", func(t *testing.T) {
 		env := newEnv(t, 6)
-		src := env.open(t, remote.Options{PageSize: 64, GapThreshold: 63})
-		env.mustRange(t, src, 64, 64) // prime page 1
-		env.mustRange(t, src, 0, 192) // pages {0,2}: gap 64 > 63
+		src := env.open(t, remote.Options{})
+		env.mustRange(t, src, page, 2*page) // prime pages 1 and 2
+		env.mustRange(t, src, 0, 4*page)    // pages {0,3}: two-page gap
 		ranges := env.log.snapshotRanges()
 		if len(ranges) != 2 {
 			t.Fatalf("expected two blob requests total (split ranges share one), got %v", ranges)
 		}
-		want := "bytes=" + rangeSpec(env.ctOff, 0, 64) + "," + rangeSpec(env.ctOff, 128, 192)
+		want := "bytes=" + rangeSpec(env.ctOff, 0, page) + "," + rangeSpec(env.ctOff, 3*page, 4*page)
 		if ranges[1] != want {
 			t.Fatalf("multi-range header %q, want %q", ranges[1], want)
 		}
@@ -272,15 +272,15 @@ func TestGapThresholdBoundary(t *testing.T) {
 // pages are re-fetched on demand.
 func TestLRUChunkCacheBound(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1, CacheCapacity: 4})
+	src := env.open(t, remote.Options{CacheCapacity: 4})
 	for p := int64(0); p < 8; p++ {
-		env.mustRange(t, src, p*64, 64)
+		env.mustRange(t, src, p*page, page)
 	}
 	if got := src.CachedPages(); got > 4 {
 		t.Fatalf("cache holds %d pages, capacity is 4", got)
 	}
 	before := env.log.blobRequests()
-	env.mustRange(t, src, 0, 64) // page 0 was evicted: must re-fetch
+	env.mustRange(t, src, 0, page) // page 0 was evicted: must re-fetch
 	if got := env.log.blobRequests(); got != before+1 {
 		t.Fatalf("evicted page should be re-fetched, requests %d -> %d", before, got)
 	}
@@ -290,8 +290,8 @@ func TestLRUChunkCacheBound(t *testing.T) {
 // 304 Not Modified; after a re-registration the source flushes and reloads.
 func TestRevalidate(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64})
-	env.mustRange(t, src, 0, 64)
+	src := env.open(t, remote.Options{})
+	env.mustRange(t, src, 0, page)
 
 	changed, err := src.Revalidate()
 	if err != nil {
@@ -331,13 +331,13 @@ func TestRevalidate(t *testing.T) {
 // bytes of two documents.
 func TestChangedBlobDetectedMidStream(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64})
-	env.mustRange(t, src, 0, 64)
+	src := env.open(t, remote.Options{})
+	env.mustRange(t, src, 0, page)
 	xml := xmlstream.SerializeTree(dataset.HospitalFolders(9, 11), false)
 	if _, err := env.srv.Store().RegisterXML("hospital", xml, testPassphrase, xmlac.SchemeECBMHT); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.CiphertextRange(1024, 64); !errors.Is(err, remote.ErrChanged) {
+	if _, err := src.CiphertextRange(4*page, page); !errors.Is(err, remote.ErrChanged) {
 		t.Fatalf("expected ErrChanged after blob replacement, got %v", err)
 	}
 }
@@ -372,17 +372,20 @@ func TestFragmentHashesFetchedOncePerChunk(t *testing.T) {
 // TestWireBytesCounted: every response body byte is charged to BytesOnWire.
 func TestWireBytesCounted(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64})
+	src := env.open(t, remote.Options{})
 	before := src.Stats()
-	env.mustRange(t, src, 0, 64)
+	env.mustRange(t, src, 0, page)
 	after := src.Stats()
-	if delta := after.BytesOnWire - before.BytesOnWire; delta < 64 {
-		t.Fatalf("64-byte page fetch charged only %d wire bytes", delta)
+	if delta := after.BytesOnWire - before.BytesOnWire; delta < page {
+		t.Fatalf("%d-byte page fetch charged only %d wire bytes", page, delta)
 	}
 	if after.RoundTrips != before.RoundTrips+1 {
 		t.Fatalf("expected one round trip, got %d", after.RoundTrips-before.RoundTrips)
 	}
 }
+
+// page is the source's fetch and cache granularity.
+const page = remote.PageSize
 
 // rangeSpec renders the Range header span for ciphertext bytes [from, to)
 // shifted by the blob's ciphertext offset.
@@ -395,15 +398,15 @@ func rangeSpec(ctOff, from, to int64) string {
 // root span ID (X-Xmlac-Span-Id); detaching the context stops the stamping.
 func TestTracePropagationHeaders(t *testing.T) {
 	env := newEnv(t, 6)
-	src := env.open(t, remote.Options{PageSize: 64, GapThreshold: -1})
+	src := env.open(t, remote.Options{})
 	tr := trace.New(trace.NewRecorder(16), "trace-0042")
 	if tr.SpanID() == "" {
 		t.Fatal("tracing context has no span ID")
 	}
 	src.SetTrace(tr)
-	env.mustRange(t, src, 0, 64)
+	env.mustRange(t, src, 0, page)
 	src.SetTrace(nil)
-	env.mustRange(t, src, 1024, 64)
+	env.mustRange(t, src, 4*page, page)
 
 	env.log.mu.Lock()
 	traceIDs := append([]string(nil), env.log.blobTraceIDs...)
@@ -448,7 +451,7 @@ func TestContextCancelClosesInFlightFetch(t *testing.T) {
 	defer ts.Close()
 	defer close(release)
 
-	src, err := remote.Open(ts.URL+"/docs/hospital", remote.Options{PageSize: 64})
+	src, err := remote.Open(ts.URL+"/docs/hospital", remote.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,33 +13,44 @@ import (
 	"xmlac/internal/storage"
 )
 
-// researcherRulesJSON is the third profile of the torture matrix: a subject
-// whose view (the analysis results) is disjoint from the secretary's.
-const researcherRulesJSON = `{"rules":[{"id":"R1","sign":"+","object":"//Analysis"}]}`
-
 // crashSnapshot is the externally observable state of the store at one
-// durable prefix: per-subject view responses plus the document version.
+// durable prefix: the surface every document serves plus the version of
+// the hospital document.
 type crashSnapshot struct {
 	label   string
 	found   bool
 	version uint64
-	views   map[string]string // subject -> status-prefixed body
+	surface string
 }
 
-// captureCrashState reads the three profiles' views and the version through
-// the public surface, exactly as a client would after a crash restart.
-func captureCrashState(t *testing.T, srv *Server, ts *httptest.Server, label string, subjects []string) crashSnapshot {
+// crashDocs are the documents the torture histories register.
+var crashDocs = []string{"hospital", "clinic"}
+
+// captureCrashState reads the surface and the hospital version exactly as a
+// client would after a crash restart.
+func captureCrashState(t *testing.T, srv *Server, ts *httptest.Server, label string) crashSnapshot {
 	t.Helper()
-	snap := crashSnapshot{label: label, views: map[string]string{}}
+	snap := crashSnapshot{label: label, surface: captureSurface(t, ts)}
 	if entry, err := srv.Store().Entry("hospital"); err == nil {
 		snap.found = true
 		snap.version = entry.Version()
 	}
-	for _, s := range subjects {
-		resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject="+s, "")
-		snap.views[s] = fmt.Sprintf("%d\x00%s", resp.StatusCode, body)
-	}
 	return snap
+}
+
+// captureSurface reads every byte a remote client resynchronizes from, for
+// every document: the blob with its ETag, the manifest and the delta from
+// version 1.
+func captureSurface(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	var b strings.Builder
+	for _, doc := range crashDocs {
+		for _, path := range []string{"/blob", "/manifest", "/delta?from=1"} {
+			resp, body := do(t, http.MethodGet, ts.URL+"/docs/"+doc+path, "")
+			fmt.Fprintf(&b, "%s%s %d %s %q\n", doc, path, resp.StatusCode, resp.Header.Get("ETag"), body)
+		}
+	}
+	return b.String()
 }
 
 // copyDataDir copies the flat storage directory (LOCK and wal.log) so each
@@ -68,51 +79,47 @@ func copyDataDir(t *testing.T, src, dst string) {
 }
 
 // TestCrashRecoveryTorture builds a reference history of seven mutations
-// (register, three profile policies, three PATCHes), records the expected
+// (two registrations, four PATCHes, a delete), records the expected
 // observable state after each durable prefix, then — for every WAL record —
 // truncates the log at the record boundary, truncates it mid-record, and
 // flips a payload byte, reopening the store each time. Recovery must land
-// exactly on the state of the longest intact prefix: all three profiles'
-// views byte-identical to the reference, never a torn or improvised state.
+// exactly on the state of the longest intact prefix: every blob, ETag,
+// manifest and delta byte-identical to the reference, never a torn or
+// improvised state.
 func TestCrashRecoveryTorture(t *testing.T) {
-	subjects := []string{"secretary", "DrA", "researcher"}
 	base := t.TempDir()
 	srcDir := filepath.Join(base, "reference")
 
 	srv, ts := openDurable(t, srcDir, Options{})
+	patch := func(doc, edit string) func() {
+		return func() {
+			if status, _, body := patchDoc(t, ts, doc, edit); status != http.StatusOK {
+				t.Fatalf("%s: %d %s", edit, status, body)
+			}
+		}
+	}
 	steps := []struct {
 		label string
 		run   func()
 	}{
 		{"register", func() { putDoc(t, ts, "hospital", hospitalXML(4)) }},
-		{"policy-secretary", func() { putPolicy(t, ts, "hospital", "secretary", secretaryRulesJSON) }},
-		{"policy-doctor", func() { putPolicy(t, ts, "hospital", "DrA", doctorRulesJSON) }},
-		{"policy-researcher", func() { putPolicy(t, ts, "hospital", "researcher", researcherRulesJSON) }},
-		{"patch-1", func() {
-			if status, _, body := patchDoc(t, ts, "hospital",
-				`{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Fname","text":"edit-one"}`); status != http.StatusOK {
-				t.Fatalf("patch-1: %d %s", status, body)
+		{"register-clinic", func() { putDoc(t, ts, "clinic", hospitalXML(2)) }},
+		{"patch-1", patch("hospital", `{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Fname","text":"edit-one"}`)},
+		{"patch-2", patch("hospital", `{"op":"insert","path":"/Hospital","xml":"<Folder><Admin><Fname>edit-two</Fname></Admin></Folder>"}`)},
+		{"patch-clinic", patch("clinic", `{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"clinic-edit"}`)},
+		{"delete-clinic", func() {
+			if resp, body := do(t, http.MethodDelete, ts.URL+"/docs/clinic", ""); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete-clinic: %d %s", resp.StatusCode, body)
 			}
 		}},
-		{"patch-2", func() {
-			if status, _, body := patchDoc(t, ts, "hospital",
-				`{"op":"insert","path":"/Hospital","xml":"<Folder><Admin><Fname>edit-two</Fname></Admin></Folder>"}`); status != http.StatusOK {
-				t.Fatalf("patch-2: %d %s", status, body)
-			}
-		}},
-		{"patch-3", func() {
-			if status, _, body := patchDoc(t, ts, "hospital",
-				`{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"edit-three"}`); status != http.StatusOK {
-				t.Fatalf("patch-3: %d %s", status, body)
-			}
-		}},
+		{"patch-3", patch("hospital", `{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"edit-three"}`)},
 	}
 
 	// expected[k] is the observable state after the first k mutations.
-	expected := []crashSnapshot{captureCrashState(t, srv, ts, "empty", subjects)}
+	expected := []crashSnapshot{captureCrashState(t, srv, ts, "empty")}
 	for _, step := range steps {
 		step.run()
-		expected = append(expected, captureCrashState(t, srv, ts, step.label, subjects))
+		expected = append(expected, captureCrashState(t, srv, ts, step.label))
 	}
 	ts.Close()
 	if err := srv.Close(); err != nil {
@@ -128,7 +135,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		t.Fatalf("reference WAL holds %d records, want one per mutation (%d)", len(positions), len(steps))
 	}
 
-	h := &crashHarness{t: t, base: base, subjects: subjects}
+	h := &crashHarness{t: t, base: base}
 	check := func(name string, k int, mutate func(wal string)) {
 		t.Helper()
 		h.check(name, srcDir, expected[k], mutate)
@@ -157,47 +164,46 @@ func TestCrashRecoveryTorture(t *testing.T) {
 
 // TestCrashRecoveryCompactedTorture runs the torture matrix over logs with a
 // snapshot prefix. The reference history is register → checkpoint → PATCH →
-// re-register → three policies → checkpoint → PATCH, with checkpoints forced
-// by reopening at a one-byte CheckpointWALBytes for the step before each.
-// Every snapshot frame must be intact — a cut or a flipped byte anywhere in
-// it, a container byte included, fails recovery — while the tail keeps the
-// prefix rule. At each checkpoint's crash point (the triggering record
-// appended to the old log, wal.tmp written torn or whole, no rename yet)
-// recovery reads the old log, removes wal.tmp and serves byte-identical
-// state; a clean reopen does too.
+// re-register → second document → two PATCHes → checkpoint → PATCH, with
+// checkpoints forced by reopening at a one-byte CheckpointWALBytes for the
+// step before each. Every snapshot frame must be intact — a cut or a
+// flipped byte anywhere in it, a container byte included, fails recovery —
+// while the tail keeps the prefix rule. At each checkpoint's crash point
+// (the triggering record appended to the old log, wal.tmp written torn or
+// whole, no rename yet) recovery reads the old log, removes wal.tmp and
+// serves byte-identical state; a clean reopen does too.
 func TestCrashRecoveryCompactedTorture(t *testing.T) {
-	subjects := []string{"secretary", "DrA", "researcher"}
 	base := t.TempDir()
 	ref := filepath.Join(base, "reference")
-	// The fake clock stamps every registration and policy with one instant,
-	// so replaying a step on a copy writes the reference's bytes again.
+	// The fake clock stamps every registration with one instant, so
+	// replaying a step on a copy writes the reference's bytes again.
 	opts := Options{clock: newFakeClock()}
-	patch := func(edit string) func(*httptest.Server) {
+	patch := func(doc, edit string) func(*httptest.Server) {
 		return func(ts *httptest.Server) {
-			if status, _, body := patchDoc(t, ts, "hospital", edit); status != http.StatusOK {
+			if status, _, body := patchDoc(t, ts, doc, edit); status != http.StatusOK {
 				t.Fatalf("%s: %d %s", edit, status, body)
 			}
 		}
 	}
-	policy := func(subject, rules string) func(*httptest.Server) {
-		return func(ts *httptest.Server) { putPolicy(t, ts, "hospital", subject, rules) }
+	register := func(doc string, folders int) func(*httptest.Server) {
+		return func(ts *httptest.Server) { putDoc(t, ts, doc, hospitalXML(folders)) }
 	}
 	steps := []struct {
 		label      string
 		checkpoint bool // compact the log right after this step's record
 		run        func(*httptest.Server)
 	}{
-		{"register", true, func(ts *httptest.Server) { putDoc(t, ts, "hospital", hospitalXML(4)) }},
-		{"patch-1", false, patch(`{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Fname","text":"edit-one"}`)},
-		{"re-register", false, func(ts *httptest.Server) { putDoc(t, ts, "hospital", hospitalXML(5)) }},
-		{"policy-secretary", false, policy("secretary", secretaryRulesJSON)},
-		{"policy-doctor", false, policy("DrA", doctorRulesJSON)},
-		{"policy-researcher", true, policy("researcher", researcherRulesJSON)},
-		{"patch-2", false, patch(`{"op":"insert","path":"/Hospital","xml":"<Folder><Admin><Fname>edit-two</Fname></Admin></Folder>"}`)},
+		{"register", true, register("hospital", 4)},
+		{"patch-1", false, patch("hospital", `{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Fname","text":"edit-one"}`)},
+		{"re-register", false, register("hospital", 5)},
+		{"register-clinic", false, register("clinic", 2)},
+		{"patch-clinic", false, patch("clinic", `{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"clinic-edit"}`)},
+		{"patch-2", true, patch("hospital", `{"op":"insert","path":"/Hospital","xml":"<Folder><Admin><Fname>edit-two</Fname></Admin></Folder>"}`)},
+		{"patch-3", false, patch("hospital", `{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"edit-three"}`)},
 	}
-	// runStep opens dir, runs one step and returns the observable state and
-	// the full client surface after it.
-	runStep := func(dir string, i int, checkpoint bool) (crashSnapshot, string) {
+	// runStep opens dir, runs one step and returns the observable state
+	// after it.
+	runStep := func(dir string, i int, checkpoint bool) crashSnapshot {
 		o := opts
 		if checkpoint {
 			o.CheckpointWALBytes = 1
@@ -207,50 +213,34 @@ func TestCrashRecoveryCompactedTorture(t *testing.T) {
 		if got := srv.persist.engine.Stats().Checkpoints; (got == 1) != checkpoint || got > 1 {
 			t.Fatalf("%s: %d checkpoints, want checkpoint=%v", steps[i].label, got, checkpoint)
 		}
-		state := captureCrashState(t, srv, ts, steps[i].label, subjects)
-		surface := captureSurface(t, ts)
+		state := captureCrashState(t, srv, ts, steps[i].label)
 		ts.Close()
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return state, surface
+		return state
 	}
 
 	if err := os.MkdirAll(ref, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	expected := []crashSnapshot{captureEmpty(t, base, subjects)}
-	surfaces := []string{""}
+	expected := []crashSnapshot{captureEmpty(t, base)}
 	before := make([]string, len(steps)) // the reference directory before step i
 	after := make([][]byte, len(steps))  // wal.log right after step i
 	for i, step := range steps {
 		before[i] = filepath.Join(base, "before-"+step.label)
 		copyDataDir(t, ref, before[i])
-		state, surface := runStep(ref, i, step.checkpoint)
-		expected = append(expected, state)
-		surfaces = append(surfaces, surface)
+		expected = append(expected, runStep(ref, i, step.checkpoint))
 		var err error
 		if after[i], err = os.ReadFile(filepath.Join(ref, "wal.log")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	h := &crashHarness{t: t, base: base, subjects: subjects}
-	checkSurface := func(name, dir string, k int) {
-		t.Helper()
-		srv, ts := openDurable(t, dir, Options{})
-		if got := captureSurface(t, ts); got != surfaces[k] {
-			t.Fatalf("%s: blob, ETag, manifest or delta differs from state %q", name, expected[k].label)
-		}
-		ts.Close()
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	h := &crashHarness{t: t, base: base}
 
 	// A clean reopen serves the final state byte for byte.
-	last := len(steps)
-	checkSurface("clean", h.check("clean", ref, expected[last], func(string) {}), last)
+	h.check("clean", ref, expected[len(steps)], func(string) {})
 
 	// Checkpoint crash points: the old log already holds the triggering
 	// record (replayed on a copy with compaction off), the new one sits
@@ -272,15 +262,14 @@ func TestCrashRecoveryCompactedTorture(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, "wal.tmp")); !os.IsNotExist(err) {
 				t.Fatalf("%s: leftover wal.tmp not removed (%v)", name, err)
 			}
-			checkSurface(name, dir, i+1)
 		}
 	}
 
 	// Snapshot and tail damage on the log each checkpoint generation grew
 	// to: the first snapshot (the first registration) under a tail of
-	// PATCH, re-registration and two policies, as it stood before the
-	// second checkpoint's step; the second snapshot (the re-registered
-	// document and its three policies) under the final PATCH.
+	// PATCH, re-registration, second registration and its PATCH, as it
+	// stood before the second checkpoint's step; the second snapshot (both
+	// documents with their update histories) under the final PATCH.
 	for _, gen := range []struct {
 		src  string
 		snap int // index in expected of the state the snapshot holds
@@ -309,25 +298,13 @@ func TestCrashRecoveryCompactedTorture(t *testing.T) {
 	}
 }
 
-// captureSurface reads every byte a remote client resynchronizes from: the
-// blob with its ETag, the manifest and the delta from version 1.
-func captureSurface(t *testing.T, ts *httptest.Server) string {
-	t.Helper()
-	var b strings.Builder
-	for _, path := range []string{"/blob", "/manifest", "/delta?from=1"} {
-		resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital"+path, "")
-		fmt.Fprintf(&b, "%s %d %s %q\n", path, resp.StatusCode, resp.Header.Get("ETag"), body)
-	}
-	return b.String()
-}
-
 // captureEmpty is the observable state of a store with no documents.
-func captureEmpty(t *testing.T, base string, subjects []string) crashSnapshot {
+func captureEmpty(t *testing.T, base string) crashSnapshot {
 	t.Helper()
 	srv, ts := openDurable(t, filepath.Join(base, "empty"), Options{})
 	defer srv.Close()
 	defer ts.Close()
-	return captureCrashState(t, srv, ts, "empty", subjects)
+	return captureCrashState(t, srv, ts, "empty")
 }
 
 // frameHeaderOffset is the first payload byte of a WAL frame (after the
@@ -337,10 +314,9 @@ const frameHeaderOffset = 8
 // crashHarness reopens mutilated copies of reference data directories and
 // compares what a client then observes with the reference states.
 type crashHarness struct {
-	t        *testing.T
-	base     string
-	subjects []string
-	cases    int
+	t     *testing.T
+	base  string
+	cases int
 }
 
 // caseDir copies src into a fresh case directory and mutilates its log.
@@ -361,15 +337,13 @@ func (h *crashHarness) check(name, src string, want crashSnapshot, mutate func(w
 	t.Helper()
 	dir := h.caseDir(name, src, mutate)
 	srv2, ts2 := openDurable(t, dir, Options{})
-	got := captureCrashState(t, srv2, ts2, name, h.subjects)
+	got := captureCrashState(t, srv2, ts2, name)
 	if got.found != want.found || got.version != want.version {
 		t.Fatalf("%s: recovered found=%v version=%d, want state %q (found=%v version=%d)",
 			name, got.found, got.version, want.label, want.found, want.version)
 	}
-	for _, s := range h.subjects {
-		if got.views[s] != want.views[s] {
-			t.Fatalf("%s: view for %s differs from durable state %q", name, s, want.label)
-		}
+	if got.surface != want.surface {
+		t.Fatalf("%s: a blob, ETag, manifest or delta differs from durable state %q", name, want.label)
 	}
 	if want.found && want.version > 1 {
 		resp, body := do(t, http.MethodGet, ts2.URL+"/docs/hospital/delta?from="+fmt.Sprint(want.version-1), "")

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"log/slog"
@@ -15,8 +14,8 @@ import (
 
 // Request-scoped observability: every request gets a trace ID — honored from
 // a well-formed X-Request-Id header or generated — that is echoed in the
-// response, attached to the evaluation's tracing context (so spans in
-// GET /debug/trace correlate with access-log lines) and logged in the
+// response, stamped on the request's span in GET /debug/trace (so a remote
+// client's trace and the access log correlate with it) and logged in the
 // structured access line the middleware emits after the handler returns.
 
 // requestIDHeader is the header carrying the request-scoped trace ID, both
@@ -28,15 +27,6 @@ const requestIDHeader = "X-Request-Id"
 // records its request spans with it as their parent, so the client's merged
 // Chrome trace links server fetches under the evaluation they served.
 const spanIDHeader = "X-Xmlac-Span-Id"
-
-type requestIDKey struct{}
-
-// requestID returns the trace ID stored in the request context by the
-// observability middleware ("" outside it, e.g. in direct handler tests).
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
 
 // newRequestID generates a 16-hex-digit random trace ID.
 func newRequestID() string {
@@ -67,7 +57,7 @@ func validRequestID(id string) bool {
 }
 
 // statusWriter captures the response status and body size for the access log
-// while passing streaming writes (and flushes) through.
+// while passing writes through.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -90,14 +80,6 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush passes through to the underlying writer when it can flush, so the
-// streaming view path keeps its mid-stream flushes through the wrapper.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // observe is the outermost middleware: it counts the request, assigns the
 // trace ID, echoes it, and emits one structured access-log line when the
 // handler returns.
@@ -113,7 +95,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		// The injected clock times the request (not time.Now directly), so the
 		// access-log duration is deterministic under the fake clock in tests.
 		start := s.opts.clock.Now()
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
+		next.ServeHTTP(sw, r)
 		elapsed := s.opts.clock.Now().Sub(start)
 		status := sw.status
 		if status == 0 {
@@ -137,28 +119,14 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			}
 			s.trace.RecordSpan(span)
 		}
-		attrs := []any{
+		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("trace_id", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", status),
 			slog.Int64("bytes", sw.bytes),
-			slog.Duration("duration", elapsed),
-		}
-		if subject := r.URL.Query().Get("subject"); subject != "" {
-			attrs = append(attrs, slog.String("subject", subject))
-		}
-		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", toAttrs(attrs)...)
+			slog.Duration("duration", elapsed))
 	})
-}
-
-// toAttrs converts the []any built above (all slog.Attr values) for LogAttrs.
-func toAttrs(in []any) []slog.Attr {
-	out := make([]slog.Attr, len(in))
-	for i, a := range in {
-		out[i] = a.(slog.Attr)
-	}
-	return out
 }
 
 // serverSpanName maps a request path to the span name recorded in the trace
@@ -174,8 +142,6 @@ func serverSpanName(path string) string {
 		return "server.hash-fetch"
 	case strings.HasSuffix(path, "/delta"):
 		return "server.delta"
-	case strings.HasSuffix(path, "/view"):
-		return "server.view"
 	}
 	return ""
 }

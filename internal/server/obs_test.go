@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,17 +63,16 @@ func drainClose(t *testing.T, resp *http.Response) {
 func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 	_, ts, buf := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 
 	// Generated ID: well-formed hex, echoed on the response.
-	resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", "")
+	resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/blob", "")
 	gen := resp.Header.Get("X-Request-Id")
 	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(gen) {
 		t.Fatalf("generated request ID %q is not 16 hex digits", gen)
 	}
 
 	// Supplied well-formed ID: honored verbatim.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/docs/hospital/blob", nil)
 	req.Header.Set("X-Request-Id", "my-trace.01")
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 	}
 
 	// Every response's ID appears in exactly the access-log line describing
-	// its request, alongside subject, status, bytes and duration.
+	// its request, alongside status, bytes and duration.
 	type line struct {
 		Msg     string `json:"msg"`
 		TraceID string `json:"trace_id"`
@@ -103,9 +104,8 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 		Path    string `json:"path"`
 		Status  int    `json:"status"`
 		Bytes   int64  `json:"bytes"`
-		Subject string `json:"subject"`
 	}
-	var viewLine *line
+	var blobLine *line
 	sc := bufio.NewScanner(strings.NewReader(buf.String()))
 	for sc.Scan() {
 		var l line
@@ -113,16 +113,15 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 			t.Fatalf("access log line is not JSON: %v\n%s", err, sc.Text())
 		}
 		if l.TraceID == gen {
-			viewLine = &l
+			blobLine = &l
 		}
 	}
-	if viewLine == nil {
+	if blobLine == nil {
 		t.Fatalf("no access-log line carries the response trace ID %s\nlog:\n%s", gen, buf.String())
 	}
-	if viewLine.Msg != "request" || viewLine.Method != http.MethodGet ||
-		viewLine.Path != "/docs/hospital/view" || viewLine.Status != http.StatusOK ||
-		viewLine.Subject != "secretary" || viewLine.Bytes <= 0 {
-		t.Fatalf("access-log line incomplete: %+v", *viewLine)
+	if blobLine.Msg != "request" || blobLine.Method != http.MethodGet ||
+		blobLine.Path != "/docs/hospital/blob" || blobLine.Status != http.StatusOK || blobLine.Bytes <= 0 {
+		t.Fatalf("access-log line incomplete: %+v", *blobLine)
 	}
 	if !strings.Contains(buf.String(), `"trace_id":"my-trace.01"`) {
 		t.Fatal("honored client trace ID missing from the access log")
@@ -132,9 +131,8 @@ func TestRequestIDGeneratedEchoedAndLogged(t *testing.T) {
 func TestDebugTraceServesJSONLWithRequestIDs(t *testing.T) {
 	_, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/docs/hospital/blob", nil)
 	req.Header.Set("X-Request-Id", "trace-probe-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -157,24 +155,24 @@ func TestDebugTraceServesJSONLWithRequestIDs(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &span); err != nil {
 			t.Fatalf("span line is not JSON: %v\n%s", err, sc.Text())
 		}
-		if span.TraceID == "trace-probe-1" && span.Name == "view:secretary" {
+		if span.TraceID == "trace-probe-1" && span.Name == "server.fetch" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no view span carries the request's trace ID; body:\n%s", body)
+		t.Fatalf("no server.fetch span carries the request's trace ID; body:\n%s", body)
 	}
 
 	if resp, body := do(t, http.MethodGet, ts.URL+"/debug/trace?n=bogus", ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad n must 400, got %d %s", resp.StatusCode, body)
 	}
 
-	// With tracing disabled the endpoint reports not-found and views still work.
+	// With tracing disabled the endpoint reports not-found and the blob
+	// surface still works.
 	_, tsOff, _ := newLoggedServer(t, Options{DisableTracing: true})
 	putDoc(t, tsOff, "hospital", hospitalXML(2))
-	putPolicy(t, tsOff, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
-	if resp, _ := do(t, http.MethodGet, tsOff.URL+"/docs/hospital/view?subject=secretary", ""); resp.StatusCode != http.StatusOK {
-		t.Fatalf("untraced view: %d", resp.StatusCode)
+	if resp, _ := do(t, http.MethodGet, tsOff.URL+"/docs/hospital/blob", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("untraced blob fetch: %d", resp.StatusCode)
 	}
 	if resp, _ := do(t, http.MethodGet, tsOff.URL+"/debug/trace", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("disabled tracing must 404 /debug/trace, got %d", resp.StatusCode)
@@ -202,10 +200,10 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0
 func TestPrometheusExpositionFormat(t *testing.T) {
 	_, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(6))
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 	for i := 0; i < 3; i++ {
-		if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", ""); resp.StatusCode != http.StatusOK {
-			t.Fatalf("view %d: %d", i, resp.StatusCode)
+		if status, _, body := patchDoc(t, ts, "hospital",
+			fmt.Sprintf(`{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"v%d"}`, i)); status != http.StatusOK {
+			t.Fatalf("PATCH %d: %d %s", i, status, body)
 		}
 	}
 
@@ -239,9 +237,7 @@ func TestPrometheusExpositionFormat(t *testing.T) {
 		if !promLine.MatchString(line) {
 			t.Fatalf("malformed sample line: %q", line)
 		}
-		name := line[:strings.IndexAny(line, "{ ")]
-		family := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		if !announced[name] && !announced[family] {
+		if name := line[:strings.IndexAny(line, "{ ")]; !announced[name] {
 			t.Fatalf("sample %q not announced by # HELP/# TYPE", line)
 		}
 		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
@@ -252,50 +248,21 @@ func TestPrometheusExpositionFormat(t *testing.T) {
 		order = append(order, line)
 	}
 
-	// The counters the issue names must be present and sane.
+	// The store's counters are present and sane.
 	for _, want := range []string{
-		"xmlac_requests_total", "xmlac_views_served_total", "xmlac_view_errors_total",
-		"xmlac_documents", "xmlac_sessions", "xmlac_bytes_decrypted_total",
+		"xmlac_requests_total", "xmlac_documents", "xmlac_updates_applied_total",
+		"xmlac_deltas_served_total", "xmlac_storage_fsyncs_total", `xmlac_build_info{go_version="` + runtime.Version() + `"}`,
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Errorf("metric %s missing from exposition", want)
 		}
 	}
-	if samples["xmlac_views_served_total"] < 3 {
-		t.Errorf("views_served %v, want >= 3", samples["xmlac_views_served_total"])
+	if samples["xmlac_updates_applied_total"] != 3 || samples["xmlac_documents"] != 1 {
+		t.Errorf("updates applied %v, documents %v, want 3 and 1",
+			samples["xmlac_updates_applied_total"], samples["xmlac_documents"])
 	}
-
-	// Histogram invariants: buckets cumulative and nondecreasing, +Inf equals
-	// _count, and the view-latency histogram saw the three views.
-	for _, h := range []string{"xmlac_view_duration_seconds", "xmlac_view_wire_bytes", "xmlac_view_workers"} {
-		prev := -1.0
-		inf := -1.0
-		for _, line := range order {
-			if !strings.HasPrefix(line, h+"_bucket{") {
-				continue
-			}
-			v := samples[line[:strings.LastIndexByte(line, ' ')]]
-			if v < prev {
-				t.Errorf("%s buckets not cumulative: %q after %v", h, line, prev)
-			}
-			prev = v
-			if strings.Contains(line, `le="+Inf"`) {
-				inf = v
-			}
-		}
-		count, ok := samples[h+"_count"]
-		if !ok || inf < 0 {
-			t.Fatalf("%s histogram incomplete (count present: %v, +Inf present: %v)", h, ok, inf >= 0)
-		}
-		if inf != count {
-			t.Errorf("%s +Inf bucket %v != count %v", h, inf, count)
-		}
-	}
-	if samples["xmlac_view_duration_seconds_count"] < 3 {
-		t.Errorf("view duration histogram count %v, want >= 3", samples["xmlac_view_duration_seconds_count"])
-	}
-	if samples["xmlac_view_wire_bytes_sum"] <= 0 {
-		t.Error("view wire-bytes histogram sum must be positive after served views")
+	if len(order) != len(announced) {
+		t.Errorf("%d samples for %d announced families: every family is one sample", len(order), len(announced))
 	}
 }
 
@@ -392,10 +359,9 @@ func TestServerSpansRecordParentLinkage(t *testing.T) {
 func TestDebugTraceSinceFilter(t *testing.T) {
 	_, ts, _ := newLoggedServer(t, Options{})
 	putDoc(t, ts, "hospital", hospitalXML(4))
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
 
-	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", ""); resp.StatusCode != http.StatusOK {
-		t.Fatalf("view: %d", resp.StatusCode)
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/blob", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("blob: %d", resp.StatusCode)
 	}
 	_, body := do(t, http.MethodGet, ts.URL+"/debug/trace", "")
 	var mark uint64
@@ -405,7 +371,7 @@ func TestDebugTraceSinceFilter(t *testing.T) {
 		}
 	}
 	if mark == 0 {
-		t.Fatalf("no spans after a view; body:\n%s", body)
+		t.Fatalf("no spans after a blob fetch; body:\n%s", body)
 	}
 
 	// Nothing new yet: the filter returns no spans.
@@ -414,13 +380,13 @@ func TestDebugTraceSinceFilter(t *testing.T) {
 		t.Fatalf("since=%d returned stale spans: %+v", mark, spans)
 	}
 
-	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", ""); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second view: %d", resp.StatusCode)
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/manifest", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("manifest: %d", resp.StatusCode)
 	}
 	_, body = do(t, http.MethodGet, ts.URL+"/debug/trace?since="+strconv.FormatUint(mark, 10), "")
 	spans := traceLines(t, body)
-	if len(spans) == 0 {
-		t.Fatal("since filter dropped the spans of the second view")
+	if len(spans) != 1 || spans[0].Name != "server.manifest" {
+		t.Fatalf("since filter returned %+v, want only the manifest request's span", spans)
 	}
 	for _, s := range spans {
 		if s.Seq <= mark {
@@ -430,5 +396,88 @@ func TestDebugTraceSinceFilter(t *testing.T) {
 
 	if resp, _ := do(t, http.MethodGet, ts.URL+"/debug/trace?since=-3", ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad since must 400, got %d", resp.StatusCode)
+	}
+}
+
+// promSamples parses a /metrics.prom body into sample -> value, keyed by
+// the metric name with its label set.
+func promSamples(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
+		if err != nil {
+			t.Fatalf("sample value unparseable in %q: %v", line, err)
+		}
+		out[line[:cut]] = v
+	}
+	return out
+}
+
+// TestMetricsSurfacesAgree: GET /metrics and GET /metrics.prom render the
+// same snapshot, so after concurrent PATCHes and blob reads against a
+// durable store every counter they share reads the same on both; the only
+// difference is the second scrape's own request.
+func TestMetricsSurfacesAgree(t *testing.T) {
+	_, ts, _ := newLoggedServer(t, Options{DataDir: t.TempDir(), CheckpointWALBytes: 64 << 10})
+	putDoc(t, ts, "hospital", hospitalXML(6))
+	putDoc(t, ts, "clinic", hospitalXML(3))
+	var wg sync.WaitGroup
+	for w := 1; w <= 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				status, _, body := patchDoc(t, ts, "hospital",
+					fmt.Sprintf(`{"op":"set-text","path":"/Hospital/Folder[%d]/Admin/Fname","text":"w%d-%d"}`, w, w, i))
+				if status != http.StatusOK {
+					t.Errorf("PATCH: %d %s", status, body)
+				}
+				if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/blob", ""); resp.StatusCode != http.StatusOK {
+					t.Errorf("blob: %d", resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/delta?from=1", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta: %d", resp.StatusCode)
+	}
+
+	var js metricsSnapshot
+	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	if err := json.Unmarshal([]byte(body), &js); err != nil {
+		t.Fatalf("decoding /metrics: %v", err)
+	}
+	_, body = do(t, http.MethodGet, ts.URL+"/metrics.prom", "")
+	prom := promSamples(t, body)
+
+	if js.Updates.Applied != 12 || js.Updates.DeltasServed != 1 || js.Documents != 2 || !js.Storage.Enabled {
+		t.Fatalf("/metrics updates=%+v documents=%d storage enabled=%v, want 12 applied, 1 delta, 2 documents, durable",
+			js.Updates, js.Documents, js.Storage.Enabled)
+	}
+	same := func(what string, want int64, got float64) {
+		t.Helper()
+		if float64(want) != got {
+			t.Errorf("%s: /metrics %d, /metrics.prom %v", what, want, got)
+		}
+	}
+	same("requests", js.Requests+1, prom["xmlac_requests_total"])
+	same("documents", int64(js.Documents), prom["xmlac_documents"])
+	same("updates applied", js.Updates.Applied, prom["xmlac_updates_applied_total"])
+	same("update errors", js.Updates.Errors, prom["xmlac_update_errors_total"])
+	same("deltas served", js.Updates.DeltasServed, prom["xmlac_deltas_served_total"])
+	same("WAL records", js.Storage.WALRecords, prom["xmlac_storage_wal_records"])
+	same("WAL bytes", js.Storage.WALBytes, prom["xmlac_storage_wal_bytes"])
+	same("WAL appends", js.Storage.WALAppends, prom["xmlac_storage_wal_appends_total"])
+	same("fsyncs", js.Storage.Fsyncs, prom["xmlac_storage_fsyncs_total"])
+	same("group commits", js.Storage.GroupCommits, prom["xmlac_storage_group_commits_total"])
+	same("checkpoints", js.Storage.Checkpoints, prom["xmlac_storage_checkpoints_total"])
+	if js.Storage.WALAppends != 14 {
+		t.Errorf("WAL appends %d, want 14 (two registrations, twelve PATCHes)", js.Storage.WALAppends)
 	}
 }

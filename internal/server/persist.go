@@ -19,7 +19,6 @@ import (
 // interprets them again on replay:
 //
 //   - RecordRegister — Meta: registerMeta JSON, Blob: the full container.
-//   - RecordPolicy   — Meta: policyMeta JSON (rules + timestamp).
 //   - RecordPatch    — Meta: the marshalled binary UpdateDelta (PR 5's wire
 //     format), Blob: prefixLen u32 | new container prefix | dirty chunk
 //     bytes | sha256 of the new container. Clean chunks are reconstructed
@@ -30,8 +29,7 @@ import (
 //
 // A checkpoint writes the same records: per document, one registration
 // carrying the retained update history (so delta resync keeps working
-// across a restart), then one policy record per subject. Recovery replays
-// snapshot and tail through one loop.
+// across a restart). Recovery replays snapshot and tail through one loop.
 
 // DefaultCheckpointWALBytes is the log tail size that triggers a checkpoint
 // when Options.CheckpointWALBytes is unset.
@@ -47,28 +45,6 @@ type registerMeta struct {
 	// UpdateDelta wire format (base64 in the JSON). Only checkpoints carry
 	// it: a live registration starts a fresh history.
 	Deltas [][]byte `json:"deltas,omitempty"`
-}
-
-// policyRuleMeta mirrors xmlac.Rule for the durable form.
-type policyRuleMeta struct {
-	ID     string `json:"id"`
-	Sign   string `json:"sign"`
-	Object string `json:"object"`
-}
-
-// policyMeta is the durable form of one subject's policy record (the
-// fingerprint is content-addressed and recomputed on replay).
-type policyMeta struct {
-	Rules     []policyRuleMeta `json:"rules"`
-	UpdatedAt time.Time        `json:"updated_at"`
-}
-
-func metaToPolicy(subject string, m policyMeta) xmlac.Policy {
-	p := xmlac.Policy{Subject: subject}
-	for _, r := range m.Rules {
-		p.Rules = append(p.Rules, xmlac.Rule{ID: r.ID, Sign: r.Sign, Object: r.Object})
-	}
-	return p
 }
 
 // persister owns the storage engine on behalf of the server. A nil persister
@@ -122,15 +98,6 @@ func registerRecord(e *DocumentEntry, deltas []*xmlac.UpdateDelta) storage.Recor
 	return storage.Record{Type: storage.RecordRegister, Doc: e.ID, Meta: mustJSON(meta), Blob: blob}
 }
 
-// policyRecord renders one subject's policy installation.
-func policyRecord(docID, subject string, rec PolicyRecord) storage.Record {
-	m := policyMeta{UpdatedAt: rec.UpdatedAt}
-	for _, r := range rec.Policy.Rules {
-		m.Rules = append(m.Rules, policyRuleMeta{ID: r.ID, Sign: r.Sign, Object: r.Object})
-	}
-	return storage.Record{Type: storage.RecordPolicy, Doc: docID, Subject: subject, Meta: mustJSON(m)}
-}
-
 // mustJSON marshals durable metadata. Every field is a plain string, time,
 // int or byte-slice aggregate; a marshal failure is a programming error,
 // not an operational state.
@@ -148,14 +115,6 @@ func (p *persister) logRegister(e *DocumentEntry) error {
 		return nil
 	}
 	return p.engine.Append(registerRecord(e, nil))
-}
-
-// logPolicy records one subject's policy installation.
-func (p *persister) logPolicy(docID, subject string, rec PolicyRecord) error {
-	if p == nil {
-		return nil
-	}
-	return p.engine.Append(policyRecord(docID, subject, rec))
 }
 
 // logPatch records one applied update as a delta record. It runs under the
@@ -209,9 +168,8 @@ func (p *persister) checkpoint() error {
 }
 
 // snapshot renders the store as the records that rebuild it: per document
-// in id order, its registration with the retained history, then its
-// policies in subject order. Callers hold p.mu exclusively, so no mutation
-// is half applied while the snapshot is cut.
+// in id order, its registration with the retained history. Callers hold p.mu
+// exclusively, so no mutation is half applied while the snapshot is cut.
 func (p *persister) snapshot() []storage.Record {
 	p.store.mu.RLock()
 	entries := make([]*DocumentEntry, 0, len(p.store.docs))
@@ -226,11 +184,6 @@ func (p *persister) snapshot() []storage.Record {
 		deltas := e.deltas
 		e.mu.RUnlock()
 		recs = append(recs, registerRecord(e, deltas))
-		for _, subject := range e.Subjects() {
-			if rec, err := e.PolicyFor(subject); err == nil {
-				recs = append(recs, policyRecord(e.ID, subject, rec))
-			}
-		}
 	}
 	return recs
 }
@@ -283,17 +236,6 @@ func (s *Server) replayRecord(rec storage.Record) error {
 			return fmt.Errorf("container: %w", err)
 		}
 		_, err = s.store.install(rec.Doc, meta, prot, rec.Blob, deltas, nil)
-		return err
-	case storage.RecordPolicy:
-		entry, err := s.store.Entry(rec.Doc)
-		if err != nil {
-			return err
-		}
-		var meta policyMeta
-		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
-			return fmt.Errorf("policy metadata: %w", err)
-		}
-		_, err = entry.SetPolicy(rec.Subject, metaToPolicy(rec.Subject, meta), meta.UpdatedAt, nil)
 		return err
 	case storage.RecordPatch:
 		entry, err := s.store.Entry(rec.Doc)

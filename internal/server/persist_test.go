@@ -44,18 +44,16 @@ func getOK(t *testing.T, url string) string {
 	return body
 }
 
-// TestPersistenceRoundTrip: register + policies + two PATCHes, close the
-// server, reopen the same data directory, and verify the recovered state is
-// byte-identical on every surface a client resynchronizes from — views,
-// blob + ETag, manifest, and the merged delta — then that the recovered
-// document accepts further updates.
+// TestPersistenceRoundTrip: register + two PATCHes, close the server, reopen
+// the same data directory, and verify the recovered state is byte-identical
+// on every surface a client resynchronizes from — blob + ETag, manifest, and
+// the merged delta — then that the recovered document accepts further
+// updates, re-encrypted under the key recovery derived from the log.
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := openDurable(t, dir, Options{})
 
 	putDoc(t, ts, "hospital", hospitalXML(8))
-	putPolicy(t, ts, "hospital", "secretary", secretaryRulesJSON)
-	putPolicy(t, ts, "hospital", "DrA", doctorRulesJSON)
 	if status, version, body := patchDoc(t, ts, "hospital",
 		`{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Fname","text":"durable"}`); status != http.StatusOK || version != 2 {
 		t.Fatalf("first PATCH: %d / %d (%s)", status, version, body)
@@ -65,11 +63,6 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("second PATCH: %d / %d (%s)", status, version, body)
 	}
 
-	subjects := []string{"secretary", "DrA"}
-	views := map[string]string{}
-	for _, s := range subjects {
-		views[s] = getOK(t, ts.URL+"/docs/hospital/view?subject="+s)
-	}
 	blobResp, blob := do(t, http.MethodGet, ts.URL+"/docs/hospital/blob", "")
 	if blobResp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /blob: %d", blobResp.StatusCode)
@@ -90,11 +83,6 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	if v := entry.Version(); v != 3 {
 		t.Fatalf("recovered at version %d, want 3", v)
-	}
-	for _, s := range subjects {
-		if got := getOK(t, ts2.URL+"/docs/hospital/view?subject="+s); got != views[s] {
-			t.Fatalf("recovered view for %s differs from the pre-restart view", s)
-		}
 	}
 	blobResp2, blob2 := do(t, http.MethodGet, ts2.URL+"/docs/hospital/blob", "")
 	if blob2 != blob {
@@ -136,21 +124,20 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if step.FromVersion != 3 || step.ToVersion != 4 {
 		t.Fatalf("post-recovery delta %d->%d, want 3->4", step.FromVersion, step.ToVersion)
 	}
-	if !strings.Contains(getOK(t, ts2.URL+"/docs/hospital/view?subject=secretary"), "post-restart") {
-		t.Fatal("post-recovery update not visible in the view")
+	if !strings.Contains(remoteView(t, ts2, "hospital", xmlac.SecretaryPolicy()), "post-restart") {
+		t.Fatal("a client SOE does not read the post-recovery update with the document key")
 	}
 }
 
 // TestPersistenceCheckpointRecovery drives the checkpoint path: a one-byte
 // threshold forces a checkpoint after every append, so recovery reads
-// documents, policies and the retained delta history from the log's
-// snapshot prefix rather than from replayed tail records.
+// documents and the retained delta history from the log's snapshot prefix
+// rather than from replayed tail records.
 func TestPersistenceCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
 
 	putDoc(t, ts, "hospital", hospitalXML(4))
-	putPolicy(t, ts, "hospital", "secretary", secretaryRulesJSON)
 	if status, version, _ := patchDoc(t, ts, "hospital",
 		`{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"ckpt"}`); status != http.StatusOK || version != 2 {
 		t.Fatalf("PATCH: %d / %d", status, version)
@@ -173,15 +160,15 @@ func TestPersistenceCheckpointRecovery(t *testing.T) {
 		t.Fatalf("WAL not compacted after checkpoint: %d records live", metrics.Storage.WALRecords)
 	}
 
-	view := getOK(t, ts.URL+"/docs/hospital/view?subject=secretary")
+	surface := captureSurface(t, ts)
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	_, ts2 := openDurable(t, dir, Options{CheckpointWALBytes: 1})
-	if got := getOK(t, ts2.URL+"/docs/hospital/view?subject=secretary"); got != view {
-		t.Fatal("view recovered from checkpoint differs")
+	if got := captureSurface(t, ts2); got != surface {
+		t.Fatal("blob, ETag, manifest or delta recovered from the checkpoint differs")
 	}
 	// The retained history survives WAL compaction: the 1 -> 2 delta was
 	// persisted inside the checkpoint's document metadata.
@@ -201,7 +188,7 @@ func TestPersistenceDeleteAcrossRestart(t *testing.T) {
 	srv, ts := openDurable(t, dir, Options{})
 
 	putDoc(t, ts, "keep", hospitalXML(3))
-	putPolicy(t, ts, "keep", "secretary", secretaryRulesJSON)
+	keep := getOK(t, ts.URL+"/docs/keep/blob")
 	putDoc(t, ts, "drop", hospitalXML(3))
 	if resp, body := do(t, http.MethodDelete, ts.URL+"/docs/drop", ""); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE: %d %s", resp.StatusCode, body)
@@ -215,17 +202,17 @@ func TestPersistenceDeleteAcrossRestart(t *testing.T) {
 	if resp, _ := do(t, http.MethodGet, ts2.URL+"/docs/drop", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted document resurrected after restart: %d", resp.StatusCode)
 	}
-	if body := getOK(t, ts2.URL+"/docs/keep/view?subject=secretary"); len(body) == 0 {
-		t.Fatal("surviving document lost its view after restart")
+	if body := getOK(t, ts2.URL+"/docs/keep/blob"); body != keep {
+		t.Fatal("surviving document's blob differs after restart")
 	}
 }
 
 // TestPersistenceConcurrentMutationsRecover: PATCHes to one document from
-// four clients, policy installs, and a second document's re-registrations
-// and PATCHes race checkpoints taken after every mutation. A mutation
-// applies and logs as one unit against checkpoints, and one document's
-// PATCHes log in version order, so a reopen recovers exactly the state the
-// server served.
+// four clients, a second document's re-registrations and PATCHes, and a
+// third document's registrations and deletes race checkpoints taken after
+// every mutation. A mutation applies and logs as one unit against
+// checkpoints, and one document's PATCHes log in version order, so a reopen
+// recovers exactly the state the server served.
 func TestPersistenceConcurrentMutationsRecover(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
@@ -264,13 +251,14 @@ func TestPersistenceConcurrentMutationsRecover(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for _, subject := range []string{"secretary", "clerk", "DrA"} {
-			rules := secretaryRulesJSON
-			if subject == "DrA" {
-				rules = doctorRulesJSON
-			}
-			if err := send(http.MethodPut, "/docs/hospital/policies/"+subject, rules); err != nil {
+		for i := 0; i < 3; i++ {
+			if err := send(http.MethodPut, "/docs/extra", hospitalXML(1+i)); err != nil {
 				t.Error(err)
+			}
+			if i < 2 {
+				if err := send(http.MethodDelete, "/docs/extra", ""); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}()
@@ -293,8 +281,8 @@ func TestPersistenceConcurrentMutationsRecover(t *testing.T) {
 	state := func(ts *httptest.Server) string {
 		var b strings.Builder
 		for _, path := range []string{
-			"/docs/hospital/blob", "/docs/hospital/delta?from=1", "/docs/other/blob", "/docs/other/delta?from=1",
-			"/docs/hospital/view?subject=secretary", "/docs/hospital/view?subject=DrA", "/docs/hospital/policies/clerk",
+			"/docs/hospital/blob", "/docs/hospital/manifest", "/docs/hospital/delta?from=1",
+			"/docs/other/blob", "/docs/other/delta?from=1", "/docs/extra/blob", "/docs",
 		} {
 			resp, body := do(t, http.MethodGet, ts.URL+path, "")
 			fmt.Fprintf(&b, "%s %d %s %q\n", path, resp.StatusCode, resp.Header.Get("ETag"), body)
@@ -362,10 +350,10 @@ func TestMutationsWaitForCheckpoint(t *testing.T) {
 // delete of the same document id either applies and logs before the record
 // that retires its entry, or loses the race (404 or 409) and logs nothing.
 // Four pairs race on one id, every request of a round at once: PUT vs
-// PATCH, DELETE vs PATCH, PUT vs policy install and PUT vs PUT. Odd rounds
+// PATCH, DELETE vs PATCH, PUT vs DELETE and PUT vs PUT. Odd rounds
 // checkpoint after every mutation. After each round a reopen must succeed
 // and serve exactly what the server served before it closed: blob, ETag,
-// delta, document info and policies.
+// manifest, delta and document info.
 func TestPersistenceReplaceRaces(t *testing.T) {
 	type step struct{ method, path, body string }
 	repeat := func(n int, f func(i int) step) []step {
@@ -388,22 +376,18 @@ func TestPersistenceReplaceRaces(t *testing.T) {
 		return step{http.MethodPatch, "/docs/doc",
 			fmt.Sprintf(`{"edits":[{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"v%d"}]}`, i)}
 	})
-	policies := repeat(4, func(i int) step {
-		return step{http.MethodPut, fmt.Sprintf("/docs/doc/policies/s%d", i), secretaryRulesJSON}
-	})
 	races := []struct {
 		name  string
 		steps []step
 	}{
 		{"PUT vs PATCH", append(register(0, 2), patches...)},
 		{"DELETE vs PATCH", append([]step{{http.MethodDelete, "/docs/doc", ""}}, patches...)},
-		{"PUT vs policy install", append(register(0, 2), policies...)},
+		{"PUT vs DELETE", append(register(0, 2), step{http.MethodDelete, "/docs/doc", ""})},
 		{"PUT vs PUT", register(0, 4)},
 	}
 	state := func(ts *httptest.Server) string {
 		var b strings.Builder
-		for _, path := range []string{"/docs/doc", "/docs/doc/blob", "/docs/doc/delta?from=1",
-			"/docs/doc/policies/s0", "/docs/doc/policies/s1", "/docs/doc/policies/s2", "/docs/doc/policies/s3"} {
+		for _, path := range []string{"/docs/doc", "/docs/doc/blob", "/docs/doc/manifest", "/docs/doc/delta?from=1"} {
 			resp, body := do(t, http.MethodGet, ts.URL+path, "")
 			fmt.Fprintf(&b, "%s %d %s %x\n", path, resp.StatusCode, resp.Header.Get("ETag"), sha256.Sum256([]byte(body)))
 		}

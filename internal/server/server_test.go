@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"xmlac"
 	"xmlac/internal/dataset"
@@ -23,15 +21,6 @@ import (
 func hospitalXML(folders int) string {
 	return xmlstream.SerializeTree(dataset.HospitalFolders(folders, 7), false)
 }
-
-// doctorRulesJSON is the JSON payload of the paper's doctor policy (the USER
-// variable binds to the path subject).
-const doctorRulesJSON = `{"rules":[
-	{"id":"D1","sign":"+","object":"//Folder/Admin"},
-	{"id":"D2","sign":"+","object":"//MedActs[//RPhys = USER]"},
-	{"id":"D3","sign":"-","object":"//Act[RPhys != USER]/Details"},
-	{"id":"D4","sign":"+","object":"//Folder[MedActs//RPhys = USER]/Analysis"}
-]}`
 
 // newServerOpts constructs a server for tests. When XMLAC_TEST_DATA_DIR is
 // set (the CI persistence pass), every test server transparently runs against
@@ -85,51 +74,58 @@ func putDoc(t *testing.T, ts *httptest.Server, id string, xml string) {
 	}
 }
 
-func putPolicy(t *testing.T, ts *httptest.Server, id, subject, rulesJSON string) {
-	t.Helper()
-	resp, body := do(t, http.MethodPut, fmt.Sprintf("%s/docs/%s/policies/%s", ts.URL, id, subject), rulesJSON)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT policy %s/%s: %d %s", id, subject, resp.StatusCode, body)
+// readView evaluates policy in a client SOE (xmlac.OpenRemote) over the blob
+// surface of document id, which was registered without a passphrase: the way
+// every view of a stored document is read.
+func readView(ts *httptest.Server, id string, policy xmlac.Policy) (string, error) {
+	doc, err := xmlac.OpenRemote(ts.URL+"/docs/"+id, xmlac.DeriveKey("xmlac-serve default key for "+id))
+	if err != nil {
+		return "", err
 	}
+	var b strings.Builder
+	_, err = doc.StreamAuthorizedView(policy, xmlac.ViewOptions{}, &b)
+	return b.String(), err
+}
+
+// remoteView is readView for the test goroutine: any error fails the test.
+func remoteView(t *testing.T, ts *httptest.Server, id string, policy xmlac.Policy) string {
+	t.Helper()
+	view, err := readView(ts, id, policy)
+	if err != nil {
+		t.Fatalf("remote view of %s for %s: %v", id, policy.Subject, err)
+	}
+	return view
 }
 
 func TestDocumentLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
-	xml := hospitalXML(10)
-	putDoc(t, ts, "hospital", xml)
+	putDoc(t, ts, "hospital", hospitalXML(10))
 
 	resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"hospital"`) {
 		t.Fatalf("GET /docs/hospital: %d %s", resp.StatusCode, body)
 	}
+	var info struct {
+		Document DocumentInfo `json:"document"`
+	}
+	if err := json.Unmarshal([]byte(body), &info); err != nil {
+		t.Fatal(err)
+	}
+	if d := info.Document; d.Version != 1 || d.ProtectedBytes == 0 || d.Elements == 0 || d.Scheme != string(xmlac.SchemeECBMHT) {
+		t.Fatalf("document info wrong: %+v", d)
+	}
 	resp, body = do(t, http.MethodGet, ts.URL+"/docs", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"hospital"`) {
 		t.Fatalf("GET /docs: %d %s", resp.StatusCode, body)
 	}
-
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"id":"S1","sign":"+","object":"//Admin"}]}`)
-	resp, body = do(t, http.MethodGet, ts.URL+"/docs/hospital/policies/secretary", "")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "S1") {
-		t.Fatalf("GET policy: %d %s", resp.StatusCode, body)
+	if !strings.Contains(remoteView(t, ts, "hospital", xmlac.SecretaryPolicy()), "<Admin>") {
+		t.Fatal("secretary view of the stored document misses the admin folders")
 	}
 
-	resp, body = do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET view: %d %s", resp.StatusCode, body)
+	resp, body = do(t, http.MethodPut, ts.URL+"/docs/bad", "<unclosed>")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed doc: %d %s, want 400", resp.StatusCode, body)
 	}
-	if !strings.Contains(body, "<Admin>") || strings.Contains(body, "<Details>") {
-		t.Fatalf("secretary view wrong: %.200s", body)
-	}
-	if resp.Header.Get("X-Xmlac-Policy-Hash") == "" {
-		t.Fatal("policy hash header missing on view response")
-	}
-	// The view is streamed from the evaluator, so the metric counters are
-	// not known when the headers go out: they arrive as HTTP trailers,
-	// available once the body has been consumed (do reads it fully).
-	if resp.Trailer.Get("X-Xmlac-Bytes-Transferred") == "" || resp.Trailer.Get("X-Xmlac-Ttfb-Micros") == "" {
-		t.Fatalf("metrics trailers missing on view response: %v", resp.Trailer)
-	}
-
 	resp, _ = do(t, http.MethodDelete, ts.URL+"/docs/hospital", "")
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE: %d", resp.StatusCode)
@@ -140,250 +136,104 @@ func TestDocumentLifecycle(t *testing.T) {
 	}
 }
 
-// TestViewMatchesLibrary asserts the server's streamed view is byte-identical
-// to what the library produces directly for the same document, key and
-// policy (the server is a transport, not a different evaluator).
-func TestViewMatchesLibrary(t *testing.T) {
+// TestStoreServesNoEvaluator: the store never evaluates a policy, so the
+// routes of a server-side evaluator (views, policy installs, per-subject
+// costs) do not exist.
+func TestStoreServesNoEvaluator(t *testing.T) {
 	_, ts := newTestServer(t)
-	xml := hospitalXML(12)
-	putDoc(t, ts, "hospital", xml)
-	putPolicy(t, ts, "hospital", "DrA", doctorRulesJSON)
-
-	resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=DrA", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET view: %d %s", resp.StatusCode, body)
+	putDoc(t, ts, "doc", `<a><b>v</b></a>`)
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodGet, "/docs/doc/view?subject=u", ""},
+		{http.MethodPut, "/docs/doc/policies/u", `{"rules":[{"sign":"+","object":"//b"}]}`},
+		{http.MethodGet, "/docs/doc/policies/u", ""},
+		{http.MethodGet, "/debug/costs", ""},
+	} {
+		resp, body := do(t, c.method, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: %d %q, want 404 or 405", c.method, c.path, resp.StatusCode, body)
+		}
 	}
+}
+
+// TestConcurrentSubjects: 64 client SOEs, each for its own subject, open one
+// stored document at once and stream their views from its blob surface;
+// every view must equal the library's view of the same document. It must be
+// race-clean under -race.
+func TestConcurrentSubjects(t *testing.T) {
+	_, ts := newTestServer(t)
+	xml := hospitalXML(8)
+	putDoc(t, ts, "hospital", xml)
 
 	doc, err := xmlac.ParseDocumentString(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := xmlac.DeriveKey("xmlac-serve default key for hospital")
-	prot, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := prot.AuthorizedView(key, xmlac.DoctorPolicy("DrA"), xmlac.ViewOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body != want.XML() {
-		t.Fatalf("server view differs from library view:\nserver: %.200s\nlibrary: %.200s", body, want.XML())
-	}
-}
-
-func TestViewWithQueryAndOptions(t *testing.T) {
-	_, ts := newTestServer(t)
-	putDoc(t, ts, "hospital", hospitalXML(12))
-	putPolicy(t, ts, "hospital", "DrA", doctorRulesJSON)
-
-	resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=DrA&query="+
-		"%2F%2FFolder%5BAdmin%2FAge+%3E+70%5D&indent=1", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query view: %d %s", resp.StatusCode, body)
-	}
-	resp, body = do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=DrA&query=%2F%2F%2F", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid query: %d %s, want 400", resp.StatusCode, body)
-	}
-}
-
-func TestViewErrors(t *testing.T) {
-	_, ts := newTestServer(t)
-	putDoc(t, ts, "hospital", hospitalXML(5))
-
-	resp, _ := do(t, http.MethodGet, ts.URL+"/docs/nope/view?subject=x", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown doc: %d, want 404", resp.StatusCode)
-	}
-	resp, _ = do(t, http.MethodGet, ts.URL+"/docs/hospital/view", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing subject: %d, want 400", resp.StatusCode)
-	}
-	resp, _ = do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=stranger", "")
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("no policy: %d, want 403", resp.StatusCode)
-	}
-	resp, body := do(t, http.MethodPut, ts.URL+"/docs/hospital/policies/u", `{"rules":[{"sign":"+","object":"not a path"}]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid policy: %d %s, want 400", resp.StatusCode, body)
-	}
-	resp, body = do(t, http.MethodPut, ts.URL+"/docs/bad", "<unclosed>")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed doc: %d %s, want 400", resp.StatusCode, body)
-	}
-}
-
-// TestConcurrentSubjects serves >= 64 concurrent view requests for distinct
-// subjects over one registered document (the acceptance scenario); it must
-// be race-clean under -race.
-func TestConcurrentSubjects(t *testing.T) {
-	srv, ts := newTestServer(t)
-	putDoc(t, ts, "hospital", hospitalXML(8))
-
 	const subjects = 64
-	const requestsPerSubject = 2
-	names := make([]string, subjects)
-	for i := range names {
+	policies := make([]xmlac.Policy, subjects)
+	want := make([]string, subjects)
+	for i := range policies {
 		// Subjects cycle through the dataset's physicians so the predicates
-		// match real data, but every subject name is distinct.
-		names[i] = fmt.Sprintf("%s-clone%02d", dataset.Physicians()[i%len(dataset.Physicians())], i)
-		putPolicy(t, ts, "hospital", names[i], doctorRulesJSON)
-	}
-
-	// First pass sequentially records each subject's reference body.
-	reference := make(map[string]string, subjects)
-	for _, name := range names {
-		resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject="+name, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("view %s: %d %s", name, resp.StatusCode, body)
+		// match real data.
+		policies[i] = xmlac.DoctorPolicy(dataset.Physicians()[i%len(dataset.Physicians())])
+		view, err := xmlac.EvaluateDocument(doc, policies[i], xmlac.ViewOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		reference[name] = body
+		want[i] = view.XML()
 	}
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, subjects*requestsPerSubject)
-	for _, name := range names {
-		for r := 0; r < requestsPerSubject; r++ {
-			wg.Add(1)
-			go func(name string) {
-				defer wg.Done()
-				resp, err := http.Get(ts.URL + "/docs/hospital/view?subject=" + name)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errCh <- fmt.Errorf("subject %s: status %d: %.120s", name, resp.StatusCode, body)
-					return
-				}
-				if string(body) != reference[name] {
-					errCh <- fmt.Errorf("subject %s: concurrent view differs from reference", name)
-				}
-			}(name)
-		}
+	got := make([]string, subjects)
+	errs := make([]error, subjects)
+	for i := range policies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = readView(ts, "hospital", policies[i])
+		}(i)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-
-	// Every view, sequential and concurrent, folded into the ledger once.
-	snap := srv.snapshot(0)
-	if want := int64(subjects * (1 + requestsPerSubject)); snap.ViewsServed != want || snap.ViewErrors != 0 {
-		t.Errorf("views served %d, errors %d, want %d/0", snap.ViewsServed, snap.ViewErrors, want)
-	}
-}
-
-// TestLoneViewCompletesUnderFrozenClock: a GET /view runs its scan at once.
-// Nothing on the view path waits for other requests or for time to pass, so
-// a lone view completes on a server whose fake clock never advances. The
-// handler runs without an HTTP server, so a view that blocks fails the test
-// instead of hanging its cleanup.
-func TestLoneViewCompletesUnderFrozenClock(t *testing.T) {
-	srv := newServerOpts(t, Options{clock: newFakeClock()})
-	if _, err := srv.RegisterDocument("doc", hospitalXML(4), "", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.InstallPolicy("doc", "DrA", xmlac.DoctorPolicy("DrA")); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/docs/doc/view?subject=DrA", nil))
-		done <- rec
-	}()
-	select {
-	case rec := <-done:
-		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
-			t.Fatalf("lone GET /view: %d (%d bytes)", rec.Code, rec.Body.Len())
+	for i := range got {
+		if errs[i] != nil {
+			t.Errorf("client %d (%s): %v", i, policies[i].Subject, errs[i])
+		} else if got[i] != want[i] {
+			t.Errorf("client %d (%s): remote view differs from the library's", i, policies[i].Subject)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("lone GET /view still blocked after 10s on a frozen clock")
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDoc(t, ts, "hospital", hospitalXML(6))
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
-	for i := 0; i < 3; i++ {
-		resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("view %d: %d", i, resp.StatusCode)
-		}
+	if status, _, body := patchDoc(t, ts, "hospital",
+		`{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"counted"}`); status != http.StatusOK {
+		t.Fatalf("PATCH: %d %s", status, body)
 	}
 	resp, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	var payload struct {
-		ViewsServed int64         `json:"views_served"`
-		Documents   int           `json:"documents"`
-		Totals      xmlac.Metrics `json:"totals"`
-		Sessions    []SessionStats
-	}
-	if err := json.NewDecoder(bytes.NewReader([]byte(body))).Decode(&payload); err != nil {
+	var snap metricsSnapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("decoding metrics: %v\n%s", err, body)
 	}
-	if payload.ViewsServed != 3 || payload.Documents != 1 {
-		t.Fatalf("views=%d docs=%d, want 3/1: %s", payload.ViewsServed, payload.Documents, body)
+	// PUT, PATCH and this scrape.
+	if snap.Documents != 1 || snap.Requests != 3 || snap.Updates.Applied != 1 || snap.Updates.BytesReencrypted == 0 {
+		t.Fatalf("documents=%d requests=%d updates=%+v, want 1 / 3 / one applied: %s",
+			snap.Documents, snap.Requests, snap.Updates, body)
 	}
-	if payload.Totals.BytesTransferred == 0 || payload.Totals.NodesPermitted == 0 {
-		t.Fatalf("aggregated totals missing: %s", body)
+	if snap.GoVersion == "" || snap.UptimeSeconds <= 0 {
+		t.Fatalf("uptime or build info missing: %s", body)
 	}
-	// The wire counters are part of the report (0 for server-local
-	// evaluations; remote SOE clients never route through /view).
-	if !strings.Contains(body, "BytesOnWire") || !strings.Contains(body, "RoundTrips") {
-		t.Fatalf("metrics report misses wire counters: %s", body)
+	// The store counts what it stores and serves; it evaluates nothing.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &fields); err != nil {
+		t.Fatal(err)
 	}
-	if payload.Totals.BytesOnWire != 0 || payload.Totals.RoundTrips != 0 {
-		t.Fatalf("local evaluations must not count wire bytes: %+v", payload.Totals)
-	}
-	if len(payload.Sessions) != 1 || payload.Sessions[0].Views != 3 {
-		t.Fatalf("session aggregation wrong: %s", body)
-	}
-}
-
-// TestReRegisterInvalidatesCache: re-registering a document drops its
-// policies together with their compiled forms, so no view runs a policy
-// compiled for the replaced document.
-func TestReRegisterInvalidatesCache(t *testing.T) {
-	_, ts := newTestServer(t)
-	putDoc(t, ts, "doc", `<a><b>one</b></a>`)
-	putPolicy(t, ts, "doc", "u", `{"rules":[{"sign":"+","object":"//b"}]}`)
-	resp, body := do(t, http.MethodGet, ts.URL+"/docs/doc/view?subject=u", "")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "one") {
-		t.Fatalf("first view: %d %s", resp.StatusCode, body)
-	}
-	// The subject must re-install its policy.
-	putDoc(t, ts, "doc", `<a><b>two</b></a>`)
-	resp, _ = do(t, http.MethodGet, ts.URL+"/docs/doc/view?subject=u", "")
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("view after re-register: %d, want 403 (policies reset)", resp.StatusCode)
-	}
-	putPolicy(t, ts, "doc", "u", `{"rules":[{"sign":"+","object":"//b"}]}`)
-	resp, body = do(t, http.MethodGet, ts.URL+"/docs/doc/view?subject=u", "")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "two") {
-		t.Fatalf("view of new content: %d %s", resp.StatusCode, body)
-	}
-}
-
-func TestEmptyViewStreamsEmptyBody(t *testing.T) {
-	_, ts := newTestServer(t)
-	putDoc(t, ts, "doc", `<a><b>v</b></a>`)
-	putPolicy(t, ts, "doc", "u", `{"rules":[{"sign":"+","object":"//missing"}]}`)
-	resp, body := do(t, http.MethodGet, ts.URL+"/docs/doc/view?subject=u", "")
-	if resp.StatusCode != http.StatusOK || body != "" {
-		t.Fatalf("empty view: %d %q, want 200 with empty body", resp.StatusCode, body)
+	for _, key := range []string{"views_served", "totals", "sessions", "costs", "histograms"} {
+		if _, ok := fields[key]; ok {
+			t.Errorf("/metrics still reports evaluator field %q", key)
+		}
 	}
 }
 
@@ -400,14 +250,12 @@ func TestWrongMethodReturns405(t *testing.T) {
 		path   string
 		allow  string // one method the Allow header must list
 	}{
-		{http.MethodPost, "/docs/doc/view", http.MethodGet},
 		{http.MethodDelete, "/docs", http.MethodGet},
 		{http.MethodPost, "/docs/doc", http.MethodDelete},
 		{http.MethodPost, "/docs/doc/delta", http.MethodGet},
 		{http.MethodPut, "/docs/doc/blob", http.MethodGet},
 		{http.MethodPost, "/docs/doc/manifest", http.MethodGet},
 		{http.MethodDelete, "/docs/doc/hashes", http.MethodGet},
-		{http.MethodDelete, "/docs/doc/policies/u", http.MethodPut},
 		{http.MethodPost, "/metrics", http.MethodGet},
 		{http.MethodPut, "/healthz", http.MethodGet},
 	}
@@ -420,102 +268,6 @@ func TestWrongMethodReturns405(t *testing.T) {
 		if allow := resp.Header.Get("Allow"); !strings.Contains(allow, c.allow) {
 			t.Errorf("%s %s: Allow %q does not list %s", c.method, c.path, allow, c.allow)
 		}
-	}
-}
-
-// cancelingWriter is a ResponseWriter that cancels the request context once
-// limit bytes of body have been written: the deterministic in-process
-// equivalent of a client that disconnects mid-stream.
-type cancelingWriter struct {
-	header http.Header
-	body   bytes.Buffer
-	limit  int
-	cancel context.CancelFunc
-	status int
-}
-
-func (c *cancelingWriter) Header() http.Header { return c.header }
-func (c *cancelingWriter) WriteHeader(code int) {
-	if c.status == 0 {
-		c.status = code
-	}
-}
-func (c *cancelingWriter) Write(p []byte) (int, error) {
-	c.WriteHeader(http.StatusOK)
-	n, _ := c.body.Write(p)
-	if c.body.Len() >= c.limit {
-		c.cancel()
-	}
-	return n, nil
-}
-
-// TestViewClientDisconnectAbortsEvaluation checks that GET /view honors
-// request-context cancellation: once the client is gone, the evaluation
-// stops mid-document instead of scanning (and serializing) the rest of the
-// view, and the request is accounted as a view error.
-func TestViewClientDisconnectAbortsEvaluation(t *testing.T) {
-	srv, ts := newTestServer(t)
-	putDoc(t, ts, "hospital", hospitalXML(60))
-	putPolicy(t, ts, "hospital", "secretary", `{"rules":[{"sign":"+","object":"//Admin"}]}`)
-
-	// Reference: the complete view, served normally.
-	resp, full := do(t, http.MethodGet, ts.URL+"/docs/hospital/view?subject=secretary", "")
-	if resp.StatusCode != http.StatusOK || len(full) == 0 {
-		t.Fatalf("reference view: %d, %d bytes", resp.StatusCode, len(full))
-	}
-	before := srv.snapshot(0)
-	totalsBefore := before.Totals
-	sessBefore := sessionOf(before, "hospital", "secretary")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cw := &cancelingWriter{header: make(http.Header), limit: len(full) / 10, cancel: cancel}
-	req := httptest.NewRequest(http.MethodGet, "/docs/hospital/view?subject=secretary", nil).WithContext(ctx)
-	srv.Handler().ServeHTTP(cw, req)
-
-	if cw.status != http.StatusOK {
-		t.Fatalf("status %d, want 200 (the stream had started)", cw.status)
-	}
-	if cw.body.Len() >= len(full)/2 {
-		t.Fatalf("evaluation kept delivering after the disconnect: %d of %d bytes", cw.body.Len(), len(full))
-	}
-	if got := string(full[:cw.body.Len()]); cw.body.String() != got {
-		t.Fatal("truncated stream is not a prefix of the full view")
-	}
-	after := srv.snapshot(0)
-	if after.ViewErrors != before.ViewErrors+1 {
-		t.Fatalf("view errors %d, want %d (aborted stream must be accounted)", after.ViewErrors, before.ViewErrors+1)
-	}
-	if after.ViewsServed != before.ViewsServed {
-		t.Fatal("aborted stream must not count as a served view")
-	}
-
-	// The aborted evaluation's partial counters fold into the lifetime totals
-	// and the session totals exactly once: the two deltas agree, are nonzero
-	// (work was performed before the disconnect) and smaller than a full view
-	// (the abort stopped the scan).
-	totalsAfter := after.Totals
-	sessAfter := sessionOf(after, "hospital", "secretary")
-	totalsDelta := totalsAfter.BytesDecrypted - totalsBefore.BytesDecrypted
-	sessDelta := sessAfter.Totals.BytesDecrypted - sessBefore.Totals.BytesDecrypted
-	if totalsDelta <= 0 {
-		t.Fatal("aborted stream's partial work missing from the lifetime totals")
-	}
-	if sessDelta != totalsDelta {
-		t.Fatalf("partial counters folded unevenly: session delta %d, totals delta %d (must fold exactly once into each)",
-			sessDelta, totalsDelta)
-	}
-	// The reference view was the only prior evaluation, so the totals before
-	// the abort are exactly one full view's decryption cost.
-	fullDecrypted := totalsBefore.BytesDecrypted
-	if totalsDelta >= fullDecrypted {
-		t.Fatalf("aborted stream decrypted %d bytes, not less than the full view's %d", totalsDelta, fullDecrypted)
-	}
-	if sessAfter.Errors != sessBefore.Errors+1 {
-		t.Fatalf("session errors %d, want %d", sessAfter.Errors, sessBefore.Errors+1)
-	}
-	if sessAfter.Views != sessBefore.Views {
-		t.Fatal("aborted stream must not count as a session view")
 	}
 }
 

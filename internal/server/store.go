@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -15,7 +14,7 @@ import (
 	"xmlac"
 )
 
-// ErrNotFound is returned for unknown documents or subjects.
+// ErrNotFound is returned for unknown documents.
 var ErrNotFound = errors.New("server: not found")
 
 // ErrRetired is returned by a mutation whose document entry a concurrent
@@ -23,11 +22,10 @@ var ErrNotFound = errors.New("server: not found")
 // the race, applied nothing and logged nothing.
 var ErrRetired = errors.New("server: document was replaced or deleted concurrently")
 
-// Store is the concurrency-safe registry of protected documents and their
-// per-subject policies. Each document is protected (compressed, encrypted,
-// integrity-protected) once at registration time; every later view request
-// evaluates against the same immutable protected form, so reads never lock
-// out each other.
+// Store is the concurrency-safe registry of protected documents. Each
+// document is protected (compressed, encrypted, integrity-protected) once at
+// registration time and re-encrypted chunk by chunk by each PATCH; readers
+// of its blob surface never lock out each other.
 type Store struct {
 	mu    sync.RWMutex
 	docs  map[string]*DocumentEntry
@@ -41,7 +39,7 @@ func NewStore() *Store {
 
 // newStoreWithClock builds an empty store stamping times from c (nil selects
 // the real clock). The server threads its injected clock through here so
-// registration and policy timestamps are deterministic under the fake clock.
+// registration timestamps are deterministic under the fake clock.
 func newStoreWithClock(c clock) *Store {
 	if c == nil {
 		c = realClock{}
@@ -49,11 +47,9 @@ func newStoreWithClock(c clock) *Store {
 	return &Store{docs: make(map[string]*DocumentEntry), clock: c}
 }
 
-// DocumentEntry is one registered document with its key and the policies of
-// its subjects. The key is immutable after registration; the protected form
-// is versioned — PATCH updates install new versions in place (concurrent
-// views run on the version they snapshotted). The policy table has its own
-// lock so policy updates do not block view requests on other documents.
+// DocumentEntry is one registered document with its key. The key is
+// immutable after registration; the protected form is versioned — PATCH
+// updates install new versions in place.
 type DocumentEntry struct {
 	ID        string
 	Scheme    xmlac.Scheme
@@ -70,47 +66,34 @@ type DocumentEntry struct {
 
 	// updateMu orders every mutation of the entry end to end, its durable
 	// record included: PATCHes (edit application, blob re-marshal, delta
-	// retention), policy installs, the registration that published the entry
-	// and the PUT or DELETE that retires it. The version chain stays linear
-	// and the log holds one document id's records in the order they applied.
+	// retention), the registration that published the entry and the PUT or
+	// DELETE that retires it. The version chain stays linear and the log
+	// holds one document id's records in the order they applied.
 	updateMu sync.Mutex
 	// retired marks an entry a PUT replaced or a DELETE removed; a mutation
 	// that finds it set under updateMu lost the race (ErrRetired). Guarded by
 	// updateMu.
 	retired bool
 
-	// mu guards the whole untrusted-blob surface as one consistent unit —
-	// marshalled blob, its entity tag, the manifest, the version and the
-	// retained deltas all describe the same document version at any read —
-	// plus the policy table. blob is what an untrusted blob server stores
-	// and range-serves to remote SOE clients; etag is its strong entity tag
-	// (quoted SHA-256 of the content), sent on GET /docs/{id}/blob and
-	// checked against If-None-Match / If-Range — every document version has
-	// its own etag. (Views snapshot the protected form directly and may run
-	// one version ahead of the blob surface for the instant an update is
-	// being installed; each surface is internally consistent.)
+	// mu guards the whole blob surface as one consistent unit — marshalled
+	// blob, its entity tag, the manifest, the version and the retained
+	// deltas all describe the same document version at any read. blob is
+	// what the store range-serves to remote SOE clients; etag is its strong
+	// entity tag (quoted SHA-256 of the content), sent on
+	// GET /docs/{id}/blob and checked against If-None-Match, If-Match and
+	// If-Range — every document version has its own etag.
 	mu       sync.RWMutex
 	blob     []byte
 	etag     string
 	manifest xmlac.DocumentManifest
 	version  uint64
 	deltas   []*xmlac.UpdateDelta
-	policies map[string]PolicyRecord
 }
 
 // maxRetainedDeltas bounds the per-document update history served through
 // GET /docs/{id}/delta. A client further behind than this falls back to a
 // full re-sync, exactly as if the document had been re-registered.
 const maxRetainedDeltas = 64
-
-// PolicyRecord is one subject's policy with its content fingerprint and its
-// compiled form, built once when the policy is installed or replayed.
-type PolicyRecord struct {
-	Policy    xmlac.Policy
-	Compiled  *xmlac.CompiledPolicy
-	Hash      string
-	UpdatedAt time.Time
-}
 
 // DocumentInfo is the externally visible summary of a registered document.
 type DocumentInfo struct {
@@ -120,7 +103,6 @@ type DocumentInfo struct {
 	ProtectedBytes int       `json:"protected_bytes"`
 	Elements       int       `json:"elements"`
 	MaxDepth       int       `json:"max_depth"`
-	Subjects       int       `json:"subjects"`
 	CreatedAt      time.Time `json:"created_at"`
 }
 
@@ -177,7 +159,6 @@ func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob
 		manifest:   prot.Manifest(),
 		version:    prot.Version(),
 		deltas:     deltas,
-		policies:   make(map[string]PolicyRecord),
 	}
 	entry.updateMu.Lock()
 	defer entry.updateMu.Unlock()
@@ -267,7 +248,6 @@ func (s *Store) List() []DocumentInfo {
 // Info returns the externally visible summary of the document.
 func (e *DocumentEntry) Info() DocumentInfo {
 	e.mu.RLock()
-	subjects := len(e.policies)
 	version := e.version
 	size := int(e.manifest.CiphertextLen)
 	e.mu.RUnlock()
@@ -278,68 +258,8 @@ func (e *DocumentEntry) Info() DocumentInfo {
 		ProtectedBytes: size,
 		Elements:       e.Stats.Elements,
 		MaxDepth:       e.Stats.MaxDepth,
-		Subjects:       subjects,
 		CreatedAt:      e.CreatedAt,
 	}
-}
-
-// SetPolicy compiles and installs the policy of one subject over the
-// document, stamped updatedAt, and returns its fingerprint. Live installs and
-// recovery both come through here, so every policy is compiled exactly once
-// per install or replayed record; recovery reinstalls a policy with its
-// original stamp. commit, when non-nil, runs under the entry's update lock
-// with the installed record, so the policy record lands before the record of
-// the PUT or DELETE that retires the entry. A retired entry installs nothing
-// (ErrRetired).
-func (e *DocumentEntry) SetPolicy(subject string, policy xmlac.Policy, updatedAt time.Time, commit func(PolicyRecord) error) (string, error) {
-	policy.Subject = subject
-	cp, err := policy.Compile()
-	if err != nil {
-		return "", err
-	}
-	rec := PolicyRecord{Policy: policy, Compiled: cp, Hash: cp.Hash(), UpdatedAt: updatedAt}
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	if e.retired {
-		return "", ErrRetired
-	}
-	e.mu.Lock()
-	e.policies[subject] = rec
-	e.mu.Unlock()
-	if commit != nil {
-		err = commit(rec)
-	}
-	return rec.Hash, err
-}
-
-// PolicyFor returns the policy record of a subject.
-func (e *DocumentEntry) PolicyFor(subject string) (PolicyRecord, error) {
-	e.mu.RLock()
-	rec, ok := e.policies[subject]
-	e.mu.RUnlock()
-	if !ok {
-		return PolicyRecord{}, fmt.Errorf("%w: no policy for subject %q on document %q", ErrNotFound, subject, e.ID)
-	}
-	return rec, nil
-}
-
-// Subjects returns the subjects holding a policy over the document, sorted.
-func (e *DocumentEntry) Subjects() []string {
-	e.mu.RLock()
-	out := make([]string, 0, len(e.policies))
-	for s := range e.policies {
-		out = append(out, s)
-	}
-	e.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// StreamView evaluates one compiled policy over the protected document in a
-// one-view scan, streaming the authorized view to w. Every GET /view runs
-// through it.
-func (e *DocumentEntry) StreamView(cp *xmlac.CompiledPolicy, opts xmlac.ViewOptions, w io.Writer) (*xmlac.Metrics, error) {
-	return e.prot.StreamAuthorizedViewCompiled(e.key, cp, opts, w)
 }
 
 // Blob returns the marshalled protected container and its strong ETag, a
@@ -364,8 +284,7 @@ var ErrDeltaUnavailable = errors.New("server: update delta unavailable for that 
 
 // Update applies the edits as the document's next version: chunk-granular
 // re-encryption through xmlac's Update, a fresh blob and entity tag, and the
-// step delta appended to the retained history. Views running concurrently
-// finish on the version they started with. commit, when non-nil, runs once
+// step delta appended to the retained history. commit, when non-nil, runs once
 // the version is published, still under the update lock, so the durable
 // records of one document are logged in the order its versions applied;
 // its error is returned with the applied version. A retired entry applies

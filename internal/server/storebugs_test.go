@@ -50,9 +50,9 @@ func TestRetainedDeltaTrimReleasesEvicted(t *testing.T) {
 	}
 }
 
-// TestStoreTimestampsUseInjectedClock: CreatedAt and policy UpdatedAt come
-// from the injected clock, not time.Now() — the stamps are exactly the fake
-// epoch, which no wall-clock call can produce.
+// TestStoreTimestampsUseInjectedClock: CreatedAt comes from the injected
+// clock, not time.Now() — the stamp is exactly the fake epoch, which no
+// wall-clock call can produce — and GET /docs/{id} reports that stamp.
 func TestStoreTimestampsUseInjectedClock(t *testing.T) {
 	fc := newFakeClock()
 	epoch := fc.Now()
@@ -61,7 +61,6 @@ func TestStoreTimestampsUseInjectedClock(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	putDoc(t, ts, "doc", hospitalXML(2))
-	putPolicy(t, ts, "doc", "secretary", secretaryRulesJSON)
 	entry, err := srv.Store().Entry("doc")
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +68,14 @@ func TestStoreTimestampsUseInjectedClock(t *testing.T) {
 	if !entry.CreatedAt.Equal(epoch) {
 		t.Fatalf("CreatedAt %v bypassed the injected clock (want %v)", entry.CreatedAt, epoch)
 	}
-	rec, err := entry.PolicyFor("secretary")
-	if err != nil {
+	var info struct {
+		Document DocumentInfo `json:"document"`
+	}
+	if err := json.Unmarshal([]byte(getOK(t, ts.URL+"/docs/doc")), &info); err != nil {
 		t.Fatal(err)
 	}
-	if !rec.UpdatedAt.Equal(epoch) {
-		t.Fatalf("policy UpdatedAt %v bypassed the injected clock (want %v)", rec.UpdatedAt, epoch)
+	if !info.Document.CreatedAt.Equal(epoch) {
+		t.Fatalf("GET /docs/doc reports created_at %v, want %v", info.Document.CreatedAt, epoch)
 	}
 }
 
@@ -86,10 +87,9 @@ func TestAccessLogDurationUsesInjectedClock(t *testing.T) {
 	fc := newFakeClock()
 	_, ts, buf := newLoggedServer(t, Options{clock: fc})
 	putDoc(t, ts, "doc", hospitalXML(2))
-	putPolicy(t, ts, "doc", "secretary", secretaryRulesJSON)
-	getOK(t, ts.URL+"/docs/doc/view?subject=secretary")
+	getOK(t, ts.URL+"/docs/doc/blob")
 
-	sawView := false
+	sawBlob := false
 	sc := bufio.NewScanner(strings.NewReader(buf.String()))
 	for sc.Scan() {
 		var l struct {
@@ -106,11 +106,11 @@ func TestAccessLogDurationUsesInjectedClock(t *testing.T) {
 		if l.Duration != 0 {
 			t.Fatalf("request %s logged duration %dns under a frozen clock", l.Path, l.Duration)
 		}
-		if l.Path == "/docs/doc/view" {
-			sawView = true
+		if l.Path == "/docs/doc/blob" {
+			sawBlob = true
 		}
 	}
-	if !sawView {
-		t.Fatalf("no access-log line for the view request\nlog:\n%s", buf.String())
+	if !sawBlob {
+		t.Fatalf("no access-log line for the blob request\nlog:\n%s", buf.String())
 	}
 }

@@ -18,7 +18,6 @@ const root = "internal/storage/testdata/fuzz"
 var (
 	register = storage.Record{Type: storage.RecordRegister, Doc: "hospital", Meta: []byte(`{"version":1}`), Blob: []byte("XSEC\x02container bytes")}
 	patch    = storage.Record{Type: storage.RecordPatch, Doc: "hospital", Meta: []byte("XDLT delta"), Blob: []byte{7, 7, 7, 7, 7, 7, 7, 7}}
-	policy   = storage.Record{Type: storage.RecordPolicy, Doc: "hospital", Subject: "secretary", Meta: []byte(`{"rules":[{"id":"S1","sign":"+","object":"//Admin"}]}`)}
 	remove   = storage.Record{Type: storage.RecordDelete, Doc: "gone"}
 )
 
@@ -26,7 +25,6 @@ func main() {
 	seeds := map[string]storage.Record{
 		"seed_register": register,
 		"seed_patch":    patch,
-		"seed_policy":   policy,
 		"seed_delete":   remove,
 	}
 	for name, r := range seeds {
@@ -39,14 +37,14 @@ func main() {
 	write("FuzzWALRecord", "seed_truncated", []byte{1, 1, 0, 'd', 0, 0, 0xff, 0xff, 0xff, 0x7f})
 
 	write("FuzzLogFile", "seed_empty", nil)
-	write("FuzzLogFile", "seed_fresh", logFile(false, register, policy, patch))
+	write("FuzzLogFile", "seed_fresh", logFile(false, register, patch))
 	compacted := logFile(true, patch, remove)
 	write("FuzzLogFile", "seed_compacted", compacted)
 	write("FuzzLogFile", "seed_torn", compacted[:len(compacted)-5])
 }
 
 // logFile returns the bytes of a log the engine wrote: tail appended after a
-// checkpoint of register and policy when compact, on a fresh log otherwise.
+// checkpoint of register when compact, on a fresh log otherwise.
 func logFile(compact bool, tail ...storage.Record) []byte {
 	dir, err := os.MkdirTemp("", "gencorpus")
 	check(err)
@@ -54,7 +52,7 @@ func logFile(compact bool, tail ...storage.Record) []byte {
 	e, err := storage.Open(dir, storage.Options{NoSync: true})
 	check(err)
 	if compact {
-		check(e.Checkpoint([]storage.Record{register, policy}))
+		check(e.Checkpoint([]storage.Record{register}))
 	}
 	for _, r := range tail {
 		check(e.Append(r))

@@ -11,16 +11,14 @@ import (
 // record, a PATCH carries the binary update delta plus the dirty byte
 // ranges) and interprets them again on replay. Keeping the engine blind to
 // the payload keeps the trust layering clean: nothing in internal/storage
-// ever handles a policy, a key or plaintext.
+// ever handles a key or plaintext.
 type Record struct {
 	// Type says how the server interprets the payloads on replay.
 	Type RecordType
 	// Doc is the document id the record mutates.
 	Doc string
-	// Subject is the policy subject of RecordPolicy records ("" otherwise).
-	Subject string
 	// Meta is the small structured part of the payload (registration
-	// metadata, the marshalled update delta, the policy JSON).
+	// metadata, the marshalled update delta).
 	Meta []byte
 	// Blob is the bulk part: the full container for registrations, the new
 	// container prefix plus dirty chunk bytes for patches.
@@ -37,10 +35,8 @@ const (
 	// RecordPatch advances a document one version: Meta is the marshalled
 	// binary UpdateDelta, Blob the dirty byte ranges of the new container.
 	RecordPatch RecordType = 2
-	// RecordPolicy installs one subject's policy over a document.
-	RecordPolicy RecordType = 3
 	// RecordDelete removes a document and everything attached to it.
-	RecordDelete RecordType = 4
+	RecordDelete RecordType = 3
 )
 
 // recordTypeValid reports whether t is a known record type.
@@ -51,15 +47,14 @@ func recordTypeValid(t RecordType) bool {
 // Payload size bounds enforced by the decoder: a corrupted length field must
 // fail parsing instead of driving a giant allocation.
 const (
-	maxNameLen = 1 << 10 // document ids and subjects
+	maxNameLen = 1 << 10 // document ids
 	maxMetaLen = 1 << 24 // 16 MiB of structured metadata
 	maxBlobLen = 1 << 30 // 1 GiB of container bytes
 )
 
 // EncodeRecord serializes a record to the byte payload framed into the WAL:
 //
-//	type u8 | docLen u16 | doc | subjLen u16 | subj | metaLen u32 | meta |
-//	blobLen u32 | blob
+//	type u8 | docLen u16 | doc | metaLen u32 | meta | blobLen u32 | blob
 //
 // All integers little-endian. The frame around it (length prefix + CRC) is
 // the WAL's concern; see wal.go.
@@ -70,21 +65,16 @@ func EncodeRecord(r Record) ([]byte, error) {
 	if len(r.Doc) == 0 || len(r.Doc) > maxNameLen {
 		return nil, fmt.Errorf("storage: record document id length %d out of range", len(r.Doc))
 	}
-	if len(r.Subject) > maxNameLen {
-		return nil, fmt.Errorf("storage: record subject length %d out of range", len(r.Subject))
-	}
 	if len(r.Meta) > maxMetaLen {
 		return nil, fmt.Errorf("storage: record metadata length %d out of range", len(r.Meta))
 	}
 	if len(r.Blob) > maxBlobLen {
 		return nil, fmt.Errorf("storage: record blob length %d out of range", len(r.Blob))
 	}
-	out := make([]byte, 0, 1+2+len(r.Doc)+2+len(r.Subject)+4+len(r.Meta)+4+len(r.Blob))
+	out := make([]byte, 0, 1+2+len(r.Doc)+4+len(r.Meta)+4+len(r.Blob))
 	out = append(out, byte(r.Type))
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Doc)))
 	out = append(out, r.Doc...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Subject)))
-	out = append(out, r.Subject...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Meta)))
 	out = append(out, r.Meta...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Blob)))
@@ -115,21 +105,6 @@ func DecodeRecord(data []byte) (Record, error) {
 	if !recordTypeValid(r.Type) {
 		return r, fmt.Errorf("storage: unknown record type %d", tb[0])
 	}
-	readStr := func(what string, max int) (string, error) {
-		lb, err := need(2)
-		if err != nil {
-			return "", err
-		}
-		n := int(binary.LittleEndian.Uint16(lb))
-		if n > max {
-			return "", fmt.Errorf("storage: record %s length %d out of range", what, n)
-		}
-		b, err := need(n)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
 	readBytes := func(what string, max int) ([]byte, error) {
 		lb, err := need(4)
 		if err != nil {
@@ -145,15 +120,19 @@ func DecodeRecord(data []byte) (Record, error) {
 		}
 		return append([]byte(nil), b...), nil
 	}
-	if r.Doc, err = readStr("document id", maxNameLen); err != nil {
+	lb, err := need(2)
+	if err != nil {
 		return r, err
 	}
-	if r.Doc == "" {
-		return r, fmt.Errorf("storage: record carries an empty document id")
+	n := int(binary.LittleEndian.Uint16(lb))
+	if n == 0 || n > maxNameLen {
+		return r, fmt.Errorf("storage: record document id length %d out of range", n)
 	}
-	if r.Subject, err = readStr("subject", maxNameLen); err != nil {
+	db, err := need(n)
+	if err != nil {
 		return r, err
 	}
+	r.Doc = string(db)
 	if r.Meta, err = readBytes("metadata", maxMetaLen); err != nil {
 		return r, err
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -14,8 +15,9 @@ func FuzzWALRecord(f *testing.F) {
 	seeds := []Record{
 		{Type: RecordRegister, Doc: "hospital", Meta: []byte(`{"version":1}`), Blob: []byte("XSEC\x02container bytes")},
 		{Type: RecordPatch, Doc: "hospital", Meta: []byte("XDLT delta"), Blob: bytes.Repeat([]byte{7}, 64)},
-		{Type: RecordPolicy, Doc: "hospital", Subject: "secretary", Meta: []byte(`{"rules":[{"id":"S1","sign":"+","object":"//Admin"}]}`)},
 		{Type: RecordDelete, Doc: "gone"},
+		// A document id at its length bound.
+		{Type: RecordDelete, Doc: strings.Repeat("d", maxNameLen)},
 	}
 	for _, r := range seeds {
 		enc, err := EncodeRecord(r)

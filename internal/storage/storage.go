@@ -1,8 +1,8 @@
 // Package storage is the durable half of the untrusted store: one log file
 // of opaque mutation records whose prefix is the snapshot of the last
 // checkpoint. The paper's server is a dumb, durable blob host — this package
-// supplies the durable part without ever interpreting a payload (containers,
-// deltas and policies pass through as bytes; keys never enter).
+// supplies the durable part without ever interpreting a payload (containers
+// and deltas pass through as bytes; keys never enter).
 //
 // A data directory holds LOCK and wal.log, plus wal.tmp while a checkpoint
 // runs. Durability contract:

@@ -20,7 +20,7 @@ func testRecord(i int) Record {
 }
 
 func recordsEqual(a, b Record) bool {
-	return a.Type == b.Type && a.Doc == b.Doc && a.Subject == b.Subject &&
+	return a.Type == b.Type && a.Doc == b.Doc &&
 		bytes.Equal(a.Meta, b.Meta) && bytes.Equal(a.Blob, b.Blob)
 }
 
@@ -28,7 +28,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Type: RecordRegister, Doc: "hospital", Meta: []byte("{}"), Blob: []byte{1, 2, 3}},
 		{Type: RecordPatch, Doc: "a", Meta: bytes.Repeat([]byte("m"), 1000)},
-		{Type: RecordPolicy, Doc: "hospital", Subject: "secretary", Meta: []byte(`{"rules":[]}`)},
 		{Type: RecordDelete, Doc: "gone"},
 	}
 	for _, want := range recs {
@@ -275,7 +274,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	snaps := []Record{
 		{Type: RecordRegister, Doc: "alpha", Meta: []byte(`{"v":3}`), Blob: bytes.Repeat([]byte("A"), 1300)},
 		{Type: RecordRegister, Doc: "beta", Meta: []byte(`{"v":1}`), Blob: bytes.Repeat([]byte("B"), 512)},
-		{Type: RecordPolicy, Doc: "beta", Subject: "s", Meta: []byte("{}")},
+		{Type: RecordPatch, Doc: "beta", Meta: []byte("XDLT"), Blob: []byte("dirty")},
 		{Type: RecordRegister, Doc: "gamma", Meta: []byte(`{"v":7}`), Blob: []byte("tiny")},
 	}
 	for i := 0; i < 3; i++ {
@@ -290,7 +289,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 		t.Fatalf("wal size %d after checkpoint, want 0", e.WALSize())
 	}
 	// Post-checkpoint appends land in the tail of the new log.
-	extra := Record{Type: RecordPolicy, Doc: "alpha", Subject: "s", Meta: []byte("{}")}
+	extra := Record{Type: RecordDelete, Doc: "alpha"}
 	if err := e.Append(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -448,24 +447,29 @@ func TestLeftoverTmpIgnored(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldFormats: a page-file checkpoint or a v1 log header is
-// refused with an error naming the file, never silently ignored.
+// TestOpenRefusesOldFormats: a page-file checkpoint or a log of an earlier
+// format version (v1, v2) is refused with an error naming the file, never
+// silently ignored.
 func TestOpenRefusesOldFormats(t *testing.T) {
-	for name, data := range map[string][]byte{
-		oldCheckpointName: []byte("XCKP\x01"),
-		logName:           append([]byte("XWAL\x01"), make([]byte, 32)...),
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{oldCheckpointName, []byte("XCKP\x01")},
+		{logName, append([]byte("XWAL\x01"), make([]byte, 32)...)},
+		{logName, append([]byte("XWAL\x02"), make([]byte, 32)...)},
 	} {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, c.name), c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		e, err := Open(dir, Options{})
 		if err == nil {
 			e.Close()
-			t.Fatalf("Open accepted a directory holding an old %s", name)
+			t.Fatalf("Open accepted a directory holding an old %s (%q)", c.name, c.data[:5])
 		}
-		if !strings.Contains(err.Error(), filepath.Join(dir, name)) {
-			t.Fatalf("error %q does not name %s", err, name)
+		if !strings.Contains(err.Error(), filepath.Join(dir, c.name)) {
+			t.Fatalf("error %q does not name %s", err, c.name)
 		}
 	}
 }

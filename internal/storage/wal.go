@@ -14,7 +14,7 @@ import (
 // checkpoint is the same frames again: it writes the store's state as a
 // fresh run of records and makes that run the new file's prefix. Layout:
 //
-//	header:   "XWAL\x02" | snapLen u64 | crc32 u32 (of the 13 bytes before it)
+//	header:   "XWAL\x03" | snapLen u64 | crc32 u32 (of the 13 bytes before it)
 //	snapshot: snapLen bytes of frames, the state at the last checkpoint
 //	tail:     frames appended since
 //	frame:    crc32 u32 (of the payload) | length u32 | payload (EncodeRecord)
@@ -26,12 +26,11 @@ import (
 // keeps the frames up to the first torn or corrupt one and truncates the
 // rest (prefix durability, never a holed history).
 
-// logMagic opens a log file; the trailing byte is the format version.
-var logMagic = []byte("XWAL\x02")
-
-// logMagicV1 is the earlier format (a headerless snapshot-free log beside a
-// page-file checkpoint), which this engine refuses rather than misreads.
-var logMagicV1 = []byte("XWAL\x01")
+// logMagic opens a log file; the trailing byte is the format version. The
+// engine refuses the earlier versions rather than misread them: version 1
+// was a headerless log beside a page-file checkpoint, and version 2 records
+// carried a policy subject.
+var logMagic = []byte("XWAL\x03")
 
 // headerSize is the fixed size of the log header.
 const headerSize = 5 + 8 + 4
@@ -41,7 +40,7 @@ const frameHeaderSize = 8
 
 // maxFrameLen bounds a frame's declared payload length during recovery so a
 // corrupt length field reads as a torn tail, not a giant allocation.
-const maxFrameLen = maxBlobLen + maxMetaLen + 2*maxNameLen + 64
+const maxFrameLen = maxBlobLen + maxMetaLen + maxNameLen + 64
 
 // logHeader renders the header of a log whose snapshot is snapLen bytes.
 func logHeader(snapLen int64) []byte {
@@ -85,8 +84,8 @@ func scanLog(r io.ReaderAt, size int64) (logScan, error) {
 		return s, err
 	}
 	if n := min(len(head), len(logMagic)); !bytes.Equal(head[:n], logMagic[:n]) {
-		if bytes.HasPrefix(head, logMagicV1) {
-			return s, errors.New("log has the v1 format of a page-file checkpoint engine; this engine cannot read it")
+		if len(head) >= len(logMagic) && bytes.HasPrefix(head, logMagic[:4]) {
+			return s, fmt.Errorf("log has format version %d of an earlier engine; this engine reads only version %d", head[4], logMagic[4])
 		}
 		return s, errors.New("not a log file (bad magic)")
 	}

@@ -27,8 +27,6 @@
 // the same trace ID for concurrent work — the parallel scan forks one
 // context per region worker, so a fanned-out evaluation renders as parallel
 // lanes of a single trace in WriteChromeTraceLanes, one row per context.
-// Histogram is the fixed-bucket aggregation side used by the server's
-// Prometheus exposition.
 package trace
 
 import (

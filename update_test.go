@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"xmlac"
@@ -250,4 +251,126 @@ func TestUpdateMarshalledBytesMatchFromScratch(t *testing.T) {
 	if !bytes.Equal(gotBlob[:22], wantBlob[:22]) || !bytes.Equal(gotBlob[30:], wantBlob[30:]) {
 		t.Fatal("updated container differs from a from-scratch protect beyond the version stamp")
 	}
+}
+
+// raceUpdatesAgainstViews races two writers against streaming readers on one
+// protected document: writer A rewrites Folder[1]'s Fname and writer B
+// Folder[2]'s, steps times each, through Protected.Update, while readers
+// stream the secretary's view with opts. The reachable document states form
+// the (a, b) grid of writer progress; every delivered view must be
+// byte-identical to the view of one of them — never a torn mix of two
+// versions, because a scan (each region worker of a parallel one included)
+// reads the one version it snapshotted at its start — and once the writers
+// are done the view must hold both writers' last edits.
+func raceUpdatesAgainstViews(t *testing.T, opts xmlac.ViewOptions) {
+	prot, key, xml := protectHospital(t, 24)
+	policy := xmlac.SecretaryPolicy()
+	cp, err := policy.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 4
+	edit := func(folder, step int) xmlac.Edit {
+		return xmlac.Edit{
+			Op:   xmlac.EditSetText,
+			Path: fmt.Sprintf("/Hospital/Folder[%d]/Admin/Fname", folder),
+			Text: fmt.Sprintf("writer%d-step%d", folder, step),
+		}
+	}
+
+	// The view of every (a, b) state, from the plaintext oracle.
+	expected := map[string]string{}
+	for a := 0; a <= steps; a++ {
+		for b := 0; b <= steps; b++ {
+			doc, err := xmlac.ParseDocumentString(xml)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var edits []xmlac.Edit
+			if a > 0 {
+				edits = append(edits, edit(1, a))
+			}
+			if b > 0 {
+				edits = append(edits, edit(2, b))
+			}
+			if err := doc.ApplyEdits(edits...); err != nil {
+				t.Fatal(err)
+			}
+			view, err := xmlac.EvaluateDocument(doc, policy, xmlac.ViewOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			expected[view.XML()] = fmt.Sprintf("a=%d b=%d", a, b)
+		}
+	}
+
+	stream := func() (string, *xmlac.Metrics, error) {
+		var buf bytes.Buffer
+		m, err := prot.StreamAuthorizedViewCompiled(key, cp, opts, &buf)
+		return buf.String(), m, err
+	}
+	const readers, viewsPerReader = 4, 6
+	var wg sync.WaitGroup
+	errs := make([]error, 2+readers)
+	views := make([][]string, readers)
+	for w := 1; w <= 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= steps && errs[w-1] == nil; i++ {
+				_, _, errs[w-1] = prot.Update(key, []xmlac.Edit{edit(w, i)})
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < viewsPerReader; i++ {
+				view, _, err := stream()
+				if err != nil {
+					errs[2+r] = err
+					return
+				}
+				views[r] = append(views[r], view)
+			}
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := range views {
+		for i, view := range views[r] {
+			if _, ok := expected[view]; !ok {
+				t.Fatalf("reader %d view %d (%d bytes) matches no reachable document state: torn or mixed versions", r, i, len(view))
+			}
+		}
+	}
+	if v := prot.Version(); v != 1+2*steps {
+		t.Fatalf("final version %d, want %d (every update one version)", v, 1+2*steps)
+	}
+	final, m, err := stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := expected[final]; state != fmt.Sprintf("a=%d b=%d", steps, steps) {
+		t.Fatalf("final view is state %q, want both writers fully applied", state)
+	}
+	if opts.Parallelism > 1 && m.Workers < 2 {
+		t.Fatalf("the scan ran with %d workers, want a parallel scan", m.Workers)
+	}
+}
+
+// TestConcurrentPatchAndViews races updates against serial view scans.
+func TestConcurrentPatchAndViews(t *testing.T) {
+	raceUpdatesAgainstViews(t, xmlac.ViewOptions{})
+}
+
+// TestConcurrentPatchAndParallelViews races updates against region-parallel
+// view scans: every region worker of one scan reads the same snapshot.
+func TestConcurrentPatchAndParallelViews(t *testing.T) {
+	raceUpdatesAgainstViews(t, xmlac.ViewOptions{Parallelism: 4})
 }

@@ -65,8 +65,7 @@
 // The contract: the compiled entry points produce byte-identical views and
 // identical metrics to their uncompiled counterparts for the policy the
 // CompiledPolicy was compiled from. A CompiledPolicy is immutable and safe
-// for concurrent use; its Hash (the policy Fingerprint) is a stable cache
-// key. All entry points draw their per-request machinery (secure reader,
+// for concurrent use. All entry points draw their per-request machinery (secure reader,
 // streaming evaluator) from a sync.Pool, so concurrent evaluations do not
 // re-allocate it.
 //
@@ -153,20 +152,16 @@
 //
 // # Server
 //
-// The internal/server package and the xmlac-serve command expose this API as
-// a concurrent multi-tenant HTTP service: protected documents and
-// per-subject policies are registered over HTTP (PUT /docs/{id},
-// PUT /docs/{id}/policies/{subject}), and GET /docs/{id}/view?subject=...
-// streams the subject's authorized view straight from the evaluator into the
-// chunked response — the server holds an evaluator working set per in-flight
-// view, never a DOM tree or a serialized copy, so thousands of concurrent
-// views cost thousands of working sets. The evaluation metrics travel as
-// HTTP trailers (they are not known when the headers go out), and a client
-// that disconnects mid-view cancels the request context and stops the
-// evaluation mid-document. Each policy is compiled once, when it is
-// installed, and every view of its subject runs one scan with that compiled
-// form; GET /metrics aggregates the Metrics counters of every evaluation
-// across requests and sessions.
+// The internal/server package and the xmlac-serve command are the paper's
+// untrusted store, as a concurrent multi-tenant HTTP service: documents are
+// registered (PUT /docs/{id}) and updated (PATCH /docs/{id}) over HTTP, and
+// the store range-serves each protected container, its manifest, fragment
+// hashes and update deltas. The store never evaluates a policy: every view
+// runs in a client SOE (OpenRemote, below). Its one trusted-mode exception
+// is the plaintext write path — registration takes XML and a passphrase and
+// PATCH takes plaintext edits, so the store derives the key and protects and
+// re-encrypts the document itself. GET /metrics and GET /metrics.prom report
+// the store's own counters: requests, documents, updates and storage.
 //
 // # Remote SOE
 //
@@ -214,10 +209,10 @@
 // Phase accounting is exclusive (nested phases never double-count), so the
 // breakdown's sum tracks Metrics.Duration. Traced and untraced runs produce
 // byte-identical views and identical counters; with Trace nil the timers
-// are fully disabled. The server exposes the same machinery over HTTP:
-// request-scoped trace IDs (X-Request-Id), a Prometheus text endpoint
-// (GET /metrics.prom), recent spans as JSONL (GET /debug/trace) and opt-in
-// pprof handlers.
+// are fully disabled. The server records its side of a remote view over
+// HTTP: request-scoped trace IDs (X-Request-Id), a span per blob, manifest,
+// hash and delta request (GET /debug/trace, as JSONL), a Prometheus text
+// endpoint (GET /metrics.prom) and opt-in pprof handlers.
 //
 // # Machine-checked trust boundary
 //
@@ -714,8 +709,8 @@ type Metrics struct {
 	EstimatedSmartCardSeconds float64
 }
 
-// Add accumulates another metrics record; aggregators (internal/server's
-// accounting ledger) fold per-request metrics with it.
+// Add accumulates another metrics record; aggregators of many evaluations
+// fold per-view metrics with it.
 func (m *Metrics) Add(o *Metrics) {
 	m.BytesTransferred += o.BytesTransferred
 	m.BytesDecrypted += o.BytesDecrypted

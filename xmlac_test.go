@@ -1,6 +1,7 @@
 package xmlac
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -160,6 +161,12 @@ func TestWrongKeyDetected(t *testing.T) {
 func TestPolicyValidation(t *testing.T) {
 	if err := (Policy{Subject: "x"}).Validate(); err == nil {
 		t.Fatal("empty policy must fail validation")
+	}
+	if _, err := (Policy{Subject: "x"}).Compile(); !errors.Is(err, ErrInvalidPolicy) {
+		t.Fatalf("empty policy compiled, or failed without ErrInvalidPolicy: %v", err)
+	}
+	if !strings.Contains(ErrInvalidPolicy.Error(), "invalid policy") {
+		t.Fatal("sentinel error text changed")
 	}
 	bad := Policy{Subject: "x", Rules: []Rule{{Sign: "+", Object: "not-a-path"}}}
 	if err := bad.Validate(); err == nil {
