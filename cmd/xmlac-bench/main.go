@@ -2,8 +2,8 @@
 // evaluation section (section 7) using the experiment harness of
 // internal/experiments, printing one text table per experiment — or, with
 // -json, runs the machine-readable wall-clock suites of internal/bench and
-// writes BENCH_shared_scan.json, BENCH_streaming_view.json, BENCH_update.json
-// and BENCH_parallel_scan.json in the stable schema CI uploads on every run.
+// writes BENCH_streaming_view.json, BENCH_update.json, BENCH_parallel_scan.json
+// and BENCH_wal.json in the stable schema CI uploads on every run.
 // The parallel-scan suite builds its own larger fixture (-parallel-scale,
 // default 8.0 ≈ 30 MB) because the region-parallel speedup only shows on
 // documents big enough to amortize the planning pass.
@@ -81,7 +81,7 @@ func main() {
 	}
 }
 
-// runJSON measures the shared-scan and streaming-view suites on the hospital
+// runJSON measures the streaming-view and update suites on the hospital
 // document at the given scale and writes one JSON artifact per suite, plus an
 // optional Chrome trace of one instrumented streaming view. With -append the
 // combined results also become a new trajectory entry; with -gate they are
@@ -97,15 +97,6 @@ func runJSON(scale, parallelScale float64, outDir, traceOut string, appendTraj b
 		}
 		fmt.Println("wrote", traceOut)
 	}
-	shared, err := bench.SharedScanSuite(fx)
-	if err != nil {
-		return err
-	}
-	sharedPath := filepath.Join(outDir, "BENCH_shared_scan.json")
-	if err := bench.WriteJSON(sharedPath, shared); err != nil {
-		return err
-	}
-	fmt.Println("wrote", sharedPath)
 	streaming := bench.StreamingViewSuite(fx)
 	streamingPath := filepath.Join(outDir, "BENCH_streaming_view.json")
 	if err := bench.WriteJSON(streamingPath, streaming); err != nil {
@@ -157,7 +148,7 @@ func runJSON(scale, parallelScale float64, outDir, traceOut string, appendTraj b
 	}
 	fmt.Println("wrote", walPath)
 
-	all := append(append(append(append(shared, streaming...), updates...), parallel...), walResults...)
+	all := append(append(append(streaming, updates...), parallel...), walResults...)
 	if gatePct > 0 {
 		baseline, err := bench.NewestTrajectory(trajPath)
 		if err != nil {

@@ -173,7 +173,6 @@ func renderHTML(w io.Writer, d *reportData) error {
 // for all of them (ns/op), so a negative delta renders as good.
 var tileBenchmarks = []struct{ name, label string }{
 	{"StreamingView/secretary/streaming", "Streaming view (secretary)"},
-	{"SharedScan/multicast/subjects=64", "Shared scan, 64 subjects"},
 	{"Update/inplace", "In-place update"},
 }
 

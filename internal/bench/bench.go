@@ -1,6 +1,6 @@
 // Package bench is the machine-readable benchmark harness: the same
 // measurement closures back the repository's `go test -bench` benchmarks
-// (BenchmarkSharedScan, via the root _test package) and the JSON emitter of
+// (BenchmarkStreamingView, via the root _test package) and the JSON emitter of
 // `xmlac-bench -json`, so the BENCH_*.json artifacts CI uploads on every run
 // track exactly the code the benchstat regression gate compares.
 package bench
@@ -60,7 +60,7 @@ func Run(name string, fn func(*testing.B)) Result {
 }
 
 // WriteJSON writes results as an indented JSON array (one stable artifact
-// per suite: BENCH_shared_scan.json, BENCH_streaming_view.json).
+// per suite: BENCH_streaming_view.json, BENCH_update.json, ...).
 func WriteJSON(path string, results []Result) error {
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
@@ -107,25 +107,6 @@ func NewHospitalFixture(scale float64) (*Fixture, error) {
 	return &Fixture{Key: key, Prot: prot, Doc: doc, Folders: folders, Secretary: secretary, Doctor: doctor}, nil
 }
 
-// ClerkPolicies compiles n distinct administrative-clerk subjects (the
-// secretary profile under different subject names): the shared-scan fleet of
-// the amortization benchmark — many users, one role, one document.
-func (f *Fixture) ClerkPolicies(n int) ([]*xmlac.CompiledPolicy, error) {
-	cps := make([]*xmlac.CompiledPolicy, n)
-	for i := range cps {
-		p := xmlac.Policy{
-			Subject: fmt.Sprintf("clerk-%02d", i),
-			Rules:   []xmlac.Rule{{ID: "C1", Sign: "+", Object: "//Folder/Admin"}},
-		}
-		cp, err := p.Compile()
-		if err != nil {
-			return nil, err
-		}
-		cps[i] = cp
-	}
-	return cps, nil
-}
-
 // countWriter discards the view while counting its bytes.
 type countWriter struct{ n int64 }
 
@@ -165,56 +146,6 @@ func (f *Fixture) MaterializedView(cp *xmlac.CompiledPolicy) func(*testing.B) {
 			bytesOut += int64(len(view.XML()))
 		}
 		b.ReportMetric(float64(bytesOut)/float64(b.N)/(1<<20), mbPerViewMetric)
-	}
-}
-
-// SharedScanSolo serves every subject with its own scan per op, as one client
-// SOE per subject does: linear in the number of subjects.
-func (f *Fixture) SharedScanSolo(cps []*xmlac.CompiledPolicy) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var bytesOut, views int64
-		for i := 0; i < b.N; i++ {
-			for _, cp := range cps {
-				cw := &countWriter{}
-				if _, err := f.Prot.StreamAuthorizedViewCompiled(f.Key, cp, xmlac.ViewOptions{}, cw); err != nil {
-					b.Fatal(err)
-				}
-				bytesOut += cw.n
-				views++
-			}
-		}
-		b.ReportMetric(float64(bytesOut)/float64(views)/(1<<20), mbPerViewMetric)
-	}
-}
-
-// SharedScanMulticast serves every subject from one shared scan per op
-// (AuthorizedViewsCompiled): one decryption/integrity/parse pass regardless
-// of the subject count.
-func (f *Fixture) SharedScanMulticast(cps []*xmlac.CompiledPolicy) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var bytesOut, views int64
-		for i := 0; i < b.N; i++ {
-			cvs := make([]xmlac.CompiledView, len(cps))
-			cws := make([]*countWriter, len(cps))
-			for j, cp := range cps {
-				cws[j] = &countWriter{}
-				cvs[j] = xmlac.CompiledView{Policy: cp, Output: cws[j]}
-			}
-			results, err := f.Prot.AuthorizedViewsCompiled(f.Key, cvs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j, res := range results {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				bytesOut += cws[j].n
-				views++
-			}
-		}
-		b.ReportMetric(float64(bytesOut)/float64(views)/(1<<20), mbPerViewMetric)
 	}
 }
 
@@ -306,26 +237,6 @@ func UpdateSuite(fx *Fixture) []Result {
 		Run("Update/reencode", fx.UpdateReencode()),
 		Run("Update/reprotect", fx.UpdateReprotect()),
 	}
-}
-
-// SharedScanSubjectCounts is the subject axis of the shared-scan suite.
-var SharedScanSubjectCounts = []int{1, 4, 16, 64}
-
-// SharedScanSuite measures solo vs multicast for every subject count and
-// returns the results in the stable schema.
-func SharedScanSuite(fx *Fixture) ([]Result, error) {
-	var out []Result
-	for _, n := range SharedScanSubjectCounts {
-		cps, err := fx.ClerkPolicies(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out,
-			Run(fmt.Sprintf("SharedScan/solo/subjects=%d", n), fx.SharedScanSolo(cps)),
-			Run(fmt.Sprintf("SharedScan/multicast/subjects=%d", n), fx.SharedScanMulticast(cps)),
-		)
-	}
-	return out, nil
 }
 
 // ParallelScanWorkerCounts is the worker axis of the parallel-scan suite;

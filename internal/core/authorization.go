@@ -11,34 +11,27 @@
 // subtree skips) and produces the authorized view of the document for one
 // access-control policy and, optionally, one query.
 //
-// Three execution strategies share that single evaluator:
+// Two execution strategies share that single evaluator:
 //
-//   - Solo: Evaluator.Run drives one compiled policy over one event stream,
-//     delivering the view through Options.Sink in document order as nodes
-//     settle (a nil sink materializes a tree). Policies compile once
+//   - Serial: Evaluator.Run drives one compiled policy over one event
+//     stream, delivering the view through Options.Sink in document order as
+//     nodes settle (a nil sink materializes a tree). Policies compile once
 //     (CompilePolicy) and evaluators Reset for reuse across evaluations.
-//
-//   - Shared scan: MultiEvaluator dispatches one streaming pass to N subject
-//     evaluators through per-subject feeds. A subject's subtree skip becomes
-//     virtual — its event delivery suspends until the matching Close while
-//     the shared reader keeps moving — and the reader physically skips only
-//     when every live subject skipped; per-subject Metrics stay identical to
-//     the subject's solo scan (SkipDistance charges virtual skips the solo
-//     byte count).
+//     Over the Skip-index decoder, a subtree the evaluator decides to skip
+//     is jumped over physically: its bytes are neither read nor decrypted.
 //
 //   - Parallel scan: RunParallel evaluates the regions of one document
 //     (planned at integrity-chunk/subtree boundaries by
-//     skipindex.PlanRegions) on a bounded worker pool and stitches the
-//     captured sink events back into exact document order, composing with
-//     the shared-scan machinery so every subject rides every region. The
-//     delivered view is byte-identical to the serial scan and per-subject
-//     metrics are exactly equal; combinations the region protocol cannot
-//     serve fail early with ErrNotParallelizable and callers fall back to
-//     the serial strategy.
+//     skipindex.PlanRegions) on a bounded worker pool, one evaluator per
+//     region over its own region scanner, and stitches the captured sink
+//     events back into exact document order. The delivered view is
+//     byte-identical to the serial scan and the metrics are exactly equal;
+//     combinations the region protocol cannot serve fail early with
+//     ErrNotParallelizable and callers fall back to the serial strategy.
 //
 // Evaluations optionally report phase-level timing (Options.Trace) into
 // internal/trace contexts; Metrics carries the paper's SOE cost counters for
-// every strategy.
+// both strategies.
 package core
 
 import (

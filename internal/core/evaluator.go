@@ -220,36 +220,44 @@ func Evaluate(reader xmlstream.EventReader, policy *accessrule.Policy, opts Opti
 
 // Run processes every event of the reader and finalizes the result. With a
 // delivery sink configured (Options.Sink) the view has already been streamed
-// out by the time Run returns and Result.View is nil.
+// out by the time Run returns and Result.View is nil. Every failure — the
+// reader's, the sink's, or one at finalization — returns the error with a
+// Result carrying the partial metrics of the work performed and no view.
 func (e *Evaluator) Run() (*Result, error) {
+	if err := e.scan(); err != nil {
+		return &Result{Metrics: e.metrics}, err
+	}
+	return e.Finish()
+}
+
+// scan processes every event of the reader without finalizing the result:
+// a region worker of a parallel scan stops there, since the document root
+// is still open at its region's end.
+func (e *Evaluator) scan() error {
 	for {
 		ev, err := e.reader.Next()
 		if errors.Is(err, xmlstream.ErrEndOfDocument) {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: reading document: %w", err)
+			return fmt.Errorf("core: reading document: %w", err)
 		}
 		if err := e.ProcessEvent(ev); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return e.Finish()
 }
 
 // Finish finalizes the result after the last event has been processed: the
 // remaining skeleton is flushed, unresolved predicates deny their nodes and
 // the sink delivery is ended. Callers that drive the evaluator through
-// ProcessEvent (the MultiEvaluator dispatching one shared scan to many
-// subjects) call it in place of Run.
+// ProcessEvent (the parallel scan's stitching evaluator) call it in place
+// of Run. A failure returns the error with the metrics and no view.
 func (e *Evaluator) Finish() (*Result, error) {
 	e.opts.Trace.Begin(trace.PhaseEmit)
 	view, err := e.builder.finalize()
 	e.opts.Trace.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{View: view, Metrics: e.metrics}, nil
+	return &Result{View: view, Metrics: e.metrics}, err
 }
 
 // ProcessEvent feeds one event to the evaluator. Exposed for tests that

@@ -14,12 +14,12 @@ import (
 
 // Differential testing of the parallel intra-document scan against the
 // serial Skip-index evaluation: stitched views must be event-identical and
-// per-subject metrics must be exactly equal — the parallel scan is an
-// execution strategy, not a semantics change.
+// metrics must be exactly equal — the parallel scan is an execution
+// strategy, not a semantics change.
 
 // runParallelOverEncoded plans regions over an encoded document and runs
-// the subjects through RunParallel with plain in-memory region scanners.
-func runParallelOverEncoded(t *testing.T, ctx context.Context, data []byte, workers int, subjects []ParallelSubject) ([]SubjectOutcome, ParallelStats, error) {
+// one subject through RunParallel with plain in-memory region scanners.
+func runParallelOverEncoded(t *testing.T, ctx context.Context, data []byte, workers int, cp *CompiledPolicy, opts Options) (*Result, ParallelStats, error) {
 	t.Helper()
 	plan, err := skipindex.PlanRegions(skipindex.NewBytesSource(data), workers*4)
 	if err != nil {
@@ -38,7 +38,7 @@ func runParallelOverEncoded(t *testing.T, ctx context.Context, data []byte, work
 			return dec, nil, err
 		},
 	}
-	return RunParallel(cfg, subjects)
+	return RunParallel(cfg, cp, opts)
 }
 
 // serialSolo evaluates one subject serially over a fresh Skip-index decoder.
@@ -112,21 +112,17 @@ func TestParallelMatchesSerialHospital(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: serial: %v", name, err)
 				}
-				outcomes, stats, err := runParallelOverEncoded(t, nil, data, workers, []ParallelSubject{{CP: cp, Opts: opts}})
+				res, stats, err := runParallelOverEncoded(t, nil, data, workers, cp, opts)
 				if err != nil {
 					t.Fatalf("%s workers=%d dummy=%v: parallel: %v", name, workers, dummy, err)
 				}
-				out := outcomes[0]
-				if out.Err != nil {
-					t.Fatalf("%s workers=%d: subject error: %v", name, workers, out.Err)
-				}
-				if !treesEqual(out.Result.View, serial.View) {
+				if !treesEqual(res.View, serial.View) {
 					t.Fatalf("%s workers=%d dummy=%v: view mismatch\nparallel: %s\nserial:   %s",
-						name, workers, dummy, serialize(out.Result.View), serialize(serial.View))
+						name, workers, dummy, serialize(res.View), serialize(serial.View))
 				}
-				if out.Result.Metrics != serial.Metrics {
+				if res.Metrics != serial.Metrics {
 					t.Fatalf("%s workers=%d dummy=%v: metrics mismatch\nparallel: %+v\nserial:   %+v",
-						name, workers, dummy, out.Result.Metrics, serial.Metrics)
+						name, workers, dummy, res.Metrics, serial.Metrics)
 				}
 				if stats.Regions < 2 {
 					t.Fatalf("%s: expected a multi-region plan, got %d", name, stats.Regions)
@@ -150,7 +146,7 @@ func TestParallelMatchesSerialRandom(t *testing.T) {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
 		workers := r.next(4) + 1
-		outcomes, _, err := runParallelOverEncoded(t, nil, data, workers, []ParallelSubject{{CP: cp, Opts: opts}})
+		res, _, err := runParallelOverEncoded(t, nil, data, workers, cp, opts)
 		if errors.Is(err, ErrNotParallelizable) {
 			// Root-anchored predicate: the fallback is the contract. The
 			// serial path remains authoritative; nothing to compare.
@@ -159,65 +155,22 @@ func TestParallelMatchesSerialRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: parallel: %v", seed, err)
 		}
-		if outcomes[0].Err != nil {
-			t.Fatalf("seed %d: subject error: %v", seed, outcomes[0].Err)
-		}
-		if !treesEqual(outcomes[0].Result.View, serial.View) {
+		if !treesEqual(res.View, serial.View) {
 			t.Fatalf("seed %d workers=%d: view mismatch\ndoc:      %s\npolicy: %s\nparallel: %s\nserial:   %s",
 				seed, workers, xmlstream.SerializeTree(doc, false), policy,
-				serialize(outcomes[0].Result.View), serialize(serial.View))
+				serialize(res.View), serialize(serial.View))
 		}
-		if outcomes[0].Result.Metrics != serial.Metrics {
+		if res.Metrics != serial.Metrics {
 			t.Fatalf("seed %d workers=%d: metrics mismatch\ndoc:      %s\npolicy: %s\nparallel: %+v\nserial:   %+v",
 				seed, workers, xmlstream.SerializeTree(doc, false), policy,
-				outcomes[0].Result.Metrics, serial.Metrics)
-		}
-	}
-}
-
-// TestParallelMultiSubjectSharedRegions: many subjects ride the same region
-// scan; every subject's view and metrics stay equal to its solo serial run.
-func TestParallelMultiSubjectSharedRegions(t *testing.T) {
-	data := encodeDoc(t, hospitalTestDoc())
-	cps := []*CompiledPolicy{
-		CompilePolicy(accessrule.SecretaryPolicy()),
-		CompilePolicy(accessrule.DoctorPolicy("DrA")),
-		CompilePolicy(accessrule.ResearcherPolicy("G3")),
-		CompilePolicy(accessrule.NewPolicy("nobody")),
-	}
-	subjects := make([]ParallelSubject, len(cps))
-	for i, cp := range cps {
-		subjects[i] = ParallelSubject{CP: cp}
-	}
-	outcomes, stats, err := runParallelOverEncoded(t, nil, data, 3, subjects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers < 1 || stats.Events == 0 {
-		t.Fatalf("implausible stats: %+v", stats)
-	}
-	for i, cp := range cps {
-		serial, err := serialSolo(t, data, cp, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if outcomes[i].Err != nil {
-			t.Fatalf("subject %d: %v", i, outcomes[i].Err)
-		}
-		if !treesEqual(outcomes[i].Result.View, serial.View) {
-			t.Fatalf("subject %d: view mismatch\nparallel: %s\nserial:   %s",
-				i, serialize(outcomes[i].Result.View), serialize(serial.View))
-		}
-		if outcomes[i].Result.Metrics != serial.Metrics {
-			t.Fatalf("subject %d: metrics mismatch\nparallel: %+v\nserial:   %+v",
-				i, outcomes[i].Result.Metrics, serial.Metrics)
+				res.Metrics, serial.Metrics)
 		}
 	}
 }
 
 // TestParallelStreamedOrderByteIdentical: with streaming sinks, the exact
 // sink call sequence (opens, texts, closes, in order) matches the serial
-// scan for every subject.
+// scan.
 func TestParallelStreamedOrderByteIdentical(t *testing.T) {
 	data := encodeDoc(t, hospitalTestDoc())
 	for name, policy := range map[string]*accessrule.Policy{
@@ -230,13 +183,8 @@ func TestParallelStreamedOrderByteIdentical(t *testing.T) {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		parSink := newRecordingSink()
-		outcomes, _, err := runParallelOverEncoded(t, nil, data, 4,
-			[]ParallelSubject{{CP: cp, Opts: Options{Sink: parSink}}})
-		if err != nil {
+		if _, _, err := runParallelOverEncoded(t, nil, data, 4, cp, Options{Sink: parSink}); err != nil {
 			t.Fatalf("%s: parallel: %v", name, err)
-		}
-		if outcomes[0].Err != nil {
-			t.Fatalf("%s: subject: %v", name, outcomes[0].Err)
 		}
 		if !callsEqual(parSink.calls, serialSink.calls) {
 			t.Fatalf("%s: sink call sequence differs\nparallel: %v\nserial:   %v",
@@ -261,10 +209,9 @@ func TestParallelFallsBackOnRootCoupling(t *testing.T) {
 	rootPred := accessrule.NewPolicy("rootpred")
 	rootPred.Add(accessrule.MustRule("R1", "+", "/Hospital[//RPhys=DrA]//Admin"))
 	sink := newRecordingSink()
-	_, _, err := runParallelOverEncoded(t, nil, data, 4,
-		[]ParallelSubject{{CP: CompilePolicy(rootPred), Opts: Options{Sink: sink}}})
-	if !errors.Is(err, ErrNotParallelizable) {
-		t.Fatalf("root-anchored predicate: err = %v, want ErrNotParallelizable", err)
+	res, _, err := runParallelOverEncoded(t, nil, data, 4, CompilePolicy(rootPred), Options{Sink: sink})
+	if !errors.Is(err, ErrNotParallelizable) || res != nil {
+		t.Fatalf("root-anchored predicate: result %+v, err = %v; want no result and ErrNotParallelizable", res, err)
 	}
 	if len(sink.calls) != 0 || sink.ended != 0 {
 		t.Fatalf("fallback must precede any delivery, sink saw %v (ended %d)", sink.calls, sink.ended)
@@ -272,26 +219,16 @@ func TestParallelFallsBackOnRootCoupling(t *testing.T) {
 
 	// Queries anchor their scope at the root: serial fallback.
 	q := mustParsePath(t, "//Admin")
-	_, _, err = runParallelOverEncoded(t, nil, data, 4,
-		[]ParallelSubject{{CP: CompilePolicy(accessrule.SecretaryPolicy()), Opts: Options{Query: q}}})
+	_, _, err = runParallelOverEncoded(t, nil, data, 4, CompilePolicy(accessrule.SecretaryPolicy()), Options{Query: q})
 	if !errors.Is(err, ErrNotParallelizable) {
 		t.Fatalf("query: err = %v, want ErrNotParallelizable", err)
-	}
-
-	// One coupled subject vetoes the whole batch (all or nothing: the
-	// caller reruns the batch serially).
-	_, _, err = runParallelOverEncoded(t, nil, data, 4, []ParallelSubject{
-		{CP: CompilePolicy(accessrule.SecretaryPolicy())},
-		{CP: CompilePolicy(rootPred)},
-	})
-	if !errors.Is(err, ErrNotParallelizable) {
-		t.Fatalf("mixed batch: err = %v, want ErrNotParallelizable", err)
 	}
 }
 
 // TestParallelSinkAbortEveryPosition: a sink that dies at call k receives,
 // for every k, exactly the serial scan's first k calls — delivery order is
-// preserved up to the failure and the error is reported on the subject.
+// preserved up to the failure — and the scan returns the sink's error with
+// the partial metrics of the work performed.
 func TestParallelSinkAbortEveryPosition(t *testing.T) {
 	data := encodeDoc(t, hospitalTestDoc())
 	cp := CompilePolicy(accessrule.DoctorPolicy("DrA"))
@@ -299,37 +236,29 @@ func TestParallelSinkAbortEveryPosition(t *testing.T) {
 	if _, err := serialSolo(t, data, cp, Options{Sink: full}); err != nil {
 		t.Fatal(err)
 	}
-	healthy := CompilePolicy(accessrule.SecretaryPolicy())
 	for k := 0; k <= len(full.calls); k += 7 {
 		sink := newRecordingSink()
 		sink.failAt = k
-		buddy := newRecordingSink()
-		outcomes, _, err := runParallelOverEncoded(t, nil, data, 4, []ParallelSubject{
-			{CP: cp, Opts: Options{Sink: sink}},
-			{CP: healthy, Opts: Options{Sink: buddy}},
-		})
-		if err != nil {
-			t.Fatalf("failAt=%d: shared error: %v", k, err)
-		}
+		res, _, err := runParallelOverEncoded(t, nil, data, 4, cp, Options{Sink: sink})
 		if k < len(full.calls) {
-			if outcomes[0].Err == nil {
-				t.Fatalf("failAt=%d: expected a subject error", k)
+			if err == nil {
+				t.Fatalf("failAt=%d: expected the sink's error", k)
+			}
+			if res == nil || res.Metrics.Events == 0 {
+				t.Fatalf("failAt=%d: no partial metrics next to the error: %+v", k, res)
 			}
 			if !callsEqual(sink.calls, full.calls[:k]) {
 				t.Fatalf("failAt=%d: delivered prefix differs\ngot:  %v\nwant: %v", k, sink.calls, full.calls[:k])
 			}
-		} else if outcomes[0].Err != nil {
-			t.Fatalf("failAt=%d: unexpected error: %v", k, outcomes[0].Err)
-		}
-		// The dying subject never disturbs its neighbors.
-		if outcomes[1].Err != nil || buddy.ended != 1 {
-			t.Fatalf("failAt=%d: healthy subject disturbed: %v (ended %d)", k, outcomes[1].Err, buddy.ended)
+		} else if err != nil {
+			t.Fatalf("failAt=%d: unexpected error: %v", k, err)
 		}
 	}
 }
 
 // TestParallelCancelAtEveryRegionBoundary: canceling the context while any
-// region opens aborts the scan with the context's error.
+// region opens aborts the scan with the context's error and the partial
+// metrics of the work performed.
 func TestParallelCancelAtEveryRegionBoundary(t *testing.T) {
 	data := encodeDoc(t, hospitalTestDoc())
 	plan, err := skipindex.PlanRegions(skipindex.NewBytesSource(data), 4)
@@ -355,13 +284,13 @@ func TestParallelCancelAtEveryRegionBoundary(t *testing.T) {
 				return dec, nil, err
 			},
 		}
-		outcomes, _, err := RunParallel(cfg, []ParallelSubject{{CP: cp}})
+		res, _, err := RunParallel(cfg, cp, Options{})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("target=%d: err = %v, want context.Canceled", target, err)
 		}
-		if outcomes != nil {
-			t.Fatalf("target=%d: outcomes must be nil on a shared failure", target)
+		if res == nil || res.Metrics.Events == 0 || res.View != nil {
+			t.Fatalf("target=%d: want partial metrics and no view, got %+v", target, res)
 		}
 	}
 }

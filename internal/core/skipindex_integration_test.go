@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"xmlac/internal/accessrule"
@@ -136,4 +138,87 @@ func TestSkipIndexNeverReadsMoreThanBruteForce(t *testing.T) {
 			t.Fatalf("policy %s: read %d bytes out of %d", policy.Subject, dec.BytesRead(), len(enc.Data))
 		}
 	}
+}
+
+// budgetSink errors after a fixed number of delivered events (End
+// included).
+type budgetSink struct {
+	budget int
+	n      int
+}
+
+var errBudgetSink = errors.New("sink budget exhausted")
+
+func (f *budgetSink) deliver() error {
+	f.n++
+	if f.n > f.budget {
+		return errBudgetSink
+	}
+	return nil
+}
+func (f *budgetSink) OpenElement(string) error  { return f.deliver() }
+func (f *budgetSink) Text(string) error         { return f.deliver() }
+func (f *budgetSink) CloseElement(string) error { return f.deliver() }
+func (f *budgetSink) End() error                { return f.deliver() }
+
+// TestEvaluatorRunFailurePartialMetrics: every way a run can fail — the
+// reader running out of bytes mid-document, the sink failing mid-scan, the
+// sink failing at End — returns the error together with the partial
+// metrics of the work performed, and no view.
+func TestEvaluatorRunFailurePartialMetrics(t *testing.T) {
+	doc, err := xmlstream.ParseTree(strings.NewReader("<r>" + strings.Repeat("<a><b>1</b></a>", 50) + "</r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := skipindex.Encode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := CompilePolicy(accessrule.NewPolicy("all", accessrule.MustRule("R1", "+", "//*")))
+	counter := &budgetSink{budget: 1 << 30}
+	full, err := EvaluateCompiled(mustDecoder(t, skipindex.NewBytesSource(enc.Data)), all, Options{Sink: counter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := skipindex.NewBytesSource(enc.Data)
+	cut := truncatedSource{ByteSource: skipindex.NewBytesSource(enc.Data[:len(enc.Data)/2]), size: whole.Size()}
+	cases := map[string]struct {
+		src  skipindex.ByteSource
+		sink ViewSink
+		want error
+	}{
+		"truncated": {src: cut, want: skipindex.ErrBadFormat},
+		"sink":      {src: whole, sink: &budgetSink{budget: 10}, want: errBudgetSink},
+		"sink end":  {src: whole, sink: &budgetSink{budget: counter.n - 1}, want: errBudgetSink},
+	}
+	for name, tc := range cases {
+		res, err := EvaluateCompiled(mustDecoder(t, tc.src), all, Options{Sink: tc.sink})
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		if res == nil || res.View != nil {
+			t.Fatalf("%s: want partial metrics and no view, got %+v", name, res)
+		}
+		if res.Metrics.Events == 0 || res.Metrics.NodesPermitted == 0 || res.Metrics.Events > full.Metrics.Events {
+			t.Fatalf("%s: implausible partial metrics %+v (full run %+v)", name, res.Metrics, full.Metrics)
+		}
+	}
+}
+
+// truncatedSource declares the whole encoding's size but holds only a
+// prefix of its bytes, like a transfer cut short.
+type truncatedSource struct {
+	skipindex.ByteSource
+	size int64
+}
+
+func (s truncatedSource) Size() int64 { return s.size }
+
+func mustDecoder(t *testing.T, src skipindex.ByteSource) *skipindex.Decoder {
+	t.Helper()
+	dec, err := skipindex.NewDecoder(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
 }

@@ -2,6 +2,8 @@ package secure
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -115,6 +117,85 @@ func FuzzManifest(f *testing.F) {
 		}
 		if man2 != man || len(digests2) != len(digests) {
 			t.Fatalf("manifest round trip mismatch: %+v vs %+v", man2, man)
+		}
+	})
+}
+
+// fuzzSeedDeltas builds the canonical seed inputs of FuzzDelta: deltas from
+// Update for every scheme and edit shape, the merge of an update chain,
+// their truncations, and the out-of-range and trailing-byte inputs
+// UnmarshalDelta once accepted. The committed files under
+// testdata/fuzz/FuzzDelta hold the same inputs.
+func fuzzSeedDeltas() [][]byte {
+	var seeds [][]byte
+	key := DeriveKey("fuzz-delta")
+	plain := samplePlaintext(4*DefaultChunkSize + 77)
+	for _, scheme := range Schemes() {
+		prot, err := Protect(plain, key, ProtectOptions{Scheme: scheme})
+		if err != nil {
+			continue
+		}
+		var chain []*Delta
+		cur := plain
+		for _, kind := range []string{"same-length", "insert", "truncate"} {
+			next := mutate(cur, kind)
+			updated, delta, err := Update(prot, cur, next, key)
+			if err != nil {
+				break
+			}
+			seeds = append(seeds, delta.Marshal())
+			chain = append(chain, delta)
+			prot, cur = updated, next
+		}
+		if merged, err := MergeDeltas(chain); err == nil {
+			wire := merged.Marshal()
+			seeds = append(seeds, wire, wire[:len(wire)/2])
+		}
+	}
+	valid := seeds[0]
+	maxed := func(off int) []byte {
+		out := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(out[off:], math.MaxUint64)
+		return out
+	}
+	seeds = append(seeds,
+		maxed(29),            // ciphertext length 2^64-1
+		maxed(len(valid)-16), // bytes re-encrypted 2^64-1
+		maxed(len(valid)-8),  // bytes reused 2^64-1
+		append(append([]byte(nil), valid...), 1, 2, 3),
+		[]byte{},
+		[]byte("XDLT"),
+	)
+	return seeds
+}
+
+// FuzzDelta drives UnmarshalDelta over arbitrary bytes. A remote SOE client
+// decodes the deltas an untrusted store serves (GET /docs/{id}/delta), so
+// the decoder must never panic, and every delta it accepts must be exactly
+// what Marshal writes: non-negative lengths, dirty chunks ascending and
+// inside the layout, and no byte left over.
+func FuzzDelta(f *testing.F) {
+	for _, seed := range fuzzSeedDeltas() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := UnmarshalDelta(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(d.Marshal(), data) {
+			t.Fatalf("accepted delta %+v does not marshal back to its input", d)
+		}
+		if d.NewPlainLen < 0 || d.NewCiphertextLen < 0 || d.NumChunks < 0 ||
+			d.BytesReencrypted < 0 || d.BytesReused < 0 {
+			t.Fatalf("accepted delta with a negative length: %+v", d)
+		}
+		prev := -1
+		for _, c := range d.DirtyChunks {
+			if c <= prev || c >= d.NumChunks {
+				t.Fatalf("accepted dirty chunks %v in a %d-chunk layout", d.DirtyChunks, d.NumChunks)
+			}
+			prev = c
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -78,7 +79,10 @@ func (d *Delta) Marshal() []byte {
 }
 
 // UnmarshalDelta parses a marshalled delta, validating its invariants
-// (ascending dirty chunk indices inside the layout, plausible counts).
+// (ascending dirty chunk indices inside the layout, plausible counts,
+// lengths a signed integer holds, no trailing bytes). Clients decode deltas
+// an untrusted store serves, so everything it accepts is exactly what
+// Marshal writes.
 func UnmarshalDelta(data []byte) (*Delta, error) {
 	r := &byteReader{data: data}
 	m, err := r.take(len(deltaMagic))
@@ -112,6 +116,9 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 	ctLen, err := r.uint64()
 	if err != nil {
 		return nil, err
+	}
+	if ctLen > math.MaxInt64 || plainLen > math.MaxInt {
+		return nil, fmt.Errorf("secure: delta lengths %d and %d out of range", plainLen, ctLen)
 	}
 	if plainLen > ctLen {
 		return nil, fmt.Errorf("secure: delta plaintext length %d exceeds ciphertext length %d", plainLen, ctLen)
@@ -152,6 +159,12 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 	reused, err := r.uint64()
 	if err != nil {
 		return nil, err
+	}
+	if reenc > math.MaxInt64 || reused > math.MaxInt64 {
+		return nil, fmt.Errorf("secure: delta byte counts %d and %d out of range", reenc, reused)
+	}
+	if r.pos != len(data) {
+		return nil, fmt.Errorf("secure: %d trailing bytes after the delta", len(data)-r.pos)
 	}
 	d.BytesReencrypted = int64(reenc)
 	d.BytesReused = int64(reused)

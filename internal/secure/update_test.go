@@ -2,7 +2,9 @@ package secure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -233,6 +235,46 @@ func TestDeltaMarshalRoundTrip(t *testing.T) {
 		if _, err := UnmarshalDelta(corrupt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestUnmarshalDeltaRejectsOutOfRangeAndTrailing: a delta comes from the
+// untrusted store, so a length no signed integer holds (which would decode
+// negative) and bytes after the delta's end are errors, not values.
+func TestUnmarshalDeltaRejectsOutOfRangeAndTrailing(t *testing.T) {
+	valid := (&Delta{FromVersion: 1, ToVersion: 2, NewPlainLen: 100, NewCiphertextLen: 112,
+		NumChunks: 1, DirtyChunks: []int{0}, BytesReencrypted: 112}).Marshal()
+	if _, err := UnmarshalDelta(valid); err != nil {
+		t.Fatal(err)
+	}
+	// Field offsets in the wire format: magic (4), version (1), from and
+	// to versions (8 each), plaintext and ciphertext lengths (8 each), chunk
+	// count and dirty count (4 each), one dirty index (4), then the
+	// re-encrypted and reused byte counts (8 each).
+	const plainOff, ctOff, reencOff, reusedOff = 21, 29, 49, 57
+	set := func(v uint64, offs ...int) []byte {
+		out := append([]byte(nil), valid...)
+		for _, off := range offs {
+			binary.LittleEndian.PutUint64(out[off:], v)
+		}
+		return out
+	}
+	for name, data := range map[string][]byte{
+		"ciphertext length 2^64-1":  set(math.MaxUint64, ctOff),
+		"ciphertext length 2^63":    set(1<<63, ctOff),
+		"both lengths 2^64-1":       set(math.MaxUint64, plainOff, ctOff),
+		"bytes re-encrypted 2^64-1": set(math.MaxUint64, reencOff),
+		"bytes reused 2^64-1":       set(math.MaxUint64, reusedOff),
+		"three trailing bytes":      append(append([]byte(nil), valid...), 1, 2, 3),
+	} {
+		if d, err := UnmarshalDelta(data); err == nil {
+			t.Errorf("%s: accepted %+v", name, d)
+		}
+	}
+	// The largest lengths a signed integer holds still decode.
+	d, err := UnmarshalDelta(set(math.MaxInt64, ctOff, reencOff, reusedOff))
+	if err != nil || d.NewCiphertextLen != math.MaxInt64 || d.BytesReencrypted != math.MaxInt64 {
+		t.Fatalf("lengths of 2^63-1: %+v, %v", d, err)
 	}
 }
 

@@ -402,18 +402,6 @@ func (d *Decoder) decodeElement() error {
 	return nil
 }
 
-// SkipDistance reports how many encoded bytes a SkipToClose at the given
-// depth would jump over, without performing the jump. A multicast scan
-// (core.MultiEvaluator) uses it to charge each subject the bytes its solo
-// evaluation would have skipped even when other subjects still need the
-// subtree, so per-subject skip accounting matches the solo path exactly.
-func (d *Decoder) SkipDistance(depth int) (int64, error) {
-	if depth < 1 || depth >= len(d.stack) {
-		return 0, fmt.Errorf("%w: no open element at depth %d", ErrBadFormat, depth)
-	}
-	return d.stack[depth].endOff - d.off, nil
-}
-
 // SkipToClose implements xmlstream.Skipper: it jumps to the end of the
 // encoding of the element open at the given depth without reading the bytes
 // in between. The Close event of that element is produced by the next call

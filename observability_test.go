@@ -106,65 +106,3 @@ func TestTracedViewMatchesUntracedAndBreakdownTracksDuration(t *testing.T) {
 		t.Fatal("Chrome trace export is empty")
 	}
 }
-
-// TestTracedSharedScanBreakdowns checks tracing through the multicast path:
-// every traced subject gets its own Eval/Emit time plus the shared scan's
-// decode/decrypt phases, without perturbing the views.
-func TestTracedSharedScanBreakdowns(t *testing.T) {
-	xml := xmlstream.SerializeTree(dataset.HospitalFolders(60, 5), false)
-	doc, err := xmlac.ParseDocumentString(xml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := xmlac.DeriveKey("tracing multi")
-	prot, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subjects := []xmlac.Policy{xmlac.SecretaryPolicy(), xmlac.DoctorPolicy("DrA")}
-	tr := xmlac.NewTrace(0)
-	views := make([]xmlac.CompiledView, len(subjects))
-	sinks := make([]*bytes.Buffer, len(subjects))
-	solo := make([]*bytes.Buffer, len(subjects))
-	for i, p := range subjects {
-		cp, err := p.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sinks[i] = &bytes.Buffer{}
-		solo[i] = &bytes.Buffer{}
-		if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, solo[i]); err != nil {
-			t.Fatal(err)
-		}
-		views[i] = xmlac.CompiledView{
-			Policy:  cp,
-			Options: xmlac.ViewOptions{Trace: tr, TraceID: "multi-" + p.Subject},
-			Output:  sinks[i],
-		}
-	}
-	results, err := prot.AuthorizedViewsCompiled(key, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("subject %d: %v", i, res.Err)
-		}
-		if !bytes.Equal(sinks[i].Bytes(), solo[i].Bytes()) {
-			t.Fatalf("subject %d: traced shared-scan view differs from solo view", i)
-		}
-		b := res.Metrics.PhaseBreakdown
-		if b.EvalNs <= 0 {
-			t.Fatalf("subject %d: no eval time attributed: %+v", i, b)
-		}
-		if b.DecodeNs <= 0 || b.DecryptNs <= 0 {
-			t.Fatalf("subject %d: shared scan phases missing from breakdown: %+v", i, b)
-		}
-		if res.Metrics.Duration <= 0 {
-			t.Fatalf("subject %d: no duration stamped", i)
-		}
-		if sum := b.Sum(); sum > res.Metrics.Duration {
-			t.Fatalf("subject %d: phase sum %v exceeds scan duration %v", i, sum, res.Metrics.Duration)
-		}
-	}
-}

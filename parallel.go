@@ -12,22 +12,22 @@ import (
 	itrace "xmlac/internal/trace"
 )
 
-// Parallel intra-document scan: the region-parallel scan step of runViews.
-// The Skip index makes one
-// document's scan decomposable (skipindex.PlanRegions), core.RunParallel
-// keeps every per-subject observable identical to the serial scan, and this
-// file wires the two to the secure layer: one planning reader discovers the
-// regions, each region worker gets its own secure reader and region decoder
-// over the shared immutable ciphertext (secure.Reader is not goroutine-safe;
-// the *secure.Protected beneath it is), and per-region trace contexts fork
-// from the evaluation's so worker lanes render side by side in the Chrome
-// trace view.
+// Parallel intra-document scan: the region-parallel scan step of runView.
+// The Skip index makes one document's scan decomposable
+// (skipindex.PlanRegions), core.RunParallel keeps the view and its counters
+// identical to the serial scan, and this file wires the two to the secure
+// layer: one planning reader discovers the regions, each region worker gets
+// its own secure reader and region decoder over the shared immutable
+// ciphertext (secure.Reader is not goroutine-safe; the *secure.Protected
+// beneath it is), and per-region trace contexts fork from the view's so
+// worker lanes render side by side in the Chrome trace view.
 //
-// runViews attempts it only for local documents (src is a *secure.Protected)
-// when no view has a query and some view asks for two or more workers; any
+// runView attempts it only for local documents (src is a *secure.Protected)
+// when the view has no query and asks for two or more workers; any
 // document/policy combination core.RunParallel vetoes falls back to the
-// serial scan before a single byte reaches a sink, so callers never observe
-// a difference beyond the cost fields documented on ViewOptions.Parallelism.
+// serial scan before a single byte reaches the sink, so callers never
+// observe a difference beyond the cost fields documented on
+// ViewOptions.Parallelism.
 
 // regionsPerWorker is the planning ratio: the plan carves more regions than
 // workers so the greedy byte balancing can absorb skewed subtrees (a worker
@@ -42,21 +42,24 @@ func parallelFallback(err error) bool {
 	return errors.Is(err, core.ErrNotParallelizable) || errors.Is(err, skipindex.ErrNotDecomposable)
 }
 
-// parallelScan plans the regions of a local protected document and runs the
-// subjects over them concurrently. shared, when non-nil, is the trace
+// parallelScan plans the regions of a local protected document and runs
+// the view over them concurrently. opts.Trace, when non-nil, is the trace
 // context the planning reads are charged to and the parent the per-region
 // contexts fork from. ctx, when non-nil, cancels the scan between events.
+// A failed scan returns the error with the partial metrics of the work
+// merged so far and the costs of every reader.
 //
 // The returned costs are a superset of the serial scan's: the planning reads
 // and each region boundary falling inside an integrity chunk re-transfer and
 // re-decrypt bytes the serial pass paid for once.
-func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers int, subjects []core.ParallelSubject, shared *itrace.Context) (*scanResult, error) {
+func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers int, cp *core.CompiledPolicy, opts core.Options) (*scanResult, error) {
 	planner, err := secure.NewReader(prot, key)
 	if err != nil {
 		return nil, err
 	}
-	if shared != nil {
-		planner.SetTrace(shared)
+	tr := opts.Trace
+	if tr != nil {
+		planner.SetTrace(tr)
 		defer planner.SetTrace(nil)
 	}
 	plan, err := skipindex.PlanRegions(planner, workers*regionsPerWorker)
@@ -81,17 +84,18 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 			if err != nil {
 				return nil, nil, err
 			}
+			readers[r] = rd
 			dec, err := skipindex.NewRegionDecoder(rd, plan, r)
 			if err != nil {
 				return nil, nil, err
 			}
 			var rctx *itrace.Context
-			if shared != nil {
-				rctx = shared.Fork()
+			if tr != nil {
+				rctx = tr.Fork()
 				rd.SetTrace(rctx)
 				dec.SetTrace(rctx)
 			}
-			readers[r], rctxs[r] = rd, rctx
+			rctxs[r] = rctx
 			return dec, rctx, nil
 		},
 		CloseRegion: func(r int) {
@@ -100,19 +104,19 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 			}
 		},
 	}
-	outcomes, stats, err := core.RunParallel(cfg, subjects)
-	if err != nil {
+	res, stats, err := core.RunParallel(cfg, cp, opts)
+	if res == nil {
 		return nil, err
 	}
-	res := &scanResult{outcomes: outcomes, workers: stats.Workers, costs: planner.Costs()}
+	sc := &scanResult{res: res, costs: planner.Costs(), skipped: res.Metrics.BytesSkipped, workers: stats.Workers}
 	for r := range readers {
 		if readers[r] != nil {
-			res.costs.Add(readers[r].Costs())
+			sc.costs.Add(readers[r].Costs())
 		}
 		if rctxs[r] != nil {
 			ph := breakdownFromPhases(rctxs[r].Phases())
-			res.regionPhases.Add(&ph)
+			sc.regionPhases.Add(&ph)
 		}
 	}
-	return res, nil
+	return sc, err
 }

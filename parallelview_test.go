@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"xmlac"
 	"xmlac/internal/dataset"
+	"xmlac/internal/secure"
 	"xmlac/internal/xmlstream"
 )
 
@@ -167,48 +169,6 @@ func TestParallelQueryFallsBackToSerial(t *testing.T) {
 	}
 }
 
-// TestParallelMultiViewParity: shared scans compose with the parallel scan —
-// AuthorizedViewsCompiled with any member requesting parallelism serves
-// every subject a view byte-identical to its solo serial scan.
-func TestParallelMultiViewParity(t *testing.T) {
-	prot, key, _ := protectHospital(t, 32)
-	policies := streamParityPolicies()
-	views := make([]xmlac.CompiledView, len(policies))
-	bufs := make([]bytes.Buffer, len(policies))
-	serial := make([]string, len(policies))
-	for i, policy := range policies {
-		cp, err := policy.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = buf.String()
-		opts := xmlac.ViewOptions{}
-		if i == 0 {
-			opts.Parallelism = 4 // one member's request parallelizes the batch
-		}
-		views[i] = xmlac.CompiledView{Policy: cp, Options: opts, Output: &bufs[i]}
-	}
-	results, err := prot.AuthorizedViewsCompiled(key, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("view %d: %v", i, res.Err)
-		}
-		if bufs[i].String() != serial[i] {
-			t.Fatalf("view %d: shared parallel scan differs from solo serial", i)
-		}
-		if res.Metrics.Workers < 1 {
-			t.Fatalf("view %d: Workers = %d, want >= 1", i, res.Metrics.Workers)
-		}
-	}
-}
-
 // failAfterWriter fails permanently once n bytes were accepted.
 type failAfterWriter struct {
 	n       int
@@ -254,6 +214,56 @@ func TestParallelStreamSinkAbort(t *testing.T) {
 		}
 		if !bytes.HasPrefix(full.Bytes(), w.written.Bytes()) {
 			t.Fatalf("cut=%d: delivered bytes are not a prefix of the serial view", cut)
+		}
+	}
+}
+
+// TestViewScanFailurePartialMetrics: a scan whose reader fails mid-document
+// (one ciphertext byte flipped in the marshalled container) returns the
+// integrity error together with the partial Metrics of the work performed —
+// streamed or materialized, serial or region-parallel.
+func TestViewScanFailurePartialMetrics(t *testing.T) {
+	xml := xmlstream.SerializeTree(dataset.HospitalFolders(24, 7), false)
+	doc, err := xmlac.ParseDocumentString(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := xmlac.DeriveKey("scan failure")
+	good, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := good.Marshal()
+	m := good.Manifest()
+	blob[m.CiphertextOffset+m.CiphertextLen/2] ^= 0xff
+	prot, err := xmlac.UnmarshalProtected(blob)
+	if err != nil {
+		t.Fatalf("a flipped ciphertext byte must still unmarshal: %v", err)
+	}
+	cp, err := xmlac.Policy{Subject: "all", Rules: []xmlac.Rule{{Sign: "+", Object: "//Folder"}}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 4} {
+		opts := xmlac.ViewOptions{Parallelism: workers}
+		streamed, streamErr := prot.StreamAuthorizedViewCompiled(key, cp, opts, io.Discard)
+		view, materialized, viewErr := prot.AuthorizedViewCompiled(key, cp, opts)
+		if view != nil {
+			t.Fatalf("workers=%d: failed scan materialized a view", workers)
+		}
+		for name, c := range map[string]struct {
+			m   *xmlac.Metrics
+			err error
+		}{"streamed": {streamed, streamErr}, "materialized": {materialized, viewErr}} {
+			if !errors.Is(c.err, secure.ErrIntegrity) {
+				t.Fatalf("workers=%d %s: err = %v, want an integrity error", workers, name, c.err)
+			}
+			if c.m == nil || c.m.BytesDecrypted <= 0 || c.m.NodesPermitted <= 0 {
+				t.Fatalf("workers=%d %s: no partial metrics for the work performed: %+v", workers, name, c.m)
+			}
+			if workers > 0 && c.m.Workers < 1 {
+				t.Fatalf("workers=%d %s: the parallel scan did not engage (Workers = %d)", workers, name, c.m.Workers)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package xmlac
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -16,11 +15,10 @@ import (
 	"xmlac/internal/xmlstream"
 )
 
-// The view pipeline. Every entry point — solo or shared, materialized or
-// streamed, local or remote — is a multicast of one or more CompiledViews
-// over one secure.ChunkSource: runViews sets every view up, runs one scan
-// step (the serial multicast scan or the region-parallel scan) and assembles
-// every view's result. A solo view is a one-element multicast.
+// The view pipeline. Every entry point — materialized or streamed, local or
+// remote — runs one view over one secure.ChunkSource through runView: it
+// sets the view up, runs one scan step (the serial scan or the
+// region-parallel scan) and assembles the view's result.
 
 // traceSetter is implemented by chunk sources that can charge their work to
 // an evaluation's tracing context (internal/remote's Source).
@@ -35,14 +33,15 @@ type contextSetter interface {
 	SetContext(context.Context)
 }
 
-// scanResult is what a scan step produced: one outcome per view plus the
-// costs of the shared machinery.
+// scanResult is what a scan step produced: the evaluation result (partial
+// metrics and no view when the scan failed) and the costs of the machinery.
 type scanResult struct {
-	outcomes []core.SubjectOutcome
-	costs    secure.Costs
-	// physSkipped is the byte count the serial scan's shared reader jumped
-	// over physically.
-	physSkipped int64
+	res   *core.Result
+	costs secure.Costs
+	// skipped is the public BytesSkipped: the bytes the serial scan's
+	// decoder jumped over, or the view's own skip accounting for a parallel
+	// scan (exactly what its serial scan would jump over).
+	skipped int64
 	// workers is the number of region workers a parallel scan started; 0 for
 	// the serial scan.
 	workers int
@@ -51,142 +50,80 @@ type scanResult struct {
 	regionPhases PhaseBreakdown
 }
 
-// runView runs one view as a one-element multicast and unpacks its result.
-func runView(src secure.ChunkSource, key Key, v CompiledView) (*Document, *Metrics, error) {
-	results, err := runViews(src, key, []CompiledView{v})
-	if results == nil {
-		return nil, nil, err
-	}
-	return results[0].View, results[0].Metrics, results[0].Err
-}
-
-// streamed drops the materialized view (nil for a streamed run) from
-// runView's results.
-func streamed(_ *Document, m *Metrics, err error) (*Metrics, error) { return m, err }
-
-// runViews evaluates every view over one scan of src and returns one result
-// per view, in order. A setup failure (a view without a policy, an invalid
-// query, a reader that cannot open the source) returns only the error. A
-// scan failure (integrity violation, truncated ciphertext, a failed or
-// canceled remote fetch) returns the error together with the results: every
-// view still in the scan carries the error and the partial Metrics of the
+// runView evaluates one view of src: the policy cp under o, streamed to w
+// when w is non-nil and materialized into the returned Document otherwise.
+// A setup failure (a nil policy, an invalid query, a reader that cannot
+// open the source) returns only the error. A scan failure (integrity
+// violation, truncated ciphertext, a failed or canceled remote fetch, a
+// failed writer) returns the error together with the partial Metrics of the
 // work performed, so aggregators account for it exactly once.
 //
-// A one-view run is that view's own evaluation: its ViewOptions.Context
-// bounds the scan, and its trace context is the scan's (the event loop
-// included, as eval time), so the trace holds exactly one view:<subject>
-// root span (with the remote page-cache counts in its Detail) and no
-// shared-scan span. A scan serving two or more views
-// ignores every view's Context — no single request may cancel a scan serving
-// the others — and charges the shared machinery to a separate shared-scan
-// context of the first traced view's Trace, whose phases are folded into
-// every traced view's breakdown.
-func runViews(src secure.ChunkSource, key Key, views []CompiledView) ([]ViewResult, error) {
-	if len(views) == 0 {
-		return nil, nil
-	}
+// The view's Context bounds the scan, and its trace context is the scan's
+// (reader header and event loop included, the loop as eval time), so the
+// trace holds exactly one view:<subject> root span, with the remote
+// page-cache counts in its Detail.
+func runView(src secure.ChunkSource, key Key, cp *CompiledPolicy, o ViewOptions, w io.Writer) (*Document, *Metrics, error) {
 	start := time.Now()
-	subjects := make([]core.ParallelSubject, len(views))
-	writers := make([]*firstByteWriter, len(views))
-	workers, hasQuery := 0, false
-	for i, v := range views {
-		opts, err := v.Options.coreOptions()
-		if v.Policy == nil {
-			err = errors.New("xmlac: nil CompiledPolicy")
-		}
-		if err != nil {
-			if len(views) > 1 {
-				err = fmt.Errorf("xmlac: view %d: %w", i, err)
-			}
-			return nil, err
-		}
-		if v.Output != nil {
-			writers[i] = &firstByteWriter{w: v.Output, start: start}
-			opts.Sink = xmlstream.NewViewSerializer(writers[i], v.Options.Indent)
-		}
-		subjects[i] = core.ParallelSubject{CP: v.Policy.core, Opts: opts}
-		workers = max(workers, v.Options.Parallelism)
-		hasQuery = hasQuery || v.Options.Query != ""
+	opts, err := o.coreOptions()
+	if cp == nil {
+		err = errors.New("xmlac: nil CompiledPolicy")
 	}
-	ctx, shared := views[0].Options.Context, subjects[0].Opts.Trace
-	if len(views) > 1 {
-		ctx, shared = nil, nil
-		for _, v := range views {
-			if v.Options.Trace != nil {
-				shared = v.Options.Trace.context(v.Options.TraceID)
-				break
-			}
-		}
+	if err != nil {
+		return nil, nil, err
+	}
+	var fw *firstByteWriter
+	if w != nil {
+		fw = &firstByteWriter{w: w, start: start}
+		opts.Sink = xmlstream.NewViewSerializer(fw, o.Indent)
 	}
 
 	// The one fork: a query scope anchors at the document root, so a query
 	// vetoes the region-parallel scan before its planning cost is paid.
 	var sc *scanResult
-	var err error
-	if prot, ok := src.(*secure.Protected); ok && workers >= 2 && !hasQuery {
-		sc, err = parallelScan(ctx, prot, key, workers, subjects, shared)
+	if prot, ok := src.(*secure.Protected); ok && o.Parallelism >= 2 && opts.Query == nil {
+		sc, err = parallelScan(o.Context, prot, key, o.Parallelism, cp.core, opts)
 	}
 	if sc == nil && (err == nil || parallelFallback(err)) {
-		sc, err = serialScan(ctx, src, key, subjects, shared)
+		sc, err = serialScan(o.Context, src, key, cp.core, opts)
 	}
 	if sc == nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	dur := time.Since(start)
-	sharedPhases := sc.regionPhases
-	if len(views) > 1 && shared != nil {
-		shared.Finish("shared-scan", sc.costs.BytesTransferred)
-		ph := breakdownFromPhases(shared.Phases())
-		sharedPhases.Add(&ph)
+	m := buildMetrics(sc.costs, sc.skipped, sc.res)
+	m.Duration = time.Since(start)
+	m.Workers = int64(sc.workers)
+	if fw != nil {
+		m.TimeToFirstByte = fw.ttfb
 	}
-	results := make([]ViewResult, len(views))
-	for i, out := range sc.outcomes {
-		// The public BytesSkipped is what the shared reader physically
-		// skipped. Region workers only skip what every view skipped, so a
-		// parallel scan reports each view's own skip accounting: exactly what
-		// its serial scan would physically skip.
-		skipped := sc.physSkipped
-		if sc.workers > 0 {
-			skipped = out.Result.Metrics.BytesSkipped
-		}
-		m := buildMetrics(sc.costs, skipped, out.Result)
-		m.Duration = dur
-		m.Workers = int64(sc.workers)
-		if writers[i] != nil {
-			m.TimeToFirstByte = writers[i].ttfb
-		}
-		if tr := subjects[i].Opts.Trace; tr != nil {
-			tr.Finish("view:"+views[i].Policy.subject, sc.costs.BytesTransferred)
-			m.PhaseBreakdown = breakdownFromPhases(tr.Phases())
-			m.PhaseBreakdown.Add(&sharedPhases)
-		}
-		results[i] = ViewResult{Metrics: m, Err: out.Err}
-		if views[i].Output == nil && out.Err == nil {
-			results[i].View = &Document{root: out.Result.View}
-		}
+	if tr := opts.Trace; tr != nil {
+		tr.Finish("view:"+cp.subject, sc.costs.BytesTransferred)
+		m.PhaseBreakdown = breakdownFromPhases(tr.Phases())
+		m.PhaseBreakdown.Add(&sc.regionPhases)
 	}
-	return results, err
+	if err != nil || w != nil {
+		return nil, m, err
+	}
+	return &Document{root: sc.res.View}, m, nil
 }
 
 // scanState bundles the serial scan's machinery (secure reader, Skip-index
-// decoder and one evaluator per view), reused across scans through a
-// sync.Pool: concurrent views do not re-allocate the reader caches, decoder
-// stacks and evaluator tables, they only reset them.
+// decoder and evaluator), reused across scans through a sync.Pool:
+// concurrent views do not re-allocate the reader caches, decoder stacks and
+// evaluator tables, they only reset them.
 type scanState struct {
 	reader  *secure.Reader
 	decoder skipindex.Decoder
-	evals   []*core.Evaluator
+	eval    core.Evaluator
 }
 
 var scanPool = sync.Pool{New: func() any { return &scanState{} }}
 
-// serialScan runs every view over one secure reader and Skip-index decoder:
-// a core.MultiEvaluator dispatches each event to one evaluator per view. The
-// Skip index degrades to the union of the views' needed regions (a subtree
-// is physically skipped only when every view skips it); with one view that
-// is exactly the view's own skips.
-func serialScan(ctx context.Context, src secure.ChunkSource, key Key, subjects []core.ParallelSubject, shared *itrace.Context) (*scanResult, error) {
+// serialScan runs the view over one secure reader and Skip-index decoder:
+// the evaluator pulls events from the decoder and jumps over the subtrees
+// it skips. opts.Trace, when non-nil, is charged the reader's and the
+// decoder's phases too.
+func serialScan(ctx context.Context, src secure.ChunkSource, key Key, cp *core.CompiledPolicy, opts core.Options) (*scanResult, error) {
 	st := scanPool.Get().(*scanState)
 	defer scanPool.Put(st)
 	if cs, ok := src.(contextSetter); ok && ctx != nil {
@@ -205,10 +142,11 @@ func serialScan(ctx context.Context, src secure.ChunkSource, key Key, subjects [
 	// The trace is attached before the decoder opens, so the header read
 	// (the first chunk's fetch, decryption and verification) is charged to
 	// the scan's phases like every later read.
-	if shared != nil {
-		st.reader.SetTrace(shared)
+	tr := opts.Trace
+	if tr != nil {
+		st.reader.SetTrace(tr)
 		if ts, ok := src.(traceSetter); ok {
-			ts.SetTrace(shared)
+			ts.SetTrace(tr)
 			defer ts.SetTrace(nil)
 		}
 		defer st.reader.SetTrace(nil)
@@ -217,25 +155,12 @@ func serialScan(ctx context.Context, src secure.ChunkSource, key Key, subjects [
 	if err := decoder.Reset(st.reader); err != nil {
 		return nil, err
 	}
-	decoder.SetTrace(shared)
-	multi := core.NewMultiEvaluator(decoder)
-	for i, s := range subjects {
-		for len(st.evals) <= i {
-			st.evals = append(st.evals, &core.Evaluator{})
-		}
-		multi.AddSubject(st.evals[i], s.CP, s.Opts)
-	}
-	// A one-view scan's event loop is that view's own evaluation. With
-	// several views it would overlap each view's eval phase, kept in the
-	// view's own context, and be counted twice.
-	loop := shared
-	if len(subjects) > 1 {
-		loop = nil
-	}
-	loop.Begin(itrace.PhaseEval)
-	outcomes, err := multi.Run()
-	loop.End()
-	return &scanResult{outcomes: outcomes, costs: st.reader.Costs(), physSkipped: decoder.BytesSkipped()}, err
+	decoder.SetTrace(tr)
+	st.eval.Reset(decoder, cp, opts)
+	tr.Begin(itrace.PhaseEval)
+	res, err := st.eval.Run()
+	tr.End()
+	return &scanResult{res: res, costs: st.reader.Costs(), skipped: decoder.BytesSkipped()}, err
 }
 
 // buildMetrics folds the secure-reader costs and the evaluator metrics into

@@ -3,6 +3,7 @@ package xmlac
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -110,7 +111,7 @@ func (d *RemoteDocument) AuthorizedView(policy Policy, opts ViewOptions) (*Docum
 
 // AuthorizedViewCompiled is AuthorizedView for a pre-compiled policy.
 func (d *RemoteDocument) AuthorizedViewCompiled(cp *CompiledPolicy, opts ViewOptions) (*Document, *Metrics, error) {
-	return d.view(CompiledView{Policy: cp, Options: opts})
+	return d.view(cp, opts, nil)
 }
 
 // view runs one view over the remote document under the one retry rule:
@@ -121,14 +122,14 @@ func (d *RemoteDocument) AuthorizedViewCompiled(cp *CompiledPolicy, opts ViewOpt
 // view always restarts cleanly. The returned Metrics, partial ones next to
 // an error included, carry this evaluation's wire counters, so the work
 // performed can be accounted for exactly once by aggregators.
-func (d *RemoteDocument) view(v CompiledView) (*Document, *Metrics, error) {
+func (d *RemoteDocument) view(cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Document, *Metrics, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	before := d.src.Stats()
-	doc, metrics, err := runView(d.src, d.key, v)
+	doc, metrics, err := runView(d.src, d.key, cp, opts, w)
 	if errors.Is(err, remote.ErrChanged) && (metrics == nil || metrics.TimeToFirstByte == 0) {
 		if err = d.src.Resync(); err == nil {
-			doc, metrics, err = runView(d.src, d.key, v)
+			doc, metrics, err = runView(d.src, d.key, cp, opts, w)
 		}
 	}
 	if metrics != nil {

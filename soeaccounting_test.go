@@ -99,17 +99,12 @@ func TestSOEAccountingPinned(t *testing.T) {
 	}
 }
 
-func TestSOEAccountingPinnedParallelAndShared(t *testing.T) {
+func TestSOEAccountingPinnedParallel(t *testing.T) {
 	prot, key := accountingDoc(t, xmlac.SchemeECBMHT)
 	doctor, err := xmlac.DoctorPolicy("DrA").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	secretary, err := xmlac.SecretaryPolicy().Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	m, err := prot.StreamAuthorizedViewCompiled(key, doctor, xmlac.ViewOptions{Parallelism: 2}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -119,27 +114,5 @@ func TestSOEAccountingPinnedParallelAndShared(t *testing.T) {
 	}
 	if got, want := countsOf(m), (soeCounts{101144, 72768, 55353, 134, 2460, 175, 1152}); got != want {
 		t.Errorf("parallel DrA: counts %#v, want %#v", got, want)
-	}
-
-	results, err := prot.AuthorizedViewsCompiled(key, []xmlac.CompiledView{
-		{Policy: secretary, Output: io.Discard},
-		{Policy: doctor, Output: io.Discard},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The shared costs and the physical skip are the one pass's; the
-	// decision counters are each subject's own.
-	wantShared := []soeCounts{
-		{90488, 70944, 55353, 110, 280, 151, 0},
-		{90488, 70944, 55353, 134, 2460, 175, 1152},
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("shared view %d: %v", i, res.Err)
-		}
-		if got := countsOf(res.Metrics); got != wantShared[i] {
-			t.Errorf("shared view %d: counts %#v, want %#v", i, got, wantShared[i])
-		}
 	}
 }

@@ -31,7 +31,8 @@ func (p *Protected) StreamAuthorizedView(key Key, policy Policy, opts ViewOption
 // StreamAuthorizedViewCompiled is StreamAuthorizedView for a pre-compiled
 // policy: the compile-once / evaluate-many streaming fast path.
 func (p *Protected) StreamAuthorizedViewCompiled(key Key, cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Metrics, error) {
-	return streamed(runView(p.snapshot(), key, CompiledView{Policy: cp, Options: opts, Output: w}))
+	_, m, err := runView(p.snapshot(), key, cp, opts, w)
+	return m, err
 }
 
 // StreamAuthorizedView evaluates the policy over the remote document and
@@ -54,5 +55,6 @@ func (d *RemoteDocument) StreamAuthorizedView(policy Policy, opts ViewOptions, w
 // nothing has been delivered to w yet; after the first byte the change
 // surfaces as an error (a retried stream would duplicate output).
 func (d *RemoteDocument) StreamAuthorizedViewCompiled(cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Metrics, error) {
-	return streamed(d.view(CompiledView{Policy: cp, Options: opts, Output: w}))
+	_, m, err := d.view(cp, opts, w)
+	return m, err
 }

@@ -76,22 +76,6 @@ func TestStreamAuthorizedViewParityLocal(t *testing.T) {
 				if scrubTTFB(gotMetrics) != scrubTTFB(wantMetrics) {
 					t.Fatalf("streamed SOE metrics differ:\nstream: %+v\ntree:   %+v", gotMetrics, wantMetrics)
 				}
-				// A one-element shared scan is the same evaluation.
-				var single bytes.Buffer
-				results, err := prot.AuthorizedViewsCompiled(key, []xmlac.CompiledView{{Policy: cp, Options: opts, Output: &single}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if results[0].Err != nil {
-					t.Fatal(results[0].Err)
-				}
-				if single.String() != want {
-					t.Fatalf("one-view AuthorizedViewsCompiled differs from materialized view:\nmulti: %.300s\ntree:  %.300s",
-						single.String(), want)
-				}
-				if scrubTTFB(results[0].Metrics) != scrubTTFB(wantMetrics) {
-					t.Fatalf("one-view AuthorizedViewsCompiled metrics differ:\nmulti: %+v\ntree:  %+v", results[0].Metrics, wantMetrics)
-				}
 				if len(want) > 0 && gotMetrics.TimeToFirstByte <= 0 {
 					t.Fatalf("non-empty streamed view must stamp TimeToFirstByte, got %v", gotMetrics.TimeToFirstByte)
 				}

@@ -42,21 +42,15 @@
 //
 // The two paths are byte-identical (StreamAuthorizedView output equals
 // view.XML(), or view.IndentedXML() with ViewOptions.Indent) and report
-// identical SOE metrics. On the paper's hospital dataset at scale 1.0
-// (BenchmarkStreamingView, ~3.6 MB protected document):
-//
-//	profile    delivery      time/view  allocated/view  first byte after
-//	secretary  materialized      52 ms         23.3 MB  52 ms (whole view)
-//	secretary  streaming         45 ms         18.0 MB  0.08 ms
-//	doctor     materialized     396 ms        176.9 MB  396 ms
-//	doctor     streaming        294 ms        116.0 MB  0.21 ms
+// identical SOE metrics. The README's BenchmarkStreamingView table gives
+// their time, allocations and first-byte delay on the paper's hospital
+// dataset.
 //
 // # Compile once, evaluate many
 //
 // AuthorizedView and StreamAuthorizedView parse and compile every rule on
-// each call. When the same policy is evaluated repeatedly — a server
-// streaming views to a fleet of clients, a batch job — compile it once and
-// reuse it:
+// each call. When the same policy is evaluated repeatedly — a client
+// re-reading documents, a batch job — compile it once and reuse it:
 //
 //	cp, _ := policy.Compile()
 //	metrics, _ := protected.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, w)
@@ -69,52 +63,25 @@
 // streaming evaluator) from a sync.Pool, so concurrent evaluations do not
 // re-allocate it.
 //
-// # Shared scans
-//
-// When many subjects read the same document, the dominant cost — the
-// decrypt/integrity-check/parse pass over the ciphertext — is the same bytes
-// scanned once per subject. AuthorizedViewsCompiled amortizes it: one shared
-// pass dispatches every event to N compiled policies, each with its own
-// delivery sink, options and metrics:
-//
-//	results, _ := protected.AuthorizedViewsCompiled(key, []xmlac.CompiledView{
-//	    {Policy: cpAlice, Output: wAlice},
-//	    {Policy: cpBob, Output: wBob},
-//	    {Policy: cpCarol}, // no Output: materialized into results[2].View
-//	})
-//
-// Per-subject output is byte-identical to the solo entry points and the
-// per-subject counters are identical; only the shared-cost fields
-// (BytesTransferred, BytesDecrypted, BytesSkipped) describe the single
-// shared pass. There is only one pipeline: every solo entry point, local or
-// remote, materialized or streamed, is this scan with a one-element view
-// list. The Skip index degrades to the union of the subjects' needed
-// regions — a subtree is physically skipped only when every subject skips
-// it — and one subject's failing writer removes only that subject from the
-// scan (ViewResult.Err). On the scale-1.0 hospital document, 16 subjects
-// multicast cost ~2.7x one solo scan where 16 solo scans cost ~16x
-// (BenchmarkSharedScan).
-//
 // # Parallel scans
 //
-// Shared scans amortize one document across many subjects; ViewOptions.
-// Parallelism attacks the opposite hot spot — one big document, one (or a
-// few) subjects, many idle cores. The same Skip-index subtree sizes that
-// power constant-time skips make the scan decomposable: the root's children
-// are partitioned into byte-balanced regions, each region is decrypted,
-// integrity-checked, decoded and evaluated by its own worker over the shared
-// immutable ciphertext, and the sink events are stitched back into exact
-// document order:
+// ViewOptions.Parallelism attacks one hot spot of the paper's
+// single-threaded SOE — one big document, one subject, many idle cores. The
+// same Skip-index subtree sizes that power constant-time skips make the
+// scan decomposable: the root's children are partitioned into
+// byte-balanced regions, each region is decrypted, integrity-checked,
+// decoded and evaluated by its own worker over the shared immutable
+// ciphertext, and the sink events are stitched back into exact document
+// order:
 //
 //	metrics, _ := protected.StreamAuthorizedViewCompiled(key, cp,
 //	    xmlac.ViewOptions{Parallelism: 8}, w)
 //	fmt.Printf("%d workers\n", metrics.Workers)
 //
 // The delivered view is byte-identical to the serial scan's and the
-// per-subject decision counters are exactly equal; only the shared cost
-// fields (BytesTransferred, BytesDecrypted, EstimatedSmartCardSeconds) grow
-// by the region planning reads and the chunk re-decrypts at region
-// boundaries. Evaluations the region protocol cannot serve — queries,
+// decision counters are exactly equal; only the cost fields
+// (BytesTransferred, BytesDecrypted, EstimatedSmartCardSeconds) grow by the
+// region planning reads and the chunk re-decrypts at region boundaries. Evaluations the region protocol cannot serve — queries,
 // root-anchored predicates unresolved at the end of the document prefix,
 // documents with fewer than two root children, remote documents — fall back
 // to the serial scan before any output is delivered. The region/merge
@@ -602,9 +569,9 @@ type ViewOptions struct {
 	// scan.
 	//
 	// The guarantee: the view — materialized or streamed — is byte-identical
-	// to the serial scan's, and the per-subject decision counters
-	// (NodesPermitted, NodesDenied, NodesPending, SubtreesSkipped,
-	// BytesSkipped) are exactly equal. The cost fields BytesTransferred,
+	// to the serial scan's, and the decision counters (NodesPermitted,
+	// NodesDenied, NodesPending, SubtreesSkipped, BytesSkipped) are exactly
+	// equal. The cost fields BytesTransferred,
 	// BytesDecrypted and the derived EstimatedSmartCardSeconds are a
 	// documented superset: the region planning reads and every region
 	// boundary falling inside an integrity chunk re-transfer and re-decrypt
@@ -612,12 +579,10 @@ type ViewOptions struct {
 	// worker count actually used.
 	//
 	// Every entry point runs one pipeline, and serial vs parallel is chosen
-	// once per scan from its input: the region-parallel scan runs when the
-	// document is local, no view of the scan has a query (its scope anchors
-	// at the document root), and the largest Parallelism among the scan's
-	// views is >= 2 — a shared scan (AuthorizedViewsCompiled) runs with that
-	// largest value. Remote documents (OpenRemote) and EvaluateDocument
-	// ignore Parallelism entirely. Evaluations the regions then cannot serve
+	// once per view from its input: the region-parallel scan runs when the
+	// document is local, the view has no query (its scope anchors at the
+	// document root), and Parallelism is >= 2. Remote documents (OpenRemote)
+	// and EvaluateDocument ignore Parallelism entirely. Evaluations the regions then cannot serve
 	// fall back to the serial scan transparently, before any byte is
 	// delivered: policies with a root-anchored predicate still unresolved
 	// after the document prefix (content in one region would decide delivery
@@ -633,18 +598,15 @@ type ViewOptions struct {
 	// TraceID labels the spans of this evaluation in the Trace (a server
 	// puts its request-scoped X-Request-Id here). Ignored when Trace is nil.
 	TraceID string
-	// Context, when non-nil, bounds a one-view evaluation: every solo entry
-	// point, and AuthorizedViewsCompiled with a single view. For a remote
-	// document, canceling it closes the in-flight HTTP range/hash/manifest
-	// requests, so an abandoned view stops consuming the wire mid-request
-	// instead of at the next range boundary; the evaluation then fails with
-	// the transport's context error and, like any aborted stream, still
-	// reports its partial Metrics exactly once. A parallel local scan
+	// Context, when non-nil, bounds the evaluation. For a remote document,
+	// canceling it closes the in-flight HTTP range/hash/manifest requests,
+	// so an abandoned view stops consuming the wire mid-request instead of
+	// at the next range boundary; the evaluation then fails with the
+	// transport's context error and, like any aborted stream, still reports
+	// its partial Metrics exactly once. A parallel local scan
 	// (Parallelism >= 2) aborts every region worker at its next event
 	// boundary. A serial local scan has no wire to cut and does not poll it
-	// (abort those through the output writer). A shared scan of two or more
-	// views ignores every view's Context: the scan serves every subject, so
-	// no single request's context may cancel it.
+	// (abort those through the output writer).
 	Context context.Context
 }
 
@@ -685,10 +647,8 @@ type Metrics struct {
 	// sum it like every other counter; divide by the number of folded
 	// evaluations for an average.
 	TimeToFirstByte time.Duration
-	// Duration is the wall-clock time of the evaluation pipeline (shared
-	// scans report the whole scan's duration for every subject, consistent
-	// with the shared-cost byte counters). Like TimeToFirstByte it sums
-	// under Metrics.Add.
+	// Duration is the wall-clock time of the evaluation pipeline. Like
+	// TimeToFirstByte it sums under Metrics.Add.
 	Duration time.Duration
 	// PhaseBreakdown decomposes Duration into exclusive per-phase time. It
 	// is populated only when the evaluation ran with ViewOptions.Trace set;
