@@ -1,6 +1,7 @@
 package xmlac_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestStreamedViewAllocationBudget(t *testing.T) {
 		}
 		var viewErr error
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, io.Discard); err != nil {
+			if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, io.Discard); err != nil {
 				viewErr = err
 			}
 		})

@@ -1,6 +1,7 @@
 package xmlac
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -312,19 +313,23 @@ func BenchmarkPublicAPIAuthorizedView(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := prot.AuthorizedView(key, DoctorPolicy("DrA"), ViewOptions{}); err != nil {
+		cp, err := DoctorPolicy("DrA").Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := prot.View(context.Background(), key, cp, ViewOptions{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkConcurrentAuthorizedViews is the server scenario: N goroutines
-// stream authorized views for M distinct subjects over one protected
-// hospital document. "per-request-compile" re-parses every rule on every
-// call (the pre-CompiledPolicy behaviour of AuthorizedView);
-// "compiled-cached" compiles each subject's policy once and reuses it, the
-// way internal/server compiles each policy when it is installed. The delta
-// is the compilation work that removes from the hot path.
+// BenchmarkConcurrentAuthorizedViews runs N goroutines materializing views
+// for M distinct subjects over one protected hospital document, the load of
+// many client sessions sharing one SOE process. "per-request-compile"
+// compiles the subject's policy before every view; "compiled-cached"
+// compiles each subject's policy once and reuses it, the way a client
+// session does. The delta is the compilation work a cached CompiledPolicy
+// removes from the hot path.
 func BenchmarkConcurrentAuthorizedViews(b *testing.B) {
 	root := dataset.HospitalFolders(4, 42)
 	doc, err := ParseDocumentString(xmlstream.SerializeTree(root, false))
@@ -368,13 +373,17 @@ func BenchmarkConcurrentAuthorizedViews(b *testing.B) {
 	}
 	b.Run("per-request-compile", func(b *testing.B) {
 		run(b, func(i int) error {
-			_, _, err := prot.AuthorizedView(key, policies[i%subjects], ViewOptions{})
+			cp, err := policies[i%subjects].Compile()
+			if err != nil {
+				return err
+			}
+			_, _, err = prot.View(context.Background(), key, cp, ViewOptions{}, nil)
 			return err
 		})
 	})
 	b.Run("compiled-cached", func(b *testing.B) {
 		run(b, func(i int) error {
-			_, _, err := prot.AuthorizedViewCompiled(key, compiled[i%subjects], ViewOptions{})
+			_, _, err := prot.View(context.Background(), key, compiled[i%subjects], ViewOptions{}, nil)
 			return err
 		})
 	})
@@ -382,9 +391,8 @@ func BenchmarkConcurrentAuthorizedViews(b *testing.B) {
 
 // BenchmarkStreamingView compares the two view-delivery paths on the
 // scale-1.0 hospital document (the paper's evaluation dataset at full size):
-// "materialized" runs AuthorizedViewCompiled and serializes the resulting
-// tree (the historical API), "streaming" runs StreamAuthorizedViewCompiled
-// straight into the destination writer. Same evaluation, same bytes out —
+// "materialized" runs View with a nil writer and serializes the resulting
+// tree, "streaming" runs View straight into the destination writer. Same evaluation, same bytes out —
 // the delta is pure delivery overhead: the materialized path allocates the
 // view tree plus its serialized string, the streaming path allocates
 // neither, so its B/op must be strictly lower and its time-to-first-byte
@@ -414,7 +422,7 @@ func BenchmarkStreamingView(b *testing.B) {
 		b.Run(p.name+"/materialized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				view, _, err := prot.AuthorizedViewCompiled(key, cp, ViewOptions{})
+				view, _, err := prot.View(context.Background(), key, cp, ViewOptions{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -427,7 +435,7 @@ func BenchmarkStreamingView(b *testing.B) {
 			b.ReportAllocs()
 			var ttfb time.Duration
 			for i := 0; i < b.N; i++ {
-				metrics, err := prot.StreamAuthorizedViewCompiled(key, cp, ViewOptions{}, io.Discard)
+				_, metrics, err := prot.View(context.Background(), key, cp, ViewOptions{}, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -197,7 +198,7 @@ func gitCommit() string {
 func writeTrace(fx *bench.Fixture, path string) error {
 	trace := xmlac.NewTrace(0)
 	opts := xmlac.ViewOptions{Trace: trace, TraceID: "bench-streaming-view"}
-	if _, err := fx.Prot.StreamAuthorizedViewCompiled(fx.Key, fx.Secretary, opts, io.Discard); err != nil {
+	if _, _, err := fx.Prot.View(context.Background(), fx.Key, fx.Secretary, opts, io.Discard); err != nil {
 		return err
 	}
 	f, err := os.Create(path)

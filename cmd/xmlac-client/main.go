@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -103,7 +104,7 @@ func run(url, passphrase, profile, rulesFile, subject, query, out, traceOut, tra
 		traceID = xmlac.NewTraceID()
 	}
 	buffered := bufio.NewWriter(dest)
-	metrics, err := doc.StreamAuthorizedView(policy, xmlac.ViewOptions{
+	_, metrics, err := doc.View(context.Background(), policy, xmlac.ViewOptions{
 		Query:            query,
 		DummyDeniedNames: dummy,
 		Indent:           true,
@@ -227,28 +228,28 @@ func docID(url string) string {
 	return trimmed
 }
 
-// buildPolicy resolves the -profile / -rules flags into a policy.
-func buildPolicy(profile, rulesFile, subject string) (xmlac.Policy, error) {
+// buildPolicy resolves the -profile / -rules flags into a compiled policy.
+func buildPolicy(profile, rulesFile, subject string) (*xmlac.CompiledPolicy, error) {
 	if profile != "" {
 		switch {
 		case profile == "secretary":
-			return xmlac.SecretaryPolicy(), nil
+			return xmlac.SecretaryPolicy().Compile()
 		case strings.HasPrefix(profile, "doctor:"):
-			return xmlac.DoctorPolicy(strings.TrimPrefix(profile, "doctor:")), nil
+			return xmlac.DoctorPolicy(strings.TrimPrefix(profile, "doctor:")).Compile()
 		case profile == "doctor":
-			return xmlac.Policy{}, fmt.Errorf("the doctor profile needs a physician: -profile doctor:<physician>")
+			return nil, fmt.Errorf("the doctor profile needs a physician: -profile doctor:<physician>")
 		case profile == "researcher":
-			return xmlac.ResearcherPolicy(), nil
+			return xmlac.ResearcherPolicy().Compile()
 		case strings.HasPrefix(profile, "researcher:"):
 			groups := strings.Split(strings.TrimPrefix(profile, "researcher:"), ",")
-			return xmlac.ResearcherPolicy(groups...), nil
+			return xmlac.ResearcherPolicy(groups...).Compile()
 		default:
-			return xmlac.Policy{}, fmt.Errorf("unknown profile %q", profile)
+			return nil, fmt.Errorf("unknown profile %q", profile)
 		}
 	}
 	f, err := os.Open(rulesFile)
 	if err != nil {
-		return xmlac.Policy{}, err
+		return nil, err
 	}
 	defer f.Close()
 	policy := xmlac.Policy{Subject: subject}
@@ -262,7 +263,7 @@ func buildPolicy(profile, rulesFile, subject string) (xmlac.Policy, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
-			return xmlac.Policy{}, fmt.Errorf("%s:%d: expected '<sign> <xpath>'", rulesFile, lineNo)
+			return nil, fmt.Errorf("%s:%d: expected '<sign> <xpath>'", rulesFile, lineNo)
 		}
 		policy.Rules = append(policy.Rules, xmlac.Rule{
 			ID:     fmt.Sprintf("L%d", lineNo),
@@ -271,10 +272,7 @@ func buildPolicy(profile, rulesFile, subject string) (xmlac.Policy, error) {
 		})
 	}
 	if err := scanner.Err(); err != nil {
-		return xmlac.Policy{}, err
+		return nil, err
 	}
-	if err := policy.Validate(); err != nil {
-		return xmlac.Policy{}, err
-	}
-	return policy, nil
+	return policy.Compile()
 }

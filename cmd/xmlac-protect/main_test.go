@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,7 +30,11 @@ func TestProtectRunRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := xmlac.Policy{Subject: "reader", Rules: []xmlac.Rule{{Sign: "+", Object: "//book"}}}
-	view, _, err := prot.AuthorizedView(xmlac.DeriveKey("pw"), policy, xmlac.ViewOptions{})
+	cp, err := policy.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _, err := prot.View(context.Background(), xmlac.DeriveKey("pw"), cp, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,21 +10,54 @@ import (
 	"xmlac"
 )
 
+// sampleXML is a one-folder hospital document every built-in profile sees
+// part of.
+const sampleXML = `<Hospital><Folder><Protocol><Type>G3</Type></Protocol>` +
+	`<Admin><Fname>alice</Fname><Age>40</Age></Admin>` +
+	`<MedActs><Act><RPhys>DrA</RPhys><Details>d1</Details></Act><Act><RPhys>DrB</RPhys><Details>d2</Details></Act></MedActs>` +
+	`<Analysis><LabResults><G3><Cholesterol>200</Cholesterol></G3></LabResults></Analysis></Folder></Hospital>`
+
+// checkView fails unless cp's view of sampleXML equals want's, evaluated
+// over the plaintext by the reference evaluator.
+func checkView(t *testing.T, name string, cp *xmlac.CompiledPolicy, want xmlac.Policy) {
+	t.Helper()
+	doc, err := xmlac.ParseDocumentString(sampleXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := xmlac.DeriveKey("pw")
+	prot, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ref, err := xmlac.EvaluateDocument(doc, want, xmlac.ViewOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.XML() != ref.XML() {
+		t.Errorf("%s: view %s, want %s", name, got.XML(), ref.XML())
+	}
+}
+
 func TestBuildPolicyProfiles(t *testing.T) {
 	cases := []struct {
 		profile string
-		rules   int
+		want    xmlac.Policy
 		wantErr bool
 	}{
-		{"secretary", 1, false},
-		{"doctor:DrA", 4, false},
-		{"doctor", 0, true},
-		{"researcher", 3, false},
-		{"researcher:G1,G2", 5, false},
-		{"astronaut", 0, true},
+		{"secretary", xmlac.SecretaryPolicy(), false},
+		{"doctor:DrA", xmlac.DoctorPolicy("DrA"), false},
+		{"doctor", xmlac.Policy{}, true},
+		{"researcher", xmlac.ResearcherPolicy(), false},
+		{"researcher:G1,G2", xmlac.ResearcherPolicy("G1", "G2"), false},
+		{"astronaut", xmlac.Policy{}, true},
 	}
 	for _, c := range cases {
-		p, err := buildPolicy(c.profile, "", "user")
+		cp, err := buildPolicy(c.profile, "", "user")
 		if c.wantErr {
 			if err == nil {
 				t.Errorf("%s: expected error", c.profile)
@@ -34,9 +68,7 @@ func TestBuildPolicyProfiles(t *testing.T) {
 			t.Errorf("%s: %v", c.profile, err)
 			continue
 		}
-		if len(p.Rules) != c.rules {
-			t.Errorf("%s: %d rules, want %d", c.profile, len(p.Rules), c.rules)
-		}
+		checkView(t, c.profile, cp, c.want)
 	}
 }
 
@@ -52,13 +84,15 @@ func TestBuildPolicyFromRulesFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPolicy("", path, "DrA")
+	cp, err := buildPolicy("", path, "DrA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Rules) != 3 || p.Subject != "DrA" {
-		t.Fatalf("unexpected policy: %+v", p)
-	}
+	checkView(t, "rules file", cp, xmlac.Policy{Subject: "DrA", Rules: []xmlac.Rule{
+		{Sign: "+", Object: "//Folder/Admin"},
+		{Sign: "+", Object: "//MedActs[//RPhys = USER]"},
+		{Sign: "-", Object: "//Act[RPhys != USER]/Details"},
+	}})
 	// Malformed rules file.
 	bad := filepath.Join(dir, "bad.txt")
 	if err := os.WriteFile(bad, []byte("justoneword\n"), 0o644); err != nil {

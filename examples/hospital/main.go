@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -51,9 +52,14 @@ func run(w io.Writer) error {
 	}
 	// Each view is streamed out of the evaluator; a counting writer stands in
 	// for the consumer, so only the view's size is retained here.
+	ctx := context.Background()
 	for _, p := range profiles {
+		cp, err := p.policy.Compile()
+		if err != nil {
+			return err
+		}
 		var cw countingWriter
-		metrics, err := protected.StreamAuthorizedView(key, p.policy, xmlac.ViewOptions{}, &cw)
+		_, metrics, err := protected.View(ctx, key, cp, xmlac.ViewOptions{}, &cw)
 		if err != nil {
 			return err
 		}
@@ -63,8 +69,12 @@ func run(w io.Writer) error {
 
 	// The doctor can additionally pull only the folders of elderly patients:
 	// the query is intersected with her access rights inside the SOE.
+	doctor, err := xmlac.DoctorPolicy("DrA").Compile()
+	if err != nil {
+		return err
+	}
 	var cw countingWriter
-	if _, err := protected.StreamAuthorizedView(key, xmlac.DoctorPolicy("DrA"), xmlac.ViewOptions{
+	if _, _, err := protected.View(ctx, key, doctor, xmlac.ViewOptions{
 		Query: "//Folder[Admin/Age > 70]",
 	}, &cw); err != nil {
 		return err

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -89,8 +90,12 @@ func run(w io.Writer) error {
 	// The guide is streamed to each device as it is filtered; the skip
 	// accounting is only known once the scan finished, so it trails the view.
 	for _, p := range []xmlac.Policy{young, teen, parent} {
+		cp, err := p.Compile()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "=== view for %s ===\n", p.Subject)
-		metrics, err := protected.StreamAuthorizedView(key, p, xmlac.ViewOptions{Indent: true}, w)
+		_, metrics, err := protected.View(context.Background(), key, cp, xmlac.ViewOptions{Indent: true}, w)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -70,8 +71,12 @@ func run(w io.Writer) error {
 	// encrypted document is still being scanned, so nothing is ever
 	// materialized — neither here nor inside the SOE.
 	for _, p := range []xmlac.Policy{family, colleague} {
+		cp, err := p.Compile()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "--- view for %s ---\n", p.Subject)
-		metrics, err := protected.StreamAuthorizedView(key, p, xmlac.ViewOptions{Indent: true}, w)
+		_, metrics, err := protected.View(context.Background(), key, cp, xmlac.ViewOptions{Indent: true}, w)
 		if err != nil {
 			return err
 		}

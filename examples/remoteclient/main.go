@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -53,8 +54,12 @@ func run(w io.Writer) error {
 	} {
 		// The view is streamed while ciphertext ranges are still being
 		// pulled; a counting writer stands in for the consumer.
+		cp, err := policy.Compile()
+		if err != nil {
+			return err
+		}
 		var cw countingWriter
-		metrics, err := doc.StreamAuthorizedView(policy, xmlac.ViewOptions{}, &cw)
+		_, metrics, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, &cw)
 		if err != nil {
 			return err
 		}

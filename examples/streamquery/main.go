@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -34,7 +35,11 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	doctor := xmlac.DoctorPolicy("DrB")
+	ctx := context.Background()
+	doctor, err := xmlac.DoctorPolicy("DrB").Compile()
+	if err != nil {
+		return err
+	}
 	queries := []string{
 		"//Folder[Admin/Age > 75]",
 		"//Folder[MedActs/Act/RPhys = DrB]/Admin",
@@ -44,7 +49,7 @@ func run(w io.Writer) error {
 	// in for the consumer, so only the result size is retained here.
 	for _, q := range queries {
 		var cw countingWriter
-		metrics, err := protected.StreamAuthorizedView(key, doctor, xmlac.ViewOptions{Query: q}, &cw)
+		_, metrics, err := protected.View(ctx, key, doctor, xmlac.ViewOptions{Query: q}, &cw)
 		if err != nil {
 			return err
 		}
@@ -55,8 +60,12 @@ func run(w io.Writer) error {
 	// The same query issued by the secretary returns only what her own
 	// access rights allow: the medical predicate can never be satisfied from
 	// data she is not allowed to see.
+	secretary, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		return err
+	}
 	var cw countingWriter
-	if _, err := protected.StreamAuthorizedView(key, xmlac.SecretaryPolicy(), xmlac.ViewOptions{
+	if _, _, err := protected.View(ctx, key, secretary, xmlac.ViewOptions{
 		Query: "//Folder[MedActs/Act/RPhys = DrB]/Admin",
 	}, &cw); err != nil {
 		return err

@@ -7,6 +7,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -123,7 +124,7 @@ func (f *Fixture) StreamingView(cp *xmlac.CompiledPolicy) func(*testing.B) {
 		var bytesOut int64
 		for i := 0; i < b.N; i++ {
 			cw := &countWriter{}
-			if _, err := f.Prot.StreamAuthorizedViewCompiled(f.Key, cp, xmlac.ViewOptions{}, cw); err != nil {
+			if _, _, err := f.Prot.View(context.Background(), f.Key, cp, xmlac.ViewOptions{}, cw); err != nil {
 				b.Fatal(err)
 			}
 			bytesOut += cw.n
@@ -139,7 +140,7 @@ func (f *Fixture) MaterializedView(cp *xmlac.CompiledPolicy) func(*testing.B) {
 		b.ReportAllocs()
 		var bytesOut int64
 		for i := 0; i < b.N; i++ {
-			view, _, err := f.Prot.AuthorizedViewCompiled(f.Key, cp, xmlac.ViewOptions{})
+			view, _, err := f.Prot.View(context.Background(), f.Key, cp, xmlac.ViewOptions{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -256,7 +257,7 @@ func (f *Fixture) ParallelScanView(cp *xmlac.CompiledPolicy, workers int) func(*
 		var bytesOut int64
 		for i := 0; i < b.N; i++ {
 			cw := &countWriter{}
-			m, err := f.Prot.StreamAuthorizedViewCompiled(f.Key, cp, opts, cw)
+			_, m, err := f.Prot.View(context.Background(), f.Key, cp, opts, cw)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +276,7 @@ func (f *Fixture) ParallelScanView(cp *xmlac.CompiledPolicy, workers int) func(*
 // changed the result.
 func (f *Fixture) VerifyParallelParity(cp *xmlac.CompiledPolicy, workerCounts []int) error {
 	var serial bytes.Buffer
-	serialMetrics, err := f.Prot.StreamAuthorizedViewCompiled(f.Key, cp, xmlac.ViewOptions{}, &serial)
+	_, serialMetrics, err := f.Prot.View(context.Background(), f.Key, cp, xmlac.ViewOptions{}, &serial)
 	if err != nil {
 		return err
 	}
@@ -284,7 +285,7 @@ func (f *Fixture) VerifyParallelParity(cp *xmlac.CompiledPolicy, workerCounts []
 			continue
 		}
 		var got bytes.Buffer
-		m, err := f.Prot.StreamAuthorizedViewCompiled(f.Key, cp, xmlac.ViewOptions{Parallelism: w}, &got)
+		_, m, err := f.Prot.View(context.Background(), f.Key, cp, xmlac.ViewOptions{Parallelism: w}, &got)
 		if err != nil {
 			return err
 		}

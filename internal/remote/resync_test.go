@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -146,7 +147,7 @@ func TestResyncFallsBackToFullReload(t *testing.T) {
 
 // TestRemoteDocumentTransparentResync: a RemoteDocument whose server-side
 // document is updated between (or under) evaluations re-syncs by itself —
-// the next AuthorizedView returns the new version's view, byte-identical to
+// the next View returns the new version's view, byte-identical to
 // a local evaluation, with ChunksReused surfaced in its metrics.
 func TestRemoteDocumentTransparentResync(t *testing.T) {
 	env := newEnv(t, 16)
@@ -161,7 +162,7 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := doc.AuthorizedViewCompiled(clerk, xmlac.ViewOptions{}); err != nil {
+	if _, _, err := doc.View(context.Background(), clerk, xmlac.ViewOptions{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Version() != 1 {
@@ -177,7 +178,7 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 	// No explicit Revalidate: the evaluation hits the changed blob
 	// (If-Range falls back to a 200 with a new ETag), re-syncs through the
 	// delta and retries.
-	view, metrics, err := doc.AuthorizedViewCompiled(clerk, xmlac.ViewOptions{})
+	view, metrics, err := doc.View(context.Background(), clerk, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	var localView bytes.Buffer
-	localMetrics, err := local.StreamAuthorizedViewCompiled(env.key, clerk, xmlac.ViewOptions{}, &localView)
+	_, localMetrics, err := local.View(context.Background(), env.key, clerk, xmlac.ViewOptions{}, &localView)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,13 @@ func (s *Source) SetTrace(t *trace.Context) {
 
 // SetContext attaches (or detaches, with nil) the request context bounding
 // this source's outgoing fetches. Like SetTrace it is attached around one
-// evaluation at a time.
+// evaluation at a time. A context that can never be canceled (its Done
+// channel is nil, as for context.Background) binds nothing, so requests
+// skip the per-request copy that binding one costs.
 func (s *Source) SetContext(ctx context.Context) {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
 	s.mu.Lock()
 	s.ctx = ctx
 	s.mu.Unlock()
@@ -483,12 +488,15 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 				return nil, err
 			}
 		} else {
-			start, _, err := parseContentRange(resp.Header.Get("Content-Range"))
+			start, end, err := parseContentRange(resp.Header.Get("Content-Range"))
 			if err != nil {
 				return nil, err
 			}
 			body, err := s.readAll(resp)
 			if err != nil {
+				return nil, err
+			}
+			if err := s.checkRange(start, end, len(body)); err != nil {
 				return nil, err
 			}
 			s.runToPages(start-s.ctOffset, body, out)
@@ -540,7 +548,7 @@ func (s *Source) readMultipart(resp *http.Response, boundary string, out map[int
 		if err != nil {
 			return fmt.Errorf("remote: reading multipart range: %w", err)
 		}
-		start, _, err := parseContentRange(part.Header.Get("Content-Range"))
+		start, end, err := parseContentRange(part.Header.Get("Content-Range"))
 		if err != nil {
 			return err
 		}
@@ -548,13 +556,29 @@ func (s *Source) readMultipart(resp *http.Response, boundary string, out map[int
 		if err != nil {
 			return fmt.Errorf("remote: reading range part: %w", err)
 		}
+		if err := s.checkRange(start, end, len(data)); err != nil {
+			return err
+		}
 		s.runToPages(start-s.ctOffset, data, out)
 	}
 }
 
+// checkRange rejects a range response the untrusted server got wrong: the
+// blob positions [start, end] its Content-Range names must lie inside the
+// ciphertext, and the body must hold exactly their end-start+1 bytes.
+// Callers hold s.mu.
+func (s *Source) checkRange(start, end int64, n int) error {
+	if start < s.ctOffset || end < start || end >= s.ctOffset+s.man.CiphertextLen || end-start+1 != int64(n) {
+		return fmt.Errorf("remote: range response names bytes %d-%d with a %d-byte body; the ciphertext is bytes %d-%d",
+			start, end, n, s.ctOffset, s.ctOffset+s.man.CiphertextLen-1)
+	}
+	return nil
+}
+
 // runToPages splits a contiguous ciphertext run (start in ciphertext
-// coordinates) into whole pages. Runs are page-aligned by construction; a
-// trailing partial page is kept only when it ends at EOF.
+// coordinates, the run inside the ciphertext: checkRange) into whole pages.
+// Runs are page-aligned by construction; a trailing partial page is kept only
+// when it ends at EOF.
 func (s *Source) runToPages(start int64, data []byte, out map[int64][]byte) {
 	end := start + int64(len(data))
 	for off := start; off < end; {

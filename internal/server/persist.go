@@ -81,11 +81,8 @@ func (p *persister) hold() (release func()) {
 }
 
 // registerRecord renders a document's registration: its metadata, the given
-// retained history and its current container.
-func registerRecord(e *DocumentEntry, deltas []*xmlac.UpdateDelta) storage.Record {
-	e.mu.RLock()
-	blob := e.blob
-	e.mu.RUnlock()
+// container and the given retained history.
+func registerRecord(e *DocumentEntry, blob []byte, deltas []*xmlac.UpdateDelta) storage.Record {
 	meta := registerMeta{
 		Scheme:     string(e.Scheme),
 		Passphrase: e.passphrase,
@@ -114,7 +111,7 @@ func (p *persister) logRegister(e *DocumentEntry) error {
 	if p == nil {
 		return nil
 	}
-	return p.engine.Append(registerRecord(e, nil))
+	return p.engine.Append(registerRecord(e, e.current().blob, nil))
 }
 
 // logPatch records one applied update as a delta record. It runs under the
@@ -125,10 +122,8 @@ func (p *persister) logPatch(e *DocumentEntry, delta *xmlac.UpdateDelta) error {
 	if p == nil {
 		return nil
 	}
-	e.mu.RLock()
-	blob := e.blob
-	man := e.manifest
-	e.mu.RUnlock()
+	sf := e.current()
+	blob, man := sf.blob, sf.manifest
 	payload := make([]byte, 0, 4+man.CiphertextOffset+delta.BytesReencrypted+sha256Size)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(man.CiphertextOffset))
 	payload = append(payload, blob[:man.CiphertextOffset]...)
@@ -180,10 +175,8 @@ func (p *persister) snapshot() []storage.Record {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	var recs []storage.Record
 	for _, e := range entries {
-		e.mu.RLock()
-		deltas := e.deltas
-		e.mu.RUnlock()
-		recs = append(recs, registerRecord(e, deltas))
+		sf := e.current()
+		recs = append(recs, registerRecord(e, sf.blob, sf.deltas))
 	}
 	return recs
 }

@@ -379,7 +379,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing or invalid %q query parameter", "from")
 		return
 	}
-	delta, current, err := entry.DeltaSince(from)
+	sf := entry.current()
+	delta, current, err := sf.deltaSince(from)
 	h := w.Header()
 	h.Set("X-Xmlac-Version", strconv.FormatUint(current, 10))
 	if err != nil {
@@ -394,8 +395,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	_, etag := entry.Blob()
-	h.Set("ETag", etag)
+	h.Set("ETag", sf.etag)
 	h.Set("Content-Type", "application/octet-stream")
 	s.updates.deltasServed.Add(1)
 	w.WriteHeader(http.StatusOK)
@@ -433,19 +433,19 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 
 // handleManifest publishes the document layout a remote SOE needs before it
 // can issue range requests: scheme, chunking, sizes, the ciphertext offset
-// inside the blob and the blob's entity tag.
+// inside the blob and the blob's entity tag, all of one version.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	entry, err := s.store.Entry(r.PathValue("id"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	_, etag := entry.Blob()
-	w.Header().Set("ETag", etag)
+	sf := entry.current()
+	w.Header().Set("ETag", sf.etag)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"document": entry.ID,
-		"etag":     etag,
-		"manifest": entry.Manifest(),
+		"etag":     sf.etag,
+		"manifest": sf.manifest,
 	})
 }
 
@@ -472,8 +472,9 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 
 // handleFragmentHashes serves the ciphertext fragment hashes of one chunk
 // (?chunk=N) as DigestSize-byte records: the untrusted-terminal half of the
-// ECB-MHT Merkle protocol. The hashes are over public ciphertext; the SOE
-// verifies them against the decrypted chunk digest.
+// ECB-MHT Merkle protocol, under the entity tag of the version they hash.
+// The hashes are over public ciphertext; the SOE verifies them against the
+// decrypted chunk digest.
 func (s *Server) handleFragmentHashes(w http.ResponseWriter, r *http.Request) {
 	entry, err := s.store.Entry(r.PathValue("id"))
 	if err != nil {
@@ -485,14 +486,14 @@ func (s *Server) handleFragmentHashes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing or invalid %q query parameter", "chunk")
 		return
 	}
-	hashes, err := entry.FragmentHashes(chunk)
+	sf := entry.current()
+	hashes, err := sf.fragmentHashes(chunk)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	_, etag := entry.Blob()
 	h := w.Header()
-	h.Set("ETag", etag)
+	h.Set("ETag", sf.etag)
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-Xmlac-Fragment-Count", strconv.Itoa(len(hashes)))
 	w.WriteHeader(http.StatusOK)

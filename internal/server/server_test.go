@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -82,8 +83,12 @@ func readView(ts *httptest.Server, id string, policy xmlac.Policy) (string, erro
 	if err != nil {
 		return "", err
 	}
+	cp, err := policy.Compile()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
-	_, err = doc.StreamAuthorizedView(policy, xmlac.ViewOptions{}, &b)
+	_, _, err = doc.View(context.Background(), cp, xmlac.ViewOptions{}, &b)
 	return b.String(), err
 }
 
@@ -424,13 +429,18 @@ func TestFragmentHashesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man := entry.Manifest()
+	blob, _ := entry.Blob()
+	prot, err := xmlac.UnmarshalProtected(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := prot.Manifest()
 
 	resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital/hashes?chunk=0", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hashes: %d %s", resp.StatusCode, body)
 	}
-	want, err := entry.FragmentHashes(0)
+	want, err := prot.FragmentHashes(0)
 	if err != nil {
 		t.Fatal(err)
 	}

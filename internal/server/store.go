@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmlac"
@@ -75,19 +76,30 @@ type DocumentEntry struct {
 	// updateMu.
 	retired bool
 
-	// mu guards the whole blob surface as one consistent unit — marshalled
-	// blob, its entity tag, the manifest, the version and the retained
-	// deltas all describe the same document version at any read. blob is
-	// what the store range-serves to remote SOE clients; etag is its strong
-	// entity tag (quoted SHA-256 of the content), sent on
-	// GET /docs/{id}/blob and checked against If-None-Match, If-Match and
-	// If-Range — every document version has its own etag.
-	mu       sync.RWMutex
+	// cur is the published blob surface. Update and patch replay publish a
+	// new surface per version; readers load it once.
+	cur atomic.Pointer[surface]
+}
+
+// surface is one published version of an entry's blob surface: the
+// marshalled container the store range-serves to remote SOE clients, its
+// strong entity tag (quoted SHA-256 of the content, sent on
+// GET /docs/{id}/blob and checked against If-None-Match, If-Match and
+// If-Range), its manifest and the retained update history that leads to
+// it. A surface is immutable once published. A handler loads the entry's
+// surface once and answers from it alone, so no response pairs one
+// version's entity tag with another version's manifest, hashes or delta.
+type surface struct {
 	blob     []byte
 	etag     string
 	manifest xmlac.DocumentManifest
-	version  uint64
 	deltas   []*xmlac.UpdateDelta
+}
+
+// newSurface builds the surface of one protected version from its
+// marshalled container.
+func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte, deltas []*xmlac.UpdateDelta) *surface {
+	return &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest(), deltas: deltas}
 }
 
 // maxRetainedDeltas bounds the per-document update history served through
@@ -154,12 +166,8 @@ func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob
 		prot:       prot,
 		key:        xmlac.DeriveKey(reg.Passphrase),
 		passphrase: reg.Passphrase,
-		blob:       blob,
-		etag:       etagOf(sha256.Sum256(blob)),
-		manifest:   prot.Manifest(),
-		version:    prot.Version(),
-		deltas:     deltas,
 	}
+	entry.cur.Store(newSurface(prot, blob, sha256.Sum256(blob), deltas))
 	entry.updateMu.Lock()
 	defer entry.updateMu.Unlock()
 	s.mu.Lock()
@@ -247,37 +255,32 @@ func (s *Store) List() []DocumentInfo {
 
 // Info returns the externally visible summary of the document.
 func (e *DocumentEntry) Info() DocumentInfo {
-	e.mu.RLock()
-	version := e.version
-	size := int(e.manifest.CiphertextLen)
-	e.mu.RUnlock()
+	man := e.current().manifest
 	return DocumentInfo{
 		ID:             e.ID,
 		Scheme:         string(e.Scheme),
-		Version:        version,
-		ProtectedBytes: size,
+		Version:        man.Version,
+		ProtectedBytes: int(man.CiphertextLen),
 		Elements:       e.Stats.Elements,
 		MaxDepth:       e.Stats.MaxDepth,
 		CreatedAt:      e.CreatedAt,
 	}
 }
 
+// current returns the published blob surface.
+func (e *DocumentEntry) current() *surface { return e.cur.Load() }
+
 // Blob returns the marshalled protected container and its strong ETag, a
 // consistent pair for the entry's current version.
 func (e *DocumentEntry) Blob() ([]byte, string) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.blob, e.etag
+	sf := e.current()
+	return sf.blob, sf.etag
 }
 
 // Version returns the document version of the published blob surface.
-func (e *DocumentEntry) Version() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.version
-}
+func (e *DocumentEntry) Version() uint64 { return e.current().manifest.Version }
 
-// ErrDeltaUnavailable is returned by DeltaSince when the requested version
+// ErrDeltaUnavailable is returned by deltaSince when the requested version
 // fell out of the retained update history (or never existed): the client
 // must fall back to a full re-sync.
 var ErrDeltaUnavailable = errors.New("server: update delta unavailable for that version")
@@ -299,20 +302,10 @@ func (e *DocumentEntry) Update(edits []xmlac.Edit, commit func(*xmlac.UpdateDelt
 	if err != nil {
 		return 0, nil, err
 	}
-	// Marshal outside e.mu (it copies megabytes), then install blob, etag,
-	// manifest, version and the delta step in one critical section: a reader
-	// of the blob surface never observes the new version's manifest or delta
-	// history paired with the old version's blob, or vice versa.
+	// The new version's blob, entity tag, manifest and delta history are
+	// published as one surface: a reader sees either version whole.
 	blob := e.prot.Marshal()
-	manifest := e.prot.Manifest()
-	etag := etagOf(sha256.Sum256(blob))
-	e.mu.Lock()
-	e.blob = blob
-	e.etag = etag
-	e.manifest = manifest
-	e.version = version
-	e.deltas = appendRetained(e.deltas, delta)
-	e.mu.Unlock()
+	e.cur.Store(newSurface(e.prot, blob, sha256.Sum256(blob), appendRetained(e.current().deltas, delta)))
 	if commit != nil {
 		err = commit(delta)
 	}
@@ -343,11 +336,8 @@ func appendRetained(deltas []*xmlac.UpdateDelta, delta *xmlac.UpdateDelta) []*xm
 func (e *DocumentEntry) applyRecoveredPatch(delta *xmlac.UpdateDelta, prefix, dirty []byte, wantSum []byte) error {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
-	e.mu.RLock()
-	old := e.blob
-	oldMan := e.manifest
-	version := e.version
-	e.mu.RUnlock()
+	cur := e.current()
+	old, oldMan, version := cur.blob, cur.manifest, cur.manifest.Version
 	if delta.FromVersion != version {
 		return fmt.Errorf("server: recovered patch %d->%d does not chain from version %d of document %q",
 			delta.FromVersion, delta.ToVersion, version, e.ID)
@@ -397,36 +387,25 @@ func (e *DocumentEntry) applyRecoveredPatch(delta *xmlac.UpdateDelta, prefix, di
 	if got := prot.Version(); got != delta.ToVersion {
 		return fmt.Errorf("server: recovered patch for %q stamps version %d, record says %d", e.ID, got, delta.ToVersion)
 	}
-	manifest := prot.Manifest()
-	e.mu.Lock()
 	e.prot = prot
-	e.blob = blob
-	e.etag = etagOf(sum)
-	e.manifest = manifest
-	e.version = delta.ToVersion
-	e.deltas = appendRetained(e.deltas, delta)
-	e.mu.Unlock()
+	e.cur.Store(newSurface(prot, blob, sum, appendRetained(cur.deltas, delta)))
 	return nil
 }
 
-// DeltaSince merges the retained update steps from the given version to the
-// current one: what a remote chunk cache at version from needs to evict only
+// deltaSince merges the retained update steps from the given version to the
+// surface's: what a remote chunk cache at version from needs to evict only
 // the chunks that changed. It returns ErrDeltaUnavailable when from
 // predates the retained history and (nil, current, nil) when from is already
 // current.
-func (e *DocumentEntry) DeltaSince(from uint64) (*xmlac.UpdateDelta, uint64, error) {
-	// History and current version are read inside one critical section so
-	// the chain check is against the version the history actually leads to.
-	e.mu.RLock()
-	current := e.version
-	steps := make([]*xmlac.UpdateDelta, 0, len(e.deltas))
-	for i, d := range e.deltas {
+func (sf *surface) deltaSince(from uint64) (*xmlac.UpdateDelta, uint64, error) {
+	current := sf.manifest.Version
+	var steps []*xmlac.UpdateDelta
+	for i, d := range sf.deltas {
 		if d.FromVersion == from {
-			steps = append(steps, e.deltas[i:]...)
+			steps = sf.deltas[i:]
 			break
 		}
 	}
-	e.mu.RUnlock()
 	if from == current {
 		return nil, current, nil
 	}
@@ -440,26 +419,15 @@ func (e *DocumentEntry) DeltaSince(from uint64) (*xmlac.UpdateDelta, uint64, err
 	return merged, current, nil
 }
 
-// Manifest returns the public layout of the published blob: always the
-// manifest of the same version Blob() serves.
-func (e *DocumentEntry) Manifest() xmlac.DocumentManifest {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.manifest
-}
-
-// FragmentHashes returns the ciphertext fragment hashes of one chunk (the
-// untrusted-terminal side of the ECB-MHT Merkle protocol), computed from the
-// published blob under the same lock that guards it — so the hashes always
-// describe the version whose ETag the handler sends, even while an update is
-// being installed. Hashing public ciphertext is exactly the computation the
-// paper assigns to the untrusted terminal; no key material is involved.
-func (e *DocumentEntry) FragmentHashes(chunk int) ([][]byte, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	man := e.manifest
+// fragmentHashes returns the ciphertext fragment hashes of one chunk of the
+// surface's blob (the untrusted-terminal side of the ECB-MHT Merkle
+// protocol), so they describe the version whose ETag the handler sends.
+// Hashing public ciphertext is exactly the computation the paper assigns to
+// the untrusted terminal; no key material is involved.
+func (sf *surface) fragmentHashes(chunk int) ([][]byte, error) {
+	man := sf.manifest
 	if man.FragmentSize <= 0 {
-		return nil, fmt.Errorf("server: document %q has no fragment layout", e.ID)
+		return nil, errors.New("server: document has no fragment layout")
 	}
 	if chunk < 0 || chunk >= man.NumChunks {
 		return nil, fmt.Errorf("server: chunk %d out of range (%d chunks)", chunk, man.NumChunks)
@@ -469,7 +437,7 @@ func (e *DocumentEntry) FragmentHashes(chunk int) ([][]byte, error) {
 	if end > man.CiphertextLen {
 		end = man.CiphertextLen
 	}
-	data := e.blob[man.CiphertextOffset+start : man.CiphertextOffset+end]
+	data := sf.blob[man.CiphertextOffset+start : man.CiphertextOffset+end]
 	out := make([][]byte, 0, (len(data)+man.FragmentSize-1)/man.FragmentSize)
 	for off := 0; off < len(data); off += man.FragmentSize {
 		frag := data[off:]

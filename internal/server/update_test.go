@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -148,5 +151,114 @@ func TestPatchDocumentRejectsBadEdits(t *testing.T) {
 	}
 	if metrics.Updates.Errors != 1 {
 		t.Fatalf("update_errors = %d, want 1 (only the 422 counts)", metrics.Updates.Errors)
+	}
+}
+
+// TestBlobSurfaceResponsesAreOneVersion: while PATCHes publish version after
+// version, every manifest and fragment-hashes response describes one
+// version. The manifest's entity tag is the one its version was published
+// with, and the hashes are those of the version whose entity tag they carry.
+// A client's prefix fetch sends the manifest's entity tag as If-Match, so a
+// manifest pairing one version's tag with another version's layout would
+// fail Open and Revalidate with ErrChanged for no reason.
+func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
+	srv := New(Options{})
+	entry, err := srv.Store().RegisterXML("hospital", hospitalXML(6), "surface", xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+
+	// chunk0Sum digests the fragment hashes of chunk 0 of a blob.
+	chunk0Sum := func(blob []byte) [sha256.Size]byte {
+		prot, err := xmlac.UnmarshalProtected(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes, err := prot.FragmentHashes(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(bytes.Join(hashes, nil))
+	}
+	// The writer records, per version, the entity tag it was published
+	// with and the digest of its chunk-0 hashes.
+	blob, etag := entry.Blob()
+	etags := map[uint64]string{1: etag}
+	hashSums := map[string][sha256.Size]byte{etag: chunk0Sum(blob)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			// Same-length edits in the first folder: every version rewrites
+			// chunk 0 in place.
+			edit := xmlac.Edit{Op: xmlac.EditSetText, Path: "/Hospital/Folder[1]/Admin/Phone", Text: fmt.Sprintf("555%07d", i)}
+			version, _, err := entry.Update([]xmlac.Edit{edit}, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			blob, etag := entry.Blob()
+			etags[version] = etag
+			hashSums[etag] = chunk0Sum(blob)
+		}
+	}()
+
+	type manifestSeen struct {
+		header, etag string
+		version      uint64
+	}
+	type hashesSeen struct {
+		etag string
+		sum  [sha256.Size]byte
+	}
+	var manifests []manifestSeen
+	var hashes []hashesSeen
+	serve := func(target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		rec := serve("/docs/hospital/manifest")
+		var payload struct {
+			ETag     string `json:"etag"`
+			Manifest struct {
+				Version uint64 `json:"version"`
+			} `json:"manifest"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+			t.Fatal(err)
+		}
+		manifests = append(manifests, manifestSeen{rec.Header().Get("ETag"), payload.ETag, payload.Manifest.Version})
+		rec = serve("/docs/hospital/hashes?chunk=0")
+		hashes = append(hashes, hashesSeen{rec.Header().Get("ETag"), sha256.Sum256(rec.Body.Bytes())})
+	}
+
+	torn := 0
+	for _, m := range manifests {
+		if m.header != m.etag || etags[m.version] != m.etag {
+			torn++
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d manifest responses pair one version's entity tag with another version's manifest", torn, len(manifests))
+	}
+	torn = 0
+	for _, h := range hashes {
+		if want, ok := hashSums[h.etag]; !ok || want != h.sum {
+			torn++
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d fragment-hashes responses carry another version's hashes", torn, len(hashes))
 	}
 }

@@ -2,6 +2,7 @@ package xmlac_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestTracedViewMatchesUntracedAndBreakdownTracksDuration(t *testing.T) {
 	}
 
 	var plain bytes.Buffer
-	plainMetrics, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &plain)
+	_, plainMetrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestTracedViewMatchesUntracedAndBreakdownTracksDuration(t *testing.T) {
 	tr := xmlac.NewTrace(0)
 	var traced bytes.Buffer
 	opts := xmlac.ViewOptions{Trace: tr, TraceID: "acceptance-1"}
-	tracedMetrics, err := prot.StreamAuthorizedViewCompiled(key, cp, opts, &traced)
+	_, tracedMetrics, err := prot.View(context.Background(), key, cp, opts, &traced)
 	if err != nil {
 		t.Fatal(err)
 	}

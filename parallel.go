@@ -12,7 +12,7 @@ import (
 	itrace "xmlac/internal/trace"
 )
 
-// Parallel intra-document scan: the region-parallel scan step of runView.
+// Parallel intra-document scan: the region-parallel scan step of a view.
 // The Skip index makes one document's scan decomposable
 // (skipindex.PlanRegions), core.RunParallel keeps the view and its counters
 // identical to the serial scan, and this file wires the two to the secure
@@ -22,8 +22,8 @@ import (
 // beneath it is), and per-region trace contexts fork from the view's so
 // worker lanes render side by side in the Chrome trace view.
 //
-// runView attempts it only for local documents (src is a *secure.Protected)
-// when the view has no query and asks for two or more workers; any
+// A view attempts it only for local documents (Protected.View) when it has
+// no query and asks for two or more workers; any
 // document/policy combination core.RunParallel vetoes falls back to the
 // serial scan before a single byte reaches the sink, so callers never
 // observe a difference beyond the cost fields documented on
@@ -45,8 +45,9 @@ func parallelFallback(err error) bool {
 // parallelScan plans the regions of a local protected document and runs
 // the view over them concurrently. opts.Trace, when non-nil, is the trace
 // context the planning reads are charged to and the parent the per-region
-// contexts fork from. ctx, when non-nil, cancels the scan between events.
-// A failed scan returns the error with the partial metrics of the work
+// contexts fork from. A cancelable ctx aborts every region worker at its
+// next event boundary; one that can never be canceled costs no per-event
+// check. A failed scan returns the error with the partial metrics of the work
 // merged so far and the costs of every reader.
 //
 // The returned costs are a superset of the serial scan's: the planning reads
@@ -72,7 +73,6 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 	readers := make([]*secure.Reader, plan.RegionCount())
 	rctxs := make([]*itrace.Context, plan.RegionCount())
 	cfg := core.ParallelConfig{
-		Ctx:              ctx,
 		Workers:          workers,
 		NumRegions:       plan.RegionCount(),
 		Prefix:           plan.Prefix(),
@@ -103,6 +103,9 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 				rctxs[r].Finish("region:"+strconv.Itoa(r), readers[r].Costs().BytesTransferred)
 			}
 		},
+	}
+	if ctx.Done() != nil {
+		cfg.Ctx = ctx
 	}
 	res, stats, err := core.RunParallel(cfg, cp, opts)
 	if res == nil {

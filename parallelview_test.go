@@ -65,7 +65,7 @@ func TestParallelViewDifferentialHarness(t *testing.T) {
 		for _, dummy := range []bool{false, true} {
 			serialOpts := xmlac.ViewOptions{DummyDeniedNames: dummy}
 			var serial bytes.Buffer
-			serialMetrics, err := prot.StreamAuthorizedViewCompiled(key, cp, serialOpts, &serial)
+			_, serialMetrics, err := prot.View(context.Background(), key, cp, serialOpts, &serial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestParallelViewDifferentialHarness(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/dummy=%v/workers=%d", policy.Subject, dummy, workers), func(t *testing.T) {
 					opts := xmlac.ViewOptions{DummyDeniedNames: dummy, Parallelism: workers}
 					var got bytes.Buffer
-					gotMetrics, err := prot.StreamAuthorizedViewCompiled(key, cp, opts, &got)
+					_, gotMetrics, err := prot.View(context.Background(), key, cp, opts, &got)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -93,7 +93,7 @@ func TestParallelViewDifferentialHarness(t *testing.T) {
 							gotMetrics, serialMetrics)
 					}
 					// The materialized entry point takes the same parallel path.
-					view, viewMetrics, err := prot.AuthorizedViewCompiled(key, cp, opts)
+					view, viewMetrics, err := prot.View(context.Background(), key, cp, opts, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -128,10 +128,10 @@ func TestParallelViewAfterUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		var serial, parallel bytes.Buffer
-		if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &serial); err != nil {
+		if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &serial); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{Parallelism: 4}, &parallel); err != nil {
+		if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{Parallelism: 4}, &parallel); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(parallel.Bytes(), serial.Bytes()) {
@@ -151,13 +151,13 @@ func TestParallelQueryFallsBackToSerial(t *testing.T) {
 	}
 	serialOpts := xmlac.ViewOptions{Query: "//Folder[Admin/Age > 70]"}
 	var serial bytes.Buffer
-	if _, err := prot.StreamAuthorizedViewCompiled(key, cp, serialOpts, &serial); err != nil {
+	if _, _, err := prot.View(context.Background(), key, cp, serialOpts, &serial); err != nil {
 		t.Fatal(err)
 	}
 	parOpts := serialOpts
 	parOpts.Parallelism = 8
 	var got bytes.Buffer
-	metrics, err := prot.StreamAuthorizedViewCompiled(key, cp, parOpts, &got)
+	_, metrics, err := prot.View(context.Background(), key, cp, parOpts, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,12 @@ func TestParallelStreamSinkAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
-	if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &full); err != nil {
+	if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &full); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, full.Len() / 3, full.Len() / 2, full.Len() - 1} {
 		w := &failAfterWriter{n: cut}
-		metrics, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{Parallelism: 4}, w)
+		_, metrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{Parallelism: 4}, w)
 		if !errors.Is(err, errWriterFull) {
 			t.Fatalf("cut=%d: err = %v, want errWriterFull", cut, err)
 		}
@@ -246,8 +246,8 @@ func TestViewScanFailurePartialMetrics(t *testing.T) {
 	}
 	for _, workers := range []int{0, 4} {
 		opts := xmlac.ViewOptions{Parallelism: workers}
-		streamed, streamErr := prot.StreamAuthorizedViewCompiled(key, cp, opts, io.Discard)
-		view, materialized, viewErr := prot.AuthorizedViewCompiled(key, cp, opts)
+		_, streamed, streamErr := prot.View(context.Background(), key, cp, opts, io.Discard)
+		view, materialized, viewErr := prot.View(context.Background(), key, cp, opts, nil)
 		if view != nil {
 			t.Fatalf("workers=%d: failed scan materialized a view", workers)
 		}
@@ -268,8 +268,8 @@ func TestViewScanFailurePartialMetrics(t *testing.T) {
 	}
 }
 
-// TestParallelViewContextCancel: a parallel local scan honors
-// ViewOptions.Context (the serial local scan documents that it ignores it);
+// TestParallelViewContextCancel: a parallel local scan honors the view's
+// context (the serial local scan documents that it does not poll it);
 // cancellation mid-scan surfaces the context error without delivering a
 // complete view.
 func TestParallelViewContextCancel(t *testing.T) {
@@ -281,8 +281,7 @@ func TestParallelViewContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	_, err = prot.StreamAuthorizedViewCompiled(key, cp,
-		xmlac.ViewOptions{Parallelism: 4, Context: ctx}, &buf)
+	_, _, err = prot.View(ctx, key, cp, xmlac.ViewOptions{Parallelism: 4}, &buf)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -301,12 +300,12 @@ func TestParallelTracedViewParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var plain bytes.Buffer
-	if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{Parallelism: 4}, &plain); err != nil {
+	if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{Parallelism: 4}, &plain); err != nil {
 		t.Fatal(err)
 	}
 	tr := xmlac.NewTrace(0)
 	var traced bytes.Buffer
-	metrics, err := prot.StreamAuthorizedViewCompiled(key, cp,
+	_, metrics, err := prot.View(context.Background(), key, cp,
 		xmlac.ViewOptions{Parallelism: 4, Trace: tr, TraceID: xmlac.NewTraceID()}, &traced)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +335,7 @@ func TestParallelTraceRendersWorkerLanes(t *testing.T) {
 	}
 	tr := xmlac.NewTrace(0)
 	traceID := xmlac.NewTraceID()
-	metrics, err := prot.StreamAuthorizedViewCompiled(key, cp,
+	_, metrics, err := prot.View(context.Background(), key, cp,
 		xmlac.ViewOptions{Parallelism: 4, Trace: tr, TraceID: traceID}, &bytes.Buffer{})
 	if err != nil {
 		t.Fatal(err)

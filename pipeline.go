@@ -15,23 +15,12 @@ import (
 	"xmlac/internal/xmlstream"
 )
 
-// The view pipeline. Every entry point — materialized or streamed, local or
-// remote — runs one view over one secure.ChunkSource through runView: it
-// sets the view up, runs one scan step (the serial scan or the
-// region-parallel scan) and assembles the view's result.
-
-// traceSetter is implemented by chunk sources that can charge their work to
-// an evaluation's tracing context (internal/remote's Source).
-type traceSetter interface {
-	SetTrace(*itrace.Context)
-}
-
-// contextSetter is implemented by chunk sources whose fetches can be bound to
-// a request context (internal/remote's Source), so canceling the context
-// aborts their in-flight transfers.
-type contextSetter interface {
-	SetContext(context.Context)
-}
+// The view pipeline. Protected.View and RemoteDocument.View run one view
+// over one secure.ChunkSource: newView sets the view up (its clock, its
+// trace context, its delivery writer), scan runs one scan step (the serial
+// scan or the region-parallel scan) and finish assembles the result. A
+// remote view that re-syncs runs a second scan step under the same view, so
+// the view keeps one clock and one root span.
 
 // scanResult is what a scan step produced: the evaluation result (partial
 // metrics and no view when the scan failed) and the costs of the machinery.
@@ -50,58 +39,84 @@ type scanResult struct {
 	regionPhases PhaseBreakdown
 }
 
-// runView evaluates one view of src: the policy cp under o, streamed to w
-// when w is non-nil and materialized into the returned Document otherwise.
-// A setup failure (a nil policy, an invalid query, a reader that cannot
-// open the source) returns only the error. A scan failure (integrity
-// violation, truncated ciphertext, a failed or canceled remote fetch, a
-// failed writer) returns the error together with the partial Metrics of the
-// work performed, so aggregators account for it exactly once.
-//
-// The view's Context bounds the scan, and its trace context is the scan's
-// (reader header and event loop included, the loop as eval time), so the
-// trace holds exactly one view:<subject> root span, with the remote
-// page-cache counts in its Detail.
-func runView(src secure.ChunkSource, key Key, cp *CompiledPolicy, o ViewOptions, w io.Writer) (*Document, *Metrics, error) {
+// view is one view in progress: the policy cp under the options, streamed
+// to fw when the caller passed a writer and materialized otherwise.
+type view struct {
+	start       time.Time
+	cp          *CompiledPolicy
+	opts        core.Options
+	parallelism int
+	indent      bool
+	fw          *firstByteWriter
+}
+
+// newView starts the view's clock and trace context. A nil policy or an
+// invalid query fails here, before any byte is read.
+func newView(cp *CompiledPolicy, o ViewOptions, w io.Writer) (view, error) {
 	start := time.Now()
 	opts, err := o.coreOptions()
 	if cp == nil {
 		err = errors.New("xmlac: nil CompiledPolicy")
 	}
 	if err != nil {
-		return nil, nil, err
+		return view{}, err
 	}
-	var fw *firstByteWriter
+	v := view{start: start, cp: cp, opts: opts, parallelism: o.Parallelism, indent: o.Indent}
 	if w != nil {
-		fw = &firstByteWriter{w: w, start: start}
-		opts.Sink = xmlstream.NewViewSerializer(fw, o.Indent)
+		v.fw = &firstByteWriter{w: w, start: start}
 	}
+	return v, nil
+}
 
+// scan runs one scan step of the view over src. Each step delivers through a
+// fresh serializer, so a retried step never emits what a failed one left
+// buffered. ctx aborts the region workers of a parallel scan; a serial scan
+// does not poll it.
+func (v *view) scan(ctx context.Context, src secure.ChunkSource, key Key) (*scanResult, error) {
+	opts := v.opts
+	if v.fw != nil {
+		opts.Sink = xmlstream.NewViewSerializer(v.fw, v.indent)
+	}
 	// The one fork: a query scope anchors at the document root, so a query
 	// vetoes the region-parallel scan before its planning cost is paid.
 	var sc *scanResult
-	if prot, ok := src.(*secure.Protected); ok && o.Parallelism >= 2 && opts.Query == nil {
-		sc, err = parallelScan(o.Context, prot, key, o.Parallelism, cp.core, opts)
+	var err error
+	if prot, ok := src.(*secure.Protected); ok && v.parallelism >= 2 && opts.Query == nil {
+		sc, err = parallelScan(ctx, prot, key, v.parallelism, v.cp.core, opts)
 	}
 	if sc == nil && (err == nil || parallelFallback(err)) {
-		sc, err = serialScan(o.Context, src, key, cp.core, opts)
+		sc, err = serialScan(src, key, v.cp.core, opts)
 	}
+	return sc, err
+}
+
+// delivered reports whether a byte of the view has reached the caller's
+// writer.
+func (v *view) delivered() bool { return v.fw != nil && v.fw.ttfb != 0 }
+
+// finish assembles the view from its last scan step. A setup failure (no
+// scan result: a reader that cannot open the source) returns only the
+// error. A scan failure (integrity violation, truncated ciphertext, a failed
+// or canceled remote fetch, a failed writer) returns the error together with
+// the partial Metrics of the work performed, so aggregators account for it
+// exactly once. A traced view records exactly one view:<subject> root span,
+// with the remote page-cache counts in its Detail.
+func (v *view) finish(sc *scanResult, err error) (*Document, *Metrics, error) {
 	if sc == nil {
 		return nil, nil, err
 	}
-
 	m := buildMetrics(sc.costs, sc.skipped, sc.res)
-	m.Duration = time.Since(start)
+	m.Duration = time.Since(v.start)
 	m.Workers = int64(sc.workers)
-	if fw != nil {
-		m.TimeToFirstByte = fw.ttfb
+	if v.fw != nil {
+		m.TimeToFirstByte = v.fw.ttfb
 	}
-	if tr := opts.Trace; tr != nil {
-		tr.Finish("view:"+cp.subject, sc.costs.BytesTransferred)
+	if tr := v.opts.Trace; tr != nil {
+		tr.Finish("view:"+v.cp.subject, sc.costs.BytesTransferred)
 		m.PhaseBreakdown = breakdownFromPhases(tr.Phases())
 		m.PhaseBreakdown.Add(&sc.regionPhases)
 	}
-	if err != nil || w != nil {
+	if err != nil || v.fw != nil {
 		return nil, m, err
 	}
 	return &Document{root: sc.res.View}, m, nil
@@ -123,13 +138,9 @@ var scanPool = sync.Pool{New: func() any { return &scanState{} }}
 // the evaluator pulls events from the decoder and jumps over the subtrees
 // it skips. opts.Trace, when non-nil, is charged the reader's and the
 // decoder's phases too.
-func serialScan(ctx context.Context, src secure.ChunkSource, key Key, cp *core.CompiledPolicy, opts core.Options) (*scanResult, error) {
+func serialScan(src secure.ChunkSource, key Key, cp *core.CompiledPolicy, opts core.Options) (*scanResult, error) {
 	st := scanPool.Get().(*scanState)
 	defer scanPool.Put(st)
-	if cs, ok := src.(contextSetter); ok && ctx != nil {
-		cs.SetContext(ctx)
-		defer cs.SetContext(nil)
-	}
 	var err error
 	if st.reader == nil {
 		st.reader, err = secure.NewReader(src, key)
@@ -145,10 +156,6 @@ func serialScan(ctx context.Context, src secure.ChunkSource, key Key, cp *core.C
 	tr := opts.Trace
 	if tr != nil {
 		st.reader.SetTrace(tr)
-		if ts, ok := src.(traceSetter); ok {
-			ts.SetTrace(tr)
-			defer ts.SetTrace(nil)
-		}
 		defer st.reader.SetTrace(nil)
 	}
 	decoder := &st.decoder

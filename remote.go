@@ -1,6 +1,7 @@
 package xmlac
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -90,48 +91,50 @@ func (d *RemoteDocument) Revalidate() (changed bool, err error) {
 	return d.src.Revalidate()
 }
 
-// AuthorizedView evaluates the policy (and optional query) over the remote
-// document: the SOE pipeline runs locally, ciphertext is pulled through HTTP
-// range requests, and prohibited subtrees are skipped over the wire. The
-// returned Metrics carry BytesOnWire and RoundTrips for this evaluation on
-// top of the usual SOE cost counters.
+// View evaluates the compiled policy over the remote document in this
+// process's SOE: ciphertext is pulled through HTTP range requests and the
+// subtrees the Skip index skips never cross the network. The view is
+// streamed to w as it is produced, or materialized into the returned
+// Document when w is nil. The returned Metrics carry BytesOnWire,
+// RoundTrips and ChunksReused for this view on top of the usual SOE cost
+// counters; a scan failure returns them, partial, with the error.
 //
-// If the server's document was updated since this client last synchronized,
-// the evaluation re-syncs transparently: the client fetches the update delta
-// for its cached version, evicts only the chunks the delta names (keeping
-// every untouched page resident — Metrics.ChunksReused counts the chunks
-// that survived) and retries once on the new version.
-func (d *RemoteDocument) AuthorizedView(policy Policy, opts ViewOptions) (*Document, *Metrics, error) {
-	compiled, err := policy.Compile()
+// Canceling ctx closes the view's in-flight HTTP requests, the re-sync's
+// included, so an abandoned view stops consuming the wire mid-request; the
+// view then fails with the transport's context error. A context that can
+// never be canceled (context.Background) binds nothing to the requests.
+//
+// If the server's document was updated since this client last synchronized
+// and no byte has reached w yet, the view re-syncs transparently: the client
+// fetches the update delta for its cached version, evicts only the chunks
+// the delta names (Metrics.ChunksReused counts the chunks that kept their
+// pages) and scans once more on the new version. After the first delivered
+// byte the change surfaces as the error, since a retried stream would
+// duplicate output; a materialized view always restarts cleanly. The retry
+// belongs to the same view: one Duration covers both scans and the re-sync,
+// a traced view records one root span with the remote.resync span under it,
+// and the SOE counters are those of the scan that delivered the view.
+func (d *RemoteDocument) View(ctx context.Context, cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Document, *Metrics, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	v, err := newView(cp, opts, w)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.AuthorizedViewCompiled(compiled, opts)
-}
-
-// AuthorizedViewCompiled is AuthorizedView for a pre-compiled policy.
-func (d *RemoteDocument) AuthorizedViewCompiled(cp *CompiledPolicy, opts ViewOptions) (*Document, *Metrics, error) {
-	return d.view(cp, opts, nil)
-}
-
-// view runs one view over the remote document under the one retry rule:
-// when the blob moved under the evaluation (remote.ErrChanged) and no byte
-// has reached the caller's writer yet, re-sync (delta-aware) and retry once
-// on the new version. After the first delivered byte the change surfaces as
-// the error, since a retried stream would duplicate output; a materialized
-// view always restarts cleanly. The returned Metrics, partial ones next to
-// an error included, carry this evaluation's wire counters, so the work
-// performed can be accounted for exactly once by aggregators.
-func (d *RemoteDocument) view(cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Document, *Metrics, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.src.SetContext(ctx)
+	d.src.SetTrace(v.opts.Trace)
+	defer func() {
+		d.src.SetContext(nil)
+		d.src.SetTrace(nil)
+	}()
 	before := d.src.Stats()
-	doc, metrics, err := runView(d.src, d.key, cp, opts, w)
-	if errors.Is(err, remote.ErrChanged) && (metrics == nil || metrics.TimeToFirstByte == 0) {
+	sc, err := v.scan(ctx, d.src, d.key)
+	if errors.Is(err, remote.ErrChanged) && !v.delivered() {
 		if err = d.src.Resync(); err == nil {
-			doc, metrics, err = runView(d.src, d.key, cp, opts, w)
+			sc, err = v.scan(ctx, d.src, d.key)
 		}
 	}
+	doc, metrics, err := v.finish(sc, err)
 	if metrics != nil {
 		after := d.src.Stats()
 		metrics.BytesOnWire = after.BytesOnWire - before.BytesOnWire
@@ -139,4 +142,12 @@ func (d *RemoteDocument) view(cp *CompiledPolicy, opts ViewOptions, w io.Writer)
 		metrics.ChunksReused = after.ChunksReused - before.ChunksReused
 	}
 	return doc, metrics, err
+}
+
+// StreamAuthorizedViewCompiled streams the view of cp to w.
+//
+// Deprecated: use View.
+func (d *RemoteDocument) StreamAuthorizedViewCompiled(cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Metrics, error) {
+	_, m, err := d.View(context.Background(), cp, opts, w)
+	return m, err
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xmlac"
 	"xmlac/internal/dataset"
@@ -16,11 +17,10 @@ import (
 	"xmlac/internal/xmlstream"
 )
 
-// TestCanceledContextAbortsRemoteStream: a remote streaming evaluation run
-// with ViewOptions.Context stops when the context is canceled — the in-flight
-// range request the server is holding open is closed (the handler observes
-// r.Context().Done()) and the stream fails with context.Canceled instead of
-// waiting out the response. The aborted stream still reports its partial
+// TestCanceledContextAbortsRemoteStream: a remote streamed view stops when
+// its context is canceled — the in-flight range request the server is
+// holding open is closed (the handler observes r.Context().Done()) and the
+// stream fails with context.Canceled instead of waiting out the response. The aborted stream still reports its partial
 // metrics exactly once, alongside the error, like any other aborted stream.
 func TestCanceledContextAbortsRemoteStream(t *testing.T) {
 	srv := server.New(server.Options{})
@@ -71,7 +71,7 @@ func TestCanceledContextAbortsRemoteStream(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		m, err := doc.StreamAuthorizedViewCompiled(cp, xmlac.ViewOptions{Context: ctx}, &buf)
+		_, m, err := doc.View(ctx, cp, xmlac.ViewOptions{}, &buf)
 		done <- outcome{m, err}
 	}()
 	<-arrived // the evaluation's range request is in flight, held open
@@ -85,5 +85,34 @@ func TestCanceledContextAbortsRemoteStream(t *testing.T) {
 	}
 	if out.metrics.RoundTrips <= 0 {
 		t.Fatalf("partial metrics carry no wire activity: %+v", out.metrics)
+	}
+}
+
+// TestCanceledContextCutsRemoteResync: a view whose context expires while
+// the re-sync's manifest request stalls fails promptly with the context's
+// error. The context is bound to the source for the whole view, the re-sync
+// after a document change included.
+func TestCanceledContextCutsRemoteResync(t *testing.T) {
+	ps := startPatchingServer(t, 12)
+	doc, err := xmlac.OpenRemote(ps.url, xmlac.DeriveKey(remotePassphrase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.patch(t)
+	ps.stallManifest.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err = doc.View(ctx, cp, xmlac.ViewOptions{}, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("view with an expired context returned %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed >= stallLimit/2 {
+		t.Fatalf("view took %s: the stalled re-sync was not cut by the context", elapsed)
 	}
 }

@@ -1,11 +1,15 @@
 package xmlac_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xmlac"
 	"xmlac/internal/dataset"
@@ -49,12 +53,65 @@ func startBlobServer(t testing.TB, folders int) (docURL string, prot *xmlac.Prot
 	return ts.URL + "/docs/hospital", prot, xmlac.DeriveKey(remotePassphrase)
 }
 
+// patchingServer is a blob server whose document a test can update in the
+// middle of a client's view, and whose manifest requests it can stall.
+type patchingServer struct {
+	url     string
+	handler http.Handler
+	patches atomic.Int32
+	// patchAt counts blob requests down; the request that brings it to
+	// zero is served after one PATCH of the document.
+	patchAt atomic.Int32
+	// stallManifest holds manifest requests until the client gives up on
+	// them, or for stallLimit.
+	stallManifest atomic.Bool
+}
+
+const stallLimit = 5 * time.Second
+
+func startPatchingServer(t testing.TB, folders int) *patchingServer {
+	t.Helper()
+	srv := server.New(server.Options{})
+	xml := xmlstream.SerializeTree(dataset.HospitalFolders(folders, 3), false)
+	if _, err := srv.Store().RegisterXML("hospital", xml, remotePassphrase, xmlac.SchemeECBMHT); err != nil {
+		t.Fatal(err)
+	}
+	ps := &patchingServer{handler: srv.Handler()}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/blob") && ps.patchAt.Add(-1) == 0:
+			ps.patch(t)
+		case strings.HasSuffix(r.URL.Path, "/manifest") && ps.stallManifest.Load():
+			select {
+			case <-r.Context().Done():
+				return
+			case <-time.After(stallLimit):
+			}
+		}
+		ps.handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	ps.url = ts.URL + "/docs/hospital"
+	return ps
+}
+
+// patch applies one PATCH that rewrites a phone number, so every call makes
+// a new document version.
+func (ps *patchingServer) patch(t testing.TB) {
+	n := ps.patches.Add(1)
+	body := fmt.Sprintf(`{"edits":[{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Phone","text":"555000%04d"}]}`, n)
+	rec := httptest.NewRecorder()
+	ps.handler.ServeHTTP(rec, httptest.NewRequest("PATCH", "/docs/hospital", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Errorf("PATCH answered %d: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestRemoteViewParity is the acceptance check of the remote subsystem: for
 // each built-in policy on the hospital dataset, the view fetched through
-// internal/remote is byte-identical to the local AuthorizedViewCompiled
-// output with identical SOE cost metrics, and whenever the Skip index
-// skipped bytes, the wire carried strictly less than the full encrypted
-// document.
+// internal/remote is byte-identical to the local View with identical SOE
+// cost metrics, and whenever the Skip index skipped bytes, the wire carried
+// strictly less than the full encrypted document.
 func TestRemoteViewParity(t *testing.T) {
 	docURL, prot, key := startBlobServer(t, 48)
 	policies := []xmlac.Policy{
@@ -68,7 +125,7 @@ func TestRemoteViewParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantView, wantMetrics, err := prot.AuthorizedViewCompiled(key, cp, xmlac.ViewOptions{})
+			wantView, wantMetrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +133,7 @@ func TestRemoteViewParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotView, gotMetrics, err := doc.AuthorizedViewCompiled(cp, xmlac.ViewOptions{})
+			gotView, gotMetrics, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +180,11 @@ func TestRemoteViewRepeatedEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, firstMetrics, err := doc.AuthorizedViewCompiled(cp, xmlac.ViewOptions{})
+	want, firstMetrics, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, againMetrics, err := doc.AuthorizedViewCompiled(cp, xmlac.ViewOptions{})
+	again, againMetrics, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +229,7 @@ func BenchmarkRemoteView(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := doc.AuthorizedViewCompiled(cp, xmlac.ViewOptions{}); err != nil {
+				if _, _, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil); err != nil {
 					b.Fatal(err)
 				}
 				w, _ := doc.WireStats()
@@ -208,7 +265,7 @@ func BenchmarkRemoteView(b *testing.B) {
 			}
 			// The brute-force SOE of the paper reads the document front to
 			// back with no Skip-index jumps.
-			if _, _, err := full.AuthorizedViewCompiled(key, cp, xmlac.ViewOptions{DisableSkipIndex: true}); err != nil {
+			if _, _, err := full.View(context.Background(), key, cp, xmlac.ViewOptions{DisableSkipIndex: true}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -217,9 +274,9 @@ func BenchmarkRemoteView(b *testing.B) {
 }
 
 // TestRemoteStreamTraceHasOneViewRootSpan pins the single-view trace
-// contract of a remote stream: the evaluation records exactly one
-// view:<subject> root span under its TraceID, carrying the page-cache counts
-// in its Detail, and no shared-scan span. Trace consumers derive the page
+// contract of a remote view: the view records exactly one view:<subject>
+// root span under its TraceID, carrying the page-cache counts in its Detail,
+// and no shared-scan span, also when it re-syncs and retries. Trace consumers derive the page
 // hit fraction of remote views from that span.
 func TestRemoteStreamTraceHasOneViewRootSpan(t *testing.T) {
 	docURL, _, key := startBlobServer(t, 24)
@@ -234,7 +291,7 @@ func TestRemoteStreamTraceHasOneViewRootSpan(t *testing.T) {
 	tr := xmlac.NewTrace(4096)
 	// The first view runs on a cold page cache, the second on a warm one.
 	for run, id := range []string{"remote-root-cold", "remote-root-warm"} {
-		if _, err := doc.StreamAuthorizedViewCompiled(cp, xmlac.ViewOptions{Trace: tr, TraceID: id}, io.Discard); err != nil {
+		if _, _, err := doc.View(context.Background(), cp, xmlac.ViewOptions{Trace: tr, TraceID: id}, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		var roots []xmlac.TraceSpan
@@ -261,6 +318,58 @@ func TestRemoteStreamTraceHasOneViewRootSpan(t *testing.T) {
 		}
 		if run == 1 && hits == 0 {
 			t.Fatalf("%s: warm view reported no page hits (%q)", id, roots[0].Detail)
+		}
+	}
+
+	// A view that meets a PATCH re-syncs and scans again as the same view:
+	// one root span with the remote.resync span under it, ResyncNs > 0, and
+	// a Duration that covers the re-sync. The PATCH lands either mid-scan
+	// (before the view's third range request is served) or before the view
+	// starts, so that the first scan fails while reading the header.
+	ps := startPatchingServer(t, 24)
+	for _, tc := range []struct {
+		id      string
+		patchAt int32
+	}{
+		{"remote-root-retry-mid-scan", 3},
+		{"remote-root-retry-at-open", 0},
+	} {
+		doc, err := xmlac.OpenRemote(ps.url, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.patchAt == 0 {
+			ps.patch(t)
+		} else {
+			ps.patchAt.Store(tc.patchAt)
+		}
+		_, m, err := doc.View(context.Background(), cp, xmlac.ViewOptions{Trace: tr, TraceID: tc.id}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		if doc.Version() != uint64(ps.patches.Load())+1 {
+			t.Fatalf("%s: client at version %d after the view, server at %d", tc.id, doc.Version(), ps.patches.Load()+1)
+		}
+		var roots, resyncs []xmlac.TraceSpan
+		for _, sp := range tr.Spans(xmlac.TraceFilter{TraceID: tc.id}) {
+			switch sp.Name {
+			case "view:secretary":
+				roots = append(roots, sp)
+			case "remote.resync":
+				resyncs = append(resyncs, sp)
+			}
+		}
+		if len(roots) != 1 || len(resyncs) != 1 {
+			t.Fatalf("%s: %d view:secretary and %d remote.resync spans, want one each", tc.id, len(roots), len(resyncs))
+		}
+		if resyncs[0].Parent != roots[0].SpanID {
+			t.Fatalf("%s: remote.resync span is not under the view's root span", tc.id)
+		}
+		if m.PhaseBreakdown.ResyncNs <= 0 {
+			t.Fatalf("%s: retried view reports ResyncNs = %d", tc.id, m.PhaseBreakdown.ResyncNs)
+		}
+		if m.Duration < resyncs[0].Dur {
+			t.Fatalf("%s: Duration %s does not cover the %s re-sync", tc.id, m.Duration, resyncs[0].Dur)
 		}
 	}
 }

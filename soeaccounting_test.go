@@ -1,6 +1,7 @@
 package xmlac_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestSOEAccountingPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, io.Discard)
+			_, m, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, io.Discard)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", scheme, subject, err)
 			}
@@ -105,7 +106,7 @@ func TestSOEAccountingPinnedParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := prot.StreamAuthorizedViewCompiled(key, doctor, xmlac.ViewOptions{Parallelism: 2}, io.Discard)
+	_, m, err := prot.View(context.Background(), key, doctor, xmlac.ViewOptions{Parallelism: 2}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package xmlac_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 	"xmlac/internal/xmlstream"
 )
 
-// Streaming-delivery parity: StreamAuthorizedView must produce byte-identical
-// views and identical SOE metrics to the materialized AuthorizedViewCompiled
-// path, locally and through the remote SOE, for every built-in policy of the
-// paper's motivating example.
+// Streaming-delivery parity: a View streamed to a writer must produce
+// byte-identical views and identical SOE metrics to a materialized View (a
+// nil writer), locally and through the remote SOE, for every built-in policy
+// of the paper's motivating example.
 
 func streamParityPolicies() []xmlac.Policy {
 	return []xmlac.Policy{
@@ -56,7 +57,7 @@ func TestStreamAuthorizedViewParityLocal(t *testing.T) {
 		}
 		for name, opts := range optVariants {
 			t.Run(policy.Subject+"/"+name, func(t *testing.T) {
-				view, wantMetrics, err := prot.AuthorizedViewCompiled(key, cp, opts)
+				view, wantMetrics, err := prot.View(context.Background(), key, cp, opts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +66,7 @@ func TestStreamAuthorizedViewParityLocal(t *testing.T) {
 					want = view.IndentedXML()
 				}
 				var buf bytes.Buffer
-				gotMetrics, err := prot.StreamAuthorizedViewCompiled(key, cp, opts, &buf)
+				_, gotMetrics, err := prot.View(context.Background(), key, cp, opts, &buf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,13 +80,17 @@ func TestStreamAuthorizedViewParityLocal(t *testing.T) {
 				if len(want) > 0 && gotMetrics.TimeToFirstByte <= 0 {
 					t.Fatalf("non-empty streamed view must stamp TimeToFirstByte, got %v", gotMetrics.TimeToFirstByte)
 				}
-				// The uncompiled streaming entry point produces the same bytes.
-				var again bytes.Buffer
-				if _, err := prot.StreamAuthorizedView(key, policy, opts, &again); err != nil {
+				// The plaintext reference evaluator produces the same bytes.
+				ref, err := xmlac.EvaluateDocument(doc, policy, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if again.String() != want {
-					t.Fatal("StreamAuthorizedView (uncompiled) differs from compiled streaming path")
+				refXML := ref.XML()
+				if opts.Indent {
+					refXML = ref.IndentedXML()
+				}
+				if refXML != want {
+					t.Fatal("view differs from EvaluateDocument, the plaintext reference")
 				}
 			})
 		}
@@ -102,10 +107,12 @@ func TestStreamAuthorizedViewEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp, err := xmlac.Policy{Subject: "u", Rules: []xmlac.Rule{{Sign: "+", Object: "//missing"}}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	metrics, err := prot.StreamAuthorizedView(key,
-		xmlac.Policy{Subject: "u", Rules: []xmlac.Rule{{Sign: "+", Object: "//missing"}}},
-		xmlac.ViewOptions{}, &buf)
+	_, metrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +143,11 @@ func TestStreamAuthorizedViewStopsOnWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
-	if _, err := prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &full); err != nil {
+	if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &full); err != nil {
 		t.Fatal(err)
 	}
 	lw := &limitedWriter{limit: full.Len() / 10}
-	_, err = prot.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, lw)
+	_, _, err = prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, lw)
 	if !errors.Is(err, errBudgetExhausted) {
 		t.Fatalf("streaming into a failing writer must surface the write error, got %v", err)
 	}
@@ -178,7 +185,7 @@ func TestStreamRemoteViewParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, wantMetrics, err := matDoc.AuthorizedViewCompiled(cp, xmlac.ViewOptions{})
+			view, wantMetrics, err := matDoc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +194,7 @@ func TestStreamRemoteViewParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			gotMetrics, err := streamDoc.StreamAuthorizedViewCompiled(cp, xmlac.ViewOptions{}, &buf)
+			_, gotMetrics, err := streamDoc.View(context.Background(), cp, xmlac.ViewOptions{}, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package xmlac_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -34,10 +35,14 @@ func TestMergedTraceCorrelatesClientAndServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	trace := xmlac.NewTrace(0)
 	traceID := xmlac.NewTraceID()
 	var view bytes.Buffer
-	if _, err := doc.StreamAuthorizedView(xmlac.SecretaryPolicy(), xmlac.ViewOptions{
+	if _, _, err := doc.View(context.Background(), cp, xmlac.ViewOptions{
 		Trace:   trace,
 		TraceID: traceID,
 	}, &view); err != nil {

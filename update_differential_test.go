@@ -2,6 +2,7 @@ package xmlac_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -213,12 +214,12 @@ func TestDifferentialUpdateHarness(t *testing.T) {
 
 			for name, cp := range compiled {
 				var scratchBuf bytes.Buffer
-				scratchMetrics, err := scratch.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &scratchBuf)
+				_, scratchMetrics, err := scratch.View(context.Background(), key, cp, xmlac.ViewOptions{}, &scratchBuf)
 				if err != nil {
 					t.Fatalf("seq %d step %d %s: scratch view: %v", seq, step, name, err)
 				}
 				var liveBuf bytes.Buffer
-				liveMetrics, err := live.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, &liveBuf)
+				_, liveMetrics, err := live.View(context.Background(), key, cp, xmlac.ViewOptions{}, &liveBuf)
 				if err != nil {
 					t.Fatalf("seq %d step %d %s: updated view: %v", seq, step, name, err)
 				}
@@ -231,7 +232,7 @@ func TestDifferentialUpdateHarness(t *testing.T) {
 						seq, step, name, liveMetrics, scratchMetrics)
 				}
 				var remoteBuf bytes.Buffer
-				remoteMetrics, err := remoteDoc.StreamAuthorizedViewCompiled(cp, xmlac.ViewOptions{}, &remoteBuf)
+				_, remoteMetrics, err := remoteDoc.View(context.Background(), cp, xmlac.ViewOptions{}, &remoteBuf)
 				if err != nil {
 					t.Fatalf("seq %d step %d %s: remote view: %v", seq, step, name, err)
 				}

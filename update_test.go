@@ -2,6 +2,7 @@ package xmlac_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -47,7 +48,11 @@ func protectUpdateDoc(t *testing.T) (*xmlac.Protected, xmlac.Key) {
 // viewOf materializes the secretary view (sees //Admin).
 func viewOf(t *testing.T, prot *xmlac.Protected, key xmlac.Key) string {
 	t.Helper()
-	view, _, err := prot.AuthorizedView(key, xmlac.SecretaryPolicy(), xmlac.ViewOptions{})
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +311,7 @@ func raceUpdatesAgainstViews(t *testing.T, opts xmlac.ViewOptions) {
 
 	stream := func() (string, *xmlac.Metrics, error) {
 		var buf bytes.Buffer
-		m, err := prot.StreamAuthorizedViewCompiled(key, cp, opts, &buf)
+		_, m, err := prot.View(context.Background(), key, cp, opts, &buf)
 		return buf.String(), m, err
 	}
 	const readers, viewsPerReader = 4, 6

@@ -25,7 +25,8 @@
 //	        {Sign: "-", Object: "//Act[RPhys != USER]/Details"},
 //	    },
 //	}
-//	metrics, _ := protected.StreamAuthorizedView(key, policy, xmlac.ViewOptions{}, os.Stdout)
+//	cp, _ := policy.Compile()
+//	_, metrics, _ := protected.View(ctx, key, cp, xmlac.ViewOptions{}, os.Stdout)
 //	fmt.Printf("skipped %d bytes of prohibited data, first byte after %s\n",
 //	    metrics.BytesSkipped, metrics.TimeToFirstByte)
 //
@@ -34,33 +35,24 @@
 // the view: authorized events flow into the destination writer as soon as
 // their access decision settles, and a write error (a disconnected client)
 // aborts the document scan. Callers that do want the view as a document tree
-// use AuthorizedView, which delivers the same event stream into an in-memory
-// tree instead:
+// pass a nil writer, and the same event stream builds an in-memory tree
+// instead:
 //
-//	view, metrics, _ := protected.AuthorizedView(key, policy, xmlac.ViewOptions{})
+//	view, metrics, _ := protected.View(ctx, key, cp, xmlac.ViewOptions{}, nil)
 //	fmt.Println(view.XML())
 //
-// The two paths are byte-identical (StreamAuthorizedView output equals
-// view.XML(), or view.IndentedXML() with ViewOptions.Indent) and report
-// identical SOE metrics. The README's BenchmarkStreamingView table gives
-// their time, allocations and first-byte delay on the paper's hospital
-// dataset.
+// The two forms are byte-identical (the streamed output equals view.XML(),
+// or view.IndentedXML() with ViewOptions.Indent) and report identical SOE
+// metrics. The README's BenchmarkStreamingView table gives their time,
+// allocations and first-byte delay on the paper's hospital dataset.
 //
 // # Compile once, evaluate many
 //
-// AuthorizedView and StreamAuthorizedView parse and compile every rule on
-// each call. When the same policy is evaluated repeatedly — a client
-// re-reading documents, a batch job — compile it once and reuse it:
-//
-//	cp, _ := policy.Compile()
-//	metrics, _ := protected.StreamAuthorizedViewCompiled(key, cp, xmlac.ViewOptions{}, w)
-//	view, metrics, _ := protected.AuthorizedViewCompiled(key, cp, xmlac.ViewOptions{})
-//
-// The contract: the compiled entry points produce byte-identical views and
-// identical metrics to their uncompiled counterparts for the policy the
-// CompiledPolicy was compiled from. A CompiledPolicy is immutable and safe
-// for concurrent use. All entry points draw their per-request machinery (secure reader,
-// streaming evaluator) from a sync.Pool, so concurrent evaluations do not
+// A view takes a CompiledPolicy: Policy.Compile parses every rule and builds
+// its automaton once, and the result serves any number of views, of any
+// document, from any number of goroutines. A CompiledPolicy is immutable.
+// Views draw their per-request machinery (secure reader, Skip-index decoder,
+// streaming evaluator) from a sync.Pool, so concurrent views do not
 // re-allocate it.
 //
 // # Parallel scans
@@ -74,19 +66,19 @@
 // ciphertext, and the sink events are stitched back into exact document
 // order:
 //
-//	metrics, _ := protected.StreamAuthorizedViewCompiled(key, cp,
-//	    xmlac.ViewOptions{Parallelism: 8}, w)
+//	_, metrics, _ := protected.View(ctx, key, cp, xmlac.ViewOptions{Parallelism: 8}, w)
 //	fmt.Printf("%d workers\n", metrics.Workers)
 //
 // The delivered view is byte-identical to the serial scan's and the
 // decision counters are exactly equal; only the cost fields
 // (BytesTransferred, BytesDecrypted, EstimatedSmartCardSeconds) grow by the
-// region planning reads and the chunk re-decrypts at region boundaries. Evaluations the region protocol cannot serve — queries,
-// root-anchored predicates unresolved at the end of the document prefix,
-// documents with fewer than two root children, remote documents — fall back
-// to the serial scan before any output is delivered. The region/merge
-// protocol and the invariant that makes it safe are documented in
-// docs/ARCHITECTURE.md.
+// region planning reads and the chunk re-decrypts at region boundaries.
+// Views the region protocol cannot serve — queries, root-anchored
+// predicates unresolved at the end of the document prefix, documents with
+// fewer than two root children, remote documents — fall back to the serial
+// scan before any output is delivered. Canceling the view's context aborts
+// every region worker at its next event. The region/merge protocol and the
+// invariant that makes it safe are documented in docs/ARCHITECTURE.md.
 //
 // # Versioned in-place updates
 //
@@ -135,10 +127,11 @@
 // The deployment model of the paper keeps the server untrusted: it stores
 // only the encrypted container, and the SOE holding the key runs on the
 // client. OpenRemote implements that model against the same server's blob
-// surface (GET /docs/{id}/manifest, /blob with HTTP ranges, /hashes):
+// surface (GET /docs/{id}/manifest, /blob with HTTP ranges, /hashes), and
+// RemoteDocument.View is the same view over it:
 //
 //	doc, _ := xmlac.OpenRemote("http://host:8080/docs/hospital", key)
-//	view, metrics, _ := doc.AuthorizedView(policy, xmlac.ViewOptions{})
+//	view, metrics, _ := doc.View(ctx, cp, xmlac.ViewOptions{}, nil)
 //	fmt.Printf("%d bytes on the wire for a %d byte document (%d round trips)\n",
 //	    metrics.BytesOnWire, doc.Size(), metrics.RoundTrips)
 //
@@ -146,20 +139,30 @@
 // through range requests (coalesced, cached in a bounded LRU of pages), so
 // the bytes the Skip index skips are bytes that never cross the network:
 // Metrics.BytesOnWire stays well under a full download for selective
-// policies. The xmlac-client command and examples/remoteclient show the full
-// flow; integrity is verified client-side against the decrypted chunk
-// digests, so a tampering server is always detected.
+// policies. Canceling the view's context closes its in-flight requests. The
+// xmlac-client command and examples/remoteclient show the full flow.
+//
+// Integrity is verified client-side. Under ECB-MHT, CBC-SHA and CBC-SHAC,
+// every byte that reaches a sink has been checked against its chunk's
+// encrypted digest, which binds the chunk's content to its position, so a
+// server that flips or moves ciphertext bytes is caught; ECB checks
+// nothing. The container header, the document version and the document
+// identity are not authenticated yet, so a server can still downgrade the
+// scheme, roll a client back to an older version, splice versions, swap
+// documents or truncate the container; ROADMAP.md's first open item
+// tracks that work.
 //
 // The remote cache is version-aware: when the server's document is updated
 // (PATCH), the client re-syncs by fetching the update delta for its cached
 // version and evicting only the chunks the delta names — clean chunks stay
 // resident (Metrics.ChunksReused counts them) instead of the whole cache
-// going cold. An evaluation that trips over the change mid-flight re-syncs
-// and retries transparently.
+// going cold. A view that trips over the change before delivering a byte
+// re-syncs and retries transparently, as one view with one clock and one
+// trace root span.
 //
 // # Observability
 //
-// Every evaluation can be traced: attach a Trace (a bounded, concurrency-safe
+// Every view can be traced: attach a Trace (a bounded, concurrency-safe
 // span ring) through ViewOptions.Trace, and the pipeline's layers charge
 // their time to per-phase monotonic timers that surface as
 // Metrics.PhaseBreakdown — exclusive nanoseconds for decrypt, integrity
@@ -167,7 +170,7 @@
 // automata evaluation, view delivery, remote wire transfer and re-sync:
 //
 //	tr := xmlac.NewTrace(512)
-//	metrics, _ := protected.StreamAuthorizedViewCompiled(key, cp,
+//	_, metrics, _ := protected.View(ctx, key, cp,
 //	    xmlac.ViewOptions{Trace: tr, TraceID: "req-42"}, w)
 //	fmt.Printf("eval %s of %s total\n",
 //	    time.Duration(metrics.PhaseBreakdown.EvalNs), metrics.Duration)
@@ -310,12 +313,6 @@ func (p Policy) compile() (*accessrule.Policy, error) {
 		out.Add(rule)
 	}
 	return out, nil
-}
-
-// Validate checks that every rule of the policy parses.
-func (p Policy) Validate() error {
-	_, err := p.compile()
-	return err
 }
 
 // Built-in policies of the paper's motivating example (Figure 1), expressed
@@ -531,7 +528,8 @@ func (s Scheme) normalize() Scheme { return Scheme(strings.ToLower(string(s))) }
 // chunk: the untrusted-terminal side of the ECB-MHT Merkle protocol, served
 // by blob servers to remote SOE clients (GET /docs/{id}/hashes?chunk=N). The
 // hashes are computed over public ciphertext; clients verify them against
-// the decrypted chunk digest, so a tampering server is always detected.
+// the decrypted chunk digest, so a hash or fragment the server alters fails
+// the Merkle check.
 func (p *Protected) FragmentHashes(chunk int) ([][]byte, error) {
 	hashes, err := p.snapshot().FragmentHashes(chunk)
 	if err != nil {
@@ -556,9 +554,8 @@ type ViewOptions struct {
 	// DisableSkipIndex ignores the Skip-index metadata (the brute-force
 	// behaviour); mainly useful for measurements.
 	DisableSkipIndex bool
-	// Indent renders the streamed view with indentation (streaming entry
-	// points only: StreamAuthorizedView and friends; the materialized API
-	// picks the form at serialization time via XML / IndentedXML).
+	// Indent renders a streamed view with indentation; a materialized view
+	// picks its form at serialization time (XML or IndentedXML).
 	Indent bool
 	// Parallelism, when >= 2, requests the region-parallel scan for local
 	// evaluations: the Skip index partitions the root element's children
@@ -578,15 +575,15 @@ type ViewOptions struct {
 	// bytes the serial pass pays for once. Metrics.Workers reports the
 	// worker count actually used.
 	//
-	// Every entry point runs one pipeline, and serial vs parallel is chosen
-	// once per view from its input: the region-parallel scan runs when the
-	// document is local, the view has no query (its scope anchors at the
-	// document root), and Parallelism is >= 2. Remote documents (OpenRemote)
-	// and EvaluateDocument ignore Parallelism entirely. Evaluations the regions then cannot serve
-	// fall back to the serial scan transparently, before any byte is
-	// delivered: policies with a root-anchored predicate still unresolved
-	// after the document prefix (content in one region would decide delivery
-	// in another) and documents whose root has fewer than two children.
+	// Serial vs parallel is chosen once per view from its input: the
+	// region-parallel scan runs when the document is local (Protected.View),
+	// the view has no query (its scope anchors at the document root), and
+	// Parallelism is >= 2. RemoteDocument.View and EvaluateDocument ignore
+	// Parallelism entirely. Views the regions then cannot serve fall back to
+	// the serial scan transparently, before any byte is delivered: policies
+	// with a root-anchored predicate still unresolved after the document
+	// prefix (content in one region would decide delivery in another) and
+	// documents whose root has fewer than two children.
 	Parallelism int
 	// Trace, when non-nil, turns on pipeline tracing for this evaluation:
 	// per-phase timers fill Metrics.PhaseBreakdown and spans (phase
@@ -598,16 +595,6 @@ type ViewOptions struct {
 	// TraceID labels the spans of this evaluation in the Trace (a server
 	// puts its request-scoped X-Request-Id here). Ignored when Trace is nil.
 	TraceID string
-	// Context, when non-nil, bounds the evaluation. For a remote document,
-	// canceling it closes the in-flight HTTP range/hash/manifest requests,
-	// so an abandoned view stops consuming the wire mid-request instead of
-	// at the next range boundary; the evaluation then fails with the
-	// transport's context error and, like any aborted stream, still reports
-	// its partial Metrics exactly once. A parallel local scan
-	// (Parallelism >= 2) aborts every region worker at its next event
-	// boundary. A serial local scan has no wire to cut and does not poll it
-	// (abort those through the output writer).
-	Context context.Context
 }
 
 // Metrics summarizes what an evaluation did. Byte counts refer to the
@@ -641,9 +628,8 @@ type Metrics struct {
 	// 0 when the evaluation is local or no re-sync happened.
 	ChunksReused int64
 	// TimeToFirstByte is the wall-clock delay between the start of a
-	// streaming evaluation (StreamAuthorizedView and friends) and the first
-	// byte of the view reaching the destination writer; 0 when the view was
-	// empty or the evaluation was materialized. Aggregations (Metrics.Add)
+	// streamed view (a View with a non-nil writer) and the first byte of the
+	// view reaching the writer; 0 when the view was empty or materialized. Aggregations (Metrics.Add)
 	// sum it like every other counter; divide by the number of folded
 	// evaluations for an average.
 	TimeToFirstByte time.Duration
@@ -689,28 +675,54 @@ func (m *Metrics) Add(o *Metrics) {
 	m.EstimatedSmartCardSeconds += o.EstimatedSmartCardSeconds
 }
 
-// AuthorizedView decrypts and evaluates the policy (and optional query) over
-// the protected document inside a simulated SOE, returning the authorized
-// view. Prohibited subtrees are skipped: they are neither transferred to nor
-// decrypted by the SOE, and integrity of everything read is verified when
-// the scheme supports it.
+// View evaluates the compiled policy (and the optional query) over the
+// protected document inside a simulated SOE. Prohibited subtrees are
+// skipped: they are neither transferred to nor decrypted by the SOE, and the
+// integrity of everything read is verified when the scheme supports it.
 //
-// AuthorizedView compiles the policy on every call. Callers evaluating the
-// same policy repeatedly (a server, a batch job) should compile it once with
-// Policy.Compile and use AuthorizedViewCompiled, which produces identical
-// output without the per-call compilation.
-func (p *Protected) AuthorizedView(key Key, policy Policy, opts ViewOptions) (*Document, *Metrics, error) {
-	compiled, err := policy.Compile()
+// The view is streamed to w as it is produced, or materialized into the
+// returned Document when w is nil; the two forms are byte-identical (XML, or
+// IndentedXML with ViewOptions.Indent) and report identical metrics. A
+// streamed view keeps memory and time-to-first-byte proportional to the
+// evaluator's working set (open path plus pending predicates), not to the
+// view, and a write error from w aborts the scan. A scan failure returns
+// the error with the partial Metrics of the work performed.
+//
+// Canceling ctx aborts the region workers of a parallel scan
+// (ViewOptions.Parallelism) at their next event boundary. A serial local
+// scan has no wire to cut and does not poll ctx; abort it through w.
+func (p *Protected) View(ctx context.Context, key Key, cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Document, *Metrics, error) {
+	v, err := newView(cp, opts, w)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.AuthorizedViewCompiled(key, compiled, opts)
+	return v.finish(v.scan(ctx, p.snapshot(), key))
+}
+
+// StreamAuthorizedView compiles the policy and streams its view to w.
+//
+// Deprecated: use Policy.Compile and View.
+func (p *Protected) StreamAuthorizedView(key Key, policy Policy, opts ViewOptions, w io.Writer) (*Metrics, error) {
+	cp, err := policy.Compile()
+	if err != nil {
+		return nil, err
+	}
+	_, m, err := p.View(context.Background(), key, cp, opts, w)
+	return m, err
+}
+
+// StreamAuthorizedViewCompiled streams the view of cp to w.
+//
+// Deprecated: use View.
+func (p *Protected) StreamAuthorizedViewCompiled(key Key, cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Metrics, error) {
+	_, m, err := p.View(context.Background(), key, cp, opts, w)
+	return m, err
 }
 
 // EvaluateDocument evaluates the policy (and optional query) over a
 // plaintext document with the streaming evaluator, without encryption. It is
 // the right entry point when the access-control manager runs in a trusted
-// environment, and is also the semantics reference of AuthorizedView.
+// environment, and is also the semantics reference of View.
 func EvaluateDocument(doc *Document, policy Policy, opts ViewOptions) (*Document, error) {
 	if doc.IsEmpty() {
 		return &Document{}, nil

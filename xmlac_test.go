@@ -1,6 +1,7 @@
 package xmlac
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -74,6 +75,15 @@ func TestEvaluateDocumentProfiles(t *testing.T) {
 	}
 }
 
+// materialize compiles policy and returns its materialized view of prot.
+func materialize(prot *Protected, key Key, policy Policy, opts ViewOptions) (*Document, *Metrics, error) {
+	cp, err := policy.Compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	return prot.View(context.Background(), key, cp, opts, nil)
+}
+
 func TestProtectAndAuthorizedViewAllSchemes(t *testing.T) {
 	doc, _ := ParseDocumentString(sampleHospital)
 	key := DeriveKey("secret passphrase")
@@ -86,7 +96,7 @@ func TestProtectAndAuthorizedViewAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		view, metrics, err := prot.AuthorizedView(key, DoctorPolicy("DrA"), ViewOptions{})
+		view, metrics, err := materialize(prot, key, DoctorPolicy("DrA"), ViewOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -117,7 +127,7 @@ func TestProtectedMarshalRoundTrip(t *testing.T) {
 	if back.Size() != prot.Size() {
 		t.Fatal("size changed across marshal round trip")
 	}
-	view, _, err := back.AuthorizedView(key, SecretaryPolicy(), ViewOptions{})
+	view, _, err := materialize(back, key, SecretaryPolicy(), ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestQueryAndSkipping(t *testing.T) {
 	doc, _ := ParseDocumentString(sampleHospital)
 	key := DeriveKey("k")
 	prot, _ := Protect(doc, key, SchemeECBMHT)
-	view, metrics, err := prot.AuthorizedView(key, DoctorPolicy("DrA"), ViewOptions{Query: "//Folder[Admin/Age > 40]"})
+	view, metrics, err := materialize(prot, key, DoctorPolicy("DrA"), ViewOptions{Query: "//Folder[Admin/Age > 40]"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +155,7 @@ func TestQueryAndSkipping(t *testing.T) {
 		t.Fatalf("selective access should skip data: %+v", metrics)
 	}
 	// Bad query.
-	if _, _, err := prot.AuthorizedView(key, DoctorPolicy("DrA"), ViewOptions{Query: "not a path"}); err == nil {
+	if _, _, err := materialize(prot, key, DoctorPolicy("DrA"), ViewOptions{Query: "not a path"}); err == nil {
 		t.Fatal("invalid query must fail")
 	}
 }
@@ -153,15 +163,12 @@ func TestQueryAndSkipping(t *testing.T) {
 func TestWrongKeyDetected(t *testing.T) {
 	doc, _ := ParseDocumentString(sampleHospital)
 	prot, _ := Protect(doc, DeriveKey("right"), SchemeECBMHT)
-	if _, _, err := prot.AuthorizedView(DeriveKey("wrong"), SecretaryPolicy(), ViewOptions{}); err == nil {
+	if _, _, err := materialize(prot, DeriveKey("wrong"), SecretaryPolicy(), ViewOptions{}); err == nil {
 		t.Fatal("wrong key must be detected by the integrity check")
 	}
 }
 
 func TestPolicyValidation(t *testing.T) {
-	if err := (Policy{Subject: "x"}).Validate(); err == nil {
-		t.Fatal("empty policy must fail validation")
-	}
 	if _, err := (Policy{Subject: "x"}).Compile(); !errors.Is(err, ErrInvalidPolicy) {
 		t.Fatalf("empty policy compiled, or failed without ErrInvalidPolicy: %v", err)
 	}
@@ -169,17 +176,13 @@ func TestPolicyValidation(t *testing.T) {
 		t.Fatal("sentinel error text changed")
 	}
 	bad := Policy{Subject: "x", Rules: []Rule{{Sign: "+", Object: "not-a-path"}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bad object must fail validation")
+	if _, err := bad.Compile(); !errors.Is(err, ErrInvalidPolicy) {
+		t.Fatalf("bad object compiled, or failed without ErrInvalidPolicy: %v", err)
 	}
-	if err := DoctorPolicy("DrA").Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ResearcherPolicy().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := SecretaryPolicy().Validate(); err != nil {
-		t.Fatal(err)
+	for _, p := range []Policy{DoctorPolicy("DrA"), ResearcherPolicy(), SecretaryPolicy()} {
+		if _, err := p.Compile(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := ValidateXPath("//a[b>3]/c"); err != nil {
 		t.Fatal(err)
