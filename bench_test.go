@@ -226,8 +226,9 @@ func BenchmarkSecureReaderSchemes(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndPipeline measures the full SOE pipeline (secure reader +
-// skip-index decoder + evaluator) per strategy, for the doctor profile.
+// BenchmarkEndToEndPipeline measures the SOE's scan (soe.Scan: secure
+// reader, Skip-index decoder and evaluator) per strategy, for the doctor
+// profile, through soe.Workload.Run as the paper's figures run it.
 func BenchmarkEndToEndPipeline(b *testing.B) {
 	doc := benchHospital(b)
 	w, err := soe.NewWorkload("hospital", doc, secure.DeriveKey("bench"))
@@ -254,7 +255,7 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 }
 
 // BenchmarkAblationSubtreeDecisions compares the evaluator with and without
-// the DecideSubtree/SkipSubtree optimization (design choice 2 of DESIGN.md).
+// the DecideSubtree/SkipSubtree optimization (Figures 5 and 6 of the paper).
 func BenchmarkAblationSubtreeDecisions(b *testing.B) {
 	doc := benchHospital(b)
 	policy := accessrule.ResearcherPolicy(accessrule.ResearcherGroups(10)...)
@@ -276,8 +277,8 @@ func BenchmarkAblationSubtreeDecisions(b *testing.B) {
 }
 
 // BenchmarkAblationPredicateShortCircuit compares the evaluator with and
-// without the predicate short-circuit optimization (design choice 5 of
-// DESIGN.md).
+// without the predicate short-circuit optimization (section 3.3 of the
+// paper, first dynamic optimization).
 func BenchmarkAblationPredicateShortCircuit(b *testing.B) {
 	doc := benchHospital(b)
 	policy := accessrule.DoctorPolicy("DrA")

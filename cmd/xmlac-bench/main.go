@@ -206,8 +206,9 @@ func writeTrace(fx *bench.Fixture, path string) error {
 		return err
 	}
 	// The lane form keeps local bench traces loadable alongside the merged
-	// client+server traces xmlac-client writes: same named-process layout,
-	// just a single lane because the fixture never leaves the process.
+	// client+server traces xmlac-view -url writes: same named-process
+	// layout, just a single lane because the fixture never leaves the
+	// process.
 	err = xmlac.WriteMergedChromeTrace(f, xmlac.TraceLane{
 		Name:  "client SOE",
 		Spans: trace.Spans(xmlac.TraceFilter{}),

@@ -1,13 +1,13 @@
 // xmlac-serve is the paper's untrusted document store: it keeps protected
 // XML documents and range-serves each encrypted container, its manifest,
 // fragment hashes and update deltas over HTTP. It never evaluates a policy;
-// every view runs in a client SOE (xmlac-client, xmlac.OpenRemote) that
+// every view runs in a client SOE (xmlac-view -url, xmlac.OpenRemote) that
 // pulls only the ciphertext its policy needs.
 //
 // Quickstart:
 //
 //	xmlac-serve -addr :8080 -demo &
-//	xmlac-client -url http://localhost:8080/docs/hospital -profile doctor:DrA
+//	xmlac-view -url http://localhost:8080/docs/hospital -profile doctor:DrA
 //	curl 'localhost:8080/metrics'
 //
 // Registering your own document (the server derives the key from the
@@ -16,7 +16,7 @@
 //
 //	curl -X PUT -H 'X-Xmlac-Passphrase: secret' --data-binary @doc.xml \
 //	     localhost:8080/docs/mydoc
-//	xmlac-client -url http://localhost:8080/docs/mydoc -passphrase secret \
+//	xmlac-view -url http://localhost:8080/docs/mydoc -passphrase secret \
 //	     -rules rules.txt -subject alice
 package main
 

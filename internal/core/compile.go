@@ -3,7 +3,6 @@ package core
 import (
 	"xmlac/internal/accessrule"
 	"xmlac/internal/automaton"
-	"xmlac/internal/xmlstream"
 )
 
 // CompiledPolicy is an access-control policy compiled once to its Access Rules
@@ -16,15 +15,14 @@ import (
 // values owned by the Evaluator — so a CompiledPolicy is safe for concurrent
 // use by any number of evaluators and goroutines.
 type CompiledPolicy struct {
-	subject string
-	rules   []compiledRule
+	rules []compiledRule
 }
 
 // CompilePolicy compiles every rule of the policy to its ARA. The USER
 // variable of rule predicates has already been bound to the policy subject by
 // accessrule.Policy.Add, so the compiled form is subject-specific.
 func CompilePolicy(policy *accessrule.Policy) *CompiledPolicy {
-	cp := &CompiledPolicy{subject: policy.Subject, rules: make([]compiledRule, 0, len(policy.Rules))}
+	cp := &CompiledPolicy{rules: make([]compiledRule, 0, len(policy.Rules))}
 	for _, r := range policy.Rules {
 		cp.rules = append(cp.rules, compiledRule{
 			id:   r.ID,
@@ -33,17 +31,4 @@ func CompilePolicy(policy *accessrule.Policy) *CompiledPolicy {
 		})
 	}
 	return cp
-}
-
-// Subject returns the subject the policy was compiled for.
-func (cp *CompiledPolicy) Subject() string { return cp.subject }
-
-// NumRules returns the number of compiled rules.
-func (cp *CompiledPolicy) NumRules() int { return len(cp.rules) }
-
-// EvaluateCompiled runs a full evaluation of a pre-compiled policy over the
-// reader: the compile-once / evaluate-many counterpart of Evaluate.
-func EvaluateCompiled(reader xmlstream.EventReader, cp *CompiledPolicy, opts Options) (*Result, error) {
-	e := NewCompiledEvaluator(reader, cp, opts)
-	return e.Run()
 }

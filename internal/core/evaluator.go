@@ -33,9 +33,10 @@ type Options struct {
 	Sink ViewSink
 	// DummyDeniedNames renders denied structural ancestors as "_".
 	DummyDeniedNames bool
-	// DisableSkipIndex ignores the Skip-index metadata even when the reader
-	// provides it (ablation: TCSB-style evaluation without token filtering
-	// and without subtree skips).
+	// DisableSkipIndex ignores both Skip-index facets of the reader, its
+	// descendant tags (MetaProvider) and its subtree jumps (Skipper): no
+	// token filtering and no subtree skips, so a denied subtree is read
+	// event by event (the brute-force strategy; ablation).
 	DisableSkipIndex bool
 	// DisableSubtreeDecisions disables the DecideSubtree/SkipSubtree logic
 	// (Figures 5 and 6): every event is evaluated even inside subtrees whose
@@ -124,21 +125,6 @@ type Evaluator struct {
 	blanketPermitDepth int
 }
 
-// NewEvaluator compiles the policy (and optional query) and prepares an
-// evaluator over the given event reader.
-func NewEvaluator(reader xmlstream.EventReader, policy *accessrule.Policy, opts Options) *Evaluator {
-	return NewCompiledEvaluator(reader, CompilePolicy(policy), opts)
-}
-
-// NewCompiledEvaluator prepares an evaluator over the given event reader from
-// a pre-compiled policy, skipping rule compilation. The compiled policy may
-// be shared by concurrent evaluators.
-func NewCompiledEvaluator(reader xmlstream.EventReader, cp *CompiledPolicy, opts Options) *Evaluator {
-	e := &Evaluator{}
-	e.Reset(reader, cp, opts)
-	return e
-}
-
 // Reset re-arms the evaluator for a fresh run over a new reader, reusing the
 // allocated maps and stacks of the previous run. It makes the evaluator
 // sync.Pool-friendly: a server can keep a pool of evaluators and pay the
@@ -190,12 +176,8 @@ func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts
 	e.builder.reset(opts.Sink, opts.DummyDeniedNames)
 
 	if !opts.DisableSkipIndex {
-		if mp, ok := reader.(MetaProvider); ok {
-			e.meta = mp
-		}
-	}
-	if sk, ok := reader.(xmlstream.Skipper); ok {
-		e.skipper = sk
+		e.meta, _ = reader.(MetaProvider)
+		e.skipper, _ = reader.(xmlstream.Skipper)
 	}
 	// Initial token level: one navigational token per rule at state 0.
 	var initial []automaton.Token
@@ -214,7 +196,8 @@ func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts
 // Evaluate runs a full evaluation: it drives the reader to the end of the
 // document and returns the authorized view and the metrics.
 func Evaluate(reader xmlstream.EventReader, policy *accessrule.Policy, opts Options) (*Result, error) {
-	e := NewEvaluator(reader, policy, opts)
+	e := &Evaluator{}
+	e.Reset(reader, CompilePolicy(policy), opts)
 	return e.Run()
 }
 

@@ -444,24 +444,21 @@ func TestEvaluatorMetricsAndOptions(t *testing.T) {
 func TestEvaluatorRejectsMalformedEventStream(t *testing.T) {
 	policy := accessrule.SecretaryPolicy()
 	// Close without open.
-	ev := NewEvaluator(xmlstream.NewEventSliceReader([]xmlstream.Event{
+	if _, err := Evaluate(xmlstream.NewEventSliceReader([]xmlstream.Event{
 		{Kind: xmlstream.Close, Name: "a", Depth: 1},
-	}), policy, Options{})
-	if _, err := ev.Run(); err == nil {
+	}), policy, Options{}); err == nil {
 		t.Fatal("expected error for unbalanced close")
 	}
 	// Open at inconsistent depth.
-	ev2 := NewEvaluator(xmlstream.NewEventSliceReader([]xmlstream.Event{
+	if _, err := Evaluate(xmlstream.NewEventSliceReader([]xmlstream.Event{
 		{Kind: xmlstream.Open, Name: "a", Depth: 3},
-	}), policy, Options{})
-	if _, err := ev2.Run(); err == nil {
+	}), policy, Options{}); err == nil {
 		t.Fatal("expected error for depth mismatch")
 	}
 	// Unterminated document.
-	ev3 := NewEvaluator(xmlstream.NewEventSliceReader([]xmlstream.Event{
+	if _, err := Evaluate(xmlstream.NewEventSliceReader([]xmlstream.Event{
 		{Kind: xmlstream.Open, Name: "a", Depth: 1},
-	}), policy, Options{})
-	if _, err := ev3.Run(); err == nil {
+	}), policy, Options{}); err == nil {
 		t.Fatal("expected error for unterminated document")
 	}
 }

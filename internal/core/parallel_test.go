@@ -48,7 +48,9 @@ func serialSolo(t *testing.T, data []byte, cp *CompiledPolicy, opts Options) (*R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCompiledEvaluator(dec, cp, opts).Run()
+	e := &Evaluator{}
+	e.Reset(dec, cp, opts)
+	return e.Run()
 }
 
 func encodeDoc(t *testing.T, doc *xmlstream.Node) []byte {

@@ -117,9 +117,6 @@ type resultBuilder struct {
 	// pendingCount tracks how many nodes are still undecided, to detect
 	// internal accounting bugs at Finalize time.
 	pendingCount int
-	// metrics
-	deliveredEarly int64 // nodes whose decision was known when first seen
-	deliveredLate  int64 // nodes delivered after a pending resolution
 
 	// free holds settled nodes for reuse, so a run allocates nodes only up
 	// to the size of the skeleton it buffers at once. It survives reset.
@@ -177,7 +174,6 @@ func (b *resultBuilder) openElement(name string, d, access Decision, snapshot []
 	switch d {
 	case Permit:
 		n.state = stateIncluded
-		b.deliveredEarly++
 	case Deny:
 		n.state = stateExcluded
 	default:
@@ -273,7 +269,6 @@ func (b *resultBuilder) resolve(n *resultNode, d Decision) bool {
 	switch d {
 	case Permit:
 		n.state = stateIncluded
-		b.deliveredLate++
 	case Deny:
 		n.state = stateExcluded
 	default:

@@ -174,9 +174,9 @@ func TestEvaluatorRunFailurePartialMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := CompilePolicy(accessrule.NewPolicy("all", accessrule.MustRule("R1", "+", "//*")))
+	all := accessrule.NewPolicy("all", accessrule.MustRule("R1", "+", "//*"))
 	counter := &budgetSink{budget: 1 << 30}
-	full, err := EvaluateCompiled(mustDecoder(t, skipindex.NewBytesSource(enc.Data)), all, Options{Sink: counter})
+	full, err := Evaluate(mustDecoder(t, skipindex.NewBytesSource(enc.Data)), all, Options{Sink: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEvaluatorRunFailurePartialMetrics(t *testing.T) {
 		"sink end":  {src: whole, sink: &budgetSink{budget: counter.n - 1}, want: errBudgetSink},
 	}
 	for name, tc := range cases {
-		res, err := EvaluateCompiled(mustDecoder(t, tc.src), all, Options{Sink: tc.sink})
+		res, err := Evaluate(mustDecoder(t, tc.src), all, Options{Sink: tc.sink})
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", name, err, tc.want)
 		}

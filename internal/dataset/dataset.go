@@ -7,7 +7,8 @@
 // reproduce their documented structural characteristics — distinct tag
 // count, depth profile, element/text-node counts and structure/text ratio —
 // which are the properties the experiments (Figures 8 and 12) actually
-// depend on. The substitution is recorded in DESIGN.md.
+// depend on. Table 2 of the evaluation (internal/experiments) prints each
+// generated document's characteristics beside the paper's.
 package dataset
 
 import (
@@ -70,8 +71,8 @@ func (r *rng) sentence(words int) string {
 }
 
 // Spec describes a dataset: its generator and the characteristics reported
-// by Table 2 of the paper for the full-size original (used by EXPERIMENTS.md
-// to compare paper vs measured values).
+// by Table 2 of the paper for the full-size original (printed beside the
+// measured values by the Table 2 experiment).
 type Spec struct {
 	Name string
 	// Generate builds the document at the given scale. Scale 1.0 aims at the

@@ -185,8 +185,8 @@ func TestFigure11(t *testing.T) {
 		}
 		// The integrity overhead of the proposed scheme stays moderate (the
 		// paper reports 32-38%; highly selective profiles pay more here
-		// because their reads are small relative to the fragment size, see
-		// EXPERIMENTS.md) and in particular far below the CBC schemes.
+		// because their reads are small relative to the fragment size) and
+		// in particular far below the CBC schemes.
 		mhtOverhead := mht - ecb
 		shacOverhead := shac - ecb
 		if mhtOverhead > shacOverhead*0.75 {

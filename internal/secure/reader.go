@@ -678,15 +678,7 @@ func (r *Reader) decryptCBCChunk(chunk int) ([]byte, error) {
 // Decrypt fully decrypts a protected document (publisher-side utility and
 // test helper; verifies every chunk on the way).
 func Decrypt(prot *Protected, key Key) ([]byte, error) {
-	return DecryptSource(prot, key)
-}
-
-// DecryptSource fully decrypts a protected document served through any chunk
-// source (e.g. a remote blob), verifying every chunk on the way: the
-// brute-force client that transfers everything, against which the
-// skip-driven remote reader is benchmarked.
-func DecryptSource(src ChunkSource, key Key) ([]byte, error) {
-	r, err := NewReader(src, key)
+	r, err := NewReader(prot, key)
 	if err != nil {
 		return nil, err
 	}

@@ -241,9 +241,6 @@ func (d *Decoder) buf(n int) []byte {
 	return d.scratch[:n]
 }
 
-// Dictionary returns the tag dictionary of the document.
-func (d *Decoder) Dictionary() []string { return append([]string(nil), d.dict...) }
-
 // BytesRead returns the number of encoded bytes fetched from the source so
 // far (header included, skipped ranges excluded).
 func (d *Decoder) BytesRead() int64 { return d.bytesRead }

@@ -99,8 +99,6 @@ type RunSpec struct {
 	// secure.SchemeECBMHT for the full proposal (Figures 11-12).
 	Scheme  secure.Scheme
 	Profile CostProfile
-	// EvaluatorOptions are forwarded to the core evaluator (ablations).
-	EvaluatorOptions core.Options
 }
 
 // Report is the outcome of a run.
@@ -151,36 +149,23 @@ func (w *Workload) Run(spec RunSpec) (*Report, error) {
 	}
 }
 
-// runPipeline executes the real pipeline: secure reader -> skip-index
-// decoder -> streaming evaluator.
+// runPipeline runs the SOE's scan (Scan) over the workload's protected form
+// and materializes the view, so it can be compared with the rule oracle and
+// measured. The brute-force strategy has no index: neither descendant-tag
+// filtering nor subtree skips are available, so every byte of the document
+// flows through the SOE.
 func (w *Workload) runPipeline(spec RunSpec) (*Report, error) {
 	prot, err := w.Protected(spec.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	secReader, err := secure.NewReader(prot, w.Key)
+	res, costs, err := Scan(prot, w.Key, core.CompilePolicy(spec.Policy), core.Options{
+		Query:            spec.Query,
+		DisableSkipIndex: spec.Strategy == BruteForce,
+	})
 	if err != nil {
 		return nil, err
 	}
-	decoder, err := skipindex.NewDecoder(secReader)
-	if err != nil {
-		return nil, err
-	}
-	opts := spec.EvaluatorOptions
-	opts.Query = spec.Query
-	var reader xmlstream.EventReader = decoder
-	if spec.Strategy == BruteForce {
-		// The brute-force strategy has no index: neither descendant-tag
-		// filtering nor subtree skips are available, so every byte of the
-		// document flows through the SOE.
-		opts.DisableSkipIndex = true
-		reader = plainReader{decoder}
-	}
-	res, err := core.Evaluate(reader, spec.Policy, opts)
-	if err != nil {
-		return nil, err
-	}
-	costs := secReader.Costs()
 	tokenOps := res.Metrics.TokenOps + res.Metrics.Events
 	report := &Report{
 		Strategy:         spec.Strategy,
@@ -237,11 +222,3 @@ func (w *Workload) runLowerBound(spec RunSpec) (*Report, error) {
 	report.Breakdown = spec.Profile.timeFor(report.CommBytes, report.DecryptBytes, report.HashBytes, 0)
 	return report, nil
 }
-
-// plainReader hides the Skipper and MetaProvider capabilities of the
-// decoder, which is how the brute-force strategy is modelled.
-type plainReader struct {
-	inner xmlstream.EventReader
-}
-
-func (p plainReader) Next() (xmlstream.Event, error) { return p.inner.Next() }

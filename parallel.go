@@ -111,7 +111,7 @@ func parallelScan(ctx context.Context, prot *secure.Protected, key Key, workers 
 	if res == nil {
 		return nil, err
 	}
-	sc := &scanResult{res: res, costs: planner.Costs(), skipped: res.Metrics.BytesSkipped, workers: stats.Workers}
+	sc := &scanResult{res: res, costs: planner.Costs(), workers: stats.Workers}
 	for r := range readers {
 		if readers[r] != nil {
 			sc.costs.Add(readers[r].Costs())

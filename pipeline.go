@@ -4,21 +4,19 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync"
 	"time"
 
 	"xmlac/internal/core"
 	"xmlac/internal/secure"
-	"xmlac/internal/skipindex"
 	"xmlac/internal/soe"
-	itrace "xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
 )
 
 // The view pipeline. Protected.View and RemoteDocument.View run one view
 // over one secure.ChunkSource: newView sets the view up (its clock, its
-// trace context, its delivery writer), scan runs one scan step (the serial
-// scan or the region-parallel scan) and finish assembles the result. A
+// trace context, its delivery writer), scan runs one scan step (the SOE's
+// serial scan, soe.Scan, or the region-parallel scan) and finish assembles
+// the result. A
 // remote view that re-syncs runs a second scan step under the same view, so
 // the view keeps one clock and one root span.
 
@@ -27,10 +25,6 @@ import (
 type scanResult struct {
 	res   *core.Result
 	costs secure.Costs
-	// skipped is the public BytesSkipped: the bytes the serial scan's
-	// decoder jumped over, or the view's own skip accounting for a parallel
-	// scan (exactly what its serial scan would jump over).
-	skipped int64
 	// workers is the number of region workers a parallel scan started; 0 for
 	// the serial scan.
 	workers int
@@ -85,7 +79,12 @@ func (v *view) scan(ctx context.Context, src secure.ChunkSource, key Key) (*scan
 		sc, err = parallelScan(ctx, prot, key, v.parallelism, v.cp.core, opts)
 	}
 	if sc == nil && (err == nil || parallelFallback(err)) {
-		sc, err = serialScan(src, key, v.cp.core, opts)
+		var res *core.Result
+		var costs secure.Costs
+		res, costs, err = soe.Scan(src, key, v.cp.core, opts)
+		if res != nil {
+			sc = &scanResult{res: res, costs: costs}
+		}
 	}
 	return sc, err
 }
@@ -105,7 +104,7 @@ func (v *view) finish(sc *scanResult, err error) (*Document, *Metrics, error) {
 	if sc == nil {
 		return nil, nil, err
 	}
-	m := buildMetrics(sc.costs, sc.skipped, sc.res)
+	m := buildMetrics(sc.costs, sc.res)
 	m.Duration = time.Since(v.start)
 	m.Workers = int64(sc.workers)
 	if v.fw != nil {
@@ -122,64 +121,16 @@ func (v *view) finish(sc *scanResult, err error) (*Document, *Metrics, error) {
 	return &Document{root: sc.res.View}, m, nil
 }
 
-// scanState bundles the serial scan's machinery (secure reader, Skip-index
-// decoder and evaluator), reused across scans through a sync.Pool:
-// concurrent views do not re-allocate the reader caches, decoder stacks and
-// evaluator tables, they only reset them.
-type scanState struct {
-	reader  *secure.Reader
-	decoder skipindex.Decoder
-	eval    core.Evaluator
-}
-
-var scanPool = sync.Pool{New: func() any { return &scanState{} }}
-
-// serialScan runs the view over one secure reader and Skip-index decoder:
-// the evaluator pulls events from the decoder and jumps over the subtrees
-// it skips. opts.Trace, when non-nil, is charged the reader's and the
-// decoder's phases too.
-func serialScan(src secure.ChunkSource, key Key, cp *core.CompiledPolicy, opts core.Options) (*scanResult, error) {
-	st := scanPool.Get().(*scanState)
-	defer scanPool.Put(st)
-	var err error
-	if st.reader == nil {
-		st.reader, err = secure.NewReader(src, key)
-	} else {
-		err = st.reader.Reset(src, key)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The trace is attached before the decoder opens, so the header read
-	// (the first chunk's fetch, decryption and verification) is charged to
-	// the scan's phases like every later read.
-	tr := opts.Trace
-	if tr != nil {
-		st.reader.SetTrace(tr)
-		defer st.reader.SetTrace(nil)
-	}
-	decoder := &st.decoder
-	if err := decoder.Reset(st.reader); err != nil {
-		return nil, err
-	}
-	decoder.SetTrace(tr)
-	st.eval.Reset(decoder, cp, opts)
-	tr.Begin(itrace.PhaseEval)
-	res, err := st.eval.Run()
-	tr.End()
-	return &scanResult{res: res, costs: st.reader.Costs(), skipped: decoder.BytesSkipped()}, err
-}
-
 // buildMetrics folds the secure-reader costs and the evaluator metrics into
 // the public Metrics record, including the smart-card execution estimate.
-func buildMetrics(costs secure.Costs, bytesSkipped int64, res *core.Result) *Metrics {
+func buildMetrics(costs secure.Costs, res *core.Result) *Metrics {
 	profile := soe.HardwareSmartCard()
 	breakdown := profile.Breakdown(costs.BytesTransferred, costs.BytesDecrypted, costs.BytesHashed,
 		res.Metrics.TokenOps+res.Metrics.Events)
 	return &Metrics{
 		BytesTransferred:          costs.BytesTransferred,
 		BytesDecrypted:            costs.BytesDecrypted,
-		BytesSkipped:              bytesSkipped,
+		BytesSkipped:              res.Metrics.BytesSkipped,
 		SubtreesSkipped:           res.Metrics.SubtreesSkipped,
 		NodesPermitted:            res.Metrics.NodesPermitted,
 		NodesDenied:               res.Metrics.NodesDenied,

@@ -264,7 +264,7 @@ func BenchmarkRemoteView(b *testing.B) {
 				b.Fatal(err)
 			}
 			// The brute-force SOE of the paper reads the document front to
-			// back with no Skip-index jumps.
+			// back: DisableSkipIndex takes no Skip-index filtering or jumps.
 			if _, _, err := full.View(context.Background(), key, cp, xmlac.ViewOptions{DisableSkipIndex: true}, nil); err != nil {
 				b.Fatal(err)
 			}

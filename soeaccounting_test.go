@@ -117,3 +117,43 @@ func TestSOEAccountingPinnedParallel(t *testing.T) {
 		t.Errorf("parallel DrA: counts %#v, want %#v", got, want)
 	}
 }
+
+// TestDisableSkipIndexTakesNoSkips pins the brute-force behaviour of
+// ViewOptions.DisableSkipIndex with a child-axis policy, whose tokens die
+// without the index: the scan jumps over no subtree, so the SOE transfers
+// the whole ciphertext, and the view is still the indexed view.
+func TestDisableSkipIndexTakesNoSkips(t *testing.T) {
+	doc, err := xmlac.ParseDocumentString(xmlstream.SerializeTree(dataset.Hospital(0.05), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := xmlac.DeriveKey("brute force")
+	prot, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := xmlac.Policy{Subject: "admin", Rules: []xmlac.Rule{{Sign: "+", Object: "/Hospital/Folder/Admin"}}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed, mi, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mi.SubtreesSkipped == 0 {
+		t.Fatal("the indexed view skipped nothing: the policy does not exercise subtree skips")
+	}
+	brute, m, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{DisableSkipIndex: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SubtreesSkipped != 0 || m.BytesSkipped != 0 {
+		t.Errorf("DisableSkipIndex skipped %d subtrees (%d bytes), want none", m.SubtreesSkipped, m.BytesSkipped)
+	}
+	if m.BytesTransferred < int64(prot.Size()) {
+		t.Errorf("DisableSkipIndex transferred %d bytes of a %d byte document", m.BytesTransferred, prot.Size())
+	}
+	if brute.XML() != indexed.XML() {
+		t.Error("DisableSkipIndex changed the view")
+	}
+}

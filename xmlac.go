@@ -140,7 +140,7 @@
 // the bytes the Skip index skips are bytes that never cross the network:
 // Metrics.BytesOnWire stays well under a full download for selective
 // policies. Canceling the view's context closes its in-flight requests. The
-// xmlac-client command and examples/remoteclient show the full flow.
+// xmlac-view command (-url) and examples/remoteclient show the full flow.
 //
 // Integrity is verified client-side. Under ECB-MHT, CBC-SHA and CBC-SHAC,
 // every byte that reaches a sink has been checked against its chunk's
@@ -551,8 +551,10 @@ type ViewOptions struct {
 	// DummyDeniedNames replaces the names of denied structural ancestors
 	// with "_".
 	DummyDeniedNames bool
-	// DisableSkipIndex ignores the Skip-index metadata (the brute-force
-	// behaviour); mainly useful for measurements.
+	// DisableSkipIndex ignores the Skip index: no descendant-tag filtering
+	// and no subtree skips, so the SOE transfers and decrypts every byte of
+	// the document (the brute-force behaviour); mainly useful for
+	// measurements.
 	DisableSkipIndex bool
 	// Indent renders a streamed view with indentation; a materialized view
 	// picks its form at serialization time (XML or IndentedXML).
