@@ -1,17 +1,13 @@
-// Command xmlac-report renders the repository's observability artifacts into
-// one self-contained HTML page: the benchmark trajectory of
-// BENCH_trajectory.jsonl as small-multiple trend panels and a span JSONL
-// trace (client SOE phases and server request spans) as a phase-breakdown
-// comparison. The page embeds everything inline — no scripts, stylesheets,
-// fonts or images are fetched, so the CI artifact renders without network
-// access.
-//
-// Every input is optional; sections render for whatever was provided.
+// Command xmlac-report renders a span JSONL trace of one view (client SOE
+// phases and server request spans, as `xmlac-view -trace-jsonl` writes it)
+// into one self-contained HTML page: a phase-breakdown comparison of the two
+// sides of the trust boundary. The page embeds everything inline — no
+// scripts, stylesheets, fonts or images are fetched, so the CI artifact
+// renders without network access.
 //
 // Usage:
 //
-//	xmlac-report -trajectory BENCH_trajectory.jsonl -trace view.trace.jsonl \
-//	  -out report.html
+//	xmlac-report -trace view.trace.jsonl -out report.html
 //	xmlac-report -trace view.trace.jsonl -assert-merged
 //
 // With -assert-merged the command verifies the trace is a *merged*
@@ -28,34 +24,24 @@ import (
 	"time"
 
 	"xmlac"
-	"xmlac/internal/bench"
 )
 
 func main() {
-	trajPath := flag.String("trajectory", "", "trajectory JSONL (BENCH_trajectory.jsonl)")
 	tracePath := flag.String("trace", "", "span JSONL of one traced view (client and/or server spans)")
 	outPath := flag.String("out", "xmlac-report.html", "output HTML file")
 	assertMerged := flag.Bool("assert-merged", false, "fail unless -trace holds a merged client+server trace with parent linkage")
 	flag.Parse()
 
-	if err := run(*trajPath, *tracePath, *outPath, *assertMerged); err != nil {
+	if err := run(*tracePath, *outPath, *assertMerged); err != nil {
 		fmt.Fprintln(os.Stderr, "xmlac-report:", err)
 		os.Exit(1)
 	}
 }
 
-func run(trajPath, tracePath, outPath string, assertMerged bool) error {
+func run(tracePath, outPath string, assertMerged bool) error {
 	var data reportData
 	data.Generated = time.Now().UTC().Format(time.RFC3339)
 
-	if trajPath != "" {
-		entries, err := bench.ReadTrajectory(trajPath)
-		if err != nil {
-			return err
-		}
-		data.Trajectory = entries
-		data.TrajectoryPath = trajPath
-	}
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
 		if err != nil {

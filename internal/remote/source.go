@@ -76,6 +76,19 @@ const (
 	DefaultCacheCapacity = 2048
 )
 
+// Bounds on what the client reads of a response whose length the request
+// does not fix. Every other body is bounded by the bytes it asked for.
+const (
+	// maxManifestBody bounds the manifest JSON: an ETag, the document id
+	// and a dozen numbers.
+	maxManifestBody = 64 << 10
+	// maxErrorBody is how much of an error response is read for its
+	// diagnostic (errorDetail shows the first 200 bytes).
+	maxErrorBody = 512
+	// partFraming bounds the delimiter and headers of one multipart part.
+	partFraming = 512
+)
+
 func (o Options) withDefaults() Options {
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = DefaultCacheCapacity
@@ -195,12 +208,12 @@ func (s *Source) fetchManifest() (manifestPayload, error) {
 	if err != nil {
 		return payload, err
 	}
-	body, err := s.readAll(resp)
+	if resp.StatusCode != http.StatusOK {
+		return payload, fmt.Errorf("remote: manifest: %s", s.errorDetail(resp))
+	}
+	body, err := s.readAll(resp, maxManifestBody)
 	if err != nil {
 		return payload, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return payload, fmt.Errorf("remote: manifest: %s", httpErrorDetail(resp, body))
 	}
 	if err := json.Unmarshal(body, &payload); err != nil {
 		return payload, fmt.Errorf("remote: decoding manifest: %w", err)
@@ -267,22 +280,24 @@ func (s *Source) fetchPrefix(ctOff int64, manifestETag string) ([]byte, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	body, err := s.readAll(resp)
+	var body []byte
+	switch resp.StatusCode {
+	case http.StatusPartialContent:
+		body, err = s.readAll(resp, ctOff)
+	case http.StatusOK:
+		// Server ignored the range; read only the prefix of the full body.
+		body, err = s.readHead(resp, ctOff)
+	case http.StatusPreconditionFailed:
+		resp.Body.Close()
+		return nil, "", fmt.Errorf("%w: the blob moved on from %s after its manifest was served", ErrChanged, manifestETag)
+	default:
+		return nil, "", fmt.Errorf("remote: blob prefix: %s", s.errorDetail(resp))
+	}
 	if err != nil {
 		return nil, "", err
 	}
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
-	case http.StatusOK:
-		// Server ignored the range; keep the prefix of the full body.
-		if int64(len(body)) < ctOff {
-			return nil, "", fmt.Errorf("remote: blob shorter (%d) than ciphertext offset %d", len(body), ctOff)
-		}
-		body = body[:ctOff]
-	case http.StatusPreconditionFailed:
-		return nil, "", fmt.Errorf("%w: the blob moved on from %s after its manifest was served", ErrChanged, manifestETag)
-	default:
-		return nil, "", fmt.Errorf("remote: blob prefix: %s", httpErrorDetail(resp, body))
+	if int64(len(body)) < ctOff {
+		return nil, "", fmt.Errorf("remote: blob shorter (%d) than ciphertext offset %d", len(body), ctOff)
 	}
 	etag := resp.Header.Get("ETag")
 	if etag == "" {
@@ -344,20 +359,21 @@ func (s *Source) FragmentHashes(i int) ([][secure.DigestSize]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := s.readAll(resp)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: %s", i, httpErrorDetail(resp, body))
+		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: %s", i, s.errorDetail(resp))
 	}
 	// Hashes of a different blob version would fail Merkle verification as
 	// tampering; detect the benign cause (the document moved on) and let the
 	// re-sync retry handle it instead.
 	if etag := resp.Header.Get("ETag"); etag != "" && s.etag != "" && etag != s.etag {
+		resp.Body.Close()
 		return nil, fmt.Errorf("%w: fragment hashes are for %s, client holds %s", ErrChanged, etag, s.etag)
 	}
 	want := s.man.NumFragments(i)
+	body, err := s.readAll(resp, int64(want)*secure.DigestSize)
+	if err != nil {
+		return nil, err
+	}
 	if len(body) != want*secure.DigestSize {
 		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: got %d bytes, want %d fragments x %d",
 			i, len(body), want, secure.DigestSize)
@@ -484,15 +500,18 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 	case http.StatusPartialContent:
 		mediaType, params, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
 		if strings.HasPrefix(mediaType, "multipart/") {
-			if err := s.readMultipart(resp, params["boundary"], out); err != nil {
+			if err := s.readMultipart(resp, params["boundary"], spans, out); err != nil {
 				return nil, err
 			}
 		} else {
 			start, end, err := parseContentRange(resp.Header.Get("Content-Range"))
 			if err != nil {
+				resp.Body.Close()
 				return nil, err
 			}
-			body, err := s.readAll(resp)
+			// One part answers every span requested: at most the extent
+			// from the first span's start to the last span's end.
+			body, err := s.readAll(resp, spans[len(spans)-1][1]-spans[0][0])
 			if err != nil {
 				return nil, err
 			}
@@ -502,12 +521,13 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 			s.runToPages(start-s.ctOffset, body, out)
 		}
 	case http.StatusOK:
-		body, err := s.readAll(resp)
+		if etag := resp.Header.Get("ETag"); etag != "" && etag != s.etag {
+			resp.Body.Close()
+			return nil, fmt.Errorf("%w: had %s, server now has %s", ErrChanged, s.etag, etag)
+		}
+		body, err := s.readAll(resp, s.ctOffset+s.man.CiphertextLen)
 		if err != nil {
 			return nil, err
-		}
-		if etag := resp.Header.Get("ETag"); etag != "" && etag != s.etag {
-			return nil, fmt.Errorf("%w: had %s, server now has %s", ErrChanged, s.etag, etag)
 		}
 		// Server ignored the ranges: slice the spans out of the full blob.
 		for _, sp := range spans {
@@ -518,8 +538,7 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 			s.runToPages(sp[0], body[a:b], out)
 		}
 	default:
-		body, _ := s.readAll(resp)
-		return nil, fmt.Errorf("remote: range fetch: %s", httpErrorDetail(resp, body))
+		return nil, fmt.Errorf("remote: range fetch: %s", s.errorDetail(resp))
 	}
 	// Every requested page must have arrived.
 	for _, p := range pages {
@@ -531,15 +550,21 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 }
 
 // readMultipart consumes a multipart/byteranges body, filling out with the
-// pages covered by each part.
-func (s *Source) readMultipart(resp *http.Response, boundary string, out map[int64][]byte) error {
+// pages covered by each part. The parts together carry at most the spans
+// requested, and each adds at most partFraming bytes of delimiter and
+// headers.
+func (s *Source) readMultipart(resp *http.Response, boundary string, spans [][2]int64, out map[int64][]byte) error {
 	defer resp.Body.Close()
 	s.trace.Begin(trace.PhaseFetch)
 	defer s.trace.End()
 	if boundary == "" {
 		return fmt.Errorf("remote: multipart response without boundary")
 	}
-	mr := multipart.NewReader(s.countReader(resp.Body), boundary)
+	var want int64
+	for _, sp := range spans {
+		want += sp[1] - sp[0]
+	}
+	mr := multipart.NewReader(s.bodyReader(resp.Body, want+int64(len(spans)+1)*partFraming), boundary)
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
@@ -552,10 +577,14 @@ func (s *Source) readMultipart(resp *http.Response, boundary string, out map[int
 		if err != nil {
 			return err
 		}
-		data, err := io.ReadAll(part)
+		data, err := io.ReadAll(io.LimitReader(part, want+1))
 		if err != nil {
 			return fmt.Errorf("remote: reading range part: %w", err)
 		}
+		if int64(len(data)) > want {
+			return fmt.Errorf("%w: remote: range parts longer than the %d bytes requested", secure.ErrIntegrity, want)
+		}
+		want -= int64(len(data))
 		if err := s.checkRange(start, end, len(data)); err != nil {
 			return err
 		}
@@ -621,8 +650,17 @@ func (s *Source) Revalidate() (changed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if _, err := s.readAll(resp); err != nil {
-		return false, err
+	// Only the status matters. A store that ignored the range answered 200
+	// with a whole blob, of which nothing is read.
+	switch resp.StatusCode {
+	case http.StatusOK:
+		resp.Body.Close()
+	case http.StatusPartialContent, http.StatusNotModified:
+		if _, err := s.readAll(resp, 1); err != nil {
+			return false, err
+		}
+	default:
+		return false, fmt.Errorf("remote: revalidate: %s", s.errorDetail(resp))
 	}
 	if resp.StatusCode == http.StatusNotModified {
 		return false, nil
@@ -683,8 +721,15 @@ func (s *Source) fetchDelta(payload manifestPayload) *secure.Delta {
 	if err != nil {
 		return nil
 	}
-	body, err := s.readAll(resp)
-	if err != nil || resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil
+	}
+	// Chunk geometry never changes across updates, so the manifest's blob
+	// size bounds the chunks a delta into the new version can name.
+	next := secure.Manifest{ChunkSize: s.man.ChunkSize, CiphertextLen: payload.Manifest.BlobSize - payload.Manifest.CiphertextOffset}
+	body, err := s.readAll(resp, secure.MaxDeltaLen(next.NumChunks()))
+	if err != nil {
 		return nil
 	}
 	delta, err := secure.UnmarshalDelta(body)
@@ -790,32 +835,59 @@ func (s *Source) doReq(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// readAll drains and closes a response body through the wire counter.
-func (s *Source) readAll(resp *http.Response) ([]byte, error) {
+// readAll drains and closes a response body through the wire counter. The
+// body may hold at most limit bytes, what the request asked for: a longer
+// one fails with ErrIntegrity one byte past the limit.
+func (s *Source) readAll(resp *http.Response, limit int64) ([]byte, error) {
+	return s.drain(resp, s.bodyReader(resp.Body, limit))
+}
+
+// readHead reads at most n bytes of a response body through the wire
+// counter and closes it, leaving the rest unread.
+func (s *Source) readHead(resp *http.Response, n int64) ([]byte, error) {
+	return s.drain(resp, io.LimitReader(s.bodyReader(resp.Body, n), n))
+}
+
+// drain reads r, a counted view of resp's body, to its end and closes the
+// body.
+func (s *Source) drain(resp *http.Response, r io.Reader) ([]byte, error) {
 	defer resp.Body.Close()
 	s.trace.Begin(trace.PhaseFetch)
 	defer s.trace.End()
-	body, err := io.ReadAll(s.countReader(resp.Body))
+	body, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("remote: reading response body: %w", err)
 	}
 	return body, nil
 }
 
-// countReader wraps a response body so every byte read is charged to
-// BytesOnWire. Callers hold s.mu for the duration of the reads.
-func (s *Source) countReader(r io.Reader) io.Reader {
-	return &countingReader{r: r, n: &s.stats.BytesOnWire}
+// bodyReader wraps a response body so every byte read is charged to
+// BytesOnWire, and a body longer than limit bytes fails the read that
+// passes the limit. A negative limit, such as the fragment hashes of a
+// chunk past the layout, admits no byte. Callers hold s.mu for the duration
+// of the reads.
+func (s *Source) bodyReader(r io.Reader, limit int64) io.Reader {
+	limit = max(limit, 0)
+	return &boundedReader{r: r, n: &s.stats.BytesOnWire, left: limit, limit: limit}
 }
 
-type countingReader struct {
-	r io.Reader
-	n *int64
+type boundedReader struct {
+	r           io.Reader
+	n           *int64
+	left, limit int64
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	*c.n += int64(n)
+func (b *boundedReader) Read(p []byte) (int, error) {
+	// Compared without b.left+1, which overflows at a limit of MaxInt64.
+	if int64(len(p))-1 > b.left {
+		p = p[:b.left+1]
+	}
+	n, err := b.r.Read(p)
+	*b.n += int64(n)
+	if int64(n) > b.left {
+		return 0, fmt.Errorf("%w: remote: response body longer than the %d bytes requested", secure.ErrIntegrity, b.limit)
+	}
+	b.left -= int64(n)
 	return n, err
 }
 
@@ -843,8 +915,10 @@ func parseContentRange(h string) (start, end int64, err error) {
 	return start, end, nil
 }
 
-// httpErrorDetail summarizes an error response for diagnostics.
-func httpErrorDetail(resp *http.Response, body []byte) string {
+// errorDetail summarizes an error response for diagnostics, from the head
+// of its body.
+func (s *Source) errorDetail(resp *http.Response) string {
+	body, _ := s.readHead(resp, maxErrorBody)
 	detail := strings.TrimSpace(string(body))
 	if len(detail) > 200 {
 		detail = detail[:200] + "..."

@@ -16,6 +16,7 @@ import (
 	"xmlac"
 	"xmlac/internal/dataset"
 	"xmlac/internal/remote"
+	"xmlac/internal/secure"
 	"xmlac/internal/server"
 	"xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
@@ -287,7 +288,8 @@ func TestLRUChunkCacheBound(t *testing.T) {
 }
 
 // TestRevalidate: an unchanged blob answers the conditional request with
-// 304 Not Modified; after a re-registration the source flushes and reloads.
+// 304 Not Modified; after a re-registration the source flushes and reloads;
+// after a deletion it fails with the store's error.
 func TestRevalidate(t *testing.T) {
 	env := newEnv(t, 6)
 	src := env.open(t, remote.Options{})
@@ -322,6 +324,16 @@ func TestRevalidate(t *testing.T) {
 	}
 	if src.CachedPages() != 0 {
 		t.Fatal("page cache not flushed after the blob changed")
+	}
+
+	// A deleted document answers 404 with the store's diagnostic, which
+	// must come through as the store's error, not as tampering.
+	if err := env.srv.Store().Remove("hospital", nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err = src.Revalidate()
+	if err == nil || errors.Is(err, secure.ErrIntegrity) || !strings.Contains(err.Error(), "server: not found") {
+		t.Fatalf("revalidation of a deleted document = %v, want the store's 404", err)
 	}
 }
 

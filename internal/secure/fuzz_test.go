@@ -40,12 +40,16 @@ func fuzzSeedContainers() [][]byte {
 		v1 = append(v1, blob[30:]...)
 		seeds = append(seeds, v1[:int(prot.CiphertextOffset())-8])
 	}
+	// The ECB prefix relabelled ECB-MHT: an integrity scheme without digests.
+	relabelled := append([]byte(nil), seeds[0]...)
+	relabelled[5] = byte(SchemeECBMHT)
 	seeds = append(seeds,
 		[]byte{},
 		[]byte("XSEC"),
 		[]byte("NOPE garbage"),
 		append([]byte("XSEC\x02\x03"), bytes.Repeat([]byte{0xff}, 40)...),
 		append([]byte("XSEC\x01\x00"), bytes.Repeat([]byte{0x00}, 40)...),
+		relabelled,
 	)
 	return seeds
 }
@@ -54,9 +58,10 @@ func fuzzSeedContainers() [][]byte {
 // parser is the first thing a remote SOE client runs on data an untrusted
 // blob server controls, so it must never panic and every manifest it accepts
 // must be internally consistent: sizes non-negative, the plaintext inside
-// the ciphertext, the digest table inside the declared prefix, and the
-// chunk/fragment arithmetic (NumChunks, ChunkBounds, NumFragments) safe to
-// evaluate over the whole layout.
+// the ciphertext, the digest table inside the declared prefix with one
+// digest per chunk (none for ECB), and the chunk/fragment arithmetic
+// (NumChunks, ChunkBounds, NumFragments) safe to evaluate over the whole
+// layout.
 func FuzzManifest(f *testing.F) {
 	for _, seed := range fuzzSeedContainers() {
 		f.Add(seed)
@@ -74,6 +79,13 @@ func FuzzManifest(f *testing.F) {
 		}
 		if man.NumDigests != len(digests) {
 			t.Fatalf("manifest says %d digests, parser returned %d", man.NumDigests, len(digests))
+		}
+		wantDigests := man.NumChunks()
+		if man.Scheme == SchemeECB {
+			wantDigests = 0
+		}
+		if man.NumDigests != wantDigests {
+			t.Fatalf("accepted %d digests for %d chunks under %v", man.NumDigests, man.NumChunks(), man.Scheme)
 		}
 		if man.Version == 0 {
 			t.Fatal("accepted manifest with document version 0")

@@ -92,6 +92,9 @@ func unmarshalPrefix(r *byteReader) (*Protected, uint64, error) {
 	}
 	p.ChunkSize = int(chunkSize)
 	p.FragmentSize = int(fragSize)
+	if err := checkLayout(p.ChunkSize, p.FragmentSize); err != nil {
+		return nil, 0, err
+	}
 	p.PlainLen = int(plainLen)
 	p.Version = 1
 	if version >= containerVersion {
@@ -135,6 +138,16 @@ func unmarshalPrefix(r *byteReader) (*Protected, uint64, error) {
 	const maxPlausibleLen = 1 << 40
 	if plainLen > maxPlausibleLen || ctLen > maxPlausibleLen {
 		return nil, 0, fmt.Errorf("secure: implausible container sizes (plain %d, ciphertext %d)", plainLen, ctLen)
+	}
+	// One digest per chunk, except under ECB, which has no integrity: a
+	// container relabelled to an integrity scheme without its digests is
+	// refused here, not at the first read of a chunk.
+	want := Manifest{ChunkSize: p.ChunkSize, CiphertextLen: int64(ctLen)}.NumChunks()
+	if p.Scheme == SchemeECB {
+		want = 0
+	}
+	if len(p.ChunkDigests) != want {
+		return nil, 0, fmt.Errorf("%w: container holds %d chunk digests for %d chunks", ErrIntegrity, len(p.ChunkDigests), want)
 	}
 	return p, ctLen, nil
 }

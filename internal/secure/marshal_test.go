@@ -2,6 +2,7 @@ package secure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -39,12 +40,17 @@ func TestUnmarshalRejectsCorruptContainers(t *testing.T) {
 	plain := samplePlaintext(3000)
 	prot, _ := Protect(plain, testKey(), ProtectOptions{Scheme: SchemeECBMHT})
 	blob := prot.Marshal()
+	// A fragment size of 0 keeps the chunk count, and so the digest table,
+	// consistent; a reader over it divides by zero.
+	zeroFragments := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(zeroFragments[10:], 0)
 	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    append([]byte("NOPE"), blob[4:]...),
-		"bad version":  append(append([]byte{}, blob[:4]...), append([]byte{9}, blob[5:]...)...),
-		"truncated":    blob[:len(blob)/2],
-		"short header": blob[:6],
+		"empty":              {},
+		"bad magic":          append([]byte("NOPE"), blob[4:]...),
+		"bad version":        append(append([]byte{}, blob[:4]...), append([]byte{9}, blob[5:]...)...),
+		"truncated":          blob[:len(blob)/2],
+		"short header":       blob[:6],
+		"zero fragment size": zeroFragments,
 	}
 	for name, data := range cases {
 		if _, err := Unmarshal(data); err == nil {

@@ -101,6 +101,17 @@ type ProtectOptions struct {
 	FragmentSize int
 }
 
+// checkLayout enforces the chunk geometry every reader relies on: a chunk is
+// a whole number of fragments, and a fragment a whole number of cipher
+// blocks.
+func checkLayout(chunkSize, fragmentSize int) error {
+	if chunkSize <= 0 || fragmentSize <= 0 || chunkSize%fragmentSize != 0 || fragmentSize%BlockSize != 0 {
+		return fmt.Errorf("secure: chunk size %d must be a multiple of fragment size %d, itself a multiple of %d",
+			chunkSize, fragmentSize, BlockSize)
+	}
+	return nil
+}
+
 // Protect encrypts a plaintext document (typically the Skip-index encoding)
 // under the given key and scheme.
 func Protect(plaintext []byte, key Key, opts ProtectOptions) (*Protected, error) {
@@ -116,9 +127,8 @@ func Protect(plaintext []byte, key Key, opts ProtectOptions) (*Protected, error)
 	if fragmentSize == 0 {
 		fragmentSize = DefaultFragmentSize
 	}
-	if chunkSize%fragmentSize != 0 || fragmentSize%BlockSize != 0 {
-		return nil, fmt.Errorf("secure: chunk size %d must be a multiple of fragment size %d, itself a multiple of %d",
-			chunkSize, fragmentSize, BlockSize)
+	if err := checkLayout(chunkSize, fragmentSize); err != nil {
+		return nil, err
 	}
 	padded := paddedRange(plaintext, 0, paddedLen(len(plaintext)))
 	p := &Protected{

@@ -78,6 +78,18 @@ func (d *Delta) Marshal() []byte {
 	return out
 }
 
+// maxDeltaChunks is the largest chunk count UnmarshalDelta accepts.
+const maxDeltaChunks = 1 << 26
+
+// MaxDeltaLen is the length of the longest marshalled delta into a layout
+// of numChunks chunks, the one that names every chunk dirty. A count outside
+// what UnmarshalDelta accepts, such as one computed from a lying manifest,
+// is clamped to that range, so the length never overflows.
+func MaxDeltaLen(numChunks int) int64 {
+	numChunks = min(max(numChunks, 0), maxDeltaChunks)
+	return int64(len(deltaMagic)) + 1 + 4*8 + 2*4 + 4*int64(numChunks) + 2*8
+}
+
 // UnmarshalDelta parses a marshalled delta, validating its invariants
 // (ascending dirty chunk indices inside the layout, plausible counts,
 // lengths a signed integer holds, no trailing bytes). Clients decode deltas
@@ -129,7 +141,7 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if numChunks > 1<<26 {
+	if numChunks > maxDeltaChunks {
 		return nil, fmt.Errorf("secure: implausible chunk count %d", numChunks)
 	}
 	d.NumChunks = int(numChunks)

@@ -227,6 +227,18 @@ func TestDeltaMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("dirty chunk %d: %d vs %d", i, back.DirtyChunks[i], d.DirtyChunks[i])
 		}
 	}
+	// MaxDeltaLen is the length of a delta naming every chunk dirty.
+	d.DirtyChunks = []int{0, 1, 2, 3, 4, 5, 6}
+	if got, want := int64(len(d.Marshal())), MaxDeltaLen(d.NumChunks); got != want {
+		t.Fatalf("an all-dirty delta of %d chunks is %d bytes, MaxDeltaLen says %d", d.NumChunks, got, want)
+	}
+	// A chunk count from a lying manifest never yields a bound past the
+	// longest delta UnmarshalDelta accepts, nor one that overflowed.
+	for _, n := range []int{-1, maxDeltaChunks + 1, 1<<62 + 1<<60, math.MaxInt} {
+		if got := MaxDeltaLen(n); got < MaxDeltaLen(0) || got > MaxDeltaLen(maxDeltaChunks) {
+			t.Fatalf("MaxDeltaLen(%d) = %d, outside [%d, %d]", n, got, MaxDeltaLen(0), MaxDeltaLen(maxDeltaChunks))
+		}
+	}
 	for name, corrupt := range map[string][]byte{
 		"empty":     {},
 		"bad magic": append([]byte("NOPE"), d.Marshal()[4:]...),

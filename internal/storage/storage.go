@@ -16,6 +16,8 @@
 //     it, renames it over wal.log and fsyncs the directory. The rename is
 //     the one commit point: a crash leaves either the old log or the new
 //     one, and Open removes a leftover wal.tmp.
+//   - The engine fails stop: the first write or fsync error is returned by
+//     every later Append and Checkpoint, and only reopening clears it.
 //
 // The log format is in wal.go.
 package storage
@@ -60,6 +62,14 @@ type Stats struct {
 	TailBytesDropped int64 `json:"tail_bytes_dropped"` // torn-tail bytes truncated during recovery
 }
 
+// logFile is what the engine writes its log through: an *os.File, or a
+// fault-injecting file in tests.
+type logFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // Engine is one open data directory.
 type Engine struct {
 	dir    string
@@ -69,7 +79,7 @@ type Engine struct {
 	// mu serializes frame writes and checkpoints, and guards the file, its
 	// offsets, the recovered records and the append-side counters.
 	mu          sync.Mutex
-	f           *os.File
+	f           logFile
 	size        int64  // file size
 	tailStart   int64  // offset of the first tail frame (0 before the header)
 	appended    uint64 // frames written (not necessarily synced)
@@ -78,6 +88,8 @@ type Engine struct {
 	checkpoints int64
 	recovered   []Record
 	tailDropped int64
+	// failed is the first write or fsync error (see fail).
+	failed error
 
 	fsyncs    atomic.Int64
 	piggyback atomic.Int64
@@ -203,8 +215,13 @@ func (e *Engine) Append(rec Record) error {
 		e.mu.Unlock()
 		return errClosed
 	}
+	if e.failed != nil {
+		e.mu.Unlock()
+		return e.failed
+	}
 	if e.size == 0 {
 		if _, err := e.f.Write(logHeader(0)); err != nil {
+			err = e.fail(err)
 			e.mu.Unlock()
 			return err
 		}
@@ -213,6 +230,7 @@ func (e *Engine) Append(rec Record) error {
 	if _, err := e.f.Write(frame); err != nil {
 		// A torn frame write is exactly what recovery truncates; leave the
 		// tail to the next open rather than trying to repair in place.
+		err = e.fail(err)
 		e.mu.Unlock()
 		return err
 	}
@@ -245,17 +263,34 @@ func (e *Engine) syncTo(seq uint64) error {
 		return nil
 	}
 	e.mu.Lock()
-	f, cover := e.f, e.appended
+	f, cover, failed := e.f, e.appended, e.failed
 	e.mu.Unlock()
 	if f == nil {
 		return errClosed
 	}
+	if failed != nil {
+		return failed
+	}
 	if err := f.Sync(); err != nil {
-		return err
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.fail(err)
 	}
 	e.fsyncs.Add(1)
 	e.synced.Store(cover)
 	return nil
+}
+
+// fail poisons the engine with its first I/O error and returns it. After a
+// short write, recovery truncates the torn frame and every frame behind it;
+// after a failed fsync, the kernel may have dropped the pages it covered.
+// Either way a later write could be acknowledged and still be lost, so the
+// engine writes nothing more until it is reopened. Callers hold e.mu.
+func (e *Engine) fail(err error) error {
+	if e.failed == nil {
+		e.failed = fmt.Errorf("storage: log failed, reopen to recover: %w", err)
+	}
+	return e.failed
 }
 
 // Checkpoint rewrites the log with recs as its snapshot and an empty tail.
@@ -271,6 +306,9 @@ func (e *Engine) Checkpoint(recs []Record) error {
 	if e.f == nil {
 		return errClosed
 	}
+	if e.failed != nil {
+		return e.failed
+	}
 	tmp := filepath.Join(e.dir, tmpName)
 	f, size, err := writeSnapshot(tmp, recs, e.noSync)
 	if err == nil {
@@ -281,7 +319,7 @@ func (e *Engine) Checkpoint(recs []Record) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
+		return e.fail(err)
 	}
 	// The rename committed the checkpoint and unlinked the old log, so
 	// appends move to the new file whatever happens next.
@@ -294,7 +332,10 @@ func (e *Engine) Checkpoint(recs []Record) error {
 		return nil
 	}
 	e.fsyncs.Add(2) // wal.tmp's, in writeSnapshot, and the directory's
-	return syncDir(e.dir)
+	if err := syncDir(e.dir); err != nil {
+		return e.fail(err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename inside it is durable.

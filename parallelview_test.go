@@ -40,17 +40,20 @@ func scrubParallelCosts(m *xmlac.Metrics) xmlac.Metrics {
 	return out
 }
 
-func protectHospital(t *testing.T, folders int) (*xmlac.Protected, xmlac.Key, string) {
-	t.Helper()
+// protectHospital protects a hospital document of the given folder count
+// under ECB-MHT and returns it with its key and plaintext XML (800 folders
+// approximate the paper's ~3.6 MB evaluation document).
+func protectHospital(tb testing.TB, folders int) (*xmlac.Protected, xmlac.Key, string) {
+	tb.Helper()
 	xml := xmlstream.SerializeTree(dataset.HospitalFolders(folders, 3), false)
 	doc, err := xmlac.ParseDocumentString(xml)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	key := xmlac.DeriveKey("parallel view tests")
 	prot, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return prot, key, xml
 }
