@@ -20,6 +20,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -128,7 +129,7 @@ type Source struct {
 	etag       string
 	ctOffset   int64
 	cache      *pageLRU
-	fragHashes map[int][][secure.DigestSize]byte
+	fragHashes map[int][]byte
 	stats      WireStats
 
 	// trace, when non-nil, charges wire transfer and resync time to the
@@ -181,7 +182,7 @@ func Open(baseURL string, opts Options) (*Source, error) {
 		hashesURL:   base + "/hashes",
 		deltaURL:    base + "/delta",
 		cache:       newPageLRU(opts.CacheCapacity),
-		fragHashes:  map[int][][secure.DigestSize]byte{},
+		fragHashes:  map[int][]byte{},
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,13 +348,17 @@ func (s *Source) ChunkDigest(i int) ([]byte, error) {
 }
 
 // FragmentHashes implements secure.ChunkSource: the fragment leaf hashes of
-// one chunk, fetched from the hashes endpoint on first use and kept (they
-// are DigestSize bytes per fragment, bounded by the document layout).
-func (s *Source) FragmentHashes(i int) ([][secure.DigestSize]byte, error) {
+// one chunk, fetched from the hashes endpoint on first use and kept in their
+// wire form (DigestSize bytes per fragment, bounded by the document
+// layout).
+func (s *Source) FragmentHashes(i int) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h, ok := s.fragHashes[i]; ok {
 		return h, nil
+	}
+	if i < 0 || i >= s.man.NumChunks() {
+		return nil, fmt.Errorf("remote: chunk %d out of range (%d chunks)", i, s.man.NumChunks())
 	}
 	resp, err := s.do("GET", s.hashesURL+"?chunk="+strconv.Itoa(i), nil)
 	if err != nil {
@@ -378,12 +383,10 @@ func (s *Source) FragmentHashes(i int) ([][secure.DigestSize]byte, error) {
 		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: got %d bytes, want %d fragments x %d",
 			i, len(body), want, secure.DigestSize)
 	}
-	hashes := make([][secure.DigestSize]byte, want)
-	for f := 0; f < want; f++ {
-		copy(hashes[f][:], body[f*secure.DigestSize:])
-	}
-	s.fragHashes[i] = hashes
-	return hashes, nil
+	// Keep an exact copy: io.ReadAll's buffer holds at least 512 bytes, and
+	// the records stay for the session.
+	s.fragHashes[i] = bytes.Clone(body)
+	return s.fragHashes[i], nil
 }
 
 // CiphertextRange implements secure.ChunkSource: it serves [off, off+n) from
@@ -863,9 +866,8 @@ func (s *Source) drain(resp *http.Response, r io.Reader) ([]byte, error) {
 
 // bodyReader wraps a response body so every byte read is charged to
 // BytesOnWire, and a body longer than limit bytes fails the read that
-// passes the limit. A negative limit, such as the fragment hashes of a
-// chunk past the layout, admits no byte. Callers hold s.mu for the duration
-// of the reads.
+// passes the limit. A negative limit admits no byte. Callers hold s.mu for
+// the duration of the reads.
 func (s *Source) bodyReader(r io.Reader, limit int64) io.Reader {
 	limit = max(limit, 0)
 	return &boundedReader{r: r, n: &s.stats.BytesOnWire, left: limit, limit: limit}

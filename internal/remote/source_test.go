@@ -363,8 +363,8 @@ func TestFragmentHashesFetchedOncePerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h1) != src.Manifest().NumFragments(0) {
-		t.Fatalf("got %d fragment hashes, want %d", len(h1), src.Manifest().NumFragments(0))
+	if len(h1) != src.Manifest().NumFragments(0)*secure.DigestSize {
+		t.Fatalf("got %d bytes of fragment hashes, want %d records", len(h1), src.Manifest().NumFragments(0))
 	}
 	before := src.Stats()
 	if _, err := src.FragmentHashes(0); err != nil {

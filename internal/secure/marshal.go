@@ -152,7 +152,9 @@ func unmarshalPrefix(r *byteReader) (*Protected, uint64, error) {
 	return p, ctLen, nil
 }
 
-// Unmarshal parses a marshalled protected document.
+// Unmarshal parses a marshalled protected document. The container carries
+// no leaf table: an ECB-MHT document's is hashed from the ciphertext here,
+// once.
 func Unmarshal(data []byte) (*Protected, error) {
 	r := &byteReader{data: data}
 	p, ctLen, err := unmarshalPrefix(r)
@@ -166,6 +168,9 @@ func Unmarshal(data []byte) (*Protected, error) {
 	p.Ciphertext = append([]byte(nil), ct...)
 	if p.PlainLen > len(p.Ciphertext) {
 		return nil, fmt.Errorf("secure: plaintext length %d exceeds ciphertext length %d", p.PlainLen, len(p.Ciphertext))
+	}
+	if p.Scheme == SchemeECBMHT {
+		p.leaves = appendLeaves(make([]byte, 0, p.leafTableLen()), p.Ciphertext, p.FragmentSize)
 	}
 	return p, nil
 }

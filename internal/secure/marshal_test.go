@@ -26,6 +26,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		if !bytes.Equal(back.Ciphertext, prot.Ciphertext) || len(back.ChunkDigests) != len(prot.ChunkDigests) {
 			t.Fatalf("%s: payload mismatch", scheme)
 		}
+		sameFragmentHashes(t, scheme.String()+" after a round trip", back, prot)
 		got, err := Decrypt(back, testKey())
 		if err != nil {
 			t.Fatal(err)

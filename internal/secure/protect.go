@@ -66,6 +66,11 @@ type Protected struct {
 	// Protect and bumped by every Update. The zero value reads as version 1
 	// so Protected literals built by older code keep working.
 	Version uint64
+	// leaves is the leaf table of the ECB-MHT Merkle trees: the SHA-1 of
+	// every ciphertext fragment, chunk after chunk, as DigestSize-byte
+	// records (nil under the other schemes). It is built with the ciphertext
+	// (Protect, Update, Unmarshal) and never modified.
+	leaves []byte
 }
 
 // docVersion returns the effective document version (the zero value means 1).
@@ -147,6 +152,9 @@ func Protect(plaintext []byte, key Key, opts ProtectOptions) (*Protected, error)
 	default:
 		return nil, fmt.Errorf("secure: unknown scheme %v", opts.Scheme)
 	}
+	if opts.Scheme == SchemeECBMHT {
+		p.leaves = appendLeaves(make([]byte, 0, p.leafTableLen()), p.Ciphertext, fragmentSize)
+	}
 	// Chunk digests.
 	for i := 0; i < p.NumChunks(); i++ {
 		start, end := p.chunkBounds(i)
@@ -159,26 +167,47 @@ func Protect(plaintext []byte, key Key, opts ProtectOptions) (*Protected, error)
 		case SchemeCBCSHAC:
 			digest = sha1.Sum(p.Ciphertext[start:end])
 		case SchemeECBMHT:
-			digest = merkleRoot(p.Ciphertext[start:end], fragmentSize)
+			digest = merkleRoot(p.chunkLeaves(i))
 		}
 		p.ChunkDigests = append(p.ChunkDigests, encryptDigest(block, digest[:], uint64(i)))
 	}
 	return p, nil
 }
 
-// merkleRoot computes the Merkle hash tree root of a chunk split into
-// fragments (Appendix A, Figure F1). The number of leaves is the number of
-// fragments in a full chunk; a trailing partial fragment is hashed as-is.
-func merkleRoot(chunk []byte, fragmentSize int) [DigestSize]byte {
-	var leaves [][DigestSize]byte
-	for off := 0; off < len(chunk); off += fragmentSize {
-		end := off + fragmentSize
-		if end > len(chunk) {
-			end = len(chunk)
-		}
-		leaves = append(leaves, sha1.Sum(chunk[off:end]))
+// appendLeaves appends the leaf hash of every fragment of ct, a trailing
+// partial fragment hashed as-is, to leaves: the terminal side of the Merkle
+// protocol (Appendix A, Figure F1). Chunks are whole numbers of fragments,
+// so hashing a run of whole chunks yields their records chunk after chunk.
+func appendLeaves(leaves, ct []byte, fragmentSize int) []byte {
+	for off := 0; off < len(ct); off += fragmentSize {
+		h := sha1.Sum(ct[off:min(off+fragmentSize, len(ct))])
+		leaves = append(leaves, h[:]...)
 	}
-	return merkleCombine(leaves)
+	return leaves
+}
+
+// leafTableLen is the byte length of the document's leaf table: one record
+// per fragment.
+func (p *Protected) leafTableLen() int {
+	return (len(p.Ciphertext) + p.FragmentSize - 1) / p.FragmentSize * DigestSize
+}
+
+// chunkLeaves returns the records of chunk i in the leaf table, capped so
+// that an append cannot reach the next chunk's.
+func (p *Protected) chunkLeaves(i int) []byte {
+	per := p.ChunkSize / p.FragmentSize * DigestSize
+	start, end := i*per, min((i+1)*per, len(p.leaves))
+	return p.leaves[start:end:end]
+}
+
+// merkleRoot computes the Merkle hash tree root over one chunk's leaf
+// records, folding a copy so the records stay intact.
+func merkleRoot(leaves []byte) [DigestSize]byte {
+	level := make([][DigestSize]byte, len(leaves)/DigestSize)
+	for i := range level {
+		level[i] = [DigestSize]byte(leaves[i*DigestSize:])
+	}
+	return merkleCombine(level)
 }
 
 // merkleCombine folds leaf hashes pairwise up to the root. It works in
@@ -201,20 +230,4 @@ func merkleCombine(level [][DigestSize]byte) [DigestSize]byte {
 		}
 	}
 	return level[0]
-}
-
-// fragmentHashes returns the leaf hash of every fragment of a chunk: the
-// terminal side of the Merkle protocol. The verifier takes from it the
-// siblings of the fragments it hashed itself (a flat co-path; the cost model
-// charges the logarithmic co-path of the paper) and recomputes the root.
-func fragmentHashes(chunk []byte, fragmentSize int) [][DigestSize]byte {
-	out := make([][DigestSize]byte, 0, (len(chunk)+fragmentSize-1)/fragmentSize)
-	for off := 0; off < len(chunk); off += fragmentSize {
-		end := off + fragmentSize
-		if end > len(chunk) {
-			end = len(chunk)
-		}
-		out = append(out, sha1.Sum(chunk[off:end]))
-	}
-	return out
 }

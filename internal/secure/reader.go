@@ -440,8 +440,8 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		if err != nil {
 			return err
 		}
-		if len(all) != numFrags {
-			return fmt.Errorf("%w: chunk %d: %d fragment hashes for %d fragments", ErrIntegrity, chunk, len(all), numFrags)
+		if len(all) != numFrags*DigestSize {
+			return fmt.Errorf("%w: chunk %d: %d bytes of fragment hashes for %d fragments", ErrIntegrity, chunk, len(all), numFrags)
 		}
 		// The states are allocated only now, after the terminal sent a hash
 		// per fragment: a hostile layout costs the SOE no more memory than
@@ -471,7 +471,7 @@ func (r *Reader) verifyMHT(start, end int64) error {
 		leaves := r.leaves[:0]
 		for f := range frags {
 			if !frags[f].hasLeaf {
-				frags[f].leaf, frags[f].hasLeaf = all[f], true
+				frags[f].leaf, frags[f].hasLeaf = [DigestSize]byte(all[f*DigestSize:]), true
 			}
 			leaves = append(leaves, frags[f].leaf)
 		}

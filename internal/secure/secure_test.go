@@ -276,6 +276,31 @@ func TestSequentialReadAmortizesVerification(t *testing.T) {
 	}
 }
 
+// TestFragmentHashesAllocatesNothing: the terminal serves a chunk's fragment
+// hashes as a slice of the leaf table built with the ciphertext, so a call
+// neither hashes nor allocates, and an append to the slice cannot reach the
+// next chunk's records.
+func TestFragmentHashesAllocatesNothing(t *testing.T) {
+	prot, err := Protect(samplePlaintext(4*DefaultChunkSize+77), testKey(), ProtectOptions{Scheme: SchemeECBMHT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []byte
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < prot.NumChunks(); i++ {
+			if leaves, err = prot.FragmentHashes(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FragmentHashes over %d chunks allocated %.0f times", prot.NumChunks(), allocs)
+	}
+	if cap(leaves) != len(leaves) {
+		t.Fatalf("chunk records have capacity %d beyond their %d bytes", cap(leaves), len(leaves))
+	}
+}
+
 func TestSchemeString(t *testing.T) {
 	want := map[Scheme]string{SchemeECB: "ECB", SchemeCBCSHA: "CBC-SHA", SchemeCBCSHAC: "CBC-SHAC", SchemeECBMHT: "ECB-MHT"}
 	for s, w := range want {

@@ -68,11 +68,14 @@ type ChunkSource interface {
 	// ChunkDigest returns the encrypted digest of chunk i.
 	ChunkDigest(i int) ([]byte, error)
 	// FragmentHashes returns the SHA-1 hash of every ciphertext fragment of
-	// chunk i (the terminal side of the ECB-MHT Merkle protocol: the SOE
+	// chunk i as DigestSize-byte records back to back, the /hashes wire
+	// format (the terminal side of the ECB-MHT Merkle protocol: the SOE
 	// hashes the fragments it fetched itself and takes the others from here,
 	// then verifies the recomputed root against the decrypted chunk digest,
-	// so a lying source is always detected).
-	FragmentHashes(i int) ([][DigestSize]byte, error)
+	// so a lying source is always detected). The records belong to the
+	// source: like CiphertextRange's bytes, they stay valid across further
+	// calls and must not be modified.
+	FragmentHashes(i int) ([]byte, error)
 }
 
 // Manifest implements ChunkSource for the in-memory document.
@@ -104,16 +107,15 @@ func (p *Protected) ChunkDigest(i int) ([]byte, error) {
 	return p.ChunkDigests[i], nil
 }
 
-// FragmentHashes implements ChunkSource for the in-memory document: the hash
-// of every fragment of the chunk, computed on demand from the ciphertext (an
-// untrusted-side computation; it involves no key material).
-func (p *Protected) FragmentHashes(i int) ([][DigestSize]byte, error) {
-	if p.FragmentSize == 0 {
-		return nil, fmt.Errorf("secure: document has no fragment layout")
+// FragmentHashes implements ChunkSource for the in-memory document: chunk
+// i's records in the leaf table built with the ciphertext. Only ECB-MHT
+// documents have one.
+func (p *Protected) FragmentHashes(i int) ([]byte, error) {
+	if p.Scheme != SchemeECBMHT {
+		return nil, fmt.Errorf("secure: a %v document has no fragment hash table", p.Scheme)
 	}
 	if i < 0 || i >= p.NumChunks() {
 		return nil, fmt.Errorf("secure: chunk %d out of range (%d chunks)", i, p.NumChunks())
 	}
-	start, end := p.chunkBounds(i)
-	return fragmentHashes(p.Ciphertext[start:end], p.FragmentSize), nil
+	return p.chunkLeaves(i), nil
 }

@@ -315,15 +315,21 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 		return nil, nil, fmt.Errorf("secure: unknown scheme %v", old.Scheme)
 	}
 
-	// Rebuild the digest table: clean chunks keep their encrypted digest
-	// (content and chunk index unchanged), dirty chunks recompute exactly as
-	// Protect does.
+	// Rebuild the digest table and the leaf table: clean chunks keep their
+	// encrypted digest and their leaves (content and chunk index
+	// unchanged), dirty chunks recompute exactly as Protect does.
 	if old.Scheme != SchemeECB {
 		np.ChunkDigests = make([][]byte, nChunks)
+		if old.Scheme == SchemeECBMHT {
+			np.leaves = make([]byte, 0, np.leafTableLen())
+		}
 		for i := 0; i < nChunks; i++ {
 			start, end := np.chunkBounds(i)
 			if !dirty[i] {
 				np.ChunkDigests[i] = old.ChunkDigests[i]
+				if old.Scheme == SchemeECBMHT {
+					np.leaves = append(np.leaves, old.chunkLeaves(i)...)
+				}
 				continue
 			}
 			var digest [DigestSize]byte
@@ -333,7 +339,8 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 			case SchemeCBCSHAC:
 				digest = sha1.Sum(np.Ciphertext[start:end])
 			case SchemeECBMHT:
-				digest = merkleRoot(np.Ciphertext[start:end], np.FragmentSize)
+				np.leaves = appendLeaves(np.leaves, np.Ciphertext[start:end], np.FragmentSize)
+				digest = merkleRoot(np.chunkLeaves(i))
 			}
 			np.ChunkDigests[i] = encryptDigest(block, digest[:], uint64(i))
 		}

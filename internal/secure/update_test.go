@@ -10,7 +10,8 @@ import (
 
 // protectEqualModuloVersion asserts that an updated document is byte-for-byte
 // what Protect would build from the new plaintext: same ciphertext, same
-// encrypted digest table, same layout. Only the version stamp may differ.
+// encrypted digest table, same leaf table, same layout. Only the version
+// stamp may differ.
 func protectEqualModuloVersion(t *testing.T, got *Protected, newPlain []byte, key Key, scheme Scheme) {
 	t.Helper()
 	want, err := Protect(newPlain, key, ProtectOptions{Scheme: scheme, ChunkSize: got.ChunkSize, FragmentSize: got.FragmentSize})
@@ -30,6 +31,24 @@ func protectEqualModuloVersion(t *testing.T, got *Protected, newPlain []byte, ke
 	}
 	if got.PlainLen != want.PlainLen || got.ChunkSize != want.ChunkSize || got.FragmentSize != want.FragmentSize {
 		t.Fatalf("%s: layout mismatch after update", scheme)
+	}
+	sameFragmentHashes(t, "updated version", got, want)
+}
+
+// sameFragmentHashes asserts that got serves want's fragment hashes for
+// every chunk: under ECB-MHT the same leaf table, under the other schemes
+// the same refusal.
+func sameFragmentHashes(t *testing.T, what string, got, want *Protected) {
+	t.Helper()
+	for i := 0; i < want.NumChunks(); i++ {
+		g, gErr := got.FragmentHashes(i)
+		w, wErr := want.FragmentHashes(i)
+		if want.Scheme == SchemeECBMHT && (gErr != nil || wErr != nil) {
+			t.Fatalf("%s: fragment hashes of chunk %d: %v, from scratch %v", what, i, gErr, wErr)
+		}
+		if (gErr == nil) != (wErr == nil) || !bytes.Equal(g, w) {
+			t.Fatalf("%s: fragment hashes of chunk %d differ from a from-scratch Protect", what, i)
+		}
 	}
 }
 
@@ -130,6 +149,7 @@ func TestUpdateMatchesFromScratch(t *testing.T) {
 				if !bytes.Equal(old.Ciphertext, reProt.Ciphertext) {
 					t.Fatal("Update mutated the previous version in place")
 				}
+				sameFragmentHashes(t, "previous version", old, reProt)
 				// And the updated document must decrypt to the new plaintext.
 				got, err := Decrypt(updated, key)
 				if err != nil {

@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -477,7 +479,50 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 	same("fsyncs", js.Storage.Fsyncs, prom["xmlac_storage_fsyncs_total"])
 	same("group commits", js.Storage.GroupCommits, prom["xmlac_storage_group_commits_total"])
 	same("checkpoints", js.Storage.Checkpoints, prom["xmlac_storage_checkpoints_total"])
+	same("storage failed", js.Storage.Failed, prom["xmlac_storage_failed"])
 	if js.Storage.WALAppends != 14 {
 		t.Errorf("WAL appends %d, want 14 (two registrations, twelve PATCHes)", js.Storage.WALAppends)
+	}
+}
+
+// TestPoisonedStorageIsReported: once an I/O error poisons the storage
+// engine, /healthz answers 503 with the engine's error, both metric
+// renderings read storage.failed 1, and writes answer 500. The fault is a
+// checkpoint whose temporary log cannot be created, because a directory
+// holds its name; the storage package's own tests inject short writes and
+// failed fsyncs.
+func TestPoisonedStorageIsReported(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := newLoggedServer(t, Options{DataDir: dir, CheckpointWALBytes: 1})
+	health := func(wantStatus int, wantFailed int64) string {
+		t.Helper()
+		resp, body := do(t, http.MethodGet, ts.URL+"/healthz", "")
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("/healthz: %d %s, want %d", resp.StatusCode, body, wantStatus)
+		}
+		var js metricsSnapshot
+		_, metrics := do(t, http.MethodGet, ts.URL+"/metrics", "")
+		if err := json.Unmarshal([]byte(metrics), &js); err != nil {
+			t.Fatalf("decoding /metrics: %v", err)
+		}
+		_, prom := do(t, http.MethodGet, ts.URL+"/metrics.prom", "")
+		if got := promSamples(t, prom)["xmlac_storage_failed"]; js.Storage.Failed != wantFailed || got != float64(wantFailed) {
+			t.Fatalf("storage failed: /metrics %d, /metrics.prom %v, want %d", js.Storage.Failed, got, wantFailed)
+		}
+		return body
+	}
+	putDoc(t, ts, "hospital", hospitalXML(2))
+	health(http.StatusOK, 0)
+
+	if err := os.Mkdir(filepath.Join(dir, "wal.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The registration is durable before its checkpoint runs and fails.
+	putDoc(t, ts, "clinic", hospitalXML(2))
+	if body := health(http.StatusServiceUnavailable, 1); !strings.Contains(body, "log failed") || !strings.Contains(body, "wal.tmp") {
+		t.Fatalf("/healthz body %q does not carry the engine's error", body)
+	}
+	if status, _, body := patchDoc(t, ts, "hospital", `{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"x"}`); status != http.StatusInternalServerError {
+		t.Fatalf("PATCH on a poisoned store: %d %s, want 500", status, body)
 	}
 }

@@ -45,6 +45,7 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 		{"xmlac_storage_group_commits_total", "counter", "WAL appends that piggybacked on another append's fsync.", i64(st.GroupCommits)},
 		{"xmlac_storage_checkpoints_total", "counter", "Compacting checkpoints taken since open.", i64(st.Checkpoints)},
 		{"xmlac_storage_wal_tail_bytes_dropped", "gauge", "Torn-tail bytes truncated during the last recovery.", i64(st.TailBytesDropped)},
+		{"xmlac_storage_failed", "gauge", "1 once an I/O error has poisoned the storage engine: writes fail until a restart.", i64(st.Failed)},
 	} {
 		promCounter(w, m.name, m.help, m.kind, m.value)
 	}

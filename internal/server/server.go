@@ -19,6 +19,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha1"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -209,7 +210,7 @@ func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.S
 //	GET    /metrics                        every counter, as JSON
 //	GET    /metrics.prom                   the same snapshot, Prometheus text format
 //	GET    /debug/trace                    retained request spans, as JSONL
-//	GET    /healthz                        liveness
+//	GET    /healthz                        liveness; 503 once storage has failed
 //
 // The manifest, blob, hashes and delta routes are what a remote SOE
 // (xmlac.OpenRemote) reads: it pulls ciphertext ranges, digests and Merkle
@@ -236,11 +237,22 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", httppprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", httppprof.Trace)
 	}
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s.observe(mux)
+}
+
+// handleHealthz answers 200 while the store takes writes, and 503 with the
+// storage engine's error once an I/O error has poisoned it: from then on
+// every write answers 500 until a restart reopens the log.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s.persist != nil {
+		if err := s.persist.engine.Err(); err != nil {
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
+	}
+	w.WriteHeader(http.StatusOK)
+	io.WriteString(w, "ok\n")
 }
 
 // httpError writes a JSON error body with the right status.
@@ -471,10 +483,11 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFragmentHashes serves the ciphertext fragment hashes of one chunk
-// (?chunk=N) as DigestSize-byte records: the untrusted-terminal half of the
-// ECB-MHT Merkle protocol, under the entity tag of the version they hash.
-// The hashes are over public ciphertext; the SOE verifies them against the
-// decrypted chunk digest.
+// (?chunk=N) as DigestSize-byte records, under the entity tag of the version
+// they hash: the untrusted-terminal half of the ECB-MHT Merkle protocol. The
+// records are the surface's slice of the leaf table the version was built
+// with, written as they are; the SOE verifies them against the decrypted
+// chunk digest. Only ECB-MHT documents have them.
 func (s *Server) handleFragmentHashes(w http.ResponseWriter, r *http.Request) {
 	entry, err := s.store.Entry(r.PathValue("id"))
 	if err != nil {
@@ -487,19 +500,16 @@ func (s *Server) handleFragmentHashes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sf := entry.current()
-	hashes, err := sf.fragmentHashes(chunk)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if chunk < 0 || chunk >= len(sf.hashes) {
+		httpError(w, http.StatusBadRequest, "no fragment hashes for chunk %d of a %d-chunk %s document",
+			chunk, sf.manifest.NumChunks, sf.manifest.Scheme)
 		return
 	}
+	hashes := sf.hashes[chunk]
 	h := w.Header()
 	h.Set("ETag", sf.etag)
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Xmlac-Fragment-Count", strconv.Itoa(len(hashes)))
+	h.Set("X-Xmlac-Fragment-Count", strconv.Itoa(len(hashes)/sha1.Size))
 	w.WriteHeader(http.StatusOK)
-	for _, hash := range hashes {
-		if _, err := w.Write(hash); err != nil {
-			return // client went away
-		}
-	}
+	_, _ = w.Write(hashes) // a failed write means the client went away
 }

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha1"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -444,12 +446,18 @@ func TestFragmentHashesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) != len(want)*len(want[0]) {
-		t.Fatalf("hashes body %d bytes, want %d fragments x %d", len(body), len(want), len(want[0]))
+	if !bytes.Equal([]byte(body), want) {
+		t.Fatalf("hashes body (%d bytes) differs from the document's chunk-0 records (%d bytes)", len(body), len(want))
 	}
-	for i, h := range want {
-		if !bytes.Equal([]byte(body[i*len(h):(i+1)*len(h)]), h) {
-			t.Fatalf("fragment %d hash differs", i)
+	if n := resp.Header.Get("X-Xmlac-Fragment-Count"); n != strconv.Itoa(len(want)/sha1.Size) {
+		t.Fatalf("fragment count header %q, want %d", n, len(want)/sha1.Size)
+	}
+	// Each record is the SHA-1 of one ciphertext fragment.
+	ct := blob[man.CiphertextOffset:]
+	for f := 0; f < len(want)/sha1.Size; f++ {
+		h := sha1.Sum(ct[f*man.FragmentSize : (f+1)*man.FragmentSize])
+		if !bytes.Equal(want[f*sha1.Size:(f+1)*sha1.Size], h[:]) {
+			t.Fatalf("fragment %d hash differs from the SHA-1 of its ciphertext", f)
 		}
 	}
 	// Chunk bounds are partially filled at the tail: the last chunk may have
@@ -464,5 +472,14 @@ func TestFragmentHashesEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("hashes%s: %d, want 400", bad, resp.StatusCode)
 		}
+	}
+
+	// Only ECB-MHT has a leaf table, and only ECB-MHT readers ask for it.
+	if _, err := srv.Store().RegisterXML("cbc", hospitalXML(6), "", xmlac.SchemeCBCSHA); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = do(t, http.MethodGet, ts.URL+"/docs/cbc/hashes?chunk=0", "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("hashes of a CBC-SHA document: %d %s, want 400", resp.StatusCode, body)
 	}
 }

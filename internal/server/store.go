@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -94,12 +93,25 @@ type surface struct {
 	etag     string
 	manifest xmlac.DocumentManifest
 	deltas   []*xmlac.UpdateDelta
+	// hashes[i] is chunk i's records in the version's leaf table (the
+	// untrusted-terminal side of the ECB-MHT Merkle protocol); empty under
+	// the other schemes, which have no table.
+	hashes [][]byte
 }
 
 // newSurface builds the surface of one protected version from its
-// marshalled container.
+// marshalled container. prot must be at that version: the caller holds the
+// entry's update lock, or builds the entry.
 func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte, deltas []*xmlac.UpdateDelta) *surface {
-	return &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest(), deltas: deltas}
+	sf := &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest(), deltas: deltas}
+	for i := 0; i < sf.manifest.NumChunks; i++ {
+		h, err := prot.FragmentHashes(i)
+		if err != nil {
+			break // not an ECB-MHT document
+		}
+		sf.hashes = append(sf.hashes, h)
+	}
+	return sf
 }
 
 // maxRetainedDeltas bounds the per-document update history served through
@@ -417,35 +429,4 @@ func (sf *surface) deltaSince(from uint64) (*xmlac.UpdateDelta, uint64, error) {
 		return nil, current, err
 	}
 	return merged, current, nil
-}
-
-// fragmentHashes returns the ciphertext fragment hashes of one chunk of the
-// surface's blob (the untrusted-terminal side of the ECB-MHT Merkle
-// protocol), so they describe the version whose ETag the handler sends.
-// Hashing public ciphertext is exactly the computation the paper assigns to
-// the untrusted terminal; no key material is involved.
-func (sf *surface) fragmentHashes(chunk int) ([][]byte, error) {
-	man := sf.manifest
-	if man.FragmentSize <= 0 {
-		return nil, errors.New("server: document has no fragment layout")
-	}
-	if chunk < 0 || chunk >= man.NumChunks {
-		return nil, fmt.Errorf("server: chunk %d out of range (%d chunks)", chunk, man.NumChunks)
-	}
-	start := int64(chunk) * int64(man.ChunkSize)
-	end := start + int64(man.ChunkSize)
-	if end > man.CiphertextLen {
-		end = man.CiphertextLen
-	}
-	data := sf.blob[man.CiphertextOffset+start : man.CiphertextOffset+end]
-	out := make([][]byte, 0, (len(data)+man.FragmentSize-1)/man.FragmentSize)
-	for off := 0; off < len(data); off += man.FragmentSize {
-		frag := data[off:]
-		if len(frag) > man.FragmentSize {
-			frag = frag[:man.FragmentSize]
-		}
-		h := sha1.Sum(frag)
-		out = append(out, append([]byte(nil), h[:]...))
-	}
-	return out, nil
 }

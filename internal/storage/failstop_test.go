@@ -48,10 +48,11 @@ func (f *faultFile) Sync() error {
 }
 
 // TestIOErrorFailsStop: after a write or fsync error, the engine
-// acknowledges nothing more. Record 1 meets the fault; record 2 must fail
-// with the same error, and so must a checkpoint. Without that, record 2 lands
-// behind a torn frame (or a hole the failed fsync left), is fsynced and
-// acknowledged, and recovery truncates it away.
+// acknowledges nothing more and reports the error (Err, and the Failed
+// gauge). Record 1 meets the fault; record 2 must fail with the same error,
+// and so must a checkpoint. Without that, record 2 lands behind a torn frame
+// (or a hole the failed fsync left), is fsynced and acknowledged, and
+// recovery truncates it away.
 func TestIOErrorFailsStop(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -78,9 +79,16 @@ func TestIOErrorFailsStop(t *testing.T) {
 			ff.synced = st.Size()
 			tc.arm(ff)
 			e.f = ff
+			if e.Err() != nil || e.Stats().Failed != 0 {
+				t.Fatalf("healthy engine reports failure: %v, gauge %d", e.Err(), e.Stats().Failed)
+			}
 
 			if err := e.Append(testRecord(1)); !errors.Is(err, errInjected) {
 				t.Fatalf("append meeting the fault returned %v, want the injected error", err)
+			}
+			// The poisoned engine says so, for /healthz and /metrics.
+			if !errors.Is(e.Err(), errInjected) || e.Stats().Failed != 1 {
+				t.Errorf("poisoned engine reports %v, gauge %d", e.Err(), e.Stats().Failed)
 			}
 			if err := e.Append(testRecord(2)); err == nil {
 				acked = append(acked, testRecord(2))

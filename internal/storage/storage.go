@@ -60,6 +60,7 @@ type Stats struct {
 	GroupCommits     int64 `json:"group_commits"`      // appends that piggybacked on another fsync
 	Checkpoints      int64 `json:"checkpoints"`        // checkpoints taken since open
 	TailBytesDropped int64 `json:"tail_bytes_dropped"` // torn-tail bytes truncated during recovery
+	Failed           int64 `json:"failed"`             // 1 once an I/O error has poisoned the engine (see Err)
 }
 
 // logFile is what the engine writes its log through: an *os.File, or a
@@ -360,7 +361,7 @@ func (e *Engine) WALSize() int64 {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Stats{
+	st := Stats{
 		WALRecords:       e.records,
 		WALBytes:         e.size - e.tailStart,
 		WALAppends:       e.appends,
@@ -369,6 +370,19 @@ func (e *Engine) Stats() Stats {
 		Checkpoints:      e.checkpoints,
 		TailBytesDropped: e.tailDropped,
 	}
+	if e.failed != nil {
+		st.Failed = 1
+	}
+	return st
+}
+
+// Err returns the I/O error that poisoned the engine, or nil while it
+// still takes writes. Once it is set, every Append and Checkpoint returns
+// it until the data directory is reopened.
+func (e *Engine) Err() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.failed
 }
 
 // Close releases the log file and the directory lock. The engine is not

@@ -525,22 +525,16 @@ func (p *Protected) Manifest() DocumentManifest {
 func (s Scheme) normalize() Scheme { return Scheme(strings.ToLower(string(s))) }
 
 // FragmentHashes returns the SHA-1 hash of every ciphertext fragment of a
-// chunk: the untrusted-terminal side of the ECB-MHT Merkle protocol, served
-// by blob servers to remote SOE clients (GET /docs/{id}/hashes?chunk=N). The
-// hashes are computed over public ciphertext; clients verify them against
-// the decrypted chunk digest, so a hash or fragment the server alters fails
-// the Merkle check.
-func (p *Protected) FragmentHashes(chunk int) ([][]byte, error) {
-	hashes, err := p.snapshot().FragmentHashes(chunk)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(hashes))
-	for i := range hashes {
-		h := hashes[i]
-		out[i] = h[:]
-	}
-	return out, nil
+// chunk of the current version, as 20-byte records back to back: the
+// untrusted-terminal side of the ECB-MHT Merkle protocol, served by blob
+// servers to remote SOE clients (GET /docs/{id}/hashes?chunk=N) in exactly
+// this form. The records are a slice of the leaf table the version was
+// built with, hashed once over public ciphertext, so the call neither
+// hashes nor allocates; they are read-only. Clients verify them against the
+// decrypted chunk digest, so a hash or fragment the server alters fails the
+// Merkle check. Only ECB-MHT documents have a leaf table.
+func (p *Protected) FragmentHashes(chunk int) ([]byte, error) {
+	return p.snapshot().FragmentHashes(chunk)
 }
 
 // ViewOptions tunes the evaluation of an authorized view.
