@@ -23,7 +23,7 @@
 //   - phasepair: every trace.Context phase Begin has a matching End on all
 //     return paths, and the configured trace types stay nil-receiver-safe.
 //   - metricsfold: every field of an accumulator struct (Metrics,
-//     PhaseBreakdown, secure.Costs) is folded by its Add method.
+//     PhaseBreakdown) is folded by its Add method.
 //
 // cmd/xmlac-vet is the multichecker driver; internal/analysis/analysistest
 // runs an analyzer over a golden testdata package with // want comments.

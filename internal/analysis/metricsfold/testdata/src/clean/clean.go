@@ -33,7 +33,7 @@ func (b *Phases) Add(o *Phases) {
 	b.EmitNs += o.EmitNs
 }
 
-// Costs takes its parameter by value, like secure.Costs.
+// Costs takes its parameter by value.
 type Costs struct {
 	Transferred int64
 	Decrypted   int64

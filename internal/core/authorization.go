@@ -11,27 +11,15 @@
 // subtree skips) and produces the authorized view of the document for one
 // access-control policy and, optionally, one query.
 //
-// Two execution strategies share that single evaluator:
-//
-//   - Serial: Evaluator.Run drives one compiled policy over one event
-//     stream, delivering the view through Options.Sink in document order as
-//     nodes settle (a nil sink materializes a tree). Policies compile once
-//     (CompilePolicy) and evaluators Reset for reuse across evaluations.
-//     Over the Skip-index decoder, a subtree the evaluator decides to skip
-//     is jumped over physically: its bytes are neither read nor decrypted.
-//
-//   - Parallel scan: RunParallel evaluates the regions of one document
-//     (planned at integrity-chunk/subtree boundaries by
-//     skipindex.PlanRegions) on a bounded worker pool, one evaluator per
-//     region over its own region scanner, and stitches the captured sink
-//     events back into exact document order. The delivered view is
-//     byte-identical to the serial scan and the metrics are exactly equal;
-//     combinations the region protocol cannot serve fail early with
-//     ErrNotParallelizable and callers fall back to the serial strategy.
+// Evaluator.Run drives one compiled policy over one event stream,
+// delivering the view through Options.Sink in document order as nodes
+// settle (a nil sink materializes a tree). Policies compile once
+// (CompilePolicy) and evaluators Reset for reuse across evaluations. Over
+// the Skip-index decoder, a subtree the evaluator decides to skip is jumped
+// over physically: its bytes are neither read nor decrypted.
 //
 // Evaluations optionally report phase-level timing (Options.Trace) into
-// internal/trace contexts; Metrics carries the paper's SOE cost counters for
-// both strategies.
+// internal/trace contexts; Metrics carries the paper's SOE cost counters.
 package core
 
 import (

@@ -207,48 +207,36 @@ func Evaluate(reader xmlstream.EventReader, policy *accessrule.Policy, opts Opti
 // reader's, the sink's, or one at finalization — returns the error with a
 // Result carrying the partial metrics of the work performed and no view.
 func (e *Evaluator) Run() (*Result, error) {
-	if err := e.scan(); err != nil {
-		return &Result{Metrics: e.metrics}, err
-	}
-	return e.Finish()
-}
-
-// scan processes every event of the reader without finalizing the result:
-// a region worker of a parallel scan stops there, since the document root
-// is still open at its region's end.
-func (e *Evaluator) scan() error {
 	for {
 		ev, err := e.reader.Next()
 		if errors.Is(err, xmlstream.ErrEndOfDocument) {
-			return nil
+			return e.finish()
 		}
 		if err != nil {
-			return fmt.Errorf("core: reading document: %w", err)
+			return &Result{Metrics: e.metrics}, fmt.Errorf("core: reading document: %w", err)
 		}
-		if err := e.ProcessEvent(ev); err != nil {
-			return err
+		if err := e.processEvent(ev); err != nil {
+			return &Result{Metrics: e.metrics}, err
 		}
 	}
 }
 
-// Finish finalizes the result after the last event has been processed: the
+// finish finalizes the result after the last event has been processed: the
 // remaining skeleton is flushed, unresolved predicates deny their nodes and
-// the sink delivery is ended. Callers that drive the evaluator through
-// ProcessEvent (the parallel scan's stitching evaluator) call it in place
-// of Run. A failure returns the error with the metrics and no view.
-func (e *Evaluator) Finish() (*Result, error) {
+// the sink delivery is ended. A failure returns the error with the metrics
+// and no view.
+func (e *Evaluator) finish() (*Result, error) {
 	e.opts.Trace.Begin(trace.PhaseEmit)
 	view, err := e.builder.finalize()
 	e.opts.Trace.End()
 	return &Result{View: view, Metrics: e.metrics}, err
 }
 
-// ProcessEvent feeds one event to the evaluator. Exposed for tests that
-// drive the evaluator event by event and inspect intermediate state. After
-// the event is evaluated the settled prefix of the view is flushed to the
-// delivery sink, so a sink error (a disconnected client) surfaces here and
-// aborts the document scan.
-func (e *Evaluator) ProcessEvent(ev xmlstream.Event) error {
+// processEvent feeds one event to the evaluator. After the event is
+// evaluated the settled prefix of the view is flushed to the delivery sink,
+// so a sink error (a disconnected client) surfaces here and aborts the
+// document scan.
+func (e *Evaluator) processEvent(ev xmlstream.Event) error {
 	tr := e.opts.Trace
 	tr.Begin(trace.PhaseEval)
 	e.metrics.Events++
@@ -273,9 +261,6 @@ func (e *Evaluator) ProcessEvent(ev xmlstream.Event) error {
 	tr.End()
 	return err
 }
-
-// Metrics returns a copy of the metrics accumulated so far.
-func (e *Evaluator) Metrics() Metrics { return e.metrics }
 
 var errDepthMismatch = errors.New("core: event depth does not match evaluator state")
 

@@ -25,9 +25,9 @@
 //     only dirty pages.
 //
 //   - Readers are single-goroutine but the *Protected beneath them is
-//     immutable once built (updates swap a new snapshot), so the parallel
-//     scan opens one Reader per region worker over the same snapshot; each
-//     reader verifies and decrypts independently with its own chunk state.
+//     immutable once built (updates swap a new snapshot), so concurrent
+//     views open one Reader each over the same snapshot; each reader
+//     verifies and decrypts independently with its own chunk state.
 //
 // Readers report per-phase time (decrypt, verify, hash fetch) into
 // internal/trace contexts when tracing is on.

@@ -31,16 +31,6 @@ type Costs struct {
 	FragmentsVerified int64
 }
 
-// Add accumulates another cost record.
-func (c *Costs) Add(o Costs) {
-	c.BytesTransferred += o.BytesTransferred
-	c.BytesDecrypted += o.BytesDecrypted
-	c.BytesHashed += o.BytesHashed
-	c.DigestsDecrypted += o.DigestsDecrypted
-	c.ChunksVerified += o.ChunksVerified
-	c.FragmentsVerified += o.FragmentsVerified
-}
-
 // Reader is the SOE-side secure reader: it exposes the protected document as
 // a plaintext io.ReaderAt (the interface the Skip-index decoder consumes),
 // fetching ciphertext from the untrusted terminal on demand through a
@@ -60,8 +50,8 @@ type Reader struct {
 	block cipher.Block
 	iv    [BlockSize]byte // the CBC schemes' derived IV
 
-	// verification state kept in the SOE: which chunks (CBC schemes) and
-	// fragments (ECB-MHT) are verified, the decrypted chunk digests and the
+	// verification state kept in the SOE: which chunks and fragments
+	// (ECB-MHT) are verified, the decrypted chunk digests and the
 	// fragment leaf hashes of the chunks being worked on (the SOE keeps the
 	// leaves of the current chunk, 8 x 20 bytes, well within its RAM budget,
 	// so sibling hashes are transferred at most once per chunk). A chunk's
@@ -86,21 +76,20 @@ type Reader struct {
 	blockPlain    [blockCacheSize][BlockSize]byte
 	blockCachePos int
 
-	// justFetched lists the ciphertext block ranges that the current ReadAt
-	// call already pulled into the SOE for integrity verification, so the
-	// decryption step of the same call does not charge their transfer a
-	// second time (the SOE hashes and decrypts the incoming stream in one
-	// pass).
-	justFetched []blockRange
-
-	// ctCache keeps the ciphertext byte ranges of the last few fragments
-	// transferred for Merkle verification (ECB-MHT): subsequent reads inside
-	// those ranges decrypt from the copy already inside the SOE instead of
-	// transferring the bytes again. Keyed by fragment index; bounded by
-	// ctCacheSize.
-	ctCache     map[int64][2]int64
-	ctCacheKeys []int64
-	ctCachePos  int
+	// The SOE decrypts only ciphertext it hashed and still holds, never a
+	// second fetch of it, which a lying source could answer differently.
+	// Under ECB-MHT it holds the fragments the current ReadAt verified
+	// (verifiedNow) and the last ctCacheSize fragments verified (held,
+	// replaced in first-in first-out order); the decryption step decrypts
+	// from them and does not charge their transfer a second time (the SOE
+	// hashes and decrypts the incoming stream in one pass). Under the CBC
+	// schemes it holds the last two chunks it read (cbc, the latest first):
+	// a read that crosses a chunk boundary is often followed by one before
+	// it.
+	verifiedNow []heldFrag
+	held        [ctCacheSize]heldFrag
+	heldPos     int
+	cbc         [2]heldChunk
 
 	// Scratch space reused across calls: the plaintext a ReadAt serves, the
 	// fragments one verification hashes and their leaves, the leaves of the
@@ -137,36 +126,52 @@ type fragState struct {
 	leaf     [DigestSize]byte
 }
 
-// blockRange is the half-open block index range [from, to).
-type blockRange struct{ from, to int64 }
-
-// ctCacheSize is the number of fragments of ciphertext the SOE retains
-// (4 x 256 bytes = 1 KB of RAM).
-const ctCacheSize = 4
-
-func (r *Reader) ctCachePut(frag, from, to int64) {
-	if r.ctCacheKeys == nil {
-		r.ctCacheKeys = make([]int64, ctCacheSize)
-		for i := range r.ctCacheKeys {
-			r.ctCacheKeys[i] = -1
-		}
-	}
-	if old := r.ctCacheKeys[r.ctCachePos]; old >= 0 {
-		delete(r.ctCache, old)
-	}
-	r.ctCacheKeys[r.ctCachePos] = frag
-	r.ctCachePos = (r.ctCachePos + 1) % ctCacheSize
-	r.ctCache[frag] = [2]int64{from, to}
+// heldFrag is a verified ECB-MHT fragment's ciphertext as the SOE holds
+// it: the slice CiphertextRange returned for the fragment at start, a stable
+// snapshot under the ChunkSource contract, so holding it copies nothing.
+// The cost model counts the bytes from from on as transferred: Appendix A
+// sends a fragment's suffix with the terminal's hash state of its prefix.
+type heldFrag struct {
+	start, from int64
+	ct          []byte
 }
 
-// inCtCache reports whether the ciphertext byte at the given offset is still
-// held by the SOE from a previous fragment verification.
-func (r *Reader) inCtCache(off int64) bool {
-	if r.man.FragmentSize == 0 {
-		return false
+// heldChunk is a chunk the SOE verified under a CBC scheme: its ciphertext
+// and, when it was checked, the ciphertext block before the chunk.
+// CBC-SHA's plaintext digest checks that block; CBC-SHAC's ciphertext
+// digest does not, so under CBC-SHAC it is kept only when it is the IV or
+// ends the held chunk before.
+type heldChunk struct {
+	chunk    int
+	ct, prev []byte
+}
+
+func (h *heldChunk) holds(chunk int) bool { return h.ct != nil && h.chunk == chunk }
+
+// ctCacheSize is the number of fragments of ciphertext the SOE retains
+// beyond the current ReadAt (4 x 256 bytes = 1 KB of RAM).
+const ctCacheSize = 4
+
+// hold keeps a verified fragment for the next few reads, in place of the
+// fragment held longest.
+func (r *Reader) hold(h heldFrag) {
+	r.held[r.heldPos] = h
+	r.heldPos = (r.heldPos + 1) % ctCacheSize
+}
+
+// heldAt returns the held fragment containing ciphertext offset off.
+func (r *Reader) heldAt(off int64) (heldFrag, bool) {
+	for _, h := range r.verifiedNow {
+		if off >= h.start && off < h.start+int64(len(h.ct)) {
+			return h, true
+		}
 	}
-	rng, ok := r.ctCache[off/int64(r.man.FragmentSize)]
-	return ok && off >= rng[0] && off < rng[1]
+	for _, h := range r.held {
+		if off >= h.start && off < h.start+int64(len(h.ct)) {
+			return h, true
+		}
+	}
+	return heldFrag{}, false
 }
 
 // stateOf returns the current epoch's state of a chunk; the caller
@@ -176,17 +181,6 @@ func (r *Reader) stateOf(chunk int) chunkState {
 		return cs
 	}
 	return chunkState{epoch: r.epoch, frags: -1}
-}
-
-// fetched reports whether the current ReadAt call already transferred the
-// ciphertext of a block.
-func (r *Reader) fetched(block int64) bool {
-	for _, br := range r.justFetched {
-		if block >= br.from && block < br.to {
-			return true
-		}
-	}
-	return false
 }
 
 // blockCacheSize is the number of 8-byte plaintext blocks the SOE keeps
@@ -243,26 +237,23 @@ func (r *Reader) Reset(src ChunkSource, key Key) error {
 	r.src = src
 	r.man = src.Manifest()
 	r.costs = Costs{}
-	r.justFetched = r.justFetched[:0]
+	r.verifiedNow = r.verifiedNow[:0]
+	r.held = [ctCacheSize]heldFrag{}
+	r.heldPos = 0
+	r.cbc = [2]heldChunk{}
 	r.trace = nil
 	r.epoch++
 	r.frags = r.frags[:0]
 	if r.chunks == nil {
 		r.chunks = map[int]chunkState{}
 		r.blockSlot = map[int64]int{}
-		r.ctCache = map[int64][2]int64{}
 	} else {
 		clear(r.blockSlot)
-		clear(r.ctCache)
 	}
 	for i := range r.blockKeys {
 		r.blockKeys[i] = -1
 	}
 	r.blockCachePos = 0
-	for i := range r.ctCacheKeys {
-		r.ctCacheKeys[i] = -1
-	}
-	r.ctCachePos = 0
 	return nil
 }
 
@@ -291,7 +282,7 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	r.justFetched = r.justFetched[:0]
+	r.verifiedNow = r.verifiedNow[:0]
 	firstBlock := off / BlockSize
 	lastBlock := (off + int64(n) - 1) / BlockSize
 	plain, err := r.readBlocks(firstBlock, lastBlock)
@@ -331,8 +322,9 @@ func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 	}
 }
 
-// readECB fetches and decrypts the ciphertext range with the position-XOR
-// ECB construction (random access, block granularity). Recently decrypted
+// readECB decrypts the ciphertext range with the position-XOR ECB
+// construction (random access, block granularity): under ECB-MHT from the
+// fragments verifyMHT verified, under ECB from a fetch. Recently decrypted
 // blocks are served from the SOE-side block cache without re-transfer.
 func (r *Reader) readECB(start, end int64) ([]byte, error) {
 	r.trace.Begin(trace.PhaseDecrypt)
@@ -344,11 +336,21 @@ func (r *Reader) readECB(start, end int64) ([]byte, error) {
 			out = append(out, plain...)
 			continue
 		}
-		ct, err := r.src.CiphertextRange(off, BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		if !r.fetched(blockIdx) && !r.inCtCache(off) {
+		var ct []byte
+		if r.man.Scheme == SchemeECBMHT {
+			h, err := r.heldFragment(off)
+			if err != nil {
+				return nil, err
+			}
+			ct = h.ct[off-h.start:]
+			if off < h.from {
+				r.costs.BytesTransferred += BlockSize
+			}
+		} else {
+			var err error
+			if ct, err = r.src.CiphertextRange(off, BlockSize); err != nil {
+				return nil, err
+			}
 			r.costs.BytesTransferred += BlockSize
 		}
 		r.costs.BytesDecrypted += BlockSize
@@ -393,6 +395,7 @@ func (r *Reader) verifyMHT(start, end int64) error {
 			continue
 		}
 		newLeaves := r.newLeaves[:0]
+		fetched := len(r.verifiedNow)
 		// The SOE receives each new fragment from the position of interest
 		// to the end of the fragment, together with the terminal's
 		// intermediate hash of the prefix (Appendix A), hashes it and keeps
@@ -421,10 +424,7 @@ func (r *Reader) verifyMHT(start, end int64) error {
 				// terminal.
 				r.costs.BytesTransferred += 24
 			}
-			r.justFetched = append(r.justFetched, blockRange{fetchFrom / BlockSize, fEnd / BlockSize})
-			// The transferred ciphertext stays in the SOE for the next few
-			// reads so it is not paid for twice.
-			r.ctCachePut(cStart/fragSize+int64(f), fetchFrom, fEnd)
+			r.verifiedNow = append(r.verifiedNow, heldFrag{start: fStart, from: fetchFrom, ct: frag})
 			newLeaves = append(newLeaves, sha1.Sum(frag))
 			r.costs.FragmentsVerified++
 		}
@@ -489,8 +489,42 @@ func (r *Reader) verifyMHT(start, end int64) error {
 			frags[f].verified = true
 		}
 		r.markVerified(chunk)
+		// The fetched ciphertext stays in the SOE for the next few reads, so
+		// it is decrypted as hashed and not paid for twice.
+		for _, h := range r.verifiedNow[fetched:] {
+			r.hold(h)
+		}
 	}
 	return nil
+}
+
+// heldFragment returns the held fragment containing ciphertext offset off.
+// A fragment verified earlier in the view but no longer held is fetched
+// again and checked against the leaf its verification kept, and the bytes
+// it moved are charged.
+func (r *Reader) heldFragment(off int64) (heldFrag, error) {
+	if h, ok := r.heldAt(off); ok {
+		return h, nil
+	}
+	r.trace.Begin(trace.PhaseVerify)
+	defer r.trace.End()
+	chunk := int(off / int64(r.man.ChunkSize))
+	cStart, cEnd := r.man.ChunkBounds(chunk)
+	f := int((off - cStart) / int64(r.man.FragmentSize))
+	fStart := cStart + int64(f)*int64(r.man.FragmentSize)
+	fEnd := min(fStart+int64(r.man.FragmentSize), cEnd)
+	ct, err := r.src.CiphertextRange(fStart, fEnd-fStart)
+	if err != nil {
+		return heldFrag{}, err
+	}
+	r.costs.BytesTransferred += fEnd - fStart
+	r.costs.BytesHashed += fEnd - fStart
+	if sha1.Sum(ct) != r.frags[r.stateOf(chunk).frags+f].leaf {
+		return heldFrag{}, fmt.Errorf("%w: chunk %d fragment %d changed since its verification", ErrIntegrity, chunk, f)
+	}
+	h := heldFrag{start: fStart, from: fStart, ct: ct}
+	r.hold(h)
+	return h, nil
 }
 
 // markVerified records a chunk's first verification.
@@ -528,20 +562,17 @@ func (r *Reader) chunkDigest(chunk int) ([DigestSize]byte, error) {
 	return d, nil
 }
 
-// readCBC serves a plaintext range under the CBC schemes. Chunks touched for
-// the first time are verified: CBC-SHA hashes the plaintext (whole-chunk
-// decryption required), CBC-SHAC hashes the ciphertext (whole-chunk transfer
-// but partial decryption).
+// readCBC serves a plaintext range under the CBC schemes, chunk by chunk
+// from the held chunk.
 func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 	chunkSize := int64(r.man.ChunkSize)
 	out := r.out[:0]
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
-		cStart, cEnd := r.man.ChunkBounds(chunk)
-		wholeChunkTransferred, err := r.verifyCBCChunk(chunk, hashPlaintext)
+		moved, err := r.holdCBCChunk(chunk, hashPlaintext)
 		if err != nil {
 			return nil, err
 		}
-		out, err = r.serveCBCRange(out, cStart, cEnd, start, end, wholeChunkTransferred)
+		out, err = r.serveCBCRange(out, start, end, moved)
 		if err != nil {
 			return nil, err
 		}
@@ -550,13 +581,19 @@ func (r *Reader) readCBC(start, end int64, hashPlaintext bool) ([]byte, error) {
 	return out, nil
 }
 
-// verifyCBCChunk verifies a chunk on first touch: CBC-SHA hashes the
+// holdCBCChunk makes chunk the latest held chunk. A chunk not held is
+// fetched whole and checked against its digest: CBC-SHA hashes the
 // plaintext (whole-chunk decryption required), CBC-SHAC hashes the
-// ciphertext (whole-chunk transfer but partial decryption). It reports
-// whether this call transferred the whole chunk into the SOE (so the serve
-// step does not charge those bytes again).
-func (r *Reader) verifyCBCChunk(chunk int, hashPlaintext bool) (wholeChunkTransferred bool, err error) {
-	if r.stateOf(chunk).verified {
+// ciphertext (whole-chunk transfer but partial decryption). That is the
+// chunk's verification on its first touch, and on a later one it keeps the
+// SOE from decrypting bytes it did not hash. It reports whether it moved
+// the chunk into the SOE, so the serve step does not charge those bytes
+// again.
+func (r *Reader) holdCBCChunk(chunk int, hashPlaintext bool) (moved bool, err error) {
+	if r.cbc[1].holds(chunk) {
+		r.cbc[0], r.cbc[1] = r.cbc[1], r.cbc[0]
+	}
+	if r.cbc[0].holds(chunk) {
 		return false, nil
 	}
 	r.trace.Begin(trace.PhaseVerify)
@@ -568,44 +605,66 @@ func (r *Reader) verifyCBCChunk(chunk int, hashPlaintext bool) (wholeChunkTransf
 	if err != nil {
 		return true, err
 	}
+	prev := r.prevBlock(chunk)
+	if prev == nil && hashPlaintext {
+		// CBC-SHA's digest covers the chunk's first plaintext block, which
+		// depends on the block before the chunk.
+		if prev, err = r.src.CiphertextRange(cStart-BlockSize, BlockSize); err != nil {
+			return true, err
+		}
+	}
+	ct, err := r.src.CiphertextRange(cStart, chunkLen)
+	if err != nil {
+		return true, err
+	}
 	var computed [DigestSize]byte
 	if hashPlaintext {
-		plain, err := r.decryptCBCChunk(chunk)
-		if err != nil {
-			return true, err
+		if cap(r.chunk) < len(ct) {
+			r.chunk = make([]byte, len(ct))
 		}
+		plain := r.chunk[:len(ct)]
+		decryptCBCRange(r.block, plain, ct, prev)
 		r.costs.BytesDecrypted += chunkLen
-		r.costs.BytesHashed += int64(len(plain))
+		r.costs.BytesHashed += chunkLen
 		computed = sha1.Sum(plain)
 	} else {
-		chunkBytes, err := r.src.CiphertextRange(cStart, chunkLen)
-		if err != nil {
-			return true, err
-		}
 		r.costs.BytesHashed += chunkLen
-		computed = sha1.Sum(chunkBytes)
+		computed = sha1.Sum(ct)
 	}
 	if computed != digest {
 		return true, fmt.Errorf("%w: chunk %d digest mismatch", ErrIntegrity, chunk)
 	}
 	r.markVerified(chunk)
+	r.cbc[1], r.cbc[0] = r.cbc[0], heldChunk{chunk: chunk, ct: ct, prev: prev}
 	return true, nil
 }
 
-// serveCBCRange decrypts and appends the blocks of [start, end) that fall in
-// chunk [cStart, cEnd) to out.
-func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, wholeChunkTransferred bool) ([]byte, error) {
+// prevBlock returns the ciphertext block before chunk's first block when
+// the SOE holds it: the IV for chunk 0, the last block of the chunk before
+// when that chunk is held, and nil otherwise.
+func (r *Reader) prevBlock(chunk int) []byte {
+	if chunk == 0 {
+		return r.iv[:]
+	}
+	for _, h := range r.cbc {
+		if h.holds(chunk - 1) {
+			return h.ct[len(h.ct)-BlockSize:]
+		}
+	}
+	return nil
+}
+
+// serveCBCRange decrypts the blocks of [start, end) that fall in the held
+// chunk, from its held ciphertext, and appends them to out.
+func (r *Reader) serveCBCRange(out []byte, start, end int64, moved bool) ([]byte, error) {
 	r.trace.Begin(trace.PhaseDecrypt)
 	defer r.trace.End()
+	h := &r.cbc[0]
+	cStart, cEnd := r.man.ChunkBounds(h.chunk)
 	lo := max(start, cStart)
 	hi := min(end, cEnd)
 	// CBC random access needs the preceding ciphertext block.
-	firstBlock := lo / BlockSize
-	prev, err := r.prevCBCBlock(firstBlock)
-	if err != nil {
-		return nil, err
-	}
-	if firstBlock > 0 && !wholeChunkTransferred {
+	if lo >= BlockSize && !moved {
 		r.costs.BytesTransferred += BlockSize
 	}
 	for off := lo; off < hi; off += BlockSize {
@@ -614,36 +673,28 @@ func (r *Reader) serveCBCRange(out []byte, cStart, cEnd, start, end int64, whole
 			out = append(out, plain...)
 			continue
 		}
-		if !wholeChunkTransferred {
-			// Revisit of an already verified chunk: only the requested
-			// blocks travel to the SOE.
+		if !moved {
+			// Revisit of the held chunk: only the requested blocks travel
+			// to the SOE.
 			r.costs.BytesTransferred += BlockSize
 		}
 		r.costs.BytesDecrypted += BlockSize
-		prevBlock := prev
-		if off != lo {
-			if prevBlock, err = r.src.CiphertextRange(off-BlockSize, BlockSize); err != nil {
+		i := off - cStart
+		prev := h.prev
+		if i > 0 {
+			prev = h.ct[i-BlockSize : i]
+		} else if prev == nil {
+			// CBC-SHAC: the chunk's digest does not cover this block.
+			var err error
+			if prev, err = r.src.CiphertextRange(cStart-BlockSize, BlockSize); err != nil {
 				return nil, err
 			}
 		}
-		ct, err := r.src.CiphertextRange(off, BlockSize)
-		if err != nil {
-			return nil, err
-		}
 		plain := r.cacheSlot(blockIdx)
-		decryptCBCRange(r.block, plain, ct, prevBlock)
+		decryptCBCRange(r.block, plain, h.ct[i:i+BlockSize], prev)
 		out = append(out, plain...)
 	}
 	return out, nil
-}
-
-// prevCBCBlock returns the ciphertext block preceding a block, or the IV
-// for the document's first block.
-func (r *Reader) prevCBCBlock(block int64) ([]byte, error) {
-	if block == 0 {
-		return r.iv[:], nil
-	}
-	return r.src.CiphertextRange((block-1)*BlockSize, BlockSize)
 }
 
 // bitsLen returns ceil(log2(n)) for n >= 1.
@@ -653,26 +704,6 @@ func bitsLen(n int) int {
 		bits++
 	}
 	return bits
-}
-
-// decryptCBCChunk decrypts a whole chunk (CBC-SHA verification path) into
-// the reader's chunk scratch.
-func (r *Reader) decryptCBCChunk(chunk int) ([]byte, error) {
-	cStart, cEnd := r.man.ChunkBounds(chunk)
-	prev, err := r.prevCBCBlock(cStart / BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	ct, err := r.src.CiphertextRange(cStart, cEnd-cStart)
-	if err != nil {
-		return nil, err
-	}
-	if cap(r.chunk) < len(ct) {
-		r.chunk = make([]byte, len(ct))
-	}
-	plain := r.chunk[:len(ct)]
-	decryptCBCRange(r.block, plain, ct, prev)
-	return plain, nil
 }
 
 // Decrypt fully decrypts a protected document (publisher-side utility and

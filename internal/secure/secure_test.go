@@ -245,13 +245,6 @@ func TestCostAccountingOrdering(t *testing.T) {
 	if costs[SchemeCBCSHA].BytesDecrypted <= costs[SchemeCBCSHAC].BytesDecrypted {
 		t.Errorf("CBC-SHA must decrypt more than CBC-SHAC")
 	}
-	// A Costs.Add sanity check.
-	var sum Costs
-	sum.Add(costs[SchemeECB])
-	sum.Add(costs[SchemeECBMHT])
-	if sum.BytesTransferred != costs[SchemeECB].BytesTransferred+costs[SchemeECBMHT].BytesTransferred {
-		t.Error("Costs.Add incorrect")
-	}
 }
 
 func TestSequentialReadAmortizesVerification(t *testing.T) {

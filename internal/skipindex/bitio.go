@@ -7,19 +7,8 @@
 // comparison encodings NC, TC, TCS and TCSB used by Figure 8 to quantify the
 // storage overhead of each piece of metadata.
 //
-// The same subtree-size metadata that powers constant-time skips also makes
-// the scan decomposable: PlanRegions walks the root's direct children by
-// extent alone (one small metadata read per child, no descent) and
-// partitions them into byte-balanced regions, and NewRegionDecoder opens a
-// Decoder mid-document at a region boundary with the root already on its
-// open stack. A parallel scan runs one region decoder per worker over the
-// same encoded bytes and stitches the event streams back together in
-// document order; each region decoder stops at its region's end without
-// ever emitting the root's Close event, which belongs to the stitcher.
-//
-// Decoders are single-goroutine; a RegionPlan is immutable and may be
-// shared. The ByteSource behind a decoder must be goroutine-safe only if
-// shared — parallel workers avoid the question by opening one source each.
+// A Decoder serves one goroutine at a time; concurrent scans each use
+// their own.
 package skipindex
 
 // bitWriter packs bit fields most-significant-bit first into a byte slice.

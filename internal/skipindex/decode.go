@@ -53,30 +53,6 @@ type openElement struct {
 	endOff         int64
 }
 
-// DescendantTags is the descendant-tag set of one element, in the form the
-// decoder keeps it: the element's ascending tag ids over the document's
-// sorted tag dictionary, which doubles as the name-to-id index. It answers
-// the evaluator's section 4.2 label test (core.MetaProvider) without
-// building a set per element.
-type DescendantTags struct {
-	ids  []int
-	dict []string
-}
-
-// HasDescendantTag reports whether a tag occurs in the subtree. known is
-// false for the zero value, which carries no metadata.
-func (t DescendantTags) HasDescendantTag(name string) (has, known bool) {
-	if t.dict == nil {
-		return false, false
-	}
-	id := sort.SearchStrings(t.dict, name)
-	if id == len(t.dict) || t.dict[id] != name {
-		return false, true
-	}
-	i := sort.SearchInts(t.ids, id)
-	return i < len(t.ids) && t.ids[i] == id, true
-}
-
 // Decoder streams a Skip-index encoded document as SAX-like events. It
 // implements xmlstream.EventReader, xmlstream.Skipper (constant-time subtree
 // skips driven by SubtreeSize) and the evaluator's MetaProvider interface
@@ -115,13 +91,6 @@ type Decoder struct {
 	// trace, when non-nil, charges decode and skip time to the evaluation's
 	// phase timers.
 	trace *trace.Context
-
-	// limit, when positive, is the end offset of a region scan: the decoder
-	// reports end-of-document as soon as the position reaches it with only
-	// the root element still open, instead of decoding the root's remaining
-	// children. Zero means no limit (whole-document scan). Region decoders
-	// are built by NewRegionDecoder.
-	limit int64
 
 	err error
 }
@@ -220,16 +189,11 @@ func (d *Decoder) readHeader() error {
 	}
 	d.dict = dict
 	d.off = off
-	d.pushAllIDs()
-	d.stack = append(d.stack, openElement{descHi: len(d.ids), size: bodyLen, endOff: d.bytesTotal})
-	return nil
-}
-
-// pushAllIDs appends the full dictionary's ids to the arena.
-func (d *Decoder) pushAllIDs() {
 	for id := range d.dict {
 		d.ids = append(d.ids, id)
 	}
+	d.stack = append(d.stack, openElement{descHi: len(d.ids), size: bodyLen, endOff: d.bytesTotal})
+	return nil
 }
 
 // buf returns the decoder's scratch buffer sized to n bytes; its contents
@@ -250,13 +214,22 @@ func (d *Decoder) BytesRead() int64 { return d.bytesRead }
 func (d *Decoder) BytesSkipped() int64 { return d.skippedByte }
 
 // HasDescendantTag implements the evaluator's MetaProvider: whether a tag
-// occurs in the subtree rooted at the most recently opened element.
+// occurs in the subtree rooted at the most recently opened element. The
+// element's descendant tags are its ascending ids over the document's sorted
+// tag dictionary, which doubles as the name-to-id index, so the section 4.2
+// label test builds no set per element.
 func (d *Decoder) HasDescendantTag(name string) (has, known bool) {
 	if d.lastOpened == 0 || d.lastOpened >= len(d.stack) {
 		return false, false
 	}
+	id := sort.SearchStrings(d.dict, name)
+	if id == len(d.dict) || d.dict[id] != name {
+		return false, true
+	}
 	el := &d.stack[d.lastOpened]
-	return DescendantTags{ids: d.ids[el.descLo:el.descHi], dict: d.dict}.HasDescendantTag(name)
+	ids := d.ids[el.descLo:el.descHi]
+	i := sort.SearchInts(ids, id)
+	return i < len(ids) && ids[i] == id, true
 }
 
 // Next implements xmlstream.EventReader.
@@ -284,14 +257,6 @@ func (d *Decoder) Next() (xmlstream.Event, error) {
 
 // advance decodes the next construct and queues its events.
 func (d *Decoder) advance() error {
-	// A region decoder ends where its region does: once the position reaches
-	// the limit with only the root open, the remaining children belong to
-	// later regions. Checked before the close step so the root element is
-	// never popped — its Close event is owned by the caller that stitched
-	// the regions together, not by any single region.
-	if d.limit > 0 && len(d.stack) == 2 && d.off >= d.limit {
-		return xmlstream.ErrEndOfDocument
-	}
 	// Close the innermost element once its encoding is exhausted. The
 	// position never passes an open element's end: decodeElement rejects a
 	// child that would run past it.

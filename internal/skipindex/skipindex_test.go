@@ -533,8 +533,8 @@ func (s failingSource) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestSourceErrorsAreNotFormatErrors: a source failing at any offset k of a
-// full scan (or of region planning) surfaces its own error, never dressed as
-// ErrBadFormat, while a document that ends early still is a format error.
+// full scan surfaces its own error, never dressed as ErrBadFormat, while a
+// document that ends early still is a format error.
 func TestSourceErrorsAreNotFormatErrors(t *testing.T) {
 	enc, err := Encode(sampleDoc())
 	if err != nil {
@@ -557,9 +557,6 @@ func TestSourceErrorsAreNotFormatErrors(t *testing.T) {
 		err := scan(src)
 		if !errors.Is(err, sentinel) || errors.Is(err, ErrBadFormat) {
 			t.Fatalf("source failing at offset %d: scan error %v, want the source's own error", k, err)
-		}
-		if _, err := PlanRegions(src, 4); err != nil && (!errors.Is(err, sentinel) || errors.Is(err, ErrBadFormat)) {
-			t.Fatalf("source failing at offset %d: region planning error %v, want the source's own error", k, err)
 		}
 	}
 	for _, n := range []int{3, 8, len(enc.Data) - 5} {

@@ -23,10 +23,8 @@
 // two links: the trace ID (one logical operation; a remote client propagates
 // it as X-Request-Id so the untrusted server's spans join the client's
 // trace) and the parent span ID (children point at the root span of the
-// context that recorded them). Context.Fork spawns a sibling context under
-// the same trace ID for concurrent work — the parallel scan forks one
-// context per region worker, so a fanned-out evaluation renders as parallel
-// lanes of a single trace in WriteChromeTraceLanes, one row per context.
+// context that recorded them). WriteChromeTraceLanes renders each context
+// as its own row, so two evaluations sharing a trace ID do not interleave.
 package trace
 
 import (
@@ -120,20 +118,6 @@ type Context struct {
 func New(rec *Recorder, id string) *Context {
 	now := time.Now()
 	return &Context{rec: rec, id: id, span: NewSpanID(), started: now, mark: now}
-}
-
-// Fork returns a new Context recording into the same Recorder under the same
-// trace ID, with its own root span and its own phase timers. A parallel scan
-// forks one context per region worker: the workers charge phases and record
-// spans concurrently without sharing the (single-goroutine) parent context,
-// and because the fork keeps the trace ID, every region's spans land in the
-// same trace — the fan-out renders as sibling lanes of one evaluation. Fork
-// of a nil Context is nil, so an untraced pipeline stays untraced.
-func (c *Context) Fork() *Context {
-	if c == nil {
-		return nil
-	}
-	return New(c.rec, c.id)
 }
 
 // NewSpanID returns a fresh 16-hex-digit random span ID.
@@ -485,8 +469,7 @@ func WriteChromeTraceLanes(w io.Writer, lanes []Lane) error {
 		// Stable per-context rows: spans are grouped by the root span they
 		// hang off (the span's own ID for roots, the parent link for
 		// children), so concurrent evaluations do not interleave in one row
-		// of the viewer and the forked per-region contexts of a parallel
-		// scan render as parallel worker lanes under their shared trace ID.
+		// of the viewer, even under a shared trace ID.
 		rows := map[string]int{}
 		for _, s := range lane.Spans {
 			rootID := s.SpanID

@@ -315,12 +315,19 @@ func TestContextSpanLinkage(t *testing.T) {
 }
 
 // TestWriteChromeTraceLanes pins the merged-export shape: one named process
-// per lane, spans on the lane's pid, metadata announcing the process name.
+// per lane, spans on the lane's pid, metadata announcing the process name,
+// and within a lane one row per root span, so two views sharing a trace ID
+// render side by side while a child joins its root's row.
 func TestWriteChromeTraceLanes(t *testing.T) {
 	var buf bytes.Buffer
+	now := time.Now()
 	err := WriteChromeTraceLanes(&buf, []Lane{
-		{Name: "client SOE", Spans: []Span{{TraceID: "t1", Name: "phase:eval", Start: time.Now(), Dur: time.Millisecond}}},
-		{Name: "untrusted server", Spans: []Span{{TraceID: "t1", Name: "server.fetch", Parent: "abc", Start: time.Now(), Dur: time.Millisecond}}},
+		{Name: "client SOE", Spans: []Span{
+			{TraceID: "t1", SpanID: "v1", Name: "view:a", Start: now, Dur: time.Millisecond},
+			{TraceID: "t1", SpanID: "v2", Name: "view:b", Start: now, Dur: time.Millisecond},
+			{TraceID: "t1", Parent: "v1", Name: "phase:eval", Start: now, Dur: time.Millisecond},
+		}},
+		{Name: "untrusted server", Spans: []Span{{TraceID: "t1", Name: "server.fetch", Parent: "abc", Start: now, Dur: time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,13 +337,17 @@ func TestWriteChromeTraceLanes(t *testing.T) {
 		t.Fatalf("not a JSON array: %v", err)
 	}
 	names := map[string]float64{} // process name -> pid
+	rows := map[string]float64{}  // client span name -> tid
 	var evalPid, fetchPid float64
 	for _, ev := range events {
 		switch {
 		case ev["ph"] == "M" && ev["name"] == "process_name":
 			names[ev["args"].(map[string]any)["name"].(string)] = ev["pid"].(float64)
+		case ev["name"] == "view:a" || ev["name"] == "view:b":
+			rows[ev["name"].(string)] = ev["tid"].(float64)
 		case ev["name"] == "phase:eval":
 			evalPid = ev["pid"].(float64)
+			rows["phase:eval"] = ev["tid"].(float64)
 		case ev["name"] == "server.fetch":
 			fetchPid = ev["pid"].(float64)
 			if ev["args"].(map[string]any)["parent"] != "abc" {
@@ -346,6 +357,9 @@ func TestWriteChromeTraceLanes(t *testing.T) {
 	}
 	if names["client SOE"] != evalPid || names["untrusted server"] != fetchPid || evalPid == fetchPid {
 		t.Fatalf("lane/process mapping wrong: names=%v eval=%v fetch=%v", names, evalPid, fetchPid)
+	}
+	if rows["view:a"] == rows["view:b"] || rows["phase:eval"] != rows["view:a"] {
+		t.Fatalf("rows per root span wrong: %v", rows)
 	}
 }
 

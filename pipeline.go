@@ -1,7 +1,6 @@
 package xmlac
 
 import (
-	"context"
 	"errors"
 	"io"
 	"time"
@@ -14,34 +13,19 @@ import (
 
 // The view pipeline. Protected.View and RemoteDocument.View run one view
 // over one secure.ChunkSource: newView sets the view up (its clock, its
-// trace context, its delivery writer), scan runs one scan step (the SOE's
-// serial scan, soe.Scan, or the region-parallel scan) and finish assembles
-// the result. A
-// remote view that re-syncs runs a second scan step under the same view, so
-// the view keeps one clock and one root span.
-
-// scanResult is what a scan step produced: the evaluation result (partial
-// metrics and no view when the scan failed) and the costs of the machinery.
-type scanResult struct {
-	res   *core.Result
-	costs secure.Costs
-	// workers is the number of region workers a parallel scan started; 0 for
-	// the serial scan.
-	workers int
-	// regionPhases is the phase time charged to a parallel scan's region
-	// contexts.
-	regionPhases PhaseBreakdown
-}
+// trace context, its delivery writer), scan runs the SOE's serial scan,
+// soe.Scan, and finish assembles the result. A remote view that re-syncs
+// runs a second scan under the same view, so the view keeps one clock and
+// one root span.
 
 // view is one view in progress: the policy cp under the options, streamed
 // to fw when the caller passed a writer and materialized otherwise.
 type view struct {
-	start       time.Time
-	cp          *CompiledPolicy
-	opts        core.Options
-	parallelism int
-	indent      bool
-	fw          *firstByteWriter
+	start  time.Time
+	cp     *CompiledPolicy
+	opts   core.Options
+	indent bool
+	fw     *firstByteWriter
 }
 
 // newView starts the view's clock and trace context. A nil policy or an
@@ -55,70 +39,52 @@ func newView(cp *CompiledPolicy, o ViewOptions, w io.Writer) (view, error) {
 	if err != nil {
 		return view{}, err
 	}
-	v := view{start: start, cp: cp, opts: opts, parallelism: o.Parallelism, indent: o.Indent}
+	v := view{start: start, cp: cp, opts: opts, indent: o.Indent}
 	if w != nil {
 		v.fw = &firstByteWriter{w: w, start: start}
 	}
 	return v, nil
 }
 
-// scan runs one scan step of the view over src. Each step delivers through a
-// fresh serializer, so a retried step never emits what a failed one left
-// buffered. ctx aborts the region workers of a parallel scan; a serial scan
-// does not poll it.
-func (v *view) scan(ctx context.Context, src secure.ChunkSource, key Key) (*scanResult, error) {
+// scan runs one scan of the view over src. Each scan delivers through a
+// fresh serializer, so a retried scan never emits what a failed one left
+// buffered.
+func (v *view) scan(src secure.ChunkSource, key Key) (*core.Result, secure.Costs, error) {
 	opts := v.opts
 	if v.fw != nil {
 		opts.Sink = xmlstream.NewViewSerializer(v.fw, v.indent)
 	}
-	// The one fork: a query scope anchors at the document root, so a query
-	// vetoes the region-parallel scan before its planning cost is paid.
-	var sc *scanResult
-	var err error
-	if prot, ok := src.(*secure.Protected); ok && v.parallelism >= 2 && opts.Query == nil {
-		sc, err = parallelScan(ctx, prot, key, v.parallelism, v.cp.core, opts)
-	}
-	if sc == nil && (err == nil || parallelFallback(err)) {
-		var res *core.Result
-		var costs secure.Costs
-		res, costs, err = soe.Scan(src, key, v.cp.core, opts)
-		if res != nil {
-			sc = &scanResult{res: res, costs: costs}
-		}
-	}
-	return sc, err
+	return soe.Scan(src, key, v.cp.core, opts)
 }
 
 // delivered reports whether a byte of the view has reached the caller's
 // writer.
 func (v *view) delivered() bool { return v.fw != nil && v.fw.ttfb != 0 }
 
-// finish assembles the view from its last scan step. A setup failure (no
-// scan result: a reader that cannot open the source) returns only the
-// error. A scan failure (integrity violation, truncated ciphertext, a failed
-// or canceled remote fetch, a failed writer) returns the error together with
+// finish assembles the view from its last scan. A setup failure (no scan
+// result: a reader that cannot open the source) returns only the error. A
+// scan failure (integrity violation, truncated ciphertext, a failed or
+// canceled remote fetch, a failed writer) returns the error together with
 // the partial Metrics of the work performed, so aggregators account for it
 // exactly once. A traced view records exactly one view:<subject> root span,
 // with the remote page-cache counts in its Detail.
-func (v *view) finish(sc *scanResult, err error) (*Document, *Metrics, error) {
-	if sc == nil {
+func (v *view) finish(res *core.Result, costs secure.Costs, err error) (*Document, *Metrics, error) {
+	if res == nil {
 		return nil, nil, err
 	}
-	m := buildMetrics(sc.costs, sc.res)
+	m := buildMetrics(costs, res)
 	m.Duration = time.Since(v.start)
-	m.Workers = int64(sc.workers)
 	if v.fw != nil {
 		m.TimeToFirstByte = v.fw.ttfb
 	}
 	if tr := v.opts.Trace; tr != nil {
-		tr.Finish("view:"+v.cp.subject, sc.costs.BytesTransferred)
+		tr.Finish("view:"+v.cp.subject, costs.BytesTransferred)
 		m.PhaseBreakdown = breakdownFromPhases(tr.Phases())
-		m.PhaseBreakdown.Add(&sc.regionPhases)
 	}
 	if err != nil || v.fw != nil {
 		return nil, m, err
 	}
-	return &Document{root: sc.res.View}, m, nil
+	return &Document{root: res.View}, m, nil
 }
 
 // buildMetrics folds the secure-reader costs and the evaluator metrics into

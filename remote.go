@@ -128,13 +128,13 @@ func (d *RemoteDocument) View(ctx context.Context, cp *CompiledPolicy, opts View
 		d.src.SetTrace(nil)
 	}()
 	before := d.src.Stats()
-	sc, err := v.scan(ctx, d.src, d.key)
+	res, costs, err := v.scan(d.src, d.key)
 	if errors.Is(err, remote.ErrChanged) && !v.delivered() {
 		if err = d.src.Resync(); err == nil {
-			sc, err = v.scan(ctx, d.src, d.key)
+			res, costs, err = v.scan(d.src, d.key)
 		}
 	}
-	doc, metrics, err := v.finish(sc, err)
+	doc, metrics, err := v.finish(res, costs, err)
 	if metrics != nil {
 		after := d.src.Stats()
 		metrics.BytesOnWire = after.BytesOnWire - before.BytesOnWire

@@ -100,24 +100,6 @@ func TestSOEAccountingPinned(t *testing.T) {
 	}
 }
 
-func TestSOEAccountingPinnedParallel(t *testing.T) {
-	prot, key := accountingDoc(t, xmlac.SchemeECBMHT)
-	doctor, err := xmlac.DoctorPolicy("DrA").Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, m, err := prot.View(context.Background(), key, doctor, xmlac.ViewOptions{Parallelism: 2}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Workers == 0 {
-		t.Fatal("parallel view fell back to the serial scan")
-	}
-	if got, want := countsOf(m), (soeCounts{101144, 72768, 55353, 134, 2460, 175, 1152}); got != want {
-		t.Errorf("parallel DrA: counts %#v, want %#v", got, want)
-	}
-}
-
 // TestDisableSkipIndexTakesNoSkips pins the brute-force behaviour of
 // ViewOptions.DisableSkipIndex with a child-axis policy, whose tokens die
 // without the index: the scan jumps over no subtree, so the SOE transfers

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"testing"
 
 	"xmlac"
 	"xmlac/internal/dataset"
+	"xmlac/internal/secure"
 	"xmlac/internal/xmlstream"
 )
 
@@ -124,51 +126,105 @@ func TestStreamAuthorizedViewEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamAuthorizedViewStopsOnWriteError checks that a failing destination
-// aborts the document scan: the evaluation must not keep decrypting (and
-// charging the cost model) for a writer that no longer accepts bytes.
+// TestStreamAuthorizedViewStopsOnWriteError checks that a destination dying
+// at any byte offset aborts the document scan: the view fails with the
+// writer's error, the bytes delivered are a prefix of the full view, and the
+// partial metrics come back and show that the scan stopped instead of
+// decrypting (and charging the cost model) for a writer that no longer
+// accepts bytes.
 func TestStreamAuthorizedViewStopsOnWriteError(t *testing.T) {
-	xml := xmlstream.SerializeTree(dataset.HospitalFolders(48, 3), false)
-	doc, err := xmlac.ParseDocumentString(xml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := xmlac.DeriveKey("stream abort")
-	prot, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prot, key, _ := protectHospital(t, 48)
 	cp, err := xmlac.SecretaryPolicy().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
-	if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &full); err != nil {
+	_, fullMetrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &full)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lw := &limitedWriter{limit: full.Len() / 10}
-	_, _, err = prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, lw)
-	if !errors.Is(err, errBudgetExhausted) {
-		t.Fatalf("streaming into a failing writer must surface the write error, got %v", err)
-	}
-	if lw.n > full.Len()/2 {
-		t.Fatalf("evaluation kept writing after the destination failed: %d of %d bytes", lw.n, full.Len())
+	for _, cut := range []int{0, 1, full.Len() / 10, full.Len() / 2, full.Len() - 1} {
+		w := &failAfterWriter{n: cut}
+		_, m, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, w)
+		if !errors.Is(err, errWriterFull) {
+			t.Fatalf("cut=%d: err = %v, want the writer's error", cut, err)
+		}
+		if m == nil {
+			t.Fatalf("cut=%d: an aborted stream must report partial metrics", cut)
+		}
+		if !bytes.HasPrefix(full.Bytes(), w.written.Bytes()) {
+			t.Fatalf("cut=%d: delivered bytes are not a prefix of the view", cut)
+		}
+		if cut <= full.Len()/2 && m.BytesDecrypted >= fullMetrics.BytesDecrypted {
+			t.Fatalf("cut=%d: the scan kept decrypting after the writer failed (%d of %d bytes)",
+				cut, m.BytesDecrypted, fullMetrics.BytesDecrypted)
+		}
 	}
 }
 
-var errBudgetExhausted = errors.New("view budget exhausted")
-
-type limitedWriter struct {
-	n     int
-	limit int
+// failAfterWriter fails permanently once n bytes were accepted.
+type failAfterWriter struct {
+	n       int
+	written bytes.Buffer
 }
 
-func (l *limitedWriter) Write(p []byte) (int, error) {
-	if l.n+len(p) > l.limit {
-		return 0, errBudgetExhausted
+var errWriterFull = errors.New("writer full")
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	room := w.n - w.written.Len()
+	if room <= 0 {
+		return 0, errWriterFull
 	}
-	l.n += len(p)
-	return len(p), nil
+	if len(p) <= room {
+		w.written.Write(p)
+		return len(p), nil
+	}
+	w.written.Write(p[:room])
+	return room, errWriterFull
+}
+
+// TestViewScanFailurePartialMetrics: a scan whose reader fails mid-document
+// (one ciphertext byte flipped in the marshalled container) returns the
+// integrity error together with the partial Metrics of the work performed,
+// streamed or materialized.
+func TestViewScanFailurePartialMetrics(t *testing.T) {
+	xml := xmlstream.SerializeTree(dataset.HospitalFolders(24, 7), false)
+	doc, err := xmlac.ParseDocumentString(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := xmlac.DeriveKey("scan failure")
+	good, err := xmlac.Protect(doc, key, xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := good.Marshal()
+	m := good.Manifest()
+	blob[m.CiphertextOffset+m.CiphertextLen/2] ^= 0xff
+	prot, err := xmlac.UnmarshalProtected(blob)
+	if err != nil {
+		t.Fatalf("a flipped ciphertext byte must still unmarshal: %v", err)
+	}
+	cp, err := xmlac.Policy{Subject: "all", Rules: []xmlac.Rule{{Sign: "+", Object: "//Folder"}}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, streamed, streamErr := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, io.Discard)
+	view, materialized, viewErr := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
+	if view != nil {
+		t.Fatal("a failed scan materialized a view")
+	}
+	for name, c := range map[string]struct {
+		m   *xmlac.Metrics
+		err error
+	}{"streamed": {streamed, streamErr}, "materialized": {materialized, viewErr}} {
+		if !errors.Is(c.err, secure.ErrIntegrity) {
+			t.Fatalf("%s: err = %v, want an integrity error", name, c.err)
+		}
+		if c.m == nil || c.m.BytesDecrypted <= 0 || c.m.NodesPermitted <= 0 {
+			t.Fatalf("%s: no partial metrics for the work performed: %+v", name, c.m)
+		}
+	}
 }
 
 func TestStreamRemoteViewParity(t *testing.T) {

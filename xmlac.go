@@ -55,31 +55,6 @@
 // streaming evaluator) from a sync.Pool, so concurrent views do not
 // re-allocate it.
 //
-// # Parallel scans
-//
-// ViewOptions.Parallelism attacks one hot spot of the paper's
-// single-threaded SOE — one big document, one subject, many idle cores. The
-// same Skip-index subtree sizes that power constant-time skips make the
-// scan decomposable: the root's children are partitioned into
-// byte-balanced regions, each region is decrypted, integrity-checked,
-// decoded and evaluated by its own worker over the shared immutable
-// ciphertext, and the sink events are stitched back into exact document
-// order:
-//
-//	_, metrics, _ := protected.View(ctx, key, cp, xmlac.ViewOptions{Parallelism: 8}, w)
-//	fmt.Printf("%d workers\n", metrics.Workers)
-//
-// The delivered view is byte-identical to the serial scan's and the
-// decision counters are exactly equal; only the cost fields
-// (BytesTransferred, BytesDecrypted, EstimatedSmartCardSeconds) grow by the
-// region planning reads and the chunk re-decrypts at region boundaries.
-// Views the region protocol cannot serve — queries, root-anchored
-// predicates unresolved at the end of the document prefix, documents with
-// fewer than two root children, remote documents — fall back to the serial
-// scan before any output is delivered. Canceling the view's context aborts
-// every region worker at its next event. The region/merge protocol and the
-// invariant that makes it safe are documented in docs/ARCHITECTURE.md.
-//
 // # Versioned in-place updates
 //
 // The chunked encryption layout exists so an edit re-encrypts only what it
@@ -142,15 +117,19 @@
 // policies. Canceling the view's context closes its in-flight requests. The
 // xmlac-view command (-url) and examples/remoteclient show the full flow.
 //
-// Integrity is verified client-side. Under ECB-MHT, CBC-SHA and CBC-SHAC,
-// every byte that reaches a sink has been checked against its chunk's
-// encrypted digest, which binds the chunk's content to its position, so a
-// server that flips or moves ciphertext bytes is caught; ECB checks
-// nothing. The container header, the document version and the document
-// identity are not authenticated yet, so a server can still downgrade the
-// scheme, roll a client back to an older version, splice versions, swap
-// documents or truncate the container; ROADMAP.md's first open item
-// tracks that work.
+// Integrity is verified client-side. Under ECB-MHT and CBC-SHA, every byte
+// that reaches a sink has been checked against its chunk's encrypted
+// digest, which binds the chunk's content to its position, so a server that
+// flips or moves ciphertext bytes is caught; ECB checks nothing. The SOE
+// decrypts only ciphertext it hashed and still holds, never a second fetch
+// of it. CBC-SHAC leaves one gap: a chunk's first plaintext block depends
+// on the last ciphertext block of the chunk before, which the chunk's
+// digest does not cover, so a flip there alters that block undetected when
+// the SOE reads the chunk without the one before it. The container header,
+// the document version and the document identity are not authenticated
+// yet, so a server can still downgrade the scheme, roll a client back to an
+// older version, splice versions, swap documents or truncate the
+// container; ROADMAP.md's first open item tracks that work.
 //
 // The remote cache is version-aware: when the server's document is updated
 // (PATCH), the client re-syncs by fetching the update delta for its cached
@@ -553,34 +532,6 @@ type ViewOptions struct {
 	// Indent renders a streamed view with indentation; a materialized view
 	// picks its form at serialization time (XML or IndentedXML).
 	Indent bool
-	// Parallelism, when >= 2, requests the region-parallel scan for local
-	// evaluations: the Skip index partitions the root element's children
-	// into byte-balanced regions, up to Parallelism workers decrypt, verify
-	// and evaluate the regions concurrently (each through its own secure
-	// reader over the shared immutable ciphertext), and the delivered view
-	// is stitched back into exact document order. 0 and 1 select the serial
-	// scan.
-	//
-	// The guarantee: the view — materialized or streamed — is byte-identical
-	// to the serial scan's, and the decision counters (NodesPermitted,
-	// NodesDenied, NodesPending, SubtreesSkipped, BytesSkipped) are exactly
-	// equal. The cost fields BytesTransferred,
-	// BytesDecrypted and the derived EstimatedSmartCardSeconds are a
-	// documented superset: the region planning reads and every region
-	// boundary falling inside an integrity chunk re-transfer and re-decrypt
-	// bytes the serial pass pays for once. Metrics.Workers reports the
-	// worker count actually used.
-	//
-	// Serial vs parallel is chosen once per view from its input: the
-	// region-parallel scan runs when the document is local (Protected.View),
-	// the view has no query (its scope anchors at the document root), and
-	// Parallelism is >= 2. RemoteDocument.View and EvaluateDocument ignore
-	// Parallelism entirely. Views the regions then cannot serve fall back to
-	// the serial scan transparently, before any byte is delivered: policies
-	// with a root-anchored predicate still unresolved after the document
-	// prefix (content in one region would decide delivery in another) and
-	// documents whose root has fewer than two children.
-	Parallelism int
 	// Trace, when non-nil, turns on pipeline tracing for this evaluation:
 	// per-phase timers fill Metrics.PhaseBreakdown and spans (phase
 	// aggregates, remote fetches, re-syncs) are recorded into the Trace's
@@ -635,17 +586,8 @@ type Metrics struct {
 	// PhaseBreakdown decomposes Duration into exclusive per-phase time. It
 	// is populated only when the evaluation ran with ViewOptions.Trace set;
 	// its sum tracks the instrumented portion of Duration (the gap is loop
-	// glue and setup outside any phase). For a parallel scan the breakdown
-	// folds every region worker's phase time exactly once, so on a
-	// multi-core machine its sum may exceed the wall-clock Duration — it
-	// measures work, not elapsed time.
+	// glue and setup outside any phase).
 	PhaseBreakdown PhaseBreakdown
-	// Workers is the number of region workers a parallel scan
-	// (ViewOptions.Parallelism) actually started; 0 for serial evaluations,
-	// including every parallel request that fell back to the serial scan.
-	// Aggregations sum it like every other counter; divide by the number of
-	// folded evaluations for an average.
-	Workers int64
 	// EstimatedSmartCardSeconds is the execution-time estimate on the
 	// hardware smart-card profile of the paper (Table 1).
 	EstimatedSmartCardSeconds float64
@@ -667,7 +609,6 @@ func (m *Metrics) Add(o *Metrics) {
 	m.TimeToFirstByte += o.TimeToFirstByte
 	m.Duration += o.Duration
 	m.PhaseBreakdown.Add(&o.PhaseBreakdown)
-	m.Workers += o.Workers
 	m.EstimatedSmartCardSeconds += o.EstimatedSmartCardSeconds
 }
 
@@ -684,15 +625,14 @@ func (m *Metrics) Add(o *Metrics) {
 // view, and a write error from w aborts the scan. A scan failure returns
 // the error with the partial Metrics of the work performed.
 //
-// Canceling ctx aborts the region workers of a parallel scan
-// (ViewOptions.Parallelism) at their next event boundary. A serial local
-// scan has no wire to cut and does not poll ctx; abort it through w.
+// A local scan has no wire to cut and does not poll ctx; abort it through
+// w. ctx keeps the shape of RemoteDocument.View, whose requests it cuts.
 func (p *Protected) View(ctx context.Context, key Key, cp *CompiledPolicy, opts ViewOptions, w io.Writer) (*Document, *Metrics, error) {
 	v, err := newView(cp, opts, w)
 	if err != nil {
 		return nil, nil, err
 	}
-	return v.finish(v.scan(ctx, p.snapshot(), key))
+	return v.finish(v.scan(p.snapshot(), key))
 }
 
 // StreamAuthorizedView compiles the policy and streams its view to w.
