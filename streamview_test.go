@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 
 	"xmlac"
@@ -160,6 +161,51 @@ func TestStreamAuthorizedViewStopsOnWriteError(t *testing.T) {
 				cut, m.BytesDecrypted, fullMetrics.BytesDecrypted)
 		}
 	}
+}
+
+// TestParallelStreamSinkAbort runs views of one protected document in
+// parallel, half of them into writers that die at different byte offsets.
+// Each aborted view fails with its writer's error, delivers a prefix of the
+// full view and still reports partial metrics; each view running beside it
+// is byte-identical to the full view, so an abort leaves nothing behind in
+// what the views share (the version's Merkle leaf table).
+func TestParallelStreamSinkAbort(t *testing.T) {
+	prot, key, _ := protectHospital(t, 24)
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &full); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, cut := range []int{0, 1, full.Len() / 3, full.Len() / 2, full.Len() - 1} {
+		wg.Add(2)
+		go func(cut int) {
+			defer wg.Done()
+			w := &failAfterWriter{n: cut}
+			_, m, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, w)
+			switch {
+			case !errors.Is(err, errWriterFull):
+				t.Errorf("cut=%d: err = %v, want errWriterFull", cut, err)
+			case m == nil:
+				t.Errorf("cut=%d: aborted stream must report partial metrics", cut)
+			case !bytes.HasPrefix(full.Bytes(), w.written.Bytes()):
+				t.Errorf("cut=%d: delivered bytes are not a prefix of the full view", cut)
+			}
+		}(cut)
+		go func() {
+			defer wg.Done()
+			var out bytes.Buffer
+			if _, _, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, &out); err != nil {
+				t.Errorf("view beside an aborted one: %v", err)
+			} else if !bytes.Equal(out.Bytes(), full.Bytes()) {
+				t.Error("view beside an aborted one differs from the full view")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // failAfterWriter fails permanently once n bytes were accepted.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"xmlac"
@@ -167,5 +169,83 @@ func TestMergedTraceCorrelatesClientAndServer(t *testing.T) {
 	}
 	if !linked {
 		t.Fatal("merged server.fetch event does not carry the client root as parent")
+	}
+}
+
+// TestParallelTraceRendersWorkerLanes traces views run in parallel into one
+// Trace under one trace ID, as concurrent request handlers do, and checks
+// that the Chrome-trace export keeps them apart: each view's root span gets a
+// thread row of its own in the one client process and its phase spans join
+// that row, so a slow view shows as a long lane next to the others.
+func TestParallelTraceRendersWorkerLanes(t *testing.T) {
+	prot, key, _ := protectHospital(t, 32)
+	cp, err := xmlac.DoctorPolicy("DrA").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := xmlac.NewTrace(0)
+	traceID := xmlac.NewTraceID()
+	const workers = 4
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := xmlac.ViewOptions{Trace: tr, TraceID: traceID}
+			if _, _, err := prot.View(context.Background(), key, cp, opts, io.Discard); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	var buf bytes.Buffer
+	err = xmlac.WriteMergedChromeTrace(&buf, xmlac.TraceLane{
+		Name:  "client SOE",
+		Spans: tr.Spans(xmlac.TraceFilter{TraceID: traceID}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string `json:"name"`
+		Ph   string `json:"ph"`
+		Pid  int    `json:"pid"`
+		Tid  int    `json:"tid"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("not a Chrome trace JSON array: %v", err)
+	}
+	roots := 0
+	rootRows := map[int]bool{}
+	childRows := map[int]bool{}
+	pids := map[int]bool{}
+	for _, ev := range events {
+		if ev.Ph == "M" {
+			continue
+		}
+		pids[ev.Pid] = true
+		if strings.HasPrefix(ev.Name, "view:") {
+			roots++
+			rootRows[ev.Tid] = true
+		} else {
+			childRows[ev.Tid] = true
+		}
+	}
+	if roots != workers || len(rootRows) != workers {
+		t.Fatalf("%d view root spans on %d thread rows, want %d on %d", roots, len(rootRows), workers, workers)
+	}
+	if len(pids) != 1 {
+		t.Fatalf("view spans spread over %d processes, want 1 (one lane = one process)", len(pids))
+	}
+	if len(childRows) == 0 {
+		t.Fatal("traced views recorded no phase spans")
+	}
+	for row := range childRows {
+		if !rootRows[row] {
+			t.Fatalf("a phase span sits on row %d, which holds no view root span", row)
+		}
 	}
 }
