@@ -1,6 +1,6 @@
 // xmlac-serve is the paper's untrusted document store: it keeps protected
-// XML documents and range-serves each encrypted container, its manifest,
-// fragment hashes and update deltas over HTTP. It never evaluates a policy;
+// XML documents and range-serves each encrypted container, its manifest and
+// fragment hashes over HTTP. It never evaluates a policy;
 // every view runs in a client SOE (xmlac-view -url, xmlac.OpenRemote) that
 // pulls only the ciphertext its policy needs.
 //
@@ -74,9 +74,10 @@ func main() {
 	}
 	defer srv.Close()
 	if *demo {
-		// A recovered hospital document keeps its version chain (and the
-		// retained deltas remote caches resync from); re-registering it would
-		// reset both, so the preload only fills an absent document.
+		// A recovered hospital document keeps its version chain, and remote
+		// caches keep its clean chunks across a resync; re-registering it
+		// would reset the chain and change every chunk, so the preload only
+		// fills an absent document.
 		if _, err := srv.Store().Entry("hospital"); err == nil {
 			logger.Info("demo document recovered from data dir, preload skipped", "document", "hospital")
 		} else {

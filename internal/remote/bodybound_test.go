@@ -106,10 +106,9 @@ func (c *countReader) Read(p []byte) (int, error) {
 
 // TestResponseBodiesAreBounded: the client reads no more of a response than
 // its request asked for. Each case appends 64 MiB to one kind of response
-// from an honest store. The call fails with ErrIntegrity, or, for a delta,
-// falls back to a full reload; either way the client reads at most the
-// bound (plus one byte) beyond what the same call reads from the honest
-// store.
+// from an honest store. The call fails with ErrIntegrity, and the client
+// reads at most the bound (plus one byte) beyond what the same call reads
+// from the honest store.
 func TestResponseBodiesAreBounded(t *testing.T) {
 	blob := func(r *http.Request) (string, bool) {
 		return r.Header.Get("Range"), strings.HasSuffix(r.URL.Path, "/blob")
@@ -132,7 +131,6 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		ignoreRange bool
 		bound       func(d *boundDoc) int64
 		call        func(d *boundDoc) error
-		fallsBack   bool
 	}{{
 		name:   "manifest",
 		target: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/manifest") },
@@ -204,39 +202,6 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 			_, err = src.Revalidate()
 			return err
 		},
-	}, {
-		// The cache holds the whole document before the update, so an
-		// applied delta keeps clean chunks and a full reload keeps none.
-		name:      "delta",
-		target:    func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/delta") },
-		bound:     func(d *boundDoc) int64 { return secure.MaxDeltaLen(d.man.NumChunks()) },
-		fallsBack: true,
-		call: func(d *boundDoc) error {
-			src, err := d.open()
-			if err != nil {
-				return err
-			}
-			if _, err := src.CiphertextRange(0, d.man.CiphertextLen); err != nil {
-				return err
-			}
-			entry, err := d.srv.Store().Entry("hospital")
-			if err != nil {
-				return err
-			}
-			if _, _, err := entry.Update([]xmlac.Edit{{Op: xmlac.EditSetText, Path: "/Hospital/Folder[3]/Admin/Phone", Text: "5551234567"}}, nil); err != nil {
-				return err
-			}
-			if _, err := src.Revalidate(); err != nil {
-				return err
-			}
-			if v := src.Manifest().Version; v != 2 {
-				return fmt.Errorf("re-synced to version %d, want 2", v)
-			}
-			if reused := src.Stats().ChunksReused; (reused > 0) != (d.target == nil) {
-				return fmt.Errorf("re-sync kept %d clean chunks", reused)
-			}
-			return nil
-		},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,11 +211,7 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 			}
 			d := newBoundDoc(t)
 			d.target, d.ignoreRange = tc.target, tc.ignoreRange
-			err := tc.call(d)
-			switch {
-			case tc.fallsBack && err != nil:
-				t.Fatalf("an over-long response must fall back, got %v", err)
-			case !tc.fallsBack && !errors.Is(err, secure.ErrIntegrity):
+			if err := tc.call(d); !errors.Is(err, secure.ErrIntegrity) {
 				t.Fatalf("an over-long response must fail with ErrIntegrity, got %v", err)
 			}
 			if extra, bound := d.read.Load()-honest.read.Load(), tc.bound(d); extra > bound+1 {
@@ -261,19 +222,18 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 }
 
 // TestResyncSurvivesOverflowingManifest: a manifest whose numbers overflow
-// a read bound fails the re-sync with an error; it must not crash the
-// client. A blob size of MaxInt64 past offset 1 overflows the chunk count
-// that bounds the delta read; an offset of MaxInt64, served under the
-// blob's current entity tag so the prefix request is answered, makes
-// MaxInt64 the prefix bound.
+// a read bound or the container's layout fails the re-sync with an error;
+// it must not crash the client. A blob size of MaxInt64 behind the
+// container's own offset disagrees with its layout; an offset of MaxInt64
+// makes MaxInt64 the prefix bound. Both are served under the blob's current
+// entity tag, so the prefix request is answered.
 func TestResyncSurvivesOverflowingManifest(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		off, size   int64
-		currentETag bool
+		name      string
+		off, size int64 // an offset of 0 stands for the container's own
 	}{
-		{"blob size", 1, math.MaxInt64, false},
-		{"offset", math.MaxInt64, math.MaxInt64, true},
+		{"blob size", 0, math.MaxInt64},
+		{"offset", math.MaxInt64, math.MaxInt64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newBoundDoc(t)
@@ -288,14 +248,15 @@ func TestResyncSurvivesOverflowingManifest(t *testing.T) {
 			if _, _, err := entry.Update([]xmlac.Edit{{Op: xmlac.EditSetText, Path: "/Hospital/Folder[3]/Admin/Phone", Text: "5551234567"}}, nil); err != nil {
 				t.Fatal(err)
 			}
-			etag := `"lie"`
-			if tc.currentETag {
-				_, etag = entry.Blob()
+			_, etag := entry.Blob()
+			off := tc.off
+			if off == 0 {
+				off = d.ctOff
 			}
 			honest := d.handler
 			d.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if strings.HasSuffix(r.URL.Path, "/manifest") {
-					fmt.Fprintf(w, `{"etag":%q,"manifest":{"ciphertext_offset":%d,"blob_size":%d,"version":2}}`, etag, tc.off, tc.size)
+					fmt.Fprintf(w, `{"etag":%q,"manifest":{"ciphertext_offset":%d,"blob_size":%d,"version":2}}`, etag, off, tc.size)
 					return
 				}
 				honest.ServeHTTP(w, r)

@@ -57,7 +57,7 @@ func (c *pageLRU) put(idx int64, data []byte) {
 
 func (c *pageLRU) len() int { return c.ll.Len() }
 
-// remove drops one page if resident (delta-driven invalidation).
+// remove drops one page if resident (a changed chunk's page).
 func (c *pageLRU) remove(idx int64) {
 	if el, ok := c.m[idx]; ok {
 		c.ll.Remove(el)

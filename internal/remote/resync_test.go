@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"xmlac"
 	"xmlac/internal/dataset"
 	"xmlac/internal/remote"
+	"xmlac/internal/secure"
+	"xmlac/internal/server"
 	"xmlac/internal/xmlstream"
 )
 
@@ -35,11 +39,12 @@ func updateEnvDoc(t *testing.T, env *testEnv, edits ...xmlac.Edit) *xmlac.Update
 	return delta
 }
 
-// TestDeltaResyncKeepsCleanChunks: after a small server-side update, a
-// Revalidate must evict only the pages of the chunks the delta names — the
-// rest of the chunk cache survives and is counted in ChunksReused — and
-// reads against the new version must return the new ciphertext.
-func TestDeltaResyncKeepsCleanChunks(t *testing.T) {
+// TestResyncKeepsCleanChunks: after a small server-side update, a
+// Revalidate must evict only the pages of the chunks the update dirtied —
+// the new digest table names exactly those — so the rest of the chunk cache
+// survives and is counted in ChunksReused, and reads against the new
+// version must return the new ciphertext.
+func TestResyncKeepsCleanChunks(t *testing.T) {
 	env := newEnv(t, 16)
 	src := env.open(t, remote.Options{})
 	man := src.Manifest()
@@ -73,7 +78,7 @@ func TestDeltaResyncKeepsCleanChunks(t *testing.T) {
 	}
 	st := src.Stats()
 	if st.ChunksReused == 0 {
-		t.Fatal("delta resync reused no chunks (flushed instead of evicting selectively)")
+		t.Fatal("resync reused no chunks (flushed instead of evicting selectively)")
 	}
 	if int64(delta.NumChunks)-int64(len(delta.DirtyChunks)) != st.ChunksReused {
 		t.Fatalf("ChunksReused = %d, want every clean chunk (%d of %d)",
@@ -110,15 +115,16 @@ func mustEntryBlob(t *testing.T, env *testEnv) ([]byte, string) {
 	return blob, etag
 }
 
-// TestResyncFallsBackToFullReload: when no delta is available (the document
-// was re-registered, resetting the version chain), Revalidate still lands on
-// the new content via the flush path.
+// TestResyncFallsBackToFullReload: when the document was re-registered (its
+// version chain starts over and every chunk's content moved), the digest
+// tables name every chunk, and Revalidate lands on the new content with
+// nothing reused.
 func TestResyncFallsBackToFullReload(t *testing.T) {
 	env := newEnv(t, 6)
 	src := env.open(t, remote.Options{})
 	env.mustRange(t, src, 0, src.Manifest().CiphertextLen)
 
-	// Replace the document wholesale: version goes back to 1, no deltas.
+	// Replace the document wholesale: version goes back to 1.
 	xml := strings.Replace(hospitalXMLFolders(6), "<Hospital>", "<Hospital><Folder><Admin><Fname>fresh</Fname></Admin></Folder>", 1)
 	if _, err := env.srv.Store().RegisterXML("hospital", xml, testPassphrase, xmlac.SchemeECBMHT); err != nil {
 		t.Fatal(err)
@@ -142,6 +148,42 @@ func TestResyncFallsBackToFullReload(t *testing.T) {
 	ctOff := int64(len(blob)) - man.CiphertextLen
 	if !bytes.Equal(got, blob[ctOff:]) {
 		t.Fatal("reads after a full reload do not match the new blob")
+	}
+}
+
+// TestECBResyncEvictsEveryChunk: ECB has no digest table to compare, so a
+// re-sync after any update empties the page cache, reuses no chunk and then
+// reads the new version's ciphertext.
+func TestECBResyncEvictsEveryChunk(t *testing.T) {
+	env := newEnv(t, 6)
+	entry, err := env.srv.Store().RegisterXML("ecb", hospitalXMLFolders(6), testPassphrase, xmlac.SchemeECB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := remote.Open(env.ts.URL+"/docs/ecb", remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.CiphertextRange(0, src.Manifest().CiphertextLen); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := entry.Update([]xmlac.Edit{{Op: xmlac.EditSetText, Path: "/Hospital/Folder[6]/Admin/Phone", Text: "5550000000"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := src.Revalidate(); err != nil || !changed {
+		t.Fatalf("Revalidate: changed=%v, %v", changed, err)
+	}
+	if pages, reused := src.CachedPages(), src.Stats().ChunksReused; pages != 0 || reused != 0 {
+		t.Fatalf("an ECB re-sync kept %d pages and %d chunks", pages, reused)
+	}
+	blob, _ := entry.Blob()
+	man := src.Manifest()
+	got, err := src.CiphertextRange(0, man.CiphertextLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob[int64(len(blob))-man.CiphertextLen:]) {
+		t.Fatal("reads after an ECB re-sync differ from the new ciphertext")
 	}
 }
 
@@ -176,8 +218,8 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 	})
 
 	// No explicit Revalidate: the evaluation hits the changed blob
-	// (If-Range falls back to a 200 with a new ETag), re-syncs through the
-	// delta and retries.
+	// (If-Range falls back to a 200 with a new ETag), re-syncs from the new
+	// digest table and retries.
 	view, metrics, err := doc.View(context.Background(), clerk, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +312,197 @@ func TestPrefixFetchDetectsConcurrentPatch(t *testing.T) {
 	}
 	if !bytes.Equal(got, blob[int64(len(blob))-man.CiphertextLen:]) {
 		t.Fatal("reads after the retried revalidation do not match the current blob")
+	}
+}
+
+// racedStore serves env's document through a handler that, when armed,
+// applies a PATCH to it as a re-sync's If-Match prefix request arrives: the
+// PATCH lands between the re-sync's manifest and its prefix. It keeps the
+// blob of every version it saw published.
+type racedStore struct {
+	entry *server.DocumentEntry
+	armed atomic.Bool
+	url   string
+
+	mu      sync.Mutex
+	edits   int
+	blobs   map[uint64][]byte
+	lastErr error
+}
+
+func newRacedStore(t *testing.T, env *testEnv) *racedStore {
+	t.Helper()
+	entry, err := env.srv.Store().Entry("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &racedStore{entry: entry, blobs: map[uint64][]byte{1: env.blob}}
+	handler := env.srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("If-Match") != "" && rs.armed.CompareAndSwap(true, false) {
+			rs.patch()
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	rs.url = ts.URL + "/docs/hospital"
+	return rs
+}
+
+// patch applies one same-length Phone edit, cycling through the folders
+// from the middle of the document on, so chunks before it stay clean.
+func (rs *racedStore) patch() {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.edits++
+	path := fmt.Sprintf("/Hospital/Folder[%d]/Admin/Phone", 9+rs.edits%8)
+	if _, _, err := rs.entry.Update([]xmlac.Edit{{Op: xmlac.EditSetText, Path: path, Text: fmt.Sprintf("555%07d", rs.edits)}}, nil); err != nil {
+		rs.lastErr = err
+		return
+	}
+	blob, _ := rs.entry.Blob()
+	rs.blobs[rs.entry.Version()] = blob
+}
+
+// blob returns the container of version v and any error a PATCH hit.
+func (rs *racedStore) blob(t *testing.T, v uint64) []byte {
+	t.Helper()
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.lastErr != nil {
+		t.Fatal(rs.lastErr)
+	}
+	blob, ok := rs.blobs[v]
+	if !ok {
+		t.Fatalf("no blob of version %d was published", v)
+	}
+	return blob
+}
+
+// unchangedChunks counts the chunks of b's layout whose bounds and
+// ciphertext are the same in container a.
+func unchangedChunks(t *testing.T, a, b []byte) int64 {
+	t.Helper()
+	manA, _, offA, err := secure.UnmarshalManifest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manB, _, offB, err := secure.UnmarshalManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(0)
+	for i := 0; i < manB.NumChunks(); i++ {
+		sa, ea := manA.ChunkBounds(i)
+		sb, eb := manB.ChunkBounds(i)
+		if i < manA.NumChunks() && sa == sb && ea == eb && bytes.Equal(a[offA+sa:offA+ea], b[offB+sb:offB+eb]) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRacedResyncKeepsCache: a re-sync of a changed document costs three
+// requests (the probe, the manifest and the prefix). When a PATCH lands
+// between the manifest and the If-Match prefix request, the re-sync fails
+// with ErrChanged after the same three requests and changes nothing: every
+// cached page stays, so the retry keeps every chunk that neither update
+// changed. Rounds of the same interleaving with a view after every
+// Revalidate each read one version: the local view of that version.
+func TestRacedResyncKeepsCache(t *testing.T) {
+	env := newEnv(t, 16)
+	rs := newRacedStore(t, env)
+	src, err := remote.Open(rs.url, remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func() {
+		t.Helper()
+		man := src.Manifest()
+		got, err := src.CiphertextRange(0, man.CiphertextLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob := rs.blob(t, man.Version); !bytes.Equal(got, blob[int64(len(blob))-man.CiphertextLen:]) {
+			t.Fatalf("reads at version %d differ from its ciphertext", man.Version)
+		}
+	}
+	revalidate := func(wantErr error) int64 {
+		t.Helper()
+		trips := src.Stats().RoundTrips
+		if _, err := src.Revalidate(); !errors.Is(err, wantErr) {
+			t.Fatalf("Revalidate: %v, want %v", err, wantErr)
+		}
+		return src.Stats().RoundTrips - trips
+	}
+
+	warm()
+	rs.patch()
+	if n := revalidate(nil); n != 3 {
+		t.Fatalf("a re-sync took %d requests, want 3: the probe, the manifest and the prefix", n)
+	}
+	warm()
+	pages := src.CachedPages()
+
+	rs.patch()
+	rs.armed.Store(true)
+	if n := revalidate(remote.ErrChanged); n != 3 {
+		t.Fatalf("a raced re-sync took %d requests, want 3", n)
+	}
+	if got := src.CachedPages(); got != pages {
+		t.Fatalf("the raced re-sync left %d of %d cached pages", got, pages)
+	}
+	if v := src.Manifest().Version; v != 2 {
+		t.Fatalf("the raced re-sync moved the source to version %d; it holds 2", v)
+	}
+	reused := src.Stats().ChunksReused
+	revalidate(nil)
+	if v := src.Manifest().Version; v != 4 {
+		t.Fatalf("the retry landed on version %d, want 4", v)
+	}
+	want := unchangedChunks(t, rs.blob(t, 2), rs.blob(t, 4))
+	if got := src.Stats().ChunksReused - reused; got != want || got == 0 {
+		t.Fatalf("the retry kept %d chunks; %d are unchanged from version 2 to 4", got, want)
+	}
+	warm()
+
+	doc, err := xmlac.OpenRemoteOptions(rs.url, env.key, xmlac.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := func(step string) {
+		t.Helper()
+		got, _, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
+		if err != nil {
+			t.Fatalf("%s: view: %v", step, err)
+		}
+		local, err := xmlac.UnmarshalProtected(rs.blob(t, doc.Version()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := local.View(context.Background(), env.key, cp, xmlac.ViewOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.XML() != want.XML() {
+			t.Fatalf("%s: the view differs from the local view of version %d", step, doc.Version())
+		}
+	}
+	view("open")
+	for round := 0; round < 4; round++ {
+		rs.patch()
+		rs.armed.Store(true)
+		if _, err := doc.Revalidate(); !errors.Is(err, remote.ErrChanged) {
+			t.Fatalf("round %d: raced Revalidate: %v, want ErrChanged", round, err)
+		}
+		view(fmt.Sprintf("round %d, after the raced Revalidate", round))
+		if _, err := doc.Revalidate(); err != nil {
+			t.Fatalf("round %d: Revalidate: %v", round, err)
+		}
+		view(fmt.Sprintf("round %d, after the retry", round))
 	}
 }

@@ -14,6 +14,10 @@
 //     into one span (fetching the cheap gap beats another round trip or
 //     another multipart part), and distinct spans ride in a single
 //     multi-range request;
+//   - version-aware invalidation: when the document changes, a re-sync
+//     fetches the new version's encrypted digest table and evicts only the
+//     cached chunks whose digest or bounds changed (secure.ChangedChunks),
+//     so the store keeps no update history for its clients;
 //   - wire accounting: BytesOnWire counts the HTTP payload actually read
 //     (range bodies, multipart framing, digest tables, fragment hashes) and
 //     RoundTrips counts requests, surfaced through xmlac.Metrics.
@@ -35,16 +39,6 @@ import (
 
 	"xmlac/internal/secure"
 	"xmlac/internal/trace"
-)
-
-// Trace-propagation headers stamped on every outgoing request while a
-// tracing context is attached: the trace ID rides the server's existing
-// X-Request-Id plumbing (so server-side spans and access-log lines carry
-// it), and the client evaluation's root span ID lets the server record its
-// request spans as children of the evaluation that caused them.
-const (
-	traceIDHeader = "X-Request-Id"
-	spanIDHeader  = "X-Xmlac-Span-Id"
 )
 
 // ErrChanged is returned when the server's blob no longer matches the entity
@@ -109,8 +103,9 @@ type WireStats struct {
 	// RoundTrips is the number of HTTP requests issued.
 	RoundTrips int64
 	// ChunksReused counts the integrity chunks whose cached pages survived a
-	// document update because the server's delta proved them unchanged — the
-	// payoff of version-aware invalidation over flushing the whole cache.
+	// document update because the two versions' encrypted digest tables
+	// showed them unchanged — the payoff of version-aware invalidation over
+	// flushing the whole cache.
 	ChunksReused int64
 }
 
@@ -121,7 +116,6 @@ type Source struct {
 	manifestURL string
 	blobURL     string
 	hashesURL   string
-	deltaURL    string
 
 	mu         sync.Mutex
 	man        secure.Manifest
@@ -180,7 +174,6 @@ func Open(baseURL string, opts Options) (*Source, error) {
 		manifestURL: base + "/manifest",
 		blobURL:     base + "/blob",
 		hashesURL:   base + "/hashes",
-		deltaURL:    base + "/delta",
 		cache:       newPageLRU(opts.CacheCapacity),
 		fragHashes:  map[int][]byte{},
 	}
@@ -633,11 +626,10 @@ func (s *Source) runToPages(start int64, data []byte, out map[int64][]byte) {
 
 // Revalidate asks the server whether the blob still matches this source's
 // entity tag (a 1-byte conditional range request). If it changed, the
-// client re-synchronizes: when the server can serve an update delta from
-// this source's version, only the chunks the delta names are evicted from
-// the page cache (clean chunks stay resident and count into
-// WireStats.ChunksReused); otherwise everything is flushed and reloaded.
-// Revalidate reports whether the document changed.
+// client re-synchronizes: it loads the new version's digest table and
+// evicts only the chunks whose encrypted digest or bounds changed
+// (secure.ChangedChunks); clean chunks stay resident and count into
+// WireStats.ChunksReused. Revalidate reports whether the document changed.
 func (s *Source) Revalidate() (changed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -672,9 +664,9 @@ func (s *Source) Revalidate() (changed bool, err error) {
 }
 
 // Resync re-binds the source to the server's current document version:
-// the delta-aware path of Revalidate without the conditional probe, for
-// callers that already know the blob changed (ErrChanged from a range
-// fetch). Chunks the delta proves unchanged stay cached.
+// Revalidate without the conditional probe, for callers that already know
+// the blob changed (ErrChanged from a range fetch). Chunks whose digest and
+// bounds are unchanged stay cached.
 func (s *Source) Resync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -682,7 +674,13 @@ func (s *Source) Resync() error {
 }
 
 // resyncLocked synchronizes manifest, digest table, fragment hashes and page
-// cache with the server's current version. Callers hold s.mu.
+// cache with the server's current version. It keeps every cached page and
+// fragment hash of a chunk the two versions' digest tables show unchanged
+// and evicts the rest: pages and hashes of changed chunks, pages past the
+// new end of ciphertext and hashes of dropped chunks. A prefix fetch that
+// fails (ErrChanged when a PATCH lands between the manifest and the prefix)
+// changes nothing, so the cache stays valid for the next attempt. Callers
+// hold s.mu.
 func (s *Source) resyncLocked() error {
 	s.trace.Begin(trace.PhaseResync)
 	defer s.trace.End()
@@ -698,92 +696,33 @@ func (s *Source) resyncLocked() error {
 	if payload.ETag != "" && payload.ETag == s.etag {
 		return nil // raced with a concurrent reload; already current
 	}
-	if delta := s.fetchDelta(payload); delta != nil {
-		if err := s.applyDelta(payload, delta); err == nil {
-			return nil
-		}
-		// A delta that fails to apply (layout drift, another concurrent
-		// update) degrades to the full flush below — correctness never
-		// depends on the fast path.
-	}
-	s.cache.reset()
-	clear(s.fragHashes)
-	return s.loadPrefix(payload)
-}
-
-// fetchDelta asks the server for the merged update delta from this source's
-// version to its current one. nil means "no usable delta" (server predates
-// the endpoint, version fell out of the retention window, or the response
-// does not line up with the manifest): the caller falls back to a flush.
-func (s *Source) fetchDelta(payload manifestPayload) *secure.Delta {
-	from := s.man.Version
-	if from == 0 || payload.Manifest.Version <= from {
-		return nil
-	}
-	resp, err := s.do("GET", s.deltaURL+"?from="+strconv.FormatUint(from, 10), nil)
-	if err != nil {
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil
-	}
-	// Chunk geometry never changes across updates, so the manifest's blob
-	// size bounds the chunks a delta into the new version can name.
-	next := secure.Manifest{ChunkSize: s.man.ChunkSize, CiphertextLen: payload.Manifest.BlobSize - payload.Manifest.CiphertextOffset}
-	body, err := s.readAll(resp, secure.MaxDeltaLen(next.NumChunks()))
-	if err != nil {
-		return nil
-	}
-	delta, err := secure.UnmarshalDelta(body)
-	if err != nil {
-		return nil
-	}
-	if delta.FromVersion != from || delta.ToVersion != payload.Manifest.Version {
-		return nil
-	}
-	return delta
-}
-
-// applyDelta installs the new version while keeping every cached page of a
-// chunk the delta proves unchanged. The digest table and header are
-// re-fetched (one round trip — they are tiny and the delta's dirty chunks
-// have fresh digests anyway); pages of dirty chunks, pages past the new end
-// of ciphertext and fragment hashes of dirty or dropped chunks are evicted.
-// Callers hold s.mu.
-func (s *Source) applyDelta(payload manifestPayload, delta *secure.Delta) error {
-	oldMan := s.man
+	oldMan, oldDigests := s.man, s.digests
 	if err := s.loadPrefix(payload); err != nil {
 		return err
 	}
 	man := s.man
-	// The delta must describe exactly the transition the prefix confirms;
-	// chunk geometry never changes across updates.
-	if man.Version != delta.ToVersion || man.CiphertextLen != delta.NewCiphertextLen ||
-		man.NumChunks() != delta.NumChunks ||
-		man.ChunkSize != oldMan.ChunkSize || man.FragmentSize != oldMan.FragmentSize {
-		return fmt.Errorf("remote: delta does not match the server's current layout")
+	if man.NumDigests == 0 {
+		// ECB has no digest table, so every chunk counts as changed. Empty
+		// the cache instead of listing every chunk the store claims: the
+		// loops below are bounded by the digest table.
+		s.cache.reset()
+		clear(s.fragHashes)
+		return nil
 	}
-	if payload.ETag != "" && s.etag != payload.ETag {
-		return fmt.Errorf("remote: blob changed while re-syncing")
-	}
+	changed := secure.ChangedChunks(oldMan, man, oldDigests, s.digests)
+	dirty := make(map[int]bool, len(changed))
 	chunkSize := int64(man.ChunkSize)
-	dirty := make(map[int]bool, len(delta.DirtyChunks))
-	for _, c := range delta.DirtyChunks {
+	for _, c := range changed {
 		dirty[c] = true
-	}
-	for _, c := range delta.DirtyChunks {
 		start := int64(c) * chunkSize
 		for p := start / PageSize; p*PageSize < start+chunkSize; p++ {
 			s.cache.remove(p)
 		}
 		delete(s.fragHashes, c)
 	}
-	if man.CiphertextLen > 0 {
-		s.cache.removeAbove((man.CiphertextLen - 1) / PageSize)
-	}
+	s.cache.removeAbove((man.CiphertextLen - 1) / PageSize)
 	for c := range s.fragHashes {
-		if c >= delta.NumChunks {
+		if c >= man.NumChunks() {
 			delete(s.fragHashes, c)
 		}
 	}
@@ -791,20 +730,18 @@ func (s *Source) applyDelta(payload manifestPayload, delta *secure.Delta) error 
 	// page straddled a dirty neighbour (page size not dividing the chunk
 	// size) is not claimed as reused: reused = clean chunks that actually
 	// kept at least one page.
-	reused := int64(0)
-	for c := 0; c < delta.NumChunks; c++ {
+	for c := 0; c < man.NumChunks(); c++ {
 		if dirty[c] {
 			continue
 		}
 		start, end := man.ChunkBounds(c)
 		for p := start / PageSize; p*PageSize < end; p++ {
 			if s.cache.contains(p) {
-				reused++
+				s.stats.ChunksReused++
 				break
 			}
 		}
 	}
-	s.stats.ChunksReused += reused
 	return nil
 }
 
@@ -825,8 +762,8 @@ func (s *Source) doReq(req *http.Request) (*http.Response, error) {
 		req = req.WithContext(s.ctx)
 	}
 	if id := s.trace.ID(); id != "" {
-		req.Header.Set(traceIDHeader, id)
-		req.Header.Set(spanIDHeader, s.trace.SpanID())
+		req.Header.Set(trace.RequestIDHeader, id)
+		req.Header.Set(trace.SpanIDHeader, s.trace.SpanID())
 	}
 	s.stats.RoundTrips++
 	s.trace.Begin(trace.PhaseFetch)

@@ -21,8 +21,9 @@
 //   - Update re-encrypts only the chunks an edit dirtied (position-XOR ECB
 //     reuses clean-chunk ciphertext byte-identically; CBC schemes reuse the
 //     prefix before the first change), carries a monotonic document version
-//     in the v2 container, and emits binary Deltas so remote caches evict
-//     only dirty pages.
+//     in the v2 container, and emits a binary Delta for the store's log.
+//     Clean chunks keep their encrypted digests, so ChangedChunks tells a
+//     remote cache which pages to evict from two versions' digest tables.
 //
 //   - Readers are single-goroutine but the *Protected beneath them is
 //     immutable once built (updates swap a new snapshot), so concurrent

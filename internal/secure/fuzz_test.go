@@ -134,10 +134,11 @@ func FuzzManifest(f *testing.F) {
 }
 
 // fuzzSeedDeltas builds the canonical seed inputs of FuzzDelta: deltas from
-// Update for every scheme and edit shape, the merge of an update chain,
-// their truncations, and the out-of-range and trailing-byte inputs
-// UnmarshalDelta once accepted. The committed files under
-// testdata/fuzz/FuzzDelta hold the same inputs.
+// Update for every scheme and edit shape, a delta spanning each update
+// chain (dirty where the digest tables of its ends differ), its truncation,
+// and the out-of-range and trailing-byte inputs UnmarshalDelta once
+// accepted. The committed files under testdata/fuzz/FuzzDelta hold the same
+// inputs.
 func fuzzSeedDeltas() [][]byte {
 	var seeds [][]byte
 	key := DeriveKey("fuzz-delta")
@@ -147,8 +148,8 @@ func fuzzSeedDeltas() [][]byte {
 		if err != nil {
 			continue
 		}
-		var chain []*Delta
-		cur := plain
+		first, cur := prot, plain
+		span := &Delta{FromVersion: first.Version}
 		for _, kind := range []string{"same-length", "insert", "truncate"} {
 			next := mutate(cur, kind)
 			updated, delta, err := Update(prot, cur, next, key)
@@ -156,13 +157,15 @@ func fuzzSeedDeltas() [][]byte {
 				break
 			}
 			seeds = append(seeds, delta.Marshal())
-			chain = append(chain, delta)
+			span.BytesReencrypted += delta.BytesReencrypted
+			span.BytesReused += delta.BytesReused
 			prot, cur = updated, next
 		}
-		if merged, err := MergeDeltas(chain); err == nil {
-			wire := merged.Marshal()
-			seeds = append(seeds, wire, wire[:len(wire)/2])
-		}
+		span.ToVersion, span.NumChunks = prot.Version, prot.NumChunks()
+		span.NewPlainLen, span.NewCiphertextLen = prot.PlainLen, int64(len(prot.Ciphertext))
+		span.DirtyChunks = ChangedChunks(first.Manifest(), prot.Manifest(), first.ChunkDigests, prot.ChunkDigests)
+		wire := span.Marshal()
+		seeds = append(seeds, wire, wire[:len(wire)/2])
 	}
 	valid := seeds[0]
 	maxed := func(off int) []byte {
@@ -181,11 +184,11 @@ func fuzzSeedDeltas() [][]byte {
 	return seeds
 }
 
-// FuzzDelta drives UnmarshalDelta over arbitrary bytes. A remote SOE client
-// decodes the deltas an untrusted store serves (GET /docs/{id}/delta), so
-// the decoder must never panic, and every delta it accepts must be exactly
-// what Marshal writes: non-negative lengths, dirty chunks ascending and
-// inside the layout, and no byte left over.
+// FuzzDelta drives UnmarshalDelta over arbitrary bytes. A store's recovery
+// decodes the delta of every update record it replays from its log on disk,
+// so the decoder must never panic, and every delta it accepts must be
+// exactly what Marshal writes: non-negative lengths, dirty chunks ascending
+// and inside the layout, and no byte left over.
 func FuzzDelta(f *testing.F) {
 	for _, seed := range fuzzSeedDeltas() {
 		f.Add(seed)

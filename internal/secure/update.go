@@ -5,7 +5,6 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // In-place document updates, chunk-granular. The paper's encryption layout
@@ -27,12 +26,16 @@ import (
 // reused prefix, again reproducing the from-scratch bytes). That asymmetry
 // is the paper's point: random in-place updates are a benefit of the
 // position-aware ECB-MHT scheme, not of the state-of-the-art baselines.
+//
+// Because a clean chunk keeps its encrypted digest and a dirty one gets a
+// fresh one, two versions' digest tables say which chunks changed between
+// them: ChangedChunks reads that off, so a remote chunk cache needs no
+// update history from the store.
 
 // Delta describes what an Update changed, in terms the untrusted side can
 // use: which chunks of the new layout carry fresh ciphertext (and fresh
-// digests), and the new sizes. A remote chunk cache holding version
-// FromVersion applies the delta by evicting only the dirty chunks instead of
-// flushing; nothing in a Delta is secret.
+// digests), and the new sizes. A store logs it in the record of each
+// update and answers the update with it; nothing in a Delta is secret.
 type Delta struct {
 	// FromVersion and ToVersion bracket the update.
 	FromVersion uint64
@@ -58,8 +61,8 @@ var deltaMagic = []byte("XDLT")
 
 const deltaVersion = 1
 
-// Marshal serializes the delta for the wire (GET /docs/{id}/delta). Like the
-// container, everything in it is public.
+// Marshal serializes the delta: the form a store's update record carries.
+// Like the container, everything in it is public.
 func (d *Delta) Marshal() []byte {
 	out := make([]byte, 0, 64+4*len(d.DirtyChunks))
 	out = append(out, deltaMagic...)
@@ -81,20 +84,11 @@ func (d *Delta) Marshal() []byte {
 // maxDeltaChunks is the largest chunk count UnmarshalDelta accepts.
 const maxDeltaChunks = 1 << 26
 
-// MaxDeltaLen is the length of the longest marshalled delta into a layout
-// of numChunks chunks, the one that names every chunk dirty. A count outside
-// what UnmarshalDelta accepts, such as one computed from a lying manifest,
-// is clamped to that range, so the length never overflows.
-func MaxDeltaLen(numChunks int) int64 {
-	numChunks = min(max(numChunks, 0), maxDeltaChunks)
-	return int64(len(deltaMagic)) + 1 + 4*8 + 2*4 + 4*int64(numChunks) + 2*8
-}
-
 // UnmarshalDelta parses a marshalled delta, validating its invariants
 // (ascending dirty chunk indices inside the layout, plausible counts,
-// lengths a signed integer holds, no trailing bytes). Clients decode deltas
-// an untrusted store serves, so everything it accepts is exactly what
-// Marshal writes.
+// lengths a signed integer holds, no trailing bytes). A store's recovery
+// decodes the deltas of the update records it replays from disk, so
+// everything it accepts is exactly what Marshal writes.
 func UnmarshalDelta(data []byte) (*Delta, error) {
 	r := &byteReader{data: data}
 	m, err := r.take(len(deltaMagic))
@@ -183,41 +177,47 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 	return d, nil
 }
 
-// MergeDeltas folds a chain of consecutive deltas (a.ToVersion ==
-// b.FromVersion, and so on) into one delta from the first version to the
-// last: a chunk is dirty overall if any step dirtied it and it still exists
-// in the final layout. A cache at the chain's first version applies the
-// merged delta exactly as it would apply the steps one by one.
-func MergeDeltas(steps []*Delta) (*Delta, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("secure: merging an empty delta chain")
-	}
-	out := &Delta{
-		FromVersion:      steps[0].FromVersion,
-		ToVersion:        steps[len(steps)-1].ToVersion,
-		NewPlainLen:      steps[len(steps)-1].NewPlainLen,
-		NewCiphertextLen: steps[len(steps)-1].NewCiphertextLen,
-		NumChunks:        steps[len(steps)-1].NumChunks,
-	}
-	dirty := map[int]struct{}{}
-	for i, st := range steps {
-		if i > 0 && st.FromVersion != steps[i-1].ToVersion {
-			return nil, fmt.Errorf("secure: delta chain broken at step %d (%d -> %d after ...%d)",
-				i, st.FromVersion, st.ToVersion, steps[i-1].ToVersion)
-		}
-		for _, c := range st.DirtyChunks {
-			dirty[c] = struct{}{}
-		}
-		out.BytesReencrypted += st.BytesReencrypted
-		out.BytesReused += st.BytesReused
-	}
-	for c := range dirty {
-		if c < out.NumChunks {
-			out.DirtyChunks = append(out.DirtyChunks, c)
+// dirtyChunks returns, in ascending order, the chunks of an n-chunk layout
+// under scheme that are dirty: those whose own content changed
+// (unchanged(i) is false) and, under the chained CBC schemes, every chunk
+// after the first dirty one, whose ciphertext depends on everything before
+// it. Update and ChangedChunks both classify through here.
+func dirtyChunks(scheme Scheme, n int, unchanged func(i int) bool) []int {
+	chained := scheme == SchemeCBCSHA || scheme == SchemeCBCSHAC
+	var dirty []int
+	for i := 0; i < n; i++ {
+		if (chained && len(dirty) > 0) || !unchanged(i) {
+			dirty = append(dirty, i)
 		}
 	}
-	sort.Ints(out.DirtyChunks)
-	return out, nil
+	return dirty
+}
+
+// ChangedChunks returns, in ascending order, the chunks of version cur that
+// a chunk cache holding version old must drop: those whose ciphertext may
+// differ between the two, read off their layouts and encrypted digest
+// tables. A chunk is clean when both layouts share the scheme, ChunkSize and
+// FragmentSize, the chunk has the same bounds in both, its encrypted digest
+// is byte-identical in both tables, and (the chained rule of dirtyChunks)
+// no earlier chunk is dirty. SchemeECB has no digests, so every chunk is
+// dirty. Under the other schemes a digest covers its chunk's content and is
+// bound to its index, so for one Update the result is the Delta's
+// DirtyChunks, and across several it names no more than their union.
+//
+// The tables come from an untrusted store and nothing here verifies them. A
+// cache may still keep a clean chunk's pages: the reader checks every byte
+// against cur's table before it decrypts it, so a wrong "clean" ends as
+// ErrIntegrity, never as altered plaintext.
+func ChangedChunks(old, cur Manifest, oldDigests, curDigests [][]byte) []int {
+	sameLayout := old.Scheme == cur.Scheme && old.ChunkSize == cur.ChunkSize && old.FragmentSize == cur.FragmentSize
+	return dirtyChunks(cur.Scheme, cur.NumChunks(), func(i int) bool {
+		if !sameLayout || i >= len(oldDigests) || i >= len(curDigests) {
+			return false
+		}
+		oStart, oEnd := old.ChunkBounds(i)
+		start, end := cur.ChunkBounds(i)
+		return oStart == start && oEnd == end && bytes.Equal(oldDigests[i], curDigests[i])
+	})
 }
 
 // Update re-protects an edited document against its previous protected form,
@@ -259,29 +259,20 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 		NumChunks:        nChunks,
 	}
 
-	// Classify every chunk of the new layout. A chunk is clean when the old
-	// layout has a chunk at the same index covering the same byte range with
-	// identical padded plaintext; under CBC chaining every chunk after the
-	// first dirty one is dirty too (its ciphertext depends on everything
-	// before it).
-	chained := old.Scheme == SchemeCBCSHA || old.Scheme == SchemeCBCSHAC
-	dirty := make([]bool, nChunks)
-	seenDirty := false
-	for i := 0; i < nChunks; i++ {
+	// Classify every chunk of the new layout. A chunk's own content is
+	// unchanged when the old layout has a chunk at the same index covering
+	// the same byte range with identical padded plaintext.
+	delta.DirtyChunks = dirtyChunks(old.Scheme, nChunks, func(i int) bool {
+		if i >= old.NumChunks() {
+			return false
+		}
 		start, end := np.chunkBounds(i)
-		isClean := !(chained && seenDirty) && i < old.NumChunks()
-		if isClean {
-			oStart, oEnd := old.chunkBounds(i)
-			isClean = oStart == start && oEnd == end && bytes.Equal(paddedRange(oldPlain, start, end), paddedRange(newPlain, start, end))
-		}
-		if !isClean {
-			dirty[i] = true
-			seenDirty = true
-			delta.DirtyChunks = append(delta.DirtyChunks, i)
-			delta.BytesReencrypted += int64(end - start)
-		} else {
-			delta.BytesReused += int64(end - start)
-		}
+		oStart, oEnd := old.chunkBounds(i)
+		return oStart == start && oEnd == end && bytes.Equal(paddedRange(oldPlain, start, end), paddedRange(newPlain, start, end))
+	})
+	dirty := make([]bool, nChunks)
+	for _, i := range delta.DirtyChunks {
+		dirty[i] = true
 	}
 
 	// Rebuild the ciphertext: clean chunks copy over, dirty chunks encrypt
@@ -289,9 +280,12 @@ func Update(old *Protected, oldPlain, newPlain []byte, key Key) (*Protected, *De
 	// off the reused prefix (CBC).
 	for i := 0; i < nChunks; i++ {
 		start, end := np.chunkBounds(i)
-		if !dirty[i] {
-			copy(np.Ciphertext[start:end], old.Ciphertext[start:end])
+		if dirty[i] {
+			delta.BytesReencrypted += int64(end - start)
+			continue
 		}
+		delta.BytesReused += int64(end - start)
+		copy(np.Ciphertext[start:end], old.Ciphertext[start:end])
 	}
 	switch old.Scheme {
 	case SchemeECB, SchemeECBMHT:

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -130,6 +131,15 @@ func TestUpdateMatchesFromScratch(t *testing.T) {
 						t.Fatalf("chunk %d changed but is not in the delta", i)
 					}
 				}
+				// The digest tables name the same dirty set, except under
+				// ECB, which has none and so names every chunk.
+				want := delta.DirtyChunks
+				if scheme == SchemeECB {
+					want = allChunks(updated.NumChunks())
+				}
+				if got := ChangedChunks(old.Manifest(), updated.Manifest(), old.ChunkDigests, updated.ChunkDigests); !slices.Equal(got, want) {
+					t.Fatalf("digest tables name chunks %v, want %v (delta %v)", got, want, delta.DirtyChunks)
+				}
 				if delta.BytesReencrypted+delta.BytesReused != int64(len(updated.Ciphertext)) {
 					t.Fatalf("delta byte accounting %d+%d does not cover %d ciphertext bytes",
 						delta.BytesReencrypted, delta.BytesReused, len(updated.Ciphertext))
@@ -163,60 +173,68 @@ func TestUpdateMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestUpdateChain applies a sequence of updates and checks the version chain
-// and the merged delta against recomputing from the first version.
+// allChunks returns the indices 0..n-1.
+func allChunks(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestUpdateChain applies a sequence of updates under every scheme and
+// checks the version chain and what the digest tables of the first and the
+// last version say changed: a subset of the chunks the steps dirtied, and
+// no chunk it calls clean differs between the two versions.
 func TestUpdateChain(t *testing.T) {
 	plain := samplePlaintext(6 * DefaultChunkSize)
 	key := testKey()
-	prot, err := Protect(plain, key, ProtectOptions{Scheme: SchemeECBMHT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := prot
-	cur := plain
-	var steps []*Delta
-	for i, kind := range []string{"same-length", "insert", "truncate"} {
-		next := mutate(cur, kind)
-		updated, delta, err := Update(prot, cur, next, key)
+	for _, scheme := range Schemes() {
+		prot, err := Protect(plain, key, ProtectOptions{Scheme: scheme})
 		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if updated.Version != uint64(i+2) {
-			t.Fatalf("step %d: version %d, want %d", i, updated.Version, i+2)
+		first := prot
+		cur := plain
+		stepDirty := map[int]bool{}
+		for i, kind := range []string{"same-length", "insert", "truncate", "head", "append", "delete"} {
+			next := mutate(cur, kind)
+			updated, delta, err := Update(prot, cur, next, key)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", scheme, i, err)
+			}
+			if updated.Version != uint64(i+2) || delta.FromVersion != uint64(i+1) || delta.ToVersion != uint64(i+2) {
+				t.Fatalf("%s step %d: version %d, delta %d->%d, want %d", scheme, i, updated.Version, delta.FromVersion, delta.ToVersion, i+2)
+			}
+			for _, c := range delta.DirtyChunks {
+				stepDirty[c] = true
+			}
+			prot, cur = updated, next
 		}
-		steps = append(steps, delta)
-		prot, cur = updated, next
-	}
-	merged, err := MergeDeltas(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.FromVersion != 1 || merged.ToVersion != 4 || merged.NumChunks != prot.NumChunks() {
-		t.Fatalf("merged delta %d->%d over %d chunks, want 1->4 over %d", merged.FromVersion, merged.ToVersion, merged.NumChunks, prot.NumChunks())
-	}
-	// Applying the merged delta to the first version's ciphertext must
-	// reproduce the final one: every chunk not named dirty is byte-identical
-	// between version 1 and version 4.
-	dirtySet := map[int]bool{}
-	for _, c := range merged.DirtyChunks {
-		dirtySet[c] = true
-	}
-	for i := 0; i < prot.NumChunks(); i++ {
-		if dirtySet[i] {
+		changed := ChangedChunks(first.Manifest(), prot.Manifest(), first.ChunkDigests, prot.ChunkDigests)
+		if scheme == SchemeECB {
+			if !slices.Equal(changed, allChunks(prot.NumChunks())) {
+				t.Fatalf("ECB: digest tables name chunks %v, want every one of %d", changed, prot.NumChunks())
+			}
 			continue
 		}
-		start, end := prot.chunkBounds(i)
-		if i >= first.NumChunks() {
-			t.Fatalf("clean chunk %d does not exist in the first version", i)
+		isChanged := map[int]bool{}
+		for _, c := range changed {
+			if !stepDirty[c] {
+				t.Fatalf("%s: chunk %d named changed, but no step dirtied it", scheme, c)
+			}
+			isChanged[c] = true
 		}
-		oStart, oEnd := first.chunkBounds(i)
-		if oStart != start || oEnd != end || !bytes.Equal(first.Ciphertext[start:end], prot.Ciphertext[start:end]) {
-			t.Fatalf("chunk %d clean in the merged delta but changed between versions 1 and 4", i)
+		for i := 0; i < prot.NumChunks(); i++ {
+			if isChanged[i] {
+				continue
+			}
+			start, end := prot.chunkBounds(i)
+			oStart, oEnd := first.chunkBounds(i)
+			if i >= first.NumChunks() || oStart != start || oEnd != end || !bytes.Equal(first.Ciphertext[start:end], prot.Ciphertext[start:end]) {
+				t.Fatalf("%s: chunk %d clean by the digest tables but changed between versions 1 and %d", scheme, i, prot.Version)
+			}
 		}
-	}
-	// A broken chain must be rejected.
-	if _, err := MergeDeltas([]*Delta{steps[0], steps[2]}); err == nil {
-		t.Fatal("merging a broken delta chain must fail")
 	}
 }
 
@@ -245,18 +263,6 @@ func TestDeltaMarshalRoundTrip(t *testing.T) {
 	for i := range d.DirtyChunks {
 		if back.DirtyChunks[i] != d.DirtyChunks[i] {
 			t.Fatalf("dirty chunk %d: %d vs %d", i, back.DirtyChunks[i], d.DirtyChunks[i])
-		}
-	}
-	// MaxDeltaLen is the length of a delta naming every chunk dirty.
-	d.DirtyChunks = []int{0, 1, 2, 3, 4, 5, 6}
-	if got, want := int64(len(d.Marshal())), MaxDeltaLen(d.NumChunks); got != want {
-		t.Fatalf("an all-dirty delta of %d chunks is %d bytes, MaxDeltaLen says %d", d.NumChunks, got, want)
-	}
-	// A chunk count from a lying manifest never yields a bound past the
-	// longest delta UnmarshalDelta accepts, nor one that overflowed.
-	for _, n := range []int{-1, maxDeltaChunks + 1, 1<<62 + 1<<60, math.MaxInt} {
-		if got := MaxDeltaLen(n); got < MaxDeltaLen(0) || got > MaxDeltaLen(maxDeltaChunks) {
-			t.Fatalf("MaxDeltaLen(%d) = %d, outside [%d, %d]", n, got, MaxDeltaLen(0), MaxDeltaLen(maxDeltaChunks))
 		}
 	}
 	for name, corrupt := range map[string][]byte{

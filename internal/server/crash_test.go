@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmlac"
 	"xmlac/internal/storage"
 )
 
@@ -39,13 +38,12 @@ func captureCrashState(t *testing.T, srv *Server, ts *httptest.Server, label str
 }
 
 // captureSurface reads every byte a remote client resynchronizes from, for
-// every document: the blob with its ETag, the manifest and the delta from
-// version 1.
+// every document: the blob with its ETag and the manifest.
 func captureSurface(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
 	var b strings.Builder
 	for _, doc := range crashDocs {
-		for _, path := range []string{"/blob", "/manifest", "/delta?from=1"} {
+		for _, path := range []string{"/blob", "/manifest"} {
 			resp, body := do(t, http.MethodGet, ts.URL+"/docs/"+doc+path, "")
 			fmt.Fprintf(&b, "%s%s %d %s %q\n", doc, path, resp.StatusCode, resp.Header.Get("ETag"), body)
 		}
@@ -83,9 +81,9 @@ func copyDataDir(t *testing.T, src, dst string) {
 // observable state after each durable prefix, then — for every WAL record —
 // truncates the log at the record boundary, truncates it mid-record, and
 // flips a payload byte, reopening the store each time. Recovery must land
-// exactly on the state of the longest intact prefix: every blob, ETag,
-// manifest and delta byte-identical to the reference, never a torn or
-// improvised state.
+// exactly on the state of the longest intact prefix: every blob, ETag and
+// manifest byte-identical to the reference, never a torn or improvised
+// state.
 func TestCrashRecoveryTorture(t *testing.T) {
 	base := t.TempDir()
 	srcDir := filepath.Join(base, "reference")
@@ -329,9 +327,8 @@ func (h *crashHarness) caseDir(name, src string, mutate func(wal string)) string
 	return dir
 }
 
-// check reopens a mutilated copy of src and demands the state want,
-// including a working delta resync when the recovered document has update
-// history. It returns the case directory, closed.
+// check reopens a mutilated copy of src and demands the state want. It
+// returns the case directory, closed.
 func (h *crashHarness) check(name, src string, want crashSnapshot, mutate func(wal string)) string {
 	t := h.t
 	t.Helper()
@@ -343,20 +340,7 @@ func (h *crashHarness) check(name, src string, want crashSnapshot, mutate func(w
 			name, got.found, got.version, want.label, want.found, want.version)
 	}
 	if got.surface != want.surface {
-		t.Fatalf("%s: a blob, ETag, manifest or delta differs from durable state %q", name, want.label)
-	}
-	if want.found && want.version > 1 {
-		resp, body := do(t, http.MethodGet, ts2.URL+"/docs/hospital/delta?from="+fmt.Sprint(want.version-1), "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: delta resync from=%d: %d", name, want.version-1, resp.StatusCode)
-		}
-		delta, err := xmlac.UnmarshalUpdateDelta([]byte(body))
-		if err != nil {
-			t.Fatalf("%s: delta resync: %v", name, err)
-		}
-		if delta.ToVersion != want.version {
-			t.Fatalf("%s: delta resync lands on %d, want %d", name, delta.ToVersion, want.version)
-		}
+		t.Fatalf("%s: a blob, ETag or manifest differs from durable state %q", name, want.label)
 	}
 	ts2.Close()
 	if err := srv2.Close(); err != nil {

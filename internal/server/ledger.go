@@ -17,20 +17,18 @@ import (
 // snapshot's JSON encoding and GET /metrics.prom renders the same snapshot,
 // so the two surfaces never disagree.
 
-// updateCounters is the exported reading of PATCH /docs/{id} outcomes and
-// the delta surface.
+// updateCounters is the exported reading of PATCH /docs/{id} outcomes.
 type updateCounters struct {
 	Applied           int64 `json:"applied"`
 	Errors            int64 `json:"errors"`
-	DeltasServed      int64 `json:"deltas_served"`
 	ChunksReencrypted int64 `json:"chunks_reencrypted"`
 	BytesReencrypted  int64 `json:"bytes_reencrypted"`
 	BytesReused       int64 `json:"bytes_reused"`
 }
 
-// updateTally counts PATCH outcomes and served deltas.
+// updateTally counts PATCH outcomes.
 type updateTally struct {
-	applied, errors, deltasServed                    atomic.Int64
+	applied, errors                                  atomic.Int64
 	chunksReencrypted, bytesReencrypted, bytesReused atomic.Int64
 }
 
@@ -52,7 +50,6 @@ func (u *updateTally) load() updateCounters {
 	return updateCounters{
 		Applied:           u.applied.Load(),
 		Errors:            u.errors.Load(),
-		DeltasServed:      u.deltasServed.Load(),
 		ChunksReencrypted: u.chunksReencrypted.Load(),
 		BytesReencrypted:  u.bytesReencrypted.Load(),
 		BytesReused:       u.bytesReused.Load(),

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -16,26 +14,10 @@ import (
 // a well-formed X-Request-Id header or generated — that is echoed in the
 // response, stamped on the request's span in GET /debug/trace (so a remote
 // client's trace and the access log correlate with it) and logged in the
-// structured access line the middleware emits after the handler returns.
-
-// requestIDHeader is the header carrying the request-scoped trace ID, both
-// inbound (honored) and outbound (echoed).
-const requestIDHeader = "X-Request-Id"
-
-// spanIDHeader carries the span ID of the client evaluation that caused the
-// request (stamped by internal/remote alongside the trace ID). The server
-// records its request spans with it as their parent, so the client's merged
-// Chrome trace links server fetches under the evaluation they served.
-const spanIDHeader = "X-Xmlac-Span-Id"
-
-// newRequestID generates a 16-hex-digit random trace ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000" // the ID is a correlation aid, not a secret
-	}
-	return hex.EncodeToString(b[:])
-}
+// structured access line the middleware emits after the handler returns. A
+// well-formed X-Xmlac-Span-Id names the client evaluation that caused the
+// request; the request's span records it as its parent, so the client's
+// merged Chrome trace links store fetches under the evaluation they served.
 
 // validRequestID accepts client-supplied IDs that are safe to echo and log:
 // 1-64 characters of [A-Za-z0-9_.-]. Anything else is replaced by a
@@ -86,11 +68,11 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		id := r.Header.Get(requestIDHeader)
+		id := r.Header.Get(trace.RequestIDHeader)
 		if !validRequestID(id) {
-			id = newRequestID()
+			id = trace.NewSpanID()
 		}
-		w.Header().Set(requestIDHeader, id)
+		w.Header().Set(trace.RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
 		// The injected clock times the request (not time.Now directly), so the
 		// access-log duration is deterministic under the fake clock in tests.
@@ -114,7 +96,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			// A well-formed client span header makes this span a child of the
 			// evaluation that issued the request; anything else stays unlinked
 			// rather than reflecting hostile bytes into the export.
-			if parent := r.Header.Get(spanIDHeader); validRequestID(parent) {
+			if parent := r.Header.Get(trace.SpanIDHeader); validRequestID(parent) {
 				span.Parent = parent
 			}
 			s.trace.RecordSpan(span)
@@ -140,8 +122,6 @@ func serverSpanName(path string) string {
 		return "server.manifest"
 	case strings.HasSuffix(path, "/hashes"):
 		return "server.hash-fetch"
-	case strings.HasSuffix(path, "/delta"):
-		return "server.delta"
 	}
 	return ""
 }

@@ -253,7 +253,7 @@ func TestPrometheusExpositionFormat(t *testing.T) {
 	// The store's counters are present and sane.
 	for _, want := range []string{
 		"xmlac_requests_total", "xmlac_documents", "xmlac_updates_applied_total",
-		"xmlac_deltas_served_total", "xmlac_storage_fsyncs_total", `xmlac_build_info{go_version="` + runtime.Version() + `"}`,
+		"xmlac_storage_fsyncs_total", `xmlac_build_info{go_version="` + runtime.Version() + `"}`,
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Errorf("metric %s missing from exposition", want)
@@ -446,9 +446,6 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if resp, _ := do(t, http.MethodGet, ts.URL+"/docs/hospital/delta?from=1", ""); resp.StatusCode != http.StatusOK {
-		t.Fatalf("delta: %d", resp.StatusCode)
-	}
 
 	var js metricsSnapshot
 	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
@@ -458,8 +455,8 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 	_, body = do(t, http.MethodGet, ts.URL+"/metrics.prom", "")
 	prom := promSamples(t, body)
 
-	if js.Updates.Applied != 12 || js.Updates.DeltasServed != 1 || js.Documents != 2 || !js.Storage.Enabled {
-		t.Fatalf("/metrics updates=%+v documents=%d storage enabled=%v, want 12 applied, 1 delta, 2 documents, durable",
+	if js.Updates.Applied != 12 || js.Documents != 2 || !js.Storage.Enabled {
+		t.Fatalf("/metrics updates=%+v documents=%d storage enabled=%v, want 12 applied, 2 documents, durable",
 			js.Updates, js.Documents, js.Storage.Enabled)
 	}
 	same := func(what string, want int64, got float64) {
@@ -472,7 +469,6 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 	same("documents", int64(js.Documents), prom["xmlac_documents"])
 	same("updates applied", js.Updates.Applied, prom["xmlac_updates_applied_total"])
 	same("update errors", js.Updates.Errors, prom["xmlac_update_errors_total"])
-	same("deltas served", js.Updates.DeltasServed, prom["xmlac_deltas_served_total"])
 	same("WAL records", js.Storage.WALRecords, prom["xmlac_storage_wal_records"])
 	same("WAL bytes", js.Storage.WALBytes, prom["xmlac_storage_wal_bytes"])
 	same("WAL appends", js.Storage.WALAppends, prom["xmlac_storage_wal_appends_total"])

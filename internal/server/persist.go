@@ -19,17 +19,17 @@ import (
 // interprets them again on replay:
 //
 //   - RecordRegister — Meta: registerMeta JSON, Blob: the full container.
-//   - RecordPatch    — Meta: the marshalled binary UpdateDelta (PR 5's wire
-//     format), Blob: prefixLen u32 | new container prefix | dirty chunk
-//     bytes | sha256 of the new container. Clean chunks are reconstructed
+//   - RecordPatch    — Meta: the marshalled binary UpdateDelta, Blob:
+//     prefixLen u32 | new container prefix | dirty chunk bytes | sha256 of
+//     the new container. Clean chunks are reconstructed
 //     from the previous version's blob — the chunk layout is position-bound,
 //     so a clean chunk is byte-identical at the same offsets — and the hash
 //     check fails recovery loudly on any mismatch.
 //   - RecordDelete   — no payload.
 //
-// A checkpoint writes the same records: per document, one registration
-// carrying the retained update history (so delta resync keeps working
-// across a restart). Recovery replays snapshot and tail through one loop.
+// A checkpoint writes the same records: per document, one registration of
+// its current container. Recovery replays snapshot and tail through one
+// loop.
 
 // DefaultCheckpointWALBytes is the log tail size that triggers a checkpoint
 // when Options.CheckpointWALBytes is unset.
@@ -41,10 +41,6 @@ type registerMeta struct {
 	Passphrase string      `json:"passphrase"`
 	CreatedAt  time.Time   `json:"created_at"`
 	Stats      xmlac.Stats `json:"stats"`
-	// Deltas is the retained update history, each step in the binary
-	// UpdateDelta wire format (base64 in the JSON). Only checkpoints carry
-	// it: a live registration starts a fresh history.
-	Deltas [][]byte `json:"deltas,omitempty"`
 }
 
 // persister owns the storage engine on behalf of the server. A nil persister
@@ -80,19 +76,16 @@ func (p *persister) hold() (release func()) {
 	}
 }
 
-// registerRecord renders a document's registration: its metadata, the given
-// container and the given retained history.
-func registerRecord(e *DocumentEntry, blob []byte, deltas []*xmlac.UpdateDelta) storage.Record {
+// registerRecord renders a document's registration: its metadata and its
+// current container.
+func registerRecord(e *DocumentEntry) storage.Record {
 	meta := registerMeta{
 		Scheme:     string(e.Scheme),
 		Passphrase: e.passphrase,
 		CreatedAt:  e.CreatedAt,
 		Stats:      e.Stats,
 	}
-	for _, d := range deltas {
-		meta.Deltas = append(meta.Deltas, d.Marshal())
-	}
-	return storage.Record{Type: storage.RecordRegister, Doc: e.ID, Meta: mustJSON(meta), Blob: blob}
+	return storage.Record{Type: storage.RecordRegister, Doc: e.ID, Meta: mustJSON(meta), Blob: e.current().blob}
 }
 
 // mustJSON marshals durable metadata. Every field is a plain string, time,
@@ -111,7 +104,7 @@ func (p *persister) logRegister(e *DocumentEntry) error {
 	if p == nil {
 		return nil
 	}
-	return p.engine.Append(registerRecord(e, e.current().blob, nil))
+	return p.engine.Append(registerRecord(e))
 }
 
 // logPatch records one applied update as a delta record. It runs under the
@@ -163,7 +156,7 @@ func (p *persister) checkpoint() error {
 }
 
 // snapshot renders the store as the records that rebuild it: per document
-// in id order, its registration with the retained history. Callers hold p.mu
+// in id order, its registration. Callers hold p.mu
 // exclusively, so no mutation is half applied while the snapshot is cut.
 func (p *persister) snapshot() []storage.Record {
 	p.store.mu.RLock()
@@ -175,8 +168,7 @@ func (p *persister) snapshot() []storage.Record {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	var recs []storage.Record
 	for _, e := range entries {
-		sf := e.current()
-		recs = append(recs, registerRecord(e, sf.blob, sf.deltas))
+		recs = append(recs, registerRecord(e))
 	}
 	return recs
 }
@@ -216,19 +208,11 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		if err := json.Unmarshal(rec.Meta, &meta); err != nil {
 			return fmt.Errorf("registration metadata: %w", err)
 		}
-		deltas := make([]*xmlac.UpdateDelta, len(meta.Deltas))
-		for i, raw := range meta.Deltas {
-			d, err := xmlac.UnmarshalUpdateDelta(raw)
-			if err != nil {
-				return fmt.Errorf("retained delta %d: %w", i, err)
-			}
-			deltas[i] = d
-		}
 		prot, err := xmlac.UnmarshalProtected(rec.Blob)
 		if err != nil {
 			return fmt.Errorf("container: %w", err)
 		}
-		_, err = s.store.install(rec.Doc, meta, prot, rec.Blob, deltas, nil)
+		_, err = s.store.install(rec.Doc, meta, prot, rec.Blob, nil)
 		return err
 	case storage.RecordPatch:
 		entry, err := s.store.Entry(rec.Doc)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"xmlac"
+	"xmlac/internal/remote"
 )
 
 // openDurable opens a server over a fixed data directory (unlike
@@ -44,16 +46,72 @@ func getOK(t *testing.T, url string) string {
 	return body
 }
 
+// frontURL serves whichever server cur holds at one URL, so a remote client
+// opened before a restart reaches the recovered store at the same address.
+func frontURL(t *testing.T, cur *atomic.Pointer[Server]) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cur.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// openWarm opens a remote source on docURL and reads its whole ciphertext,
+// so every chunk has pages in the cache.
+func openWarm(t *testing.T, docURL string) *remote.Source {
+	t.Helper()
+	src, err := remote.Open(docURL, remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.CiphertextRange(0, src.Manifest().CiphertextLen); err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// resyncTo revalidates src against the store serving entry and demands that
+// it lands on version want, keeps the cached pages of some clean chunk and
+// then reads exactly the entry's current ciphertext.
+func resyncTo(t *testing.T, src *remote.Source, entry *DocumentEntry, want uint64) {
+	t.Helper()
+	reused := src.Stats().ChunksReused
+	if changed, err := src.Revalidate(); err != nil || !changed {
+		t.Fatalf("Revalidate: changed=%v, %v", changed, err)
+	}
+	man := src.Manifest()
+	if man.Version != want {
+		t.Fatalf("re-synced to version %d, want %d", man.Version, want)
+	}
+	if src.Stats().ChunksReused == reused {
+		t.Fatal("the re-sync kept no clean chunk")
+	}
+	blob, _ := entry.Blob()
+	got, err := src.CiphertextRange(0, man.CiphertextLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob[int64(len(blob))-man.CiphertextLen:]) {
+		t.Fatal("reads after the re-sync differ from the store's ciphertext")
+	}
+}
+
 // TestPersistenceRoundTrip: register + two PATCHes, close the server, reopen
 // the same data directory, and verify the recovered state is byte-identical
-// on every surface a client resynchronizes from — blob + ETag, manifest, and
-// the merged delta — then that the recovered document accepts further
+// on every surface a client resynchronizes from — blob + ETag and manifest —
+// and that a client opened before the restart re-syncs against it, keeping
+// its clean chunks; then that the recovered document accepts further
 // updates, re-encrypted under the key recovery derived from the log.
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := openDurable(t, dir, Options{})
+	var cur atomic.Pointer[Server]
+	cur.Store(srv)
+	docURL := frontURL(t, &cur) + "/docs/hospital"
 
 	putDoc(t, ts, "hospital", hospitalXML(8))
+	atV1 := openWarm(t, docURL)
 	if status, version, body := patchDoc(t, ts, "hospital",
 		`{"op":"set-text","path":"/Hospital/Folder[2]/Admin/Fname","text":"durable"}`); status != http.StatusOK || version != 2 {
 		t.Fatalf("first PATCH: %d / %d (%s)", status, version, body)
@@ -69,7 +127,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	etag := blobResp.Header.Get("ETag")
 	manifest := getOK(t, ts.URL+"/docs/hospital/manifest")
-	delta := getOK(t, ts.URL+"/docs/hospital/delta?from=1")
+	atV3 := openWarm(t, docURL)
 
 	ts.Close()
 	if err := srv.Close(); err != nil {
@@ -77,6 +135,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 
 	srv2, ts2 := openDurable(t, dir, Options{})
+	cur.Store(srv2)
 	entry, err := srv2.Store().Entry("hospital")
 	if err != nil {
 		t.Fatalf("document not recovered: %v", err)
@@ -95,35 +154,21 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal("recovered manifest differs")
 	}
 
-	// Delta resync across restart: a client holding version 1 from before the
-	// restart gets the identical merged 1 -> 3 delta from the recovered server.
-	if got := getOK(t, ts2.URL+"/docs/hospital/delta?from=1"); got != delta {
-		t.Fatal("recovered delta from=1 differs from the pre-restart delta")
-	}
-	parsed, err := xmlac.UnmarshalUpdateDelta([]byte(delta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.FromVersion != 1 || parsed.ToVersion != 3 {
-		t.Fatalf("delta %d->%d, want 1->3", parsed.FromVersion, parsed.ToVersion)
-	}
-	if resp, _ := do(t, http.MethodGet, ts2.URL+"/docs/hospital/delta?from=3", ""); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delta from=current after recovery: %d, want 204", resp.StatusCode)
+	// Resync across restart: a client holding version 1 from before the
+	// restart lands on version 3 and keeps its clean chunks; one holding
+	// version 3 finds nothing changed.
+	resyncTo(t, atV1, entry, 3)
+	if changed, err := atV3.Revalidate(); err != nil || changed {
+		t.Fatalf("Revalidate of the current version after recovery: changed=%v, %v", changed, err)
 	}
 
-	// The recovered entry is fully live: the next PATCH goes through and its
-	// step delta is served.
+	// The recovered entry is fully live: the next PATCH goes through, and a
+	// client re-syncs to it.
 	if status, version, body := patchDoc(t, ts2, "hospital",
-		`{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"post-restart"}`); status != http.StatusOK || version != 4 {
+		`{"op":"set-text","path":"/Hospital/Folder[8]/Admin/Fname","text":"post-restart"}`); status != http.StatusOK || version != 4 {
 		t.Fatalf("PATCH after recovery: %d / %d (%s)", status, version, body)
 	}
-	step, err := xmlac.UnmarshalUpdateDelta([]byte(getOK(t, ts2.URL+"/docs/hospital/delta?from=3")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step.FromVersion != 3 || step.ToVersion != 4 {
-		t.Fatalf("post-recovery delta %d->%d, want 3->4", step.FromVersion, step.ToVersion)
-	}
+	resyncTo(t, atV3, entry, 4)
 	if !strings.Contains(remoteView(t, ts2, "hospital", xmlac.SecretaryPolicy()), "post-restart") {
 		t.Fatal("a client SOE does not read the post-recovery update with the document key")
 	}
@@ -131,15 +176,19 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 // TestPersistenceCheckpointRecovery drives the checkpoint path: a one-byte
 // threshold forces a checkpoint after every append, so recovery reads
-// documents and the retained delta history from the log's snapshot prefix
-// rather than from replayed tail records.
+// documents from the log's snapshot prefix rather than from replayed tail
+// records, and a client opened before the restart re-syncs against it.
 func TestPersistenceCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	var cur atomic.Pointer[Server]
+	cur.Store(srv)
+	docURL := frontURL(t, &cur) + "/docs/hospital"
 
 	putDoc(t, ts, "hospital", hospitalXML(4))
+	atV1 := openWarm(t, docURL)
 	if status, version, _ := patchDoc(t, ts, "hospital",
-		`{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"ckpt"}`); status != http.StatusOK || version != 2 {
+		`{"op":"set-text","path":"/Hospital/Folder[4]/Admin/Fname","text":"ckpt"}`); status != http.StatusOK || version != 2 {
 		t.Fatalf("PATCH: %d / %d", status, version)
 	}
 
@@ -166,19 +215,16 @@ func TestPersistenceCheckpointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts2 := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	srv2, ts2 := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	cur.Store(srv2)
 	if got := captureSurface(t, ts2); got != surface {
-		t.Fatal("blob, ETag, manifest or delta recovered from the checkpoint differs")
+		t.Fatal("blob, ETag or manifest recovered from the checkpoint differs")
 	}
-	// The retained history survives WAL compaction: the 1 -> 2 delta was
-	// persisted inside the checkpoint's document metadata.
-	step, err := xmlac.UnmarshalUpdateDelta([]byte(getOK(t, ts2.URL+"/docs/hospital/delta?from=1")))
+	entry, err := srv2.Store().Entry("hospital")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step.FromVersion != 1 || step.ToVersion != 2 {
-		t.Fatalf("checkpoint-recovered delta %d->%d, want 1->2", step.FromVersion, step.ToVersion)
-	}
+	resyncTo(t, atV1, entry, 2)
 }
 
 // TestPersistenceDeleteAcrossRestart: a DELETE is durable — the document
@@ -281,8 +327,8 @@ func TestPersistenceConcurrentMutationsRecover(t *testing.T) {
 	state := func(ts *httptest.Server) string {
 		var b strings.Builder
 		for _, path := range []string{
-			"/docs/hospital/blob", "/docs/hospital/manifest", "/docs/hospital/delta?from=1",
-			"/docs/other/blob", "/docs/other/delta?from=1", "/docs/extra/blob", "/docs",
+			"/docs/hospital/blob", "/docs/hospital/manifest",
+			"/docs/other/blob", "/docs/extra/blob", "/docs",
 		} {
 			resp, body := do(t, http.MethodGet, ts.URL+path, "")
 			fmt.Fprintf(&b, "%s %d %s %q\n", path, resp.StatusCode, resp.Header.Get("ETag"), body)
@@ -353,7 +399,7 @@ func TestMutationsWaitForCheckpoint(t *testing.T) {
 // PATCH, DELETE vs PATCH, PUT vs DELETE and PUT vs PUT. Odd rounds
 // checkpoint after every mutation. After each round a reopen must succeed
 // and serve exactly what the server served before it closed: blob, ETag,
-// manifest, delta and document info.
+// manifest and document info.
 func TestPersistenceReplaceRaces(t *testing.T) {
 	type step struct{ method, path, body string }
 	repeat := func(n int, f func(i int) step) []step {
@@ -387,7 +433,7 @@ func TestPersistenceReplaceRaces(t *testing.T) {
 	}
 	state := func(ts *httptest.Server) string {
 		var b strings.Builder
-		for _, path := range []string{"/docs/doc", "/docs/doc/blob", "/docs/doc/manifest", "/docs/doc/delta?from=1"} {
+		for _, path := range []string{"/docs/doc", "/docs/doc/blob", "/docs/doc/manifest"} {
 			resp, body := do(t, http.MethodGet, ts.URL+path, "")
 			fmt.Fprintf(&b, "%s %d %s %x\n", path, resp.StatusCode, resp.Header.Get("ETag"), sha256.Sum256([]byte(body)))
 		}

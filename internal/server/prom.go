@@ -37,7 +37,6 @@ func writeProm(w io.Writer, snap *metricsSnapshot) {
 		{"xmlac_documents", "gauge", "Registered documents.", strconv.Itoa(snap.Documents)},
 		{"xmlac_updates_applied_total", "counter", "Document updates applied.", i64(snap.Updates.Applied)},
 		{"xmlac_update_errors_total", "counter", "Document updates rejected.", i64(snap.Updates.Errors)},
-		{"xmlac_deltas_served_total", "counter", "Update deltas served to remote caches.", i64(snap.Updates.DeltasServed)},
 		{"xmlac_storage_wal_records", "gauge", "Records appended to the log since the last checkpoint.", i64(st.WALRecords)},
 		{"xmlac_storage_wal_bytes", "gauge", "Bytes appended to the log since the last checkpoint.", i64(st.WALBytes)},
 		{"xmlac_storage_wal_appends_total", "counter", "Records appended to the WAL since open.", i64(st.WALAppends)},

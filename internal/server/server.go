@@ -3,11 +3,12 @@
 // one ledger of store counters.
 //
 // The server holds only protected containers. It range-serves each
-// container with a per-version ETag, publishes its manifest, fragment
-// hashes and the update deltas that let a remote chunk cache evict only
-// changed chunks, and logs every mutation durably when Options.DataDir is
-// set. It never evaluates a policy: every view runs in a client SOE
-// (xmlac.OpenRemote), which pulls only the ciphertext its policy needs.
+// container with a per-version ETag, publishes its manifest and fragment
+// hashes, and logs every mutation durably when Options.DataDir is set. It
+// keeps no update history: a remote chunk cache learns which chunks changed
+// by comparing the encrypted digest tables of two versions. It never
+// evaluates a policy: every view runs in a client SOE (xmlac.OpenRemote),
+// which pulls only the ciphertext its policy needs.
 //
 // One trusted-mode exception remains: the plaintext write path. PUT
 // /docs/{id} takes XML and a passphrase, and PATCH takes plaintext edits;
@@ -47,7 +48,7 @@ type Options struct {
 	// DataDir enables the durable storage engine rooted at this directory:
 	// every registration, PATCH and delete is written ahead to a fsynced
 	// log before the request is acknowledged, and Open recovers the full
-	// store (documents, retained deltas, ETags) by replaying the log: its
+	// store (documents, versions, ETags) by replaying the log: its
 	// snapshot prefix, then its tail. Empty keeps the store in-memory (the
 	// default, and what tests use). Requires the Open constructor.
 	DataDir string
@@ -56,10 +57,6 @@ type Options struct {
 	// rewritten as a snapshot of the store and atomically renamed into
 	// place (<= 0 selects DefaultCheckpointWALBytes).
 	CheckpointWALBytes int64
-	// StorageNoSync disables the storage engine's per-commit fsyncs. For
-	// benchmarks isolating the fsync cost only: it voids the durability
-	// guarantee.
-	StorageNoSync bool
 
 	// Logger receives the structured access log (one line per request with
 	// the trace ID) and lifecycle events. nil discards everything — quiet by
@@ -138,7 +135,7 @@ func Open(opts Options) (*Server, error) {
 		s.trace = xmlac.NewTrace(opts.TraceBufferSize)
 	}
 	if opts.DataDir != "" {
-		eng, err := storage.Open(opts.DataDir, storage.Options{NoSync: opts.StorageNoSync})
+		eng, err := storage.Open(opts.DataDir)
 		if err != nil {
 			return nil, err
 		}
@@ -206,13 +203,12 @@ func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.S
 //	GET    /docs/{id}/manifest             public layout (scheme, chunking, sizes, version)
 //	GET    /docs/{id}/blob                 encrypted container (Range, per-version ETag)
 //	GET    /docs/{id}/hashes?chunk=N       fragment hashes of one chunk (ECB-MHT)
-//	GET    /docs/{id}/delta?from=V         merged update delta since version V (binary)
 //	GET    /metrics                        every counter, as JSON
 //	GET    /metrics.prom                   the same snapshot, Prometheus text format
 //	GET    /debug/trace                    retained request spans, as JSONL
 //	GET    /healthz                        liveness; 503 once storage has failed
 //
-// The manifest, blob, hashes and delta routes are what a remote SOE
+// The manifest, blob and hashes routes are what a remote SOE
 // (xmlac.OpenRemote) reads: it pulls ciphertext ranges, digests and Merkle
 // hashes and evaluates the policy on the client, so skipped bytes never
 // cross the wire.
@@ -226,7 +222,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /docs/{id}/manifest", s.handleManifest)
 	mux.HandleFunc("GET /docs/{id}/blob", s.handleBlob)
 	mux.HandleFunc("GET /docs/{id}/hashes", s.handleFragmentHashes)
-	mux.HandleFunc("GET /docs/{id}/delta", s.handleDelta)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm)
 	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
@@ -329,10 +324,10 @@ type patchPayload struct {
 }
 
 // handlePatchDoc applies subtree edits as the document's next version:
-// chunk-granular re-encryption, a fresh per-version ETag and the step delta
-// retained for remote chunk caches. The whole batch applies atomically or
-// not at all; a PATCH that lost a race against a PUT or DELETE of the
-// document applies nothing and answers 409.
+// chunk-granular re-encryption and a fresh per-version ETag; the reply
+// carries the step delta. The whole batch applies atomically or not at all;
+// a PATCH that lost a race against a PUT or DELETE of the document applies
+// nothing and answers 409.
 func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	entry, err := s.store.Entry(id)
@@ -374,44 +369,6 @@ func (s *Server) handlePatchDoc(w http.ResponseWriter, r *http.Request) {
 		"version":  version,
 		"delta":    delta,
 	})
-}
-
-// handleDelta serves the merged binary update delta from ?from=V to the
-// current version: what a remote chunk cache needs to evict only changed
-// chunks. 204 when the client is already current, 410 when V fell out of
-// the retained history (full re-sync required).
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	entry, err := s.store.Entry(r.PathValue("id"))
-	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "missing or invalid %q query parameter", "from")
-		return
-	}
-	sf := entry.current()
-	delta, current, err := sf.deltaSince(from)
-	h := w.Header()
-	h.Set("X-Xmlac-Version", strconv.FormatUint(current, 10))
-	if err != nil {
-		if errors.Is(err, ErrDeltaUnavailable) {
-			httpError(w, http.StatusGone, "%v", err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if delta == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	h.Set("ETag", sf.etag)
-	h.Set("Content-Type", "application/octet-stream")
-	s.updates.deltasServed.Add(1)
-	w.WriteHeader(http.StatusOK)
-	w.Write(delta.Marshal())
 }
 
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {

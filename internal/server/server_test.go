@@ -143,9 +143,10 @@ func TestDocumentLifecycle(t *testing.T) {
 	}
 }
 
-// TestStoreServesNoEvaluator: the store never evaluates a policy, so the
-// routes of a server-side evaluator (views, policy installs, per-subject
-// costs) do not exist.
+// TestStoreServesNoEvaluator: the store never evaluates a policy and keeps
+// no update history, so the routes of a server-side evaluator (views,
+// policy installs, per-subject costs) and of an update-delta history do not
+// exist.
 func TestStoreServesNoEvaluator(t *testing.T) {
 	_, ts := newTestServer(t)
 	putDoc(t, ts, "doc", `<a><b>v</b></a>`)
@@ -154,6 +155,7 @@ func TestStoreServesNoEvaluator(t *testing.T) {
 		{http.MethodPut, "/docs/doc/policies/u", `{"rules":[{"sign":"+","object":"//b"}]}`},
 		{http.MethodGet, "/docs/doc/policies/u", ""},
 		{http.MethodGet, "/debug/costs", ""},
+		{http.MethodGet, "/docs/doc/delta?from=1", ""},
 	} {
 		resp, body := do(t, c.method, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
@@ -259,7 +261,6 @@ func TestWrongMethodReturns405(t *testing.T) {
 	}{
 		{http.MethodDelete, "/docs", http.MethodGet},
 		{http.MethodPost, "/docs/doc", http.MethodDelete},
-		{http.MethodPost, "/docs/doc/delta", http.MethodGet},
 		{http.MethodPut, "/docs/doc/blob", http.MethodGet},
 		{http.MethodPost, "/docs/doc/manifest", http.MethodGet},
 		{http.MethodDelete, "/docs/doc/hashes", http.MethodGet},

@@ -65,10 +65,10 @@ type DocumentEntry struct {
 	passphrase string
 
 	// updateMu orders every mutation of the entry end to end, its durable
-	// record included: PATCHes (edit application, blob re-marshal, delta
-	// retention), the registration that published the entry and the PUT or
-	// DELETE that retires it. The version chain stays linear and the log
-	// holds one document id's records in the order they applied.
+	// record included: PATCHes (edit application, blob re-marshal), the
+	// registration that published the entry and the PUT or DELETE that
+	// retires it. The version chain stays linear and the log holds one
+	// document id's records in the order they applied.
 	updateMu sync.Mutex
 	// retired marks an entry a PUT replaced or a DELETE removed; a mutation
 	// that finds it set under updateMu lost the race (ErrRetired). Guarded by
@@ -84,15 +84,14 @@ type DocumentEntry struct {
 // marshalled container the store range-serves to remote SOE clients, its
 // strong entity tag (quoted SHA-256 of the content, sent on
 // GET /docs/{id}/blob and checked against If-None-Match, If-Match and
-// If-Range), its manifest and the retained update history that leads to
-// it. A surface is immutable once published. A handler loads the entry's
-// surface once and answers from it alone, so no response pairs one
-// version's entity tag with another version's manifest, hashes or delta.
+// If-Range) and its manifest. A surface is immutable once published. A
+// handler loads the entry's surface once and answers from it alone, so no
+// response pairs one version's entity tag with another version's manifest
+// or hashes.
 type surface struct {
 	blob     []byte
 	etag     string
 	manifest xmlac.DocumentManifest
-	deltas   []*xmlac.UpdateDelta
 	// hashes[i] is chunk i's records in the version's leaf table (the
 	// untrusted-terminal side of the ECB-MHT Merkle protocol); empty under
 	// the other schemes, which have no table.
@@ -102,8 +101,8 @@ type surface struct {
 // newSurface builds the surface of one protected version from its
 // marshalled container. prot must be at that version: the caller holds the
 // entry's update lock, or builds the entry.
-func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte, deltas []*xmlac.UpdateDelta) *surface {
-	sf := &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest(), deltas: deltas}
+func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte) *surface {
+	sf := &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest()}
 	for i := 0; i < sf.manifest.NumChunks; i++ {
 		h, err := prot.FragmentHashes(i)
 		if err != nil {
@@ -113,11 +112,6 @@ func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte, delta
 	}
 	return sf
 }
-
-// maxRetainedDeltas bounds the per-document update history served through
-// GET /docs/{id}/delta. A client further behind than this falls back to a
-// full re-sync, exactly as if the document had been re-registered.
-const maxRetainedDeltas = 64
 
 // DocumentInfo is the externally visible summary of a registered document.
 type DocumentInfo struct {
@@ -153,7 +147,7 @@ func (s *Store) registerXML(id, xmlText, passphrase string, scheme xmlac.Scheme,
 		return nil, fmt.Errorf("server: protecting document %q: %w", id, err)
 	}
 	reg := registerMeta{Scheme: string(scheme), Passphrase: passphrase, CreatedAt: s.clock.Now(), Stats: doc.Stats()}
-	return s.install(id, reg, prot, prot.Marshal(), nil, commit)
+	return s.install(id, reg, prot, prot.Marshal(), commit)
 }
 
 // install builds the entry of one protected container and publishes it
@@ -169,7 +163,7 @@ func (s *Store) registerXML(id, xmlText, passphrase string, scheme xmlac.Scheme,
 // logged before the registration or finds the entry retired, and every
 // mutation of the new entry logs after it. commit's error is returned with
 // the published entry.
-func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob []byte, deltas []*xmlac.UpdateDelta, commit func(*DocumentEntry) error) (*DocumentEntry, error) {
+func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob []byte, commit func(*DocumentEntry) error) (*DocumentEntry, error) {
 	entry := &DocumentEntry{
 		ID:         id,
 		Scheme:     xmlac.Scheme(reg.Scheme),
@@ -179,7 +173,7 @@ func (s *Store) install(id string, reg registerMeta, prot *xmlac.Protected, blob
 		key:        xmlac.DeriveKey(reg.Passphrase),
 		passphrase: reg.Passphrase,
 	}
-	entry.cur.Store(newSurface(prot, blob, sha256.Sum256(blob), deltas))
+	entry.cur.Store(newSurface(prot, blob, sha256.Sum256(blob)))
 	entry.updateMu.Lock()
 	defer entry.updateMu.Unlock()
 	s.mu.Lock()
@@ -292,14 +286,9 @@ func (e *DocumentEntry) Blob() ([]byte, string) {
 // Version returns the document version of the published blob surface.
 func (e *DocumentEntry) Version() uint64 { return e.current().manifest.Version }
 
-// ErrDeltaUnavailable is returned by deltaSince when the requested version
-// fell out of the retained update history (or never existed): the client
-// must fall back to a full re-sync.
-var ErrDeltaUnavailable = errors.New("server: update delta unavailable for that version")
-
 // Update applies the edits as the document's next version: chunk-granular
-// re-encryption through xmlac's Update, a fresh blob and entity tag, and the
-// step delta appended to the retained history. commit, when non-nil, runs once
+// re-encryption through xmlac's Update and a fresh blob and entity tag. The
+// returned delta names the dirty chunks. commit, when non-nil, runs once
 // the version is published, still under the update lock, so the durable
 // records of one document are logged in the order its versions applied;
 // its error is returned with the applied version. A retired entry applies
@@ -314,28 +303,14 @@ func (e *DocumentEntry) Update(edits []xmlac.Edit, commit func(*xmlac.UpdateDelt
 	if err != nil {
 		return 0, nil, err
 	}
-	// The new version's blob, entity tag, manifest and delta history are
-	// published as one surface: a reader sees either version whole.
+	// The new version's blob, entity tag and manifest are published as one
+	// surface: a reader sees either version whole.
 	blob := e.prot.Marshal()
-	e.cur.Store(newSurface(e.prot, blob, sha256.Sum256(blob), appendRetained(e.current().deltas, delta)))
+	e.cur.Store(newSurface(e.prot, blob, sha256.Sum256(blob)))
 	if commit != nil {
 		err = commit(delta)
 	}
 	return version, delta, err
-}
-
-// appendRetained appends one update step and trims the history to the
-// retention window. The retained window is copied into a fresh slice —
-// reslicing in place would keep every evicted *UpdateDelta reachable through
-// the shared backing array for as long as the document lives.
-func appendRetained(deltas []*xmlac.UpdateDelta, delta *xmlac.UpdateDelta) []*xmlac.UpdateDelta {
-	deltas = append(deltas, delta)
-	if len(deltas) > maxRetainedDeltas {
-		trimmed := make([]*xmlac.UpdateDelta, maxRetainedDeltas)
-		copy(trimmed, deltas[len(deltas)-maxRetainedDeltas:])
-		deltas = trimmed
-	}
-	return deltas
 }
 
 // applyRecoveredPatch replays one WAL patch record: the new container is
@@ -400,33 +375,6 @@ func (e *DocumentEntry) applyRecoveredPatch(delta *xmlac.UpdateDelta, prefix, di
 		return fmt.Errorf("server: recovered patch for %q stamps version %d, record says %d", e.ID, got, delta.ToVersion)
 	}
 	e.prot = prot
-	e.cur.Store(newSurface(prot, blob, sum, appendRetained(cur.deltas, delta)))
+	e.cur.Store(newSurface(prot, blob, sum))
 	return nil
-}
-
-// deltaSince merges the retained update steps from the given version to the
-// surface's: what a remote chunk cache at version from needs to evict only
-// the chunks that changed. It returns ErrDeltaUnavailable when from
-// predates the retained history and (nil, current, nil) when from is already
-// current.
-func (sf *surface) deltaSince(from uint64) (*xmlac.UpdateDelta, uint64, error) {
-	current := sf.manifest.Version
-	var steps []*xmlac.UpdateDelta
-	for i, d := range sf.deltas {
-		if d.FromVersion == from {
-			steps = sf.deltas[i:]
-			break
-		}
-	}
-	if from == current {
-		return nil, current, nil
-	}
-	if from > current || len(steps) == 0 || steps[len(steps)-1].ToVersion != current {
-		return nil, current, ErrDeltaUnavailable
-	}
-	merged, err := xmlac.MergeUpdateDeltas(steps)
-	if err != nil {
-		return nil, current, err
-	}
-	return merged, current, nil
 }

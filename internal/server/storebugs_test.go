@@ -4,51 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
-
-	"xmlac"
 )
 
 // Regression tests for the latent server-store bugs fixed alongside the
-// storage engine: the retained-delta trim pinning evicted deltas through the
-// shared backing array, and time.Now() calls bypassing the injected clock.
-
-// TestRetainedDeltaTrimReleasesEvicted pins the memory-leak fix in
-// appendRetained: once a delta falls out of the retention window it must
-// become collectable. The old in-place reslice kept every evicted
-// *UpdateDelta reachable through the shared backing array for the life of
-// the document.
-func TestRetainedDeltaTrimReleasesEvicted(t *testing.T) {
-	evicted := &xmlac.UpdateDelta{FromVersion: 1, ToVersion: 2}
-	collected := make(chan struct{})
-	runtime.SetFinalizer(evicted, func(*xmlac.UpdateDelta) { close(collected) })
-
-	deltas := []*xmlac.UpdateDelta{evicted}
-	evicted = nil
-	for v := uint64(2); v < uint64(2+maxRetainedDeltas); v++ {
-		deltas = appendRetained(deltas, &xmlac.UpdateDelta{FromVersion: v, ToVersion: v + 1})
-	}
-	if len(deltas) != maxRetainedDeltas || deltas[0].FromVersion != 2 {
-		t.Fatalf("retention window wrong: %d deltas, first from %d", len(deltas), deltas[0].FromVersion)
-	}
-
-	deadline := time.After(10 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case <-collected:
-			runtime.KeepAlive(deltas)
-			return
-		case <-deadline:
-			t.Fatal("evicted delta never became collectable: the trim still shares the backing array")
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}
+// storage engine: time.Now() calls bypassing the injected clock.
 
 // TestStoreTimestampsUseInjectedClock: CreatedAt comes from the injected
 // clock, not time.Now() — the stamp is exactly the fake epoch, which no

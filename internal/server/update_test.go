@@ -24,8 +24,8 @@ func patchDoc(t *testing.T, ts *httptest.Server, id string, edits string) (statu
 }
 
 // TestPatchDocument drives the PATCH endpoint end to end: versions advance,
-// a client SOE reads the edit, the blob's ETag is per-version, the delta
-// endpoint serves the transition and /metrics counts the update.
+// a client SOE reads the edit, the blob's ETag is per-version, the reply
+// carries the step's delta and /metrics counts the update.
 func TestPatchDocument(t *testing.T) {
 	srv, ts := newTestServer(t)
 	putDoc(t, ts, "hospital", hospitalXML(8))
@@ -52,48 +52,23 @@ func TestPatchDocument(t *testing.T) {
 		t.Fatal("a client SOE does not read the edit after the update")
 	}
 
-	// The delta endpoint serves the 1 -> 2 transition in the binary format.
-	resp, deltaBody := do(t, http.MethodGet, ts.URL+"/docs/hospital/delta?from=1", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /delta?from=1: %d", resp.StatusCode)
+	// The reply carries the 1 -> 2 step's delta.
+	var reply struct {
+		Delta xmlac.UpdateDelta `json:"delta"`
 	}
-	delta, err := xmlac.UnmarshalUpdateDelta([]byte(deltaBody))
-	if err != nil {
+	if err := json.Unmarshal([]byte(body), &reply); err != nil {
 		t.Fatal(err)
 	}
-	if delta.FromVersion != 1 || delta.ToVersion != 2 || len(delta.DirtyChunks) == 0 {
+	if delta := reply.Delta; delta.FromVersion != 1 || delta.ToVersion != 2 || len(delta.DirtyChunks) == 0 {
 		t.Fatalf("unexpected delta %+v", delta)
-	}
-	if delta.BytesReencrypted >= delta.BytesReused {
+	} else if delta.BytesReencrypted >= delta.BytesReused {
 		t.Fatalf("a one-field edit must re-encrypt less than it reuses: %+v", delta)
 	}
 
-	// Current version: 204. Unknown version: 410.
-	resp, _ = do(t, http.MethodGet, ts.URL+"/docs/hospital/delta?from=2", "")
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("GET /delta?from=current: %d, want 204", resp.StatusCode)
-	}
-	resp, _ = do(t, http.MethodGet, ts.URL+"/docs/hospital/delta?from=7", "")
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("GET /delta?from=future: %d, want 410", resp.StatusCode)
-	}
-
-	// A second update merges: delta from 1 covers both steps.
 	status, version, body = patchDoc(t, ts, "hospital",
 		`{"op":"insert","path":"/Hospital","xml":"<Folder><Admin><Fname>appended</Fname></Admin></Folder>"}`)
 	if status != http.StatusOK || version != 3 {
 		t.Fatalf("second PATCH: %d / %d (%s)", status, version, body)
-	}
-	resp, deltaBody = do(t, http.MethodGet, ts.URL+"/docs/hospital/delta?from=1", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /delta?from=1 after two updates: %d", resp.StatusCode)
-	}
-	merged, err := xmlac.UnmarshalUpdateDelta([]byte(deltaBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.FromVersion != 1 || merged.ToVersion != 3 {
-		t.Fatalf("merged delta %d->%d, want 1->3", merged.FromVersion, merged.ToVersion)
 	}
 
 	// /metrics reports the update counters.
@@ -102,7 +77,6 @@ func TestPatchDocument(t *testing.T) {
 		Updates struct {
 			Applied          int64 `json:"applied"`
 			Errors           int64 `json:"errors"`
-			DeltasServed     int64 `json:"deltas_served"`
 			BytesReencrypted int64 `json:"bytes_reencrypted"`
 			BytesReused      int64 `json:"bytes_reused"`
 		} `json:"updates"`
@@ -111,7 +85,7 @@ func TestPatchDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := metrics.Updates
-	if u.Applied != 2 || u.DeltasServed != 2 || u.BytesReencrypted == 0 || u.BytesReused == 0 {
+	if u.Applied != 2 || u.BytesReencrypted == 0 || u.BytesReused == 0 {
 		t.Fatalf("unexpected update counters: %+v", u)
 	}
 }

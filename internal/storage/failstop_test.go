@@ -63,7 +63,7 @@ func TestIOErrorFailsStop(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			e, err := Open(dir, Options{})
+			e, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestIOErrorFailsStop(t *testing.T) {
 			}
 			e.Close()
 
-			e, err = Open(dir, Options{})
+			e, err = Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

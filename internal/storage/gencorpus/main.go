@@ -49,7 +49,7 @@ func logFile(compact bool, tail ...storage.Record) []byte {
 	dir, err := os.MkdirTemp("", "gencorpus")
 	check(err)
 	defer os.RemoveAll(dir)
-	e, err := storage.Open(dir, storage.Options{NoSync: true})
+	e, err := storage.Open(dir)
 	check(err)
 	if compact {
 		check(e.Checkpoint([]storage.Record{register}))

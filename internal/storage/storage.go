@@ -42,13 +42,6 @@ const (
 	oldCheckpointName = "checkpoint.db"
 )
 
-// Options tunes an engine. The zero value fsyncs on every commit.
-type Options struct {
-	// NoSync skips fsyncs (for benchmarks measuring the fsync cost, never
-	// for production use: it voids the durability contract).
-	NoSync bool
-}
-
 // Stats is a snapshot of the engine's counters, surfaced on /metrics and
 // /metrics.prom. The WAL figures count the tail appended since the last
 // checkpoint, never the snapshot prefix.
@@ -73,9 +66,8 @@ type logFile interface {
 
 // Engine is one open data directory.
 type Engine struct {
-	dir    string
-	noSync bool
-	lock   *os.File
+	dir  string
+	lock *os.File
 
 	// mu serializes frame writes and checkpoints, and guards the file, its
 	// offsets, the recovered records and the append-side counters.
@@ -104,8 +96,9 @@ type Engine struct {
 // Open acquires the data directory (creating it if needed), scans the log
 // and truncates any torn tail; WALRecords hands over the recovered records.
 // A second concurrent Open of the same directory fails: the lock is an OS
-// advisory lock, released automatically if the process dies.
-func Open(dir string, opts Options) (*Engine, error) {
+// advisory lock, released automatically if the process dies. Every commit
+// is fsynced.
+func Open(dir string) (*Engine, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -121,7 +114,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	lock.Truncate(0)
 	fmt.Fprintf(lock, "%d\n", os.Getpid())
 
-	e := &Engine{dir: dir, noSync: opts.NoSync, lock: lock}
+	e := &Engine{dir: dir, lock: lock}
 	if err := e.recover(); err != nil {
 		lock.Close()
 		return nil, err
@@ -204,8 +197,8 @@ var errClosed = errors.New("storage: engine is closed")
 
 // Append logs one record durably. It frames the record into the tail and
 // waits until a completed fsync covers it (group commit: the fsync is
-// usually someone else's). On return the record has been fsynced (unless
-// NoSync) and will survive a crash.
+// usually someone else's). On return the record has been fsynced and will
+// survive a crash.
 func (e *Engine) Append(rec Record) error {
 	frame, err := encodeFrame(rec)
 	if err != nil {
@@ -249,9 +242,6 @@ func (e *Engine) Append(rec Record) error {
 // once for everything appended so far, and every waiter whose frame that
 // fsync covered returns without issuing its own.
 func (e *Engine) syncTo(seq uint64) error {
-	if e.noSync {
-		return nil
-	}
 	if e.synced.Load() >= seq {
 		e.piggyback.Add(1)
 		return nil
@@ -311,7 +301,7 @@ func (e *Engine) Checkpoint(recs []Record) error {
 		return e.failed
 	}
 	tmp := filepath.Join(e.dir, tmpName)
-	f, size, err := writeSnapshot(tmp, recs, e.noSync)
+	f, size, err := writeSnapshot(tmp, recs)
 	if err == nil {
 		err = os.Rename(tmp, filepath.Join(e.dir, logName))
 		if err != nil {
@@ -329,9 +319,6 @@ func (e *Engine) Checkpoint(recs []Record) error {
 	e.synced.Store(e.appended)
 	e.records = 0
 	e.checkpoints++
-	if e.noSync {
-		return nil
-	}
 	e.fsyncs.Add(2) // wal.tmp's, in writeSnapshot, and the directory's
 	if err := syncDir(e.dir); err != nil {
 		return e.fail(err)

@@ -84,7 +84,7 @@ func TestRecordEncodeBounds(t *testing.T) {
 
 func TestWALAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWALAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := Open(dir, Options{})
+	e2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestWALAppendReopen(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := Open(dir, Options{})
+	e2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptFrameStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWALCorruptFrameStopsReplay(t *testing.T) {
 	}
 	f.Close()
 
-	e2, err := Open(dir, Options{})
+	e2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestWALCorruptFrameStopsReplay(t *testing.T) {
 
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 
 func TestCheckpointAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 		t.Fatalf("data directory holds %v (%v), want LOCK and %s only", entries, err, logName)
 	}
 
-	e2, err := Open(dir, Options{})
+	e2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 
 func TestCheckpointSupersedesOldGeneration(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestCheckpointSupersedesOldGeneration(t *testing.T) {
 		t.Fatalf("Checkpoints = %d, want 2", got)
 	}
 	e.Close()
-	e2, err := Open(dir, Options{})
+	e2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestCheckpointSupersedesOldGeneration(t *testing.T) {
 func compactedLog(t *testing.T) (string, []WALRecordPos) {
 	t.Helper()
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestSnapshotDamageFailsOpen(t *testing.T) {
 			} else {
 				flipByte(t, walPath, mid)
 			}
-			e, err := Open(dir, Options{})
+			e, err := Open(dir)
 			if err == nil {
 				e.Close()
 				t.Fatalf("%s in snapshot frame %d: Open succeeded", mode, k)
@@ -405,7 +405,7 @@ func TestSnapshotDamageFailsOpen(t *testing.T) {
 	}
 	dir, recs := compactedLog(t)
 	flipByte(t, filepath.Join(dir, logName), recs[3].Start+frameHeaderSize)
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatalf("corrupt tail frame: %v", err)
 	}
@@ -423,7 +423,7 @@ func TestLeftoverTmpIgnored(t *testing.T) {
 		// The unfinished checkpoint holds a different state: if recovery
 		// read it, the record count would show.
 		tmp := filepath.Join(dir, tmpName)
-		f, size, err := writeSnapshot(tmp, []Record{testRecord(9)}, true)
+		f, size, err := writeSnapshot(tmp, []Record{testRecord(9)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func TestLeftoverTmpIgnored(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		e, err := Open(dir, Options{})
+		e, err := Open(dir)
 		if err != nil {
 			t.Fatalf("torn=%v: %v", torn, err)
 		}
@@ -463,7 +463,7 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, c.name), c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e, err := Open(dir, Options{})
+		e, err := Open(dir)
 		if err == nil {
 			e.Close()
 			t.Fatalf("Open accepted a directory holding an old %s (%q)", c.name, c.data[:5])
@@ -489,16 +489,16 @@ func flipByte(t *testing.T, path string, off int64) {
 
 func TestOpenLocksDirectory(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("second Open of a locked directory succeeded")
 	}
 	e.Close()
 	// The lock dies with the descriptor: reopening after Close works.
-	e2, err := Open(dir, Options{})
+	e2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after close: %v", err)
 	}
@@ -507,7 +507,7 @@ func TestOpenLocksDirectory(t *testing.T) {
 
 func TestWALRecordExtents(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{})
+	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

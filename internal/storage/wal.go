@@ -156,8 +156,8 @@ func readFrame(r io.ReaderAt, off, limit int64) (Record, int64, error) {
 // writeSnapshot writes recs as the snapshot of a fresh log at path and
 // returns the file (positioned at its end, ready for appends) and its size.
 // The header goes in last, once the snapshot length is known; the file is
-// fsynced unless noSync, and not yet renamed into place.
-func writeSnapshot(path string, recs []Record, noSync bool) (*os.File, int64, error) {
+// fsynced, and not yet renamed into place.
+func writeSnapshot(path string, recs []Record) (*os.File, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, 0, err
@@ -183,10 +183,8 @@ func writeSnapshot(path string, recs []Record, noSync bool) (*os.File, int64, er
 	if _, err := f.WriteAt(logHeader(size-headerSize), 0); err != nil {
 		return fail(err)
 	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
+	if err := f.Sync(); err != nil {
+		return fail(err)
 	}
 	return f, size, nil
 }

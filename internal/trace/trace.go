@@ -120,6 +120,17 @@ func New(rec *Recorder, id string) *Context {
 	return &Context{rec: rec, id: id, span: NewSpanID(), started: now, mark: now}
 }
 
+// The trace-propagation headers. A remote client stamps both on every
+// request while a tracing context is attached, and the store reads them:
+// RequestIDHeader carries the trace ID (the store honours a well-formed
+// value as the request's ID, generates one otherwise, and echoes it), and
+// SpanIDHeader the span ID of the client evaluation that caused the request,
+// which the store records as its request span's parent.
+const (
+	RequestIDHeader = "X-Request-Id"
+	SpanIDHeader    = "X-Xmlac-Span-Id"
+)
+
 // NewSpanID returns a fresh 16-hex-digit random span ID.
 func NewSpanID() string {
 	var b [8]byte

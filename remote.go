@@ -80,8 +80,11 @@ func (d *RemoteDocument) WireStats() (bytesOnWire, roundTrips int64) {
 
 // Revalidate checks cheaply (a conditional 1-byte range request answered
 // with 304 Not Modified when nothing changed) that the server still holds
-// the blob this document was opened against, flushing and reloading the
-// client caches if it was replaced. It reports whether the document changed.
+// the blob this document was opened against. If it changed, the client
+// loads the new version's digest table and evicts only the cached chunks
+// whose encrypted digest or bounds changed. A PATCH that overtakes the
+// re-sync fails it with remote.ErrChanged and leaves the cache as it was,
+// for a retry. It reports whether the document changed.
 func (d *RemoteDocument) Revalidate() (changed bool, err error) {
 	// Serialized with evaluations: a cache flush mid-view would yank the
 	// manifest from under the reader, and the conditional request's traffic
@@ -106,11 +109,12 @@ func (d *RemoteDocument) Revalidate() (changed bool, err error) {
 //
 // If the server's document was updated since this client last synchronized
 // and no byte has reached w yet, the view re-syncs transparently: the client
-// fetches the update delta for its cached version, evicts only the chunks
-// the delta names (Metrics.ChunksReused counts the chunks that kept their
-// pages) and scans once more on the new version. After the first delivered
-// byte the change surfaces as the error, since a retried stream would
-// duplicate output; a materialized view always restarts cleanly. The retry
+// fetches the new version's encrypted digest table, evicts only the chunks
+// whose digest or bounds changed (Metrics.ChunksReused counts the chunks
+// that kept their pages) and scans once more on the new version. After the
+// first delivered byte the change surfaces as the error, since a retried
+// stream would duplicate output; a materialized view always restarts
+// cleanly. The retry
 // belongs to the same view: one Duration covers both scans and the re-sync,
 // a traced view records one root span with the remote.resync span under it,
 // and the SOE counters are those of the scan that delivered the view.

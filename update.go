@@ -78,8 +78,8 @@ var ErrInvalidEdit = errors.New("xmlac: invalid edit")
 
 // UpdateDelta describes what an Update changed in terms the untrusted side
 // uses: which integrity chunks of the new layout carry fresh ciphertext and
-// the new sizes. Remote chunk caches holding FromVersion apply it by
-// evicting only the dirty chunks; nothing in a delta is secret.
+// the new sizes. The store answers a PATCH with it and logs it in the
+// update's record; nothing in a delta is secret.
 type UpdateDelta struct {
 	FromVersion      uint64 `json:"from_version"`
 	ToVersion        uint64 `json:"to_version"`
@@ -117,8 +117,8 @@ func (d *UpdateDelta) secure() *secure.Delta {
 	}
 }
 
-// Marshal serializes the delta in the compact binary wire format served by
-// GET /docs/{id}/delta.
+// Marshal serializes the delta in the compact binary form the store's
+// update records carry.
 func (d *UpdateDelta) Marshal() []byte { return d.secure().Marshal() }
 
 // UnmarshalUpdateDelta parses a marshalled delta.
@@ -128,22 +128,6 @@ func UnmarshalUpdateDelta(data []byte) (*UpdateDelta, error) {
 		return nil, err
 	}
 	return deltaFromSecure(sd), nil
-}
-
-// MergeUpdateDeltas folds a chain of consecutive deltas into one delta from
-// the first version to the last, suitable for a client several versions
-// behind: a chunk is dirty overall if any step dirtied it and it still
-// exists in the final layout.
-func MergeUpdateDeltas(steps []*UpdateDelta) (*UpdateDelta, error) {
-	sds := make([]*secure.Delta, len(steps))
-	for i, s := range steps {
-		sds[i] = s.secure()
-	}
-	merged, err := secure.MergeDeltas(sds)
-	if err != nil {
-		return nil, err
-	}
-	return deltaFromSecure(merged), nil
 }
 
 // Update applies the edits to the protected document in order, re-encrypts

@@ -218,19 +218,6 @@ func TestUpdateDeltaMarshalRoundTrip(t *testing.T) {
 		len(back.DirtyChunks) != len(delta.DirtyChunks) || back.NewCiphertextLen != delta.NewCiphertextLen {
 		t.Fatalf("delta round trip mismatch: %+v vs %+v", back, delta)
 	}
-	_, delta2, err := prot.Update(key, []xmlac.Edit{
-		{Op: xmlac.EditSetText, Path: "/Hospital/Folder[2]/Admin/Phone", Text: "9998887776"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := xmlac.MergeUpdateDeltas([]*xmlac.UpdateDelta{delta, delta2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.FromVersion != 1 || merged.ToVersion != 3 {
-		t.Fatalf("merged delta %d->%d, want 1->3", merged.FromVersion, merged.ToVersion)
-	}
 }
 
 // TestUpdateMarshalledBytesMatchFromScratch pins the strongest form of the

@@ -81,16 +81,15 @@
 // ciphertext. Updates never tear concurrent evaluations: every view runs on
 // the version it snapshotted at its start, and an edit batch applies
 // atomically. The returned UpdateDelta names the dirty chunks; its
-// marshalled form is what the server's delta endpoint serves to remote
-// caches.
+// marshalled form is what the server logs for each update.
 //
 // # Server
 //
 // The internal/server package and the xmlac-serve command are the paper's
 // untrusted store, as a concurrent multi-tenant HTTP service: documents are
 // registered (PUT /docs/{id}) and updated (PATCH /docs/{id}) over HTTP, and
-// the store range-serves each protected container, its manifest, fragment
-// hashes and update deltas. The store never evaluates a policy: every view
+// the store range-serves each protected container, its manifest and
+// fragment hashes. The store never evaluates a policy: every view
 // runs in a client SOE (OpenRemote, below). Its one trusted-mode exception
 // is the plaintext write path — registration takes XML and a passphrase and
 // PATCH takes plaintext edits, so the store derives the key and protects and
@@ -132,10 +131,11 @@
 // container; ROADMAP.md's first open item tracks that work.
 //
 // The remote cache is version-aware: when the server's document is updated
-// (PATCH), the client re-syncs by fetching the update delta for its cached
-// version and evicting only the chunks the delta names — clean chunks stay
-// resident (Metrics.ChunksReused counts them) instead of the whole cache
-// going cold. A view that trips over the change before delivering a byte
+// (PATCH), the client re-syncs by fetching the new version's encrypted
+// digest table and evicting only the chunks whose digest or bounds changed
+// (under CBC, every chunk from the first change on; under ECB, which has no
+// digests, every chunk) — clean chunks stay resident (Metrics.ChunksReused
+// counts them) instead of the whole cache going cold. A view that trips over the change before delivering a byte
 // re-syncs and retries transparently, as one view with one clock and one
 // trace root span.
 //
@@ -159,8 +159,8 @@
 // breakdown's sum tracks Metrics.Duration. Traced and untraced runs produce
 // byte-identical views and identical counters; with Trace nil the timers
 // are fully disabled. The server records its side of a remote view over
-// HTTP: request-scoped trace IDs (X-Request-Id), a span per blob, manifest,
-// hash and delta request (GET /debug/trace, as JSONL), a Prometheus text
+// HTTP: request-scoped trace IDs (X-Request-Id), a span per blob, manifest
+// and hash request (GET /debug/trace, as JSONL), a Prometheus text
 // endpoint (GET /metrics.prom) and opt-in pprof handlers.
 //
 // # Machine-checked trust boundary
@@ -474,9 +474,7 @@ type DocumentManifest struct {
 	NumDigests       int    `json:"num_digests"`
 	CiphertextOffset int64  `json:"ciphertext_offset"`
 	BlobSize         int64  `json:"blob_size"`
-	// Version is the document version this manifest describes; remote SOE
-	// clients use it to request the delta from their cached version after a
-	// change notice.
+	// Version is the document version this manifest describes.
 	Version uint64 `json:"version"`
 }
 
@@ -570,9 +568,10 @@ type Metrics struct {
 	// evaluation; 0 when the evaluation is local.
 	RoundTrips int64
 	// ChunksReused is the number of integrity chunks whose cached pages a
-	// remote client kept across a document update because the update delta
-	// proved them unchanged (instead of flushing the whole chunk cache);
-	// 0 when the evaluation is local or no re-sync happened.
+	// remote client kept across a document update because the two
+	// versions' encrypted digest tables showed them unchanged (instead of
+	// flushing the whole chunk cache); 0 when the evaluation is local or no
+	// re-sync happened.
 	ChunksReused int64
 	// TimeToFirstByte is the wall-clock delay between the start of a
 	// streamed view (a View with a non-nil writer) and the first byte of the
