@@ -94,7 +94,7 @@ type predInstance struct {
 	// waiters are the buffered result nodes whose delivery condition
 	// involves this instance; they are re-evaluated when the instance
 	// resolves.
-	waiters []*resultNode
+	waiters []waiter
 	// deferrals counts, for query predicate instances, the elements whose
 	// access decision is still pending and under which a satisfying value
 	// was observed: the query result is computed over the authorized view,
@@ -107,6 +107,15 @@ type predInstance struct {
 }
 
 func (pi *predInstance) resolved() bool { return pi.state != predUnknown }
+
+// waiter is one entry of a predicate instance's waiter list: a buffered node
+// and its generation when it registered. The result builder recycles a node
+// once it is settled, possibly while the entry is still listed; the
+// generation then no longer matches and the entry is stale.
+type waiter struct {
+	node *resultNode
+	gen  uint32
+}
 
 // authEntry is one entry of the Authorization Stack: a rule instance whose
 // navigational path final state has been reached at a given depth. Its

@@ -117,12 +117,34 @@ func randomPolicy(r *rng) *accessrule.Policy {
 	return p
 }
 
+// The seeds of the random-policy and random-query differential tests.
+const (
+	policySeeds     = 400
+	querySeedsStart = 1000
+	querySeeds      = 250
+)
+
+// policyCase generates the document and policy of one random-policy seed.
+func policyCase(seed int) (*xmlstream.Node, *accessrule.Policy) {
+	r := newRng(uint64(seed))
+	doc := randomDocument(r, 4+r.next(3), 3)
+	return doc, randomPolicy(r)
+}
+
+// queryCase generates the document, policy and query of one random-query
+// seed; err is set when the generated query does not parse.
+func queryCase(seed int) (doc *xmlstream.Node, policy *accessrule.Policy, expr string, query *xpath.Path, err error) {
+	r := newRng(uint64(seed))
+	doc = randomDocument(r, 4, 3)
+	policy = randomPolicy(r)
+	expr = randomPathExpr(r)
+	query, err = xpath.Parse(expr)
+	return doc, policy, expr, query, err
+}
+
 func TestDifferentialRandomPolicies(t *testing.T) {
-	const iterations = 400
-	for seed := 0; seed < iterations; seed++ {
-		r := newRng(uint64(seed))
-		doc := randomDocument(r, 4+r.next(3), 3)
-		policy := randomPolicy(r)
+	for seed := 0; seed < policySeeds; seed++ {
+		doc, policy := policyCase(seed)
 		oracle := accessrule.AuthorizedView(doc, policy, accessrule.ViewOptions{})
 		res, err := Evaluate(xmlstream.NewTreeReader(doc), policy, Options{})
 		if err != nil {
@@ -137,13 +159,8 @@ func TestDifferentialRandomPolicies(t *testing.T) {
 }
 
 func TestDifferentialRandomQueries(t *testing.T) {
-	const iterations = 250
-	for seed := 1000; seed < 1000+iterations; seed++ {
-		r := newRng(uint64(seed))
-		doc := randomDocument(r, 4, 3)
-		policy := randomPolicy(r)
-		queryExpr := randomPathExpr(r)
-		query, err := xpath.Parse(queryExpr)
+	for seed := querySeedsStart; seed < querySeedsStart+querySeeds; seed++ {
+		doc, policy, queryExpr, query, err := queryCase(seed)
 		if err != nil {
 			continue
 		}
@@ -156,6 +173,42 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			t.Fatalf("seed %d: query mismatch\ndoc:       %s\npolicy: %s\nquery: %s\nstreaming: %s\noracle:    %s",
 				seed, xmlstream.SerializeTree(doc, false), policy, queryExpr, serialize(res.View), serialize(oracle))
 		}
+	}
+}
+
+// TestDifferentialReusedEvaluator runs the seeds of the two tests above and
+// the out-of-scope deferral cases through one Evaluator reset between runs,
+// so every run after the first builds its view from result nodes an earlier
+// run recycled. A stale waiter registration or a node recycled too early
+// shows as a mismatch against the oracle.
+func TestDifferentialReusedEvaluator(t *testing.T) {
+	var e Evaluator
+	check := func(name string, doc *xmlstream.Node, policy *accessrule.Policy, query *xpath.Path) {
+		t.Helper()
+		e.Reset(xmlstream.NewTreeReader(doc), CompilePolicy(policy), Options{Query: query})
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: Run failed: %v", name, err)
+		}
+		oracle := accessrule.AuthorizedView(doc, policy, accessrule.ViewOptions{Query: query})
+		if !treesEqual(res.View, oracle) {
+			t.Fatalf("%s: reused evaluator differs from oracle\ndoc:       %s\npolicy: %s\nstreaming: %s\noracle:    %s",
+				name, xmlstream.SerializeTree(doc, false), policy, serialize(res.View), serialize(oracle))
+		}
+	}
+	for seed := 0; seed < policySeeds; seed++ {
+		doc, policy := policyCase(seed)
+		check(fmt.Sprintf("policy seed %d", seed), doc, policy, nil)
+	}
+	for seed := querySeedsStart; seed < querySeedsStart+querySeeds; seed++ {
+		doc, policy, expr, query, err := queryCase(seed)
+		if err != nil {
+			continue
+		}
+		check(fmt.Sprintf("query seed %d (%s)", seed, expr), doc, policy, query)
+	}
+	for _, tc := range outOfScopeDeferralCases(t) {
+		check(tc.name, tc.doc, tc.policy, tc.query)
 	}
 }
 

@@ -126,10 +126,10 @@ type Evaluator struct {
 }
 
 // Reset re-arms the evaluator for a fresh run over a new reader, reusing the
-// allocated maps and stacks of the previous run. It makes the evaluator
-// sync.Pool-friendly: a server can keep a pool of evaluators and pay the
-// per-request allocations only once per pooled instance. The previous run's
-// Result remains valid (finalize exports the view into fresh nodes).
+// allocated maps and stacks of the previous run and the result nodes it
+// recycled, so an evaluator kept in a sync.Pool (soe.Scan's scan state) pays
+// its allocations once per pooled instance, not once per view. The previous
+// run's Result remains valid (finalize exports the view into fresh nodes).
 func (e *Evaluator) Reset(reader xmlstream.EventReader, cp *CompiledPolicy, opts Options) {
 	e.reader = reader
 	e.opts = opts
@@ -382,12 +382,7 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 	ac := decideLevels(e.authLevels)
 	qs := decideQuery(e.authLevels, e.hasQuery)
 	combined := combine(ac, qs)
-	var snapshot []*authLevel
-	if combined == Pending {
-		snapshot = make([]*authLevel, len(e.authLevels))
-		copy(snapshot, e.authLevels)
-	}
-	node := e.builder.openElement(ev.Name, combined, ac, snapshot, e.hasQuery)
+	node := e.builder.openElement(ev.Name, combined, ac, e.authLevels, e.hasQuery)
 	switch combined {
 	case Permit:
 		e.metrics.NodesPermitted++
@@ -395,7 +390,12 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 		e.metrics.NodesDenied++
 	default:
 		e.metrics.NodesPending++
-		e.registerWaiters(node, snapshot)
+	}
+	if combined == Pending || ac == Pending {
+		// An element outside the query's scope waits too while its access
+		// is pending: query observations deferred under it are released
+		// when that access resolves.
+		e.registerWaiters(node)
 	}
 	for _, key := range queryExistenceSats {
 		e.gateQuerySatisfaction(key, node)
@@ -537,12 +537,12 @@ func (e *Evaluator) satisfyInstance(key predKey) {
 
 // registerWaiters subscribes a buffered node to every unresolved predicate
 // instance of its snapshot.
-func (e *Evaluator) registerWaiters(node *resultNode, snapshot []*authLevel) {
-	for _, lvl := range snapshot {
+func (e *Evaluator) registerWaiters(node *resultNode) {
+	for _, lvl := range node.snapshot {
 		for _, entry := range lvl.entries {
 			for _, inst := range entry.preds {
 				if !inst.resolved() {
-					inst.waiters = append(inst.waiters, node)
+					inst.waiters = append(inst.waiters, waiter{node: node, gen: node.gen})
 				}
 			}
 		}
@@ -550,12 +550,14 @@ func (e *Evaluator) registerWaiters(node *resultNode, snapshot []*authLevel) {
 }
 
 // notifyWaiters re-evaluates the delivery condition of every node waiting on
-// the instance.
+// the instance. A registration whose node has been recycled since is
+// skipped.
 func (e *Evaluator) notifyWaiters(inst *predInstance) {
 	waiters := inst.waiters
 	inst.waiters = nil
-	for _, node := range waiters {
-		if node.state != stateUndecided && node.access != Pending {
+	for _, w := range waiters {
+		node := w.node
+		if node.gen != w.gen || (node.state != stateUndecided && node.access != Pending) {
 			continue
 		}
 		ac := decideLevels(node.snapshot)

@@ -291,6 +291,46 @@ func TestQueryPendingPredicate(t *testing.T) {
 	mustSame(t, doc, accessrule.DoctorPolicy("DrA"), q)
 }
 
+// outOfScopeDeferralCase is one document, policy and query of
+// TestQueryObservationUnderOutOfScopeElement.
+type outOfScopeDeferralCase struct {
+	name   string
+	doc    *xmlstream.Node
+	policy *accessrule.Policy
+	query  *xpath.Path
+}
+
+// outOfScopeDeferralCases observe the query predicate b=1 of //a[b=1]/c
+// under b, which lies outside the query's scope and whose access waits on
+// the rule predicate d=1. The observation counts once d=1 resolves b's
+// access to Permit, whatever the order of b, c and d.
+func outOfScopeDeferralCases(t *testing.T) []outOfScopeDeferralCase {
+	t.Helper()
+	policy := accessrule.NewPolicy("u", accessrule.MustRule("R", "+", "//a[d=1]"))
+	query := xpath.MustParse("//a[b=1]/c")
+	var cases []outOfScopeDeferralCase
+	for _, c := range []struct{ order, src string }{
+		{"bcd", `<r><a><b>1</b><c>x</c><d>1</d></a></r>`},
+		{"bdc", `<r><a><b>1</b><d>1</d><c>x</c></a></r>`},
+		{"cbd", `<r><a><c>x</c><b>1</b><d>1</d></a></r>`},
+	} {
+		doc, err := xmlstream.ParseTreeString(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, outOfScopeDeferralCase{c.order, doc, policy, query})
+	}
+	return cases
+}
+
+func TestQueryObservationUnderOutOfScopeElement(t *testing.T) {
+	for _, tc := range outOfScopeDeferralCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			mustSame(t, tc.doc, tc.policy, tc.query)
+		})
+	}
+}
+
 func TestWildcardRules(t *testing.T) {
 	doc := figure3Doc()
 	policies := []*accessrule.Policy{

@@ -83,16 +83,18 @@ type resultNode struct {
 	// access-permitted.
 	deferredQuery []predKey
 
-	// For undecided element nodes: the Authorization Stack snapshot
-	// (including query entries) governing the node, re-evaluated when one of
-	// the pending instances it waits on resolves.
+	// For element nodes that are undecided or whose access is pending: the
+	// Authorization Stack levels (including query entries) governing the
+	// node, copied at open time and re-evaluated when one of the pending
+	// instances it waits on resolves.
 	snapshot []*authLevel
 	hasQuery bool
 
-	// pinned marks an element created undecided. The evaluator registers it
-	// in the waiter lists of predicate instances, which may keep it for the
-	// rest of the run, so it is never recycled.
-	pinned bool
+	// gen counts the node's recycles. A waiter registration records it, so
+	// a registration that outlives the node (the node was settled and
+	// recycled) is recognized as stale instead of re-evaluating the node's
+	// next occupant.
+	gen uint32
 }
 
 // ErrUnbalancedResult is returned when Finalize is called while elements are
@@ -154,23 +156,44 @@ func (b *resultBuilder) newNode() *resultNode {
 }
 
 // recycle returns a settled node, no longer reachable from the skeleton, to
-// the free list. Its children and deferred keys keep their capacity.
+// the free list. Its children, snapshot and deferred keys keep their
+// capacity, and its generation moves on, which makes its waiter
+// registrations stale. A node whose access is still pending and which holds
+// deferred query observations stays out of the free list: the evaluator
+// releases those observations when the access resolves.
 func (b *resultBuilder) recycle(n *resultNode) {
-	if n.pinned {
+	if n.access == Pending && len(n.deferredQuery) > 0 {
 		return
 	}
 	clear(n.children)
-	*n = resultNode{children: n.children[:0], deferredQuery: n.deferredQuery[:0]}
+	n.dropSnapshot()
+	*n = resultNode{
+		children:      n.children[:0],
+		snapshot:      n.snapshot,
+		deferredQuery: n.deferredQuery[:0],
+		gen:           n.gen + 1,
+	}
 	b.free = append(b.free, n)
+}
+
+// dropSnapshot empties the node's snapshot, keeping its capacity.
+func (n *resultNode) dropSnapshot() {
+	clear(n.snapshot)
+	n.snapshot = n.snapshot[:0]
 }
 
 // openElement records an element with its (possibly pending) delivery
 // decision d and access-control decision access, and returns the created
 // node so the evaluator can register it as a waiter on unresolved predicate
-// instances.
-func (b *resultBuilder) openElement(name string, d, access Decision, snapshot []*authLevel, hasQuery bool) *resultNode {
+// instances. While either decision is pending the node keeps its own copy of
+// the Authorization Stack levels.
+func (b *resultBuilder) openElement(name string, d, access Decision, levels []*authLevel, hasQuery bool) *resultNode {
 	n := b.newNode()
 	n.name, n.parent, n.access = name, b.current, access
+	if d == Pending || access == Pending {
+		n.snapshot = append(n.snapshot, levels...)
+		n.hasQuery = hasQuery
+	}
 	switch d {
 	case Permit:
 		n.state = stateIncluded
@@ -178,9 +201,6 @@ func (b *resultBuilder) openElement(name string, d, access Decision, snapshot []
 		n.state = stateExcluded
 	default:
 		n.state = stateUndecided
-		n.snapshot = snapshot
-		n.hasQuery = hasQuery
-		n.pinned = true
 		b.pendingCount++
 	}
 	if b.current == nil {
@@ -233,8 +253,8 @@ func (b *resultBuilder) closeElement() {
 }
 
 // recycleTree recycles a dropped subtree, bottom up. Slots are nilled as
-// their nodes go, so a pinned node that stays behind in a waiter list
-// points at none of them.
+// their nodes go, so a node that recycle keeps out of the free list points
+// at none of them.
 func (b *resultBuilder) recycleTree(n *resultNode) {
 	for i, c := range n.children {
 		if c != nil {
@@ -281,7 +301,9 @@ func (b *resultBuilder) resolve(n *resultNode, d Decision) bool {
 			c.state = n.state
 		}
 	}
-	n.snapshot = nil
+	if n.access != Pending {
+		n.dropSnapshot()
+	}
 	return true
 }
 
@@ -451,7 +473,7 @@ func (b *resultBuilder) finalize() (*xmlstream.Node, error) {
 func denyUnresolved(n *resultNode) {
 	if n.state == stateUndecided {
 		n.state = stateExcluded
-		n.snapshot = nil
+		n.dropSnapshot()
 	}
 	for i := n.next; i < len(n.children); i++ {
 		c := n.children[i]

@@ -160,6 +160,30 @@ func TestQueryAndSkipping(t *testing.T) {
 	}
 }
 
+// TestQueryObservedUnderPendingOutOfScopeElement pins a query predicate
+// (b=1) observed under an element outside the query's scope whose access
+// waits on a rule predicate (d=1) that resolves later: the observation
+// counts once the access resolves to Permit.
+func TestQueryObservedUnderPendingOutOfScopeElement(t *testing.T) {
+	doc, err := ParseDocumentString(`<r><a><b>1</b><c>x</c><d>1</d></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := DeriveKey("k")
+	prot, err := Protect(doc, key, SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := Policy{Subject: "u", Rules: []Rule{{Sign: "+", Object: "//a[d=1]"}}}
+	view, _, err := materialize(prot, key, policy, ViewOptions{Query: "//a[b=1]/c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := view.XML(), "<r><a><c>x</c></a></r>"; got != want {
+		t.Fatalf("view %s, want %s", got, want)
+	}
+}
+
 func TestWrongKeyDetected(t *testing.T) {
 	doc, _ := ParseDocumentString(sampleHospital)
 	prot, _ := Protect(doc, DeriveKey("right"), SchemeECBMHT)
