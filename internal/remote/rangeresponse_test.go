@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"mime"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -124,7 +125,8 @@ const (
 // TestLyingContentRangeIsAnError: a range response whose Content-Range names
 // bytes the untrusted store has no business sending — past the end of the
 // ciphertext, before it, or more or fewer bytes than the body holds — fails
-// the read with an error, in a single-part response and in a multipart part.
+// the read with an error, in a single-part response and in a multipart part,
+// and so does a single-part body longer or shorter than its Content-Range.
 // Such a range once reached a slice expression with a negative bound and
 // crashed the client process.
 func TestLyingContentRangeIsAnError(t *testing.T) {
@@ -152,8 +154,24 @@ func TestLyingContentRangeIsAnError(t *testing.T) {
 			}
 		})
 	}
-	// The honest answers to the same read pass.
+	// A single-part body unlike its Content-Range fails too: one byte
+	// short of it, or one byte past it while still inside the read.
 	honest := d.blob[d.ctOff+readOff : d.ctOff+readOff+readLen]
+	for name, tc := range map[string]struct {
+		contentRange string
+		body         []byte
+	}{
+		"body one byte short":          {d.rangeOf(d.ctOff+readOff, readLen), honest[:readLen-1]},
+		"body one byte past its range": {d.rangeOf(d.ctOff+readOff, readLen-1), honest},
+	} {
+		t.Run(name+"/single-part", func(t *testing.T) {
+			src := d.open(t, http.StatusPartialContent, "application/octet-stream", tc.contentRange, tc.body)
+			if _, err := src.CiphertextRange(readOff, readLen); err == nil {
+				t.Fatalf("a %d-byte 206 naming %q was accepted", len(tc.body), tc.contentRange)
+			}
+		})
+	}
+	// The honest answers to the same read pass.
 	src := d.open(t, http.StatusPartialContent, "application/octet-stream", d.rangeOf(d.ctOff+readOff, readLen), honest)
 	if got, err := src.CiphertextRange(readOff, readLen); err != nil || !bytes.Equal(got, honest) {
 		t.Fatalf("honest single-part response: %v", err)
@@ -171,8 +189,10 @@ func TestLyingContentRangeIsAnError(t *testing.T) {
 // an untrusted store may send back for one ciphertext read: any status,
 // Content-Type, Content-Range and body, multipart framing included. The
 // manifest and the prefix are the real document's. The parser must never
-// panic, a read that succeeds returns exactly the bytes requested, and no
-// page it caches is longer than a page.
+// panic; a read that succeeds returns exactly the bytes requested, and out
+// of an accepted single-part 206 the body's bytes at the positions asked
+// for; every page it caches is at most a page long and holds no capacity
+// beyond its length.
 func FuzzRangeResponse(f *testing.F) {
 	d := newRangeDoc(f)
 	honest := d.blob[d.ctOff+readOff : d.ctOff+readOff+readLen]
@@ -193,8 +213,32 @@ func FuzzRangeResponse(f *testing.F) {
 		if err == nil && len(got) != readLen {
 			t.Fatalf("read of %d bytes returned %d", readLen, len(got))
 		}
-		if n := src.MaxCachedPageLen(); n > remote.PageSize {
-			t.Fatalf("cached a %d-byte page", n)
+		if err == nil && status == http.StatusPartialContent && !isMultipart(contentType) {
+			// The read asked for blob bytes ctOff+readOff on; the body holds
+			// blob bytes from its Content-Range's start.
+			at := d.ctOff + readOff - contentRangeStart(contentRange)
+			if at < 0 || at+readLen > int64(len(body)) || !bytes.Equal(got, body[at:at+readLen]) {
+				t.Fatalf("accepted 206 naming %q returned bytes other than the body's at the read's positions", contentRange)
+			}
+		}
+		if err := src.CheckCache(); err != nil {
+			t.Fatal(err)
 		}
 	})
+}
+
+// isMultipart reports whether the client reads a response of this
+// Content-Type as multipart.
+func isMultipart(contentType string) bool {
+	mediaType, _, _ := mime.ParseMediaType(contentType)
+	return strings.HasPrefix(mediaType, "multipart/")
+}
+
+// contentRangeStart returns the first position of a "bytes a-b/total"
+// Content-Range the client accepted.
+func contentRangeStart(h string) int64 {
+	span, _, _ := strings.Cut(strings.TrimPrefix(h, "bytes "), "/")
+	a, _, _ := strings.Cut(span, "-")
+	start, _ := strconv.ParseInt(a, 10, 64)
+	return start
 }

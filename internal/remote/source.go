@@ -8,8 +8,10 @@
 //
 // Transfer-conscious access machinery:
 //
-//   - a bounded LRU cache of fixed-size ciphertext pages, so the reader's
-//     many small overlapping reads hit memory, not the network;
+//   - a bounded cache of fixed-size ciphertext pages, so the reader's many
+//     small overlapping reads hit memory, not the network. A full cache
+//     evicts a page at random: views are forward scans, and LRU keeps
+//     nothing of a repeated scan whose working set exceeds the cache;
 //   - range coalescing: cache misses closer than a gap threshold are merged
 //     into one span (fetching the cheap gap beats another round trip or
 //     another multipart part), and distinct spans ride in a single
@@ -24,7 +26,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,8 +49,10 @@ var ErrChanged = errors.New("remote: document changed on server (etag mismatch)"
 
 // Options tunes a Source.
 type Options struct {
-	// CacheCapacity is the number of pages kept in the LRU chunk cache
-	// (0 selects DefaultCacheCapacity).
+	// CacheCapacity is the number of pages kept in the chunk cache (0
+	// selects DefaultCacheCapacity). A full cache evicts a page at random,
+	// so a repeated view whose working set exceeds the cache still hits on
+	// most of it.
 	CacheCapacity int
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
@@ -66,8 +69,8 @@ const (
 	// many bytes into one range (the gap bytes are fetched and cached too):
 	// one page, cheaper to fetch than another multipart part.
 	GapThreshold = PageSize
-	// DefaultCacheCapacity is the page count of the LRU chunk cache when
-	// Options.CacheCapacity is zero.
+	// DefaultCacheCapacity is the page count of the chunk cache (random
+	// replacement) when Options.CacheCapacity is zero.
 	DefaultCacheCapacity = 2048
 )
 
@@ -122,7 +125,7 @@ type Source struct {
 	digests    [][]byte
 	etag       string
 	ctOffset   int64
-	cache      *pageLRU
+	cache      *pageCache
 	fragHashes map[int][]byte
 	stats      WireStats
 
@@ -174,7 +177,7 @@ func Open(baseURL string, opts Options) (*Source, error) {
 		manifestURL: base + "/manifest",
 		blobURL:     base + "/blob",
 		hashesURL:   base + "/hashes",
-		cache:       newPageLRU(opts.CacheCapacity),
+		cache:       newPageCache(opts.CacheCapacity),
 		fragHashes:  map[int][]byte{},
 	}
 	s.mu.Lock()
@@ -367,24 +370,26 @@ func (s *Source) FragmentHashes(i int) ([]byte, error) {
 		resp.Body.Close()
 		return nil, fmt.Errorf("%w: fragment hashes are for %s, client holds %s", ErrChanged, etag, s.etag)
 	}
+	// The records stay for the session: read them into a buffer of exactly
+	// their length.
 	want := s.man.NumFragments(i)
-	body, err := s.readAll(resp, int64(want)*secure.DigestSize)
+	n := int64(want) * secure.DigestSize
+	body, got, err := s.readSized(resp, n, n)
 	if err != nil {
 		return nil, err
 	}
-	if len(body) != want*secure.DigestSize {
+	if got != n {
 		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: got %d bytes, want %d fragments x %d",
-			i, len(body), want, secure.DigestSize)
+			i, got, want, secure.DigestSize)
 	}
-	// Keep an exact copy: io.ReadAll's buffer holds at least 512 bytes, and
-	// the records stay for the session.
-	s.fragHashes[i] = bytes.Clone(body)
-	return s.fragHashes[i], nil
+	s.fragHashes[i] = body
+	return body, nil
 }
 
 // CiphertextRange implements secure.ChunkSource: it serves [off, off+n) from
 // the page cache, fetching missing pages (coalesced) in at most one HTTP
-// request.
+// request. A read inside one page returns a capacity-clipped slice of that
+// page; a longer read is copied out of its pages.
 func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -404,7 +409,7 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	}
 	s.trace.CountPageHits(last - first + 1 - int64(len(missing)))
 	s.trace.CountPageMisses(int64(len(missing)))
-	fetched := map[int64][]byte{}
+	var fetched map[int64][]byte
 	if len(missing) > 0 {
 		var err error
 		fetchStart := s.trace.Now()
@@ -414,13 +419,29 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 			return nil, err
 		}
 		s.trace.Record("remote.fetch", fetchStart, s.stats.BytesOnWire-wireBefore, int64(len(missing)), "")
-		for p, data := range fetched {
-			s.cache.put(p, data)
-		}
 	}
-	// Assemble the requested bytes, preferring this call's fetch results so
-	// correctness does not depend on them surviving cache eviction.
-	out := make([]byte, n)
+	// Serve the read before caching what it fetched: a put may evict any
+	// resident page, one this read needs included.
+	out, err := s.assemble(off, n, fetched)
+	if err != nil {
+		return nil, err
+	}
+	// In page order, so that evictions depend on the reads alone.
+	for _, p := range missing {
+		s.cache.put(p, fetched[p])
+	}
+	return out, nil
+}
+
+// assemble returns ciphertext [off, off+n) out of its pages, taking each
+// from fetched or else from the cache. Callers hold s.mu.
+func (s *Source) assemble(off, n int64, fetched map[int64][]byte) ([]byte, error) {
+	first := off / PageSize
+	last := (off + n - 1) / PageSize
+	var out []byte
+	if first != last {
+		out = make([]byte, n)
+	}
 	for p := first; p <= last; p++ {
 		data, ok := fetched[p]
 		if !ok {
@@ -430,16 +451,13 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 			return nil, fmt.Errorf("remote: page %d missing after fetch", p)
 		}
 		pageStart := p * PageSize
-		lo := off
-		if pageStart > lo {
-			lo = pageStart
-		}
-		hi := off + n
-		if end := pageStart + int64(len(data)); end < hi {
-			hi = end
-		}
+		lo := max(off, pageStart)
+		hi := min(off+n, pageStart+int64(len(data)))
 		if hi < off+n && p == last {
 			return nil, fmt.Errorf("remote: page %d shorter than requested range", p)
+		}
+		if first == last {
+			return data[lo-pageStart : hi-pageStart : hi-pageStart], nil
 		}
 		copy(out[lo-off:hi-off], data[lo-pageStart:hi-pageStart])
 	}
@@ -506,12 +524,13 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 				return nil, err
 			}
 			// One part answers every span requested: at most the extent
-			// from the first span's start to the last span's end.
-			body, err := s.readAll(resp, spans[len(spans)-1][1]-spans[0][0])
+			// from the first span's start to the last span's end. Its pages
+			// are cut out of the one buffer it is read into.
+			body, got, err := s.readSized(resp, end-start+1, spans[len(spans)-1][1]-spans[0][0])
 			if err != nil {
 				return nil, err
 			}
-			if err := s.checkRange(start, end, len(body)); err != nil {
+			if err := s.checkRange(start, end, got); err != nil {
 				return nil, err
 			}
 			s.runToPages(start-s.ctOffset, body, out)
@@ -525,13 +544,14 @@ func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Server ignored the ranges: slice the spans out of the full blob.
+		// Server ignored the ranges: copy the spans out of the full blob, so
+		// that no resident page keeps the whole blob alive.
 		for _, sp := range spans {
 			a, b := sp[0]+s.ctOffset, sp[1]+s.ctOffset
 			if b > int64(len(body)) {
 				return nil, fmt.Errorf("remote: full blob response shorter (%d) than span end %d", len(body), b)
 			}
-			s.runToPages(sp[0], body[a:b], out)
+			s.runToPages(sp[0], append(make([]byte, 0, b-a), body[a:b]...), out)
 		}
 	default:
 		return nil, fmt.Errorf("remote: range fetch: %s", s.errorDetail(resp))
@@ -573,15 +593,15 @@ func (s *Source) readMultipart(resp *http.Response, boundary string, spans [][2]
 		if err != nil {
 			return err
 		}
-		data, err := io.ReadAll(io.LimitReader(part, want+1))
+		data, got, err := readFull(part, end-start+1, want)
 		if err != nil {
 			return fmt.Errorf("remote: reading range part: %w", err)
 		}
-		if int64(len(data)) > want {
+		if got > want {
 			return fmt.Errorf("%w: remote: range parts longer than the %d bytes requested", secure.ErrIntegrity, want)
 		}
-		want -= int64(len(data))
-		if err := s.checkRange(start, end, len(data)); err != nil {
+		want -= got
+		if err := s.checkRange(start, end, got); err != nil {
 			return err
 		}
 		s.runToPages(start-s.ctOffset, data, out)
@@ -592,8 +612,8 @@ func (s *Source) readMultipart(resp *http.Response, boundary string, spans [][2]
 // blob positions [start, end] its Content-Range names must lie inside the
 // ciphertext, and the body must hold exactly their end-start+1 bytes.
 // Callers hold s.mu.
-func (s *Source) checkRange(start, end int64, n int) error {
-	if start < s.ctOffset || end < start || end >= s.ctOffset+s.man.CiphertextLen || end-start+1 != int64(n) {
+func (s *Source) checkRange(start, end, n int64) error {
+	if start < s.ctOffset || end < start || end >= s.ctOffset+s.man.CiphertextLen || end-start+1 != n {
 		return fmt.Errorf("remote: range response names bytes %d-%d with a %d-byte body; the ciphertext is bytes %d-%d",
 			start, end, n, s.ctOffset, s.ctOffset+s.man.CiphertextLen-1)
 	}
@@ -601,8 +621,9 @@ func (s *Source) checkRange(start, end int64, n int) error {
 }
 
 // runToPages splits a contiguous ciphertext run (start in ciphertext
-// coordinates, the run inside the ciphertext: checkRange) into whole pages.
-// Runs are page-aligned by construction; a trailing partial page is kept only
+// coordinates, the run inside the ciphertext: checkRange) into whole pages,
+// each a capacity-clipped slice of data, which the caller hands over. Runs
+// are page-aligned by construction; a trailing partial page is kept only
 // when it ends at EOF.
 func (s *Source) runToPages(start int64, data []byte, out map[int64][]byte) {
 	end := start + int64(len(data))
@@ -619,7 +640,7 @@ func (s *Source) runToPages(start int64, data []byte, out map[int64][]byte) {
 			off = pageEnd
 			continue
 		}
-		out[p] = append([]byte(nil), data[off-start:pageEnd-start]...)
+		out[p] = data[off-start : pageEnd-start : pageEnd-start]
 		off = pageEnd
 	}
 }
@@ -786,6 +807,42 @@ func (s *Source) readAll(resp *http.Response, limit int64) ([]byte, error) {
 // counter and closes it, leaving the rest unread.
 func (s *Source) readHead(resp *http.Response, n int64) ([]byte, error) {
 	return s.drain(resp, io.LimitReader(s.bodyReader(resp.Body, n), n))
+}
+
+// readSized reads a response body that should hold n bytes, and may hold
+// at most limit, through the wire counter into a buffer of exactly that
+// length (n clipped to [0, limit]), then drains the body to its end and
+// closes it. It returns the buffer, cut short when the body is, and the
+// body's length. A body longer than limit fails with ErrIntegrity.
+func (s *Source) readSized(resp *http.Response, n, limit int64) ([]byte, int64, error) {
+	defer resp.Body.Close()
+	s.trace.Begin(trace.PhaseFetch)
+	defer s.trace.End()
+	body, got, err := readFull(s.bodyReader(resp.Body, limit), n, limit)
+	if err != nil {
+		return nil, 0, fmt.Errorf("remote: reading response body: %w", err)
+	}
+	return body, got, nil
+}
+
+// readFull reads the first n bytes of r, n clipped to [0, limit], into a
+// buffer of exactly that length, then reads r to its end, at most limit+1
+// bytes in all. It returns the buffer, cut short when r is, and the length
+// of r: more than limit when r holds more.
+func readFull(r io.Reader, n, limit int64) ([]byte, int64, error) {
+	buf := make([]byte, min(max(n, 0), limit))
+	got, err := io.ReadFull(r, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return buf[:got], int64(got), nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	rest, err := io.Copy(io.Discard, io.LimitReader(r, limit-int64(got)+1))
+	if err != nil {
+		return nil, 0, err
+	}
+	return buf, int64(got) + rest, nil
 }
 
 // drain reads r, a counted view of resp's body, to its end and closes the

@@ -269,21 +269,82 @@ func TestGapThresholdBoundary(t *testing.T) {
 	})
 }
 
-// TestLRUChunkCacheBound: the cache never exceeds its capacity and evicted
-// pages are re-fetched on demand.
-func TestLRUChunkCacheBound(t *testing.T) {
+// TestChunkCacheBound: the cache never exceeds its capacity, and a read
+// fetches exactly the pages that are not resident: no request for a page
+// the cache holds, one for a page it evicted. Which page a full cache
+// evicts is the policy's choice, so the test asks the cache.
+func TestChunkCacheBound(t *testing.T) {
 	env := newEnv(t, 6)
 	src := env.open(t, remote.Options{CacheCapacity: 4})
 	for p := int64(0); p < 8; p++ {
 		env.mustRange(t, src, p*page, page)
 	}
-	if got := src.CachedPages(); got > 4 {
+	if got := src.CachedPages(); got != 4 {
+		t.Fatalf("cache holds %d pages after 8 single-page reads, capacity is 4", got)
+	}
+	misses := 0
+	for p := int64(0); p < 8; p++ {
+		resident := src.HasPage(p)
+		before := env.log.blobRequests()
+		env.mustRange(t, src, p*page, page)
+		want := before
+		if !resident {
+			want++
+			misses++
+		}
+		if got := env.log.blobRequests(); got != want {
+			t.Fatalf("read of page %d (resident: %v) took %d requests, want %d", p, resident, got-before, want-before)
+		}
+		if got := src.CachedPages(); got != 4 {
+			t.Fatalf("cache holds %d pages, capacity is 4", got)
+		}
+	}
+	if misses < 4 {
+		t.Fatalf("8 pages through 4 slots missed only %d times", misses)
+	}
+}
+
+// TestReadOutlivesItsOwnEvictions: caching the pages a read fetched may
+// evict a resident page the same read needs; the read still returns its
+// bytes. Pages 0-3 fill a 4-page cache, then one read spans pages 0-4.
+func TestReadOutlivesItsOwnEvictions(t *testing.T) {
+	env := newEnv(t, 6)
+	src := env.open(t, remote.Options{CacheCapacity: 4})
+	for p := int64(0); p < 4; p++ {
+		env.mustRange(t, src, p*page, page)
+	}
+	env.mustRange(t, src, 0, 5*page)
+	if got := src.CachedPages(); got != 4 {
 		t.Fatalf("cache holds %d pages, capacity is 4", got)
 	}
-	before := env.log.blobRequests()
-	env.mustRange(t, src, 0, page) // page 0 was evicted: must re-fetch
-	if got := env.log.blobRequests(); got != before+1 {
-		t.Fatalf("evicted page should be re-fetched, requests %d -> %d", before, got)
+}
+
+// TestRepeatedScanLargerThanCacheHits: every view is a forward scan, so the
+// cache must keep most of a repeated scan resident even when its working
+// set is a little larger than the cache. W = C + C/32 pages read in order,
+// three times, through a C-page cache: the second and third passes each
+// fetch at most W/4 pages. An LRU cache fetches all W on every pass.
+func TestRepeatedScanLargerThanCacheHits(t *testing.T) {
+	env := newEnv(t, 12)
+	const capacity = 128
+	const w = capacity + capacity/32
+	if pages := (len(env.ciphertext) + page - 1) / page; pages < w {
+		t.Fatalf("document has %d pages, the scan needs %d", pages, w)
+	}
+	src := env.open(t, remote.Options{CacheCapacity: capacity})
+	for pass := 1; pass <= 3; pass++ {
+		before := env.log.blobRequests()
+		for p := int64(0); p < w; p++ {
+			env.mustRange(t, src, p*page, page)
+		}
+		fetched := env.log.blobRequests() - before
+		if pass == 1 && fetched != w {
+			t.Fatalf("cold pass fetched %d pages, want %d", fetched, w)
+		}
+		if pass > 1 && fetched > w/4 {
+			t.Fatalf("pass %d fetched %d of %d pages through a %d-page cache, want at most %d", pass, fetched, w, capacity, w/4)
+		}
+		t.Logf("pass %d fetched %d of %d pages", pass, fetched, w)
 	}
 }
 

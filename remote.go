@@ -35,7 +35,9 @@ type RemoteDocument struct {
 // under integrity checking.
 type RemoteOptions struct {
 	// CacheCapacity is the number of pages kept in the client chunk cache
-	// (0 selects the internal default, 2048).
+	// (0 selects the internal default, 2048). A full cache evicts a page
+	// at random: every view is a forward scan, and LRU would keep nothing
+	// of a repeated view whose working set exceeds the cache.
 	CacheCapacity int
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client

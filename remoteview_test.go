@@ -201,6 +201,55 @@ func TestRemoteViewRepeatedEvaluations(t *testing.T) {
 	_ = prot
 }
 
+// TestRepeatedViewLargerThanCacheHits: a view is a forward scan, so a
+// repeated view whose working set exceeds the page cache by a little must
+// still find most of it resident. W is the page misses of a cold view
+// through an unbounded cache; through a cache of W - W/32 pages, the second
+// and third views each take at most W/4 round trips.
+func TestRepeatedViewLargerThanCacheHits(t *testing.T) {
+	docURL, _, key := startBlobServer(t, 60)
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded, err := xmlac.OpenRemoteOptions(docURL, key, xmlac.RemoteOptions{CacheCapacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := xmlac.NewTrace(4096)
+	if _, _, err := unbounded.View(context.Background(), cp, xmlac.ViewOptions{Trace: tr, TraceID: "cold"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var w int64
+	for _, sp := range tr.Spans(xmlac.TraceFilter{TraceID: "cold"}) {
+		if sp.Name == "view:secretary" {
+			var hits int64
+			if _, err := fmt.Sscanf(sp.Detail, "page_hits=%d page_misses=%d", &hits, &w); err != nil {
+				t.Fatalf("view span Detail %q carries no page-cache counts: %v", sp.Detail, err)
+			}
+		}
+	}
+	if w < 64 {
+		t.Fatalf("cold view touched %d pages, too few to exceed a cache", w)
+	}
+	capacity := w - w/32
+	doc, err := xmlac.OpenRemoteOptions(docURL, key, xmlac.RemoteOptions{CacheCapacity: int(capacity)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for view := 1; view <= 3; view++ {
+		_, m, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("view %d: %d round trips (working set %d pages, cache %d)", view, m.RoundTrips, w, capacity)
+		if view > 1 && m.RoundTrips > w/4 {
+			t.Fatalf("view %d took %d round trips; its working set is %d pages and the cache holds %d, want at most %d",
+				view, m.RoundTrips, w, capacity, w/4)
+		}
+	}
+}
+
 // BenchmarkRemoteView compares, over the network, the paper's TCSBR strategy
 // (Skip-index driven range requests) against a brute-force client that
 // downloads the whole blob and evaluates locally: transfer is the metric

@@ -110,11 +110,14 @@
 //	    metrics.BytesOnWire, doc.Size(), metrics.RoundTrips)
 //
 // The policy is evaluated locally while ciphertext is pulled on demand
-// through range requests (coalesced, cached in a bounded LRU of pages), so
+// through range requests (coalesced, cached in a bounded set of pages), so
 // the bytes the Skip index skips are bytes that never cross the network:
 // Metrics.BytesOnWire stays well under a full download for selective
-// policies. Canceling the view's context closes its in-flight requests. The
-// xmlac-view command (-url) and examples/remoteclient show the full flow.
+// policies. A full page cache evicts at random: every view is a forward
+// scan, and LRU would keep nothing of a repeated view whose working set
+// exceeds the cache. Canceling the view's context closes its in-flight
+// requests. The xmlac-view command (-url) and examples/remoteclient show
+// the full flow.
 //
 // Integrity is verified client-side. Under ECB-MHT and CBC-SHA, every byte
 // that reaches a sink has been checked against its chunk's encrypted
