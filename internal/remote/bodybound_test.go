@@ -33,7 +33,7 @@ type boundDoc struct {
 	ctOff   int64
 	target  func(*http.Request) bool
 	// ignoreRange drops the Range header of targeted requests, so the
-	// store answers 200 with the whole blob.
+	// store answers 200 with the whole blob or leaf table.
 	ignoreRange bool
 	read        atomic.Int64
 }
@@ -117,6 +117,15 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		rng, ok := blob(r)
 		return ok && !strings.HasPrefix(rng, "bytes=0-") && !strings.Contains(rng, ",")
 	}
+	hashes := func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/hashes") }
+	leafRun := func(d *boundDoc) error {
+		src, err := d.open()
+		if err != nil {
+			return err
+		}
+		_, err = src.FragmentHashes(3)
+		return err
+	}
 	readPages := func(d *boundDoc) error {
 		src, err := d.open()
 		if err != nil {
@@ -145,17 +154,18 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		bound: func(d *boundDoc) int64 { return d.ctOff },
 		call:  func(d *boundDoc) error { _, err := d.open(); return err },
 	}, {
+		// Chunk 3 misses: one request for the records of chunks 3 to the
+		// last.
 		name:   "fragment hashes",
-		target: func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/hashes") },
-		bound:  func(d *boundDoc) int64 { return int64(d.man.NumFragments(0)) * secure.DigestSize },
-		call: func(d *boundDoc) error {
-			src, err := d.open()
-			if err != nil {
-				return err
-			}
-			_, err = src.FragmentHashes(0)
-			return err
-		},
+		target: hashes,
+		bound:  func(d *boundDoc) int64 { return leafPos(d.man, d.man.NumChunks()) - leafPos(d.man, 3) },
+		call:   leafRun,
+	}, {
+		name:        "whole leaf table for a run",
+		target:      hashes,
+		ignoreRange: true,
+		bound:       func(d *boundDoc) int64 { return leafPos(d.man, d.man.NumChunks()) },
+		call:        leafRun,
 	}, {
 		name:   "single range",
 		target: ciphertextRange,

@@ -2,6 +2,12 @@ package remote
 
 import "fmt"
 
+// MaxErrorBody bounds what the client reads of an error response.
+const MaxErrorBody = maxErrorBody
+
+// ParseContentRange is the client's parser of a Content-Range header.
+var ParseContentRange = parseContentRange
+
 // CheckCache reports the first way the page cache breaks its bookkeeping:
 // more pages than its capacity, a slot map that disagrees with the page
 // slice, a page longer than a page, or a page whose capacity exceeds its

@@ -2,6 +2,8 @@ package remote_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,14 +17,16 @@ import (
 )
 
 // hashesTransport serves a real ECB-MHT document from the store's handler,
-// except that every fragment-hashes request gets a fixed answer: a 200 under
-// the given ETag with the given body. It records how many body bytes the
+// except that every leaf-table request gets a fixed answer: the given
+// status, ETag, Content-Range and body. It records how many body bytes the
 // client read of that answer.
 type hashesTransport struct {
-	store http.Handler
-	etag  string
-	body  []byte
-	read  atomic.Int64
+	store        http.Handler
+	status       int
+	etag         string
+	contentRange string
+	body         []byte
+	read         atomic.Int64
 }
 
 func (ht *hashesTransport) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -31,76 +35,166 @@ func (ht *hashesTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		ht.store.ServeHTTP(rec, r)
 		return rec.Result(), nil
 	}
+	h := http.Header{}
+	if ht.etag != "" {
+		h.Set("ETag", ht.etag)
+	}
+	if ht.contentRange != "" {
+		h.Set("Content-Range", ht.contentRange)
+	}
 	return &http.Response{
-		StatusCode:    http.StatusOK,
-		Status:        "200 OK",
+		StatusCode:    ht.status,
+		Status:        strconv.Itoa(ht.status) + " " + http.StatusText(ht.status),
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        http.Header{"Etag": {ht.etag}},
+		Header:        h,
 		Body:          io.NopCloser(&countReader{r: bytes.NewReader(ht.body), n: &ht.read}),
 		ContentLength: int64(len(ht.body)),
 		Request:       r,
 	}, nil
 }
 
-// FuzzHashesResponse drives the client's fragment-hashes request with
-// whatever an untrusted store may answer: any body under any ETag, for any
-// chunk index. The client must never panic, read no more of the body than
-// the chunk's records, and either fail or return exactly the chunk's
-// records: DigestSize bytes per fragment of a chunk inside the layout,
-// under the ETag it holds (or none).
+// leafPos returns the position of chunk c's records in the leaf table of
+// m's layout: the records of every chunk before it, counted one by one.
+func leafPos(m secure.Manifest, c int) int64 {
+	var pos int64
+	for k := 0; k < c; k++ {
+		pos += int64(m.NumFragments(k)) * secure.DigestSize
+	}
+	return pos
+}
+
+// FuzzHashesResponse drives the client's leaf-table request with whatever
+// an untrusted store may answer: any status, ETag, Content-Range and body,
+// for any chunk index. A miss for chunk i asks for the records of the run
+// from i to the end of the layout or HashRun chunks. The client must never
+// panic. Of a 206 it reads at most the run's bytes plus one, of a 200 (a
+// store that ignored the range) at most the table's plus one, and of any
+// other status at most MaxErrorBody. An accepted answer is a 206 for
+// exactly the run or a 200, under the ETag the client holds (or none), and
+// gives every chunk it covers exactly NumFragments(c) x DigestSize bytes,
+// taken from the body at the chunk's position, with no further request; an
+// accepted 206's Content-Range names exactly the run's bytes.
 func FuzzHashesResponse(f *testing.F) {
 	d := newRangeDoc(f)
-	honest := func(chunk int) (string, []byte) {
-		rec := httptest.NewRecorder()
-		d.store.ServeHTTP(rec, httptest.NewRequest("GET", "/docs/hospital/hashes?chunk="+strconv.Itoa(chunk), nil))
-		if rec.Code != http.StatusOK {
-			f.Fatalf("hashes of chunk %d: %d %s", chunk, rec.Code, rec.Body)
+	serve := func(rng string) (string, string, []byte) {
+		req := httptest.NewRequest("GET", "/docs/hospital/hashes", nil)
+		if rng != "" {
+			req.Header.Set("Range", rng)
 		}
-		return rec.Header().Get("ETag"), rec.Body.Bytes()
+		rec := httptest.NewRecorder()
+		d.store.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusPartialContent {
+			f.Fatalf("leaf table %q: %d %s", rng, rec.Code, rec.Body)
+		}
+		return rec.Header().Get("ETag"), rec.Header().Get("Content-Range"), rec.Body.Bytes()
 	}
-	etag, first := honest(0)
-	numChunks := int((d.ctLen + secure.DefaultChunkSize - 1) / secure.DefaultChunkSize)
-	_, last := honest(numChunks - 1)
-	long := append(append([]byte(nil), first...), first[:secure.DigestSize]...)
-	f.Add(0, etag, first)                // honest
-	f.Add(numChunks-1, etag, last)       // honest, the last chunk
-	f.Add(0, "", first)                  // no ETag
-	f.Add(0, etag, first[:len(first)-1]) // one byte short
-	f.Add(0, etag, long)                 // one record long
-	f.Add(numChunks-1, etag, first)      // chunk 0's records for the last chunk
-	f.Add(0, `"another version"`, first) // wrong ETag
-	f.Add(0, etag, []byte{})             // empty
-	f.Add(numChunks, etag, first)        // a chunk past the layout
-	f.Add(-1, etag, first)               // a negative chunk
-	f.Fuzz(func(t *testing.T, chunk int, etag string, body []byte) {
-		ht := &hashesTransport{store: d.store, etag: etag, body: body}
+	etag, _, table := serve("")
+	m, _, _, err := secure.UnmarshalManifest(d.blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	numChunks := m.NumChunks()
+	// run serves the honest answer for the records of chunks [i, j).
+	run := func(i, j int) (string, []byte) {
+		_, cr, body := serve(fmt.Sprintf("bytes=%d-%d", leafPos(m, i), leafPos(m, j)-1))
+		return cr, body
+	}
+	mid, last := 3, numChunks-1
+	midCR, midRun := run(mid, numChunks)
+	lastCR, lastRun := run(last, numChunks)
+	_, firstChunk := run(0, 1)
+	// The bytes of the table as long as chunk 3's run, one chunk earlier.
+	shiftStart, shiftEnd := leafPos(m, mid-1), leafPos(m, mid-1)+int64(len(midRun))
+	shiftCR := fmt.Sprintf("bytes %d-%d/%d", shiftStart, shiftEnd-1, len(table))
+	long := append(append([]byte(nil), midRun...), midRun[:secure.DigestSize]...)
+	f.Add(mid, 206, etag, midCR, midRun)                       // honest
+	f.Add(last, 206, etag, lastCR, lastRun)                    // honest, a run that ends at the last chunk
+	f.Add(mid, 206, "", midCR, midRun)                         // no ETag
+	f.Add(mid, 206, etag, midCR, midRun[:len(midRun)-1])       // one byte short
+	f.Add(mid, 206, etag, midCR, long)                         // one record long
+	f.Add(last, 206, etag, lastCR, firstChunk)                 // chunk 0's records for the last chunk
+	f.Add(mid, 206, `"another version"`, midCR, midRun)        // wrong ETag
+	f.Add(mid, 206, etag, midCR, []byte{})                     // empty
+	f.Add(numChunks, 206, etag, midCR, midRun)                 // a chunk past the layout
+	f.Add(-1, 206, etag, midCR, midRun)                        // a negative chunk
+	f.Add(mid, 206, etag, shiftCR, table[shiftStart:shiftEnd]) // a Content-Range that names another run
+	f.Add(mid, 200, etag, "", table)                           // a 200 with the whole table
+	f.Add(mid, 412, etag, "", []byte("precondition failed"))   // a stale If-Match
+	f.Fuzz(func(t *testing.T, chunk, status int, etag, contentRange string, body []byte) {
+		ht := &hashesTransport{store: d.store, status: status, etag: etag, contentRange: contentRange, body: body}
 		src, err := remote.Open("http://store.test/docs/hospital", remote.Options{HTTPClient: &http.Client{Transport: ht}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := src.Manifest()
-		inLayout := chunk >= 0 && chunk < m.NumChunks()
-		want := 0
+		inLayout := chunk >= 0 && chunk < numChunks
+		runEnd := numChunks
 		if inLayout {
-			want = m.NumFragments(chunk) * secure.DigestSize
+			runEnd = min(chunk+remote.HashRun, numChunks)
 		}
 		got, err := src.FragmentHashes(chunk)
-		if n := ht.read.Load(); n > int64(want)+1 {
-			t.Fatalf("read %d bytes of the hashes of chunk %d, which has %d", n, chunk, want)
+		read := ht.read.Load()
+		switch status {
+		case http.StatusPartialContent:
+			if inLayout {
+				if want := leafPos(m, runEnd) - leafPos(m, chunk); read > want+1 {
+					t.Fatalf("read %d bytes of a 206 for the %d-byte run of chunks %d-%d", read, want, chunk, runEnd-1)
+				}
+			}
+		case http.StatusOK:
+			if want := leafPos(m, numChunks); read > want+1 {
+				t.Fatalf("read %d bytes of a 200 for a %d-byte leaf table", read, want)
+			}
+		default:
+			if read > remote.MaxErrorBody {
+				t.Fatalf("read %d bytes of a %d answer; the bound is %d", read, status, remote.MaxErrorBody)
+			}
+		}
+		if status == http.StatusPreconditionFailed && inLayout && !errors.Is(err, remote.ErrChanged) {
+			t.Fatalf("a 412 for the leaf table gave %v, want ErrChanged", err)
 		}
 		if err != nil {
 			return
 		}
 		if !inLayout {
-			t.Fatalf("accepted hashes of chunk %d in a %d-chunk layout", chunk, m.NumChunks())
-		}
-		if len(got) != want {
-			t.Fatalf("accepted %d bytes of hashes for chunk %d, want %d", len(got), chunk, want)
+			t.Fatalf("accepted hashes of chunk %d in a %d-chunk layout", chunk, numChunks)
 		}
 		if holds := src.ETag(); etag != "" && etag != holds {
-			t.Fatalf("accepted hashes under ETag %q while holding %q", etag, holds)
+			t.Fatalf("accepted records under ETag %q while holding %q", etag, holds)
+		}
+		// The chunks the answer covers, and where the body starts.
+		first, end := chunk, runEnd
+		switch status {
+		case http.StatusPartialContent:
+			if a, b, err := remote.ParseContentRange(contentRange); err != nil || a != leafPos(m, chunk) || b != leafPos(m, runEnd)-1 {
+				t.Fatalf("accepted Content-Range %q for bytes %d-%d of the table", contentRange, leafPos(m, chunk), leafPos(m, runEnd)-1)
+			}
+		case http.StatusOK:
+			first, end = 0, numChunks
+		default:
+			t.Fatalf("accepted a %d answer", status)
+		}
+		base := leafPos(m, first)
+		if int64(len(body)) != leafPos(m, end)-base {
+			t.Fatalf("accepted a %d-byte body for the %d bytes of chunks %d-%d", len(body), leafPos(m, end)-base, first, end-1)
+		}
+		trips := src.Stats().RoundTrips
+		for c := first; c < end; c++ {
+			h := got
+			if c != chunk {
+				if h, err = src.FragmentHashes(c); err != nil {
+					t.Fatalf("chunk %d of the accepted answer: %v", c, err)
+				}
+			}
+			pos := leafPos(m, c) - base
+			want := body[pos : pos+int64(m.NumFragments(c))*secure.DigestSize]
+			if !bytes.Equal(h, want) {
+				t.Fatalf("chunk %d: %d bytes of records, not the %d at its position in the body", c, len(h), len(want))
+			}
+		}
+		if n := src.Stats().RoundTrips - trips; n != 0 {
+			t.Fatalf("reading the records of the accepted answer sent %d more requests", n)
 		}
 	})
 }

@@ -20,6 +20,10 @@
 //     fetches the new version's encrypted digest table and evicts only the
 //     cached chunks whose digest or bounds changed (secure.ChangedChunks),
 //     so the store keeps no update history for its clients;
+//   - leaf records by the run: a chunk whose ECB-MHT fragment hashes the
+//     source lacks fetches the records of the chunks after it too, in one
+//     range request for the version's leaf table, so a cold scan costs a
+//     few /hashes requests rather than one per chunk;
 //   - wire accounting: BytesOnWire counts the HTTP payload actually read
 //     (range bodies, multipart framing, digest tables, fragment hashes) and
 //     RoundTrips counts requests, surfaced through xmlac.Metrics.
@@ -34,6 +38,7 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,6 +77,13 @@ const (
 	// DefaultCacheCapacity is the page count of the chunk cache (random
 	// replacement) when Options.CacheCapacity is zero.
 	DefaultCacheCapacity = 2048
+	// HashRun bounds the chunks whose leaf records one /hashes request
+	// fetches. A cold view needs the records of most chunks, so a longer run
+	// saves a round trip per chunk; a view that reads little, or a re-sync
+	// that dirtied few chunks, fetches at most HashRun-1 chunks' records it
+	// may never use. 256 chunks of the default layout are 40 KiB of records,
+	// covering 512 KiB of ciphertext.
+	HashRun = 256
 )
 
 // Bounds on what the client reads of a response whose length the request
@@ -120,14 +132,16 @@ type Source struct {
 	blobURL     string
 	hashesURL   string
 
-	mu         sync.Mutex
-	man        secure.Manifest
-	digests    [][]byte
-	etag       string
-	ctOffset   int64
-	cache      *pageCache
-	fragHashes map[int][]byte
-	stats      WireStats
+	mu       sync.Mutex
+	man      secure.Manifest
+	digests  [][]byte
+	etag     string
+	ctOffset int64
+	cache    *pageCache
+	// leaves[c] is chunk c's leaf records, nil until fetched: a
+	// capacity-clipped slice of the buffer of the run that brought them.
+	leaves [][]byte
+	stats  WireStats
 
 	// trace, when non-nil, charges wire transfer and resync time to the
 	// current evaluation's phase timers, records fetch spans and stamps the
@@ -178,7 +192,6 @@ func Open(baseURL string, opts Options) (*Source, error) {
 		blobURL:     base + "/blob",
 		hashesURL:   base + "/hashes",
 		cache:       newPageCache(opts.CacheCapacity),
-		fragHashes:  map[int][]byte{},
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,46 +357,117 @@ func (s *Source) ChunkDigest(i int) ([]byte, error) {
 }
 
 // FragmentHashes implements secure.ChunkSource: the fragment leaf hashes of
-// one chunk, fetched from the hashes endpoint on first use and kept in their
-// wire form (DigestSize bytes per fragment, bounded by the document
-// layout).
+// one chunk in their wire form (DigestSize bytes per fragment, bounded by
+// the document layout). A miss fetches the records of a run of chunks from
+// i on in one range request for the leaf table: up to the first chunk whose
+// records the source holds, the end of the layout or HashRun chunks. The
+// records stay for the session, until a re-sync finds their chunk changed.
 func (s *Source) FragmentHashes(i int) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.fragHashes[i]; ok {
+	// Only ECB-MHT has a leaf table. Under it the digest table, read whole
+	// at open, bounds the chunk count and so the slice of records.
+	if s.man.Scheme != secure.SchemeECBMHT {
+		return nil, fmt.Errorf("remote: a %v document has no fragment hash table", s.man.Scheme)
+	}
+	n := s.man.NumChunks()
+	if i < 0 || i >= n {
+		return nil, fmt.Errorf("remote: chunk %d out of range (%d chunks)", i, n)
+	}
+	if len(s.leaves) < n {
+		s.leaves = slices.Grow(s.leaves, n-len(s.leaves))[:n]
+	}
+	if h := s.leaves[i]; h != nil {
 		return h, nil
 	}
-	if i < 0 || i >= s.man.NumChunks() {
-		return nil, fmt.Errorf("remote: chunk %d out of range (%d chunks)", i, s.man.NumChunks())
+	j := i + 1
+	for j < n && j-i < HashRun && s.leaves[j] == nil {
+		j++
 	}
-	resp, err := s.do("GET", s.hashesURL+"?chunk="+strconv.Itoa(i), nil)
-	if err != nil {
+	if err := s.fetchLeaves(i, j); err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: %s", i, s.errorDetail(resp))
+	return s.leaves[i], nil
+}
+
+// leafSpan returns the byte positions [start, end) of the records of chunks
+// [i, j) in the leaf table: every chunk before the last holds as many
+// fragments as the first.
+func (s *Source) leafSpan(i, j int) (int64, int64) {
+	per := int64(s.man.NumFragments(0)) * secure.DigestSize
+	return int64(i) * per, int64(j-1)*per + int64(s.man.NumFragments(j-1))*secure.DigestSize
+}
+
+// fetchLeaves fetches the leaf records of chunks [i, j), none of which the
+// source holds, in one If-Match range request and keeps each chunk's
+// records as a capacity-clipped slice of one exact-size buffer. Callers
+// hold s.mu.
+func (s *Source) fetchLeaves(i, j int) error {
+	start, end := s.leafSpan(i, j)
+	req, err := http.NewRequest("GET", s.hashesURL, nil)
+	if err != nil {
+		return err
 	}
-	// Hashes of a different blob version would fail Merkle verification as
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", start, end-1))
+	if s.etag != "" {
+		req.Header.Set("If-Match", s.etag)
+	}
+	fetchStart := s.trace.Now()
+	wireBefore := s.stats.BytesOnWire
+	resp, err := s.doReq(req)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		s.trace.Record("remote.hash-fetch", fetchStart, s.stats.BytesOnWire-wireBefore, int64(j-i), "")
+	}()
+	switch resp.StatusCode {
+	case http.StatusPartialContent:
+		a, b, err := parseContentRange(resp.Header.Get("Content-Range"))
+		if err == nil && (a != start || b != end-1) {
+			err = fmt.Errorf("remote: fragment hashes of chunks %d-%d: the answer names bytes %d-%d of the leaf table, not %d-%d",
+				i, j-1, a, b, start, end-1)
+		}
+		if err != nil {
+			resp.Body.Close()
+			return err
+		}
+	case http.StatusOK:
+		// A store that ignores Range sends the whole table, whose length the
+		// layout fixes: it is read to exactly that length and kept. The
+		// prefix and page fetches accept such a store too; refusing its
+		// table would leave every ECB-MHT view behind it unverifiable.
+		i, j = 0, s.man.NumChunks()
+		start, end = s.leafSpan(i, j)
+	case http.StatusPreconditionFailed:
+		resp.Body.Close()
+		return fmt.Errorf("%w: the leaf table moved on from %s", ErrChanged, s.etag)
+	default:
+		return fmt.Errorf("remote: fragment hashes of chunks %d-%d: %s", i, j-1, s.errorDetail(resp))
+	}
+	// Records of a different blob version would fail Merkle verification as
 	// tampering; detect the benign cause (the document moved on) and let the
 	// re-sync retry handle it instead.
 	if etag := resp.Header.Get("ETag"); etag != "" && s.etag != "" && etag != s.etag {
 		resp.Body.Close()
-		return nil, fmt.Errorf("%w: fragment hashes are for %s, client holds %s", ErrChanged, etag, s.etag)
+		return fmt.Errorf("%w: fragment hashes are for %s, client holds %s", ErrChanged, etag, s.etag)
 	}
-	// The records stay for the session: read them into a buffer of exactly
-	// their length.
-	want := s.man.NumFragments(i)
-	n := int64(want) * secure.DigestSize
-	body, got, err := s.readSized(resp, n, n)
+	body, got, err := s.readSized(resp, end-start, end-start)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if got != n {
-		return nil, fmt.Errorf("remote: fragment hashes for chunk %d: got %d bytes, want %d fragments x %d",
-			i, got, want, secure.DigestSize)
+	if got != end-start {
+		return fmt.Errorf("remote: fragment hashes of chunks %d-%d: got %d bytes, want %d", i, j-1, got, end-start)
 	}
-	s.fragHashes[i] = body
-	return body, nil
+	for c := i; c < j; c++ {
+		// A whole-table answer skips the records the source holds: they stay
+		// as they were handed out.
+		if s.leaves[c] == nil {
+			a, b := s.leafSpan(c, c+1)
+			s.leaves[c] = body[a-start : b-start : b-start]
+		}
+	}
+	return nil
 }
 
 // CiphertextRange implements secure.ChunkSource: it serves [off, off+n) from
@@ -694,11 +778,11 @@ func (s *Source) Resync() error {
 	return s.resyncLocked()
 }
 
-// resyncLocked synchronizes manifest, digest table, fragment hashes and page
+// resyncLocked synchronizes manifest, digest table, leaf records and page
 // cache with the server's current version. It keeps every cached page and
-// fragment hash of a chunk the two versions' digest tables show unchanged
-// and evicts the rest: pages and hashes of changed chunks, pages past the
-// new end of ciphertext and hashes of dropped chunks. A prefix fetch that
+// leaf record of a chunk the two versions' digest tables show unchanged
+// and evicts the rest: pages and records of changed chunks, pages past the
+// new end of ciphertext and records of dropped chunks. A prefix fetch that
 // fails (ErrChanged when a PATCH lands between the manifest and the prefix)
 // changes nothing, so the cache stays valid for the next attempt. Callers
 // hold s.mu.
@@ -727,7 +811,7 @@ func (s *Source) resyncLocked() error {
 		// the cache instead of listing every chunk the store claims: the
 		// loops below are bounded by the digest table.
 		s.cache.reset()
-		clear(s.fragHashes)
+		s.leaves = nil
 		return nil
 	}
 	changed := secure.ChangedChunks(oldMan, man, oldDigests, s.digests)
@@ -739,13 +823,14 @@ func (s *Source) resyncLocked() error {
 		for p := start / PageSize; p*PageSize < start+chunkSize; p++ {
 			s.cache.remove(p)
 		}
-		delete(s.fragHashes, c)
+		if c < len(s.leaves) {
+			s.leaves[c] = nil
+		}
 	}
 	s.cache.removeAbove((man.CiphertextLen - 1) / PageSize)
-	for c := range s.fragHashes {
-		if c >= man.NumChunks() {
-			delete(s.fragHashes, c)
-		}
+	if n := man.NumChunks(); n < len(s.leaves) {
+		clear(s.leaves[n:])
+		s.leaves = s.leaves[:n]
 	}
 	// Count the payoff after evicting, so a clean chunk whose only resident
 	// page straddled a dirty neighbour (page size not dividing the chunk

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ type reqLog struct {
 	mu         sync.Mutex
 	blobRanges []string
 	blobStatus []int
-	hashChunks []string
+	hashRanges []string
 	// blobTraceIDs / blobSpanIDs record the trace-propagation headers
 	// (X-Request-Id / X-Xmlac-Span-Id) of each blob request, empty strings
 	// when absent.
@@ -80,7 +81,7 @@ func withLog(log *reqLog, next http.Handler) http.Handler {
 			log.blobTraceIDs = append(log.blobTraceIDs, r.Header.Get("X-Request-Id"))
 			log.blobSpanIDs = append(log.blobSpanIDs, r.Header.Get("X-Xmlac-Span-Id"))
 		case strings.HasSuffix(r.URL.Path, "/hashes"):
-			log.hashChunks = append(log.hashChunks, r.URL.Query().Get("chunk"))
+			log.hashRanges = append(log.hashRanges, r.Header.Get("Range"))
 		}
 		log.mu.Unlock()
 	})
@@ -415,30 +416,101 @@ func TestChangedBlobDetectedMidStream(t *testing.T) {
 	}
 }
 
-// TestFragmentHashesFetchedOncePerChunk: the hashes endpoint is hit at most
-// once per chunk and the payload splits into DigestSize records.
+// TestFragmentHashesFetchedOncePerChunk: a chunk whose leaf records the
+// source lacks fetches, in one ranged /hashes request, the records of the
+// run from it to the first chunk already held, the end of the layout or
+// HashRun chunks, whichever comes first. Every chunk's records are fetched
+// once, equal the store's table at the chunk's position and end at their
+// capacity.
 func TestFragmentHashesFetchedOncePerChunk(t *testing.T) {
-	env := newEnv(t, 6)
+	env := newEnv(t, 200)
 	src := env.open(t, remote.Options{})
-	h1, err := src.FragmentHashes(0)
+	m := src.Manifest()
+	n := m.NumChunks()
+	if n <= remote.HashRun+8 || n > 2*remote.HashRun+8 {
+		t.Fatalf("a %d-chunk document is not one to two runs of %d chunks past chunk 8", n, remote.HashRun)
+	}
+	prot, err := xmlac.UnmarshalProtected(env.blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h1) != src.Manifest().NumFragments(0)*secure.DigestSize {
-		t.Fatalf("got %d bytes of fragment hashes, want %d records", len(h1), src.Manifest().NumFragments(0))
+	table := prot.LeafTable()
+	rangeOf := func(i, j int) string { return fmt.Sprintf("bytes=%d-%d", leafPos(m, i), leafPos(m, j)-1) }
+	// Chunk 8 misses first: a run of HashRun chunks. Chunk 0's run then
+	// stops at chunk 8, and the last run ends with the layout.
+	var want []string
+	for _, run := range [][2]int{{8, 8 + remote.HashRun}, {0, 8}, {8 + remote.HashRun, n}} {
+		if _, err := src.FragmentHashes(run[0]); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rangeOf(run[0], run[1]))
 	}
-	before := src.Stats()
-	if _, err := src.FragmentHashes(0); err != nil {
-		t.Fatal(err)
+	trips := src.Stats().RoundTrips
+	for c := 0; c < n; c++ {
+		h, err := src.FragmentHashes(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(h, table[leafPos(m, c):leafPos(m, c+1)]) || cap(h) != len(h) {
+			t.Fatalf("chunk %d: %d records (capacity %d bytes), not the store's %d", c, len(h)/secure.DigestSize, cap(h), m.NumFragments(c))
+		}
 	}
-	if after := src.Stats(); after.RoundTrips != before.RoundTrips {
-		t.Fatal("second FragmentHashes call for the same chunk hit the network")
+	if after := src.Stats().RoundTrips; after != trips {
+		t.Fatalf("reading every chunk's records after three runs sent %d more requests", after-trips)
 	}
 	env.log.mu.Lock()
-	hashReqs := len(env.log.hashChunks)
+	got := append([]string(nil), env.log.hashRanges...)
 	env.log.mu.Unlock()
-	if hashReqs != 1 {
-		t.Fatalf("hashes endpoint hit %d times, want 1", hashReqs)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("leaf-table requests %q, want %q", got, want)
+	}
+}
+
+// TestFragmentHashesConcurrent: goroutines reading the leaf records of
+// every chunk of one source, each in its own order, get the store's records
+// and between them fetch each chunk's records exactly once.
+func TestFragmentHashesConcurrent(t *testing.T) {
+	env := newEnv(t, 200)
+	src := env.open(t, remote.Options{})
+	m := src.Manifest()
+	n := m.NumChunks()
+	prot, err := xmlac.UnmarshalProtected(env.blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := prot.LeafTable()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				c := (k*(2*g+1) + 37*g) % n
+				h, err := src.FragmentHashes(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(h, table[leafPos(m, c):leafPos(m, c+1)]) {
+					t.Errorf("goroutine %d: chunk %d's records differ from the store's", g, c)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	env.log.mu.Lock()
+	defer env.log.mu.Unlock()
+	var fetched int64
+	for _, rng := range env.log.hashRanges {
+		var a, b int64
+		if _, err := fmt.Sscanf(rng, "bytes=%d-%d", &a, &b); err != nil {
+			t.Fatalf("leaf-table request with Range %q: %v", rng, err)
+		}
+		fetched += b - a + 1
+	}
+	if fetched != int64(len(table)) {
+		t.Fatalf("%d requests fetched %d bytes of records; the table holds %d", len(env.log.hashRanges), fetched, len(table))
 	}
 }
 

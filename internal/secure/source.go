@@ -68,11 +68,12 @@ type ChunkSource interface {
 	// ChunkDigest returns the encrypted digest of chunk i.
 	ChunkDigest(i int) ([]byte, error)
 	// FragmentHashes returns the SHA-1 hash of every ciphertext fragment of
-	// chunk i as DigestSize-byte records back to back, the /hashes wire
-	// format (the terminal side of the ECB-MHT Merkle protocol: the SOE
-	// hashes the fragments it fetched itself and takes the others from here,
-	// then verifies the recomputed root against the decrypted chunk digest,
-	// so a lying source is always detected). The records belong to the
+	// chunk i as DigestSize-byte records back to back: chunk i's slice of
+	// the leaf table the store range-serves on /hashes (the terminal side
+	// of the ECB-MHT Merkle protocol: the SOE hashes the fragments it
+	// fetched itself and takes the others from here, then verifies the
+	// recomputed root against the decrypted chunk digest, so a lying source
+	// is always detected). The records belong to the
 	// source: like CiphertextRange's bytes, they stay valid across further
 	// calls and must not be modified.
 	FragmentHashes(i int) ([]byte, error)
@@ -118,4 +119,12 @@ func (p *Protected) FragmentHashes(i int) ([]byte, error) {
 		return nil, fmt.Errorf("secure: chunk %d out of range (%d chunks)", i, p.NumChunks())
 	}
 	return p.chunkLeaves(i), nil
+}
+
+// LeafTable returns the whole leaf table of an ECB-MHT document: every
+// chunk's FragmentHashes records, chunk after chunk (nil under the other
+// schemes). The table is built with the ciphertext and never modified;
+// callers must not modify it either.
+func (p *Protected) LeafTable() []byte {
+	return p.leaves[:len(p.leaves):len(p.leaves)]
 }

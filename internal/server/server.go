@@ -3,12 +3,12 @@
 // one ledger of store counters.
 //
 // The server holds only protected containers. It range-serves each
-// container with a per-version ETag, publishes its manifest and fragment
-// hashes, and logs every mutation durably when Options.DataDir is set. It
-// keeps no update history: a remote chunk cache learns which chunks changed
-// by comparing the encrypted digest tables of two versions. It never
-// evaluates a policy: every view runs in a client SOE (xmlac.OpenRemote),
-// which pulls only the ciphertext its policy needs.
+// container and its ECB-MHT leaf table under a per-version ETag, publishes
+// its manifest, and logs every mutation durably when Options.DataDir is
+// set. It keeps no update history: a remote chunk cache learns which chunks
+// changed by comparing the encrypted digest tables of two versions. It
+// never evaluates a policy: every view runs in a client SOE
+// (xmlac.OpenRemote), which pulls only the ciphertext its policy needs.
 //
 // One trusted-mode exception remains: the plaintext write path. PUT
 // /docs/{id} takes XML and a passphrase, and PATCH takes plaintext edits;
@@ -20,7 +20,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha1"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +27,6 @@ import (
 	"log/slog"
 	"net/http"
 	httppprof "net/http/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -202,16 +200,16 @@ func (s *Server) RegisterDocument(id, xmlText, passphrase string, scheme xmlac.S
 //	DELETE /docs/{id}                      delete a document
 //	GET    /docs/{id}/manifest             public layout (scheme, chunking, sizes, version)
 //	GET    /docs/{id}/blob                 encrypted container (Range, per-version ETag)
-//	GET    /docs/{id}/hashes?chunk=N       fragment hashes of one chunk (ECB-MHT)
+//	GET    /docs/{id}/hashes               fragment leaf table (Range, ECB-MHT)
 //	GET    /metrics                        every counter, as JSON
 //	GET    /metrics.prom                   the same snapshot, Prometheus text format
 //	GET    /debug/trace                    retained request spans, as JSONL
 //	GET    /healthz                        liveness; 503 once storage has failed
 //
 // The manifest, blob and hashes routes are what a remote SOE
-// (xmlac.OpenRemote) reads: it pulls ciphertext ranges, digests and Merkle
-// hashes and evaluates the policy on the client, so skipped bytes never
-// cross the wire.
+// (xmlac.OpenRemote) reads: it pulls ciphertext ranges, digests and runs
+// of Merkle leaf records and evaluates the policy on the client, so skipped
+// bytes never cross the wire.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /docs/{id}", s.handlePutDoc)
@@ -439,34 +437,27 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
 }
 
-// handleFragmentHashes serves the ciphertext fragment hashes of one chunk
-// (?chunk=N) as DigestSize-byte records, under the entity tag of the version
-// they hash: the untrusted-terminal half of the ECB-MHT Merkle protocol. The
-// records are the surface's slice of the leaf table the version was built
-// with, written as they are; the SOE verifies them against the decrypted
-// chunk digest. Only ECB-MHT documents have them.
+// handleFragmentHashes range-serves the current version's leaf table, as
+// handleBlob serves its container: the SHA-1 of every ciphertext fragment
+// as DigestSize-byte records, chunk after chunk, under the entity tag of
+// the version they hash. It is the untrusted-terminal half of the ECB-MHT
+// Merkle protocol: a client fetches the records of a run of chunks in one
+// range request and the SOE verifies them against the decrypted chunk
+// digest. http.ServeContent answers a stale If-Match with 412 and a range
+// past the table with 416. Only ECB-MHT documents have a table; the others
+// answer 400.
 func (s *Server) handleFragmentHashes(w http.ResponseWriter, r *http.Request) {
 	entry, err := s.store.Entry(r.PathValue("id"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	chunk, err := strconv.Atoi(r.URL.Query().Get("chunk"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "missing or invalid %q query parameter", "chunk")
-		return
-	}
 	sf := entry.current()
-	if chunk < 0 || chunk >= len(sf.hashes) {
-		httpError(w, http.StatusBadRequest, "no fragment hashes for chunk %d of a %d-chunk %s document",
-			chunk, sf.manifest.NumChunks, sf.manifest.Scheme)
+	if sf.leaves == nil {
+		httpError(w, http.StatusBadRequest, "a %s document has no fragment leaf table", sf.manifest.Scheme)
 		return
 	}
-	hashes := sf.hashes[chunk]
-	h := w.Header()
-	h.Set("ETag", sf.etag)
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Xmlac-Fragment-Count", strconv.Itoa(len(hashes)/sha1.Size))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(hashes) // a failed write means the client went away
+	w.Header().Set("ETag", sf.etag)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(sf.leaves))
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -423,8 +422,11 @@ func TestManifestEndpoint(t *testing.T) {
 	}
 }
 
-// TestFragmentHashesEndpoint checks the served hashes against a direct
-// computation over the blob's ciphertext.
+// TestFragmentHashesEndpoint checks the range-served leaf table against a
+// direct computation over the blob's ciphertext: the whole table, a run of
+// chunks in its middle and a run that ends at the last chunk, and the
+// answers to a stale If-Match, a range past the table and a document
+// without a table.
 func TestFragmentHashesEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	putDoc(t, ts, "hospital", hospitalXML(6))
@@ -432,54 +434,84 @@ func TestFragmentHashesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := entry.Blob()
+	blob, etag := entry.Blob()
 	prot, err := xmlac.UnmarshalProtected(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	man := prot.Manifest()
+	get := func(id, rng, ifMatch string) (*http.Response, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/docs/"+id+"/hashes", nil)
+		if rng != "" {
+			req.Header.Set("Range", rng)
+		}
+		if ifMatch != "" {
+			req.Header.Set("If-Match", ifMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(body)
+	}
 
-	resp, body := do(t, http.MethodGet, ts.URL+"/docs/hospital/hashes?chunk=0", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hashes: %d %s", resp.StatusCode, body)
+	// The whole table: one record per ciphertext fragment, each the SHA-1
+	// of its fragment.
+	resp, body := get("hospital", "", "")
+	table := prot.LeafTable()
+	if resp.StatusCode != http.StatusOK || body != string(table) {
+		t.Fatalf("leaf table: %d, %d bytes; want 200 with the document's %d", resp.StatusCode, len(body), len(table))
 	}
-	want, err := prot.FragmentHashes(0)
-	if err != nil {
-		t.Fatal(err)
+	if got := resp.Header.Get("ETag"); got != etag {
+		t.Fatalf("leaf table ETag %q, want the blob's %q", got, etag)
 	}
-	if !bytes.Equal([]byte(body), want) {
-		t.Fatalf("hashes body (%d bytes) differs from the document's chunk-0 records (%d bytes)", len(body), len(want))
-	}
-	if n := resp.Header.Get("X-Xmlac-Fragment-Count"); n != strconv.Itoa(len(want)/sha1.Size) {
-		t.Fatalf("fragment count header %q, want %d", n, len(want)/sha1.Size)
-	}
-	// Each record is the SHA-1 of one ciphertext fragment.
 	ct := blob[man.CiphertextOffset:]
-	for f := 0; f < len(want)/sha1.Size; f++ {
-		h := sha1.Sum(ct[f*man.FragmentSize : (f+1)*man.FragmentSize])
-		if !bytes.Equal(want[f*sha1.Size:(f+1)*sha1.Size], h[:]) {
+	frags := (len(ct) + man.FragmentSize - 1) / man.FragmentSize
+	if len(table) != frags*sha1.Size {
+		t.Fatalf("leaf table holds %d bytes for %d fragments", len(table), frags)
+	}
+	for f := 0; f < frags; f++ {
+		h := sha1.Sum(ct[f*man.FragmentSize : min((f+1)*man.FragmentSize, len(ct))])
+		if !bytes.Equal(table[f*sha1.Size:(f+1)*sha1.Size], h[:]) {
 			t.Fatalf("fragment %d hash differs from the SHA-1 of its ciphertext", f)
 		}
 	}
-	// Chunk bounds are partially filled at the tail: the last chunk may have
-	// fewer fragments, but never zero.
-	resp, body = do(t, http.MethodGet, ts.URL+fmt.Sprintf("/docs/hospital/hashes?chunk=%d", man.NumChunks-1), "")
-	if resp.StatusCode != http.StatusOK || len(body) == 0 {
-		t.Fatalf("last chunk hashes: %d, %d bytes", resp.StatusCode, len(body))
+
+	// Runs of chunks: records are chunk after chunk, every chunk but the
+	// last holding ChunkSize/FragmentSize of them.
+	per := man.ChunkSize / man.FragmentSize * sha1.Size
+	for _, run := range [][2]int{{2, 5}, {man.NumChunks - 3, man.NumChunks}} {
+		start, end := run[0]*per, min(run[1]*per, len(table))
+		resp, body = get("hospital", fmt.Sprintf("bytes=%d-%d", start, end-1), etag)
+		if resp.StatusCode != http.StatusPartialContent || body != string(table[start:end]) {
+			t.Fatalf("chunks %d-%d: %d, %d bytes; want 206 with %d", run[0], run[1]-1, resp.StatusCode, len(body), end-start)
+		}
+		if cr, want := resp.Header.Get("Content-Range"), fmt.Sprintf("bytes %d-%d/%d", start, end-1, len(table)); cr != want {
+			t.Fatalf("chunks %d-%d: Content-Range %q, want %q", run[0], run[1]-1, cr, want)
+		}
 	}
 
-	for _, bad := range []string{"?chunk=-1", fmt.Sprintf("?chunk=%d", man.NumChunks), "", "?chunk=x"} {
-		resp, _ = do(t, http.MethodGet, ts.URL+"/docs/hospital/hashes"+bad, "")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("hashes%s: %d, want 400", bad, resp.StatusCode)
-		}
+	// A client holding another version learns it before any record.
+	resp, body = get("hospital", "bytes=0-159", `"another version"`)
+	if resp.StatusCode != http.StatusPreconditionFailed {
+		t.Fatalf("stale If-Match: %d %s, want 412", resp.StatusCode, body)
+	}
+	resp, body = get("hospital", fmt.Sprintf("bytes=%d-%d", len(table), len(table)+159), etag)
+	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+		t.Fatalf("range past the table: %d %s, want 416", resp.StatusCode, body)
 	}
 
 	// Only ECB-MHT has a leaf table, and only ECB-MHT readers ask for it.
 	if _, err := srv.Store().RegisterXML("cbc", hospitalXML(6), "", xmlac.SchemeCBCSHA); err != nil {
 		t.Fatal(err)
 	}
-	resp, body = do(t, http.MethodGet, ts.URL+"/docs/cbc/hashes?chunk=0", "")
+	resp, body = get("cbc", "bytes=0-159", "")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("hashes of a CBC-SHA document: %d %s, want 400", resp.StatusCode, body)
 	}

@@ -87,30 +87,22 @@ type DocumentEntry struct {
 // If-Range) and its manifest. A surface is immutable once published. A
 // handler loads the entry's surface once and answers from it alone, so no
 // response pairs one version's entity tag with another version's manifest
-// or hashes.
+// or leaf records.
 type surface struct {
 	blob     []byte
 	etag     string
 	manifest xmlac.DocumentManifest
-	// hashes[i] is chunk i's records in the version's leaf table (the
-	// untrusted-terminal side of the ECB-MHT Merkle protocol); empty under
-	// the other schemes, which have no table.
-	hashes [][]byte
+	// leaves is the version's leaf table (the untrusted-terminal side of the
+	// ECB-MHT Merkle protocol), range-served on GET /docs/{id}/hashes; nil
+	// under the other schemes, which have none.
+	leaves []byte
 }
 
 // newSurface builds the surface of one protected version from its
 // marshalled container. prot must be at that version: the caller holds the
 // entry's update lock, or builds the entry.
 func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte) *surface {
-	sf := &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest()}
-	for i := 0; i < sf.manifest.NumChunks; i++ {
-		h, err := prot.FragmentHashes(i)
-		if err != nil {
-			break // not an ECB-MHT document
-		}
-		sf.hashes = append(sf.hashes, h)
-	}
-	return sf
+	return &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest(), leaves: prot.LeafTable()}
 }
 
 // DocumentInfo is the externally visible summary of a registered document.

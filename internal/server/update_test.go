@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -128,9 +129,10 @@ func TestPatchDocumentRejectsBadEdits(t *testing.T) {
 }
 
 // TestBlobSurfaceResponsesAreOneVersion: while PATCHes publish version after
-// version, every manifest and fragment-hashes response describes one
-// version. The manifest's entity tag is the one its version was published
-// with, and the hashes are those of the version whose entity tag they carry.
+// version, every manifest and leaf-table response describes one version.
+// The manifest's entity tag is the one its version was published with, and
+// a ranged leaf-table answer carries the records of the version whose
+// entity tag it carries.
 // A client's prefix fetch sends the manifest's entity tag as If-Match, so a
 // manifest pairing one version's tag with another version's layout would
 // fail Open and Revalidate with ErrChanged for no reason.
@@ -142,20 +144,19 @@ func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
 	}
 	handler := srv.Handler()
 
-	// chunk0Sum digests the fragment hashes of chunk 0 of a blob.
+	// Readers ask for the leaf records of chunks 0 and 1; chunk0Sum digests
+	// those records of a blob.
+	man := entry.current().manifest
+	records := 2 * man.ChunkSize / man.FragmentSize * sha1.Size
 	chunk0Sum := func(blob []byte) [sha256.Size]byte {
 		prot, err := xmlac.UnmarshalProtected(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashes, err := prot.FragmentHashes(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sha256.Sum256(hashes)
+		return sha256.Sum256(prot.LeafTable()[:records])
 	}
 	// The writer records, per version, the entity tag it was published
-	// with and the digest of its chunk-0 hashes.
+	// with and the digest of its chunk-0 and chunk-1 records.
 	blob, etag := entry.Blob()
 	etags := map[uint64]string{1: etag}
 	hashSums := map[string][sha256.Size]byte{etag: chunk0Sum(blob)}
@@ -187,10 +188,14 @@ func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
 	}
 	var manifests []manifestSeen
 	var hashes []hashesSeen
-	serve := func(target string) *httptest.ResponseRecorder {
+	serve := func(target, rng string, code int) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-		if rec.Code != http.StatusOK {
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		if rng != "" {
+			req.Header.Set("Range", rng)
+		}
+		handler.ServeHTTP(rec, req)
+		if rec.Code != code {
 			t.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
 		}
 		return rec
@@ -201,7 +206,7 @@ func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
 			running = false
 		default:
 		}
-		rec := serve("/docs/hospital/manifest")
+		rec := serve("/docs/hospital/manifest", "", http.StatusOK)
 		var payload struct {
 			ETag     string `json:"etag"`
 			Manifest struct {
@@ -212,7 +217,7 @@ func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		manifests = append(manifests, manifestSeen{rec.Header().Get("ETag"), payload.ETag, payload.Manifest.Version})
-		rec = serve("/docs/hospital/hashes?chunk=0")
+		rec = serve("/docs/hospital/hashes", fmt.Sprintf("bytes=0-%d", records-1), http.StatusPartialContent)
 		hashes = append(hashes, hashesSeen{rec.Header().Get("ETag"), sha256.Sum256(rec.Body.Bytes())})
 	}
 
@@ -232,6 +237,6 @@ func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
 		}
 	}
 	if torn > 0 {
-		t.Errorf("%d of %d fragment-hashes responses carry another version's hashes", torn, len(hashes))
+		t.Errorf("%d of %d leaf-table responses carry another version's records", torn, len(hashes))
 	}
 }

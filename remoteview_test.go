@@ -250,6 +250,87 @@ func TestRepeatedViewLargerThanCacheHits(t *testing.T) {
 	}
 }
 
+// hashCounter is an http.RoundTripper that counts the /hashes requests it
+// carries.
+type hashCounter struct{ n atomic.Int64 }
+
+func (c *hashCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/hashes") {
+		c.n.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRemoteViewFetchesLeafRecordsByTheRun pins the /hashes requests of
+// remote views. A 60-folder document has fewer chunks than one run of leaf
+// records, so a cold view sends exactly one request and a warm view none.
+// A PATCH that changes the length of a text in the first folder dirties
+// every chunk after it; after Revalidate, the next view fetches their
+// records in one request. Every view equals the local view of the same
+// version.
+func TestRemoteViewFetchesLeafRecordsByTheRun(t *testing.T) {
+	srv := server.New(server.Options{})
+	xml := xmlstream.SerializeTree(dataset.HospitalFolders(60, 3), false)
+	entry, err := srv.Store().RegisterXML("hospital", xml, remotePassphrase, xmlac.SchemeECBMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	key := xmlac.DeriveKey(remotePassphrase)
+	counter := &hashCounter{}
+	doc, err := xmlac.OpenRemoteOptions(ts.URL+"/docs/hospital", key, xmlac.RemoteOptions{HTTPClient: &http.Client{Transport: counter}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := xmlac.SecretaryPolicy().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := func(step string, want int64) {
+		t.Helper()
+		before := counter.n.Load()
+		got, _, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
+		if err != nil {
+			t.Fatalf("%s view: %v", step, err)
+		}
+		if n := counter.n.Load() - before; n != want {
+			t.Fatalf("%s view sent %d /hashes requests, want %d", step, n, want)
+		}
+		blob, _ := entry.Blob()
+		local, err := xmlac.UnmarshalProtected(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantView, _, err := local.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.XML() != wantView.XML() {
+			t.Fatalf("%s view differs from the local view of version %d", step, local.Version())
+		}
+	}
+	view("cold", 1)
+	view("warm", 0)
+	req, err := http.NewRequest(http.MethodPatch, ts.URL+"/docs/hospital",
+		strings.NewReader(`{"edits":[{"op":"set-text","path":"/Hospital/Folder[1]/Admin/Fname","text":"a first name longer than any before it"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH answered %d", resp.StatusCode)
+	}
+	if changed, err := doc.Revalidate(); err != nil || !changed {
+		t.Fatalf("Revalidate after the PATCH: changed=%v, %v", changed, err)
+	}
+	view("post-PATCH", 1)
+}
+
 // BenchmarkRemoteView compares, over the network, the paper's TCSBR strategy
 // (Skip-index driven range requests) against a brute-force client that
 // downloads the whole blob and evaluates locally: transfer is the metric
@@ -367,6 +448,22 @@ func TestRemoteStreamTraceHasOneViewRootSpan(t *testing.T) {
 		}
 		if run == 1 && hits == 0 {
 			t.Fatalf("%s: warm view reported no page hits (%q)", id, roots[0].Detail)
+		}
+		// The cold view's Merkle checks fetch leaf records, one span per
+		// /hashes request under the view's root span; the warm view holds
+		// them all.
+		var hashFetches int
+		for _, sp := range tr.Spans(xmlac.TraceFilter{TraceID: id}) {
+			if sp.Name != "remote.hash-fetch" {
+				continue
+			}
+			hashFetches++
+			if sp.Parent != roots[0].SpanID || sp.Bytes <= 0 || sp.Chunks <= 0 {
+				t.Fatalf("%s: remote.hash-fetch span %+v is not a fetch of records under the view's root span", id, sp)
+			}
+		}
+		if (run == 0) != (hashFetches > 0) {
+			t.Fatalf("%s: %d remote.hash-fetch spans", id, hashFetches)
 		}
 	}
 

@@ -88,12 +88,12 @@
 // The internal/server package and the xmlac-serve command are the paper's
 // untrusted store, as a concurrent multi-tenant HTTP service: documents are
 // registered (PUT /docs/{id}) and updated (PATCH /docs/{id}) over HTTP, and
-// the store range-serves each protected container, its manifest and
-// fragment hashes. The store never evaluates a policy: every view
-// runs in a client SOE (OpenRemote, below). Its one trusted-mode exception
-// is the plaintext write path — registration takes XML and a passphrase and
-// PATCH takes plaintext edits, so the store derives the key and protects and
-// re-encrypts the document itself. GET /metrics and GET /metrics.prom report
+// the store publishes each protected container's manifest and range-serves
+// the container and its ECB-MHT leaf table. The store never evaluates a
+// policy: every view runs in a client SOE (OpenRemote, below). Its one
+// trusted-mode exception is the plaintext write path — registration takes
+// XML and a passphrase and PATCH takes plaintext edits, so the store
+// derives the key and protects and re-encrypts the document itself. GET /metrics and GET /metrics.prom report
 // the store's own counters: requests, documents, updates and storage.
 //
 // # Remote SOE
@@ -101,8 +101,9 @@
 // The deployment model of the paper keeps the server untrusted: it stores
 // only the encrypted container, and the SOE holding the key runs on the
 // client. OpenRemote implements that model against the same server's blob
-// surface (GET /docs/{id}/manifest, /blob with HTTP ranges, /hashes), and
-// RemoteDocument.View is the same view over it:
+// surface (GET /docs/{id}/manifest, and /blob and the ECB-MHT leaf table
+// /hashes, both with HTTP ranges), and RemoteDocument.View is the same
+// view over it:
 //
 //	doc, _ := xmlac.OpenRemote("http://host:8080/docs/hospital", key)
 //	view, metrics, _ := doc.View(ctx, cp, xmlac.ViewOptions{}, nil)
@@ -113,7 +114,9 @@
 // through range requests (coalesced, cached in a bounded set of pages), so
 // the bytes the Skip index skips are bytes that never cross the network:
 // Metrics.BytesOnWire stays well under a full download for selective
-// policies. A full page cache evicts at random: every view is a forward
+// policies. The leaf records the Merkle checks need are fetched by the run
+// of chunks, so a cold view sends a few /hashes requests, not one per
+// chunk. A full page cache evicts at random: every view is a forward
 // scan, and LRU would keep nothing of a repeated view whose working set
 // exceeds the cache. Canceling the view's context closes its in-flight
 // requests. The xmlac-view command (-url) and examples/remoteclient show
@@ -504,17 +507,18 @@ func (p *Protected) Manifest() DocumentManifest {
 // public lower-case names.
 func (s Scheme) normalize() Scheme { return Scheme(strings.ToLower(string(s))) }
 
-// FragmentHashes returns the SHA-1 hash of every ciphertext fragment of a
-// chunk of the current version, as 20-byte records back to back: the
-// untrusted-terminal side of the ECB-MHT Merkle protocol, served by blob
-// servers to remote SOE clients (GET /docs/{id}/hashes?chunk=N) in exactly
-// this form. The records are a slice of the leaf table the version was
-// built with, hashed once over public ciphertext, so the call neither
-// hashes nor allocates; they are read-only. Clients verify them against the
-// decrypted chunk digest, so a hash or fragment the server alters fails the
-// Merkle check. Only ECB-MHT documents have a leaf table.
-func (p *Protected) FragmentHashes(chunk int) ([]byte, error) {
-	return p.snapshot().FragmentHashes(chunk)
+// LeafTable returns the leaf table of the current version: the SHA-1 hash
+// of every ciphertext fragment as 20-byte records back to back, chunk after
+// chunk. It is the untrusted-terminal side of the ECB-MHT Merkle protocol,
+// which blob servers range-serve to remote SOE clients (GET
+// /docs/{id}/hashes) in exactly this form. The table is built with the
+// version, hashed once over public ciphertext, so the call neither hashes
+// nor copies; it is read-only. Clients verify the records against the
+// decrypted chunk digest, so a record or fragment the server alters fails
+// the Merkle check. Only ECB-MHT documents have a leaf table; under the
+// other schemes it is nil.
+func (p *Protected) LeafTable() []byte {
+	return p.snapshot().LeafTable()
 }
 
 // ViewOptions tunes the evaluation of an authorized view.
