@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"mime"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -158,13 +160,13 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		// last.
 		name:   "fragment hashes",
 		target: hashes,
-		bound:  func(d *boundDoc) int64 { return leafPos(d.man, d.man.NumChunks()) - leafPos(d.man, 3) },
+		bound:  func(d *boundDoc) int64 { a, b := d.man.LeafBounds(3, d.man.NumChunks()); return b - a },
 		call:   leafRun,
 	}, {
 		name:        "whole leaf table for a run",
 		target:      hashes,
 		ignoreRange: true,
-		bound:       func(d *boundDoc) int64 { return leafPos(d.man, d.man.NumChunks()) },
+		bound:       func(d *boundDoc) int64 { _, b := d.man.LeafBounds(0, d.man.NumChunks()); return b },
 		call:        leafRun,
 	}, {
 		name:   "single range",
@@ -226,6 +228,76 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 			}
 			if extra, bound := d.read.Load()-honest.read.Load(), tc.bound(d); extra > bound+1 {
 				t.Fatalf("the client read %d bytes more than from the honest store; the bound is %d", extra, bound)
+			}
+		})
+	}
+}
+
+// TestHostileLayoutReservesWhatArrives: the leaf records a chunk has follow
+// from the layout the store declares, so the client must not reserve them
+// before they arrive. The store's container header declares one ECB-MHT
+// chunk of 4 GiB - 8 bytes in 8-byte fragments, 10 GiB of leaf records.
+// Asked for them, it sends 3 MiB and ends the body, under a 206 naming the
+// run or under a 200: the client fails having allocated at most four times
+// what it sent.
+func TestHostileLayoutReservesWhatArrives(t *testing.T) {
+	prot, err := secure.Protect([]byte("<a/>"), secure.DeriveKey(testPassphrase),
+		secure.ProtectOptions{Scheme: secure.SchemeECBMHT, ChunkSize: 4096, FragmentSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := prot.Marshal()
+	_, _, ctOff, err := secure.UnmarshalManifest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The chunk size follows the magic, version and scheme bytes; the
+	// ciphertext length ends the prefix.
+	const chunkSize = 1<<32 - 8
+	prefix := append([]byte(nil), blob[:ctOff]...)
+	binary.LittleEndian.PutUint32(prefix[6:], chunkSize)
+	binary.LittleEndian.PutUint64(prefix[ctOff-8:], chunkSize)
+	man, _, _, err := secure.UnmarshalManifest(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, records := man.LeafBounds(0, 1)
+	if man.NumChunks() != 1 || records < 8<<30 {
+		t.Fatalf("the forged layout has %d chunks and %d bytes of records", man.NumChunks(), records)
+	}
+	const etag, sent = `"hostile"`, 3 << 20
+	manifest := fmt.Sprintf(`{"etag":%q,"manifest":{"ciphertext_offset":%d,"blob_size":%d,"version":1}}`, etag, ctOff, ctOff+chunkSize)
+	store := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", etag)
+		if strings.HasSuffix(r.URL.Path, "/manifest") {
+			io.WriteString(w, manifest)
+			return
+		}
+		w.WriteHeader(http.StatusPartialContent)
+		w.Write(prefix)
+	})
+	for _, tc := range []struct {
+		name, contentRange string
+		status             int
+	}{
+		{"run", fmt.Sprintf("bytes 0-%d/%d", records-1, records), http.StatusPartialContent},
+		{"whole table", "", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ht := &hashesTransport{store: store, status: tc.status, etag: etag, contentRange: tc.contentRange, body: make([]byte, sent)}
+			src, err := remote.Open("http://store.test/docs/hostile", remote.Options{HTTPClient: &http.Client{Transport: ht}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = src.FragmentHashes(0)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("accepted 3 MiB of records for a 10 GiB chunk")
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*sent {
+				t.Fatalf("the client allocated %d bytes on a %d-byte body", alloc, sent)
 			}
 		})
 	}

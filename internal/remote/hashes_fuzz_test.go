@@ -55,20 +55,10 @@ func (ht *hashesTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// leafPos returns the position of chunk c's records in the leaf table of
-// m's layout: the records of every chunk before it, counted one by one.
-func leafPos(m secure.Manifest, c int) int64 {
-	var pos int64
-	for k := 0; k < c; k++ {
-		pos += int64(m.NumFragments(k)) * secure.DigestSize
-	}
-	return pos
-}
-
 // FuzzHashesResponse drives the client's leaf-table request with whatever
 // an untrusted store may answer: any status, ETag, Content-Range and body,
-// for any chunk index. A miss for chunk i asks for the records of the run
-// from i to the end of the layout or HashRun chunks. The client must never
+// for any chunk index. A miss for chunk i on a fresh source asks for the
+// records of the run from i to the end of the layout. The client must never
 // panic. Of a 206 it reads at most the run's bytes plus one, of a 200 (a
 // store that ignored the range) at most the table's plus one, and of any
 // other status at most MaxErrorBody. An accepted answer is a 206 for
@@ -98,7 +88,8 @@ func FuzzHashesResponse(f *testing.F) {
 	numChunks := m.NumChunks()
 	// run serves the honest answer for the records of chunks [i, j).
 	run := func(i, j int) (string, []byte) {
-		_, cr, body := serve(fmt.Sprintf("bytes=%d-%d", leafPos(m, i), leafPos(m, j)-1))
+		a, b := m.LeafBounds(i, j)
+		_, cr, body := serve(fmt.Sprintf("bytes=%d-%d", a, b-1))
 		return cr, body
 	}
 	mid, last := 3, numChunks-1
@@ -106,7 +97,8 @@ func FuzzHashesResponse(f *testing.F) {
 	lastCR, lastRun := run(last, numChunks)
 	_, firstChunk := run(0, 1)
 	// The bytes of the table as long as chunk 3's run, one chunk earlier.
-	shiftStart, shiftEnd := leafPos(m, mid-1), leafPos(m, mid-1)+int64(len(midRun))
+	shiftStart, _ := m.LeafBounds(mid-1, mid)
+	shiftEnd := shiftStart + int64(len(midRun))
 	shiftCR := fmt.Sprintf("bytes %d-%d/%d", shiftStart, shiftEnd-1, len(table))
 	long := append(append([]byte(nil), midRun...), midRun[:secure.DigestSize]...)
 	f.Add(mid, 206, etag, midCR, midRun)                       // honest
@@ -129,22 +121,18 @@ func FuzzHashesResponse(f *testing.F) {
 			t.Fatal(err)
 		}
 		inLayout := chunk >= 0 && chunk < numChunks
-		runEnd := numChunks
-		if inLayout {
-			runEnd = min(chunk+remote.HashRun, numChunks)
-		}
 		got, err := src.FragmentHashes(chunk)
 		read := ht.read.Load()
 		switch status {
 		case http.StatusPartialContent:
 			if inLayout {
-				if want := leafPos(m, runEnd) - leafPos(m, chunk); read > want+1 {
-					t.Fatalf("read %d bytes of a 206 for the %d-byte run of chunks %d-%d", read, want, chunk, runEnd-1)
+				if a, b := m.LeafBounds(chunk, numChunks); read > b-a+1 {
+					t.Fatalf("read %d bytes of a 206 for the %d-byte run of chunks %d-%d", read, b-a, chunk, numChunks-1)
 				}
 			}
 		case http.StatusOK:
-			if want := leafPos(m, numChunks); read > want+1 {
-				t.Fatalf("read %d bytes of a 200 for a %d-byte leaf table", read, want)
+			if _, b := m.LeafBounds(0, numChunks); read > b+1 {
+				t.Fatalf("read %d bytes of a 200 for a %d-byte leaf table", read, b)
 			}
 		default:
 			if read > remote.MaxErrorBody {
@@ -163,32 +151,33 @@ func FuzzHashesResponse(f *testing.F) {
 		if holds := src.ETag(); etag != "" && etag != holds {
 			t.Fatalf("accepted records under ETag %q while holding %q", etag, holds)
 		}
-		// The chunks the answer covers, and where the body starts.
-		first, end := chunk, runEnd
+		// The chunks the answer covers and the bytes of the table it holds.
+		first := chunk
 		switch status {
 		case http.StatusPartialContent:
-			if a, b, err := remote.ParseContentRange(contentRange); err != nil || a != leafPos(m, chunk) || b != leafPos(m, runEnd)-1 {
-				t.Fatalf("accepted Content-Range %q for bytes %d-%d of the table", contentRange, leafPos(m, chunk), leafPos(m, runEnd)-1)
+			a, b := m.LeafBounds(chunk, numChunks)
+			if ca, cb, err := remote.ParseContentRange(contentRange); err != nil || ca != a || cb != b-1 {
+				t.Fatalf("accepted Content-Range %q for bytes %d-%d of the table", contentRange, a, b-1)
 			}
 		case http.StatusOK:
-			first, end = 0, numChunks
+			first = 0
 		default:
 			t.Fatalf("accepted a %d answer", status)
 		}
-		base := leafPos(m, first)
-		if int64(len(body)) != leafPos(m, end)-base {
-			t.Fatalf("accepted a %d-byte body for the %d bytes of chunks %d-%d", len(body), leafPos(m, end)-base, first, end-1)
+		base, tableEnd := m.LeafBounds(first, numChunks)
+		if int64(len(body)) != tableEnd-base {
+			t.Fatalf("accepted a %d-byte body for the %d bytes of chunks %d-%d", len(body), tableEnd-base, first, numChunks-1)
 		}
 		trips := src.Stats().RoundTrips
-		for c := first; c < end; c++ {
+		for c := first; c < numChunks; c++ {
 			h := got
 			if c != chunk {
 				if h, err = src.FragmentHashes(c); err != nil {
 					t.Fatalf("chunk %d of the accepted answer: %v", c, err)
 				}
 			}
-			pos := leafPos(m, c) - base
-			want := body[pos : pos+int64(m.NumFragments(c))*secure.DigestSize]
+			a, b := m.LeafBounds(c, c+1)
+			want := body[a-base : b-base]
 			if !bytes.Equal(h, want) {
 				t.Fatalf("chunk %d: %d bytes of records, not the %d at its position in the body", c, len(h), len(want))
 			}

@@ -21,9 +21,10 @@
 //     cached chunks whose digest or bounds changed (secure.ChangedChunks),
 //     so the store keeps no update history for its clients;
 //   - leaf records by the run: a chunk whose ECB-MHT fragment hashes the
-//     source lacks fetches the records of the chunks after it too, in one
-//     range request for the version's leaf table, so a cold scan costs a
-//     few /hashes requests rather than one per chunk;
+//     source lacks fetches the records of the chunks after it too, up to
+//     the first it holds, in one range request for the version's leaf
+//     table, so a cold scan costs one /hashes request rather than one per
+//     chunk;
 //   - wire accounting: BytesOnWire counts the HTTP payload actually read
 //     (range bodies, multipart framing, digest tables, fragment hashes) and
 //     RoundTrips counts requests, surfaced through xmlac.Metrics.
@@ -77,13 +78,6 @@ const (
 	// DefaultCacheCapacity is the page count of the chunk cache (random
 	// replacement) when Options.CacheCapacity is zero.
 	DefaultCacheCapacity = 2048
-	// HashRun bounds the chunks whose leaf records one /hashes request
-	// fetches. A cold view needs the records of most chunks, so a longer run
-	// saves a round trip per chunk; a view that reads little, or a re-sync
-	// that dirtied few chunks, fetches at most HashRun-1 chunks' records it
-	// may never use. 256 chunks of the default layout are 40 KiB of records,
-	// covering 512 KiB of ciphertext.
-	HashRun = 256
 )
 
 // Bounds on what the client reads of a response whose length the request
@@ -98,6 +92,13 @@ const (
 	// partFraming bounds the delimiter and headers of one multipart part.
 	partFraming = 512
 )
+
+// maxReserve is the most a read reserves before its bytes arrive. The
+// length a read expects comes from the store (a Content-Range, the
+// container layout), so a longer body is read into a buffer that grows
+// with what has arrived. 1 MiB holds the leaf table of 13 MiB of
+// ciphertext under the default layout.
+const maxReserve = 1 << 20
 
 func (o Options) withDefaults() Options {
 	if o.CacheCapacity <= 0 {
@@ -359,9 +360,11 @@ func (s *Source) ChunkDigest(i int) ([]byte, error) {
 // FragmentHashes implements secure.ChunkSource: the fragment leaf hashes of
 // one chunk in their wire form (DigestSize bytes per fragment, bounded by
 // the document layout). A miss fetches the records of a run of chunks from
-// i on in one range request for the leaf table: up to the first chunk whose
-// records the source holds, the end of the layout or HashRun chunks. The
-// records stay for the session, until a re-sync finds their chunk changed.
+// i on in one range request for the leaf table, up to the first chunk whose
+// records the source holds or the end of the layout: a cold view reads the
+// table in one request, and each run of chunks a re-sync found changed
+// comes back in one. The records stay for the session, until a re-sync
+// finds their chunk changed.
 func (s *Source) FragmentHashes(i int) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,7 +384,7 @@ func (s *Source) FragmentHashes(i int) ([]byte, error) {
 		return h, nil
 	}
 	j := i + 1
-	for j < n && j-i < HashRun && s.leaves[j] == nil {
+	for j < n && s.leaves[j] == nil {
 		j++
 	}
 	if err := s.fetchLeaves(i, j); err != nil {
@@ -390,20 +393,12 @@ func (s *Source) FragmentHashes(i int) ([]byte, error) {
 	return s.leaves[i], nil
 }
 
-// leafSpan returns the byte positions [start, end) of the records of chunks
-// [i, j) in the leaf table: every chunk before the last holds as many
-// fragments as the first.
-func (s *Source) leafSpan(i, j int) (int64, int64) {
-	per := int64(s.man.NumFragments(0)) * secure.DigestSize
-	return int64(i) * per, int64(j-1)*per + int64(s.man.NumFragments(j-1))*secure.DigestSize
-}
-
 // fetchLeaves fetches the leaf records of chunks [i, j), none of which the
 // source holds, in one If-Match range request and keeps each chunk's
 // records as a capacity-clipped slice of one exact-size buffer. Callers
 // hold s.mu.
 func (s *Source) fetchLeaves(i, j int) error {
-	start, end := s.leafSpan(i, j)
+	start, end := s.man.LeafBounds(i, j)
 	req, err := http.NewRequest("GET", s.hashesURL, nil)
 	if err != nil {
 		return err
@@ -438,7 +433,7 @@ func (s *Source) fetchLeaves(i, j int) error {
 		// prefix and page fetches accept such a store too; refusing its
 		// table would leave every ECB-MHT view behind it unverifiable.
 		i, j = 0, s.man.NumChunks()
-		start, end = s.leafSpan(i, j)
+		start, end = s.man.LeafBounds(i, j)
 	case http.StatusPreconditionFailed:
 		resp.Body.Close()
 		return fmt.Errorf("%w: the leaf table moved on from %s", ErrChanged, s.etag)
@@ -463,7 +458,7 @@ func (s *Source) fetchLeaves(i, j int) error {
 		// A whole-table answer skips the records the source holds: they stay
 		// as they were handed out.
 		if s.leaves[c] == nil {
-			a, b := s.leafSpan(c, c+1)
+			a, b := s.man.LeafBounds(c, c+1)
 			s.leaves[c] = body[a-start : b-start : b-start]
 		}
 	}
@@ -913,10 +908,22 @@ func (s *Source) readSized(resp *http.Response, n, limit int64) ([]byte, int64, 
 // readFull reads the first n bytes of r, n clipped to [0, limit], into a
 // buffer of exactly that length, then reads r to its end, at most limit+1
 // bytes in all. It returns the buffer, cut short when r is, and the length
-// of r: more than limit when r holds more.
+// of r: more than limit when r holds more. The buffer starts at maxReserve
+// bytes at most and doubles only once full: a store that claims more than
+// it sends makes the client hold at most maxReserve or twice what arrived,
+// whichever is larger.
 func readFull(r io.Reader, n, limit int64) ([]byte, int64, error) {
-	buf := make([]byte, min(max(n, 0), limit))
+	n = min(max(n, 0), limit)
+	buf := make([]byte, min(n, maxReserve))
 	got, err := io.ReadFull(r, buf)
+	for err == nil && int64(got) < n {
+		grown := make([]byte, int64(got)+min(n-int64(got), int64(got)))
+		copy(grown, buf)
+		buf = grown
+		var m int
+		m, err = io.ReadFull(r, buf[got:])
+		got += m
+	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return buf[:got], int64(got), nil
 	}

@@ -418,28 +418,30 @@ func TestChangedBlobDetectedMidStream(t *testing.T) {
 
 // TestFragmentHashesFetchedOncePerChunk: a chunk whose leaf records the
 // source lacks fetches, in one ranged /hashes request, the records of the
-// run from it to the first chunk already held, the end of the layout or
-// HashRun chunks, whichever comes first. Every chunk's records are fetched
-// once, equal the store's table at the chunk's position and end at their
-// capacity.
+// run from it to the first chunk already held or the end of the layout,
+// whichever comes first. Every chunk's records are fetched once, equal the
+// store's table at the chunk's position and end at their capacity.
 func TestFragmentHashesFetchedOncePerChunk(t *testing.T) {
-	env := newEnv(t, 200)
+	env := newEnv(t, 20)
 	src := env.open(t, remote.Options{})
 	m := src.Manifest()
 	n := m.NumChunks()
-	if n <= remote.HashRun+8 || n > 2*remote.HashRun+8 {
-		t.Fatalf("a %d-chunk document is not one to two runs of %d chunks past chunk 8", n, remote.HashRun)
+	if n <= 9 {
+		t.Fatalf("a %d-chunk document has no run past chunk 8", n)
 	}
 	prot, err := xmlac.UnmarshalProtected(env.blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := prot.LeafTable()
-	rangeOf := func(i, j int) string { return fmt.Sprintf("bytes=%d-%d", leafPos(m, i), leafPos(m, j)-1) }
-	// Chunk 8 misses first: a run of HashRun chunks. Chunk 0's run then
-	// stops at chunk 8, and the last run ends with the layout.
+	rangeOf := func(i, j int) string {
+		a, b := m.LeafBounds(i, j)
+		return fmt.Sprintf("bytes=%d-%d", a, b-1)
+	}
+	// Chunk 8 misses first: its run ends with the layout. Chunk 0's run
+	// then stops at chunk 8.
 	var want []string
-	for _, run := range [][2]int{{8, 8 + remote.HashRun}, {0, 8}, {8 + remote.HashRun, n}} {
+	for _, run := range [][2]int{{8, n}, {0, 8}} {
 		if _, err := src.FragmentHashes(run[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -451,12 +453,13 @@ func TestFragmentHashesFetchedOncePerChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(h, table[leafPos(m, c):leafPos(m, c+1)]) || cap(h) != len(h) {
+		a, b := m.LeafBounds(c, c+1)
+		if !bytes.Equal(h, table[a:b]) || cap(h) != len(h) {
 			t.Fatalf("chunk %d: %d records (capacity %d bytes), not the store's %d", c, len(h)/secure.DigestSize, cap(h), m.NumFragments(c))
 		}
 	}
 	if after := src.Stats().RoundTrips; after != trips {
-		t.Fatalf("reading every chunk's records after three runs sent %d more requests", after-trips)
+		t.Fatalf("reading every chunk's records after two runs sent %d more requests", after-trips)
 	}
 	env.log.mu.Lock()
 	got := append([]string(nil), env.log.hashRanges...)
@@ -491,7 +494,7 @@ func TestFragmentHashesConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(h, table[leafPos(m, c):leafPos(m, c+1)]) {
+				if a, b := m.LeafBounds(c, c+1); !bytes.Equal(h, table[a:b]) {
 					t.Errorf("goroutine %d: chunk %d's records differ from the store's", g, c)
 					return
 				}

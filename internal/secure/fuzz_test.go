@@ -60,8 +60,8 @@ func fuzzSeedContainers() [][]byte {
 // must be internally consistent: sizes non-negative, the plaintext inside
 // the ciphertext, the digest table inside the declared prefix with one
 // digest per chunk (none for ECB), and the chunk/fragment arithmetic
-// (NumChunks, ChunkBounds, NumFragments) safe to evaluate over the whole
-// layout.
+// (NumChunks, ChunkBounds, NumFragments, LeafBounds) safe to evaluate over
+// the whole layout, each chunk's leaf records following the last chunk's.
 func FuzzManifest(f *testing.F) {
 	for _, seed := range fuzzSeedContainers() {
 		f.Add(seed)
@@ -97,14 +97,24 @@ func FuzzManifest(f *testing.F) {
 		// The layout arithmetic must stay in bounds over every chunk a
 		// reader could touch (capped so a huge declared layout cannot turn
 		// the fuzz body into a long loop).
+		var leafEnd int64
 		for i := 0; i < n && i < 4096; i++ {
 			start, end := man.ChunkBounds(i)
 			if start < 0 || end < start || end > man.CiphertextLen {
 				t.Fatalf("chunk %d bounds [%d, %d) outside ciphertext %d", i, start, end, man.CiphertextLen)
 			}
-			if frags := man.NumFragments(i); frags < 0 {
+			frags := man.NumFragments(i)
+			if frags < 0 {
 				t.Fatalf("chunk %d has %d fragments", i, frags)
 			}
+			a, b := man.LeafBounds(i, i+1)
+			if a != leafEnd || b-a != int64(frags)*DigestSize {
+				t.Fatalf("chunk %d's leaf records at [%d, %d), want %d records from %d", i, a, b, frags, leafEnd)
+			}
+			if ra, rb := man.LeafBounds(0, i+1); ra != 0 || rb != b {
+				t.Fatalf("the records of chunks 0-%d at [%d, %d), want [0, %d)", i, ra, rb, b)
+			}
+			leafEnd = b
 		}
 		// An accepted prefix must round-trip through the container marshal:
 		// rebuilding a document with the parsed layout and unmarshalling it

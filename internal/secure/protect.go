@@ -195,8 +195,7 @@ func (p *Protected) leafTableLen() int {
 // chunkLeaves returns the records of chunk i in the leaf table, capped so
 // that an append cannot reach the next chunk's.
 func (p *Protected) chunkLeaves(i int) []byte {
-	per := p.ChunkSize / p.FragmentSize * DigestSize
-	start, end := i*per, min((i+1)*per, len(p.leaves))
+	start, end := p.Manifest().LeafBounds(i, i+1)
 	return p.leaves[start:end:end]
 }
 

@@ -49,6 +49,18 @@ func (m Manifest) NumFragments(i int) int {
 	return int((end - start + int64(m.FragmentSize) - 1) / int64(m.FragmentSize))
 }
 
+// LeafBounds returns the [start, end) byte range of the leaf records of
+// chunks [i, j), i < j, in the document's leaf table: DigestSize bytes per
+// fragment, chunk after chunk, every chunk but the last holding
+// ChunkSize/FragmentSize of them.
+func (m Manifest) LeafBounds(i, j int) (int64, int64) {
+	if m.FragmentSize == 0 {
+		return 0, 0
+	}
+	per := int64(m.ChunkSize/m.FragmentSize) * DigestSize
+	return int64(i) * per, int64(j-1)*per + int64(m.NumFragments(j-1))*DigestSize
+}
+
 // ChunkSource is the untrusted side of the SOE protocol: where the secure
 // reader pulls ciphertext ranges, encrypted chunk digests and fragment leaf
 // hashes from. The in-memory *Protected document is the local implementation;

@@ -16,6 +16,7 @@ import (
 
 	"xmlac"
 	"xmlac/internal/dataset"
+	"xmlac/internal/secure"
 	"xmlac/internal/xmlstream"
 )
 
@@ -483,11 +484,13 @@ func TestFragmentHashesEndpoint(t *testing.T) {
 		}
 	}
 
-	// Runs of chunks: records are chunk after chunk, every chunk but the
-	// last holding ChunkSize/FragmentSize of them.
-	per := man.ChunkSize / man.FragmentSize * sha1.Size
+	// Runs of chunks, at the positions the layout gives their records.
+	layout, _, _, err := secure.UnmarshalManifest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, run := range [][2]int{{2, 5}, {man.NumChunks - 3, man.NumChunks}} {
-		start, end := run[0]*per, min(run[1]*per, len(table))
+		start, end := layout.LeafBounds(run[0], run[1])
 		resp, body = get("hospital", fmt.Sprintf("bytes=%d-%d", start, end-1), etag)
 		if resp.StatusCode != http.StatusPartialContent || body != string(table[start:end]) {
 			t.Fatalf("chunks %d-%d: %d, %d bytes; want 206 with %d", run[0], run[1]-1, resp.StatusCode, len(body), end-start)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"xmlac"
+	"xmlac/internal/secure"
 )
 
 // patchDoc issues a PATCH with the given edits and decodes the response.
@@ -146,8 +146,12 @@ func TestBlobSurfaceResponsesAreOneVersion(t *testing.T) {
 
 	// Readers ask for the leaf records of chunks 0 and 1; chunk0Sum digests
 	// those records of a blob.
-	man := entry.current().manifest
-	records := 2 * man.ChunkSize / man.FragmentSize * sha1.Size
+	first, _ := entry.Blob()
+	layout, _, _, err := secure.UnmarshalManifest(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, records := layout.LeafBounds(0, 2)
 	chunk0Sum := func(blob []byte) [sha256.Size]byte {
 		prot, err := xmlac.UnmarshalProtected(blob)
 		if err != nil {

@@ -262,8 +262,8 @@ func (c *hashCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestRemoteViewFetchesLeafRecordsByTheRun pins the /hashes requests of
-// remote views. A 60-folder document has fewer chunks than one run of leaf
-// records, so a cold view sends exactly one request and a warm view none.
+// remote views over a 60-folder document: a cold view fetches the whole
+// leaf table in exactly one request and a warm view sends none.
 // A PATCH that changes the length of a text in the first folder dirties
 // every chunk after it; after Revalidate, the next view fetches their
 // records in one request. Every view equals the local view of the same

@@ -115,8 +115,7 @@
 // the bytes the Skip index skips are bytes that never cross the network:
 // Metrics.BytesOnWire stays well under a full download for selective
 // policies. The leaf records the Merkle checks need are fetched by the run
-// of chunks, so a cold view sends a few /hashes requests, not one per
-// chunk. A full page cache evicts at random: every view is a forward
+// of chunks, so a cold view sends one /hashes request, not one per chunk. A full page cache evicts at random: every view is a forward
 // scan, and LRU would keep nothing of a repeated view whose working set
 // exceeds the cache. Canceling the view's context closes its in-flight
 // requests. The xmlac-view command (-url) and examples/remoteclient show
