@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"mime"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -37,7 +36,9 @@ type boundDoc struct {
 	// ignoreRange drops the Range header of targeted requests, so the
 	// store answers 200 with the whole blob or leaf table.
 	ignoreRange bool
-	read        atomic.Int64
+	// read counts the body bytes the client reads of every response,
+	// targetRead those of the targeted ones.
+	read, targetRead atomic.Int64
 }
 
 func newBoundDoc(t *testing.T) *boundDoc {
@@ -68,13 +69,8 @@ func (d *boundDoc) RoundTrip(r *http.Request) (*http.Response, error) {
 	body := rec.Body.Bytes()
 	var rd io.Reader = bytes.NewReader(body)
 	if inflate {
-		// Spaces, so that even the manifest JSON stays valid. Inside a
-		// multipart body they go into the last part.
-		at := len(body)
-		if _, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type")); err == nil && params["boundary"] != "" {
-			at = bytes.LastIndex(body, []byte("\r\n--"+params["boundary"]+"--"))
-		}
-		rd = io.MultiReader(bytes.NewReader(body[:at]), io.LimitReader(spaces{}, 64<<20), bytes.NewReader(body[at:]))
+		// Spaces, so that even the manifest JSON stays valid.
+		rd = &countReader{r: io.MultiReader(rd, io.LimitReader(spaces{}, 64<<20)), n: &d.targetRead}
 	}
 	resp.Body = io.NopCloser(&countReader{r: rd, n: &d.read})
 	resp.ContentLength = -1
@@ -110,14 +106,16 @@ func (c *countReader) Read(p []byte) (int, error) {
 // its request asked for. Each case appends 64 MiB to one kind of response
 // from an honest store. The call fails with ErrIntegrity, and the client
 // reads at most the bound (plus one byte) beyond what the same call reads
-// from the honest store.
+// from the honest store. In the cases that drop the request's Range, the
+// store answers 200 with the whole blob or leaf table: the call fails
+// having read at most MaxErrorBody of that answer.
 func TestResponseBodiesAreBounded(t *testing.T) {
 	blob := func(r *http.Request) (string, bool) {
 		return r.Header.Get("Range"), strings.HasSuffix(r.URL.Path, "/blob")
 	}
 	ciphertextRange := func(r *http.Request) bool {
 		rng, ok := blob(r)
-		return ok && !strings.HasPrefix(rng, "bytes=0-") && !strings.Contains(rng, ",")
+		return ok && !strings.HasPrefix(rng, "bytes=0-")
 	}
 	hashes := func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/hashes") }
 	leafRun := func(d *boundDoc) error {
@@ -166,7 +164,6 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		name:        "whole leaf table for a run",
 		target:      hashes,
 		ignoreRange: true,
-		bound:       func(d *boundDoc) int64 { _, b := d.man.LeafBounds(0, d.man.NumChunks()); return b },
 		call:        leafRun,
 	}, {
 		name:   "single range",
@@ -177,28 +174,7 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		name:        "whole blob for a range",
 		target:      ciphertextRange,
 		ignoreRange: true,
-		bound:       func(d *boundDoc) int64 { return int64(len(d.blob)) },
 		call:        readPages,
-	}, {
-		// Pages 1-3 are cached first; pages 0 and 4 are then farther apart
-		// than the gap threshold, so one multi-range request fetches them.
-		name: "multipart",
-		target: func(r *http.Request) bool {
-			rng, ok := blob(r)
-			return ok && strings.Contains(rng, ",")
-		},
-		bound: func(*boundDoc) int64 { return 2*page + 3*512 },
-		call: func(d *boundDoc) error {
-			src, err := d.open()
-			if err != nil {
-				return err
-			}
-			if _, err := src.CiphertextRange(page, 3*page); err != nil {
-				return err
-			}
-			_, err = src.CiphertextRange(0, 5*page)
-			return err
-		},
 	}, {
 		name: "revalidate",
 		target: func(r *http.Request) bool {
@@ -223,7 +199,17 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 			}
 			d := newBoundDoc(t)
 			d.target, d.ignoreRange = tc.target, tc.ignoreRange
-			if err := tc.call(d); !errors.Is(err, secure.ErrIntegrity) {
+			err := tc.call(d)
+			if tc.ignoreRange {
+				if err == nil {
+					t.Fatal("a 200 to a range request was accepted")
+				}
+				if n := d.targetRead.Load(); n > remote.MaxErrorBody {
+					t.Fatalf("the client read %d bytes of a 200 to a range request; the bound is %d", n, remote.MaxErrorBody)
+				}
+				return
+			}
+			if !errors.Is(err, secure.ErrIntegrity) {
 				t.Fatalf("an over-long response must fail with ErrIntegrity, got %v", err)
 			}
 			if extra, bound := d.read.Load()-honest.read.Load(), tc.bound(d); extra > bound+1 {
@@ -233,16 +219,86 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 	}
 }
 
-// TestHostileLayoutReservesWhatArrives: the leaf records a chunk has follow
-// from the layout the store declares, so the client must not reserve them
-// before they arrive. The store's container header declares one ECB-MHT
-// chunk of 4 GiB - 8 bytes in 8-byte fragments, 10 GiB of leaf records.
-// Asked for them, it sends 3 MiB and ends the body, under a 206 naming the
-// run or under a 200: the client fails having allocated at most four times
-// what it sent.
+// TestHostileLayoutReservesWhatArrives: what a read expects follows from the
+// layout the store declares, so the client must not reserve it before it
+// arrives. Each case forges a container header that declares one chunk far
+// larger than what the store sends: under ECB-MHT, a chunk of 4 GiB - 8
+// bytes in 8-byte fragments, 10 GiB of leaf records; under CBC-SHA, a chunk
+// of 256 MiB, which a read of the chunk asks for whole. Asked for either,
+// the store sends 3 MiB under a 206 naming the bytes asked for and ends the
+// body, and the read fails having allocated at most four times what the
+// store sent. A 200 with the same body is refused after reading at most
+// MaxErrorBody of it.
 func TestHostileLayoutReservesWhatArrives(t *testing.T) {
+	const sent = 3 << 20
+	for _, tc := range []struct {
+		name      string
+		scheme    secure.Scheme
+		chunkSize uint32
+		fragment  int
+		status    int
+		read      func(*remote.Source, secure.Manifest) error
+	}{
+		{"run", secure.SchemeECBMHT, 1<<32 - 8, 8, http.StatusPartialContent, readLeaves},
+		{"whole table", secure.SchemeECBMHT, 1<<32 - 8, 8, http.StatusOK, readLeaves},
+		{"CBC-SHA chunk", secure.SchemeCBCSHA, 256 << 20, 256, http.StatusPartialContent, readChunk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := forgeStore(t, tc.scheme, tc.chunkSize, tc.fragment)
+			fs.status, fs.body = tc.status, make([]byte, sent)
+			src, err := remote.Open("http://store.test/docs/hostile", remote.Options{HTTPClient: &http.Client{Transport: fs}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			man := src.Manifest()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = tc.read(src, man)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted %d bytes for a %d-byte chunk", sent, man.ChunkSize)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*sent {
+				t.Fatalf("the client allocated %d bytes on a %d-byte body", alloc, sent)
+			}
+			if n := fs.read.Load(); tc.status != http.StatusPartialContent && n > remote.MaxErrorBody {
+				t.Fatalf("the client read %d bytes of a %d answer; the bound is %d", n, tc.status, remote.MaxErrorBody)
+			}
+		})
+	}
+}
+
+// readLeaves reads the leaf records of chunk 0.
+func readLeaves(src *remote.Source, _ secure.Manifest) error {
+	_, err := src.FragmentHashes(0)
+	return err
+}
+
+// readChunk reads the ciphertext of chunk 0.
+func readChunk(src *remote.Source, man secure.Manifest) error {
+	start, end := man.ChunkBounds(0)
+	_, err := src.CiphertextRange(start, end-start)
+	return err
+}
+
+// forgedStore serves a container whose header declares one chunk of a
+// forged size. It answers the manifest and the prefix honestly for that
+// header, and every other request with a fixed status and body; a 206
+// names the bytes asked for. It counts the bytes the client reads of the
+// fixed body.
+type forgedStore struct {
+	manifest, prefix []byte
+	status           int
+	body             []byte
+	read             atomic.Int64
+}
+
+// forgeStore protects a small document under scheme and rewrites its
+// header to one chunk of chunkSize bytes in fragments of the given size.
+func forgeStore(t *testing.T, scheme secure.Scheme, chunkSize uint32, fragment int) *forgedStore {
+	t.Helper()
 	prot, err := secure.Protect([]byte("<a/>"), secure.DeriveKey(testPassphrase),
-		secure.ProtectOptions{Scheme: secure.SchemeECBMHT, ChunkSize: 4096, FragmentSize: 8})
+		secure.ProtectOptions{Scheme: scheme, ChunkSize: 4096, FragmentSize: fragment})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,54 +309,47 @@ func TestHostileLayoutReservesWhatArrives(t *testing.T) {
 	}
 	// The chunk size follows the magic, version and scheme bytes; the
 	// ciphertext length ends the prefix.
-	const chunkSize = 1<<32 - 8
 	prefix := append([]byte(nil), blob[:ctOff]...)
 	binary.LittleEndian.PutUint32(prefix[6:], chunkSize)
-	binary.LittleEndian.PutUint64(prefix[ctOff-8:], chunkSize)
+	binary.LittleEndian.PutUint64(prefix[ctOff-8:], uint64(chunkSize))
 	man, _, _, err := secure.UnmarshalManifest(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, records := man.LeafBounds(0, 1)
-	if man.NumChunks() != 1 || records < 8<<30 {
-		t.Fatalf("the forged layout has %d chunks and %d bytes of records", man.NumChunks(), records)
+	if man.NumChunks() != 1 || man.CiphertextLen != int64(chunkSize) {
+		t.Fatalf("the forged layout has %d chunks and %d bytes of ciphertext", man.NumChunks(), man.CiphertextLen)
 	}
-	const etag, sent = `"hostile"`, 3 << 20
-	manifest := fmt.Sprintf(`{"etag":%q,"manifest":{"ciphertext_offset":%d,"blob_size":%d,"version":1}}`, etag, ctOff, ctOff+chunkSize)
-	store := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("ETag", etag)
-		if strings.HasSuffix(r.URL.Path, "/manifest") {
-			io.WriteString(w, manifest)
-			return
-		}
-		w.WriteHeader(http.StatusPartialContent)
-		w.Write(prefix)
-	})
-	for _, tc := range []struct {
-		name, contentRange string
-		status             int
-	}{
-		{"run", fmt.Sprintf("bytes 0-%d/%d", records-1, records), http.StatusPartialContent},
-		{"whole table", "", http.StatusOK},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ht := &hashesTransport{store: store, status: tc.status, etag: etag, contentRange: tc.contentRange, body: make([]byte, sent)}
-			src, err := remote.Open("http://store.test/docs/hostile", remote.Options{HTTPClient: &http.Client{Transport: ht}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err = src.FragmentHashes(0)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatal("accepted 3 MiB of records for a 10 GiB chunk")
-			}
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*sent {
-				t.Fatalf("the client allocated %d bytes on a %d-byte body", alloc, sent)
-			}
-		})
+	manifest := fmt.Sprintf(`{"etag":%q,"manifest":{"ciphertext_offset":%d,"blob_size":%d,"version":1}}`, forgedETag, ctOff, ctOff+int64(chunkSize))
+	return &forgedStore{manifest: []byte(manifest), prefix: prefix}
+}
+
+const forgedETag = `"forged"`
+
+func (fs *forgedStore) RoundTrip(r *http.Request) (*http.Response, error) {
+	var first, last int64
+	fmt.Sscanf(r.Header.Get("Range"), "bytes=%d-%d", &first, &last)
+	status, body, read := fs.status, fs.body, &fs.read
+	switch {
+	case strings.HasSuffix(r.URL.Path, "/manifest"):
+		status, body, read = http.StatusOK, fs.manifest, new(atomic.Int64)
+	case strings.HasSuffix(r.URL.Path, "/blob") && first == 0:
+		status, body, read = http.StatusPartialContent, fs.prefix, new(atomic.Int64)
 	}
+	h := http.Header{"Etag": {forgedETag}}
+	if status == http.StatusPartialContent {
+		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/*", first, last))
+	}
+	return &http.Response{
+		StatusCode:    status,
+		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        h,
+		Body:          io.NopCloser(&countReader{r: bytes.NewReader(body), n: read}),
+		ContentLength: int64(len(body)),
+		Request:       r,
+	}, nil
 }
 
 // TestResyncSurvivesOverflowingManifest: a manifest whose numbers overflow

@@ -59,13 +59,12 @@ func (ht *hashesTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // an untrusted store may answer: any status, ETag, Content-Range and body,
 // for any chunk index. A miss for chunk i on a fresh source asks for the
 // records of the run from i to the end of the layout. The client must never
-// panic. Of a 206 it reads at most the run's bytes plus one, of a 200 (a
-// store that ignored the range) at most the table's plus one, and of any
-// other status at most MaxErrorBody. An accepted answer is a 206 for
-// exactly the run or a 200, under the ETag the client holds (or none), and
-// gives every chunk it covers exactly NumFragments(c) x DigestSize bytes,
-// taken from the body at the chunk's position, with no further request; an
-// accepted 206's Content-Range names exactly the run's bytes.
+// panic. Of a 206 it reads at most the run's bytes plus one, and of any
+// other status, a 200 with the whole table included, at most MaxErrorBody.
+// An accepted answer is a 206 whose Content-Range names exactly the run's
+// bytes, under the ETag the client holds (or none), and gives every chunk
+// of the run exactly NumFragments(c) x DigestSize bytes, taken from the body
+// at the chunk's position, with no further request.
 func FuzzHashesResponse(f *testing.F) {
 	d := newRangeDoc(f)
 	serve := func(rng string) (string, string, []byte) {
@@ -112,7 +111,7 @@ func FuzzHashesResponse(f *testing.F) {
 	f.Add(numChunks, 206, etag, midCR, midRun)                 // a chunk past the layout
 	f.Add(-1, 206, etag, midCR, midRun)                        // a negative chunk
 	f.Add(mid, 206, etag, shiftCR, table[shiftStart:shiftEnd]) // a Content-Range that names another run
-	f.Add(mid, 200, etag, "", table)                           // a 200 with the whole table
+	f.Add(mid, 200, etag, "", table)                           // a 200 with the whole table: refused
 	f.Add(mid, 412, etag, "", []byte("precondition failed"))   // a stale If-Match
 	f.Fuzz(func(t *testing.T, chunk, status int, etag, contentRange string, body []byte) {
 		ht := &hashesTransport{store: d.store, status: status, etag: etag, contentRange: contentRange, body: body}
@@ -123,21 +122,14 @@ func FuzzHashesResponse(f *testing.F) {
 		inLayout := chunk >= 0 && chunk < numChunks
 		got, err := src.FragmentHashes(chunk)
 		read := ht.read.Load()
-		switch status {
-		case http.StatusPartialContent:
+		if status == http.StatusPartialContent {
 			if inLayout {
 				if a, b := m.LeafBounds(chunk, numChunks); read > b-a+1 {
 					t.Fatalf("read %d bytes of a 206 for the %d-byte run of chunks %d-%d", read, b-a, chunk, numChunks-1)
 				}
 			}
-		case http.StatusOK:
-			if _, b := m.LeafBounds(0, numChunks); read > b+1 {
-				t.Fatalf("read %d bytes of a 200 for a %d-byte leaf table", read, b)
-			}
-		default:
-			if read > remote.MaxErrorBody {
-				t.Fatalf("read %d bytes of a %d answer; the bound is %d", read, status, remote.MaxErrorBody)
-			}
+		} else if read > remote.MaxErrorBody {
+			t.Fatalf("read %d bytes of a %d answer; the bound is %d", read, status, remote.MaxErrorBody)
 		}
 		if status == http.StatusPreconditionFailed && inLayout && !errors.Is(err, remote.ErrChanged) {
 			t.Fatalf("a 412 for the leaf table gave %v, want ErrChanged", err)
@@ -151,25 +143,18 @@ func FuzzHashesResponse(f *testing.F) {
 		if holds := src.ETag(); etag != "" && etag != holds {
 			t.Fatalf("accepted records under ETag %q while holding %q", etag, holds)
 		}
-		// The chunks the answer covers and the bytes of the table it holds.
-		first := chunk
-		switch status {
-		case http.StatusPartialContent:
-			a, b := m.LeafBounds(chunk, numChunks)
-			if ca, cb, err := remote.ParseContentRange(contentRange); err != nil || ca != a || cb != b-1 {
-				t.Fatalf("accepted Content-Range %q for bytes %d-%d of the table", contentRange, a, b-1)
-			}
-		case http.StatusOK:
-			first = 0
-		default:
+		if status != http.StatusPartialContent {
 			t.Fatalf("accepted a %d answer", status)
 		}
-		base, tableEnd := m.LeafBounds(first, numChunks)
+		base, tableEnd := m.LeafBounds(chunk, numChunks)
+		if a, b, err := remote.ParseContentRange(contentRange); err != nil || a != base || b != tableEnd-1 {
+			t.Fatalf("accepted Content-Range %q for bytes %d-%d of the table", contentRange, base, tableEnd-1)
+		}
 		if int64(len(body)) != tableEnd-base {
-			t.Fatalf("accepted a %d-byte body for the %d bytes of chunks %d-%d", len(body), tableEnd-base, first, numChunks-1)
+			t.Fatalf("accepted a %d-byte body for the %d bytes of chunks %d-%d", len(body), tableEnd-base, chunk, numChunks-1)
 		}
 		trips := src.Stats().RoundTrips
-		for c := first; c < numChunks; c++ {
+		for c := chunk; c < numChunks; c++ {
 			h := got
 			if c != chunk {
 				if h, err = src.FragmentHashes(c); err != nil {

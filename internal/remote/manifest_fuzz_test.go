@@ -21,7 +21,8 @@ import (
 )
 
 // manifestTransport answers Open's two requests with fixed bodies: the
-// manifest JSON, and the prefix for any range starting at byte 0. It records
+// manifest JSON, and the prefix for any range starting at byte 0, as a 206
+// naming that range under the entity tag its If-Match asked for. It records
 // how many body bytes the client read of each and the prefix length asked
 // for.
 type manifestTransport struct {
@@ -32,6 +33,7 @@ type manifestTransport struct {
 
 func (mt *manifestTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	status, body, read := http.StatusNotFound, []byte(nil), new(atomic.Int64)
+	h := http.Header{}
 	rng := r.Header.Get("Range")
 	switch {
 	case strings.HasSuffix(r.URL.Path, "/manifest"):
@@ -43,6 +45,8 @@ func (mt *manifestTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 		}
 		mt.prefixAsked = last + 1
 		status, body, read = http.StatusPartialContent, mt.prefix, &mt.prefixRead
+		h.Set("Content-Range", fmt.Sprintf("bytes 0-%d/*", last))
+		h.Set("ETag", r.Header.Get("If-Match"))
 	}
 	return &http.Response{
 		StatusCode:    status,
@@ -50,7 +54,7 @@ func (mt *manifestTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        http.Header{"Etag": {`"fuzz"`}},
+		Header:        h,
 		Body:          io.NopCloser(&countReader{r: bytes.NewReader(body), n: read}),
 		ContentLength: int64(len(body)),
 		Request:       r,

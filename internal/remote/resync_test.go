@@ -217,9 +217,9 @@ func TestRemoteDocumentTransparentResync(t *testing.T) {
 		Op: xmlac.EditSetText, Path: "/Hospital/Folder[3]/Admin/Phone", Text: "5551234567",
 	})
 
-	// No explicit Revalidate: the evaluation hits the changed blob
-	// (If-Range falls back to a 200 with a new ETag), re-syncs from the new
-	// digest table and retries.
+	// No explicit Revalidate: the evaluation hits the changed blob (its
+	// If-Match range request answers 412), re-syncs from the new digest
+	// table and retries.
 	view, metrics, err := doc.View(context.Background(), clerk, xmlac.ViewOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,12 @@
 //     small overlapping reads hit memory, not the network. A full cache
 //     evicts a page at random: views are forward scans, and LRU keeps
 //     nothing of a repeated scan whose working set exceeds the cache;
-//   - range coalescing: cache misses closer than a gap threshold are merged
-//     into one span (fetching the cheap gap beats another round trip or
-//     another multipart part), and distinct spans ride in a single
-//     multi-range request;
+//   - one request shape: every body the client reads past the manifest (the
+//     container prefix, a run of leaf records, a run of ciphertext pages) is
+//     one byte range asked for under If-Match with the entity tag the source
+//     holds, and only a 206 naming exactly those bytes and holding exactly
+//     that many is read. A read fetches its pages from the first missing one
+//     to the last in one request, resident pages between them included;
 //   - version-aware invalidation: when the document changes, a re-sync
 //     fetches the new version's encrypted digest table and evicts only the
 //     cached chunks whose digest or bounds changed (secure.ChangedChunks),
@@ -26,8 +28,8 @@
 //     table, so a cold scan costs one /hashes request rather than one per
 //     chunk;
 //   - wire accounting: BytesOnWire counts the HTTP payload actually read
-//     (range bodies, multipart framing, digest tables, fragment hashes) and
-//     RoundTrips counts requests, surfaced through xmlac.Metrics.
+//     (range bodies, digest tables, fragment hashes) and RoundTrips counts
+//     requests, surfaced through xmlac.Metrics.
 package remote
 
 import (
@@ -36,8 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"slices"
 	"strconv"
@@ -71,10 +71,6 @@ const (
 	// larger pages only round skip boundaries up and waste wire, while
 	// smaller pages cannot reduce transfer further.
 	PageSize = 256
-	// GapThreshold merges two cache-miss spans whose gap is at most this
-	// many bytes into one range (the gap bytes are fetched and cached too):
-	// one page, cheaper to fetch than another multipart part.
-	GapThreshold = PageSize
 	// DefaultCacheCapacity is the page count of the chunk cache (random
 	// replacement) when Options.CacheCapacity is zero.
 	DefaultCacheCapacity = 2048
@@ -89,14 +85,12 @@ const (
 	// maxErrorBody is how much of an error response is read for its
 	// diagnostic (errorDetail shows the first 200 bytes).
 	maxErrorBody = 512
-	// partFraming bounds the delimiter and headers of one multipart part.
-	partFraming = 512
 )
 
 // maxReserve is the most a read reserves before its bytes arrive. The
-// length a read expects comes from the store (a Content-Range, the
-// container layout), so a longer body is read into a buffer that grows
-// with what has arrived. 1 MiB holds the leaf table of 13 MiB of
+// length a read asks for comes from the container layout the store
+// declares, so a longer body is read into a buffer that grows with what
+// has arrived. 1 MiB holds the leaf table of 13 MiB of
 // ciphertext under the default layout.
 const maxReserve = 1 << 20
 
@@ -112,9 +106,9 @@ func (o Options) withDefaults() Options {
 
 // WireStats counts what actually crossed the network.
 type WireStats struct {
-	// BytesOnWire is the HTTP payload read from the server: range bodies
-	// (multipart framing included), the manifest, the digest table and
-	// fragment hashes. Request/response headers are not counted.
+	// BytesOnWire is the HTTP payload read from the server: range bodies,
+	// the manifest, the digest table and fragment hashes. Request/response
+	// headers are not counted.
 	BytesOnWire int64
 	// RoundTrips is the number of HTTP requests issued.
 	RoundTrips int64
@@ -212,7 +206,9 @@ type manifestPayload struct {
 	} `json:"manifest"`
 }
 
-// fetchManifest retrieves and validates the manifest JSON. Callers hold s.mu.
+// fetchManifest retrieves and validates the manifest JSON. A manifest that
+// names no entity tag is refused: every later request is conditional on it.
+// Callers hold s.mu.
 func (s *Source) fetchManifest() (manifestPayload, error) {
 	var payload manifestPayload
 	resp, err := s.do("GET", s.manifestURL, nil)
@@ -229,6 +225,9 @@ func (s *Source) fetchManifest() (manifestPayload, error) {
 	if err := json.Unmarshal(body, &payload); err != nil {
 		return payload, fmt.Errorf("remote: decoding manifest: %w", err)
 	}
+	if payload.ETag == "" {
+		return payload, fmt.Errorf("remote: the manifest names no entity tag")
+	}
 	if off := payload.Manifest.CiphertextOffset; off <= 0 || off > payload.Manifest.BlobSize {
 		return payload, fmt.Errorf("remote: implausible ciphertext offset %d in manifest", off)
 	}
@@ -238,11 +237,14 @@ func (s *Source) fetchManifest() (manifestPayload, error) {
 // loadPrefix pulls and parses the container prefix (header plus encrypted
 // digest table) described by a manifest payload and installs it. Digests are
 // tiny and every integrity-checked read needs one, so prefetching the table
-// costs one round trip total. A document updated since the manifest was
-// served fails with ErrChanged. Callers hold s.mu.
+// costs one round trip total. The request is conditional on the tag the
+// manifest was served with: a blob that moved on since (a PATCH landed
+// between the two requests) answers 412, reported as ErrChanged, instead of
+// a prefix of the next version that the manifest does not describe. Callers
+// hold s.mu.
 func (s *Source) loadPrefix(payload manifestPayload) error {
 	ctOff := payload.Manifest.CiphertextOffset
-	prefix, etag, err := s.fetchPrefix(ctOff, payload.ETag)
+	prefix, err := s.getRange(s.blobURL, payload.ETag, 0, ctOff)
 	if err != nil {
 		return err
 	}
@@ -259,7 +261,7 @@ func (s *Source) loadPrefix(payload manifestPayload) error {
 	}
 	s.man = man
 	s.digests = digests
-	s.etag = etag
+	s.etag = payload.ETag
 	s.ctOffset = ctOff
 	return nil
 }
@@ -271,50 +273,6 @@ func (s *Source) load() error {
 		return err
 	}
 	return s.loadPrefix(payload)
-}
-
-// fetchPrefix retrieves blob[0, ctOff) and returns it with the blob's entity
-// tag. The request is conditional on manifestETag, the tag the manifest was
-// served with: a blob that moved on since (a PATCH landed between the two
-// requests) answers 412, reported as ErrChanged, instead of a prefix of the
-// next version that the manifest does not describe. Callers hold s.mu.
-func (s *Source) fetchPrefix(ctOff int64, manifestETag string) ([]byte, string, error) {
-	req, err := http.NewRequest("GET", s.blobURL, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=0-%d", ctOff-1))
-	if manifestETag != "" {
-		req.Header.Set("If-Match", manifestETag)
-	}
-	resp, err := s.doReq(req)
-	if err != nil {
-		return nil, "", err
-	}
-	var body []byte
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
-		body, err = s.readAll(resp, ctOff)
-	case http.StatusOK:
-		// Server ignored the range; read only the prefix of the full body.
-		body, err = s.readHead(resp, ctOff)
-	case http.StatusPreconditionFailed:
-		resp.Body.Close()
-		return nil, "", fmt.Errorf("%w: the blob moved on from %s after its manifest was served", ErrChanged, manifestETag)
-	default:
-		return nil, "", fmt.Errorf("remote: blob prefix: %s", s.errorDetail(resp))
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	if int64(len(body)) < ctOff {
-		return nil, "", fmt.Errorf("remote: blob shorter (%d) than ciphertext offset %d", len(body), ctOff)
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		etag = manifestETag
-	}
-	return body, etag, nil
 }
 
 // Manifest implements secure.ChunkSource.
@@ -394,81 +352,29 @@ func (s *Source) FragmentHashes(i int) ([]byte, error) {
 }
 
 // fetchLeaves fetches the leaf records of chunks [i, j), none of which the
-// source holds, in one If-Match range request and keeps each chunk's
-// records as a capacity-clipped slice of one exact-size buffer. Callers
-// hold s.mu.
+// source holds, in one range request and keeps each chunk's records as a
+// capacity-clipped slice of the one buffer. Callers hold s.mu.
 func (s *Source) fetchLeaves(i, j int) error {
 	start, end := s.man.LeafBounds(i, j)
-	req, err := http.NewRequest("GET", s.hashesURL, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", start, end-1))
-	if s.etag != "" {
-		req.Header.Set("If-Match", s.etag)
-	}
 	fetchStart := s.trace.Now()
 	wireBefore := s.stats.BytesOnWire
-	resp, err := s.doReq(req)
+	body, err := s.getRange(s.hashesURL, s.etag, start, end)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		s.trace.Record("remote.hash-fetch", fetchStart, s.stats.BytesOnWire-wireBefore, int64(j-i), "")
-	}()
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
-		a, b, err := parseContentRange(resp.Header.Get("Content-Range"))
-		if err == nil && (a != start || b != end-1) {
-			err = fmt.Errorf("remote: fragment hashes of chunks %d-%d: the answer names bytes %d-%d of the leaf table, not %d-%d",
-				i, j-1, a, b, start, end-1)
-		}
-		if err != nil {
-			resp.Body.Close()
-			return err
-		}
-	case http.StatusOK:
-		// A store that ignores Range sends the whole table, whose length the
-		// layout fixes: it is read to exactly that length and kept. The
-		// prefix and page fetches accept such a store too; refusing its
-		// table would leave every ECB-MHT view behind it unverifiable.
-		i, j = 0, s.man.NumChunks()
-		start, end = s.man.LeafBounds(i, j)
-	case http.StatusPreconditionFailed:
-		resp.Body.Close()
-		return fmt.Errorf("%w: the leaf table moved on from %s", ErrChanged, s.etag)
-	default:
-		return fmt.Errorf("remote: fragment hashes of chunks %d-%d: %s", i, j-1, s.errorDetail(resp))
-	}
-	// Records of a different blob version would fail Merkle verification as
-	// tampering; detect the benign cause (the document moved on) and let the
-	// re-sync retry handle it instead.
-	if etag := resp.Header.Get("ETag"); etag != "" && s.etag != "" && etag != s.etag {
-		resp.Body.Close()
-		return fmt.Errorf("%w: fragment hashes are for %s, client holds %s", ErrChanged, etag, s.etag)
-	}
-	body, got, err := s.readSized(resp, end-start, end-start)
-	if err != nil {
-		return err
-	}
-	if got != end-start {
-		return fmt.Errorf("remote: fragment hashes of chunks %d-%d: got %d bytes, want %d", i, j-1, got, end-start)
-	}
+	s.trace.Record("remote.hash-fetch", fetchStart, s.stats.BytesOnWire-wireBefore, int64(j-i), "")
 	for c := i; c < j; c++ {
-		// A whole-table answer skips the records the source holds: they stay
-		// as they were handed out.
-		if s.leaves[c] == nil {
-			a, b := s.man.LeafBounds(c, c+1)
-			s.leaves[c] = body[a-start : b-start : b-start]
-		}
+		a, b := s.man.LeafBounds(c, c+1)
+		s.leaves[c] = body[a-start : b-start : b-start]
 	}
 	return nil
 }
 
 // CiphertextRange implements secure.ChunkSource: it serves [off, off+n) from
-// the page cache, fetching missing pages (coalesced) in at most one HTTP
-// request. A read inside one page returns a capacity-clipped slice of that
-// page; a longer read is copied out of its pages.
+// the page cache, fetching its pages from the first missing one to the last
+// in one range request; the resident pages between them come again. A read
+// inside one page returns a capacity-clipped slice of that page; a longer
+// read is copied out of its pages.
 func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -480,248 +386,68 @@ func (s *Source) CiphertextRange(off, n int64) ([]byte, error) {
 	}
 	first := off / PageSize
 	last := (off + n - 1) / PageSize
-	var missing []int64
-	for p := first; p <= last; p++ {
-		if !s.cache.contains(p) {
-			missing = append(missing, p)
-		}
+	// The run [lo, hi] of pages to fetch; empty (lo = hi+1) when every page
+	// is resident.
+	lo, hi := first, last
+	for lo <= hi && s.cache.contains(lo) {
+		lo++
 	}
-	s.trace.CountPageHits(last - first + 1 - int64(len(missing)))
-	s.trace.CountPageMisses(int64(len(missing)))
-	var fetched map[int64][]byte
-	if len(missing) > 0 {
-		var err error
+	for hi > lo && s.cache.contains(hi) {
+		hi--
+	}
+	s.trace.CountPageHits(last - first - (hi - lo))
+	s.trace.CountPageMisses(hi - lo + 1)
+	var run []byte
+	if lo <= hi {
 		fetchStart := s.trace.Now()
 		wireBefore := s.stats.BytesOnWire
-		fetched, err = s.fetchPages(missing)
+		end := min((hi+1)*PageSize, s.man.CiphertextLen)
+		var err error
+		run, err = s.getRange(s.blobURL, s.etag, s.ctOffset+lo*PageSize, s.ctOffset+end)
 		if err != nil {
 			return nil, err
 		}
-		s.trace.Record("remote.fetch", fetchStart, s.stats.BytesOnWire-wireBefore, int64(len(missing)), "")
+		s.trace.Record("remote.fetch", fetchStart, s.stats.BytesOnWire-wireBefore, hi-lo+1, "")
 	}
 	// Serve the read before caching what it fetched: a put may evict any
 	// resident page, one this read needs included.
-	out, err := s.assemble(off, n, fetched)
-	if err != nil {
-		return nil, err
-	}
-	// In page order, so that evictions depend on the reads alone.
-	for _, p := range missing {
-		s.cache.put(p, fetched[p])
-	}
-	return out, nil
-}
-
-// assemble returns ciphertext [off, off+n) out of its pages, taking each
-// from fetched or else from the cache. Callers hold s.mu.
-func (s *Source) assemble(off, n int64, fetched map[int64][]byte) ([]byte, error) {
-	first := off / PageSize
-	last := (off + n - 1) / PageSize
 	var out []byte
 	if first != last {
 		out = make([]byte, n)
 	}
 	for p := first; p <= last; p++ {
-		data, ok := fetched[p]
-		if !ok {
-			data, ok = s.cache.get(p)
-		}
-		if !ok {
-			return nil, fmt.Errorf("remote: page %d missing after fetch", p)
+		var data []byte
+		if lo <= p && p <= hi {
+			data = runPage(run, lo, p)
+		} else {
+			data, _ = s.cache.get(p) // resident: the loops above stopped at it
 		}
 		pageStart := p * PageSize
-		lo := max(off, pageStart)
-		hi := min(off+n, pageStart+int64(len(data)))
-		if hi < off+n && p == last {
+		a := max(off, pageStart)
+		b := min(off+n, pageStart+int64(len(data)))
+		if b < off+n && p == last {
 			return nil, fmt.Errorf("remote: page %d shorter than requested range", p)
 		}
 		if first == last {
-			return data[lo-pageStart : hi-pageStart : hi-pageStart], nil
+			out = data[a-pageStart : b-pageStart : b-pageStart]
+		} else {
+			copy(out[a-off:b-off], data[a-pageStart:b-pageStart])
 		}
-		copy(out[lo-off:hi-off], data[lo-pageStart:hi-pageStart])
+	}
+	// In page order, so that evictions depend on the reads alone.
+	for p := lo; p <= hi; p++ {
+		s.cache.put(p, runPage(run, lo, p))
 	}
 	return out, nil
 }
 
-// coalesce turns an ascending list of missing pages into byte spans
-// [start, end) over the ciphertext, merging spans whose gap is at most the
-// gap threshold: the bytes in between are fetched (and cached) instead of
-// paying another multipart part or round trip for the split.
-func (s *Source) coalesce(pages []int64) [][2]int64 {
-	var spans [][2]int64
-	for _, p := range pages {
-		start := p * PageSize
-		end := start + PageSize
-		if end > s.man.CiphertextLen {
-			end = s.man.CiphertextLen
-		}
-		if len(spans) > 0 && start-spans[len(spans)-1][1] <= GapThreshold {
-			if end > spans[len(spans)-1][1] {
-				spans[len(spans)-1][1] = end
-			}
-		} else {
-			spans = append(spans, [2]int64{start, end})
-		}
-	}
-	return spans
-}
-
-// fetchPages retrieves the given pages in one HTTP request (single range or
-// multi-range) and returns page index -> page bytes. Callers hold s.mu.
-func (s *Source) fetchPages(pages []int64) (map[int64][]byte, error) {
-	spans := s.coalesce(pages)
-	ranges := make([]string, 0, len(spans))
-	for _, sp := range spans {
-		ranges = append(ranges, fmt.Sprintf("%d-%d", sp[0]+s.ctOffset, sp[1]+s.ctOffset-1))
-	}
-	req, err := http.NewRequest("GET", s.blobURL, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Range", "bytes="+strings.Join(ranges, ","))
-	if s.etag != "" {
-		// If the blob was replaced since open, the server falls back to a
-		// 200 full response whose ETag no longer matches: detected below.
-		req.Header.Set("If-Range", s.etag)
-	}
-	resp, err := s.doReq(req)
-	if err != nil {
-		return nil, err
-	}
-	out := map[int64][]byte{}
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
-		mediaType, params, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-		if strings.HasPrefix(mediaType, "multipart/") {
-			if err := s.readMultipart(resp, params["boundary"], spans, out); err != nil {
-				return nil, err
-			}
-		} else {
-			start, end, err := parseContentRange(resp.Header.Get("Content-Range"))
-			if err != nil {
-				resp.Body.Close()
-				return nil, err
-			}
-			// One part answers every span requested: at most the extent
-			// from the first span's start to the last span's end. Its pages
-			// are cut out of the one buffer it is read into.
-			body, got, err := s.readSized(resp, end-start+1, spans[len(spans)-1][1]-spans[0][0])
-			if err != nil {
-				return nil, err
-			}
-			if err := s.checkRange(start, end, got); err != nil {
-				return nil, err
-			}
-			s.runToPages(start-s.ctOffset, body, out)
-		}
-	case http.StatusOK:
-		if etag := resp.Header.Get("ETag"); etag != "" && etag != s.etag {
-			resp.Body.Close()
-			return nil, fmt.Errorf("%w: had %s, server now has %s", ErrChanged, s.etag, etag)
-		}
-		body, err := s.readAll(resp, s.ctOffset+s.man.CiphertextLen)
-		if err != nil {
-			return nil, err
-		}
-		// Server ignored the ranges: copy the spans out of the full blob, so
-		// that no resident page keeps the whole blob alive.
-		for _, sp := range spans {
-			a, b := sp[0]+s.ctOffset, sp[1]+s.ctOffset
-			if b > int64(len(body)) {
-				return nil, fmt.Errorf("remote: full blob response shorter (%d) than span end %d", len(body), b)
-			}
-			s.runToPages(sp[0], append(make([]byte, 0, b-a), body[a:b]...), out)
-		}
-	default:
-		return nil, fmt.Errorf("remote: range fetch: %s", s.errorDetail(resp))
-	}
-	// Every requested page must have arrived.
-	for _, p := range pages {
-		if _, ok := out[p]; !ok {
-			return nil, fmt.Errorf("remote: server response missing page %d", p)
-		}
-	}
-	return out, nil
-}
-
-// readMultipart consumes a multipart/byteranges body, filling out with the
-// pages covered by each part. The parts together carry at most the spans
-// requested, and each adds at most partFraming bytes of delimiter and
-// headers.
-func (s *Source) readMultipart(resp *http.Response, boundary string, spans [][2]int64, out map[int64][]byte) error {
-	defer resp.Body.Close()
-	s.trace.Begin(trace.PhaseFetch)
-	defer s.trace.End()
-	if boundary == "" {
-		return fmt.Errorf("remote: multipart response without boundary")
-	}
-	var want int64
-	for _, sp := range spans {
-		want += sp[1] - sp[0]
-	}
-	mr := multipart.NewReader(s.bodyReader(resp.Body, want+int64(len(spans)+1)*partFraming), boundary)
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("remote: reading multipart range: %w", err)
-		}
-		start, end, err := parseContentRange(part.Header.Get("Content-Range"))
-		if err != nil {
-			return err
-		}
-		data, got, err := readFull(part, end-start+1, want)
-		if err != nil {
-			return fmt.Errorf("remote: reading range part: %w", err)
-		}
-		if got > want {
-			return fmt.Errorf("%w: remote: range parts longer than the %d bytes requested", secure.ErrIntegrity, want)
-		}
-		want -= got
-		if err := s.checkRange(start, end, got); err != nil {
-			return err
-		}
-		s.runToPages(start-s.ctOffset, data, out)
-	}
-}
-
-// checkRange rejects a range response the untrusted server got wrong: the
-// blob positions [start, end] its Content-Range names must lie inside the
-// ciphertext, and the body must hold exactly their end-start+1 bytes.
-// Callers hold s.mu.
-func (s *Source) checkRange(start, end, n int64) error {
-	if start < s.ctOffset || end < start || end >= s.ctOffset+s.man.CiphertextLen || end-start+1 != n {
-		return fmt.Errorf("remote: range response names bytes %d-%d with a %d-byte body; the ciphertext is bytes %d-%d",
-			start, end, n, s.ctOffset, s.ctOffset+s.man.CiphertextLen-1)
-	}
-	return nil
-}
-
-// runToPages splits a contiguous ciphertext run (start in ciphertext
-// coordinates, the run inside the ciphertext: checkRange) into whole pages,
-// each a capacity-clipped slice of data, which the caller hands over. Runs
-// are page-aligned by construction; a trailing partial page is kept only
-// when it ends at EOF.
-func (s *Source) runToPages(start int64, data []byte, out map[int64][]byte) {
-	end := start + int64(len(data))
-	for off := start; off < end; {
-		p := off / PageSize
-		pageStart := p * PageSize
-		pageEnd := pageStart + PageSize
-		if pageEnd > s.man.CiphertextLen {
-			pageEnd = s.man.CiphertextLen
-		}
-		if off != pageStart || pageEnd > end {
-			// Misaligned or truncated page: drop it rather than cache a
-			// partial page that would be served as authoritative.
-			off = pageEnd
-			continue
-		}
-		out[p] = data[off-start : pageEnd-start : pageEnd-start]
-		off = pageEnd
-	}
+// runPage returns page p of a run of pages fetched from page lo on: a
+// capacity-clipped slice of the run, shorter than a page only at the end of
+// the ciphertext.
+func runPage(run []byte, lo, p int64) []byte {
+	a := (p - lo) * PageSize
+	b := min(a+PageSize, int64(len(run)))
+	return run[a:b:b]
 }
 
 // Revalidate asks the server whether the blob still matches this source's
@@ -738,18 +464,13 @@ func (s *Source) Revalidate() (changed bool, err error) {
 		return false, err
 	}
 	req.Header.Set("Range", "bytes=0-0")
-	if s.etag != "" {
-		req.Header.Set("If-None-Match", s.etag)
-	}
+	req.Header.Set("If-None-Match", s.etag)
 	resp, err := s.doReq(req)
 	if err != nil {
 		return false, err
 	}
-	// Only the status matters. A store that ignored the range answered 200
-	// with a whole blob, of which nothing is read.
+	// Only the status matters.
 	switch resp.StatusCode {
-	case http.StatusOK:
-		resp.Body.Close()
 	case http.StatusPartialContent, http.StatusNotModified:
 		if _, err := s.readAll(resp, 1); err != nil {
 			return false, err
@@ -793,7 +514,7 @@ func (s *Source) resyncLocked() error {
 	if err != nil {
 		return err
 	}
-	if payload.ETag != "" && payload.ETag == s.etag {
+	if payload.ETag == s.etag {
 		return nil // raced with a concurrent reload; already current
 	}
 	oldMan, oldDigests := s.man, s.digests
@@ -876,6 +597,48 @@ func (s *Source) doReq(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// getRange reads bytes [start, end) of the resource at url, the blob or
+// the leaf table, of the version whose entity tag is etag. It is the one
+// reader of range bodies: it sends one Range under If-Match and accepts only
+// a 206 for that version whose Content-Range names exactly those bytes and
+// whose body holds exactly that many. A 412 is ErrChanged; any other status
+// is refused after reading at most maxErrorBody of its body. Callers hold
+// s.mu.
+func (s *Source) getRange(url, etag string, start, end int64) ([]byte, error) {
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", start, end-1))
+	req.Header.Set("If-Match", etag)
+	resp, err := s.doReq(req)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case resp.StatusCode == http.StatusPreconditionFailed:
+		return nil, fmt.Errorf("%w: %s moved on from %s: %s", ErrChanged, url, etag, s.errorDetail(resp))
+	case resp.StatusCode != http.StatusPartialContent:
+		return nil, fmt.Errorf("remote: bytes %d-%d of %s: %s", start, end-1, url, s.errorDetail(resp))
+	}
+	defer resp.Body.Close()
+	// Bytes of another version would fail verification as tampering: name
+	// the benign cause, a store that served past the precondition.
+	if got := resp.Header.Get("ETag"); got != "" && got != etag {
+		return nil, fmt.Errorf("%w: bytes %d-%d of %s are of %s, the client holds %s", ErrChanged, start, end-1, url, got, etag)
+	}
+	if a, b, err := parseContentRange(resp.Header.Get("Content-Range")); err != nil || a != start || b != end-1 {
+		return nil, fmt.Errorf("remote: asked %s for bytes %d-%d, the answer names %q", url, start, end-1, resp.Header.Get("Content-Range"))
+	}
+	s.trace.Begin(trace.PhaseFetch)
+	defer s.trace.End()
+	body, err := readFull(s.bodyReader(resp.Body, end-start), end-start)
+	if err != nil {
+		return nil, fmt.Errorf("remote: reading bytes %d-%d of %s: %w", start, end-1, url, err)
+	}
+	return body, nil
+}
+
 // readAll drains and closes a response body through the wire counter. The
 // body may hold at most limit bytes, what the request asked for: a longer
 // one fails with ErrIntegrity one byte past the limit.
@@ -889,31 +652,13 @@ func (s *Source) readHead(resp *http.Response, n int64) ([]byte, error) {
 	return s.drain(resp, io.LimitReader(s.bodyReader(resp.Body, n), n))
 }
 
-// readSized reads a response body that should hold n bytes, and may hold
-// at most limit, through the wire counter into a buffer of exactly that
-// length (n clipped to [0, limit]), then drains the body to its end and
-// closes it. It returns the buffer, cut short when the body is, and the
-// body's length. A body longer than limit fails with ErrIntegrity.
-func (s *Source) readSized(resp *http.Response, n, limit int64) ([]byte, int64, error) {
-	defer resp.Body.Close()
-	s.trace.Begin(trace.PhaseFetch)
-	defer s.trace.End()
-	body, got, err := readFull(s.bodyReader(resp.Body, limit), n, limit)
-	if err != nil {
-		return nil, 0, fmt.Errorf("remote: reading response body: %w", err)
-	}
-	return body, got, nil
-}
-
-// readFull reads the first n bytes of r, n clipped to [0, limit], into a
-// buffer of exactly that length, then reads r to its end, at most limit+1
-// bytes in all. It returns the buffer, cut short when r is, and the length
-// of r: more than limit when r holds more. The buffer starts at maxReserve
-// bytes at most and doubles only once full: a store that claims more than
-// it sends makes the client hold at most maxReserve or twice what arrived,
-// whichever is larger.
-func readFull(r io.Reader, n, limit int64) ([]byte, int64, error) {
-	n = min(max(n, 0), limit)
+// readFull reads r, a response body that bodyReader bounds to n bytes and
+// that must hold exactly n, into a buffer that grows with what arrives: it
+// starts at maxReserve bytes at most and doubles only once full, so a store
+// that claims more than it sends makes the client hold at most maxReserve
+// or twice what arrived, whichever is larger. A shorter body fails, and so
+// does a longer one, when the bounded reader meets its byte n+1.
+func readFull(r io.Reader, n int64) ([]byte, error) {
 	buf := make([]byte, min(n, maxReserve))
 	got, err := io.ReadFull(r, buf)
 	for err == nil && int64(got) < n {
@@ -925,16 +670,15 @@ func readFull(r io.Reader, n, limit int64) ([]byte, int64, error) {
 		got += m
 	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return buf[:got], int64(got), nil
+		return nil, fmt.Errorf("got %d bytes, want %d", got, n)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	rest, err := io.Copy(io.Discard, io.LimitReader(r, limit-int64(got)+1))
-	if err != nil {
-		return nil, 0, err
+	if _, err := io.Copy(io.Discard, r); err != nil {
+		return nil, err
 	}
-	return buf, int64(got) + rest, nil
+	return buf, nil
 }
 
 // drain reads r, a counted view of resp's body, to its end and closes the

@@ -24,8 +24,8 @@ import (
 )
 
 // reqLog records, per blob request, the Range header the client sent and the
-// status the server answered: the observable behaviour the coalescing,
-// prefetch and revalidation tests assert on.
+// status the server answered: the observable behaviour the span, prefetch
+// and revalidation tests assert on.
 type reqLog struct {
 	mu         sync.Mutex
 	blobRanges []string
@@ -237,37 +237,31 @@ func TestOverlappingReadsServedFromCache(t *testing.T) {
 	}
 }
 
-// TestGapThresholdBoundary: two miss spans separated by exactly the gap
-// threshold (one page) merge into one range; a page past the threshold they
-// stay two ranges — still a single round trip, as a multi-range request.
-func TestGapThresholdBoundary(t *testing.T) {
-	t.Run("gap-equal-threshold-merges", func(t *testing.T) {
-		env := newEnv(t, 6)
-		src := env.open(t, remote.Options{})
-		env.mustRange(t, src, page, page) // prime page 1
-		env.mustRange(t, src, 0, 3*page)  // pages {0,2} missing, one-page gap
-		ranges := env.log.snapshotRanges()
-		if len(ranges) != 2 {
-			t.Fatalf("expected two blob requests total, got %v", ranges)
+// TestSpanRule: a read fetches its pages from the first missing one to the
+// last in one request, the resident pages between them included. With pages
+// 1-2 resident, a read of pages 0-3 sends one request for pages 0-3, and
+// pages 1-2 stay resident with the same bytes.
+func TestSpanRule(t *testing.T) {
+	env := newEnv(t, 6)
+	src := env.open(t, remote.Options{})
+	env.mustRange(t, src, page, 2*page)
+	env.mustRange(t, src, 0, 4*page)
+	want := []string{"bytes=" + rangeSpec(env.ctOff, page, 3*page), "bytes=" + rangeSpec(env.ctOff, 0, 4*page)}
+	if got := env.log.snapshotRanges(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("blob requests %q, want %q", got, want)
+	}
+	for p := int64(0); p < 4; p++ {
+		if !src.HasPage(p) {
+			t.Fatalf("page %d is not resident after the read", p)
 		}
-		if want := "bytes=" + rangeSpec(env.ctOff, 0, 3*page); ranges[1] != want {
-			t.Fatalf("gap == threshold should merge into %q, got %q", want, ranges[1])
-		}
-	})
-	t.Run("gap-past-threshold-splits", func(t *testing.T) {
-		env := newEnv(t, 6)
-		src := env.open(t, remote.Options{})
-		env.mustRange(t, src, page, 2*page) // prime pages 1 and 2
-		env.mustRange(t, src, 0, 4*page)    // pages {0,3}: two-page gap
-		ranges := env.log.snapshotRanges()
-		if len(ranges) != 2 {
-			t.Fatalf("expected two blob requests total (split ranges share one), got %v", ranges)
-		}
-		want := "bytes=" + rangeSpec(env.ctOff, 0, page) + "," + rangeSpec(env.ctOff, 3*page, 4*page)
-		if ranges[1] != want {
-			t.Fatalf("multi-range header %q, want %q", ranges[1], want)
-		}
-	})
+	}
+	env.mustRange(t, src, page, 2*page)
+	if n := env.log.blobRequests(); n != 2 {
+		t.Fatalf("re-reading pages 1-2 sent a request (%d in all)", n)
+	}
+	if err := src.CheckCache(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestChunkCacheBound: the cache never exceeds its capacity, and a read
@@ -400,9 +394,8 @@ func TestRevalidate(t *testing.T) {
 }
 
 // TestChangedBlobDetectedMidStream: when the blob is replaced under a live
-// source, the If-Range guard turns the next fetch into a full 200 response
-// with a new ETag and the source fails with ErrChanged instead of mixing
-// bytes of two documents.
+// source, the If-Match precondition turns the next fetch into a 412 and the
+// source fails with ErrChanged instead of mixing bytes of two documents.
 func TestChangedBlobDetectedMidStream(t *testing.T) {
 	env := newEnv(t, 6)
 	src := env.open(t, remote.Options{})

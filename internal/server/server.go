@@ -418,8 +418,11 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 
 // handleBlob range-serves the encrypted container. http.ServeContent
 // provides single- and multi-range responses (206 / multipart/byteranges),
-// If-None-Match revalidation (304 against the ETag set below) and If-Range
-// guards, so a remote chunk cache revalidates for free. The per-version ETag
+// If-Match and If-None-Match preconditions (412 and 304 against the ETag set
+// below) and If-Range guards, so a remote chunk cache revalidates for free.
+// A remote client (internal/remote) sends one range per request under
+// If-Match, answered 206 or, once the document moved on, 412, and probes
+// with If-None-Match on a 1-byte range to revalidate. The per-version ETag
 // is the only validator: HTTP dates have one-second resolution and several
 // PATCHes can land within a second, so a modification date would let
 // If-Modified-Since or a date If-Range serve stale or torn bytes. The zero

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,12 +109,34 @@ func (ps *patchingServer) patch(t testing.TB) {
 }
 
 // TestRemoteViewParity is the acceptance check of the remote subsystem: for
-// each built-in policy on the hospital dataset, the view fetched through
-// internal/remote is byte-identical to the local View with identical SOE
-// cost metrics, and whenever the Skip index skipped bytes, the wire carried
-// strictly less than the full encrypted document.
+// each built-in policy on the hospital dataset, under each scheme, a cold
+// view fetched through internal/remote and a second view on the same
+// document are byte-identical to the local View with identical SOE cost
+// metrics. The page cache holds under half the document, so the second
+// view's chunk reads under CBC-SHA and CBC-SHAC find some of their pages
+// resident. Under ECB-MHT and ECB, which read fragments rather than whole
+// chunks, whenever the Skip index skipped bytes the cold view's wire carried
+// strictly less than the full encrypted document. Every /blob and /hashes
+// request names one range under If-Match and is answered 206.
 func TestRemoteViewParity(t *testing.T) {
-	docURL, prot, key := startBlobServer(t, 48)
+	srv := server.New(server.Options{})
+	xml := xmlstream.SerializeTree(dataset.HospitalFolders(48, 3), false)
+	schemes := []xmlac.Scheme{xmlac.SchemeECBMHT, xmlac.SchemeECB, xmlac.SchemeCBCSHA, xmlac.SchemeCBCSHAC}
+	local := map[xmlac.Scheme]*xmlac.Protected{}
+	for _, scheme := range schemes {
+		entry, err := srv.Store().RegisterXML(string(scheme), xml, remotePassphrase, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := entry.Blob()
+		if local[scheme], err = xmlac.UnmarshalProtected(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	key := xmlac.DeriveKey(remotePassphrase)
+	shapes := &rangeShapes{}
 	policies := []xmlac.Policy{
 		xmlac.SecretaryPolicy(),
 		xmlac.DoctorPolicy("DrA"),
@@ -125,46 +148,113 @@ func TestRemoteViewParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantView, wantMetrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, scheme := range schemes {
+				t.Run(string(scheme), func(t *testing.T) {
+					prot := local[scheme]
+					// Remote transfers move in pages of 256 bytes.
+					if pages := prot.Size() / 256; pages < 2*parityCachePages {
+						t.Fatalf("a %d-page document fits a %d-page cache", pages, parityCachePages)
+					}
+					wantView, wantMetrics, err := prot.View(context.Background(), key, cp, xmlac.ViewOptions{}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					doc, err := xmlac.OpenRemoteOptions(ts.URL+"/docs/"+string(scheme), key,
+						xmlac.RemoteOptions{CacheCapacity: parityCachePages, HTTPClient: &http.Client{Transport: shapes}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, step := range []string{"cold", "second"} {
+						gotView, gotMetrics, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
+						if err != nil {
+							t.Fatalf("%s view: %v", step, err)
+						}
+						if gotView.XML() != wantView.XML() {
+							t.Fatalf("%s remote view differs from local view:\nremote: %.200s\nlocal:  %.200s", step, gotView.XML(), wantView.XML())
+						}
+						// The SOE cost model is source-independent: every
+						// counter except the wire counters must match the
+						// local evaluation exactly.
+						scrubbed := *gotMetrics
+						scrubbed.BytesOnWire, scrubbed.RoundTrips, scrubbed.Duration = 0, 0, 0
+						want := *wantMetrics
+						want.Duration = 0
+						if scrubbed != want {
+							t.Fatalf("%s view: remote SOE metrics differ:\nremote: %+v\nlocal:  %+v", step, scrubbed, wantMetrics)
+						}
+						if gotMetrics.BytesSkipped == 0 {
+							t.Fatalf("policy %s skipped nothing; dataset too small for the test to mean anything", policy.Subject)
+						}
+						wire, _ := doc.WireStats()
+						t.Logf("%s/%s, %s view: %d wire bytes in all for a %d byte document (%d skipped, %d round trips)",
+							policy.Subject, scheme, step, wire, prot.Size(), gotMetrics.BytesSkipped, gotMetrics.RoundTrips)
+						if step != "cold" {
+							continue
+						}
+						if gotMetrics.BytesOnWire <= 0 || gotMetrics.RoundTrips <= 0 {
+							t.Fatalf("remote evaluation reported no wire activity: %+v", gotMetrics)
+						}
+						if scheme == xmlac.SchemeCBCSHA || scheme == xmlac.SchemeCBCSHAC {
+							continue
+						}
+						// Strictness: even counting the open-time manifest and
+						// digest fetches, the remote SOE transferred less than
+						// the document.
+						if wire >= int64(prot.Size()) {
+							t.Fatalf("wire bytes %d >= encrypted document %d despite %d bytes skipped",
+								wire, prot.Size(), gotMetrics.BytesSkipped)
+						}
+					}
+				})
 			}
-			doc, err := xmlac.OpenRemote(docURL, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotView, gotMetrics, err := doc.View(context.Background(), cp, xmlac.ViewOptions{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotView.XML() != wantView.XML() {
-				t.Fatalf("remote view differs from local view:\nremote: %.200s\nlocal:  %.200s", gotView.XML(), wantView.XML())
-			}
-			// The SOE cost model is source-independent: every counter except
-			// the wire counters must match the local evaluation exactly.
-			scrubbed := *gotMetrics
-			scrubbed.BytesOnWire, scrubbed.RoundTrips, scrubbed.Duration = 0, 0, 0
-			want := *wantMetrics
-			want.Duration = 0
-			if scrubbed != want {
-				t.Fatalf("remote SOE metrics differ:\nremote: %+v\nlocal:  %+v", scrubbed, wantMetrics)
-			}
-			if gotMetrics.BytesSkipped == 0 {
-				t.Fatalf("policy %s skipped nothing; dataset too small for the test to mean anything", policy.Subject)
-			}
-			if gotMetrics.BytesOnWire <= 0 || gotMetrics.RoundTrips <= 0 {
-				t.Fatalf("remote evaluation reported no wire activity: %+v", gotMetrics)
-			}
-			// Strictness: even counting the open-time manifest and digest
-			// fetches, the remote SOE transferred less than the document.
-			wire, _ := doc.WireStats()
-			if wire >= int64(prot.Size()) {
-				t.Fatalf("wire bytes %d >= encrypted document %d despite %d bytes skipped",
-					wire, prot.Size(), gotMetrics.BytesSkipped)
-			}
-			t.Logf("%s: %d wire bytes for a %d byte document (%d skipped, %d round trips)",
-				policy.Subject, wire, prot.Size(), gotMetrics.BytesSkipped, gotMetrics.RoundTrips)
 		})
+	}
+	shapes.check(t)
+}
+
+// parityCachePages is the page cache of TestRemoteViewParity's documents.
+const parityCachePages = 256
+
+// rangeShapes is an http.RoundTripper that checks every /blob and /hashes
+// request a client sends, and its answer: the request names one range and
+// carries If-Match, and the answer is a 206.
+type rangeShapes struct {
+	mu       sync.Mutex
+	requests int
+	faults   []string
+}
+
+func (rs *rangeShapes) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || !strings.HasSuffix(r.URL.Path, "/blob") && !strings.HasSuffix(r.URL.Path, "/hashes") {
+		return resp, err
+	}
+	rng := r.Header.Get("Range")
+	var first, last int64
+	n, _ := fmt.Sscanf(rng, "bytes=%d-%d", &first, &last)
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.requests++
+	if n != 2 || rng != fmt.Sprintf("bytes=%d-%d", first, last) || r.Header.Get("If-Match") == "" ||
+		r.Header.Get("If-Range") != "" || resp.StatusCode != http.StatusPartialContent {
+		rs.faults = append(rs.faults, fmt.Sprintf("%s Range %q If-Match %q If-Range %q: %s",
+			r.URL.Path, rng, r.Header.Get("If-Match"), r.Header.Get("If-Range"), resp.Status))
+	}
+	return resp, nil
+}
+
+// check fails t unless the transport carried range requests, all of them of
+// the one shape.
+func (rs *rangeShapes) check(t *testing.T) {
+	t.Helper()
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.requests == 0 {
+		t.Fatal("no /blob or /hashes request was sent")
+	}
+	if len(rs.faults) > 0 {
+		t.Fatalf("%d of %d /blob and /hashes requests are not one If-Match range answered 206, the first: %s",
+			len(rs.faults), rs.requests, rs.faults[0])
 	}
 }
 

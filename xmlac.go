@@ -93,8 +93,9 @@
 // policy: every view runs in a client SOE (OpenRemote, below). Its one
 // trusted-mode exception is the plaintext write path — registration takes
 // XML and a passphrase and PATCH takes plaintext edits, so the store
-// derives the key and protects and re-encrypts the document itself. GET /metrics and GET /metrics.prom report
-// the store's own counters: requests, documents, updates and storage.
+// derives the key and protects and re-encrypts the document itself. GET
+// /metrics and GET /metrics.prom report the store's own counters:
+// requests, documents, updates and storage.
 //
 // # Remote SOE
 //
@@ -111,15 +112,19 @@
 //	    metrics.BytesOnWire, doc.Size(), metrics.RoundTrips)
 //
 // The policy is evaluated locally while ciphertext is pulled on demand
-// through range requests (coalesced, cached in a bounded set of pages), so
-// the bytes the Skip index skips are bytes that never cross the network:
+// through range requests (cached in a bounded set of pages), so the bytes
+// the Skip index skips are bytes that never cross the network:
 // Metrics.BytesOnWire stays well under a full download for selective
-// policies. The leaf records the Merkle checks need are fetched by the run
-// of chunks, so a cold view sends one /hashes request, not one per chunk. A full page cache evicts at random: every view is a forward
-// scan, and LRU would keep nothing of a repeated view whose working set
-// exceeds the cache. Canceling the view's context closes its in-flight
-// requests. The xmlac-view command (-url) and examples/remoteclient show
-// the full flow.
+// policies. Every request for ciphertext or leaf records names one byte
+// range under If-Match with the entity tag the client holds, and only a
+// 206 naming exactly those bytes is read; a read fetches its pages from the
+// first missing one to the last in one request. The leaf records the
+// Merkle checks need are fetched by the run of chunks, so a cold view sends
+// one /hashes request, not one per chunk. A full page cache evicts at
+// random: every view is a forward scan, and LRU would keep nothing of a
+// repeated view whose working set exceeds the cache. Canceling the view's
+// context closes its in-flight requests. The xmlac-view command (-url) and
+// examples/remoteclient show the full flow.
 //
 // Integrity is verified client-side. Under ECB-MHT and CBC-SHA, every byte
 // that reaches a sink has been checked against its chunk's encrypted
@@ -140,9 +145,10 @@
 // digest table and evicting only the chunks whose digest or bounds changed
 // (under CBC, every chunk from the first change on; under ECB, which has no
 // digests, every chunk) — clean chunks stay resident (Metrics.ChunksReused
-// counts them) instead of the whole cache going cold. A view that trips over the change before delivering a byte
-// re-syncs and retries transparently, as one view with one clock and one
-// trace root span.
+// counts them) instead of the whole cache going cold. A view that trips
+// over the change (its next range request answers 412) before delivering
+// a byte re-syncs and retries transparently, as one view with one clock and
+// one trace root span.
 //
 // # Observability
 //
@@ -568,7 +574,7 @@ type Metrics struct {
 	// the blob server during a remote evaluation (OpenRemote); 0 when the
 	// evaluation is local. Unlike BytesTransferred (the SOE cost model), it
 	// counts real network payload: range responses, digest tables and
-	// fragment hashes, page-granular and framing included.
+	// fragment hashes, page-granular.
 	BytesOnWire int64
 	// RoundTrips is the number of HTTP requests issued during a remote
 	// evaluation; 0 when the evaluation is local.
@@ -581,9 +587,9 @@ type Metrics struct {
 	ChunksReused int64
 	// TimeToFirstByte is the wall-clock delay between the start of a
 	// streamed view (a View with a non-nil writer) and the first byte of the
-	// view reaching the writer; 0 when the view was empty or materialized. Aggregations (Metrics.Add)
-	// sum it like every other counter; divide by the number of folded
-	// evaluations for an average.
+	// view reaching the writer; 0 when the view was empty or materialized.
+	// Aggregations (Metrics.Add) sum it like every other counter; divide by
+	// the number of folded evaluations for an average.
 	TimeToFirstByte time.Duration
 	// Duration is the wall-clock time of the evaluation pipeline. Like
 	// TimeToFirstByte it sums under Metrics.Add.
