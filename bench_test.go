@@ -2,6 +2,7 @@ package xmlac
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -217,8 +218,8 @@ func BenchmarkSecureReaderSchemes(b *testing.B) {
 					b.Fatal(err)
 				}
 				for off := int64(0); off < int64(prot.PlainLen); off += int64(len(buf)) {
-					if _, err := r.ReadAt(buf, off); err != nil && err.Error() != "EOF" {
-						break
+					if _, err := r.ReadAt(buf, off); err != nil && !errors.Is(err, io.EOF) {
+						b.Fatal(err)
 					}
 				}
 			}

@@ -67,7 +67,6 @@ func main() {
 		Logger:          logger,
 		EnablePprof:     *pprof,
 		TraceBufferSize: *traceBuffer,
-		DisableTracing:  *traceBuffer < 0,
 	})
 	if err != nil {
 		fatal(logger, "opening server", err)

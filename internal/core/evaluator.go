@@ -56,23 +56,16 @@ type Options struct {
 // converts them, together with the byte counts of the secure reader, into
 // execution-time estimates.
 type Metrics struct {
-	Events           int64 // total events processed (skipped events excluded)
-	OpenEvents       int64
-	TokenOps         int64 // tokens examined across all events
-	TransitionsFired int64
-	AuthEntries      int64 // rule instances pushed on the Authorization Stack
-	PredInstances    int64 // predicate instances created
-	PredSatisfied    int64
-	PredFailed       int64
-	NodesPermitted   int64
-	NodesDenied      int64
-	NodesPending     int64 // nodes buffered awaiting a pending predicate
-	PendingResolved  int64 // buffered nodes later resolved (either way)
-	SubtreesSkipped  int64
-	BytesSkipped     int64
-	BlanketPermits   int64 // subtrees delivered without per-node evaluation
-	MaxTokenLevel    int   // maximum number of simultaneously active tokens
-	MaxAuthDepth     int
+	Events          int64 // total events processed (skipped events excluded)
+	TokenOps        int64 // tokens examined across all events
+	AuthEntries     int64 // rule instances pushed on the Authorization Stack
+	PredInstances   int64 // predicate instances created
+	NodesPermitted  int64
+	NodesDenied     int64
+	NodesPending    int64 // nodes buffered awaiting a pending predicate
+	PendingResolved int64 // buffered nodes later resolved (either way)
+	SubtreesSkipped int64
+	BytesSkipped    int64
 }
 
 // Result is the outcome of an evaluation.
@@ -243,7 +236,6 @@ func (e *Evaluator) processEvent(ev xmlstream.Event) error {
 	var err error
 	switch ev.Kind {
 	case xmlstream.Open:
-		e.metrics.OpenEvents++
 		err = e.processOpen(ev)
 	case xmlstream.Text:
 		e.processText(ev)
@@ -307,7 +299,6 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 		if !path.Accepts(t.State, ev.Name) {
 			continue
 		}
-		e.metrics.TransitionsFired++
 		nt := t
 		nt.State++
 		if t.Path.IsNav() {
@@ -367,12 +358,6 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 		level = &authLevel{entries: newEntries}
 	}
 	e.authLevels = append(e.authLevels, level)
-	if len(newLevel) > e.metrics.MaxTokenLevel {
-		e.metrics.MaxTokenLevel = len(newLevel)
-	}
-	if len(e.authLevels) > e.metrics.MaxAuthDepth {
-		e.metrics.MaxAuthDepth = len(e.authLevels)
-	}
 
 	// Skip-index token filtering (section 4.2): remove tokens that cannot
 	// reach their final state inside this subtree.
@@ -485,7 +470,6 @@ func (e *Evaluator) processClose(ev xmlstream.Event) error {
 			continue
 		}
 		inst.state = predFailed
-		e.metrics.PredFailed++
 		e.notifyWaiters(inst)
 	}
 	delete(e.anchorIndex, serial)
@@ -531,7 +515,6 @@ func (e *Evaluator) satisfyInstance(key predKey) {
 		return
 	}
 	inst.state = predSatisfied
-	e.metrics.PredSatisfied++
 	e.notifyWaiters(inst)
 }
 
@@ -597,13 +580,11 @@ func (e *Evaluator) resolveDeferrals(node *resultNode) {
 		switch {
 		case node.access == Permit:
 			inst.state = predSatisfied
-			e.metrics.PredSatisfied++
 			e.notifyWaiters(inst)
 		case inst.deferrals == 0 && inst.anchorClosed:
 			// Every potential observation turned out to be denied and the
 			// anchor scope is over: the query predicate definitively fails.
 			inst.state = predFailed
-			e.metrics.PredFailed++
 			e.notifyWaiters(inst)
 		}
 	}
@@ -729,6 +710,5 @@ func (e *Evaluator) maybeSuspendOrSkip(depth int) error {
 	// combined == Permit: deliver the rest of the subtree without
 	// evaluation.
 	e.blanketPermitDepth = depth
-	e.metrics.BlanketPermits++
 	return nil
 }

@@ -168,6 +168,10 @@ func checkRead(t *testing.T, r *Reader, plain []byte, off int64, n int) error {
 // flips every 8-byte read, cannot alter what the SOE delivers. A reader
 // that decrypted a second fetch of the ciphertext it verified would return
 // altered plaintext with a nil error for the first 1,000 bytes of chunk 0.
+// Under ECB-MHT the first read of a chunk authenticates all its leaf
+// records, and each later fragment of the chunk is checked against its leaf
+// alone on its first fetch: a flip in that fetch, or in the record of a
+// fragment the SOE hashes itself, must end the read in ErrIntegrity.
 func TestReaderDecryptsOnlyWhatItHashed(t *testing.T) {
 	probes := map[string]lie{
 		"later reads flipped":  {target: lieCiphertext, mode: lieRepeats, mask: 0x01},
@@ -200,6 +204,53 @@ func TestReaderDecryptsOnlyWhatItHashed(t *testing.T) {
 				}
 			})
 		}
+	}
+	lies := map[string]struct {
+		probe lie
+		off   int64 // the 16-byte read that must fail, after an honest one at 0 if off > 0
+	}{
+		"first fetch of fragment 1 flipped":   {lie{target: lieCiphertext, mode: lieOnce, arg: 1, pos: 3, mask: 0x01}, DefaultFragmentSize},
+		"record of a hashed fragment flipped": {lie{target: lieHashes, mode: lieOnce, arg: 0, pos: 5, mask: 0x01}, 0},
+	}
+	for name, tc := range lies {
+		t.Run(name+"/ECB-MHT", func(t *testing.T) {
+			prot, plain := hostileDoc(t, SchemeECBMHT)
+			r, err := NewReader(newHostileSource(prot, tc.probe), testKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.off > 0 {
+				if err := checkRead(t, r, plain, 0, 16); err != nil {
+					t.Fatalf("an honest first answer must be served as is: %v", err)
+				}
+			}
+			if err := checkRead(t, r, plain, tc.off, 16); err == nil {
+				t.Fatalf("read [%d, +16) over the lie: nil error", tc.off)
+			}
+		})
+	}
+}
+
+// TestFragmentHashesOncePerChunk: a forward scan in 16-byte reads asks the
+// terminal for each chunk's leaf records once and folds each chunk's root
+// once, however many of the chunk's fragments it reads.
+func TestFragmentHashesOncePerChunk(t *testing.T) {
+	prot, plain := hostileDoc(t, SchemeECBMHT)
+	src := newHostileSource(prot)
+	r, err := NewReader(src, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off < int64(len(plain)); off += 16 {
+		checkRead(t, r, plain, off, 16)
+	}
+	if got, want := src.calls[lieHashes], prot.NumChunks(); got != want {
+		t.Errorf("FragmentHashes asked %d times over %d chunks", got, want)
+	}
+	// Every fragment is first read at its start and hashed whole once; each
+	// chunk's fold hashes its leaf records once.
+	if got, want := r.Costs().BytesHashed, int64(len(prot.Ciphertext)+len(prot.LeafTable())); got != want {
+		t.Errorf("hashed %d bytes, want %d", got, want)
 	}
 }
 
@@ -263,8 +314,9 @@ type hostileSeed struct {
 // both schemes: both probes of TestReaderDecryptsOnlyWhatItHashed, read
 // over the first 1,000 bytes and in small steps forward, each followed by a
 // read back past what the reader holds; and a lie on one digest, one on one
-// chunk's hashes and an honest source, read in steps. The committed files
-// under testdata/fuzz/FuzzHostileSource hold the same inputs.
+// chunk's hashes, one on the first fetch of fragment 1, one on the record of
+// fragment 0 and an honest source, read in steps. The committed files under
+// testdata/fuzz/FuzzHostileSource hold the same inputs.
 func hostileSeeds() []hostileSeed {
 	var reads []byte
 	for off := 0; off < 3*DefaultChunkSize+123; off += 131 {
@@ -281,6 +333,8 @@ func hostileSeeds() []hostileSeed {
 			hostileSeed{scheme, []byte{lieCiphertext, lieLength, 0, 3, 1}, reads},
 			hostileSeed{scheme, []byte{lieDigest, lieOnce, 1, 5, 0x80}, reads},
 			hostileSeed{scheme, []byte{lieHashes, lieOnce, 2, 41, 0x10}, reads},
+			hostileSeed{scheme, []byte{lieCiphertext, lieOnce, 1, 3, 1}, reads},
+			hostileSeed{scheme, []byte{lieHashes, lieOnce, 0, 5, 1}, reads},
 			hostileSeed{scheme, nil, reads},
 		)
 	}

@@ -25,8 +25,6 @@ type Costs struct {
 	BytesHashed int64
 	// DigestsDecrypted counts decrypted chunk digests.
 	DigestsDecrypted int64
-	// ChunksVerified counts chunk-level verifications.
-	ChunksVerified int64
 	// FragmentsVerified counts fragment-level verifications (ECB-MHT).
 	FragmentsVerified int64
 }
@@ -50,11 +48,11 @@ type Reader struct {
 	block cipher.Block
 	iv    [BlockSize]byte // the CBC schemes' derived IV
 
-	// verification state kept in the SOE: which chunks and fragments
-	// (ECB-MHT) are verified, the decrypted chunk digests and the
-	// fragment leaf hashes of the chunks being worked on (the SOE keeps the
-	// leaves of the current chunk, 8 x 20 bytes, well within its RAM budget,
-	// so sibling hashes are transferred at most once per chunk). A chunk's
+	// verification state kept in the SOE: the decrypted chunk digests and,
+	// under ECB-MHT, the authenticated leaves of the chunks touched and
+	// which fragments were checked against them (a chunk's leaves take
+	// 8 x 20 bytes, well within the SOE's RAM budget, so its records are
+	// transferred and folded at most once per view). A chunk's
 	// entry is current only when it carries the reader's epoch, and the
 	// fragment states of the chunks touched in the current epoch sit in
 	// frags: Reset moves to a new epoch and empties frags instead of
@@ -92,11 +90,9 @@ type Reader struct {
 	cbc         [2]heldChunk
 
 	// Scratch space reused across calls: the plaintext a ReadAt serves, the
-	// fragments one verification hashes and their leaves, the leaves of the
-	// Merkle tree it folds, a whole CBC chunk and one encrypted digest.
+	// leaves of the Merkle tree a chunk's verification folds, a whole CBC
+	// chunk and one encrypted digest.
 	out       []byte
-	newFrags  []int
-	newLeaves [][DigestSize]byte
 	leaves    [][DigestSize]byte
 	chunk     []byte
 	digestBuf [encryptedDigestSize]byte
@@ -111,18 +107,18 @@ type Reader struct {
 // chunkState is the verification state of one chunk.
 type chunkState struct {
 	epoch     uint64
-	verified  bool
 	hasDigest bool
 	digest    [DigestSize]byte
 	// frags is the offset of the chunk's fragment states in Reader.frags;
-	// -1 until its first Merkle verification in the epoch.
+	// -1 until its leaves are authenticated in the epoch.
 	frags int
 }
 
-// fragState is the verification state of one fragment of a chunk.
+// fragState is the verification state of one fragment of a chunk: its
+// authenticated leaf, and whether the fragment was fetched and checked
+// against it in the epoch.
 type fragState struct {
 	verified bool
-	hasLeaf  bool
 	leaf     [DigestSize]byte
 }
 
@@ -363,9 +359,9 @@ func (r *Reader) readECB(start, end int64) ([]byte, error) {
 }
 
 // verifyMHT verifies the fragments overlapping [start, end) with the Merkle
-// hash tree protocol of Appendix A: the SOE hashes the fragments it fetches,
-// the terminal provides the hashes of the other fragments, and the SOE
-// recomputes and compares the (decrypted) chunk digest.
+// hash tree protocol of Appendix A. On a chunk's first touch in the view the
+// SOE authenticates the chunk's leaf records (chunkFrags); each fragment the
+// range needs is then fetched once and checked against its leaf (fragment).
 func (r *Reader) verifyMHT(start, end int64) error {
 	r.trace.Begin(trace.PhaseVerify)
 	defer r.trace.End()
@@ -373,135 +369,112 @@ func (r *Reader) verifyMHT(start, end int64) error {
 	fragSize := int64(r.man.FragmentSize)
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
 		cStart, cEnd := r.man.ChunkBounds(chunk)
-		numFrags := r.man.NumFragments(chunk)
-		// The chunk's fragment states exist once it has been through a
-		// verification in this epoch; until then no fragment is verified.
-		var frags []fragState
-		if cs := r.stateOf(chunk); cs.frags >= 0 {
-			frags = r.frags[cs.frags : cs.frags+numFrags]
+		first := int((max(start, cStart) - cStart) / fragSize)
+		last := int((min(end, cEnd) - 1 - cStart) / fragSize)
+		frags, err := r.chunkFrags(chunk, last-first+1)
+		if err != nil {
+			return err
 		}
-		// Fragments of this chunk overlapped by the requested range and not
-		// yet verified.
-		lo := max(start, cStart)
-		hi := min(end, cEnd)
-		newFrags := r.newFrags[:0]
-		for f := int((lo - cStart) / fragSize); f <= int((hi-1-cStart)/fragSize); f++ {
-			if frags == nil || !frags[f].verified {
-				newFrags = append(newFrags, f)
+		for f := first; f <= last; f++ {
+			if frags[f].verified {
+				continue
 			}
-		}
-		r.newFrags = newFrags
-		if len(newFrags) == 0 {
-			continue
-		}
-		newLeaves := r.newLeaves[:0]
-		fetched := len(r.verifiedNow)
-		// The SOE receives each new fragment from the position of interest
-		// to the end of the fragment, together with the terminal's
-		// intermediate hash of the prefix (Appendix A), hashes it and keeps
-		// the leaf. The verification below still hashes the whole fragment
-		// (the prefix-state hand-off is modelled in the cost accounting);
-		// tampering anywhere in the fragment therefore remains detected.
-		for _, f := range newFrags {
-			fStart := cStart + int64(f)*fragSize
-			fEnd := fStart + fragSize
-			if fEnd > cEnd {
-				fEnd = cEnd
-			}
-			frag, err := r.src.CiphertextRange(fStart, fEnd-fStart)
+			h, err := r.fragment(chunk, f, start)
 			if err != nil {
 				return err
 			}
-			fetchFrom := fStart
-			if start > fetchFrom && start < fEnd {
-				fetchFrom = start
-			}
-			suffix := fEnd - fetchFrom
-			r.costs.BytesTransferred += suffix
-			r.costs.BytesHashed += suffix
-			if fetchFrom > fStart {
-				// Intermediate SHA-1 state of the prefix, computed by the
-				// terminal.
-				r.costs.BytesTransferred += 24
-			}
-			r.verifiedNow = append(r.verifiedNow, heldFrag{start: fStart, from: fetchFrom, ct: frag})
-			newLeaves = append(newLeaves, sha1.Sum(frag))
-			r.costs.FragmentsVerified++
-		}
-		r.newLeaves = newLeaves
-		// The terminal provides the hashes needed to recompute the root: a
-		// Merkle co-path of ceil(log2(#fragments)) digests per verification
-		// (the flat implementation below exchanges the missing leaves, but
-		// the cost charged is the logarithmic co-path of the paper; the leaf
-		// cache makes later verifications of the same chunk cheaper).
-		r.trace.Begin(trace.PhaseHashFetch)
-		all, err := r.src.FragmentHashes(chunk)
-		r.trace.End()
-		if err != nil {
-			return err
-		}
-		if len(all) != numFrags*DigestSize {
-			return fmt.Errorf("%w: chunk %d: %d bytes of fragment hashes for %d fragments", ErrIntegrity, chunk, len(all), numFrags)
-		}
-		// The states are allocated only now, after the terminal sent a hash
-		// per fragment: a hostile layout costs the SOE no more memory than
-		// the hashes it actually transfers.
-		if frags == nil {
-			cs := r.stateOf(chunk)
-			cs.frags = len(r.frags)
-			r.frags = append(r.frags, make([]fragState, numFrags)...)
-			r.chunks[chunk] = cs
-			frags = r.frags[cs.frags : cs.frags+numFrags]
-		}
-		for i, f := range newFrags {
-			frags[f].leaf, frags[f].hasLeaf = newLeaves[i], true
-		}
-		missing := 0
-		for f := range frags {
-			if !frags[f].hasLeaf {
-				missing++
-			}
-		}
-		coPath := int64(bitsLen(numFrags))
-		if int64(missing) < coPath {
-			coPath = int64(missing)
-		}
-		r.costs.BytesTransferred += coPath * DigestSize
-		// Recompute the root from the leaves in fragment order.
-		leaves := r.leaves[:0]
-		for f := range frags {
-			if !frags[f].hasLeaf {
-				frags[f].leaf, frags[f].hasLeaf = [DigestSize]byte(all[f*DigestSize:]), true
-			}
-			leaves = append(leaves, frags[f].leaf)
-		}
-		r.leaves = leaves
-		root := merkleCombine(leaves)
-		r.costs.BytesHashed += int64(numFrags * DigestSize)
-		digest, err := r.chunkDigest(chunk)
-		if err != nil {
-			return err
-		}
-		if root != digest {
-			return fmt.Errorf("%w: chunk %d Merkle root mismatch", ErrIntegrity, chunk)
-		}
-		for _, f := range newFrags {
 			frags[f].verified = true
-		}
-		r.markVerified(chunk)
-		// The fetched ciphertext stays in the SOE for the next few reads, so
-		// it is decrypted as hashed and not paid for twice.
-		for _, h := range r.verifiedNow[fetched:] {
-			r.hold(h)
+			r.verifiedNow = append(r.verifiedNow, h)
+			r.costs.FragmentsVerified++
 		}
 	}
 	return nil
 }
 
+// chunkFrags returns the fragment states of a chunk. On the chunk's first
+// touch in the view it authenticates them: it takes the chunk's leaf records
+// from the terminal, folds them to the Merkle root and compares the root
+// with the decrypted chunk digest. One match authenticates every leaf of the
+// chunk, and the SOE keeps them (8 x 20 bytes per chunk), so no later read
+// of the chunk asks for its records or folds its root again. touched is the
+// number of fragments the first read overlaps, which the SOE hashes itself.
+func (r *Reader) chunkFrags(chunk, touched int) ([]fragState, error) {
+	numFrags := r.man.NumFragments(chunk)
+	if cs := r.stateOf(chunk); cs.frags >= 0 {
+		return r.frags[cs.frags : cs.frags+numFrags], nil
+	}
+	r.trace.Begin(trace.PhaseHashFetch)
+	records, err := r.src.FragmentHashes(chunk)
+	r.trace.End()
+	if err != nil {
+		return nil, err
+	}
+	if len(records) != numFrags*DigestSize {
+		return nil, fmt.Errorf("%w: chunk %d: %d bytes of fragment hashes for %d fragments", ErrIntegrity, chunk, len(records), numFrags)
+	}
+	// The cost charged is the paper's Merkle co-path of
+	// ceil(log2(#fragments)) digests, or the leaves of the fragments the SOE
+	// does not hash itself when they are fewer.
+	r.costs.BytesTransferred += int64(min(bitsLen(numFrags), numFrags-touched)) * DigestSize
+	leaves := r.leaves[:0]
+	for f := range numFrags {
+		leaves = append(leaves, [DigestSize]byte(records[f*DigestSize:]))
+	}
+	r.leaves = leaves
+	root := merkleCombine(leaves)
+	r.costs.BytesHashed += int64(numFrags * DigestSize)
+	digest, err := r.chunkDigest(chunk)
+	if err != nil {
+		return nil, err
+	}
+	if root != digest {
+		return nil, fmt.Errorf("%w: chunk %d Merkle root mismatch", ErrIntegrity, chunk)
+	}
+	// The states are allocated only now, after the terminal sent a record
+	// per fragment: a hostile layout costs the SOE no more memory than the
+	// records it actually transfers.
+	cs := r.stateOf(chunk)
+	cs.frags = len(r.frags)
+	for f := range numFrags {
+		r.frags = append(r.frags, fragState{leaf: [DigestSize]byte(records[f*DigestSize:])})
+	}
+	r.chunks[chunk] = cs
+	return r.frags[cs.frags:], nil
+}
+
+// fragment fetches fragment f of a chunk whose leaves chunkFrags
+// authenticated, charges what crosses the SOE boundary, checks the fragment
+// against its leaf and holds it. The SOE receives the fragment from offset
+// from (or its start, whichever is later) on, together with the terminal's
+// intermediate hash of the prefix (Appendix A). The check still hashes the
+// whole fragment (the prefix-state hand-off is modelled in the cost
+// accounting), so tampering anywhere in the fragment is detected.
+func (r *Reader) fragment(chunk, f int, from int64) (heldFrag, error) {
+	cStart, cEnd := r.man.ChunkBounds(chunk)
+	fStart := cStart + int64(f)*int64(r.man.FragmentSize)
+	fEnd := min(fStart+int64(r.man.FragmentSize), cEnd)
+	ct, err := r.src.CiphertextRange(fStart, fEnd-fStart)
+	if err != nil {
+		return heldFrag{}, err
+	}
+	from = max(from, fStart)
+	r.costs.BytesTransferred += fEnd - from
+	r.costs.BytesHashed += fEnd - from
+	if from > fStart {
+		// Intermediate SHA-1 state of the prefix, computed by the terminal.
+		r.costs.BytesTransferred += 24
+	}
+	if sha1.Sum(ct) != r.frags[r.stateOf(chunk).frags+f].leaf {
+		return heldFrag{}, fmt.Errorf("%w: chunk %d fragment %d does not match its leaf", ErrIntegrity, chunk, f)
+	}
+	h := heldFrag{start: fStart, from: from, ct: ct}
+	r.hold(h)
+	return h, nil
+}
+
 // heldFragment returns the held fragment containing ciphertext offset off.
 // A fragment verified earlier in the view but no longer held is fetched
-// again and checked against the leaf its verification kept, and the bytes
-// it moved are charged.
+// again, whole.
 func (r *Reader) heldFragment(off int64) (heldFrag, error) {
 	if h, ok := r.heldAt(off); ok {
 		return h, nil
@@ -509,31 +482,8 @@ func (r *Reader) heldFragment(off int64) (heldFrag, error) {
 	r.trace.Begin(trace.PhaseVerify)
 	defer r.trace.End()
 	chunk := int(off / int64(r.man.ChunkSize))
-	cStart, cEnd := r.man.ChunkBounds(chunk)
-	f := int((off - cStart) / int64(r.man.FragmentSize))
-	fStart := cStart + int64(f)*int64(r.man.FragmentSize)
-	fEnd := min(fStart+int64(r.man.FragmentSize), cEnd)
-	ct, err := r.src.CiphertextRange(fStart, fEnd-fStart)
-	if err != nil {
-		return heldFrag{}, err
-	}
-	r.costs.BytesTransferred += fEnd - fStart
-	r.costs.BytesHashed += fEnd - fStart
-	if sha1.Sum(ct) != r.frags[r.stateOf(chunk).frags+f].leaf {
-		return heldFrag{}, fmt.Errorf("%w: chunk %d fragment %d changed since its verification", ErrIntegrity, chunk, f)
-	}
-	h := heldFrag{start: fStart, from: fStart, ct: ct}
-	r.hold(h)
-	return h, nil
-}
-
-// markVerified records a chunk's first verification.
-func (r *Reader) markVerified(chunk int) {
-	if cs := r.stateOf(chunk); !cs.verified {
-		cs.verified = true
-		r.chunks[chunk] = cs
-		r.costs.ChunksVerified++
-	}
+	cStart, _ := r.man.ChunkBounds(chunk)
+	return r.fragment(chunk, int((off-cStart)/int64(r.man.FragmentSize)), 0)
 }
 
 // chunkDigest returns the decrypted digest of a chunk, fetching and
@@ -634,7 +584,6 @@ func (r *Reader) holdCBCChunk(chunk int, hashPlaintext bool) (moved bool, err er
 	if computed != digest {
 		return true, fmt.Errorf("%w: chunk %d digest mismatch", ErrIntegrity, chunk)
 	}
-	r.markVerified(chunk)
 	r.cbc[1], r.cbc[0] = r.cbc[0], heldChunk{chunk: chunk, ct: ct, prev: prev}
 	return true, nil
 }

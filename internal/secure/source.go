@@ -82,12 +82,13 @@ type ChunkSource interface {
 	// FragmentHashes returns the SHA-1 hash of every ciphertext fragment of
 	// chunk i as DigestSize-byte records back to back: chunk i's slice of
 	// the leaf table the store range-serves on /hashes (the terminal side
-	// of the ECB-MHT Merkle protocol: the SOE hashes the fragments it
-	// fetched itself and takes the others from here, then verifies the
-	// recomputed root against the decrypted chunk digest, so a lying source
-	// is always detected). The records belong to the
-	// source: like CiphertextRange's bytes, they stay valid across further
-	// calls and must not be modified.
+	// of the ECB-MHT Merkle protocol). The SOE asks for a chunk's records
+	// once per view, on the chunk's first touch: it folds them to the
+	// Merkle root, checks the root against the decrypted chunk digest and
+	// keeps them, then checks each fragment it fetches from the chunk
+	// against its record, so a lying source is always detected. The
+	// records belong to the source: like CiphertextRange's bytes, they
+	// stay valid across further calls and must not be modified.
 	FragmentHashes(i int) ([]byte, error)
 }
 

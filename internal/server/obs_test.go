@@ -171,7 +171,7 @@ func TestDebugTraceServesJSONLWithRequestIDs(t *testing.T) {
 
 	// With tracing disabled the endpoint reports not-found and the blob
 	// surface still works.
-	_, tsOff, _ := newLoggedServer(t, Options{DisableTracing: true})
+	_, tsOff, _ := newLoggedServer(t, Options{TraceBufferSize: -1})
 	putDoc(t, tsOff, "hospital", hospitalXML(2))
 	if resp, _ := do(t, http.MethodGet, tsOff.URL+"/docs/hospital/blob", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("untraced blob fetch: %d", resp.StatusCode)

@@ -117,7 +117,7 @@ func (p *persister) logPatch(e *DocumentEntry, delta *xmlac.UpdateDelta) error {
 	}
 	sf := e.current()
 	blob, man := sf.blob, sf.manifest
-	payload := make([]byte, 0, 4+man.CiphertextOffset+delta.BytesReencrypted+sha256Size)
+	payload := make([]byte, 0, 4+man.CiphertextOffset+delta.BytesReencrypted+sha256.Size)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(man.CiphertextOffset))
 	payload = append(payload, blob[:man.CiphertextOffset]...)
 	cs := int64(man.ChunkSize)
@@ -129,7 +129,7 @@ func (p *persister) logPatch(e *DocumentEntry, delta *xmlac.UpdateDelta) error {
 		}
 		payload = append(payload, blob[man.CiphertextOffset+start:man.CiphertextOffset+end]...)
 	}
-	payload = append(payload, blobSum(blob)...)
+	payload = append(payload, sf.sum[:]...)
 	return p.engine.Append(storage.Record{Type: storage.RecordPatch, Doc: e.ID, Meta: delta.Marshal(), Blob: payload})
 }
 
@@ -177,15 +177,6 @@ func (p *persister) close() error {
 	return p.engine.Close()
 }
 
-const sha256Size = 32
-
-// blobSum returns the sha256 of a container blob — the check value a patch
-// record carries so recovery can verify its reconstruction byte for byte.
-func blobSum(blob []byte) []byte {
-	sum := sha256.Sum256(blob)
-	return sum[:]
-}
-
 // recoverPersisted rebuilds the in-memory store by replaying every
 // recovered record, the snapshot's first, then the tail's. Any
 // inconsistency fails the open — a durable store that cannot reproduce its
@@ -223,16 +214,16 @@ func (s *Server) replayRecord(rec storage.Record) error {
 		if err != nil {
 			return fmt.Errorf("patch delta: %w", err)
 		}
-		if len(rec.Blob) < 4+sha256Size {
+		if len(rec.Blob) < 4+sha256.Size {
 			return fmt.Errorf("patch payload is %d bytes, shorter than its framing", len(rec.Blob))
 		}
 		prefixLen := int(binary.LittleEndian.Uint32(rec.Blob[:4]))
-		if 4+prefixLen+sha256Size > len(rec.Blob) {
+		if 4+prefixLen+sha256.Size > len(rec.Blob) {
 			return fmt.Errorf("patch prefix length %d exceeds the payload", prefixLen)
 		}
 		prefix := rec.Blob[4 : 4+prefixLen]
-		dirty := rec.Blob[4+prefixLen : len(rec.Blob)-sha256Size]
-		sum := rec.Blob[len(rec.Blob)-sha256Size:]
+		dirty := rec.Blob[4+prefixLen : len(rec.Blob)-sha256.Size]
+		sum := rec.Blob[len(rec.Blob)-sha256.Size:]
 		return entry.applyRecoveredPatch(delta, prefix, dirty, sum)
 	case storage.RecordDelete:
 		// Replay is single-threaded, so the only possible error is

@@ -64,12 +64,10 @@ type Options struct {
 	// default: the profiles reveal internals that do not belong on an
 	// unauthenticated surface.
 	EnablePprof bool
-	// TraceBufferSize bounds the span ring behind /debug/trace (<= 0 selects
-	// the xmlac.NewTrace default of a few hundred spans).
+	// TraceBufferSize bounds the span ring behind /debug/trace (0 selects
+	// the xmlac.NewTrace default of a few hundred spans). A negative size
+	// turns off the request spans entirely: /debug/trace answers 404.
 	TraceBufferSize int
-	// DisableTracing turns off the request spans entirely: /debug/trace
-	// answers 404.
-	DisableTracing bool
 
 	// clock overrides the wall clock for store timestamps and access-log
 	// timing; tests inject a fake to drive time deterministically. nil
@@ -129,7 +127,7 @@ func Open(opts Options) (*Server, error) {
 		started: time.Now(),
 		logger:  logger,
 	}
-	if !opts.DisableTracing {
+	if opts.TraceBufferSize >= 0 {
 		s.trace = xmlac.NewTrace(opts.TraceBufferSize)
 	}
 	if opts.DataDir != "" {

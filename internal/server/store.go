@@ -82,14 +82,17 @@ type DocumentEntry struct {
 
 // surface is one published version of an entry's blob surface: the
 // marshalled container the store range-serves to remote SOE clients, its
-// strong entity tag (quoted SHA-256 of the content, sent on
+// SHA-256, its strong entity tag (the quoted SHA-256, sent on
 // GET /docs/{id}/blob and checked against If-None-Match, If-Match and
 // If-Range) and its manifest. A surface is immutable once published. A
 // handler loads the entry's surface once and answers from it alone, so no
 // response pairs one version's entity tag with another version's manifest
 // or leaf records.
 type surface struct {
-	blob     []byte
+	blob []byte
+	// sum is the blob's SHA-256, which a patch record carries so recovery
+	// can check its reconstruction byte for byte.
+	sum      [sha256.Size]byte
 	etag     string
 	manifest xmlac.DocumentManifest
 	// leaves is the version's leaf table (the untrusted-terminal side of the
@@ -102,7 +105,7 @@ type surface struct {
 // marshalled container. prot must be at that version: the caller holds the
 // entry's update lock, or builds the entry.
 func newSurface(prot *xmlac.Protected, blob []byte, sum [sha256.Size]byte) *surface {
-	return &surface{blob: blob, etag: etagOf(sum), manifest: prot.Manifest(), leaves: prot.LeafTable()}
+	return &surface{blob: blob, sum: sum, etag: etagOf(sum), manifest: prot.Manifest(), leaves: prot.LeafTable()}
 }
 
 // DocumentInfo is the externally visible summary of a registered document.

@@ -121,9 +121,6 @@ type Report struct {
 
 	// Breakdown is the execution-time estimate under the profile.
 	Breakdown CostBreakdown
-
-	// EvaluatorMetrics is only populated for BF and TCSBR runs.
-	EvaluatorMetrics core.Metrics
 }
 
 // Throughput returns the processing throughput in KB/s of input document per
@@ -168,15 +165,14 @@ func (w *Workload) runPipeline(spec RunSpec) (*Report, error) {
 	}
 	tokenOps := res.Metrics.TokenOps + res.Metrics.Events
 	report := &Report{
-		Strategy:         spec.Strategy,
-		Scheme:           spec.Scheme,
-		Profile:          spec.Profile.Name,
-		View:             res.View,
-		CommBytes:        costs.BytesTransferred,
-		DecryptBytes:     costs.BytesDecrypted,
-		HashBytes:        costs.BytesHashed,
-		TokenOps:         tokenOps,
-		EvaluatorMetrics: res.Metrics,
+		Strategy:     spec.Strategy,
+		Scheme:       spec.Scheme,
+		Profile:      spec.Profile.Name,
+		View:         res.View,
+		CommBytes:    costs.BytesTransferred,
+		DecryptBytes: costs.BytesDecrypted,
+		HashBytes:    costs.BytesHashed,
+		TokenOps:     tokenOps,
 	}
 	if res.View != nil {
 		report.ResultBytes = int64(len(xmlstream.SerializeTree(res.View, false)))
