@@ -399,6 +399,8 @@ func BenchmarkConcurrentAuthorizedViews(b *testing.B) {
 // view tree plus its serialized string, the streaming path allocates
 // neither, so its B/op must be strictly lower and its time-to-first-byte
 // (reported as ttfb-ms) is the evaluator's, not the whole view's.
+// "traced" streams with a Trace attached: its delta to "streaming" is the
+// cost of the phase timers and spans.
 func BenchmarkStreamingView(b *testing.B) {
 	doc, err := ParseDocumentString(xmlstream.SerializeTree(dataset.Hospital(1.0), false))
 	if err != nil {
@@ -444,6 +446,15 @@ func BenchmarkStreamingView(b *testing.B) {
 				ttfb += metrics.TimeToFirstByte
 			}
 			b.ReportMetric(float64(ttfb.Nanoseconds())/1e6/float64(b.N), "ttfb-ms")
+		})
+		b.Run(p.name+"/traced", func(b *testing.B) {
+			b.ReportAllocs()
+			opts := ViewOptions{Trace: NewTrace(0)}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := prot.View(context.Background(), key, cp, opts, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -8,7 +8,7 @@
 //	keytaint      key material must never reach logs, errors, serialization, or the server
 //	trustboundary server-side packages must not touch decrypt/evaluator/key entry points
 //	errlink       sentinel errors must be wrapped with %w and matched with errors.Is
-//	phasepair     every trace phase Begin has an End on all paths; trace methods stay nil-safe
+//	phasepair     every trace phase switch is defer x.Enter(x.Enter(p)) outside loops; trace methods stay nil-safe
 //	metricsfold   Metrics.Add-style accumulators must fold every field
 //
 // Findings can be baselined in .xmlac-vet.toml ([[allow]] entries, each

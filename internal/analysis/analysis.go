@@ -20,8 +20,10 @@
 //   - errlink: sentinel errors must be wrapped with %w so errors.Is
 //     survives every chain, and module sentinels must be compared with
 //     errors.Is, not ==.
-//   - phasepair: every trace.Context phase Begin has a matching End on all
-//     return paths, and the configured trace types stay nil-receiver-safe.
+//   - phasepair: every trace.Context phase switch is the deferred idiom
+//     defer x.Enter(x.Enter(p)) outside a loop body, so the phase left is
+//     restored on every path, and the configured trace types stay
+//     nil-receiver-safe.
 //   - metricsfold: every field of an accumulator struct (Metrics,
 //     PhaseBreakdown) is folded by its Add method.
 //

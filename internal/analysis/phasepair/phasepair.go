@@ -1,21 +1,25 @@
 // Package phasepair proves two invariants of the tracing layer:
 //
-//  1. Every trace.Context phase Begin has a matching End on every return
-//     path. An unpaired Begin corrupts the exclusive-time phase stack for
-//     the rest of the evaluation — all later time is charged to the wrong
-//     phase — and, unlike a panic, never crashes, so only a vet-time check
-//     catches it reliably.
+//  1. Every phase switch restores the phase it leaves on every path.
+//     trace.Context.Enter makes a phase current and returns the one it
+//     left, and the one accepted form of a switch is
+//
+//     defer x.Enter(x.Enter(p))
+//
+//     whose restore runs on every return and panic by construction. Any
+//     other reference to Enter (a bare or stored Enter, a restore on
+//     another receiver or not deferred, a deferred Enter of anything but an
+//     Enter call, a method value, a go statement) can leave the wrong phase
+//     current, so all later time is charged to it. Unlike a panic, that
+//     never crashes, so only a vet-time check catches it reliably. The
+//     idiom inside a loop body is refused too: its restore runs only when
+//     the function returns (a func literal's body is a function of its
+//     own).
 //
 //  2. The configured trace types stay nil-receiver-safe: the disabled
 //     pipeline threads a nil *trace.Context through every layer, so every
 //     exported method must use a pointer receiver and begin with a
 //     nil-receiver guard.
-//
-// The pairing check is a structural walk, not a full CFG: along every
-// statement path it tracks how many phases are open and how many deferred
-// Ends are registered, requiring branches that rejoin to agree and
-// returns to leave no phase uncovered. Functions using goto are skipped
-// (none in this module).
 package phasepair
 
 import (
@@ -30,8 +34,9 @@ import (
 // Config parameterizes the analyzer.
 type Config struct {
 	// ContextTypes are fully-qualified names ("pkgpath.Type") of phase
-	// trace context types: Begin/End pairing is enforced on their methods'
-	// call sites, and nil-receiver safety on their method declarations.
+	// trace context types: the switch idiom is enforced on every reference
+	// to their Enter method, and nil-receiver safety on their method
+	// declarations.
 	ContextTypes []string
 }
 
@@ -47,7 +52,7 @@ func New(cfg Config) *analysis.Analyzer {
 	}
 	return &analysis.Analyzer{
 		Name: "phasepair",
-		Doc:  "trace phase Begins must pair with Ends on all paths; trace types must stay nil-receiver-safe",
+		Doc:  "trace phase switches must be defer x.Enter(x.Enter(p)) outside loops; trace types must stay nil-receiver-safe",
 		Run: func(pass *analysis.Pass) error {
 			run(pass, cfg)
 			return nil
@@ -62,315 +67,92 @@ func run(pass *analysis.Pass, cfg Config) {
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn.Recv != nil {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
 				checkNilSafety(pass, fn, ctxTypes)
 			}
-			if fn.Body != nil {
-				checkFunc(pass, fn.Body, ctxTypes)
-			}
 		}
+		ast.Walk(switchVisitor{pass: pass, ctxTypes: ctxTypes, done: map[*ast.SelectorExpr]bool{}}, file)
 	}
 }
 
-// --- pairing ---
+// --- phase switches ---
 
-type pairWalker struct {
+// switchVisitor reports every reference to Enter that is not part of a
+// deferred idiom outside a loop body. done holds the Enter selectors of
+// accepted idioms and the inner Enters of reported switches, so a switch
+// is reported once.
+type switchVisitor struct {
 	pass     *analysis.Pass
 	ctxTypes map[string]bool
-	// loopOpens is the stack of open-phase counts at entry of each
-	// enclosing loop; break/continue must not carry extra open phases out
-	// of or around the loop body.
-	loopOpens []int
-	bail      bool // goto seen: give up on this function
+	done     map[*ast.SelectorExpr]bool
+	inLoop   bool
 }
 
-// checkFunc analyzes one function body (FuncDecl or FuncLit).
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, ctxTypes map[string]bool) {
-	w := &pairWalker{pass: pass, ctxTypes: ctxTypes}
-	opens, defers, terminated := w.walkStmts(body.List, 0, 0)
-	if w.bail {
-		return
-	}
-	if !terminated && opens > defers {
-		pass.Reportf(body.Rbrace,
-			"function ends with %d trace phase(s) still open: Begin without a matching End", opens-defers)
-	}
-}
-
-// walkStmts walks a statement list, returning the open-phase and
-// deferred-End counts at its end and whether the list always terminates
-// (return/panic) before falling through.
-func (w *pairWalker) walkStmts(stmts []ast.Stmt, opens, defers int) (int, int, bool) {
-	for _, stmt := range stmts {
-		var terminated bool
-		opens, defers, terminated = w.walkStmt(stmt, opens, defers)
-		if w.bail {
-			return opens, defers, false
-		}
-		if terminated {
-			return opens, defers, true
-		}
-	}
-	return opens, defers, false
-}
-
-func (w *pairWalker) walkStmt(stmt ast.Stmt, opens, defers int) (int, int, bool) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		w.scanFuncLits(s.X)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			switch {
-			case w.isPhaseCall(call, "Begin"):
-				return opens + 1, defers, false
-			case w.isPhaseCall(call, "End"):
-				if opens == 0 && defers == 0 {
-					w.pass.Reportf(call.Pos(), "End without a matching Begin on this path")
-					return opens, defers, false
-				}
-				if opens == 0 {
-					// End after only deferred Ends: the deferred End will
-					// pop a phase this path never began.
-					w.pass.Reportf(call.Pos(), "End already covered by a deferred End on this path")
-					return opens, defers, false
-				}
-				return opens - 1, defers, false
-			case isTerminatorCall(w.pass, call):
-				return opens, defers, true
-			}
-		}
-		return opens, defers, false
+func (v switchVisitor) Visit(n ast.Node) ast.Visitor {
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		v.inLoop = false
+	case *ast.ForStmt, *ast.RangeStmt:
+		v.inLoop = true
 	case *ast.DeferStmt:
-		if w.isPhaseCall(s.Call, "End") {
-			return opens, defers + 1, false
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			// A deferred closure's End calls close phases of the enclosing
-			// function, so they count as deferred Ends here and the body
-			// is not re-checked as an independent function.
-			return opens, defers + w.countEnds(lit.Body), false
-		}
-		w.scanFuncLits(s.Call)
-		return opens, defers, false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scanFuncLits(r)
-		}
-		if opens > defers {
-			w.pass.Reportf(s.Pos(),
-				"return leaves %d trace phase(s) open: Begin without End on this path", opens-defers)
-		}
-		return opens, defers, true
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.GOTO:
-			w.bail = true
-		case token.BREAK, token.CONTINUE:
-			if n := len(w.loopOpens); n > 0 && opens != w.loopOpens[n-1] {
-				w.pass.Reportf(s.Pos(),
-					"%s leaves %d trace phase(s) open relative to loop entry", s.Tok, opens-w.loopOpens[n-1])
+		outer, inner := v.enterCall(n.Call), v.innerEnter(n.Call)
+		if outer != nil && inner != nil && types.ExprString(outer.X) == types.ExprString(inner.X) {
+			v.done[outer], v.done[inner] = true, true
+			if v.inLoop {
+				v.pass.Reportf(n.Pos(),
+					"trace phase switch in a loop body: its deferred restore runs only when the function returns")
 			}
 		}
-		return opens, defers, true
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, opens, defers)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			opens, defers, _ = w.walkStmt(s.Init, opens, defers)
-		}
-		w.scanFuncLits(s.Cond)
-		branches := [][2]int{}
-		bodyOpens, bodyDefers, bodyTerm := w.walkStmts(s.Body.List, opens, defers)
-		if !bodyTerm {
-			branches = append(branches, [2]int{bodyOpens, bodyDefers})
-		}
-		if s.Else != nil {
-			elseOpens, elseDefers, elseTerm := w.walkStmt(s.Else, opens, defers)
-			if !elseTerm {
-				branches = append(branches, [2]int{elseOpens, elseDefers})
+	case *ast.CallExpr:
+		if v.enterCall(n) != nil {
+			if inner := v.innerEnter(n); inner != nil {
+				v.done[inner] = true // reported with the outer Enter
 			}
-		} else {
-			branches = append(branches, [2]int{opens, defers})
 		}
-		return w.join(s.Pos(), branches, opens, defers)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			opens, defers, _ = w.walkStmt(s.Init, opens, defers)
+	case *ast.SelectorExpr:
+		if !v.done[n] && v.isEnter(n) {
+			v.pass.Reportf(n.Sel.Pos(),
+				"trace phase switch must be written defer x.Enter(x.Enter(p)), which restores the phase it leaves on every path")
 		}
-		w.walkLoopBody(s.Body, opens, defers)
-		return opens, defers, false
-	case *ast.RangeStmt:
-		w.scanFuncLits(s.X)
-		w.walkLoopBody(s.Body, opens, defers)
-		return opens, defers, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.walkCases(stmt, opens, defers)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, opens, defers)
-	case *ast.GoStmt:
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			checkFunc(w.pass, lit.Body, w.ctxTypes)
-		}
-		w.scanFuncLits(s.Call)
-		return opens, defers, false
-	default:
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkFunc(w.pass, lit.Body, w.ctxTypes)
-				return false
-			}
-			return true
-		})
-		return opens, defers, false
 	}
+	return v
 }
 
-// walkLoopBody checks that one loop iteration is balanced.
-func (w *pairWalker) walkLoopBody(body *ast.BlockStmt, opens, defers int) {
-	w.loopOpens = append(w.loopOpens, opens)
-	endOpens, _, term := w.walkStmts(body.List, opens, defers)
-	w.loopOpens = w.loopOpens[:len(w.loopOpens)-1]
-	if w.bail || term {
-		return
+// enterCall returns the selector of e when e is a call x.Enter(...) on a
+// configured context type, nil otherwise.
+func (v switchVisitor) enterCall(e ast.Expr) *ast.SelectorExpr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return nil
 	}
-	if endOpens != opens {
-		w.pass.Reportf(body.Pos(),
-			"loop body changes the number of open trace phases by %d per iteration", endOpens-opens)
-	}
-}
-
-// walkCases joins the clause bodies of a switch/type-switch/select.
-func (w *pairWalker) walkCases(stmt ast.Stmt, opens, defers int) (int, int, bool) {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			opens, defers, _ = w.walkStmt(s.Init, opens, defers)
-		}
-		w.scanFuncLits(s.Tag)
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			opens, defers, _ = w.walkStmt(s.Init, opens, defers)
-		}
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	branches := [][2]int{}
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				opens, defers, _ = w.walkStmt(c.Comm, opens, defers)
-			}
-			stmts = c.Body
-		}
-		o, d, term := w.walkStmts(stmts, opens, defers)
-		if !term {
-			branches = append(branches, [2]int{o, d})
-		}
-	}
-	if _, isSelect := stmt.(*ast.SelectStmt); !hasDefault && !isSelect {
-		branches = append(branches, [2]int{opens, defers})
-	}
-	return w.join(stmt.Pos(), branches, opens, defers)
-}
-
-// join reconciles the non-terminating branches of a control-flow fork: all
-// must agree on the open/deferred counts, or the phase stack depends on
-// which branch ran.
-func (w *pairWalker) join(pos token.Pos, branches [][2]int, opens, defers int) (int, int, bool) {
-	if len(branches) == 0 {
-		return opens, defers, true // every branch returned
-	}
-	first := branches[0]
-	for _, b := range branches[1:] {
-		if b != first {
-			w.pass.Reportf(pos,
-				"trace phase balance differs across branches (one path leaves a Begin/End unpaired)")
-			// Resume from the fork-entry counts so one imbalance does not
-			// cascade into follow-on diagnostics.
-			return opens, defers, false
-		}
-	}
-	return first[0], first[1], false
-}
-
-// countEnds counts End calls on context types inside a deferred closure.
-func (w *pairWalker) countEnds(body *ast.BlockStmt) int {
-	n := 0
-	ast.Inspect(body, func(node ast.Node) bool {
-		if call, ok := node.(*ast.CallExpr); ok && w.isPhaseCall(call, "End") {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// scanFuncLits checks function literals nested in an expression as
-// independent functions.
-func (w *pairWalker) scanFuncLits(expr ast.Expr) {
-	if expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkFunc(w.pass, lit.Body, w.ctxTypes)
-			return false
-		}
-		return true
-	})
-}
-
-// isPhaseCall reports whether call is recv.<name>(...) on a configured
-// context type.
-func (w *pairWalker) isPhaseCall(call *ast.CallExpr, name string) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
+	if !ok || !v.isEnter(sel) {
+		return nil
+	}
+	return sel
+}
+
+// innerEnter returns the selector of call's one argument when that is an
+// Enter call.
+func (v switchVisitor) innerEnter(call *ast.CallExpr) *ast.SelectorExpr {
+	if len(call.Args) != 1 {
+		return nil
+	}
+	return v.enterCall(call.Args[0])
+}
+
+// isEnter reports whether sel names the Enter method of a configured
+// context type.
+func (v switchVisitor) isEnter(sel *ast.SelectorExpr) bool {
+	if sel.Sel.Name != "Enter" {
 		return false
 	}
-	obj, ok := w.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	obj, ok := v.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok {
 		return false
 	}
 	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return w.ctxTypes[qualifiedTypeName(sig.Recv().Type())]
-}
-
-// isTerminatorCall recognizes calls that never return: panic and the
-// conventional fatal exits.
-func isTerminatorCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		obj, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		if !ok || obj.Pkg() == nil {
-			return false
-		}
-		switch obj.Pkg().Path() + "." + obj.Name() {
-		case "os.Exit", "log.Fatal", "log.Fatalf", "log.Fatalln", "runtime.Goexit":
-			return true
-		}
-	}
-	return false
+	return ok && sig.Recv() != nil && v.ctxTypes[qualifiedTypeName(sig.Recv().Type())]
 }
 
 // --- nil-receiver safety ---

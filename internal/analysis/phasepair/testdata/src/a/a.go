@@ -1,53 +1,56 @@
-// Package a seeds the phase-pairing diagnostics against a context type
+// Package a seeds the phase-switch diagnostics against a context type
 // mirroring xmlac/internal/trace.Context (the real package is internal to
 // the xmlac module; the analyzer is configured with both type names).
 package a
 
-import (
-	"errors"
+import "vettest/trace"
 
-	"vettest/trace"
-)
+func bareEnter(tr *trace.Context) {
+	tr.Enter(trace.PhaseDecode) // want `must be written defer x.Enter\(x.Enter\(p\)\)`
+}
 
-func returnWithOpenPhase(tr *trace.Context, fail bool) error {
-	tr.Begin(trace.PhaseDecode)
-	if fail {
-		return errors.New("bad header") // want `return leaves 1 trace phase\(s\) open`
+func storedResult(tr *trace.Context) error {
+	prev := tr.Enter(trace.PhaseEval) // want `must be written defer`
+	err := work()
+	tr.Enter(prev) // want `must be written defer`
+	return err
+}
+
+func restoreOnAnotherReceiver(a, b *trace.Context) {
+	defer a.Enter(b.Enter(trace.PhaseFetch)) // want `must be written defer`
+	_ = work()
+}
+
+func nonDeferredRestore(tr *trace.Context) {
+	tr.Enter(tr.Enter(trace.PhaseSkip)) // want `must be written defer`
+}
+
+func deferredEnterOfAPhase(tr *trace.Context) {
+	defer tr.Enter(trace.PhaseEmit) // want `must be written defer`
+	_ = work()
+}
+
+func methodValue(tr *trace.Context) func(trace.Phase) trace.Phase {
+	return tr.Enter // want `must be written defer`
+}
+
+func goStatement(tr *trace.Context) {
+	go tr.Enter(tr.Enter(trace.PhaseResync)) // want `must be written defer`
+}
+
+func idiomInLoop(tr *trace.Context, chunks []int) {
+	for range chunks {
+		defer tr.Enter(tr.Enter(trace.PhaseDecrypt)) // want `in a loop body`
 	}
-	tr.End()
-	return nil
 }
 
-func fallsOffTheEnd(tr *trace.Context) {
-	tr.Begin(trace.PhaseEval)
-	tr.Begin(trace.PhaseEmit)
-	tr.End()
-} // want `function ends with 1 trace phase\(s\) still open`
-
-func endWithoutBegin(tr *trace.Context) {
-	tr.End() // want `End without a matching Begin on this path`
-}
-
-func branchImbalance(tr *trace.Context, quick bool) {
-	tr.Begin(trace.PhaseSkip)
-	if quick { // want `trace phase balance differs across branches`
-		tr.End()
-	}
-	tr.End()
-}
-
-func loopImbalance(tr *trace.Context, chunks []int) {
-	for range chunks { // want `loop body changes the number of open trace phases by 1 per iteration`
-		tr.Begin(trace.PhaseDecrypt)
-	}
-}
-
-func breakWithOpenPhase(tr *trace.Context, chunks []int) {
-	for _, c := range chunks {
-		tr.Begin(trace.PhaseVerify)
-		if c == 0 {
-			break // want `break leaves 1 trace phase\(s\) open relative to loop entry`
+func idiomInRangeSwitch(tr *trace.Context, kinds []int) {
+	for _, k := range kinds {
+		switch k {
+		case 0:
+			defer tr.Enter(tr.Enter(trace.PhaseVerify)) // want `in a loop body`
 		}
-		tr.End()
 	}
 }
+
+func work() error { return nil }

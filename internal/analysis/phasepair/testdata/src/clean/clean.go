@@ -1,94 +1,56 @@
-// Package clean is the negative case: every Begin/End idiom the module
-// actually uses, which the analyzer must accept without diagnostics.
+// Package clean is the negative case: the one phase-switch idiom, in the
+// places the module uses it, which the analyzer must accept without
+// diagnostics.
 package clean
 
-import (
-	"errors"
+import "vettest/trace"
 
-	"vettest/trace"
-)
+type reader struct {
+	trace *trace.Context
+}
 
-func deferredEnd(tr *trace.Context) error {
-	tr.Begin(trace.PhaseFetch)
-	defer tr.End()
+func deferredSwitch(tr *trace.Context) error {
+	defer tr.Enter(tr.Enter(trace.PhaseFetch))
 	if err := work(); err != nil {
 		return err
 	}
 	return nil
 }
 
-func straightLinePair(tr *trace.Context) error {
-	tr.Begin(trace.PhaseHashFetch)
-	err := work()
-	tr.End()
-	if err != nil {
-		return err
-	}
-	return nil
+func (r *reader) fieldReceiver() error {
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseHashFetch))
+	return work()
 }
 
-func endOnBothBranches(tr *trace.Context, fast bool) {
-	tr.Begin(trace.PhaseDecode)
-	if fast {
-		tr.End()
-	} else {
-		tr.End()
-	}
-}
-
-func endBeforeEveryReturn(tr *trace.Context, n int) int {
-	tr.Begin(trace.PhaseEval)
+func afterChecks(tr *trace.Context, n int) int {
 	if n < 0 {
-		tr.End()
 		return 0
 	}
-	tr.End()
+	defer tr.Enter(tr.Enter(trace.PhaseEval))
 	return n
 }
 
-func pairPerIteration(tr *trace.Context, chunks []int) {
-	for range chunks {
-		tr.Begin(trace.PhaseDecrypt)
-		tr.End()
-	}
-}
-
-func switchBalanced(tr *trace.Context, kind int) error {
-	tr.Begin(trace.PhaseEval)
-	var err error
-	switch kind {
-	case 0:
-		err = work()
-	case 1:
-		err = nil
-	default:
-		err = errors.New("unknown kind")
-	}
-	tr.End()
-	return err
-}
-
-func nestedPhases(tr *trace.Context) {
-	tr.Begin(trace.PhaseDecode)
-	tr.Begin(trace.PhaseDecrypt)
-	tr.End()
-	tr.End()
-}
-
-func deferredClosure(tr *trace.Context) {
-	tr.Begin(trace.PhaseResync)
-	defer func() {
-		tr.End()
+func nestedSwitches(tr *trace.Context) {
+	defer tr.Enter(tr.Enter(trace.PhaseDecode))
+	func() {
+		defer tr.Enter(tr.Enter(trace.PhaseDecrypt))
+		_ = work()
 	}()
-	_ = work()
 }
 
-func panicTerminates(tr *trace.Context, ok bool) {
-	tr.Begin(trace.PhaseEmit)
-	if !ok {
-		panic("invariant broken")
+func funcLitInLoop(tr *trace.Context, chunks []int) {
+	for range chunks {
+		func() {
+			defer tr.Enter(tr.Enter(trace.PhaseVerify))
+			_ = work()
+		}()
 	}
-	tr.End()
+}
+
+func helperPerIteration(r *reader, chunks []int) {
+	for range chunks {
+		_ = r.fieldReceiver()
+	}
 }
 
 func work() error { return nil }

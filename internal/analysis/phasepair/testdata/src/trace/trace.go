@@ -1,8 +1,8 @@
 // Package trace mimics the xmlac/internal/trace contract for the golden
 // tests (the real package is internal to the xmlac module and cannot be
-// imported from the test module): a phase-stack Context whose exported
+// imported from the test module): a phase-switch Context whose exported
 // methods must all be nil-receiver-safe. The analyzer is configured with
-// this type for both the pairing and the nil-safety checks.
+// this type for both the switch and the nil-safety checks.
 package trace
 
 // Phase identifies one pipeline phase.
@@ -21,27 +21,26 @@ const (
 	PhaseResync
 )
 
-// Context is the per-evaluation phase stack.
+// Context holds the current phase.
 type Context struct {
 	id    string
-	stack []Phase
+	cur   Phase
 	count int64
 }
 
-// Begin pushes a phase (guarded, like the real Context).
-func (c *Context) Begin(p Phase) {
+// Enter switches phases (guarded, like the real Context, with the switch
+// split out).
+func (c *Context) Enter(p Phase) Phase {
 	if c == nil {
-		return
+		return p
 	}
-	c.stack = append(c.stack, p)
+	return c.enter(p)
 }
 
-// End pops the current phase (guarded with a compound condition).
-func (c *Context) End() {
-	if c == nil || len(c.stack) == 0 {
-		return
-	}
-	c.stack = c.stack[:len(c.stack)-1]
+func (c *Context) enter(p Phase) Phase {
+	prev := c.cur
+	c.cur = p
+	return prev
 }
 
 // ID is guarded correctly.

@@ -46,8 +46,8 @@ type Options struct {
 	// predicate in a subtree once one of its instances evaluated to true
 	// (section 3.3, first dynamic optimization; ablation).
 	DisablePredicateShortCircuit bool
-	// Trace, when non-nil, charges automata evaluation (PhaseEval) and view
-	// delivery (PhaseEmit) time to the evaluation's phase timers. Nil keeps
+	// Trace, when non-nil, charges view delivery to PhaseEmit; the caller
+	// charges the rest of the event loop (soe.Scan: to PhaseEval). Nil keeps
 	// tracing off at the cost of one nil check per event.
 	Trace *trace.Context
 }
@@ -219,9 +219,8 @@ func (e *Evaluator) Run() (*Result, error) {
 // the sink delivery is ended. A failure returns the error with the metrics
 // and no view.
 func (e *Evaluator) finish() (*Result, error) {
-	e.opts.Trace.Begin(trace.PhaseEmit)
+	defer e.opts.Trace.Enter(e.opts.Trace.Enter(trace.PhaseEmit))
 	view, err := e.builder.finalize()
-	e.opts.Trace.End()
 	return &Result{View: view, Metrics: e.metrics}, err
 }
 
@@ -230,8 +229,6 @@ func (e *Evaluator) finish() (*Result, error) {
 // so a sink error (a disconnected client) surfaces here and aborts the
 // document scan.
 func (e *Evaluator) processEvent(ev xmlstream.Event) error {
-	tr := e.opts.Trace
-	tr.Begin(trace.PhaseEval)
 	e.metrics.Events++
 	var err error
 	switch ev.Kind {
@@ -244,14 +241,16 @@ func (e *Evaluator) processEvent(ev xmlstream.Event) error {
 	default:
 		err = fmt.Errorf("core: unknown event kind %v", ev.Kind)
 	}
-	tr.End()
 	if err != nil {
 		return err
 	}
-	tr.Begin(trace.PhaseEmit)
-	err = e.builder.flush()
-	tr.End()
-	return err
+	return e.flush()
+}
+
+// flush delivers the settled prefix of the view, charged to PhaseEmit.
+func (e *Evaluator) flush() error {
+	defer e.opts.Trace.Enter(e.opts.Trace.Enter(trace.PhaseEmit))
+	return e.builder.flush()
 }
 
 var errDepthMismatch = errors.New("core: event depth does not match evaluator state")

@@ -503,8 +503,7 @@ func (s *Source) Resync() error {
 // changes nothing, so the cache stays valid for the next attempt. Callers
 // hold s.mu.
 func (s *Source) resyncLocked() error {
-	s.trace.Begin(trace.PhaseResync)
-	defer s.trace.End()
+	defer s.trace.Enter(s.trace.Enter(trace.PhaseResync))
 	start := s.trace.Now()
 	wireBefore := s.stats.BytesOnWire
 	defer func() {
@@ -588,13 +587,17 @@ func (s *Source) doReq(req *http.Request) (*http.Response, error) {
 		req.Header.Set(trace.SpanIDHeader, s.trace.SpanID())
 	}
 	s.stats.RoundTrips++
-	s.trace.Begin(trace.PhaseFetch)
-	resp, err := s.client.Do(req)
-	s.trace.End()
+	resp, err := s.send(req)
 	if err != nil {
 		return nil, fmt.Errorf("remote: %s %s: %w", req.Method, req.URL, err)
 	}
 	return resp, nil
+}
+
+// send runs one round trip on the client, charged to PhaseFetch.
+func (s *Source) send(req *http.Request) (*http.Response, error) {
+	defer s.trace.Enter(s.trace.Enter(trace.PhaseFetch))
+	return s.client.Do(req)
 }
 
 // getRange reads bytes [start, end) of the resource at url, the blob or
@@ -630,8 +633,7 @@ func (s *Source) getRange(url, etag string, start, end int64) ([]byte, error) {
 	if a, b, err := parseContentRange(resp.Header.Get("Content-Range")); err != nil || a != start || b != end-1 {
 		return nil, fmt.Errorf("remote: asked %s for bytes %d-%d, the answer names %q", url, start, end-1, resp.Header.Get("Content-Range"))
 	}
-	s.trace.Begin(trace.PhaseFetch)
-	defer s.trace.End()
+	defer s.trace.Enter(s.trace.Enter(trace.PhaseFetch))
 	body, err := readFull(s.bodyReader(resp.Body, end-start), end-start)
 	if err != nil {
 		return nil, fmt.Errorf("remote: reading bytes %d-%d of %s: %w", start, end-1, url, err)
@@ -685,8 +687,7 @@ func readFull(r io.Reader, n int64) ([]byte, error) {
 // body.
 func (s *Source) drain(resp *http.Response, r io.Reader) ([]byte, error) {
 	defer resp.Body.Close()
-	s.trace.Begin(trace.PhaseFetch)
-	defer s.trace.End()
+	defer s.trace.Enter(s.trace.Enter(trace.PhaseFetch))
 	body, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("remote: reading response body: %w", err)

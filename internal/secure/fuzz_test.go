@@ -8,8 +8,8 @@ import (
 )
 
 // fuzzSeedContainers builds the canonical seed inputs of FuzzManifest: valid
-// container prefixes for every scheme (v2 and a hand-built v1), their
-// truncations, and structured junk. The committed files under
+// container prefixes for every scheme, their truncations, a hand-built v1
+// prefix (refused since v1 is no longer read), and structured junk. The committed files under
 // testdata/fuzz/FuzzManifest hold the same inputs, so the corpus survives
 // format changes by regenerating from here.
 func fuzzSeedContainers() [][]byte {
@@ -30,12 +30,12 @@ func fuzzSeedContainers() [][]byte {
 		seeds = append(seeds, append([]byte(nil), prefix[:len(prefix)/2]...))
 		seeds = append(seeds, append([]byte(nil), blob...))
 	}
-	// A v1 container prefix (no docVersion field).
+	// A v1 container prefix (no docVersion field), which must be refused.
 	prot, err := Protect(plain, key, ProtectOptions{Scheme: SchemeECBMHT})
 	if err == nil {
 		blob := prot.Marshal()
 		v1 := append([]byte(nil), blob[:4]...)
-		v1 = append(v1, containerVersion1)
+		v1 = append(v1, 1)
 		v1 = append(v1, blob[5:22]...)
 		v1 = append(v1, blob[30:]...)
 		seeds = append(seeds, v1[:int(prot.CiphertextOffset())-8])

@@ -12,17 +12,12 @@ import (
 //	docVersion | numDigests | digests... | ciphertext
 //
 // All integers are little-endian uint32/uint64. Nothing in the container is
-// secret (it is exactly what the attacker sees). Container version 1 is the
-// same layout without the docVersion field (implicitly document version 1);
-// it is still accepted on unmarshal so blobs written before in-place updates
-// existed keep loading.
+// secret (it is exactly what the attacker sees). Only version 2 is read:
+// version 1, the layout without docVersion, is refused.
 
 var containerMagic = []byte("XSEC")
 
-const (
-	containerVersion1 = 1
-	containerVersion  = 2
-)
+const containerVersion = 2
 
 // Marshal serializes the protected document.
 func (p *Protected) Marshal() []byte {
@@ -67,7 +62,7 @@ func unmarshalPrefix(r *byteReader) (*Protected, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if version != containerVersion && version != containerVersion1 {
+	if version != containerVersion {
 		return nil, 0, fmt.Errorf("secure: unsupported container version %d", version)
 	}
 	schemeByte, err := r.byte()
@@ -96,17 +91,14 @@ func unmarshalPrefix(r *byteReader) (*Protected, uint64, error) {
 		return nil, 0, err
 	}
 	p.PlainLen = int(plainLen)
-	p.Version = 1
-	if version >= containerVersion {
-		docVersion, err := r.uint64()
-		if err != nil {
-			return nil, 0, err
-		}
-		if docVersion == 0 {
-			return nil, 0, fmt.Errorf("secure: document version 0 (versions start at 1)")
-		}
-		p.Version = docVersion
+	docVersion, err := r.uint64()
+	if err != nil {
+		return nil, 0, err
 	}
+	if docVersion == 0 {
+		return nil, 0, fmt.Errorf("secure: document version 0 (versions start at 1)")
+	}
+	p.Version = docVersion
 	nDigests, err := r.uint32()
 	if err != nil {
 		return nil, 0, err

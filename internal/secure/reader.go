@@ -323,8 +323,7 @@ func (r *Reader) readBlocks(first, last int64) ([]byte, error) {
 // fragments verifyMHT verified, under ECB from a fetch. Recently decrypted
 // blocks are served from the SOE-side block cache without re-transfer.
 func (r *Reader) readECB(start, end int64) ([]byte, error) {
-	r.trace.Begin(trace.PhaseDecrypt)
-	defer r.trace.End()
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseDecrypt))
 	out := r.out[:0]
 	for off := start; off < end; off += BlockSize {
 		blockIdx := off / BlockSize
@@ -363,8 +362,7 @@ func (r *Reader) readECB(start, end int64) ([]byte, error) {
 // SOE authenticates the chunk's leaf records (chunkFrags); each fragment the
 // range needs is then fetched once and checked against its leaf (fragment).
 func (r *Reader) verifyMHT(start, end int64) error {
-	r.trace.Begin(trace.PhaseVerify)
-	defer r.trace.End()
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseVerify))
 	chunkSize := int64(r.man.ChunkSize)
 	fragSize := int64(r.man.FragmentSize)
 	for chunk := int(start / chunkSize); chunk <= int((end-1)/chunkSize); chunk++ {
@@ -403,9 +401,7 @@ func (r *Reader) chunkFrags(chunk, touched int) ([]fragState, error) {
 	if cs := r.stateOf(chunk); cs.frags >= 0 {
 		return r.frags[cs.frags : cs.frags+numFrags], nil
 	}
-	r.trace.Begin(trace.PhaseHashFetch)
-	records, err := r.src.FragmentHashes(chunk)
-	r.trace.End()
+	records, err := r.fragmentHashes(chunk)
 	if err != nil {
 		return nil, err
 	}
@@ -440,6 +436,13 @@ func (r *Reader) chunkFrags(chunk, touched int) ([]fragState, error) {
 	}
 	r.chunks[chunk] = cs
 	return r.frags[cs.frags:], nil
+}
+
+// fragmentHashes fetches a chunk's leaf records from the terminal, charged
+// to PhaseHashFetch.
+func (r *Reader) fragmentHashes(chunk int) ([]byte, error) {
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseHashFetch))
+	return r.src.FragmentHashes(chunk)
 }
 
 // fragment fetches fragment f of a chunk whose leaves chunkFrags
@@ -479,8 +482,7 @@ func (r *Reader) heldFragment(off int64) (heldFrag, error) {
 	if h, ok := r.heldAt(off); ok {
 		return h, nil
 	}
-	r.trace.Begin(trace.PhaseVerify)
-	defer r.trace.End()
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseVerify))
 	chunk := int(off / int64(r.man.ChunkSize))
 	cStart, _ := r.man.ChunkBounds(chunk)
 	return r.fragment(chunk, int((off-cStart)/int64(r.man.FragmentSize)), 0)
@@ -546,8 +548,7 @@ func (r *Reader) holdCBCChunk(chunk int, hashPlaintext bool) (moved bool, err er
 	if r.cbc[0].holds(chunk) {
 		return false, nil
 	}
-	r.trace.Begin(trace.PhaseVerify)
-	defer r.trace.End()
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseVerify))
 	cStart, cEnd := r.man.ChunkBounds(chunk)
 	chunkLen := cEnd - cStart
 	r.costs.BytesTransferred += chunkLen
@@ -606,8 +607,7 @@ func (r *Reader) prevBlock(chunk int) []byte {
 // serveCBCRange decrypts the blocks of [start, end) that fall in the held
 // chunk, from its held ciphertext, and appends them to out.
 func (r *Reader) serveCBCRange(out []byte, start, end int64, moved bool) ([]byte, error) {
-	r.trace.Begin(trace.PhaseDecrypt)
-	defer r.trace.End()
+	defer r.trace.Enter(r.trace.Enter(trace.PhaseDecrypt))
 	h := &r.cbc[0]
 	cStart, cEnd := r.man.ChunkBounds(h.chunk)
 	lo := max(start, cStart)

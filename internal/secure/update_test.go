@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -334,7 +335,7 @@ func TestUpdateRejectsStalePlaintext(t *testing.T) {
 }
 
 // TestContainerVersionRoundTrip: the v2 container carries the document
-// version; a v1 container (written before versioning) reads as version 1.
+// version; a v1 container (the layout before versioning) is refused.
 func TestContainerVersionRoundTrip(t *testing.T) {
 	plain := samplePlaintext(4000)
 	key := testKey()
@@ -364,17 +365,13 @@ func TestContainerVersionRoundTrip(t *testing.T) {
 	// out and the version byte rewritten.
 	blob := updated.Marshal()
 	v1 := append([]byte(nil), blob[:4]...)
-	v1 = append(v1, containerVersion1)
+	v1 = append(v1, 1)
 	v1 = append(v1, blob[5:22]...) // scheme + chunkSize + fragmentSize + plainLen
 	v1 = append(v1, blob[30:]...)  // skip docVersion
-	legacy, err := Unmarshal(v1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Unmarshal(v1); err == nil || !strings.Contains(err.Error(), "unsupported container version 1") {
+		t.Fatalf("v1 container: Unmarshal error %v, want unsupported container version 1", err)
 	}
-	if legacy.Version != 1 {
-		t.Fatalf("v1 container read as version %d, want 1", legacy.Version)
-	}
-	if !bytes.Equal(legacy.Ciphertext, updated.Ciphertext) {
-		t.Fatal("v1 container payload mismatch")
+	if _, _, _, err := UnmarshalManifest(v1); err == nil || !strings.Contains(err.Error(), "unsupported container version 1") {
+		t.Fatalf("v1 container: UnmarshalManifest error %v, want unsupported container version 1", err)
 	}
 }

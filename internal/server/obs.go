@@ -163,5 +163,5 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	f.TraceID = q.Get("id")
 	w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	s.trace.WriteJSONLFiltered(w, f)
+	s.trace.WriteJSONL(w, f)
 }

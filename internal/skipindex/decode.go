@@ -237,8 +237,7 @@ func (d *Decoder) Next() (xmlstream.Event, error) {
 	if d.err != nil {
 		return xmlstream.Event{}, d.err
 	}
-	d.trace.Begin(trace.PhaseDecode)
-	defer d.trace.End()
+	defer d.trace.Enter(d.trace.Enter(trace.PhaseDecode))
 	for {
 		if d.head < len(d.pending) {
 			ev := d.pending[d.head]
@@ -369,8 +368,7 @@ func (d *Decoder) decodeElement() error {
 // in between. The Close event of that element is produced by the next call
 // to Next.
 func (d *Decoder) SkipToClose(depth int) (int64, error) {
-	d.trace.Begin(trace.PhaseSkip)
-	defer d.trace.End()
+	defer d.trace.Enter(d.trace.Enter(trace.PhaseSkip))
 	if depth < 1 || depth >= len(d.stack) {
 		return 0, fmt.Errorf("%w: no open element at depth %d", ErrBadFormat, depth)
 	}

@@ -56,8 +56,7 @@ func Scan(src secure.ChunkSource, key secure.Key, cp *core.CompiledPolicy, opts 
 	}
 	decoder.SetTrace(tr)
 	st.eval.Reset(decoder, cp, opts)
-	tr.Begin(itrace.PhaseEval)
+	defer tr.Enter(tr.Enter(itrace.PhaseEval))
 	res, err := st.eval.Run()
-	tr.End()
 	return res, st.reader.Costs(), err
 }

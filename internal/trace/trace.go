@@ -5,7 +5,7 @@
 //
 // The design splits responsibilities in two:
 //
-//   - Context is the per-evaluation side: a monotonic-clock phase stack
+//   - Context is the per-evaluation side: a monotonic-clock phase switch
 //     accumulating exclusive nanoseconds per pipeline phase (time spent in a
 //     nested phase is charged to the inner phase only, so the phase sums add
 //     up to the instrumented wall time instead of double-counting), plus
@@ -91,18 +91,18 @@ func (p Phase) String() string {
 // nil receiver, so callers thread the pointer unconditionally and disabled
 // tracing costs one predictable branch per call site.
 //
-// Phase accounting is exclusive: Begin charges the time elapsed since the
-// last transition to the phase currently on top of the stack before pushing
-// the new one, and End charges it to the top before popping. Nested phases
-// (a remote fetch inside an integrity check inside a decode) therefore never
-// double-count, and the per-phase sums equal the instrumented wall time.
+// Phase accounting is exclusive: one phase is current at a time, and each
+// switch (Enter) charges the time elapsed since the last switch to the phase
+// it leaves. Nested phases (a remote fetch inside an integrity check inside
+// a decode) therefore never double-count, and the per-phase sums equal the
+// instrumented wall time.
 type Context struct {
 	rec     *Recorder
 	id      string
 	span    string
 	started time.Time
 	mark    time.Time
-	stack   []Phase
+	cur     Phase
 	phases  [NumPhases]int64
 
 	pageHits   int64
@@ -117,8 +117,12 @@ type Context struct {
 // own spans under this evaluation.
 func New(rec *Recorder, id string) *Context {
 	now := time.Now()
-	return &Context{rec: rec, id: id, span: NewSpanID(), started: now, mark: now}
+	return &Context{rec: rec, id: id, span: NewSpanID(), started: now, mark: now, cur: noPhase}
 }
+
+// noPhase is the current phase of a Context outside every phase: the time
+// spent there is charged to none.
+const noPhase Phase = -1
 
 // The trace-propagation headers. A remote client stamps both on every
 // request while a tracing context is attached, and the store reads them:
@@ -156,32 +160,30 @@ func (c *Context) SpanID() string {
 	return c.span
 }
 
-// Begin pushes a phase: time since the last transition is charged to the
-// enclosing phase (if any), and subsequent time accrues to p until the
-// matching End.
-func (c *Context) Begin(p Phase) {
+// Enter makes p the current phase and returns the phase it leaves,
+// charging that phase the time since the last switch (none outside every
+// phase). Every phase is entered as
+//
+//	defer c.Enter(c.Enter(p))
+//
+// so the phase left is restored on every return and panic. The nil check
+// is split from the switch so that Enter inlines: an untraced pipeline pays
+// only the check.
+func (c *Context) Enter(p Phase) Phase {
 	if c == nil {
-		return
+		return noPhase
 	}
-	now := time.Now()
-	if n := len(c.stack); n > 0 {
-		c.phases[c.stack[n-1]] += now.Sub(c.mark).Nanoseconds()
-	}
-	c.stack = append(c.stack, p)
-	c.mark = now
+	return c.enter(p)
 }
 
-// End pops the current phase, charging it the time since the last
-// transition.
-func (c *Context) End() {
-	if c == nil || len(c.stack) == 0 {
-		return
-	}
+func (c *Context) enter(p Phase) Phase {
 	now := time.Now()
-	n := len(c.stack)
-	c.phases[c.stack[n-1]] += now.Sub(c.mark).Nanoseconds()
-	c.stack = c.stack[:n-1]
-	c.mark = now
+	prev := c.cur
+	if prev != noPhase {
+		c.phases[prev] += now.Sub(c.mark).Nanoseconds()
+	}
+	c.cur, c.mark = p, now
+	return prev
 }
 
 // Phases returns the exclusive nanoseconds accumulated per phase so far.
@@ -380,12 +382,6 @@ type Filter struct {
 	N int
 }
 
-// Last returns up to n of the most recent spans, oldest first. n <= 0 means
-// all retained spans.
-func (r *Recorder) Last(n int) []Span {
-	return r.Spans(Filter{N: n})
-}
-
 // Spans returns the retained spans matching the filter, oldest first.
 func (r *Recorder) Spans(f Filter) []Span {
 	if r == nil {
@@ -414,15 +410,9 @@ func (r *Recorder) Spans(f Filter) []Span {
 	return out
 }
 
-// WriteJSONL writes up to n of the most recent spans (oldest first) as one
-// JSON object per line. n <= 0 means all retained spans.
-func (r *Recorder) WriteJSONL(w io.Writer, n int) error {
-	return r.WriteJSONLFiltered(w, Filter{N: n})
-}
-
-// WriteJSONLFiltered writes the spans matching the filter (oldest first) as
-// one JSON object per line.
-func (r *Recorder) WriteJSONLFiltered(w io.Writer, f Filter) error {
+// WriteJSONL writes the spans matching the filter (oldest first) as one
+// JSON object per line.
+func (r *Recorder) WriteJSONL(w io.Writer, f Filter) error {
 	enc := json.NewEncoder(w)
 	for _, s := range r.Spans(f) {
 		if err := enc.Encode(s); err != nil {
@@ -437,7 +427,7 @@ func (r *Recorder) WriteJSONLFiltered(w io.Writer, f Filter) error {
 // chrome://tracing or Perfetto. Phase spans (recorded by Context.Finish) are
 // per-phase totals anchored at the evaluation start, not exact intervals.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTraceLanes(w, []Lane{{Spans: r.Last(0)}})
+	return WriteChromeTraceLanes(w, []Lane{{Spans: r.Spans(Filter{})}})
 }
 
 // Lane is one named process row of a merged Chrome trace: a span set from

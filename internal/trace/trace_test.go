@@ -29,8 +29,7 @@ func TestPhaseStrings(t *testing.T) {
 // tracing is disabled: every method no-ops on a nil *Context.
 func TestNilContextSafe(t *testing.T) {
 	var c *Context
-	c.Begin(PhaseDecrypt)
-	c.End()
+	c.Enter(c.Enter(PhaseDecrypt))
 	c.CountPageHits(3)
 	c.CountPageMisses(4)
 	if h, m := c.PageStats(); h != 0 || m != 0 {
@@ -53,20 +52,23 @@ func TestNilContextSafe(t *testing.T) {
 
 // TestExclusivePhaseAccounting checks the core invariant behind the
 // PhaseBreakdown acceptance bound: nested phases never double-count, and
-// the per-phase exclusive times sum to the instrumented wall time.
+// the per-phase exclusive times sum to the instrumented wall time. Each
+// phase is entered with the idiom every caller uses, so the deferred
+// restores unwind the nesting.
 func TestExclusivePhaseAccounting(t *testing.T) {
 	c := New(nil, "t")
+	sleep := func(p Phase, inner func()) {
+		defer c.Enter(c.Enter(p))
+		time.Sleep(2 * time.Millisecond)
+		if inner != nil {
+			inner()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	start := time.Now()
-	c.Begin(PhaseDecode)
-	time.Sleep(2 * time.Millisecond)
-	c.Begin(PhaseDecrypt) // nested: decode pauses
-	time.Sleep(2 * time.Millisecond)
-	c.Begin(PhaseFetch) // doubly nested
-	time.Sleep(2 * time.Millisecond)
-	c.End()
-	c.End()
-	time.Sleep(2 * time.Millisecond)
-	c.End()
+	sleep(PhaseDecode, func() { // decode pauses while decrypt runs
+		sleep(PhaseDecrypt, func() { sleep(PhaseFetch, nil) }) // doubly nested
+	})
 	elapsed := time.Since(start)
 
 	ph := c.Phases()
@@ -82,8 +84,8 @@ func TestExclusivePhaseAccounting(t *testing.T) {
 	if sum > elapsed.Nanoseconds() {
 		t.Fatalf("phase sum %d exceeds elapsed %d: double counting", sum, elapsed.Nanoseconds())
 	}
-	// Everything between the first Begin and the last End was inside some
-	// phase, so the sum must cover the bulk of the elapsed window.
+	// Everything between the first switch and the last restore was inside
+	// some phase, so the sum must cover the bulk of the elapsed window.
 	if sum < elapsed.Nanoseconds()/2 {
 		t.Fatalf("phase sum %d under half of elapsed %d: time lost", sum, elapsed.Nanoseconds())
 	}
@@ -91,16 +93,13 @@ func TestExclusivePhaseAccounting(t *testing.T) {
 	if ph[PhaseDecode] >= elapsed.Nanoseconds() {
 		t.Fatalf("decode time %d not exclusive of nested phases (elapsed %d)", ph[PhaseDecode], elapsed)
 	}
-}
-
-func TestUnbalancedEndIsIgnored(t *testing.T) {
-	c := New(nil, "t")
-	c.End() // no matching Begin: must not panic or corrupt state
-	c.Begin(PhaseEval)
-	c.End()
-	c.End()
-	if c.Phases()[PhaseEval] < 0 {
-		t.Fatal("negative phase time")
+	// The outermost restore leaves no phase current: later time is charged
+	// to none.
+	before := c.Phases()
+	time.Sleep(time.Millisecond)
+	c.Enter(PhaseEval)
+	if c.Phases() != before {
+		t.Fatalf("time outside every phase was charged: %v -> %v", before, c.Phases())
 	}
 }
 
@@ -115,25 +114,26 @@ func TestRecorderRing(t *testing.T) {
 	if r.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", r.Total())
 	}
-	last := r.Last(2)
+	last := r.Spans(Filter{N: 2})
 	if len(last) != 2 || last[0].Name != "i" || last[1].Name != "j" {
-		t.Fatalf("Last(2) = %+v, want [i j]", last)
+		t.Fatalf("newest 2 = %+v, want [i j]", last)
 	}
-	all := r.Last(0)
+	all := r.Spans(Filter{})
 	if len(all) != 4 || all[0].Name != "g" || all[3].Name != "j" {
-		t.Fatalf("Last(0) = %+v, want [g h i j]", all)
+		t.Fatalf("all = %+v, want [g h i j]", all)
 	}
-	if got := r.Last(99); len(got) != 4 {
-		t.Fatalf("Last(99) returned %d spans", len(got))
+	if got := r.Spans(Filter{N: 99}); len(got) != 4 {
+		t.Fatalf("newest 99 returned %d spans", len(got))
 	}
 }
 
 func TestContextFinishRecordsSpans(t *testing.T) {
 	rec := NewRecorder(16)
 	c := New(rec, "req-1")
-	c.Begin(PhaseEval)
-	time.Sleep(time.Millisecond)
-	c.End()
+	func() {
+		defer c.Enter(c.Enter(PhaseEval))
+		time.Sleep(time.Millisecond)
+	}()
 	c.CountPageHits(5)
 	c.CountPageMisses(2)
 	start := c.Now()
@@ -143,7 +143,7 @@ func TestContextFinishRecordsSpans(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("Finish returned non-positive total")
 	}
-	spans := rec.Last(0)
+	spans := rec.Spans(Filter{})
 	var names []string
 	for _, s := range spans {
 		names = append(names, s.Name)
@@ -171,7 +171,7 @@ func TestWriteJSONL(t *testing.T) {
 	rec.Record(Span{TraceID: "a", Name: "one", Start: time.Now(), Dur: time.Millisecond, Bytes: 7})
 	rec.Record(Span{TraceID: "b", Name: "two", Start: time.Now(), Dur: 2 * time.Millisecond})
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, 0); err != nil {
+	if err := rec.WriteJSONL(&buf, Filter{}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -188,11 +188,18 @@ func TestWriteJSONL(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := rec.WriteJSONL(&buf, 1); err != nil {
+	if err := rec.WriteJSONL(&buf, Filter{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"two"`) || strings.Contains(buf.String(), `"one"`) {
-		t.Fatalf("WriteJSONL(1) = %q, want only newest span", buf.String())
+		t.Fatalf("WriteJSONL(N: 1) = %q, want only newest span", buf.String())
+	}
+	buf.Reset()
+	if err := rec.WriteJSONL(&buf, Filter{TraceID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"one"`) || strings.Contains(buf.String(), `"two"`) {
+		t.Fatalf("WriteJSONL(TraceID: a) = %q, want only trace a", buf.String())
 	}
 }
 
@@ -285,14 +292,15 @@ func TestContextSpanLinkage(t *testing.T) {
 	if c.SpanID() == "" {
 		t.Fatal("context has no span ID")
 	}
-	c.Begin(PhaseEval)
-	time.Sleep(time.Millisecond)
-	c.End()
+	func() {
+		defer c.Enter(c.Enter(PhaseEval))
+		time.Sleep(time.Millisecond)
+	}()
 	start := c.Now()
 	c.Record("remote.fetch", start, 10, 1, "")
 	c.Finish("view:x", 99)
 	var root, fetch, phase *Span
-	spans := rec.Last(0)
+	spans := rec.Spans(Filter{})
 	for i := range spans {
 		switch spans[i].Name {
 		case "view:x":
@@ -370,7 +378,7 @@ func TestRecorderDefaultsAndNil(t *testing.T) {
 	}
 	var nilRec *Recorder
 	nilRec.Record(Span{Name: "x"})
-	if nilRec.Len() != 0 || nilRec.Total() != 0 || nilRec.Last(3) != nil {
+	if nilRec.Len() != 0 || nilRec.Total() != 0 || nilRec.Spans(Filter{N: 3}) != nil {
 		t.Fatal("nil recorder should be inert")
 	}
 }

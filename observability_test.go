@@ -89,7 +89,7 @@ func TestTracedViewMatchesUntracedAndBreakdownTracksDuration(t *testing.T) {
 		t.Fatal("traced evaluation recorded no spans")
 	}
 	var jsonl bytes.Buffer
-	if err := tr.WriteJSONL(&jsonl, 0); err != nil {
+	if err := tr.WriteJSONL(&jsonl, xmlac.TraceFilter{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(jsonl.Bytes(), []byte(`"trace_id":"acceptance-1"`)) {

@@ -493,6 +493,56 @@ func BenchmarkRemoteView(b *testing.B) {
 	})
 }
 
+// TestTracedColdRemoteViewMatchesUntraced runs the same cold ECB-MHT view
+// of an HTTP store traced and untraced, each on a freshly opened document.
+// Tracing changes no byte of the view, and the traced view's breakdown
+// charges the wire (FetchNs) and the Merkle leaf records (HashFetchNs),
+// no re-sync, and no more than the view's Duration. Each leaf-record fetch
+// runs its round trips inside the hash-fetch phase, so the remote.hash-fetch
+// spans fit in HashFetchNs plus FetchNs.
+func TestTracedColdRemoteViewMatchesUntraced(t *testing.T) {
+	docURL, _, key := startBlobServer(t, 24)
+	cp, err := xmlac.DoctorPolicy("DrA").Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldView := func(opts xmlac.ViewOptions) (string, *xmlac.Metrics) {
+		t.Helper()
+		doc, err := xmlac.OpenRemote(docURL, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		_, m, err := doc.View(context.Background(), cp, opts, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), m
+	}
+	plain, _ := coldView(xmlac.ViewOptions{})
+	tr := xmlac.NewTrace(4096)
+	traced, m := coldView(xmlac.ViewOptions{Trace: tr, TraceID: "cold-traced"})
+	if traced != plain || plain == "" {
+		t.Fatalf("traced cold view (%d bytes) differs from the untraced one (%d bytes)", len(traced), len(plain))
+	}
+	pb := m.PhaseBreakdown
+	if pb.FetchNs <= 0 || pb.HashFetchNs <= 0 || pb.ResyncNs != 0 {
+		t.Fatalf("cold view breakdown: FetchNs %d, HashFetchNs %d, ResyncNs %d; want >0, >0, 0", pb.FetchNs, pb.HashFetchNs, pb.ResyncNs)
+	}
+	if pb.Sum() > m.Duration {
+		t.Fatalf("phase sum %s exceeds Duration %s", pb.Sum(), m.Duration)
+	}
+	var hashSpans time.Duration
+	for _, sp := range tr.Spans(xmlac.TraceFilter{TraceID: "cold-traced"}) {
+		if sp.Name == "remote.hash-fetch" {
+			hashSpans += sp.Dur
+		}
+	}
+	if hashSpans <= 0 || hashSpans > time.Duration(pb.HashFetchNs+pb.FetchNs) {
+		t.Fatalf("remote.hash-fetch spans total %s, want in (0, HashFetchNs+FetchNs = %s]", hashSpans, time.Duration(pb.HashFetchNs+pb.FetchNs))
+	}
+}
+
 // TestRemoteStreamTraceHasOneViewRootSpan pins the single-view trace
 // contract of a remote view: the view records exactly one view:<subject>
 // root span under its TraceID, carrying the page-cache counts in its Detail,

@@ -42,15 +42,6 @@ func (t *Trace) Total() uint64 {
 	return t.rec.Total()
 }
 
-// WriteJSONL writes up to n of the most recent spans, oldest first, as one
-// JSON object per line (n <= 0 writes every retained span).
-func (t *Trace) WriteJSONL(w io.Writer, n int) error {
-	if t == nil {
-		return nil
-	}
-	return t.rec.WriteJSONL(w, n)
-}
-
 // NewTraceID returns a fresh random trace ID (16 hex characters) fit for
 // ViewOptions.TraceID and for the X-Request-Id header: a remote client that
 // evaluates under a NewTraceID can fetch the server's side of the same
@@ -87,14 +78,14 @@ func (t *Trace) RecordSpan(s TraceSpan) {
 	t.rec.Record(s)
 }
 
-// WriteJSONLFiltered writes the spans matching the filter (oldest first) as
-// one JSON object per line — the machinery behind GET /debug/trace's ?id=
-// and ?since= query parameters.
-func (t *Trace) WriteJSONLFiltered(w io.Writer, f TraceFilter) error {
+// WriteJSONL writes the spans matching the filter (oldest first) as one
+// JSON object per line (TraceFilter{} writes every retained span) — the
+// machinery behind GET /debug/trace's ?id=, ?since= and ?n= parameters.
+func (t *Trace) WriteJSONL(w io.Writer, f TraceFilter) error {
 	if t == nil {
 		return nil
 	}
-	return t.rec.WriteJSONLFiltered(w, f)
+	return t.rec.WriteJSONL(w, f)
 }
 
 // ParseTraceJSONL parses spans in the JSONL form written by WriteJSONL (and
@@ -126,10 +117,7 @@ func ParseTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 
 // TraceLane is one named process row of a merged Chrome trace: the span set
 // of one side of the trust boundary ("client SOE", "untrusted server").
-type TraceLane struct {
-	Name  string
-	Spans []TraceSpan
-}
+type TraceLane = itrace.Lane
 
 // WriteMergedChromeTrace writes several span sets as one Chrome trace-event
 // JSON array, each lane rendered as its own named process on a shared time
@@ -138,11 +126,7 @@ type TraceLane struct {
 // fetch span under an idle client gap) visually distinguishable from a
 // decrypt stall (client phase time with the server idle).
 func WriteMergedChromeTrace(w io.Writer, lanes ...TraceLane) error {
-	conv := make([]itrace.Lane, len(lanes))
-	for i, l := range lanes {
-		conv[i] = itrace.Lane{Name: l.Name, Spans: l.Spans}
-	}
-	return itrace.WriteChromeTraceLanes(w, conv)
+	return itrace.WriteChromeTraceLanes(w, lanes)
 }
 
 // WriteChromeTrace writes every retained span as a Chrome trace-event JSON

@@ -185,8 +185,8 @@
 // entry points; the single-machine trusted demo mode in internal/server is
 // the one documented, baselined exception (.xmlac-vet.toml). The same suite
 // pins repo invariants the type system cannot see: sentinel errors stay
-// wrapped with %w, every trace phase Begin has an End on all paths, and
-// Metrics.Add folds every field. CI runs it as a blocking job.
+// wrapped with %w, every trace phase switch restores the phase it leaves
+// (defer x.Enter(x.Enter(p))), and Metrics.Add folds every field. CI runs it as a blocking job.
 //
 // The sub-packages under internal/ implement the building blocks (XPath
 // fragment, access rules automata, streaming evaluator, Skip index,
