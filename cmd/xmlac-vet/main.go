@@ -9,7 +9,6 @@
 //	trustboundary server-side packages must not touch decrypt/evaluator/key entry points
 //	errlink       sentinel errors must be wrapped with %w and matched with errors.Is
 //	phasepair     every trace phase switch is defer x.Enter(x.Enter(p)) outside loops; trace methods stay nil-safe
-//	metricsfold   Metrics.Add-style accumulators must fold every field
 //
 // Findings can be baselined in .xmlac-vet.toml ([[allow]] entries, each
 // with a mandatory reason); stale entries that no longer match anything are
@@ -32,7 +31,6 @@ import (
 	"xmlac/internal/analysis"
 	"xmlac/internal/analysis/errlink"
 	"xmlac/internal/analysis/keytaint"
-	"xmlac/internal/analysis/metricsfold"
 	"xmlac/internal/analysis/phasepair"
 	"xmlac/internal/analysis/trustboundary"
 	"xmlac/internal/analysis/vetcfg"
@@ -76,7 +74,6 @@ func run() int {
 		trustboundary.New(tbCfg),
 		errlink.New("xmlac"),
 		phasepair.New(phasepair.DefaultConfig()),
-		metricsfold.New(),
 	}
 
 	pkgs, err := analysis.Load(root, patterns...)

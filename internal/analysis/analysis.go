@@ -24,8 +24,6 @@
 //     defer x.Enter(x.Enter(p)) outside a loop body, so the phase left is
 //     restored on every path, and the configured trace types stay
 //     nil-receiver-safe.
-//   - metricsfold: every field of an accumulator struct (Metrics,
-//     PhaseBreakdown) is folded by its Add method.
 //
 // cmd/xmlac-vet is the multichecker driver; internal/analysis/analysistest
 // runs an analyzer over a golden testdata package with // want comments.

@@ -159,11 +159,14 @@ func TestResultBuilderPendingResolution(t *testing.T) {
 	if b.pendingCount != 1 {
 		t.Fatalf("pendingCount = %d", b.pendingCount)
 	}
-	if !b.resolve(n, Permit) {
-		t.Fatal("resolve should succeed")
+	b.resolve(n, Permit)
+	if n.state != stateIncluded || b.pendingCount != 0 {
+		t.Fatalf("resolve(Permit): state %v, pendingCount %d", n.state, b.pendingCount)
 	}
-	if b.pendingCount != 0 {
-		t.Fatal("pendingCount should drop after resolution")
+	// Resolving a decided node again is a no-op.
+	b.resolve(n, Deny)
+	if n.state != stateIncluded || b.pendingCount != 0 {
+		t.Fatalf("second resolve changed a decided node: state %v, pendingCount %d", n.state, b.pendingCount)
 	}
 	view, err := b.finalize()
 	if err != nil {
@@ -171,10 +174,6 @@ func TestResultBuilderPendingResolution(t *testing.T) {
 	}
 	if serialize(view) != "<root><maybe>value</maybe></root>" {
 		t.Fatalf("resolved pending output wrong: %s", serialize(view))
-	}
-	// Resolving again is a no-op.
-	if !b.resolve(n, Deny) {
-		t.Fatal("second resolve should report already-resolved")
 	}
 }
 

@@ -25,12 +25,20 @@ type Options struct {
 	// in the same XPath fragment as the rules (pull context).
 	Query *xpath.Path
 	// Sink, when non-nil, receives the authorized view as a stream of events
-	// while the evaluation runs (see ViewSink): delivery is incremental, in
-	// document order, gated only on pending predicates. Result.View is nil
-	// in that case. When Sink is nil the evaluator materializes the view
-	// into a tree through an internal xmlstream.TreeSink, which is returned
-	// as Result.View — the historical behaviour.
-	Sink ViewSink
+	// while the evaluation runs: this is the delivery model of the paper,
+	// where the SOE hands authorized fragments to the terminal as soon as
+	// their access decision settles. Events arrive in document order, opens
+	// and closes balanced around a single root (or no events for an empty
+	// view), and denied ancestors of authorized nodes are opened
+	// structurally (named "_" under DummyDeniedNames). Nodes whose delivery
+	// waits on a pending predicate are buffered and emitted when it
+	// resolves, so the sink may see bursts; nothing emitted is retracted. A
+	// write error aborts the run: it propagates out of Evaluator.Run, so a
+	// sink backed by a disconnected client stops the document scan
+	// mid-stream. Result.View is nil in that case. When Sink is nil the
+	// evaluator materializes the view into an internal xmlstream.TreeBuilder
+	// and returns it as Result.View.
+	Sink xmlstream.EventWriter
 	// DummyDeniedNames renders denied structural ancestors as "_".
 	DummyDeniedNames bool
 	// DisableSkipIndex ignores both Skip-index facets of the reader, its
@@ -58,12 +66,9 @@ type Options struct {
 type Metrics struct {
 	Events          int64 // total events processed (skipped events excluded)
 	TokenOps        int64 // tokens examined across all events
-	AuthEntries     int64 // rule instances pushed on the Authorization Stack
-	PredInstances   int64 // predicate instances created
 	NodesPermitted  int64
 	NodesDenied     int64
 	NodesPending    int64 // nodes buffered awaiting a pending predicate
-	PendingResolved int64 // buffered nodes later resolved (either way)
 	SubtreesSkipped int64
 	BytesSkipped    int64
 }
@@ -215,9 +220,8 @@ func (e *Evaluator) Run() (*Result, error) {
 }
 
 // finish finalizes the result after the last event has been processed: the
-// remaining skeleton is flushed, unresolved predicates deny their nodes and
-// the sink delivery is ended. A failure returns the error with the metrics
-// and no view.
+// remaining skeleton is flushed and unresolved predicates deny their
+// nodes. A failure returns the error with the metrics and no view.
 func (e *Evaluator) finish() (*Result, error) {
 	defer e.opts.Trace.Enter(e.opts.Trace.Enter(trace.PhaseEmit))
 	view, err := e.builder.finalize()
@@ -322,7 +326,6 @@ func (e *Evaluator) processOpen(ev xmlstream.Event) error {
 					}
 				}
 				newEntries = append(newEntries, entry)
-				e.metrics.AuthEntries++
 			} else {
 				newLevel = append(newLevel, nt)
 			}
@@ -502,7 +505,6 @@ func (e *Evaluator) ensureInstance(key predKey, depth int) *predInstance {
 	inst := &predInstance{key: key, depth: depth}
 	e.predInstances[key] = inst
 	e.anchorIndex[key.anchor] = append(e.anchorIndex[key.anchor], inst)
-	e.metrics.PredInstances++
 	return inst
 }
 
@@ -556,9 +558,7 @@ func (e *Evaluator) notifyWaiters(inst *predInstance) {
 			// them (registration happened for every unresolved instance).
 			continue
 		}
-		if node.state == stateUndecided && e.builder.resolve(node, combined) {
-			e.metrics.PendingResolved++
-		}
+		e.builder.resolve(node, combined)
 	}
 }
 

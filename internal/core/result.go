@@ -15,8 +15,8 @@ import (
 // Structural rule (ancestors of authorized nodes are kept, optionally with
 // dummied names) and delivers the authorized view.
 //
-// Delivery is streaming: the builder pushes open/text/close events into a
-// ViewSink as soon as their fate is sealed, in document order. A node whose
+// Delivery is streaming: the builder writes open/text/close events to its
+// sink as soon as their fate is sealed, in document order. A node whose
 // delivery condition is still pending blocks the emission cursor (later
 // output would otherwise overtake it); everything before the first pending
 // node flows out while the evaluation is still consuming the document, so
@@ -107,10 +107,10 @@ type resultBuilder struct {
 	root    *resultNode
 	current *resultNode
 	// sink receives the delivered view; tree is non-nil when the builder
-	// materializes (the sink is an internally owned TreeSink whose root is
-	// returned by finalize).
-	sink ViewSink
-	tree *xmlstream.TreeSink
+	// materializes (the sink is an internally owned TreeBuilder whose root
+	// is returned by finalize).
+	sink xmlstream.EventWriter
+	tree *xmlstream.TreeBuilder
 	err  error
 	// dummyNames controls the Structural-rule rendering of denied ancestors.
 	dummyNames bool
@@ -127,12 +127,12 @@ type resultBuilder struct {
 
 // reset re-arms the builder for a run delivering into sink; a nil sink
 // materializes the view into a tree returned by finalize, through a
-// TreeSink, so the materialized path is a thin adapter over the same
-// streaming emission. The node free list and the open stack are kept.
-func (b *resultBuilder) reset(sink ViewSink, dummyNames bool) {
-	var tree *xmlstream.TreeSink
+// TreeBuilder, so the materialized path is the same streaming emission.
+// The node free list and the open stack are kept.
+func (b *resultBuilder) reset(sink xmlstream.EventWriter, dummyNames bool) {
+	var tree *xmlstream.TreeBuilder
 	if sink == nil {
-		tree = xmlstream.NewTreeSink()
+		tree = xmlstream.NewTreeBuilder()
 		sink = tree
 	}
 	clear(b.openStack)
@@ -279,12 +279,12 @@ func hasLiveDescendant(n *resultNode) bool {
 	return false
 }
 
-// resolve re-evaluates an undecided element node after one of its pending
-// predicate instances resolved. It returns true when the node reached a
-// definitive state.
-func (b *resultBuilder) resolve(n *resultNode, d Decision) bool {
+// resolve seals an undecided element node with its re-evaluated delivery
+// decision d after one of its pending predicate instances resolved. A node
+// already decided, or a d still Pending, leaves the node as it is.
+func (b *resultBuilder) resolve(n *resultNode, d Decision) {
 	if n.state != stateUndecided {
-		return true
+		return
 	}
 	switch d {
 	case Permit:
@@ -292,7 +292,7 @@ func (b *resultBuilder) resolve(n *resultNode, d Decision) bool {
 	case Deny:
 		n.state = stateExcluded
 	default:
-		return false
+		return
 	}
 	b.pendingCount--
 	// Text children inherited the undecided state; align them.
@@ -304,7 +304,6 @@ func (b *resultBuilder) resolve(n *resultNode, d Decision) bool {
 	if n.access != Pending {
 		n.dropSnapshot()
 	}
-	return true
 }
 
 // flush advances the emission cursor: every node whose fate is sealed and
@@ -336,7 +335,7 @@ func (b *resultBuilder) settle(n *resultNode) bool {
 	if n.isText {
 		switch n.state {
 		case stateIncluded:
-			b.emitText(n.value)
+			b.emit(xmlstream.Event{Kind: xmlstream.Text, Value: n.value})
 			n.done = b.err == nil
 			return n.done
 		case stateExcluded:
@@ -390,7 +389,7 @@ func (b *resultBuilder) settle(n *resultNode) bool {
 		return false
 	}
 	if n.opened {
-		b.emitClose(n.emittedName)
+		b.emit(xmlstream.Event{Kind: xmlstream.Close, Name: n.emittedName})
 		if b.err != nil {
 			return false
 		}
@@ -417,31 +416,26 @@ func (b *resultBuilder) emitOpenPath(n *resultNode) {
 	if n.state != stateIncluded && b.dummyNames {
 		name = "_"
 	}
-	if err := b.sink.OpenElement(name); err != nil {
-		b.err = fmt.Errorf("core: delivering view: %w", err)
+	b.emit(xmlstream.Event{Kind: xmlstream.Open, Name: name})
+	if b.err != nil {
 		return
 	}
 	n.opened = true
 	n.emittedName = name
 }
 
-func (b *resultBuilder) emitText(value string) {
-	if err := b.sink.Text(value); err != nil {
+// emit writes one event to the sink; a write error is sticky and aborts
+// the run.
+func (b *resultBuilder) emit(ev xmlstream.Event) {
+	if err := b.sink.WriteEvent(ev); err != nil {
 		b.err = fmt.Errorf("core: delivering view: %w", err)
 	}
 }
 
-func (b *resultBuilder) emitClose(name string) {
-	if err := b.sink.CloseElement(name); err != nil {
-		b.err = fmt.Errorf("core: delivering view: %w", err)
-	}
-}
-
-// finalize flushes the remaining skeleton and ends the sink delivery. Any
-// node still undecided is treated as denied (its predicates never resolved
-// before the end of the document, which means they are false). When the
-// builder materializes, the collected view tree is returned; it is nil when
-// the view is empty.
+// finalize flushes the remaining skeleton. Any node still undecided is
+// treated as denied (its predicates never resolved before the end of the
+// document, which means they are false). When the builder materializes,
+// the collected view tree is returned; it is nil when the view is empty.
 func (b *resultBuilder) finalize() (*xmlstream.Node, error) {
 	if len(b.openStack) != 0 {
 		return nil, ErrUnbalancedResult
@@ -449,23 +443,20 @@ func (b *resultBuilder) finalize() (*xmlstream.Node, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if b.root != nil {
-		denyUnresolved(b.root)
-		if !b.settle(b.root) && b.err == nil {
-			b.err = errors.New("core: internal error: view emission stalled at end of document")
-		}
-		if b.err != nil {
-			return nil, b.err
-		}
+	if b.root == nil {
+		return nil, nil
 	}
-	if err := b.sink.End(); err != nil {
-		b.err = fmt.Errorf("core: delivering view: %w", err)
+	denyUnresolved(b.root)
+	if !b.settle(b.root) && b.err == nil {
+		b.err = errors.New("core: internal error: view emission stalled at end of document")
+	}
+	if b.err != nil {
 		return nil, b.err
 	}
-	if b.tree != nil {
-		return b.tree.Root(), nil
+	if b.tree == nil || !b.root.opened {
+		return nil, nil
 	}
-	return nil, nil
+	return b.tree.Root()
 }
 
 // denyUnresolved seals the fate of every node still undecided at the end of

@@ -140,8 +140,7 @@ func TestSkipIndexNeverReadsMoreThanBruteForce(t *testing.T) {
 	}
 }
 
-// budgetSink errors after a fixed number of delivered events (End
-// included).
+// budgetSink errors after a fixed number of delivered events.
 type budgetSink struct {
 	budget int
 	n      int
@@ -149,22 +148,19 @@ type budgetSink struct {
 
 var errBudgetSink = errors.New("sink budget exhausted")
 
-func (f *budgetSink) deliver() error {
+func (f *budgetSink) WriteEvent(xmlstream.Event) error {
 	f.n++
 	if f.n > f.budget {
 		return errBudgetSink
 	}
 	return nil
 }
-func (f *budgetSink) OpenElement(string) error  { return f.deliver() }
-func (f *budgetSink) Text(string) error         { return f.deliver() }
-func (f *budgetSink) CloseElement(string) error { return f.deliver() }
-func (f *budgetSink) End() error                { return f.deliver() }
 
 // TestEvaluatorRunFailurePartialMetrics: every way a run can fail — the
 // reader running out of bytes mid-document, the sink failing mid-scan, the
-// sink failing at End — returns the error together with the partial
-// metrics of the work performed, and no view.
+// sink failing on the view's last event (the root's close) — returns the
+// error together with the partial metrics of the work performed, and no
+// view.
 func TestEvaluatorRunFailurePartialMetrics(t *testing.T) {
 	doc, err := xmlstream.ParseTree(strings.NewReader("<r>" + strings.Repeat("<a><b>1</b></a>", 50) + "</r>"))
 	if err != nil {
@@ -184,12 +180,12 @@ func TestEvaluatorRunFailurePartialMetrics(t *testing.T) {
 	cut := truncatedSource{ByteSource: skipindex.NewBytesSource(enc.Data[:len(enc.Data)/2]), size: whole.Size()}
 	cases := map[string]struct {
 		src  skipindex.ByteSource
-		sink ViewSink
+		sink xmlstream.EventWriter
 		want error
 	}{
-		"truncated": {src: cut, want: skipindex.ErrBadFormat},
-		"sink":      {src: whole, sink: &budgetSink{budget: 10}, want: errBudgetSink},
-		"sink end":  {src: whole, sink: &budgetSink{budget: counter.n - 1}, want: errBudgetSink},
+		"truncated":  {src: cut, want: skipindex.ErrBadFormat},
+		"sink":       {src: whole, sink: &budgetSink{budget: 10}, want: errBudgetSink},
+		"last event": {src: whole, sink: &budgetSink{budget: counter.n - 1}, want: errBudgetSink},
 	}
 	for name, tc := range cases {
 		res, err := Evaluate(mustDecoder(t, tc.src), all, Options{Sink: tc.sink})

@@ -9,7 +9,7 @@ import (
 	"xmlac/internal/xpath"
 )
 
-// Streaming-delivery tests: the ViewSink path must emit byte-for-byte the
+// Streaming-delivery tests: the Options.Sink path must emit byte-for-byte the
 // serialization of the materialized view, with identical evaluator metrics,
 // for any document/policy/query — and a sink error must abort the run.
 
@@ -38,7 +38,7 @@ func TestDifferentialStreamingSinkParity(t *testing.T) {
 		}
 
 		var sb strings.Builder
-		sink := xmlstream.NewViewSerializer(&sb, false)
+		sink := xmlstream.NewSerializer(&sb)
 		streamed, err := Evaluate(xmlstream.NewTreeReader(doc), policy,
 			Options{Query: query, DummyDeniedNames: dummy, Sink: sink})
 		if err != nil {
@@ -65,18 +65,13 @@ type failingSink struct {
 	seen  int
 }
 
-func (f *failingSink) event() error {
+func (f *failingSink) WriteEvent(xmlstream.Event) error {
 	f.seen++
 	if f.seen > f.allow {
 		return f.fail
 	}
 	return nil
 }
-
-func (f *failingSink) OpenElement(string) error  { return f.event() }
-func (f *failingSink) Text(string) error         { return f.event() }
-func (f *failingSink) CloseElement(string) error { return f.event() }
-func (f *failingSink) End() error                { return f.event() }
 
 func TestStreamingSinkErrorAbortsRun(t *testing.T) {
 	r := newRng(77)

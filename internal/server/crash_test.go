@@ -163,7 +163,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 // TestCrashRecoveryCompactedTorture runs the torture matrix over logs with a
 // snapshot prefix. The reference history is register → checkpoint → PATCH →
 // re-register → second document → two PATCHes → checkpoint → PATCH, with
-// checkpoints forced by reopening at a one-byte CheckpointWALBytes for the
+// checkpoints forced by reopening at a one-byte checkpointWALBytes for the
 // step before each. Every snapshot frame must be intact — a cut or a
 // flipped byte anywhere in it, a container byte included, fails recovery —
 // while the tail keeps the prefix rule. At each checkpoint's crash point
@@ -204,7 +204,7 @@ func TestCrashRecoveryCompactedTorture(t *testing.T) {
 	runStep := func(dir string, i int, checkpoint bool) crashSnapshot {
 		o := opts
 		if checkpoint {
-			o.CheckpointWALBytes = 1
+			o.checkpointWALBytes = 1
 		}
 		srv, ts := openDurable(t, dir, o)
 		steps[i].run(ts)

@@ -425,7 +425,7 @@ func promSamples(t *testing.T, body string) map[string]float64 {
 // durable store every counter they share reads the same on both; the only
 // difference is the second scrape's own request.
 func TestMetricsSurfacesAgree(t *testing.T) {
-	_, ts, _ := newLoggedServer(t, Options{DataDir: t.TempDir(), CheckpointWALBytes: 64 << 10})
+	_, ts, _ := newLoggedServer(t, Options{DataDir: t.TempDir(), checkpointWALBytes: 64 << 10})
 	putDoc(t, ts, "hospital", hospitalXML(6))
 	putDoc(t, ts, "clinic", hospitalXML(3))
 	var wg sync.WaitGroup
@@ -489,7 +489,7 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 // failed fsyncs.
 func TestPoisonedStorageIsReported(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, _ := newLoggedServer(t, Options{DataDir: dir, CheckpointWALBytes: 1})
+	_, ts, _ := newLoggedServer(t, Options{DataDir: dir, checkpointWALBytes: 1})
 	health := func(wantStatus int, wantFailed int64) string {
 		t.Helper()
 		resp, body := do(t, http.MethodGet, ts.URL+"/healthz", "")

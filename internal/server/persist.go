@@ -31,9 +31,9 @@ import (
 // its current container. Recovery replays snapshot and tail through one
 // loop.
 
-// DefaultCheckpointWALBytes is the log tail size that triggers a checkpoint
-// when Options.CheckpointWALBytes is unset.
-const DefaultCheckpointWALBytes = 8 << 20
+// defaultCheckpointWALBytes is the log tail size that triggers a checkpoint
+// when Options.checkpointWALBytes is unset.
+const defaultCheckpointWALBytes = 8 << 20
 
 // registerMeta is the durable registration metadata of one document.
 type registerMeta struct {

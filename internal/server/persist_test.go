@@ -180,7 +180,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 // records, and a client opened before the restart re-syncs against it.
 func TestPersistenceCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	srv, ts := openDurable(t, dir, Options{checkpointWALBytes: 1})
 	var cur atomic.Pointer[Server]
 	cur.Store(srv)
 	docURL := frontURL(t, &cur) + "/docs/hospital"
@@ -215,7 +215,7 @@ func TestPersistenceCheckpointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, ts2 := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	srv2, ts2 := openDurable(t, dir, Options{checkpointWALBytes: 1})
 	cur.Store(srv2)
 	if got := captureSurface(t, ts2); got != surface {
 		t.Fatal("blob, ETag or manifest recovered from the checkpoint differs")
@@ -261,7 +261,7 @@ func TestPersistenceDeleteAcrossRestart(t *testing.T) {
 // recovers exactly the state the server served.
 func TestPersistenceConcurrentMutationsRecover(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := openDurable(t, dir, Options{CheckpointWALBytes: 1})
+	srv, ts := openDurable(t, dir, Options{checkpointWALBytes: 1})
 	putDoc(t, ts, "hospital", hospitalXML(6))
 	send := func(method, path, body string) error {
 		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
@@ -446,7 +446,7 @@ func TestPersistenceReplaceRaces(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{}
 			if round%2 == 1 {
-				opts.CheckpointWALBytes = 1
+				opts.checkpointWALBytes = 1
 			}
 			srv, ts := openDurable(t, dir, opts)
 			putDoc(t, ts, "doc", hospitalXML(4))

@@ -50,11 +50,6 @@ type Options struct {
 	// snapshot prefix, then its tail. Empty keeps the store in-memory (the
 	// default, and what tests use). Requires the Open constructor.
 	DataDir string
-	// CheckpointWALBytes is the size of the log tail (the bytes appended
-	// since the last checkpoint) that triggers a checkpoint: the log is
-	// rewritten as a snapshot of the store and atomically renamed into
-	// place (<= 0 selects DefaultCheckpointWALBytes).
-	CheckpointWALBytes int64
 
 	// Logger receives the structured access log (one line per request with
 	// the trace ID) and lifecycle events. nil discards everything — quiet by
@@ -73,6 +68,12 @@ type Options struct {
 	// timing; tests inject a fake to drive time deterministically. nil
 	// selects the real clock.
 	clock clock
+	// checkpointWALBytes is the size of the log tail (the bytes appended
+	// since the last checkpoint) that triggers a checkpoint: the log is
+	// rewritten as a snapshot of the store and atomically renamed into
+	// place. Tests shrink it to force checkpoints; <= 0 selects
+	// defaultCheckpointWALBytes.
+	checkpointWALBytes int64
 }
 
 // Server is the untrusted document store behind the HTTP surface: protected
@@ -111,8 +112,8 @@ func Open(opts Options) (*Server, error) {
 	if opts.DefaultScheme == "" {
 		opts.DefaultScheme = xmlac.SchemeECBMHT
 	}
-	if opts.CheckpointWALBytes <= 0 {
-		opts.CheckpointWALBytes = DefaultCheckpointWALBytes
+	if opts.checkpointWALBytes <= 0 {
+		opts.checkpointWALBytes = defaultCheckpointWALBytes
 	}
 	if opts.clock == nil {
 		opts.clock = realClock{}
@@ -135,7 +136,7 @@ func Open(opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.persist = &persister{engine: eng, store: s.store, logger: logger, threshold: opts.CheckpointWALBytes}
+		s.persist = &persister{engine: eng, store: s.store, logger: logger, threshold: opts.checkpointWALBytes}
 		replayed, err := s.recoverPersisted(eng)
 		if err != nil {
 			eng.Close()

@@ -105,11 +105,6 @@ func (c CostBreakdown) String() string {
 // access-control token operations) into an execution-time estimate under
 // this profile.
 func (p CostProfile) Breakdown(commBytes, decryptBytes, hashBytes, tokenOps int64) CostBreakdown {
-	return p.timeFor(commBytes, decryptBytes, hashBytes, tokenOps)
-}
-
-// timeFor converts volumes into a breakdown under this profile.
-func (p CostProfile) timeFor(commBytes, decryptBytes, hashBytes, tokenOps int64) CostBreakdown {
 	var b CostBreakdown
 	if p.CommBytesPerSec > 0 {
 		b.CommunicationSeconds = float64(commBytes) / p.CommBytesPerSec

@@ -177,7 +177,7 @@ func (w *Workload) runPipeline(spec RunSpec) (*Report, error) {
 	if res.View != nil {
 		report.ResultBytes = int64(len(xmlstream.SerializeTree(res.View, false)))
 	}
-	report.Breakdown = spec.Profile.timeFor(report.CommBytes, report.DecryptBytes, report.HashBytes, tokenOps)
+	report.Breakdown = spec.Profile.Breakdown(report.CommBytes, report.DecryptBytes, report.HashBytes, tokenOps)
 	return report, nil
 }
 
@@ -215,6 +215,6 @@ func (w *Workload) runLowerBound(spec RunSpec) (*Report, error) {
 		DecryptBytes: authorizedBytes + digestBytes,
 		HashBytes:    hashBytes,
 	}
-	report.Breakdown = spec.Profile.timeFor(report.CommBytes, report.DecryptBytes, report.HashBytes, 0)
+	report.Breakdown = spec.Profile.Breakdown(report.CommBytes, report.DecryptBytes, report.HashBytes, 0)
 	return report, nil
 }

@@ -37,7 +37,7 @@ func TestProfilesMatchTable1(t *testing.T) {
 	if lan.CommBytesPerSec != 10*1024*1024 || lan.DecryptBytesPerSec != 1.2*1024*1024 {
 		t.Errorf("software-lan profile does not match Table 1: %+v", lan)
 	}
-	b := hw.timeFor(1024*1024, 1024*1024, 0, 0)
+	b := hw.Breakdown(1024*1024, 1024*1024, 0, 0)
 	if b.CommunicationSeconds < 1.9 || b.CommunicationSeconds > 2.1 {
 		t.Errorf("1 MB at 0.5 MB/s should take ~2s, got %f", b.CommunicationSeconds)
 	}

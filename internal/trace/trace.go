@@ -212,7 +212,7 @@ func (c *Context) Record(name string, start time.Time, bytes, chunks int64, deta
 	if c == nil || c.rec == nil || start.IsZero() {
 		return
 	}
-	c.rec.Record(Span{
+	c.rec.RecordSpan(Span{
 		TraceID: c.id,
 		Parent:  c.span,
 		Name:    name,
@@ -262,7 +262,7 @@ func (c *Context) Finish(name string, bytes int64) time.Duration {
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		if ns := c.phases[p]; ns > 0 {
-			c.rec.Record(Span{
+			c.rec.RecordSpan(Span{
 				TraceID: c.id,
 				Parent:  c.span,
 				Name:    "phase:" + p.String(),
@@ -275,7 +275,7 @@ func (c *Context) Finish(name string, bytes int64) time.Duration {
 	if c.pageHits > 0 || c.pageMisses > 0 {
 		detail = fmt.Sprintf("page_hits=%d page_misses=%d", c.pageHits, c.pageMisses)
 	}
-	c.rec.Record(Span{
+	c.rec.RecordSpan(Span{
 		TraceID: c.id,
 		SpanID:  c.span,
 		Name:    name,
@@ -334,9 +334,11 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{buf: make([]Span, capacity)}
 }
 
-// Record appends a span, evicting the oldest when the ring is full, and
-// assigns it the next sequence number.
-func (r *Recorder) Record(s Span) {
+// RecordSpan appends a span, evicting the oldest when the ring is full, and
+// assigns it the next sequence number. Evaluations record through their
+// Context; a server records its request-handling spans here directly, so
+// they sit next to the evaluation spans under the same trace IDs.
+func (r *Recorder) RecordSpan(s Span) {
 	if r == nil {
 		return
 	}

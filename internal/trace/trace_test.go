@@ -106,7 +106,7 @@ func TestExclusivePhaseAccounting(t *testing.T) {
 func TestRecorderRing(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Record(Span{Name: string(rune('a' + i)), Start: time.Now()})
+		r.RecordSpan(Span{Name: string(rune('a' + i)), Start: time.Now()})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
@@ -168,8 +168,8 @@ func TestContextFinishRecordsSpans(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.Record(Span{TraceID: "a", Name: "one", Start: time.Now(), Dur: time.Millisecond, Bytes: 7})
-	rec.Record(Span{TraceID: "b", Name: "two", Start: time.Now(), Dur: 2 * time.Millisecond})
+	rec.RecordSpan(Span{TraceID: "a", Name: "one", Start: time.Now(), Dur: time.Millisecond, Bytes: 7})
+	rec.RecordSpan(Span{TraceID: "b", Name: "two", Start: time.Now(), Dur: 2 * time.Millisecond})
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf, Filter{}); err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.Record(Span{TraceID: "a", Name: "one", Start: time.Now(), Dur: time.Millisecond, Bytes: 9, Detail: "d"})
-	rec.Record(Span{TraceID: "b", Name: "two", Start: time.Now(), Dur: time.Millisecond})
+	rec.RecordSpan(Span{TraceID: "a", Name: "one", Start: time.Now(), Dur: time.Millisecond, Bytes: 9, Detail: "d"})
+	rec.RecordSpan(Span{TraceID: "b", Name: "two", Start: time.Now(), Dur: time.Millisecond})
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestRecorderSeqAndFilters(t *testing.T) {
 		if i%2 == 1 {
 			id = "b"
 		}
-		r.Record(Span{TraceID: id, Name: string(rune('0' + i)), Start: time.Now()})
+		r.RecordSpan(Span{TraceID: id, Name: string(rune('0' + i)), Start: time.Now()})
 	}
 	all := r.Spans(Filter{})
 	if len(all) != 6 {
@@ -275,7 +275,7 @@ func TestRecorderSeqAndFilters(t *testing.T) {
 	// Eviction keeps sequence numbers stable: after wrapping, the oldest
 	// retained span's seq reflects how many were dropped.
 	for i := 6; i < 12; i++ {
-		r.Record(Span{TraceID: "a", Name: "late", Start: time.Now()})
+		r.RecordSpan(Span{TraceID: "a", Name: "late", Start: time.Now()})
 	}
 	wrapped := r.Spans(Filter{})
 	if len(wrapped) != 8 || wrapped[0].Seq != 5 {
@@ -377,7 +377,7 @@ func TestRecorderDefaultsAndNil(t *testing.T) {
 		t.Fatalf("default capacity = %d", len(r.buf))
 	}
 	var nilRec *Recorder
-	nilRec.Record(Span{Name: "x"})
+	nilRec.RecordSpan(Span{Name: "x"})
 	if nilRec.Len() != 0 || nilRec.Total() != 0 || nilRec.Spans(Filter{N: 3}) != nil {
 		t.Fatal("nil recorder should be inert")
 	}

@@ -10,8 +10,3 @@ var ErrEndOfDocument = errors.New("xmlstream: end of document")
 
 // ErrMalformed is wrapped by parser errors caused by malformed input.
 var ErrMalformed = errors.New("xmlstream: malformed document")
-
-// errUnclosedElements is raised by TreeSink.End when the delivery stream
-// finished with open elements. The evaluator guarantees a balanced
-// single-rooted stream, so it reaching a caller indicates a bug upstream.
-var errUnclosedElements = errors.New("xmlstream: view stream ended with unclosed elements")

@@ -115,8 +115,8 @@ func SerializeTree(root *Node, indent bool) string {
 }
 
 // TreeBuilder collects an event stream back into a Node tree. It is the
-// EventWriter counterpart of TreeReader and is used by tests and by the
-// result-reassembly logic to verify round trips.
+// EventWriter counterpart of TreeReader: the evaluator materializes a view
+// through it, and tests use it to verify round trips.
 type TreeBuilder struct {
 	stack []*Node
 	root  *Node

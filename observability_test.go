@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
+	"time"
 
 	"xmlac"
 	"xmlac/internal/dataset"
@@ -105,5 +107,41 @@ func TestTracedViewMatchesUntracedAndBreakdownTracksDuration(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("Chrome trace export is empty")
+	}
+}
+
+// TestPhaseBreakdownAddAndSumCoverEveryField stamps every field of a
+// PhaseBreakdown with a distinct value by reflection, so a phase added to
+// the struct but left out of Add or Sum fails here: adding onto a zero
+// value must reproduce the source, adding twice must double it, and Sum
+// must equal the field total.
+func TestPhaseBreakdownAddAndSumCoverEveryField(t *testing.T) {
+	var src xmlac.PhaseBreakdown
+	fields := reflect.ValueOf(&src).Elem()
+	var total int64
+	for i := 0; i < fields.NumField(); i++ {
+		f := fields.Field(i)
+		if f.Kind() != reflect.Int64 {
+			t.Fatalf("PhaseBreakdown.%s has kind %s: teach Add, Sum and this test about it",
+				fields.Type().Field(i).Name, f.Kind())
+		}
+		f.SetInt(int64(101 + i))
+		total += f.Int()
+	}
+
+	var acc xmlac.PhaseBreakdown
+	acc.Add(&src)
+	if acc != src {
+		t.Fatalf("Add onto a zero breakdown must reproduce the source:\ngot  %+v\nwant %+v", acc, src)
+	}
+	acc.Add(&src)
+	doubled := reflect.ValueOf(acc)
+	for i := 0; i < doubled.NumField(); i++ {
+		if got, want := doubled.Field(i).Int(), 2*fields.Field(i).Int(); got != want {
+			t.Errorf("Add drops or mis-folds %s: got %d, want %d", doubled.Type().Field(i).Name, got, want)
+		}
+	}
+	if got := src.Sum(); got != time.Duration(total) {
+		t.Errorf("Sum = %d, want the field total %d", got, total)
 	}
 }

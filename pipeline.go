@@ -52,7 +52,9 @@ func newView(cp *CompiledPolicy, o ViewOptions, w io.Writer) (view, error) {
 func (v *view) scan(src secure.ChunkSource, key Key) (*core.Result, secure.Costs, error) {
 	opts := v.opts
 	if v.fw != nil {
-		opts.Sink = xmlstream.NewViewSerializer(v.fw, v.indent)
+		ser := xmlstream.NewSerializer(v.fw)
+		ser.Indent = v.indent
+		opts.Sink = ser
 	}
 	return soe.Scan(src, key, v.cp.core, opts)
 }
@@ -65,8 +67,7 @@ func (v *view) delivered() bool { return v.fw != nil && v.fw.ttfb != 0 }
 // result: a reader that cannot open the source) returns only the error. A
 // scan failure (integrity violation, truncated ciphertext, a failed or
 // canceled remote fetch, a failed writer) returns the error together with
-// the partial Metrics of the work performed, so aggregators account for it
-// exactly once. A traced view records exactly one view:<subject> root span,
+// the partial Metrics of the work performed. A traced view records exactly one view:<subject> root span,
 // with the remote page-cache counts in its Detail.
 func (v *view) finish(res *core.Result, costs secure.Costs, err error) (*Document, *Metrics, error) {
 	if res == nil {

@@ -15,31 +15,13 @@ import (
 // use — a server keeps one per process); each traced evaluation records its
 // phase aggregates and remote-fetch spans into the ring, newest spans
 // evicting the oldest. Attaching a Trace also turns on the per-phase timers
-// that fill Metrics.PhaseBreakdown.
-type Trace struct {
-	rec *itrace.Recorder
-}
+// that fill Metrics.PhaseBreakdown. Every method is safe on a nil *Trace.
+type Trace = itrace.Recorder
 
 // NewTrace builds a Trace retaining up to capacity spans (capacity <= 0
 // selects an internal default of a few hundred).
 func NewTrace(capacity int) *Trace {
-	return &Trace{rec: itrace.NewRecorder(capacity)}
-}
-
-// Len returns the number of spans currently retained.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.rec.Len()
-}
-
-// Total returns the number of spans ever recorded (retained or evicted).
-func (t *Trace) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.rec.Total()
+	return itrace.NewRecorder(capacity)
 }
 
 // NewTraceID returns a fresh random trace ID (16 hex characters) fit for
@@ -59,34 +41,6 @@ type TraceSpan = itrace.Span
 // TraceFilter selects a subset of a Trace's retained spans: by trace ID, by
 // sequence number (spans recorded after Since), or the newest N.
 type TraceFilter = itrace.Filter
-
-// Spans returns the retained spans matching the filter, oldest first.
-func (t *Trace) Spans(f TraceFilter) []TraceSpan {
-	if t == nil {
-		return nil
-	}
-	return t.rec.Spans(f)
-}
-
-// RecordSpan appends one externally produced span to the ring — a server
-// records its request-handling spans here so they sit next to the evaluation
-// spans under the same trace IDs. The recorder assigns the sequence number.
-func (t *Trace) RecordSpan(s TraceSpan) {
-	if t == nil {
-		return
-	}
-	t.rec.Record(s)
-}
-
-// WriteJSONL writes the spans matching the filter (oldest first) as one
-// JSON object per line (TraceFilter{} writes every retained span) — the
-// machinery behind GET /debug/trace's ?id=, ?since= and ?n= parameters.
-func (t *Trace) WriteJSONL(w io.Writer, f TraceFilter) error {
-	if t == nil {
-		return nil
-	}
-	return t.rec.WriteJSONL(w, f)
-}
 
 // ParseTraceJSONL parses spans in the JSONL form written by WriteJSONL (and
 // served by GET /debug/trace), one JSON object per line, blank lines
@@ -129,32 +83,12 @@ func WriteMergedChromeTrace(w io.Writer, lanes ...TraceLane) error {
 	return itrace.WriteChromeTraceLanes(w, lanes)
 }
 
-// WriteChromeTrace writes every retained span as a Chrome trace-event JSON
-// array loadable in chrome://tracing or Perfetto. Phase spans are per-phase
-// exclusive-time totals anchored at the evaluation start, not exact
-// intervals; remote-fetch and resync spans carry real timestamps.
-func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return t.rec.WriteChromeTrace(w)
-}
-
-// context builds the per-evaluation tracing context recording into this
-// Trace under the given request-scoped ID.
-func (t *Trace) context(id string) *itrace.Context {
-	if t == nil {
-		return nil
-	}
-	return itrace.New(t.rec, id)
-}
-
 // PhaseBreakdown is the per-phase decomposition of one evaluation's wall
 // time, in exclusive nanoseconds: time spent in a nested phase (a remote
 // fetch issued while decrypting, a decrypt issued while decoding) is charged
 // to the innermost phase only, so the phase sum tracks Metrics.Duration
 // instead of double-counting. It is populated only when ViewOptions.Trace is
-// set; Metrics.Add folds it field by field like every other counter.
+// set.
 type PhaseBreakdown struct {
 	// DecryptNs is ciphertext decryption inside the SOE.
 	DecryptNs int64
@@ -181,7 +115,8 @@ type PhaseBreakdown struct {
 	ResyncNs int64
 }
 
-// Add folds another breakdown into this one (used by Metrics.Add).
+// Add folds another breakdown into this one, field by field, for a report
+// that sums the breakdowns of many views.
 func (b *PhaseBreakdown) Add(o *PhaseBreakdown) {
 	b.DecryptNs += o.DecryptNs
 	b.VerifyNs += o.VerifyNs

@@ -8,12 +8,12 @@ import (
 )
 
 // BenchmarkUpdate measures versioned in-place updates on an 800-folder
-// hospital document (~3.6 MB protected) against the pre-update baseline of
-// re-protecting the whole document:
+// hospital document (3.6 MB of XML, 2.3 MB of ciphertext) against the
+// pre-update baseline of re-protecting the whole document:
 //
 //   - inplace: a same-length phone-number edit in the middle of the
 //     document — the fast path splices the cached Skip-index encoding and
-//     re-encrypts one or two of ~1500 chunks. Orders of magnitude cheaper
+//     re-encrypts one or two of its 1,135 chunks. Orders of magnitude cheaper
 //     than a re-protect.
 //   - reencode: a length-changing comment rewrite near the end — the
 //     structural path re-encodes the Skip index but still reuses every
@@ -23,7 +23,8 @@ import (
 //
 // The reenc-frac metric reports the fraction of ciphertext bytes each op
 // re-encrypted. perfbench's store-update workload prices the same update
-// path behind the store's WAL and delta resync.
+// path behind the store's WAL, and the re-sync of a remote reader that
+// compares the two versions' digest tables.
 func BenchmarkUpdate(b *testing.B) {
 	const folders = 800
 	prot, key, xml := protectHospital(b, folders)

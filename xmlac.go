@@ -76,7 +76,7 @@
 // Protect of the edited tree (Document.ApplyEdits is the reference edit
 // semantics). A same-length text replacement takes an in-place fast path
 // that splices the cached Skip-index encoding without re-encoding — on the
-// scale-1.0 hospital document a field update costs ~3 ms against ~200 ms
+// scale-1.0 hospital document a field update costs ~3 ms against ~130 ms
 // for a full re-protect (BenchmarkUpdate), re-encrypting under 0.1% of the
 // ciphertext. Updates never tear concurrent evaluations: every view runs on
 // the version it snapshotted at its start, and an edit batch applies
@@ -185,8 +185,8 @@
 // entry points; the single-machine trusted demo mode in internal/server is
 // the one documented, baselined exception (.xmlac-vet.toml). The same suite
 // pins repo invariants the type system cannot see: sentinel errors stay
-// wrapped with %w, every trace phase switch restores the phase it leaves
-// (defer x.Enter(x.Enter(p))), and Metrics.Add folds every field. CI runs it as a blocking job.
+// wrapped with %w, and every trace phase switch restores the phase it
+// leaves (defer x.Enter(x.Enter(p))). CI runs it as a blocking job.
 //
 // The sub-packages under internal/ implement the building blocks (XPath
 // fragment, access rules automata, streaming evaluator, Skip index,
@@ -208,6 +208,7 @@ import (
 	"xmlac/internal/core"
 	"xmlac/internal/secure"
 	"xmlac/internal/skipindex"
+	itrace "xmlac/internal/trace"
 	"xmlac/internal/xmlstream"
 	"xmlac/internal/xpath"
 )
@@ -588,11 +589,8 @@ type Metrics struct {
 	// TimeToFirstByte is the wall-clock delay between the start of a
 	// streamed view (a View with a non-nil writer) and the first byte of the
 	// view reaching the writer; 0 when the view was empty or materialized.
-	// Aggregations (Metrics.Add) sum it like every other counter; divide by
-	// the number of folded evaluations for an average.
 	TimeToFirstByte time.Duration
-	// Duration is the wall-clock time of the evaluation pipeline. Like
-	// TimeToFirstByte it sums under Metrics.Add.
+	// Duration is the wall-clock time of the evaluation pipeline.
 	Duration time.Duration
 	// PhaseBreakdown decomposes Duration into exclusive per-phase time. It
 	// is populated only when the evaluation ran with ViewOptions.Trace set;
@@ -602,25 +600,6 @@ type Metrics struct {
 	// EstimatedSmartCardSeconds is the execution-time estimate on the
 	// hardware smart-card profile of the paper (Table 1).
 	EstimatedSmartCardSeconds float64
-}
-
-// Add accumulates another metrics record; aggregators of many evaluations
-// fold per-view metrics with it.
-func (m *Metrics) Add(o *Metrics) {
-	m.BytesTransferred += o.BytesTransferred
-	m.BytesDecrypted += o.BytesDecrypted
-	m.BytesSkipped += o.BytesSkipped
-	m.SubtreesSkipped += o.SubtreesSkipped
-	m.NodesPermitted += o.NodesPermitted
-	m.NodesDenied += o.NodesDenied
-	m.NodesPending += o.NodesPending
-	m.BytesOnWire += o.BytesOnWire
-	m.RoundTrips += o.RoundTrips
-	m.ChunksReused += o.ChunksReused
-	m.TimeToFirstByte += o.TimeToFirstByte
-	m.Duration += o.Duration
-	m.PhaseBreakdown.Add(&o.PhaseBreakdown)
-	m.EstimatedSmartCardSeconds += o.EstimatedSmartCardSeconds
 }
 
 // View evaluates the compiled policy (and the optional query) over the
@@ -693,7 +672,9 @@ func (o ViewOptions) coreOptions() (core.Options, error) {
 	out := core.Options{
 		DummyDeniedNames: o.DummyDeniedNames,
 		DisableSkipIndex: o.DisableSkipIndex,
-		Trace:            o.Trace.context(o.TraceID),
+	}
+	if o.Trace != nil {
+		out.Trace = itrace.New(o.Trace, o.TraceID)
 	}
 	if o.Query != "" {
 		q, err := xpath.Parse(o.Query)
